@@ -20,7 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,6 +249,54 @@ def _bob_row(protocol: ProtocolKind, state, channel: Channel):
     return [born_probability(rho, e) for e in bob_povm(protocol).elements]
 
 
+class _Sifting(NamedTuple):
+    """Sifting outcome of every (signal j, Bob outcome k, announcement ai) of a protocol.
+
+    walk[j-1][k-1] is (announcement weight, ((a, b, guesses), ...)) over the
+    accepted announcements in order; guesses[slot[rec]] is Eve's guess for
+    the EveRecord rec. accept, alice and bob index [j-1, k-1, ai], eve
+    [side, m-1, k-1, ai] with side 0 alice, 1 bob; -1 marks no bit.
+    """
+
+    slot: MappingProxyType
+    walk: tuple
+    accept: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+    eve: np.ndarray
+
+
+@lru_cache(maxsize=len(ProtocolKind))
+def _sifting(protocol: ProtocolKind) -> _Sifting:
+    n = protocol.n_signals
+    records = [None, NOT_INTERCEPTED]
+    records += [EveRecord(True, side, m) for side in ("alice", "bob") for m in range(1, n + 1)]
+    shape = (n, n, len(announcement_options(protocol, 1)))
+    accept = np.zeros(shape, dtype=bool)
+    alice, bob = np.full((2, *shape), -1, dtype=np.int8)
+    eve = np.full((2 * n, *shape[1:]), -1, dtype=np.int8)
+    walk = [[] for _ in range(n)]
+    for k in range(1, n + 1):
+        options = announcement_options(protocol, k)
+        cells = [[] for _ in range(n)]
+        for ai, ann in enumerate(options):
+            guesses = tuple(eve_guess(rec, protocol, ann, True) for rec in records)
+            eve[:, k - 1, ai] = [-1 if g is None else g for g in guesses[2:]]
+            for j in range(1, n + 1):
+                if sift_accept(protocol, j, ann):
+                    a, b = derive_bits(protocol, j, k, ann)
+                    accept[j - 1, k - 1, ai] = True
+                    alice[j - 1, k - 1, ai], bob[j - 1, k - 1, ai] = a, b
+                    cells[j - 1].append((a, b, guesses))
+        for j in range(n):
+            walk[j].append((Fraction(1, len(options)), tuple(cells[j])))
+    eve = eve.reshape(2, *shape)
+    for arr in (accept, alice, bob, eve):
+        arr.flags.writeable = False
+    slot = MappingProxyType({rec: i for i, rec in enumerate(records)})
+    return _Sifting(slot, tuple(map(tuple, walk)), accept, alice, bob, eve)
+
+
 def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) -> JointDistribution:
     """Exhaustively enumerate one round and return the sifted joint distribution.
 
@@ -264,6 +315,7 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     """
     n = protocol.n_signals
     w_j = Fraction(1, n)
+    sifting = _sifting(protocol)
     table: dict = {}
     sift_mass = 0
     total_mass = 0
@@ -271,20 +323,14 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
         for w_e, state, rec in _eve_branches(protocol, eve, j):
             row = _bob_row(protocol, state, channel)
             base = w_j * w_e
-            for k in range(1, n + 1):
-                pk = row[k - 1]
+            slot = sifting.slot[rec]
+            for pk, (w_a, cells) in zip(row, sifting.walk[j - 1]):
                 if _negligible(pk):
                     continue
-                options = announcement_options(protocol, k)
-                w_a = Fraction(1, len(options))
+                total_mass += base * pk
                 w = base * pk * w_a
-                for ann in options:
-                    total_mass += w
-                    if not sift_accept(protocol, j, ann):
-                        continue
-                    a, b = derive_bits(protocol, j, k, ann)
-                    e = eve_guess(rec, protocol, ann, True)
-                    key = (a, b, e)
+                for a, b, guesses in cells:
+                    key = (a, b, guesses[slot])
                     table[key] = table.get(key, 0) + w
                     sift_mass += w
     if abs(float(total_mass) - 1.0) > 1e-9:
@@ -391,11 +437,46 @@ def key_rate(joint: JointDistribution) -> RateReport:
 
 
 def _strategy_for(family: str, q, mix: EnsembleMix = EnsembleMix.SYMMETRIC):
+    """The eavesdropper of an attack family at strength q; "none" is no eavesdropper."""
+    if family == "none":
+        return None
     if family == "standard":
         return InterceptResend(q=q, mix=mix)
     if family == "gentle":
         return GentleIntercept(q=q, mix=mix)
     raise ValueError(f"unknown attack family: {family!r} (expected standard or gentle)")
+
+
+def _intercept_resend_line(protocol, mix, channel, ordered=False):
+    """q -> sifted joint of InterceptResend(q, mix), from two enumerations.
+
+    Every branch weight of intercept/resend is affine in q, so the
+    unnormalised sifted table is exactly (1 - q) U(0) + q U(1); with exact
+    endpoints and an exact q the joint equals enumerate_joint's. Interior
+    tables list endpoint keys in first-seen order, unless `ordered`: then
+    the first interior q is enumerated and fixes the key order (and so the
+    float sums over the table) of all later ones.
+    """
+    ends = [
+        enumerate_joint(protocol, InterceptResend(q=Fraction(q), mix=mix), channel)
+        for q in (0, 1)
+    ]
+    u0, u1 = ({key: jd.p_sift * v for key, v in jd.table.items()} for jd in ends)
+    keys = None if ordered else list({**u0, **u1})
+
+    def joint_at(q):
+        nonlocal keys
+        if q == 0 or q == 1:
+            return ends[int(q)]
+        if keys is None:
+            joint = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
+            keys = list({**joint.table, **u0, **u1})
+            return joint
+        u = {key: (1 - q) * u0.get(key, 0) + q * u1.get(key, 0) for key in keys}
+        p_sift = sum(u.values())
+        return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
+
+    return joint_at
 
 
 def find_threshold(
@@ -408,13 +489,27 @@ def find_threshold(
 
     Stops when |R| < 1e-10 or the q-interval is narrower than 1e-9 and
     reports both the critical strength and the error rate it induces.
+    Standard (intercept/resend) solves enumerate only q = 0 and q = 1, bisect
+    on their affine mix, and enumerate once more at q_star, so qber_star is
+    the QBER enumerate_joint reports there. Gentle solves enumerate every
+    bisection point.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
+        ValueError: for an attack family other than standard or gentle.
     """
+    if attack_family == "standard":
+        joint_at = _intercept_resend_line(protocol, mix, channel)
+    elif attack_family == "gentle":
+        def joint_at(q):
+            return enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+    else:
+        raise ValueError(
+            f"unknown attack family: {attack_family!r} (expected standard or gentle)"
+        )
 
     def rate_at(q: float):
-        jd = enumerate_joint(protocol, _strategy_for(attack_family, q, mix), channel)
+        jd = joint_at(q)
         return key_rate(jd).r, jd
 
     r_lo, _ = rate_at(0.0)
@@ -424,8 +519,6 @@ def find_threshold(
             f"key rate does not cross zero on [0, 1]: R(0)={r_lo!r}, R(1)={r_hi!r}"
         )
     lo, hi = 0.0, 1.0
-    mid = 0.5
-    jd_mid = None
     while hi - lo >= 1e-9:
         mid = (lo + hi) / 2
         r_mid, jd_mid = rate_at(mid)
@@ -435,9 +528,8 @@ def find_threshold(
             lo = mid
         else:
             hi = mid
-    if jd_mid is None:  # interval already narrow; evaluate once
-        mid = (lo + hi) / 2
-        _, jd_mid = rate_at(mid)
+    if attack_family == "standard":
+        jd_mid = enumerate_joint(protocol, InterceptResend(q=mid, mix=mix), channel)
     return ThresholdResult(q_star=mid, qber_star=float(jd_mid.qber))
 
 

@@ -20,13 +20,15 @@ from fractions import Fraction
 from .analysis import (
     JointDistribution,
     NoThresholdError,
+    _intercept_resend_line,
+    _strategy_for,
     analytic_curves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
     key_rate,
 )
-from .eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
+from .eavesdrop import EnsembleMix, InterceptResend
 from .montecarlo import TrialConfig, compare_to_oracle, proportion_se, run_trials
 from .protocol import Channel, ProtocolKind
 
@@ -47,14 +49,6 @@ def _fraction_arg(text: str) -> Fraction:
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
-
-
-def _strategy(attack: str, q, mix: EnsembleMix):
-    if attack == "none":
-        return None
-    if attack == "standard":
-        return InterceptResend(q=q, mix=mix)
-    return GentleIntercept(q=q, mix=mix)
 
 
 def _rates_record(joint: JointDistribution) -> dict:
@@ -102,7 +96,7 @@ def _to_csv(record: dict) -> str:
 
 def _cmd_analytic(args, parser) -> tuple:
     protocol = ProtocolKind(args.protocol)
-    eve = _strategy(args.attack, args.q, EnsembleMix(args.mix))
+    eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     joint = enumerate_joint(protocol, eve, Channel(depolarizing=args.depolarize))
     record = {
         "command": "analytic",
@@ -120,12 +114,14 @@ def _cmd_threshold(args, parser) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.attack == "none":
         parser.error("threshold requires --attack standard or gentle")
-    result = find_threshold(protocol, args.attack, EnsembleMix(args.mix))
+    channel = Channel(depolarizing=args.depolarize)
+    result = find_threshold(protocol, args.attack, EnsembleMix(args.mix), channel)
     record = {
         "command": "threshold",
         "protocol": protocol.value,
         "attack": args.attack,
         "mix": args.mix,
+        "depolarize": float(args.depolarize),
         "q_star": round(result.q_star, 4),
         "qber_star": round(result.qber_star, 4),
     }
@@ -138,7 +134,7 @@ def _cmd_simulate(args, parser) -> tuple:
         parser.error("--n must be positive")
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must lie in [0, 2^64)")
-    eve = _strategy(args.attack, args.q, EnsembleMix(args.mix))
+    eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     channel = Channel(depolarizing=args.depolarize)
     config = TrialConfig(
         protocol=protocol, eve=eve, channel=channel, n_rounds=args.n, seed=args.seed
@@ -177,17 +173,22 @@ def _cmd_sweep(args, parser) -> tuple:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     mix = EnsembleMix(args.mix)
+    channel = Channel(depolarizing=args.depolarize)
+    if args.attack == "standard":
+        joint_at = _intercept_resend_line(protocol, mix, channel, ordered=True)
+    else:
+        def joint_at(q):
+            return enumerate_joint(protocol, _strategy_for(args.attack, float(q), mix), channel)
     rows = []
     for i in range(args.steps):
         q = Fraction(i, args.steps - 1)
-        eve = _strategy(args.attack, q if args.attack == "standard" else float(q), mix)
-        joint = enumerate_joint(protocol, eve)
-        rows.append({"q": float(q), **_rates_record(joint)})
+        rows.append({"q": float(q), **_rates_record(joint_at(q))})
     record = {
         "command": "sweep",
         "protocol": protocol.value,
         "attack": args.attack,
         "mix": args.mix,
+        "depolarize": float(args.depolarize),
         "steps": args.steps,
         "rows": rows,
     }
@@ -227,7 +228,7 @@ def _cmd_estimate_q(args, parser) -> tuple:
     return record, 0
 
 
-def _add_common(sub, attack_default="none"):
+def _add_common(sub, attack_default="none", strength=True):
     sub.add_argument(
         "--protocol",
         required=True,
@@ -246,12 +247,13 @@ def _add_common(sub, attack_default="none"):
         choices=[m.value for m in EnsembleMix],
         help="which party's ensemble the eavesdropper impersonates",
     )
-    sub.add_argument(
-        "--q",
-        type=_fraction_arg,
-        default=Fraction(0),
-        help="attack strength in [0, 1]; decimals and fractions parse exactly",
-    )
+    if strength:
+        sub.add_argument(
+            "--q",
+            type=_fraction_arg,
+            default=Fraction(0),
+            help="attack strength in [0, 1]; decimals and fractions parse exactly",
+        )
     sub.add_argument(
         "--depolarize",
         type=_fraction_arg,
@@ -271,7 +273,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_analytic)
 
     sub = commands.add_parser("threshold", help="attack strength where the key rate vanishes")
-    _add_common(sub, attack_default="standard")
+    _add_common(sub, attack_default="standard", strength=False)
     sub.set_defaults(func=_cmd_threshold)
 
     sub = commands.add_parser("simulate", help="Monte Carlo run checked against enumeration")
@@ -281,7 +283,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_simulate)
 
     sub = commands.add_parser("sweep", help="rate table over a uniform q-grid")
-    _add_common(sub, attack_default="standard")
+    _add_common(sub, attack_default="standard", strength=False)
     sub.add_argument("--steps", type=int, default=101, help="number of grid points on [0, 1]")
     sub.set_defaults(func=_cmd_sweep)
 

@@ -112,7 +112,8 @@ def _side_povm(protocol: ProtocolKind, side: str) -> Povm:
     return code_povm(measuring_code(protocol, side))
 
 
-@lru_cache(maxsize=None)
+# keyed by float q, so bounded: a solve or sweep visits a new q per enumeration
+@lru_cache(maxsize=16)
 def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
     return gentle_povm(measuring_code(protocol, side), q)
 

@@ -16,30 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .analysis import _sifting
 from .eavesdrop import (
-    EveRecord,
     GentleIntercept,
     InterceptResend,
     EnsembleMix,
     _side_gentle_povm,
     _side_povm,
-    eve_guess,
     measuring_code,
 )
-from .protocol import (
-    Channel,
-    IDEAL,
-    ProtocolKind,
-    alice_code,
-    announcement_options,
-    bob_povm,
-    derive_bits,
-    sift_accept,
-)
+from .protocol import Channel, IDEAL, ProtocolKind, alice_code, bob_povm
 from .states import born_probability, depolarize, sqrt_post_measurement_state
 
 UNIFORMS_PER_ROUND = 8
@@ -57,6 +48,10 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be positive, got {self.n_rounds}")
         if not 0 <= self.seed < 2**64:
@@ -157,27 +152,8 @@ class _Tables:
                         )
             self.gentle_bob_cum, self.gentle_bob_lnz = gb_cum, gb_lnz
 
-        # sifting decision and both key bits per (signal, outcome, announcement)
-        n_opts = len(announcement_options(protocol, 1))
-        self.n_options = n_opts
-        acc = np.zeros((n, n, n_opts), dtype=bool)
-        abit = np.full((n, n, n_opts), -1, dtype=np.int8)
-        bbit = np.full((n, n, n_opts), -1, dtype=np.int8)
-        ebit = np.full((2, n, n, n_opts), -1, dtype=np.int8)
-        for k in range(1, n + 1):
-            for ai, ann in enumerate(announcement_options(protocol, k)):
-                for j in range(1, n + 1):
-                    if sift_accept(protocol, j, ann):
-                        acc[j - 1, k - 1, ai] = True
-                        a, b = derive_bits(protocol, j, k, ann)
-                        abit[j - 1, k - 1, ai] = a
-                        bbit[j - 1, k - 1, ai] = b
-                for si, side in enumerate(sides):
-                    for m in range(1, n + 1):
-                        rec = EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
-                        g = eve_guess(rec, protocol, ann, True)
-                        ebit[si, m - 1, k - 1, ai] = -1 if g is None else g
-        self.accept_tab, self.alice_tab, self.bob_tab, self.eve_tab = acc, abit, bbit, ebit
+        # sifting decision, key bits and Eve's guess per (signal, outcome, announcement)
+        self.sifting = _sifting(protocol)
 
 
 def _sample_rows(cum_rows: np.ndarray, lnz: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -258,14 +234,15 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
                 u[:, 4],
             )
 
-    n_opts = tab.n_options
+    sifting = tab.sifting
+    n_opts = sifting.accept.shape[2]
     ai = np.minimum((u[:, 5] * n_opts).astype(np.int64), n_opts - 1)
-    accepted = tab.accept_tab[j - 1, k - 1, ai]
-    alice_bit = np.where(accepted, tab.alice_tab[j - 1, k - 1, ai], -1).astype(np.int8)
-    bob_bit = np.where(accepted, tab.bob_tab[j - 1, k - 1, ai], -1).astype(np.int8)
+    accepted = sifting.accept[j - 1, k - 1, ai]
+    alice_bit = np.where(accepted, sifting.alice[j - 1, k - 1, ai], -1).astype(np.int8)
+    bob_bit = np.where(accepted, sifting.bob[j - 1, k - 1, ai], -1).astype(np.int8)
     guessable = accepted & intercepted
     eve_bit = np.where(
-        guessable, tab.eve_tab[np.maximum(side, 0), m - 1, k - 1, ai], -1
+        guessable, sifting.eve[np.maximum(side, 0), m - 1, k - 1, ai], -1
     ).astype(np.int8)
 
     return RoundArrays(

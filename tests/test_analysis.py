@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scqkd.analysis import (
     JointDistribution,
+    _intercept_resend_line,
     NoThresholdError,
     analytic_curves,
     depolarizing_curves,
@@ -227,6 +229,80 @@ class TestThresholds:
             find_threshold(
                 ProtocolKind.BB84, "standard", channel=Channel(depolarizing=F(1))
             )
+
+
+def _plain_bisection(protocol, mix, channel):
+    """Per-q bisection with find_threshold's stop rule, enumerating every point."""
+
+    def rate(q):
+        return key_rate(enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)).r
+
+    lo, hi = 0.0, 1.0
+    while hi - lo >= 1e-9:
+        mid = (lo + hi) / 2
+        r = rate(mid)
+        if abs(r) < 1e-10:
+            break
+        lo, hi = (mid, hi) if r > 0.0 else (lo, mid)
+    return mid
+
+
+class TestInterceptResendIsAffine:
+    """Intercept/resend weights are affine in q, which standard solves and sweeps use."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        protocol=st.sampled_from(ALL),
+        mix=st.sampled_from(list(EnsembleMix)),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=60),
+        p=st.sampled_from([F(0), F(1, 7)]),
+    )
+    def test_unnormalised_table_is_affine(self, protocol, mix, q, p):
+        channel = Channel(depolarizing=p)
+
+        def unnormalised(q):
+            jd = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
+            return {key: jd.p_sift * v for key, v in jd.table.items()}
+
+        u0, u1, uq = unnormalised(F(0)), unnormalised(F(1)), unnormalised(q)
+        for key in {**u0, **u1, **uq}:
+            assert uq.get(key, 0) == (1 - q) * u0.get(key, 0) + q * u1.get(key, 0)
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    def test_line_reproduces_enumeration(self, protocol, mix):
+        channel = Channel(depolarizing=F(1, 7))
+        joint_at = _intercept_resend_line(protocol, mix, channel, ordered=True)
+        for q in (F(0), F(1, 9), F(1, 2), F(5, 6), F(1)):
+            want = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
+            got = joint_at(q)
+            assert got.p_sift == want.p_sift
+            assert list(got.table.items()) == list(want.table.items())
+
+    @pytest.mark.parametrize(
+        "protocol,mix,p",
+        [(protocol, EnsembleMix.SYMMETRIC, F(0)) for protocol in ALL]
+        + [
+            (ProtocolKind.TETRAHEDRON, EnsembleMix.BOB_ONLY, F(1, 20)),
+            (ProtocolKind.SIX_STATE, EnsembleMix.ALICE_ONLY, F(1, 16)),
+        ],
+    )
+    def test_standard_threshold_matches_per_q_bisection(self, protocol, mix, p):
+        channel = Channel(depolarizing=p)
+        res = find_threshold(protocol, "standard", mix, channel)
+        assert abs(res.q_star - _plain_bisection(protocol, mix, channel)) <= 1e-9
+        joint = enumerate_joint(protocol, InterceptResend(q=res.q_star, mix=mix), channel)
+        assert res.qber_star == float(joint.qber)
+
+    def test_gentle_qber_star_is_enumerated_qber(self):
+        mix, channel = EnsembleMix.BOB_ONLY, Channel(depolarizing=F(1, 10))
+        res = find_threshold(ProtocolKind.BB84, "gentle", mix, channel)
+        joint = enumerate_joint(ProtocolKind.BB84, GentleIntercept(q=res.q_star, mix=mix), channel)
+        assert res.qber_star == float(joint.qber)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError):
+            find_threshold(ProtocolKind.TRINE, "none")
 
 
 class TestSiftInversion:

@@ -9,9 +9,9 @@ import pytest
 
 import scqkd.cli as cli
 from scqkd.analysis import NoThresholdError, enumerate_joint, find_threshold, key_rate
-from scqkd.eavesdrop import InterceptResend
+from scqkd.eavesdrop import EnsembleMix, InterceptResend
 from scqkd.montecarlo import SampleStats
-from scqkd.protocol import ProtocolKind
+from scqkd.protocol import Channel, ProtocolKind
 
 F = Fraction
 
@@ -107,6 +107,23 @@ class TestThreshold:
             cli.main(["threshold", "--protocol", "trine", "--attack", "none"])
         assert exc.value.code == 1
 
+    def test_depolarize_is_applied_and_echoed(self, capsys):
+        code, record, _ = run_json(
+            ["threshold", "--protocol", "trine", "--depolarize", "1/10"], capsys
+        )
+        assert code == 0
+        assert record["depolarize"] == 0.1
+        want = find_threshold(
+            ProtocolKind.TRINE, "standard", channel=Channel(depolarizing=F(1, 10))
+        )
+        assert record["q_star"] == round(want.q_star, 4)
+        assert record["qber_star"] == round(want.qber_star, 4) == 0.239
+
+    def test_q_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["threshold", "--protocol", "trine", "--q", "1/2"])
+        assert exc.value.code == 1
+
     def test_no_threshold_becomes_exit_1(self, capsys, monkeypatch):
         def no_crossing(*a, **kw):
             raise NoThresholdError("rate does not change sign")
@@ -192,6 +209,47 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--protocol", "trine", "--steps", "1"])
         assert exc.value.code == 1
+
+    def test_q_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--protocol", "trine", "--q", "1/2"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "protocol,mix,p",
+        [
+            ("trine", "symmetric", "0"),
+            ("tetra", "bob", "1/7"),
+            ("bb84", "alice", "1/10"),
+            ("six-state", "symmetric", "1/20"),
+        ],
+    )
+    def test_standard_rows_equal_per_q_enumeration(self, capsys, protocol, mix, p):
+        code, record, _ = run_json(
+            ["sweep", "--protocol", protocol, "--mix", mix, "--depolarize", p, "--steps", "9"],
+            capsys,
+        )
+        assert code == 0
+        assert record["depolarize"] == float(F(p))
+        channel = Channel(depolarizing=F(p))
+        for i, row in enumerate(record["rows"]):
+            q = F(i, 8)
+            eve = InterceptResend(q=q, mix=EnsembleMix(mix))
+            joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
+            want = {"q": float(q), **cli._rates_record(joint)}
+            assert json.dumps(row) == json.dumps(want)
+
+    def test_gentle_rows_see_the_channel(self, capsys):
+        _, quiet, _ = run_json(
+            ["sweep", "--protocol", "bb84", "--attack", "gentle", "--steps", "3"], capsys
+        )
+        _, noisy, _ = run_json(
+            ["sweep", "--protocol", "bb84", "--attack", "gentle", "--steps", "3",
+             "--depolarize", "0.2"],
+            capsys,
+        )
+        assert quiet["rows"][0]["qber"] == 0.0
+        assert noisy["rows"][0]["qber"] == pytest.approx(0.1)
 
 
 class TestEstimateQ:

@@ -54,6 +54,18 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(protocol=ProtocolKind.TRINE, seed=2**64)
 
+    @pytest.mark.parametrize(
+        "field,value", [("n_rounds", 2.5), ("seed", 1.5), ("n_rounds", True), ("seed", False),
+                        ("n_rounds", "10"), ("seed", F(3))]
+    )
+    def test_non_integers_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TrialConfig(protocol=ProtocolKind.TRINE, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = TrialConfig(protocol=ProtocolKind.TRINE, n_rounds=np.int64(7), seed=np.uint32(3))
+        assert run_trials(config) == run_trials(TrialConfig(ProtocolKind.TRINE, n_rounds=7, seed=3))
+
 
 PARITY_CASES = [
     (ProtocolKind.TRINE, InterceptResend(q=0.63), IDEAL),
