@@ -252,9 +252,9 @@ def _bob_row(protocol: ProtocolKind, state, channel: Channel):
 class _Sifting(NamedTuple):
     """Sifting outcome of every (signal j, Bob outcome k, announcement ai) of a protocol.
 
-    walk[j-1][k-1] is (announcement weight, ((a, b, guesses), ...)) over the
-    accepted announcements in order; guesses[slot[rec]] is Eve's guess for
-    the EveRecord rec. accept, alice and bob index [j-1, k-1, ai], eve
+    walk[j-1][k-1] is (announcement weight, its float, ((a, b, guesses), ...))
+    over the accepted announcements in order; guesses[slot[rec]] is Eve's
+    guess for the EveRecord rec. accept, alice and bob index [j-1, k-1, ai], eve
     [side, m-1, k-1, ai] with side 0 alice, 1 bob; -1 marks no bit.
     """
 
@@ -288,8 +288,9 @@ def _sifting(protocol: ProtocolKind) -> _Sifting:
                     accept[j - 1, k - 1, ai] = True
                     alice[j - 1, k - 1, ai], bob[j - 1, k - 1, ai] = a, b
                     cells[j - 1].append((a, b, guesses))
+        w_a = Fraction(1, len(options))
         for j in range(n):
-            walk[j].append((Fraction(1, len(options)), tuple(cells[j])))
+            walk[j].append((w_a, float(w_a), tuple(cells[j])))
     eve = eve.reshape(2, *shape)
     for arr in (accept, alice, bob, eve):
         arr.flags.writeable = False
@@ -314,7 +315,10 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
         JointDistribution with p_sift and the conditional p(a, b, e) table.
     """
     n = protocol.n_signals
+    # Fraction * float computes float(Fraction) * float, so float branches
+    # take the float copies of the weights and skip that slow fallback
     w_j = Fraction(1, n)
+    w_j_float = float(w_j)
     sifting = _sifting(protocol)
     table: dict = {}
     sift_mass = 0
@@ -322,13 +326,14 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     for j in range(1, n + 1):
         for w_e, state, rec in _eve_branches(protocol, eve, j):
             row = _bob_row(protocol, state, channel)
-            base = w_j * w_e
+            base = (w_j_float if isinstance(w_e, float) else w_j) * w_e
             slot = sifting.slot[rec]
-            for pk, (w_a, cells) in zip(row, sifting.walk[j - 1]):
+            for pk, (w_a, w_a_float, cells) in zip(row, sifting.walk[j - 1]):
                 if _negligible(pk):
                     continue
-                total_mass += base * pk
-                w = base * pk * w_a
+                mass = base * pk
+                total_mass += mass
+                w = mass * (w_a_float if isinstance(mass, float) else w_a)
                 for a, b, guesses in cells:
                     key = (a, b, guesses[slot])
                     table[key] = table.get(key, 0) + w

@@ -9,13 +9,17 @@ chunked runs merge to bit-identical totals.
 The vectorized kernel precomputes per-branch outcome tables by calling the
 same scalar routines run_round uses (same matrices, same Born products, same
 sequential cumulative sums), so a vectorized batch reproduces the scalar
-transcript loop float for float.
+transcript loop float for float. The tables of a configuration are built
+once and cached, and a round's key bits and Eve's guess are read from one
+table indexed by the round's cell (signal, Eve's slot, Bob's outcome,
+announcement).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -90,7 +94,10 @@ def _cumulative_row(rho, povm):
 
 
 class _Tables:
-    """Per-configuration outcome tables for the vectorized kernel."""
+    """Per-configuration outcome tables for the vectorized kernel.
+
+    Each CDF table is flat, one row per state, so a round's row is one take.
+    """
 
     def __init__(self, protocol: ProtocolKind, eve, channel: Channel):
         n = protocol.n_signals
@@ -105,8 +112,9 @@ class _Tables:
         povm_b = bob_povm(protocol)
         sides = ("alice", "bob")
 
-        # Bob's outcome CDF per forwarded pure state: source 0 = Alice-ensemble
-        # states, source 1 = Bob-ensemble states (the dual under exclusion sifting).
+        # Bob's outcome CDF per forwarded pure state, row src * n + s-1: source 0 =
+        # Alice-ensemble states, source 1 = Bob-ensemble states (the dual under
+        # exclusion sifting).
         bob_cum = np.empty((2, n, n))
         bob_lnz = np.empty((2, n), dtype=np.int64)
         for src, side in enumerate(sides):
@@ -114,9 +122,10 @@ class _Tables:
             for s in range(1, n + 1):
                 rho = depolarize(code.state(s), channel.depolarizing)
                 bob_cum[src, s - 1], bob_lnz[src, s - 1] = _cumulative_row(rho, povm_b)
-        self.bob_cum, self.bob_lnz = bob_cum, bob_lnz
+        self.bob_cum, self.bob_lnz = bob_cum.reshape(-1, n), bob_lnz.reshape(-1)
 
         if self.kind != "none":
+            # Eve's outcome CDF on signal j, row side * n + j-1
             eve_cum = np.empty((2, n, n))
             eve_lnz = np.empty((2, n), dtype=np.int64)
             for si, side in enumerate(sides):
@@ -127,11 +136,11 @@ class _Tables:
                 for j in range(1, n + 1):
                     rho = alice_code(protocol).state(j)
                     eve_cum[si, j - 1], eve_lnz[si, j - 1] = _cumulative_row(rho, povm_e)
-            self.eve_cum, self.eve_lnz = eve_cum, eve_lnz
+            self.eve_cum, self.eve_lnz = eve_cum.reshape(-1, n), eve_lnz.reshape(-1)
 
         if self.kind == "gentle":
             # forwarded state depends on the original signal, so Bob's CDF
-            # is indexed by (side, eve outcome, signal)
+            # row is (side * n + m-1) * n + j-1 for eve outcome m on signal j
             gb_cum = np.empty((2, n, n, n))
             gb_lnz = np.empty((2, n, n), dtype=np.int64)
             for si, side in enumerate(sides):
@@ -150,22 +159,40 @@ class _Tables:
                         gb_cum[si, m - 1, j - 1], gb_lnz[si, m - 1, j - 1] = (
                             _cumulative_row(fwd, povm_b)
                         )
-            self.gentle_bob_cum, self.gentle_bob_lnz = gb_cum, gb_lnz
+            self.gentle_bob_cum, self.gentle_bob_lnz = gb_cum.reshape(-1, n), gb_lnz.reshape(-1)
 
-        # sifting decision, key bits and Eve's guess per (signal, outcome, announcement)
-        self.sifting = _sifting(protocol)
+        # (accepted, alice bit, bob bit, eve bit) of every round cell: cell
+        # ((slot * n + j-1) * n + k-1) * n_opts + ai, where slot is 0 when Eve did
+        # not intercept and 1 + side * n + m-1 when she saw outcome m on side
+        sifting = _sifting(protocol)
+        accept = sifting.accept
+        self.n_opts = accept.shape[2]
+        guess = np.concatenate([np.full((1, n, self.n_opts), -1, np.int8),
+                                sifting.eve.reshape(2 * n, n, self.n_opts)])
+        bits = np.stack(np.broadcast_arrays(accept, sifting.alice, sifting.bob, guess[:, None]))
+        bits = np.where(accept, bits, -1)
+        bits[0] = accept
+        self.cell_bits = bits.reshape(4, -1)
+        for value in vars(self).values():  # shared by every caller of _tables
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
-def _sample_rows(cum_rows: np.ndarray, lnz: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse CDF over gathered cumulative rows; returns 1-based labels.
+@lru_cache(maxsize=16)
+def _tables(protocol: ProtocolKind, eve, channel: Channel) -> _Tables:
+    return _Tables(protocol, eve, channel)
+
+
+def _sample_rows(cum: np.ndarray, lnz: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vectorized inverse CDF over the given rows of a CDF table; returns 1-based labels.
 
     Equivalent to states.sample_outcome: a uniform in [c_{i-1}, c_i) picks
     outcome i (zero-probability outcomes create empty intervals), and a
     uniform at or past the total mass falls back to the last nonzero outcome.
     """
-    idx = (u[:, None] >= cum_rows).sum(axis=1)
-    over = idx >= cum_rows.shape[1]
-    return np.where(over, lnz, np.minimum(idx, cum_rows.shape[1] - 1)) + 1
+    idx = (u[:, None] >= cum.take(rows, axis=0)).sum(axis=1)
+    over = idx >= cum.shape[1]
+    return np.where(over, lnz.take(rows), np.minimum(idx, cum.shape[1] - 1)) + 1
 
 
 @dataclass(frozen=True)
@@ -192,13 +219,17 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
 
     The defaults cover the whole trial. Identical to running the scalar
     run_round loop over the same index range with the same seed.
+
+    The whole range is materialised at once: its uniform block alone is
+    count x 8 doubles (64 bytes per round), so simulate_rounds(config) with
+    no count holds n_rounds x 8 doubles. Callers that need only the totals
+    should use run_trials, which simulates bounded chunks and keeps counts.
     """
     if count is None:
         count = config.n_rounds - start
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
-    protocol = config.protocol
-    tab = _Tables(protocol, config.eve, config.channel)
+    tab = _tables(config.protocol, config.eve, config.channel)
     n = tab.n
     u = round_uniforms(config.seed, start, count)
 
@@ -208,7 +239,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
         intercepted = np.zeros(count, dtype=bool)
         side = np.full(count, -1, dtype=np.int8)
         m = np.zeros(count, dtype=np.int64)
-        k = _sample_rows(tab.bob_cum[0, j - 1], tab.bob_lnz[0, j - 1], u[:, 4])
+        k = _sample_rows(tab.bob_cum, tab.bob_lnz, j - 1, u[:, 4])
     else:
         eve = config.eve
         if eve.mix is EnsembleMix.ALICE_ONLY:
@@ -217,33 +248,23 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
             side = np.ones(count, dtype=np.int8)
         else:
             side = np.where(u[:, 2] < 0.5, 0, 1).astype(np.int8)
-        m = _sample_rows(tab.eve_cum[side, j - 1], tab.eve_lnz[side, j - 1], u[:, 3])
+        m = _sample_rows(tab.eve_cum, tab.eve_lnz, side * n + j - 1, u[:, 3])
         if tab.kind == "standard":
             intercepted = u[:, 1] < float(eve.q)
             # forwarded state: Eve's ensemble state m if intercepted, else signal j
-            src = np.where(intercepted, side, 0).astype(np.int64)
-            s = np.where(intercepted, m, j)
-            k = _sample_rows(tab.bob_cum[src, s - 1], tab.bob_lnz[src, s - 1], u[:, 4])
+            row = np.where(intercepted, side * n + m - 1, j - 1)
+            k = _sample_rows(tab.bob_cum, tab.bob_lnz, row, u[:, 4])
             side = np.where(intercepted, side, -1).astype(np.int8)
             m = np.where(intercepted, m, 0)
         else:
             intercepted = np.ones(count, dtype=bool)
-            k = _sample_rows(
-                tab.gentle_bob_cum[side, m - 1, j - 1],
-                tab.gentle_bob_lnz[side, m - 1, j - 1],
-                u[:, 4],
-            )
+            row = (side * n + m - 1) * n + j - 1
+            k = _sample_rows(tab.gentle_bob_cum, tab.gentle_bob_lnz, row, u[:, 4])
 
-    sifting = tab.sifting
-    n_opts = sifting.accept.shape[2]
-    ai = np.minimum((u[:, 5] * n_opts).astype(np.int64), n_opts - 1)
-    accepted = sifting.accept[j - 1, k - 1, ai]
-    alice_bit = np.where(accepted, sifting.alice[j - 1, k - 1, ai], -1).astype(np.int8)
-    bob_bit = np.where(accepted, sifting.bob[j - 1, k - 1, ai], -1).astype(np.int8)
-    guessable = accepted & intercepted
-    eve_bit = np.where(
-        guessable, sifting.eve[np.maximum(side, 0), m - 1, k - 1, ai], -1
-    ).astype(np.int8)
+    ai = np.minimum((u[:, 5] * tab.n_opts).astype(np.int64), tab.n_opts - 1)
+    slot = np.where(intercepted, side * n + m, 0)
+    cell = ((slot * n + j - 1) * n + k - 1) * tab.n_opts + ai
+    accepted, alice_bit, bob_bit, eve_bit = tab.cell_bits.take(cell, axis=1)
 
     return RoundArrays(
         signal=j.astype(np.int8),
@@ -252,7 +273,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
         eve_outcome=m.astype(np.int8),
         bob_outcome=k.astype(np.int8),
         announce_index=ai.astype(np.int8),
-        accepted=accepted,
+        accepted=accepted.view(bool),
         alice_bit=alice_bit,
         bob_bit=bob_bit,
         eve_bit=eve_bit,
@@ -331,16 +352,18 @@ def stats_from_arrays(arrays: RoundArrays) -> SampleStats:
     )
 
 
-def run_trials(config: TrialConfig, chunk_size: int = 1 << 16) -> SampleStats:
-    """Run the whole trial in chunks and merge; totals are chunk-size invariant."""
+def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
+    """Run the whole trial in chunks and merge; totals are chunk-size invariant.
+
+    Only one chunk's transcripts are held at a time, so peak memory is
+    about one chunk (the uniforms alone are 64 bytes per round).
+    """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     total = SampleStats.zero()
-    start = 0
-    while start < config.n_rounds:
+    for start in range(0, config.n_rounds, chunk_size):
         count = min(chunk_size, config.n_rounds - start)
         total = total + stats_from_arrays(simulate_rounds(config, start, count))
-        start += count
     return total
 
 

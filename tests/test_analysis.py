@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from scqkd.analysis import (
     JointDistribution,
+    _bob_row,
+    _eve_branches,
     _intercept_resend_line,
+    _negligible,
+    _sifting,
     NoThresholdError,
     analytic_curves,
     depolarizing_curves,
@@ -107,7 +111,35 @@ class TestEnumerateStandard:
             assert abs(float(v) - approx.table[key]) < 1e-12
 
 
+def _fraction_weight_joint(protocol, eve, channel):
+    """enumerate_joint's walk with the Fraction weights 1/n and 1/len(options) on every branch."""
+    n = protocol.n_signals
+    sifting = _sifting(protocol)
+    table, sift_mass = {}, 0
+    for j in range(1, n + 1):
+        for w_e, state, rec in _eve_branches(protocol, eve, j):
+            base = F(1, n) * w_e
+            for pk, (w_a, _, cells) in zip(_bob_row(protocol, state, channel), sifting.walk[j - 1]):
+                if _negligible(pk):
+                    continue
+                w = base * pk * w_a
+                for a, b, guesses in cells:
+                    key = (a, b, guesses[sifting.slot[rec]])
+                    table[key] = table.get(key, 0) + w
+                    sift_mass += w
+    return sift_mass, {key: v / sift_mass for key, v in table.items()}
+
+
 class TestEnumerateGentle:
+    @pytest.mark.parametrize("protocol", ALL)
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("q,channel", [(0.7, Channel()), (0.3, Channel(depolarizing=0.05))])
+    def test_float_weights_match_fraction_weights(self, protocol, mix, q, channel):
+        jd = enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        p_sift, table = _fraction_weight_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        assert jd.p_sift == p_sift
+        assert list(jd.table.items()) == list(table.items())
+
     @pytest.mark.parametrize("protocol", ALL)
     def test_full_strength_equals_intercept_resend(self, protocol):
         hard = enumerate_joint(protocol, _sym(F(1)))

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from scqkd.analysis import enumerate_joint
-from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
+from scqkd.analysis import _sifting, _strategy_for, enumerate_joint
+from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend, eve_guess
 from scqkd.montecarlo import (
     RoundArrays,
     SampleStats,
     TrialConfig,
     ZScore,
+    _tables,
     compare_to_oracle,
     proportion_se,
     round_rng,
@@ -96,6 +98,8 @@ class TestKernelParity:
             rec = t.eve_record
             touched = rec is not None and rec.intercepted
             assert arrays.intercepted[i] == touched
+            guess = eve_guess(rec, protocol, t.announcement, True) if t.accepted else None
+            assert arrays.eve_bit[i] == (-1 if guess is None else guess)
             if touched:
                 assert arrays.eve_outcome[i] == rec.outcome_index
                 assert arrays.eve_side[i] == (0 if rec.ensemble_used == "alice" else 1)
@@ -202,6 +206,62 @@ class TestRunTrials:
         config = TrialConfig(protocol=ProtocolKind.BB84, n_rounds=10)
         with pytest.raises(ValueError):
             run_trials(config, chunk_size=0)
+
+
+@st.composite
+def trial_configs(draw, max_rounds=5000):
+    eve = _strategy_for(
+        draw(st.sampled_from(["none", "standard", "gentle"])),
+        draw(st.floats(0, 1)),
+        draw(st.sampled_from(list(EnsembleMix))),
+    )
+    return TrialConfig(
+        protocol=draw(st.sampled_from(list(ProtocolKind))),
+        eve=eve,
+        channel=Channel(depolarizing=draw(st.sampled_from([0, F(1, 7), 0.05, 1.0]))),
+        n_rounds=draw(st.integers(1, max_rounds)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestChunkedKernel:
+    """run_trials reuses cached tables across chunks; totals must not change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=trial_configs(), data=st.data())
+    def test_chunks_equal_one_transcript(self, config, data):
+        chunk = data.draw(st.integers(max(1, config.n_rounds // 40), 6000), label="chunk_size")
+        assert run_trials(config, chunk_size=chunk) == stats_from_arrays(simulate_rounds(config))
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_cell_bits_match_the_sifting_rules(self, protocol):
+        n = protocol.n_signals
+        sifting = _sifting(protocol)
+        n_opts = sifting.accept.shape[2]
+        bits = _tables(protocol, None, IDEAL).cell_bits.reshape(4, 1 + 2 * n, n, n, n_opts)
+        for slot, j, k, ai in np.ndindex(bits.shape[1:]):
+            accepted, alice, bob, eve = bits[:, slot, j, k, ai]
+            if not sifting.accept[j, k, ai]:
+                assert (accepted, alice, bob, eve) == (0, -1, -1, -1)
+                continue
+            assert (accepted, alice, bob) == (1, sifting.alice[j, k, ai], sifting.bob[j, k, ai])
+            want = -1 if slot == 0 else sifting.eve[(slot - 1) // n, (slot - 1) % n, k, ai]
+            assert eve == want
+
+    def test_tables_built_once_per_configuration(self):
+        config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
+        _tables.cache_clear()
+        run_trials(config, chunk_size=100)
+        run_trials(config, chunk_size=700)
+        assert _tables.cache_info().misses == 1
+        tab = _tables(config.protocol, config.eve, config.channel)
+        assert not any(v.flags.writeable for v in vars(tab).values() if isinstance(v, np.ndarray))
+
+    def test_table_cache_is_bounded(self):
+        for q in np.linspace(0, 1, 40):
+            _tables(ProtocolKind.TRINE, GentleIntercept(q=float(q)), IDEAL)
+        info = _tables.cache_info()
+        assert info.maxsize == 16 and info.currsize <= 16
 
 
 class TestComparison:
