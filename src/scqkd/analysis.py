@@ -6,8 +6,9 @@ sifting, produced by exhaustively enumerating every branch of a round. For
 the intercept/resend attack every branch probability is rational, so the
 enumeration runs in exact Fraction arithmetic whenever the inputs (q and the
 depolarizing strength) are rational; the gentle attack introduces matrix
-square roots and runs in double precision. The one-way distillable rate is
-the classical bound
+square roots and runs in double precision. Thresholds and sweeps combine
+the tables of a few strengths instead (`_joint_curve`). The one-way
+distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
 
@@ -139,6 +140,7 @@ class RateReport:
 class ThresholdResult:
     q_star: float
     qber_star: float
+    n_enumerations: int  # enumerate_joint calls the solve made
 
 
 @dataclass(frozen=True)
@@ -452,32 +454,50 @@ def _strategy_for(family: str, q, mix: EnsembleMix = EnsembleMix.SYMMETRIC):
     raise ValueError(f"unknown attack family: {family!r} (expected standard or gentle)")
 
 
-def _intercept_resend_line(protocol, mix, channel, ordered=False):
-    """q -> sifted joint of InterceptResend(q, mix), from two enumerations.
+def _gentle_weights(q: float) -> tuple:
+    # solves w . 1 = 1, w . q_i = q, w . s_i = s at q_i = (0, 3/5, 1), s_i = (1, 4/5, 0)
+    s = math.sqrt(1.0 - q * q)
+    t = q + s - 1.0
+    return (2.0 - 2.0 * q - s, 2.5 * t, q - 1.5 * t)
 
-    Every branch weight of intercept/resend is affine in q, so the
-    unnormalised sifted table is exactly (1 - q) U(0) + q U(1); with exact
-    endpoints and an exact q the joint equals enumerate_joint's. Interior
-    tables list endpoint keys in first-seen order, unless `ordered`: then
-    the first interior q is enumerated and fixes the key order (and so the
-    float sums over the table) of all later ones.
+
+# each family's curve: its nodes q_i and the weights w_i(q) of their tables
+_CURVES = {
+    "standard": ((Fraction(0), Fraction(1)), lambda q: (1 - q, q)),
+    "gentle": ((Fraction(0), Fraction(3, 5), Fraction(1)), lambda q: _gentle_weights(float(q))),
+}
+
+
+def _joint_curve(protocol, family, mix, channel, ordered=False):
+    """q -> sifted joint of the family's attack at strength q, from a few enumerations.
+
+    The unnormalised sifted table is linear in (1, q) under intercept/resend
+    and in (1, q, sqrt(1 - q^2)) under the gentle attack (see eavesdrop),
+    so it is sum_i w_i(q) U(q_i) over the family's nodes q_i; exact for
+    standard at an exact q. A node returns its enumeration, and negligible
+    combined entries (float roundoff) are dropped. Interior tables list node
+    keys in first-seen order, unless `ordered`: then the first interior q is
+    enumerated and fixes the key order (and so the float sums) of later ones.
     """
-    ends = [
-        enumerate_joint(protocol, InterceptResend(q=Fraction(q), mix=mix), channel)
-        for q in (0, 1)
-    ]
-    u0, u1 = ({key: jd.p_sift * v for key, v in jd.table.items()} for jd in ends)
-    keys = None if ordered else list({**u0, **u1})
+    if family not in _CURVES:
+        raise ValueError(f"unknown attack family: {family!r} (expected standard or gentle)")
+    nodes, weights = _CURVES[family]
+    at_nodes = [enumerate_joint(protocol, _strategy_for(family, q, mix), channel) for q in nodes]
+    us = [{key: jd.p_sift * v for key, v in jd.table.items()} for jd in at_nodes]
+    node_keys = list(dict.fromkeys(key for u_i in us for key in u_i))
+    keys = None if ordered else node_keys
 
     def joint_at(q):
         nonlocal keys
-        if q == 0 or q == 1:
-            return ends[int(q)]
+        if q in nodes:
+            return at_nodes[nodes.index(q)]
         if keys is None:
-            joint = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
-            keys = list({**joint.table, **u0, **u1})
+            joint = enumerate_joint(protocol, _strategy_for(family, q, mix), channel)
+            keys = list(dict.fromkeys([*joint.table, *node_keys]))
             return joint
-        u = {key: (1 - q) * u0.get(key, 0) + q * u1.get(key, 0) for key in keys}
+        ws = weights(q)
+        u = {key: sum(w * u_i.get(key, 0) for w, u_i in zip(ws, us)) for key in keys}
+        u = {key: v for key, v in u.items() if not _negligible(v)}
         p_sift = sum(u.values())
         return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
 
@@ -492,33 +512,17 @@ def find_threshold(
 ) -> ThresholdResult:
     """Bisect for the attack strength where the key rate crosses zero.
 
-    Stops when |R| < 1e-10 or the q-interval is narrower than 1e-9 and
-    reports both the critical strength and the error rate it induces.
-    Standard (intercept/resend) solves enumerate only q = 0 and q = 1, bisect
-    on their affine mix, and enumerate once more at q_star, so qber_star is
-    the QBER enumerate_joint reports there. Gentle solves enumerate every
-    bisection point.
+    Stops when |R| < 1e-10 or the q-interval is narrower than 1e-9. R is read
+    off `_joint_curve` (2 enumerations for standard, 3 for gentle), and one
+    more enumeration at q_star gives qber_star, the QBER enumerate_joint
+    reports there.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
         ValueError: for an attack family other than standard or gentle.
     """
-    if attack_family == "standard":
-        joint_at = _intercept_resend_line(protocol, mix, channel)
-    elif attack_family == "gentle":
-        def joint_at(q):
-            return enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
-    else:
-        raise ValueError(
-            f"unknown attack family: {attack_family!r} (expected standard or gentle)"
-        )
-
-    def rate_at(q: float):
-        jd = joint_at(q)
-        return key_rate(jd).r, jd
-
-    r_lo, _ = rate_at(0.0)
-    r_hi, _ = rate_at(1.0)
+    joint_at = _joint_curve(protocol, attack_family, mix, channel)
+    r_lo, r_hi = (key_rate(joint_at(q)).r for q in (0.0, 1.0))
     if not (r_lo > 0.0 > r_hi):
         raise NoThresholdError(
             f"key rate does not cross zero on [0, 1]: R(0)={r_lo!r}, R(1)={r_hi!r}"
@@ -526,16 +530,15 @@ def find_threshold(
     lo, hi = 0.0, 1.0
     while hi - lo >= 1e-9:
         mid = (lo + hi) / 2
-        r_mid, jd_mid = rate_at(mid)
+        r_mid = key_rate(joint_at(mid)).r
         if abs(r_mid) < 1e-10:
             break
         if r_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    if attack_family == "standard":
-        jd_mid = enumerate_joint(protocol, InterceptResend(q=mid, mix=mix), channel)
-    return ThresholdResult(q_star=mid, qber_star=float(jd_mid.qber))
+    joint = enumerate_joint(protocol, _strategy_for(attack_family, mid, mix), channel)
+    return ThresholdResult(mid, float(joint.qber), len(_CURVES[attack_family][0]) + 1)
 
 
 def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSiftEstimate:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .analysis import (
     JointDistribution,
     NoThresholdError,
-    _intercept_resend_line,
+    _joint_curve,
     _strategy_for,
     analytic_curves,
     enumerate_joint,
@@ -172,13 +172,8 @@ def _cmd_sweep(args, parser) -> tuple:
         parser.error("sweep requires --attack standard or gentle")
     if args.steps < 2:
         parser.error("--steps must be at least 2")
-    mix = EnsembleMix(args.mix)
     channel = Channel(depolarizing=args.depolarize)
-    if args.attack == "standard":
-        joint_at = _intercept_resend_line(protocol, mix, channel, ordered=True)
-    else:
-        def joint_at(q):
-            return enumerate_joint(protocol, _strategy_for(args.attack, float(q), mix), channel)
+    joint_at = _joint_curve(protocol, args.attack, EnsembleMix(args.mix), channel, ordered=True)
     rows = []
     for i in range(args.steps):
         q = Fraction(i, args.steps - 1)
@@ -301,6 +296,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "q", 0) and args.attack == "none":
+        parser.error("--q needs --attack standard or gentle")
     try:
         record, code = args.func(args, parser)
     except NoThresholdError as exc:

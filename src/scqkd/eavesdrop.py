@@ -9,7 +9,10 @@ state. The gentle attack measures every signal with the weakened POVM
     E_m = q (2/n) |psi_m><psi_m| + ((1 - q)/n) I
 
 and forwards the square-root-updated state, interpolating between no touch
-(q = 0) and full interception (q = 1).
+(q = 0) and full interception (q = 1). E_m has eigenvalues (1 + q)/n on
+|psi_m> and (1 - q)/n on its complement, so sqrt(E_m) rho sqrt(E_m) is linear
+in (1, q, sqrt(1 - q^2)), which is what lets the exact analysis rebuild any
+gentle table from three strengths.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def _side_povm(protocol: ProtocolKind, side: str) -> Povm:
     return code_povm(measuring_code(protocol, side))
 
 
-# keyed by float q, so bounded: a solve or sweep visits a new q per enumeration
+# keyed by float q, so bounded: analytic and simulate runs take any strength
 @lru_cache(maxsize=16)
 def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
     return gentle_povm(measuring_code(protocol, side), q)

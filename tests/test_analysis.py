@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scqkd import analysis
 from scqkd.analysis import (
     JointDistribution,
     _bob_row,
     _eve_branches,
-    _intercept_resend_line,
+    _joint_curve,
     _negligible,
     _sifting,
+    _strategy_for,
     NoThresholdError,
     analytic_curves,
     depolarizing_curves,
@@ -263,11 +265,11 @@ class TestThresholds:
             )
 
 
-def _plain_bisection(protocol, mix, channel):
+def _plain_bisection(protocol, mix, channel, family="standard"):
     """Per-q bisection with find_threshold's stop rule, enumerating every point."""
 
     def rate(q):
-        return key_rate(enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)).r
+        return key_rate(enumerate_joint(protocol, _strategy_for(family, q, mix), channel)).r
 
     lo, hi = 0.0, 1.0
     while hi - lo >= 1e-9:
@@ -277,6 +279,13 @@ def _plain_bisection(protocol, mix, channel):
             break
         lo, hi = (mid, hi) if r > 0.0 else (lo, mid)
     return mid
+
+
+# every protocol noiseless and symmetric, and two noisy one-sided solves
+SOLVE_CASES = [(protocol, EnsembleMix.SYMMETRIC, F(0)) for protocol in ALL] + [
+    (ProtocolKind.TETRAHEDRON, EnsembleMix.BOB_ONLY, F(1, 20)),
+    (ProtocolKind.SIX_STATE, EnsembleMix.ALICE_ONLY, F(1, 16)),
+]
 
 
 class TestInterceptResendIsAffine:
@@ -304,21 +313,14 @@ class TestInterceptResendIsAffine:
     @pytest.mark.parametrize("mix", list(EnsembleMix))
     def test_line_reproduces_enumeration(self, protocol, mix):
         channel = Channel(depolarizing=F(1, 7))
-        joint_at = _intercept_resend_line(protocol, mix, channel, ordered=True)
+        joint_at = _joint_curve(protocol, "standard", mix, channel, ordered=True)
         for q in (F(0), F(1, 9), F(1, 2), F(5, 6), F(1)):
             want = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
             got = joint_at(q)
             assert got.p_sift == want.p_sift
             assert list(got.table.items()) == list(want.table.items())
 
-    @pytest.mark.parametrize(
-        "protocol,mix,p",
-        [(protocol, EnsembleMix.SYMMETRIC, F(0)) for protocol in ALL]
-        + [
-            (ProtocolKind.TETRAHEDRON, EnsembleMix.BOB_ONLY, F(1, 20)),
-            (ProtocolKind.SIX_STATE, EnsembleMix.ALICE_ONLY, F(1, 16)),
-        ],
-    )
+    @pytest.mark.parametrize("protocol,mix,p", SOLVE_CASES)
     def test_standard_threshold_matches_per_q_bisection(self, protocol, mix, p):
         channel = Channel(depolarizing=p)
         res = find_threshold(protocol, "standard", mix, channel)
@@ -335,6 +337,82 @@ class TestInterceptResendIsAffine:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             find_threshold(ProtocolKind.TRINE, "none")
+
+    @pytest.mark.parametrize("family,count", [("standard", 3), ("gentle", 4)])
+    def test_solve_reports_its_enumerations(self, monkeypatch, family, count):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_joint(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "enumerate_joint", counting)
+        channel = Channel(depolarizing=F(1, 20))
+        res = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
+        assert res.n_enumerations == len(calls) == count
+
+
+_MIXES = st.sampled_from(list(EnsembleMix))
+_NOISE = st.fractions(min_value=0, max_value=1, max_denominator=20)
+
+
+class TestGentleCurve:
+    """Gentle weights are linear in (1, q, sqrt(1 - q^2)), which gentle solves and sweeps use."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        protocol=st.sampled_from(ALL),
+        mix=_MIXES,
+        p=_NOISE,
+        # the reference, not the curve, loses precision as q -> 1: its
+        # sqrt_psd_2x2 reads the small eigenvalue (1 - q)/n off a determinant
+        # with ~1e-17 roundoff (~1e-13 off at 1 - q = 1e-9, ~4e-12 at 1e-12),
+        # and above 1 - 2e-14 it snaps the element to rank 1 (~1e-8 off)
+        q=st.floats(min_value=0, max_value=1 - 1e-9, exclude_min=True),
+    )
+    def test_curve_matches_enumeration(self, protocol, mix, p, q):
+        channel = Channel(depolarizing=p)
+        got = _joint_curve(protocol, "gentle", mix, channel)(q)
+        want = enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        assert abs(got.p_sift - want.p_sift) <= 1e-12
+        for key in {**got.table, **want.table}:
+            assert abs(got.table.get(key, 0) - want.table.get(key, 0)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(protocol=st.sampled_from(ALL), mix=_MIXES, p=_NOISE)
+    def test_full_strength_is_intercept_resend(self, protocol, mix, p):
+        channel = Channel(depolarizing=p)
+        soft = enumerate_joint(protocol, GentleIntercept(q=1.0, mix=mix), channel)
+        hard = enumerate_joint(protocol, InterceptResend(q=F(1), mix=mix), channel)
+        assert abs(soft.p_sift - float(hard.p_sift)) <= 1e-12
+        for key in {**soft.table, **hard.table}:
+            assert abs(soft.table.get(key, 0) - float(hard.table.get(key, 0))) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(protocol=st.sampled_from(ALL), mix=_MIXES, p=_NOISE)
+    def test_zero_strength_keeps_the_no_eve_marginal(self, protocol, mix, p):
+        channel = Channel(depolarizing=p)
+        soft = enumerate_joint(protocol, GentleIntercept(q=0.0, mix=mix), channel)
+        ref = enumerate_joint(protocol, None, channel)
+        assert abs(soft.p_sift - float(ref.p_sift)) <= 1e-12
+        soft_ab, ref_ab = soft.pair_ab(), ref.pair_ab()
+        for key in {**soft_ab, **ref_ab}:
+            assert abs(soft_ab.get(key, 0) - float(ref_ab.get(key, 0))) <= 1e-12
+
+    def test_roundoff_dust_is_dropped(self):
+        # next to q = 1 some entries are O(1 - q): below the enumeration's cut,
+        # and left as dust or negative roundoff by the combination
+        joint = _joint_curve(ProtocolKind.TRINE, "gentle", EnsembleMix.SYMMETRIC, Channel())
+        full = enumerate_joint(ProtocolKind.TRINE, GentleIntercept(q=1.0))
+        assert set(joint(1 - 1e-15).table) == set(full.table)
+
+    @pytest.mark.parametrize("protocol,mix,p", SOLVE_CASES)
+    def test_gentle_threshold_matches_per_q_bisection(self, protocol, mix, p):
+        channel = Channel(depolarizing=p)
+        res = find_threshold(protocol, "gentle", mix, channel)
+        assert abs(res.q_star - _plain_bisection(protocol, mix, channel, "gentle")) <= 1e-9
+        joint = enumerate_joint(protocol, GentleIntercept(q=res.q_star, mix=mix), channel)
+        assert res.qber_star == float(joint.qber)
 
 
 class TestSiftInversion:

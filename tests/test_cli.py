@@ -9,7 +9,7 @@ import pytest
 
 import scqkd.cli as cli
 from scqkd.analysis import NoThresholdError, enumerate_joint, find_threshold, key_rate
-from scqkd.eavesdrop import EnsembleMix, InterceptResend
+from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
 from scqkd.montecarlo import SampleStats
 from scqkd.protocol import Channel, ProtocolKind
 
@@ -82,6 +82,16 @@ class TestAnalytic:
         with pytest.raises(SystemExit) as exc:
             cli.main(["analytic", "--protocol", "b92"])
         assert exc.value.code == 1
+
+    def test_q_without_attack_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analytic", "--protocol", "trine", "--attack", "none", "--q", "1/2"])
+        assert exc.value.code == 1
+        code, record, _ = run_json(
+            ["analytic", "--protocol", "trine", "--attack", "none", "--q", "0"], capsys
+        )
+        assert code == 0
+        assert record["q"] == 0.0
 
 
 class TestThreshold:
@@ -179,6 +189,15 @@ class TestSimulate:
             cli.main(["simulate", "--protocol", "trine", "--n", "0"])
         assert exc.value.code == 1
 
+    def test_q_without_attack_is_usage_error(self, capsys):
+        argv = ["simulate", "--protocol", "bb84", "--attack", "none", "--n", "1000"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--q", "1"])
+        assert exc.value.code == 1
+        code, record, _ = run_json(argv + ["--q", "0"], capsys)
+        assert code == 0
+        assert record["q"] == 0.0
+
 
 class TestSweep:
     def test_default_grid_has_101_rows(self, capsys):
@@ -239,6 +258,14 @@ class TestSweep:
             want = {"q": float(q), **cli._rates_record(joint)}
             assert json.dumps(row) == json.dumps(want)
 
+    def test_standard_rows_keep_the_enumeration_key_order(self, capsys):
+        # exact rows whose key order differs from the enumeration's round
+        # differently in key_rate's float sums (rows 7, 11, ... of this grid)
+        _, record, _ = run_json(["sweep", "--protocol", "bb84"], capsys)
+        for i, row in enumerate(record["rows"]):
+            joint = enumerate_joint(ProtocolKind.BB84, InterceptResend(q=F(i, 100)))
+            assert json.dumps(row) == json.dumps({"q": i / 100, **cli._rates_record(joint)})
+
     def test_gentle_rows_see_the_channel(self, capsys):
         _, quiet, _ = run_json(
             ["sweep", "--protocol", "bb84", "--attack", "gentle", "--steps", "3"], capsys
@@ -250,6 +277,28 @@ class TestSweep:
         )
         assert quiet["rows"][0]["qber"] == 0.0
         assert noisy["rows"][0]["qber"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize(
+        "protocol,mix,p",
+        [("trine", "symmetric", "0"), ("tetra", "bob", "1/7"), ("six-state", "alice", "1/20")],
+    )
+    def test_gentle_rows_follow_per_q_enumeration(self, capsys, protocol, mix, p):
+        code, record, _ = run_json(
+            ["sweep", "--protocol", protocol, "--attack", "gentle", "--mix", mix,
+             "--depolarize", p, "--steps", "11"],
+            capsys,
+        )
+        assert code == 0
+        channel = Channel(depolarizing=F(p))
+        for i, row in enumerate(record["rows"]):
+            q = F(i, 10)
+            eve = GentleIntercept(q=float(q), mix=EnsembleMix(mix))
+            joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
+            want = {"q": float(q), **cli._rates_record(joint)}
+            if i in (0, 10):  # the curve's end nodes are enumerations
+                assert json.dumps(row) == json.dumps(want)
+            for key, value in want.items():
+                assert abs(row[key] - value) <= 1e-14
 
 
 class TestEstimateQ:
