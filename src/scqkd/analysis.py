@@ -2,12 +2,16 @@
 
 The central object is the joint distribution p(a, b, e) of Alice's bit, Bob's
 bit, and Eve's guess (0, 1, or None for abstention) conditioned on successful
-sifting, produced by exhaustively enumerating every branch of a round. For
-the intercept/resend attack every branch probability is rational, so the
-enumeration runs in exact Fraction arithmetic whenever the inputs (q and the
-depolarizing strength) are rational; the gentle attack introduces matrix
-square roots and runs in double precision. Thresholds and sweeps combine
-the tables of a few strengths instead (`_joint_curve`). The one-way
+sifting, produced by exhaustively enumerating every branch of a round. A round is
+one model with two stage tables, built by `_stages`: Eve's outcome rows per
+(ensemble side, signal) and Bob's outcome rows per forwarded state, with the
+sifting stage (`_sifting`) cached per protocol. The enumeration walks these
+rows, and montecarlo samples from their Born form. For the intercept/resend
+attack every row entry is rational (read off the exact Bloch Gram matrix),
+so the enumeration runs in exact Fraction arithmetic whenever the inputs (q
+and the depolarizing strength) are rational; the gentle attack introduces
+matrix square roots and runs in double precision. Thresholds and sweeps
+combine the tables of a few strengths instead (`_joint_curve`). The one-way
 distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +36,9 @@ from .eavesdrop import (
     EveRecord,
     GentleIntercept,
     InterceptResend,
-    NOT_INTERCEPTED,
     EnsembleMix,
     _side_gentle_povm,
+    _side_povm,
     eve_guess,
     eve_outcome_probability,
     measuring_code,
@@ -46,6 +49,7 @@ from .protocol import (
     ProtocolKind,
     alice_code,
     announcement_options,
+    bob_povm,
     derive_bits,
     sift_accept,
 )
@@ -168,136 +172,165 @@ def _negligible(p) -> bool:
     return p == 0
 
 
-# -- branch generators ---------------------------------------------------------
+# -- the round model -------------------------------------------------------------
 
 
-def _resend_side_tag(protocol: ProtocolKind, side: str) -> str:
-    # exclusion protocols: Bob-side Eve resends the dual (antipodal) state
-    if side == "bob" and protocol.excludes_outcomes:
-        return "dual"
-    return "alice"
+_SIDES = ("alice", "bob")
 
 
-def _mix_sides(mix: EnsembleMix):
+def _side_weights(mix: EnsembleMix) -> tuple:
+    """Probabilities (alice, bob) that Eve measures with each side's ensemble."""
     if mix is EnsembleMix.ALICE_ONLY:
-        return (("alice", Fraction(1)),)
+        return Fraction(1), Fraction(0)
     if mix is EnsembleMix.BOB_ONLY:
-        return (("bob", Fraction(1)),)
-    return (("alice", Fraction(1, 2)), ("bob", Fraction(1, 2)))
+        return Fraction(0), Fraction(1)
+    return Fraction(1, 2), Fraction(1, 2)
 
 
-def _eve_branches(protocol: ProtocolKind, eve, j: int):
-    """Yield (weight, forwarded state, EveRecord) for every interception branch.
+class _Stages(NamedTuple):
+    """Outcome rows of a round's two measurements; None marks a row the round never reads.
 
-    Forwarded states are ('alice'|'dual', index) tags on the exact path and
-    density matrices on the gentle path.
+    eve[side * n + j-1][m-1] is the probability that Eve, measuring with the
+    side's ensemble (0 alice, 1 bob), sees outcome m on signal j. bob[row][k-1]
+    is the probability of Bob's outcome k on a forwarded state, after the
+    channel: row side * n + s-1 is the side's code state s, and row
+    2n + (side * n + m-1) * n + j-1 is signal j after Eve's gentle outcome m.
     """
-    n = protocol.n_signals
-    if eve is None:
-        yield 1, ("alice", j), None
-        return
-    if isinstance(eve, InterceptResend):
-        if eve.q != 1:
-            yield 1 - eve.q, ("alice", j), NOT_INTERCEPTED
-        if eve.q == 0:
-            return
-        for side, ws in _mix_sides(eve.mix):
-            tag = _resend_side_tag(protocol, side)
-            for m in range(1, n + 1):
-                p_m = eve_outcome_probability(protocol, eve, side, m, j)
-                if _negligible(p_m):
-                    continue
-                rec = EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
-                yield eve.q * ws * p_m, (tag, m), rec
-        return
-    if isinstance(eve, GentleIntercept):
-        rho = alice_code(protocol).state(j)
-        for side, ws in _mix_sides(eve.mix):
-            povm = _side_gentle_povm(protocol, side, float(eve.q))
-            for m in range(1, n + 1):
-                p_m = born_probability(rho, povm.elements[m - 1])
-                # below the cut the conditional state is numerically undefined
-                # (full-strength orthogonal outcomes compute as ~1e-17, not 0)
-                if _negligible(p_m):
-                    continue
-                forwarded = sqrt_post_measurement_state(rho, povm.elements[m - 1])
-                rec = EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
-                yield float(ws) * p_m, forwarded, rec
-        return
-    raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
+
+    eve: list
+    bob: list
 
 
-def _bob_row(protocol: ProtocolKind, state, channel: Channel):
-    """Bob's outcome distribution over labels 1..n for one forwarded state."""
+def _update_row(n: int, side, m, j):
+    """Bob's row in _Stages.bob for signal j after Eve's gentle outcome m on a side."""
+    return 2 * n + (side * n + m - 1) * n + j - 1
+
+
+def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stages:
+    """Eve's and Bob's outcome rows of one configuration, for the sides the mix uses.
+
+    With born=False the no-Eve and intercept/resend rows come from the exact
+    Bloch Gram matrix (Fractions for exact inputs); with born=True every row is
+    a matrix Born product, the numbers the sampler draws from. A gentle attack's
+    rows are Born products either way.
+    """
+    if eve is not None and not isinstance(eve, (InterceptResend, GentleIntercept)):
+        raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
     n = protocol.n_signals
     p = channel.depolarizing
-    if isinstance(state, tuple):
-        side, s = state
-        gram = bloch_gram(protocol.code_kind)
-        bob_side = "dual" if protocol.excludes_outcomes else "alice"
-        row = []
-        for k in range(1, n + 1):
-            d = gram[k - 1][s - 1]
-            if bob_side != side:
-                d = -d
-            pk = (1 + d) * Fraction(1, n)
-            if p != 0:
-                pk = (1 - p) * pk + p * Fraction(1, n)
-            row.append(pk)
-        return row
-    from .protocol import bob_povm
+    gentle = isinstance(eve, GentleIntercept)
+    sides = [] if eve is None else [si for si, w in enumerate(_side_weights(eve.mix)) if w]
+    eve_rows, bob_rows = [None] * (2 * n), [None] * (2 * n * (n + 1))
 
-    rho = depolarize(state, float(p))
-    return [born_probability(rho, e) for e in bob_povm(protocol).elements]
+    def born_row(rho):
+        rho = depolarize(rho, p)
+        return [born_probability(rho, e) for e in bob_povm(protocol).elements]
+
+    for si in sides:
+        side = _SIDES[si]
+        if gentle:
+            povm = _side_gentle_povm(protocol, side, float(eve.q))
+        else:
+            povm = _side_povm(protocol, side)
+        for j in range(1, n + 1):
+            rho = alice_code(protocol).state(j)
+            if born or gentle:
+                row = [born_probability(rho, e) for e in povm.elements]
+            else:
+                row = [eve_outcome_probability(protocol, eve, side, m, j) for m in range(1, n + 1)]
+            eve_rows[si * n + j - 1] = row
+            if not gentle:
+                continue
+            for m in range(1, n + 1):
+                # below the cut the update is numerically undefined (full-strength
+                # orthogonal outcomes compute as ~1e-17); use its p -> 0 limit, the
+                # measured state. Enumeration skips the branch, and the sampler
+                # reaches it with probability < 1e-15
+                if _negligible(row[m - 1]):
+                    fwd = measuring_code(protocol, side).state(m)
+                else:
+                    fwd = sqrt_post_measurement_state(rho, povm.elements[m - 1])
+                bob_rows[_update_row(n, si, m, j)] = born_row(fwd)
+    if gentle:
+        return _Stages(eve_rows, bob_rows)
+    gram = bloch_gram(protocol.code_kind)
+    for si in sorted({0, *sides}):  # signals Eve leaves alone, and the states she resends
+        # under exclusion sifting Bob measures the dual, antipodal to Alice's states
+        flip = -1 if si == 0 and protocol.excludes_outcomes else 1
+        for s in range(1, n + 1):
+            if born:
+                row = born_row(measuring_code(protocol, _SIDES[si]).state(s))
+            else:
+                row = [(1 + flip * gram[k][s - 1]) * Fraction(1, n) for k in range(n)]
+                if p != 0:
+                    row = [(1 - p) * pk + p * Fraction(1, n) for pk in row]
+            bob_rows[si * n + s - 1] = row
+    return _Stages(eve_rows, bob_rows)
+
+
+def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
+    """Yield (weight, Bob's row, Eve's slot) for every way signal j reaches Bob.
+
+    Slot 0 is an untouched round, 1 + side * n + m-1 Eve's outcome m on a side.
+    """
+    n = protocol.n_signals
+    if eve is None or isinstance(eve, InterceptResend) and eve.q != 1:
+        yield (1 if eve is None else 1 - eve.q), j - 1, 0
+    if eve is None or isinstance(eve, InterceptResend) and eve.q == 0:
+        return
+    gentle = isinstance(eve, GentleIntercept)
+    for si, ws in enumerate(_side_weights(eve.mix)):
+        if not ws:
+            continue
+        for m, p_m in enumerate(stages.eve[si * n + j - 1], 1):
+            if _negligible(p_m):
+                continue
+            slot = 1 + si * n + m - 1
+            if gentle:
+                yield float(ws) * p_m, _update_row(n, si, m, j), slot
+            else:
+                yield eve.q * ws * p_m, si * n + m - 1, slot
 
 
 class _Sifting(NamedTuple):
     """Sifting outcome of every (signal j, Bob outcome k, announcement ai) of a protocol.
 
     walk[j-1][k-1] is (announcement weight, its float, ((a, b, guesses), ...))
-    over the accepted announcements in order; guesses[slot[rec]] is Eve's
-    guess for the EveRecord rec. accept, alice and bob index [j-1, k-1, ai], eve
-    [side, m-1, k-1, ai] with side 0 alice, 1 bob; -1 marks no bit.
+    over the accepted announcements in order; guesses[slot] is Eve's guess in
+    the round's slot (see _branches). cell_bits[:, cell] is (accepted, alice bit,
+    bob bit, eve guess), -1 marking no bit, of the cell
+    ((slot * n + j-1) * n + k-1) * n_opts + ai.
     """
 
-    slot: MappingProxyType
     walk: tuple
-    accept: np.ndarray
-    alice: np.ndarray
-    bob: np.ndarray
-    eve: np.ndarray
+    cell_bits: np.ndarray
 
 
 @lru_cache(maxsize=len(ProtocolKind))
 def _sifting(protocol: ProtocolKind) -> _Sifting:
     n = protocol.n_signals
-    records = [None, NOT_INTERCEPTED]
-    records += [EveRecord(True, side, m) for side in ("alice", "bob") for m in range(1, n + 1)]
-    shape = (n, n, len(announcement_options(protocol, 1)))
-    accept = np.zeros(shape, dtype=bool)
-    alice, bob = np.full((2, *shape), -1, dtype=np.int8)
-    eve = np.full((2 * n, *shape[1:]), -1, dtype=np.int8)
+    records = [None] + [EveRecord(True, side, m) for side in _SIDES for m in range(1, n + 1)]
+    n_opts = len(announcement_options(protocol, 1))
+    cell_bits = np.full((4, len(records), n, n, n_opts), -1, dtype=np.int8)
+    cell_bits[0] = 0
     walk = [[] for _ in range(n)]
     for k in range(1, n + 1):
         options = announcement_options(protocol, k)
         cells = [[] for _ in range(n)]
         for ai, ann in enumerate(options):
             guesses = tuple(eve_guess(rec, protocol, ann, True) for rec in records)
-            eve[:, k - 1, ai] = [-1 if g is None else g for g in guesses[2:]]
             for j in range(1, n + 1):
                 if sift_accept(protocol, j, ann):
                     a, b = derive_bits(protocol, j, k, ann)
-                    accept[j - 1, k - 1, ai] = True
-                    alice[j - 1, k - 1, ai], bob[j - 1, k - 1, ai] = a, b
                     cells[j - 1].append((a, b, guesses))
+                    cell_bits[:3, :, j - 1, k - 1, ai] = [[1], [a], [b]]
+                    cell_bits[3, :, j - 1, k - 1, ai] = [-1 if g is None else g for g in guesses]
         w_a = Fraction(1, len(options))
         for j in range(n):
             walk[j].append((w_a, float(w_a), tuple(cells[j])))
-    eve = eve.reshape(2, *shape)
-    for arr in (accept, alice, bob, eve):
-        arr.flags.writeable = False
-    slot = MappingProxyType({rec: i for i, rec in enumerate(records)})
-    return _Sifting(slot, tuple(map(tuple, walk)), accept, alice, bob, eve)
+    cell_bits = cell_bits.reshape(4, -1)
+    cell_bits.flags.writeable = False
+    return _Sifting(tuple(map(tuple, walk)), cell_bits)
 
 
 def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) -> JointDistribution:
@@ -321,16 +354,15 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     # take the float copies of the weights and skip that slow fallback
     w_j = Fraction(1, n)
     w_j_float = float(w_j)
+    stages = _stages(protocol, eve, channel, born=isinstance(eve, GentleIntercept))
     sifting = _sifting(protocol)
     table: dict = {}
     sift_mass = 0
     total_mass = 0
     for j in range(1, n + 1):
-        for w_e, state, rec in _eve_branches(protocol, eve, j):
-            row = _bob_row(protocol, state, channel)
+        for w_e, row, slot in _branches(protocol, eve, stages, j):
             base = (w_j_float if isinstance(w_e, float) else w_j) * w_e
-            slot = sifting.slot[rec]
-            for pk, (w_a, w_a_float, cells) in zip(row, sifting.walk[j - 1]):
+            for pk, (w_a, w_a_float, cells) in zip(stages.bob[row], sifting.walk[j - 1]):
                 if _negligible(pk):
                     continue
                 mass = base * pk

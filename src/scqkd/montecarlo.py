@@ -6,13 +6,14 @@ at counter 2 * i regardless of how rounds are batched. Any contiguous chunk
 of rounds is therefore reproducible from (seed, start index) alone, and
 chunked runs merge to bit-identical totals.
 
-The vectorized kernel precomputes per-branch outcome tables by calling the
-same scalar routines run_round uses (same matrices, same Born products, same
-sequential cumulative sums), so a vectorized batch reproduces the scalar
-transcript loop float for float. The tables of a configuration are built
-once and cached, and a round's key bits and Eve's guess are read from one
-table indexed by the round's cell (signal, Eve's slot, Bob's outcome,
-announcement).
+The vectorized kernel samples from the round model of the exact analysis:
+its inverse-CDF tables are a sequential np.cumsum of the Born rows of
+analysis._stages, which are the same matrix Born products run_round takes,
+so a vectorized batch reproduces the scalar transcript loop float for float.
+run_round itself keeps its own matrix path, as the independent reference.
+The tables of a configuration are built once and cached, and a round's key
+bits and Eve's guess are read from one table indexed by the round's cell
+(Eve's slot, signal, Bob's outcome, announcement).
 """
 
 from __future__ import annotations
@@ -25,17 +26,9 @@ from numbers import Integral
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analysis import _sifting
-from .eavesdrop import (
-    GentleIntercept,
-    InterceptResend,
-    EnsembleMix,
-    _side_gentle_povm,
-    _side_povm,
-    measuring_code,
-)
-from .protocol import Channel, IDEAL, ProtocolKind, alice_code, bob_povm
-from .states import born_probability, depolarize, sqrt_post_measurement_state
+from .analysis import _side_weights, _sifting, _stages, _update_row
+from .eavesdrop import GentleIntercept
+from .protocol import Channel, IDEAL, ProtocolKind, announcement_options
 
 UNIFORMS_PER_ROUND = 8
 _COUNTERS_PER_ROUND = UNIFORMS_PER_ROUND // 4  # Philox counter steps in 4-double blocks
@@ -75,104 +68,32 @@ def round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 # -- precomputed branch tables ---------------------------------------------------
 
 
-def _cumulative_row(rho, povm):
-    """Sequential cumulative Born probabilities plus the last nonzero index.
+def _cdf(rows: list, n: int) -> tuple:
+    """Flat CDF table of outcome rows, and each row's last nonzero outcome.
 
-    Mirrors the accumulation order of states.sample_outcome exactly so the
-    vectorized inverse-CDF lands on the same outcome for the same uniform.
+    np.cumsum adds along a row in order, as states.sample_outcome does, so the
+    vectorized inverse CDF lands on the same outcome for the same uniform. A
+    left-out row (None) reads as zeros; the kernel never samples it.
     """
-    c = 0.0
-    cums = []
-    last_nonzero = 0
-    for i, e in enumerate(povm.elements):
-        p = born_probability(rho, e)
-        c += p
-        cums.append(c)
-        if p > 0.0:
-            last_nonzero = i
-    return cums, last_nonzero
+    probs = np.array([[0.0] * n if row is None else row for row in rows])
+    last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    return np.cumsum(probs, axis=1), last_nonzero
 
 
 class _Tables:
     """Per-configuration outcome tables for the vectorized kernel.
 
-    Each CDF table is flat, one row per state, so a round's row is one take.
+    The CDFs are cumulative sums of the Born rows of analysis._stages, one row
+    per state, so a round's row is one take; cell_bits is analysis._sifting's.
     """
 
     def __init__(self, protocol: ProtocolKind, eve, channel: Channel):
-        n = protocol.n_signals
-        self.n = n
-        self.kind = (
-            "none" if eve is None
-            else "standard" if isinstance(eve, InterceptResend)
-            else "gentle"
-        )
-        if self.kind == "gentle" and not isinstance(eve, GentleIntercept):
-            raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
-        povm_b = bob_povm(protocol)
-        sides = ("alice", "bob")
-
-        # Bob's outcome CDF per forwarded pure state, row src * n + s-1: source 0 =
-        # Alice-ensemble states, source 1 = Bob-ensemble states (the dual under
-        # exclusion sifting).
-        bob_cum = np.empty((2, n, n))
-        bob_lnz = np.empty((2, n), dtype=np.int64)
-        for src, side in enumerate(sides):
-            code = measuring_code(protocol, side)
-            for s in range(1, n + 1):
-                rho = depolarize(code.state(s), channel.depolarizing)
-                bob_cum[src, s - 1], bob_lnz[src, s - 1] = _cumulative_row(rho, povm_b)
-        self.bob_cum, self.bob_lnz = bob_cum.reshape(-1, n), bob_lnz.reshape(-1)
-
-        if self.kind != "none":
-            # Eve's outcome CDF on signal j, row side * n + j-1
-            eve_cum = np.empty((2, n, n))
-            eve_lnz = np.empty((2, n), dtype=np.int64)
-            for si, side in enumerate(sides):
-                if self.kind == "standard":
-                    povm_e = _side_povm(protocol, side)
-                else:
-                    povm_e = _side_gentle_povm(protocol, side, float(eve.q))
-                for j in range(1, n + 1):
-                    rho = alice_code(protocol).state(j)
-                    eve_cum[si, j - 1], eve_lnz[si, j - 1] = _cumulative_row(rho, povm_e)
-            self.eve_cum, self.eve_lnz = eve_cum.reshape(-1, n), eve_lnz.reshape(-1)
-
-        if self.kind == "gentle":
-            # forwarded state depends on the original signal, so Bob's CDF
-            # row is (side * n + m-1) * n + j-1 for eve outcome m on signal j
-            gb_cum = np.empty((2, n, n, n))
-            gb_lnz = np.empty((2, n, n), dtype=np.int64)
-            for si, side in enumerate(sides):
-                povm_e = _side_gentle_povm(protocol, side, float(eve.q))
-                code_e = measuring_code(protocol, side)
-                for j in range(1, n + 1):
-                    rho = alice_code(protocol).state(j)
-                    for m in range(1, n + 1):
-                        if born_probability(rho, povm_e.elements[m - 1]) < 1e-15:
-                            # sampled with probability < 1e-15; use the p -> 0
-                            # limit of the square-root update (the measured state)
-                            fwd = code_e.state(m)
-                        else:
-                            fwd = sqrt_post_measurement_state(rho, povm_e.elements[m - 1])
-                        fwd = depolarize(fwd, channel.depolarizing)
-                        gb_cum[si, m - 1, j - 1], gb_lnz[si, m - 1, j - 1] = (
-                            _cumulative_row(fwd, povm_b)
-                        )
-            self.gentle_bob_cum, self.gentle_bob_lnz = gb_cum.reshape(-1, n), gb_lnz.reshape(-1)
-
-        # (accepted, alice bit, bob bit, eve bit) of every round cell: cell
-        # ((slot * n + j-1) * n + k-1) * n_opts + ai, where slot is 0 when Eve did
-        # not intercept and 1 + side * n + m-1 when she saw outcome m on side
-        sifting = _sifting(protocol)
-        accept = sifting.accept
-        self.n_opts = accept.shape[2]
-        guess = np.concatenate([np.full((1, n, self.n_opts), -1, np.int8),
-                                sifting.eve.reshape(2 * n, n, self.n_opts)])
-        bits = np.stack(np.broadcast_arrays(accept, sifting.alice, sifting.bob, guess[:, None]))
-        bits = np.where(accept, bits, -1)
-        bits[0] = accept
-        self.cell_bits = bits.reshape(4, -1)
+        stages = _stages(protocol, eve, channel, born=True)
+        self.n = n = protocol.n_signals
+        self.eve_cum, self.eve_lnz = _cdf(stages.eve, n)
+        self.bob_cum, self.bob_lnz = _cdf(stages.bob, n)
+        self.n_opts = len(announcement_options(protocol, 1))
+        self.cell_bits = _sifting(protocol).cell_bits
         for value in vars(self).values():  # shared by every caller of _tables
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -230,36 +151,28 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
     tab = _tables(config.protocol, config.eve, config.channel)
-    n = tab.n
+    n, eve = tab.n, config.eve
     u = round_uniforms(config.seed, start, count)
 
     j = np.minimum((u[:, 0] * n).astype(np.int64), n - 1) + 1
-
-    if tab.kind == "none":
+    if eve is None:
         intercepted = np.zeros(count, dtype=bool)
         side = np.full(count, -1, dtype=np.int8)
         m = np.zeros(count, dtype=np.int64)
-        k = _sample_rows(tab.bob_cum, tab.bob_lnz, j - 1, u[:, 4])
+        row = j - 1
     else:
-        eve = config.eve
-        if eve.mix is EnsembleMix.ALICE_ONLY:
-            side = np.zeros(count, dtype=np.int8)
-        elif eve.mix is EnsembleMix.BOB_ONLY:
-            side = np.ones(count, dtype=np.int8)
-        else:
-            side = np.where(u[:, 2] < 0.5, 0, 1).astype(np.int8)
+        side = (u[:, 2] >= float(_side_weights(eve.mix)[0])).astype(np.int8)
         m = _sample_rows(tab.eve_cum, tab.eve_lnz, side * n + j - 1, u[:, 3])
-        if tab.kind == "standard":
+        if isinstance(eve, GentleIntercept):
+            intercepted = np.ones(count, dtype=bool)
+            row = _update_row(n, side, m, j)
+        else:
             intercepted = u[:, 1] < float(eve.q)
             # forwarded state: Eve's ensemble state m if intercepted, else signal j
             row = np.where(intercepted, side * n + m - 1, j - 1)
-            k = _sample_rows(tab.bob_cum, tab.bob_lnz, row, u[:, 4])
             side = np.where(intercepted, side, -1).astype(np.int8)
             m = np.where(intercepted, m, 0)
-        else:
-            intercepted = np.ones(count, dtype=bool)
-            row = (side * n + m - 1) * n + j - 1
-            k = _sample_rows(tab.gentle_bob_cum, tab.gentle_bob_lnz, row, u[:, 4])
+    k = _sample_rows(tab.bob_cum, tab.bob_lnz, row, u[:, 4])
 
     ai = np.minimum((u[:, 5] * tab.n_opts).astype(np.int64), tab.n_opts - 1)
     slot = np.where(intercepted, side * n + m, 0)

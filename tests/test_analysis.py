@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from scqkd import analysis
 from scqkd.analysis import (
     JointDistribution,
-    _bob_row,
-    _eve_branches,
     _joint_curve,
     _negligible,
+    _side_weights,
     _sifting,
+    _stages,
     _strategy_for,
+    _update_row,
     NoThresholdError,
     analytic_curves,
     depolarizing_curves,
@@ -114,21 +115,27 @@ class TestEnumerateStandard:
 
 
 def _fraction_weight_joint(protocol, eve, channel):
-    """enumerate_joint's walk with the Fraction weights 1/n and 1/len(options) on every branch."""
+    """enumerate_joint's gentle walk over the _stages rows, with Fraction weights 1/n and 1/len(options)."""
     n = protocol.n_signals
-    sifting = _sifting(protocol)
+    stages, sifting = _stages(protocol, eve, channel, born=True), _sifting(protocol)
     table, sift_mass = {}, 0
     for j in range(1, n + 1):
-        for w_e, state, rec in _eve_branches(protocol, eve, j):
-            base = F(1, n) * w_e
-            for pk, (w_a, _, cells) in zip(_bob_row(protocol, state, channel), sifting.walk[j - 1]):
-                if _negligible(pk):
+        for side, ws in enumerate(_side_weights(eve.mix)):
+            if not ws:
+                continue
+            for m, p_m in enumerate(stages.eve[side * n + j - 1], 1):
+                if _negligible(p_m):
                     continue
-                w = base * pk * w_a
-                for a, b, guesses in cells:
-                    key = (a, b, guesses[sifting.slot[rec]])
-                    table[key] = table.get(key, 0) + w
-                    sift_mass += w
+                base = F(1, n) * (float(ws) * p_m)
+                bob_row = stages.bob[_update_row(n, side, m, j)]
+                for pk, (w_a, _, cells) in zip(bob_row, sifting.walk[j - 1]):
+                    if _negligible(pk):
+                        continue
+                    w = base * pk * w_a
+                    for a, b, guesses in cells:
+                        key = (a, b, guesses[1 + side * n + m - 1])
+                        table[key] = table.get(key, 0) + w
+                        sift_mass += w
     return sift_mass, {key: v / sift_mass for key, v in table.items()}
 
 
@@ -169,6 +176,44 @@ class TestEnumerateGentle:
         assert errs == sorted(errs)
         hard = enumerate_joint(ProtocolKind.TRINE, _sym(0.8)).qber
         assert errs[2] < hard  # same strength, weaker measurement, less damage
+
+
+_MIXES = st.sampled_from(list(EnsembleMix))
+_NOISE = st.fractions(min_value=0, max_value=1, max_denominator=20)
+_STRENGTH = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+class TestStages:
+    """One round model: the exact Gram rows and the Born rows the sampler reads agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
+           mix=_MIXES, q=_STRENGTH, p=_NOISE)
+    def test_gram_rows_are_the_born_rows(self, protocol, family, mix, q, p):
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        gram = _stages(protocol, eve, channel, born=False)
+        born = _stages(protocol, eve, channel, born=True)
+        for exact_rows, float_rows in ((gram.eve, born.eve), (gram.bob, born.bob)):
+            assert [row is None for row in exact_rows] == [row is None for row in float_rows]
+            for exact, approx in zip(exact_rows, float_rows):
+                if exact is None:
+                    continue
+                assert sum(exact) == 1
+                assert all(abs(e - b) <= 1e-12 for e, b in zip(exact, approx))
+
+    @settings(max_examples=40, deadline=None)
+    @given(protocol=st.sampled_from(ALL), mix=_MIXES, q=_STRENGTH, p=_NOISE)
+    def test_float_intercept_resend_matches_exact(self, protocol, mix, q, p):
+        exact = enumerate_joint(protocol, InterceptResend(q, mix), Channel(depolarizing=p))
+        approx = enumerate_joint(protocol, InterceptResend(float(q), mix), Channel(depolarizing=float(p)))
+        assert abs(float(exact.p_sift) - approx.p_sift) <= 1e-12
+        for key in {**exact.table, **approx.table}:
+            assert abs(float(exact.table.get(key, 0)) - approx.table.get(key, 0)) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_unknown_strategy_rejected(self, protocol):
+        with pytest.raises(ValueError):
+            enumerate_joint(protocol, object())
 
 
 class TestDepolarizing:
@@ -350,10 +395,6 @@ class TestInterceptResendIsAffine:
         channel = Channel(depolarizing=F(1, 20))
         res = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
         assert res.n_enumerations == len(calls) == count
-
-
-_MIXES = st.sampled_from(list(EnsembleMix))
-_NOISE = st.fractions(min_value=0, max_value=1, max_denominator=20)
 
 
 class TestGentleCurve:

@@ -1,5 +1,6 @@
 """Tests for reproducible sampling: counter addressing, kernel parity, statistics."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from scqkd.analysis import _sifting, _strategy_for, enumerate_joint
-from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend, eve_guess
+from scqkd.analysis import _strategy_for, enumerate_joint
+from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, InterceptResend, eve_guess
 from scqkd.montecarlo import (
     RoundArrays,
     SampleStats,
@@ -24,7 +25,15 @@ from scqkd.montecarlo import (
     simulate_rounds,
     stats_from_arrays,
 )
-from scqkd.protocol import Channel, IDEAL, ProtocolKind, run_round
+from scqkd.protocol import (
+    Channel,
+    IDEAL,
+    ProtocolKind,
+    announcement_options,
+    derive_bits,
+    run_round,
+    sift_accept,
+)
 
 F = Fraction
 
@@ -79,33 +88,66 @@ PARITY_CASES = [
 ]
 
 
+@st.composite
+def trial_configs(draw, max_rounds=5000):
+    eve = _strategy_for(
+        draw(st.sampled_from(["none", "standard", "gentle"])),
+        draw(st.floats(0, 1)),
+        draw(st.sampled_from(list(EnsembleMix))),
+    )
+    return TrialConfig(
+        protocol=draw(st.sampled_from(list(ProtocolKind))),
+        eve=eve,
+        channel=Channel(depolarizing=draw(st.sampled_from([0, F(1, 7), 0.05, 1.0]))),
+        n_rounds=draw(st.integers(1, max_rounds)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def _assert_matches_scalar(arrays, config, start):
+    """Each round of `arrays` is the scalar run_round of the same round index."""
+    rng = round_rng(config.seed, start)
+    for i in range(len(arrays)):
+        t = run_round(config.protocol, config.eve, config.channel, rng)
+        assert arrays.signal[i] == t.signal_index
+        assert arrays.bob_outcome[i] == t.bob_outcome
+        assert arrays.accepted[i] == t.accepted
+        assert arrays.alice_bit[i] == (-1 if t.alice_bit is None else t.alice_bit)
+        assert arrays.bob_bit[i] == (-1 if t.bob_bit is None else t.bob_bit)
+        rec = t.eve_record
+        touched = rec is not None and rec.intercepted
+        assert arrays.intercepted[i] == touched
+        guess = eve_guess(rec, config.protocol, t.announcement, True) if t.accepted else None
+        assert arrays.eve_bit[i] == (-1 if guess is None else guess)
+        if touched:
+            assert arrays.eve_outcome[i] == rec.outcome_index
+            assert arrays.eve_side[i] == (0 if rec.ensemble_used == "alice" else 1)
+        else:
+            assert arrays.eve_side[i] == -1
+            assert arrays.eve_outcome[i] == 0
+
+
 class TestKernelParity:
     """The vectorized kernel must replay the scalar loop exactly."""
 
     @pytest.mark.parametrize("protocol,eve,channel", PARITY_CASES)
     def test_matches_scalar_rounds(self, protocol, eve, channel):
-        n = 1500
-        config = TrialConfig(protocol=protocol, eve=eve, channel=channel, n_rounds=n, seed=2718)
-        arrays = simulate_rounds(config)
-        rng = round_rng(2718)
-        for i in range(n):
-            t = run_round(protocol, eve, channel, rng)
-            assert arrays.signal[i] == t.signal_index
-            assert arrays.bob_outcome[i] == t.bob_outcome
-            assert arrays.accepted[i] == t.accepted
-            assert arrays.alice_bit[i] == (-1 if t.alice_bit is None else t.alice_bit)
-            assert arrays.bob_bit[i] == (-1 if t.bob_bit is None else t.bob_bit)
-            rec = t.eve_record
-            touched = rec is not None and rec.intercepted
-            assert arrays.intercepted[i] == touched
-            guess = eve_guess(rec, protocol, t.announcement, True) if t.accepted else None
-            assert arrays.eve_bit[i] == (-1 if guess is None else guess)
-            if touched:
-                assert arrays.eve_outcome[i] == rec.outcome_index
-                assert arrays.eve_side[i] == (0 if rec.ensemble_used == "alice" else 1)
-            else:
-                assert arrays.eve_side[i] == -1
-                assert arrays.eve_outcome[i] == 0
+        config = TrialConfig(protocol=protocol, eve=eve, channel=channel, n_rounds=1500, seed=2718)
+        _assert_matches_scalar(simulate_rounds(config), config, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=trial_configs(max_rounds=150), data=st.data())
+    def test_any_range_matches_scalar_rounds(self, config, data):
+        start, count = data.draw(st.integers(0, 10**9), label="start"), config.n_rounds
+        config = dataclasses.replace(config, n_rounds=start + count)
+        _assert_matches_scalar(simulate_rounds(config, start, count), config, start)
+
+    def test_unknown_strategy_rejected(self):
+        config = TrialConfig(protocol=ProtocolKind.TRINE, eve=object(), n_rounds=10)
+        with pytest.raises(ValueError):
+            simulate_rounds(config)
+        with pytest.raises(ValueError):
+            run_trials(config)
 
     def test_subrange_matches_full_run(self):
         config = TrialConfig(
@@ -208,22 +250,6 @@ class TestRunTrials:
             run_trials(config, chunk_size=0)
 
 
-@st.composite
-def trial_configs(draw, max_rounds=5000):
-    eve = _strategy_for(
-        draw(st.sampled_from(["none", "standard", "gentle"])),
-        draw(st.floats(0, 1)),
-        draw(st.sampled_from(list(EnsembleMix))),
-    )
-    return TrialConfig(
-        protocol=draw(st.sampled_from(list(ProtocolKind))),
-        eve=eve,
-        channel=Channel(depolarizing=draw(st.sampled_from([0, F(1, 7), 0.05, 1.0]))),
-        n_rounds=draw(st.integers(1, max_rounds)),
-        seed=draw(st.integers(0, 2**64 - 1)),
-    )
-
-
 class TestChunkedKernel:
     """run_trials reuses cached tables across chunks; totals must not change."""
 
@@ -236,17 +262,19 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_cell_bits_match_the_sifting_rules(self, protocol):
         n = protocol.n_signals
-        sifting = _sifting(protocol)
-        n_opts = sifting.accept.shape[2]
-        bits = _tables(protocol, None, IDEAL).cell_bits.reshape(4, 1 + 2 * n, n, n, n_opts)
+        # slot 0: Eve did not touch the round; 1 + side * n + m-1: she saw m on side
+        records = [None] + [EveRecord(True, side, m) for side in ("alice", "bob") for m in range(1, n + 1)]
+        n_opts = len(announcement_options(protocol, 1))
+        bits = _tables(protocol, None, IDEAL).cell_bits.reshape(4, len(records), n, n, n_opts)
         for slot, j, k, ai in np.ndindex(bits.shape[1:]):
             accepted, alice, bob, eve = bits[:, slot, j, k, ai]
-            if not sifting.accept[j, k, ai]:
+            ann = announcement_options(protocol, k + 1)[ai]
+            if not sift_accept(protocol, j + 1, ann):
                 assert (accepted, alice, bob, eve) == (0, -1, -1, -1)
                 continue
-            assert (accepted, alice, bob) == (1, sifting.alice[j, k, ai], sifting.bob[j, k, ai])
-            want = -1 if slot == 0 else sifting.eve[(slot - 1) // n, (slot - 1) % n, k, ai]
-            assert eve == want
+            assert (accepted, alice, bob) == (1, *derive_bits(protocol, j + 1, k + 1, ann))
+            guess = eve_guess(records[slot], protocol, ann, True)
+            assert eve == (-1 if guess is None else guess)
 
     def test_tables_built_once_per_configuration(self):
         config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
