@@ -26,12 +26,8 @@ from .codes import (
     CodeKind,
     SphericalCode,
     basis_label,
-    bloch_gram,
-    code_povm,
     dual_code,
     eigen_bit,
-    levi_civita_3,
-    levi_civita_4,
     make_code,
     tetra_key_bit,
     trine_key_bit,
@@ -64,12 +60,8 @@ from .protocol import (
 )
 from .states import (
     Povm,
-    born_probability,
     depolarize,
-    pure_from_bloch,
-    sample_outcome,
     sqrt_post_measurement_state,
-    sqrt_psd_2x2,
 )
 
 __version__ = "0.1.0"
@@ -100,9 +92,6 @@ __all__ = [
     "TrialConfig",
     "analytic_curves",
     "basis_label",
-    "bloch_gram",
-    "born_probability",
-    "code_povm",
     "compare_to_oracle",
     "depolarize",
     "depolarizing_curves",
@@ -114,17 +103,12 @@ __all__ = [
     "find_threshold",
     "gentle_povm",
     "key_rate",
-    "levi_civita_3",
-    "levi_civita_4",
     "make_code",
     "mutual_information",
-    "pure_from_bloch",
     "run_round",
     "run_trials",
-    "sample_outcome",
     "simulate_rounds",
     "sqrt_post_measurement_state",
-    "sqrt_psd_2x2",
     "stats_from_arrays",
     "tetra_key_bit",
     "trine_key_bit",

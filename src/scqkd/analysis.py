@@ -2,17 +2,20 @@
 
 The central object is the joint distribution p(a, b, e) of Alice's bit, Bob's
 bit, and Eve's guess (0, 1, or None for abstention) conditioned on successful
-sifting, produced by exhaustively enumerating every branch of a round. A round is
-one model with two stage tables, built by `_stages`: Eve's outcome rows per
-(ensemble side, signal) and Bob's outcome rows per forwarded state, with the
-sifting stage (`_sifting`) cached per protocol. The enumeration walks these
-rows, and montecarlo samples from their Born form. For the intercept/resend
-attack every row entry is rational (read off the exact Bloch Gram matrix),
-so the enumeration runs in exact Fraction arithmetic whenever the inputs (q
-and the depolarizing strength) are rational; the gentle attack introduces
-matrix square roots and runs in double precision. Thresholds and sweeps
-combine the tables of a few strengths instead (`_joint_curve`). The one-way
-distillable rate is the classical bound
+sifting. A round is one model with two stage tables, built by `_stages`: Eve's
+outcome rows per (ensemble side, signal) and Bob's outcome rows per forwarded
+state, with the sifting stage (`_sifting`) cached per protocol. `_walk`
+exhaustively enumerates every branch of a round over these rows, and
+montecarlo samples from their Born form. For the intercept/resend attack every
+row entry is rational (read off the exact Bloch Gram matrix), so the walk runs
+in exact Fraction arithmetic whenever the inputs (q and the depolarizing
+strength) are rational; the gentle attack introduces matrix square roots and
+runs in double precision. The unnormalised sifted table is linear in the
+depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
+so a few walks per (protocol, attack family, mix), cached by `_corners`, give
+it at every (q, p). `enumerate_joint`, thresholds and sweeps all read it off
+those corners (`_joint_curve`), and `_walk` stays as the reference the tests
+compare them with. The one-way distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
 
@@ -144,7 +147,7 @@ class RateReport:
 class ThresholdResult:
     q_star: float
     qber_star: float
-    n_enumerations: int  # enumerate_joint calls the solve made
+    n_enumerations: int  # branch walks the solve triggered; 0 once its corners are cached
 
 
 @dataclass(frozen=True)
@@ -333,21 +336,15 @@ def _sifting(protocol: ProtocolKind) -> _Sifting:
     return _Sifting(tuple(map(tuple, walk)), cell_bits)
 
 
-def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) -> JointDistribution:
-    """Exhaustively enumerate one round and return the sifted joint distribution.
+def _walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
+    """Walk every branch of one round: the unnormalised sifted table {(a, b, e): mass}.
 
     Every branch (signal, interception outcome, Bob outcome, announcement) is
-    walked with its probability; nothing is sampled. Arithmetic stays in
-    exact rationals when the strategy and channel parameters are rational and
-    the strategy is not gentle.
-
-    Args:
-        protocol: protocol to analyze.
-        eve: None, InterceptResend, or GentleIntercept.
-        channel: transmission channel applied after interception.
-
-    Returns:
-        JointDistribution with p_sift and the conditional p(a, b, e) table.
+    taken with its probability; nothing is sampled. Arithmetic stays in exact
+    rationals when the strategy and channel parameters are rational and the
+    strategy is not gentle. Keys are in the order the walk first sees them.
+    Only `_corners` walks; the tests compare enumerate_joint against this
+    reference, as they compare the sampler against run_round.
     """
     n = protocol.n_signals
     # Fraction * float computes float(Fraction) * float, so float branches
@@ -357,7 +354,6 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     stages = _stages(protocol, eve, channel, born=isinstance(eve, GentleIntercept))
     sifting = _sifting(protocol)
     table: dict = {}
-    sift_mass = 0
     total_mass = 0
     for j in range(1, n + 1):
         for w_e, row, slot in _branches(protocol, eve, stages, j):
@@ -371,11 +367,56 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
                 for a, b, guesses in cells:
                     key = (a, b, guesses[slot])
                     table[key] = table.get(key, 0) + w
-                    sift_mass += w
     if abs(float(total_mass) - 1.0) > 1e-9:
         raise AssertionError(f"branch probabilities sum to {float(total_mass)!r}")
-    cond = {key: v / sift_mass for key, v in table.items()}
-    return JointDistribution(p_sift=sift_mass, table=cond)
+    return table
+
+
+# each attack family's nodes q_i: its tables at any q are a mix of those at the nodes
+_NODES = {"none": (0,), "standard": (0, 1), "gentle": (0, Fraction(3, 5), 1)}
+
+
+@lru_cache(maxsize=len(ProtocolKind) * (1 + 2 * len(EnsembleMix)))
+def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
+    """(keys, tables): the walks at the family's nodes q_i and p = 0, 1, on one key list.
+
+    tables[2i + p] lists the unnormalised sifted masses at node q_i and
+    depolarizing strength p in the order of keys, the order in which the
+    walks first see them (nodes in increasing q, p = 0 before p = 1). Exact
+    for none and standard, Born floats for gentle. "none" takes mix None, so
+    the cache holds at most 4 x (1 + 3 + 3) entries.
+    """
+    strategies = [_strategy_for(family, q, mix) for q in _NODES[family]]
+    walks = [_walk(protocol, eve, Channel(depolarizing=p)) for eve in strategies for p in (0, 1)]
+    keys = tuple(dict.fromkeys(key for u in walks for key in u))
+    return keys, tuple(tuple(u.get(key, 0) for key in keys) for u in walks)
+
+
+def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) -> JointDistribution:
+    """The sifted joint distribution of one round, exact for rational inputs.
+
+    Read off the cached corner tables of the attack family (`_joint_curve`):
+    the first call for a (protocol, family, mix) walks its corners, and later
+    calls at any strength and channel walk nothing. Exact (rational) q and
+    depolarizing strength give the Fractions a walk of every branch gives,
+    for no eavesdropper and intercept/resend; any float input, or the gentle
+    attack, gives floats. Table keys are in corner order: the order in which
+    the corner walks first see them.
+
+    Args:
+        protocol: protocol to analyze.
+        eve: None, InterceptResend, or GentleIntercept.
+        channel: transmission channel applied after interception.
+
+    Returns:
+        JointDistribution with p_sift and the conditional p(a, b, e) table.
+    """
+    if eve is None:
+        return _joint_curve(protocol, "none", None, channel)(0)
+    if not isinstance(eve, (InterceptResend, GentleIntercept)):
+        raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
+    family = "gentle" if isinstance(eve, GentleIntercept) else "standard"
+    return _joint_curve(protocol, family, eve.mix, channel)(eve.q)
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -493,42 +534,37 @@ def _gentle_weights(q: float) -> tuple:
     return (2.0 - 2.0 * q - s, 2.5 * t, q - 1.5 * t)
 
 
-# each family's curve: its nodes q_i and the weights w_i(q) of their tables
-_CURVES = {
-    "standard": ((Fraction(0), Fraction(1)), lambda q: (1 - q, q)),
-    "gentle": ((Fraction(0), Fraction(3, 5), Fraction(1)), lambda q: _gentle_weights(float(q))),
-}
+def _joint_curve(protocol, family, mix, channel):
+    """q -> sifted joint of the family's attack at strength q, read off `_corners`.
 
-
-def _joint_curve(protocol, family, mix, channel, ordered=False):
-    """q -> sifted joint of the family's attack at strength q, from a few enumerations.
-
-    The unnormalised sifted table is linear in (1, q) under intercept/resend
-    and in (1, q, sqrt(1 - q^2)) under the gentle attack (see eavesdrop),
-    so it is sum_i w_i(q) U(q_i) over the family's nodes q_i; exact for
-    standard at an exact q. A node returns its enumeration, and negligible
-    combined entries (float roundoff) are dropped. Interior tables list node
-    keys in first-seen order, unless `ordered`: then the first interior q is
-    enumerated and fixes the key order (and so the float sums) of later ones.
+    The unnormalised sifted table is linear in (1, p), and at a fixed p it
+    is linear in (1, q) under intercept/resend and in (1, q, sqrt(1 - q^2))
+    under the gentle attack (see eavesdrop). So it is sum_i w_i(q) V_i over
+    the family's nodes q_i, with V_i = (1 - p) U(q_i, 0) + p U(q_i, 1) taken
+    first. An exact p keeps V_i exact (none and standard), and an exact q
+    then gives Fractions; any float input is evaluated on float copies of
+    V_i made once per curve. Entries that combine to a negligible value
+    (exact zeros, float roundoff) are dropped.
     """
-    if family not in _CURVES:
-        raise ValueError(f"unknown attack family: {family!r} (expected standard or gentle)")
-    nodes, weights = _CURVES[family]
-    at_nodes = [enumerate_joint(protocol, _strategy_for(family, q, mix), channel) for q in nodes]
-    us = [{key: jd.p_sift * v for key, v in jd.table.items()} for jd in at_nodes]
-    node_keys = list(dict.fromkeys(key for u_i in us for key in u_i))
-    keys = None if ordered else node_keys
+    keys, corners = _corners(protocol, family, mix)
+    exact = _is_exact(channel.depolarizing) and family != "gentle"
+    p = channel.depolarizing if exact else float(channel.depolarizing)
+    nodes = [
+        [(1 - p) * u0 + p * u1 for u0, u1 in zip(corners[i], corners[i + 1])]
+        for i in range(0, len(corners), 2)
+    ]
+    float_nodes = [[float(v) for v in vs] for vs in nodes]
 
     def joint_at(q):
-        nonlocal keys
-        if q in nodes:
-            return at_nodes[nodes.index(q)]
-        if keys is None:
-            joint = enumerate_joint(protocol, _strategy_for(family, q, mix), channel)
-            keys = list(dict.fromkeys([*joint.table, *node_keys]))
-            return joint
-        ws = weights(q)
-        u = {key: sum(w * u_i.get(key, 0) for w, u_i in zip(ws, us)) for key in keys}
+        if exact and _is_exact(q):
+            vs = nodes
+        else:
+            vs, q = float_nodes, float(q)
+        if family == "gentle":
+            ws = _gentle_weights(q)
+        else:
+            ws = (1 - q, q) if family == "standard" else (1,)
+        u = {key: sum(w * v[i] for w, v in zip(ws, vs)) for i, key in enumerate(keys)}
         u = {key: v for key, v in u.items() if not _negligible(v)}
         p_sift = sum(u.values())
         return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
@@ -545,14 +581,18 @@ def find_threshold(
     """Bisect for the attack strength where the key rate crosses zero.
 
     Stops when |R| < 1e-10 or the q-interval is narrower than 1e-9. R is read
-    off `_joint_curve` (2 enumerations for standard, 3 for gentle), and one
-    more enumeration at q_star gives qber_star, the QBER enumerate_joint
-    reports there.
+    off `_joint_curve`, on float copies of the node tables, and qber_star is
+    the QBER enumerate_joint reports at q_star. n_enumerations counts the
+    branch walks the solve triggered: the corners of a (protocol, family,
+    mix) not yet cached (4 for standard, 6 for gentle), else 0.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
         ValueError: for an attack family other than standard or gentle.
     """
+    if attack_family not in ("standard", "gentle"):
+        raise ValueError(f"unknown attack family: {attack_family!r} (expected standard or gentle)")
+    misses = _corners.cache_info().misses
     joint_at = _joint_curve(protocol, attack_family, mix, channel)
     r_lo, r_hi = (key_rate(joint_at(q)).r for q in (0.0, 1.0))
     if not (r_lo > 0.0 > r_hi):
@@ -570,7 +610,8 @@ def find_threshold(
         else:
             hi = mid
     joint = enumerate_joint(protocol, _strategy_for(attack_family, mid, mix), channel)
-    return ThresholdResult(mid, float(joint.qber), len(_CURVES[attack_family][0]) + 1)
+    walks = (_corners.cache_info().misses - misses) * 2 * len(_NODES[attack_family])
+    return ThresholdResult(mid, float(joint.qber), walks)
 
 
 def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSiftEstimate:

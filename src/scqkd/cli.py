@@ -51,6 +51,14 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
+def _echo(args) -> dict:
+    """The flags every record repeats: command, protocol, attack, mix, q if taken, depolarize."""
+    record = {key: getattr(args, key) for key in ("command", "protocol", "attack", "mix")}
+    if hasattr(args, "q"):
+        record["q"] = float(args.q)
+    return {**record, "depolarize": float(args.depolarize)}
+
+
 def _rates_record(joint: JointDistribution) -> dict:
     report = key_rate(joint)
     return {
@@ -98,16 +106,7 @@ def _cmd_analytic(args, parser) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     joint = enumerate_joint(protocol, eve, Channel(depolarizing=args.depolarize))
-    record = {
-        "command": "analytic",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "q": float(args.q),
-        "depolarize": float(args.depolarize),
-        **_rates_record(joint),
-    }
-    return record, 0
+    return {**_echo(args), **_rates_record(joint)}, 0
 
 
 def _cmd_threshold(args, parser) -> tuple:
@@ -117,11 +116,7 @@ def _cmd_threshold(args, parser) -> tuple:
     channel = Channel(depolarizing=args.depolarize)
     result = find_threshold(protocol, args.attack, EnsembleMix(args.mix), channel)
     record = {
-        "command": "threshold",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "depolarize": float(args.depolarize),
+        **_echo(args),
         "q_star": round(result.q_star, 4),
         "qber_star": round(result.qber_star, 4),
     }
@@ -142,12 +137,7 @@ def _cmd_simulate(args, parser) -> tuple:
     stats = run_trials(config)
     report = compare_to_oracle(stats, enumerate_joint(protocol, eve, channel))
     record = {
-        "command": "simulate",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "q": float(args.q),
-        "depolarize": float(args.depolarize),
+        **_echo(args),
         "n_rounds": stats.n_rounds,
         "seed": args.seed,
         "n_sifted": stats.n_sifted,
@@ -173,17 +163,13 @@ def _cmd_sweep(args, parser) -> tuple:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     channel = Channel(depolarizing=args.depolarize)
-    joint_at = _joint_curve(protocol, args.attack, EnsembleMix(args.mix), channel, ordered=True)
+    joint_at = _joint_curve(protocol, args.attack, EnsembleMix(args.mix), channel)
     rows = []
     for i in range(args.steps):
         q = Fraction(i, args.steps - 1)
         rows.append({"q": float(q), **_rates_record(joint_at(q))})
     record = {
-        "command": "sweep",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "depolarize": float(args.depolarize),
+        **_echo(args),
         "steps": args.steps,
         "rows": rows,
     }

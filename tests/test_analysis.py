@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scqkd import analysis
 from scqkd.analysis import (
     JointDistribution,
+    _corners,
     _joint_curve,
     _negligible,
     _side_weights,
@@ -16,6 +17,7 @@ from scqkd.analysis import (
     _stages,
     _strategy_for,
     _update_row,
+    _walk,
     NoThresholdError,
     analytic_curves,
     depolarizing_curves,
@@ -114,11 +116,18 @@ class TestEnumerateStandard:
             assert abs(float(v) - approx.table[key]) < 1e-12
 
 
+def _walked(protocol, eve, channel):
+    """The joint distribution of the reference walk, normalised."""
+    u = _walk(protocol, eve, channel)
+    p_sift = sum(u.values())
+    return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
+
+
 def _fraction_weight_joint(protocol, eve, channel):
-    """enumerate_joint's gentle walk over the _stages rows, with Fraction weights 1/n and 1/len(options)."""
+    """_walk's gentle walk over the _stages rows, with Fraction weights 1/n and 1/len(options)."""
     n = protocol.n_signals
     stages, sifting = _stages(protocol, eve, channel, born=True), _sifting(protocol)
-    table, sift_mass = {}, 0
+    table = {}
     for j in range(1, n + 1):
         for side, ws in enumerate(_side_weights(eve.mix)):
             if not ws:
@@ -135,8 +144,7 @@ def _fraction_weight_joint(protocol, eve, channel):
                     for a, b, guesses in cells:
                         key = (a, b, guesses[1 + side * n + m - 1])
                         table[key] = table.get(key, 0) + w
-                        sift_mass += w
-    return sift_mass, {key: v / sift_mass for key, v in table.items()}
+    return table
 
 
 class TestEnumerateGentle:
@@ -144,10 +152,9 @@ class TestEnumerateGentle:
     @pytest.mark.parametrize("mix", list(EnsembleMix))
     @pytest.mark.parametrize("q,channel", [(0.7, Channel()), (0.3, Channel(depolarizing=0.05))])
     def test_float_weights_match_fraction_weights(self, protocol, mix, q, channel):
-        jd = enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
-        p_sift, table = _fraction_weight_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
-        assert jd.p_sift == p_sift
-        assert list(jd.table.items()) == list(table.items())
+        walked = _walk(protocol, GentleIntercept(q=q, mix=mix), channel)
+        table = _fraction_weight_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        assert list(walked.items()) == list(table.items())
 
     @pytest.mark.parametrize("protocol", ALL)
     def test_full_strength_equals_intercept_resend(self, protocol):
@@ -311,10 +318,10 @@ class TestThresholds:
 
 
 def _plain_bisection(protocol, mix, channel, family="standard"):
-    """Per-q bisection with find_threshold's stop rule, enumerating every point."""
+    """Per-q bisection with find_threshold's stop rule, walking every point."""
 
     def rate(q):
-        return key_rate(enumerate_joint(protocol, _strategy_for(family, q, mix), channel)).r
+        return key_rate(_walked(protocol, _strategy_for(family, q, mix), channel)).r
 
     lo, hi = 0.0, 1.0
     while hi - lo >= 1e-9:
@@ -347,8 +354,7 @@ class TestInterceptResendIsAffine:
         channel = Channel(depolarizing=p)
 
         def unnormalised(q):
-            jd = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
-            return {key: jd.p_sift * v for key, v in jd.table.items()}
+            return _walk(protocol, InterceptResend(q=q, mix=mix), channel)
 
         u0, u1, uq = unnormalised(F(0)), unnormalised(F(1)), unnormalised(q)
         for key in {**u0, **u1, **uq}:
@@ -358,12 +364,13 @@ class TestInterceptResendIsAffine:
     @pytest.mark.parametrize("mix", list(EnsembleMix))
     def test_line_reproduces_enumeration(self, protocol, mix):
         channel = Channel(depolarizing=F(1, 7))
-        joint_at = _joint_curve(protocol, "standard", mix, channel, ordered=True)
+        keys = _corners(protocol, "standard", mix)[0]
         for q in (F(0), F(1, 9), F(1, 2), F(5, 6), F(1)):
-            want = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
-            got = joint_at(q)
+            want = _walked(protocol, InterceptResend(q=q, mix=mix), channel)
+            got = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
             assert got.p_sift == want.p_sift
-            assert list(got.table.items()) == list(want.table.items())
+            assert got.table == want.table
+            assert list(got.table) == [key for key in keys if key in got.table]  # corner order
 
     @pytest.mark.parametrize("protocol,mix,p", SOLVE_CASES)
     def test_standard_threshold_matches_per_q_bisection(self, protocol, mix, p):
@@ -383,18 +390,23 @@ class TestInterceptResendIsAffine:
         with pytest.raises(ValueError):
             find_threshold(ProtocolKind.TRINE, "none")
 
-    @pytest.mark.parametrize("family,count", [("standard", 3), ("gentle", 4)])
+    @pytest.mark.parametrize("family,count", [("standard", 4), ("gentle", 6)])
     def test_solve_reports_its_enumerations(self, monkeypatch, family, count):
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return enumerate_joint(*args, **kwargs)
+            return _walk(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "enumerate_joint", counting)
+        monkeypatch.setattr(analysis, "_walk", counting)
+        _corners.cache_clear()
         channel = Channel(depolarizing=F(1, 20))
         res = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
         assert res.n_enumerations == len(calls) == count
+        # the corners are cached: a solve under another channel walks nothing
+        channel = Channel(depolarizing=F(1, 16))
+        res = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
+        assert res.n_enumerations == 0 and len(calls) == count
 
 
 class TestGentleCurve:
@@ -413,8 +425,8 @@ class TestGentleCurve:
     )
     def test_curve_matches_enumeration(self, protocol, mix, p, q):
         channel = Channel(depolarizing=p)
-        got = _joint_curve(protocol, "gentle", mix, channel)(q)
-        want = enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        got = enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        want = _walked(protocol, GentleIntercept(q=q, mix=mix), channel)
         assert abs(got.p_sift - want.p_sift) <= 1e-12
         for key in {**got.table, **want.table}:
             assert abs(got.table.get(key, 0) - want.table.get(key, 0)) <= 1e-12
@@ -454,6 +466,54 @@ class TestGentleCurve:
         assert abs(res.q_star - _plain_bisection(protocol, mix, channel, "gentle")) <= 1e-9
         joint = enumerate_joint(protocol, GentleIntercept(q=res.q_star, mix=mix), channel)
         assert res.qber_star == float(joint.qber)
+
+
+# exact or float inputs; float q stops short of 1, where the gentle reference
+# walk loses precision (see TestGentleCurve), but takes 1.0 itself
+_EXACT_OR_FLOAT = st.one_of(
+    _STRENGTH, st.floats(min_value=0, max_value=1 - 1e-9), st.sampled_from([0.0, 1.0])
+)
+
+
+class TestCorners:
+    """enumerate_joint evaluates cached corner tables; the branch walk is its reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=_EXACT_OR_FLOAT, p=_EXACT_OR_FLOAT)
+    def test_matches_the_walk(self, protocol, family, mix, q, p):
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        got, want = enumerate_joint(protocol, eve, channel), _walked(protocol, eve, channel)
+        if family != "gentle" and isinstance(p, F) and (eve is None or isinstance(q, F)):
+            assert (got.p_sift, type(got.p_sift)) == (want.p_sift, type(want.p_sift))
+            typed = [{key: (v, type(v)) for key, v in jd.table.items()} for jd in (got, want)]
+            assert typed[0] == typed[1]
+        else:
+            assert abs(got.p_sift - want.p_sift) <= 1e-12
+            for key in {**got.table, **want.table}:
+                assert abs(got.table.get(key, 0) - want.table.get(key, 0)) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @pytest.mark.parametrize("q,p", [
+        (0.0, F(1, 7)), (1.0, F(1, 7)), (F(2, 5), 0.0), (F(2, 5), 1.0), (None, 0.0), (None, 1.0),
+    ])
+    def test_float_inputs_give_floats(self, protocol, q, p):
+        eve = None if q is None else _sym(q)
+        jd = enumerate_joint(protocol, eve, Channel(depolarizing=p))
+        assert type(jd.p_sift) is float
+        assert all(type(v) is float for v in jd.table.values())
+
+    def test_corners_are_walked_once_per_key(self):
+        _corners.cache_clear()
+        for _ in range(2):
+            for protocol in ALL:
+                for family in ("none", "standard", "gentle"):
+                    for mix in EnsembleMix:
+                        eve = _strategy_for(family, F(1, 3), mix)
+                        enumerate_joint(protocol, eve, Channel(depolarizing=F(1, 7)))
+        info = _corners.cache_info()
+        # "none" ignores the mix: 4 protocols x (1 + 3 standard + 3 gentle mixes)
+        assert info.misses == info.currsize == info.maxsize == 28
 
 
 class TestSiftInversion:

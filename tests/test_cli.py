@@ -259,8 +259,9 @@ class TestSweep:
             assert json.dumps(row) == json.dumps(want)
 
     def test_standard_rows_keep_the_enumeration_key_order(self, capsys):
-        # exact rows whose key order differs from the enumeration's round
-        # differently in key_rate's float sums (rows 7, 11, ... of this grid)
+        # rows and enumerate_joint read the same corners in the same key order;
+        # a key order of their own would round key_rate's float sums
+        # differently (rows 7, 11, ... of this grid)
         _, record, _ = run_json(["sweep", "--protocol", "bb84"], capsys)
         for i, row in enumerate(record["rows"]):
             joint = enumerate_joint(ProtocolKind.BB84, InterceptResend(q=F(i, 100)))
@@ -295,10 +296,7 @@ class TestSweep:
             eve = GentleIntercept(q=float(q), mix=EnsembleMix(mix))
             joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
             want = {"q": float(q), **cli._rates_record(joint)}
-            if i in (0, 10):  # the curve's end nodes are enumerations
-                assert json.dumps(row) == json.dumps(want)
-            for key, value in want.items():
-                assert abs(row[key] - value) <= 1e-14
+            assert json.dumps(row) == json.dumps(want)  # one evaluation path
 
 
 class TestEstimateQ:
