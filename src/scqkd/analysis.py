@@ -13,9 +13,9 @@ strength) are rational; the gentle attack introduces matrix square roots and
 runs in double precision. The unnormalised sifted table is linear in the
 depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
 so a few walks per (protocol, attack family, mix), cached by `_corners`, give
-it at every (q, p). `enumerate_joint`, thresholds and sweeps all read it off
-those corners (`_joint_curve`), and `_walk` stays as the reference the tests
-compare them with. The one-way distillable rate is the classical bound
+it at every (q, p). `enumerate_joint` evaluates those corners, thresholds and
+sweeps call it at each strength, and `_walk` stays as the reference the tests
+compare it with. The one-way distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -147,7 +147,8 @@ class RateReport:
 class ThresholdResult:
     q_star: float
     qber_star: float
-    n_enumerations: int  # branch walks the solve triggered; 0 once its corners are cached
+    # branch walks the solve triggered; 0 once its corners are cached (see find_threshold)
+    n_enumerations: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,6 @@ class QSiftEstimate:
     q: object
     q_raw: object
     in_model: bool
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, Rational)
 
 
 def _negligible(p) -> bool:
@@ -378,30 +375,42 @@ _NODES = {"none": (0,), "standard": (0, 1), "gentle": (0, Fraction(3, 5), 1)}
 
 @lru_cache(maxsize=len(ProtocolKind) * (1 + 2 * len(EnsembleMix)))
 def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
-    """(keys, tables): the walks at the family's nodes q_i and p = 0, 1, on one key list.
+    """(keys, scale, tables): the walks at the family's nodes q_i and p = 0, 1.
 
-    tables[2i + p] lists the unnormalised sifted masses at node q_i and
-    depolarizing strength p in the order of keys, the order in which the
-    walks first see them (nodes in increasing q, p = 0 before p = 1). Exact
-    for none and standard, Born floats for gentle. "none" takes mix None, so
-    the cache holds at most 4 x (1 + 3 + 3) entries.
+    scale * tables[2i + p] lists the unnormalised sifted masses at node q_i
+    and depolarizing strength p in the order of keys, the order in which the
+    walks first see them (nodes in increasing q, p = 0 before p = 1). For
+    none and standard, scale is 1 over the common denominator of the exact
+    masses, so the tables hold integers and exact sums of them stay integer;
+    for gentle the tables are the Born floats and scale is 1. "none" takes
+    mix None, so the cache holds at most 4 x (1 + 3 + 3) entries.
     """
     strategies = [_strategy_for(family, q, mix) for q in _NODES[family]]
     walks = [_walk(protocol, eve, Channel(depolarizing=p)) for eve in strategies for p in (0, 1)]
     keys = tuple(dict.fromkeys(key for u in walks for key in u))
-    return keys, tuple(tuple(u.get(key, 0) for key in keys) for u in walks)
+    tables = [[u.get(key, 0) for key in keys] for u in walks]
+    if family == "gentle":
+        return keys, 1, tuple(map(tuple, tables))
+    d = math.lcm(*(v.denominator for t in tables for v in t))
+    return keys, Fraction(1, d), tuple(tuple(int(v * d) for v in t) for t in tables)
 
 
 def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) -> JointDistribution:
     """The sifted joint distribution of one round, exact for rational inputs.
 
-    Read off the cached corner tables of the attack family (`_joint_curve`):
-    the first call for a (protocol, family, mix) walks its corners, and later
-    calls at any strength and channel walk nothing. Exact (rational) q and
-    depolarizing strength give the Fractions a walk of every branch gives,
-    for no eavesdropper and intercept/resend; any float input, or the gentle
-    attack, gives floats. Table keys are in corner order: the order in which
-    the corner walks first see them.
+    The unnormalised sifted table is linear in the depolarizing strength p
+    and, at a fixed p, in (1, q) under intercept/resend and in
+    (1, q, sqrt(1 - q^2)) under the gentle attack (see eavesdrop). So it is
+    sum_i w_i(q) ((1 - p) U(q_i, 0) + p U(q_i, 1)) over the cached corner
+    tables U of the attack family (`_corners`): the first call for a
+    (protocol, family, mix) walks its corners, and later calls at any
+    strength and channel walk nothing. Exact (rational) q and p give the
+    Fractions `_walk` gives, for no eavesdropper and intercept/resend, from
+    integer sums; any float input, or the gentle attack, is evaluated in
+    floats at float(q) and float(p) and gives floats. Entries that combine to
+    a negligible value (exact zeros, float roundoff) are dropped, and table
+    keys are in corner order: the order in which the corner walks first see
+    them.
 
     Args:
         protocol: protocol to analyze.
@@ -411,12 +420,24 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     Returns:
         JointDistribution with p_sift and the conditional p(a, b, e) table.
     """
-    if eve is None:
-        return _joint_curve(protocol, "none", None, channel)(0)
-    if not isinstance(eve, (InterceptResend, GentleIntercept)):
+    if eve is not None and not isinstance(eve, (InterceptResend, GentleIntercept)):
         raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
-    family = "gentle" if isinstance(eve, GentleIntercept) else "standard"
-    return _joint_curve(protocol, family, eve.mix, channel)(eve.q)
+    family = "none" if eve is None else "gentle" if isinstance(eve, GentleIntercept) else "standard"
+    q, mix = (0, None) if eve is None else (eve.q, eve.mix)
+    keys, scale, tables = _corners(protocol, family, mix)
+    p = channel.depolarizing
+    exact = family != "gentle" and isinstance(q, Rational) and isinstance(p, Rational)
+    q, p = (q, p) if exact else (float(q), float(p))
+    # the weight of table 2i + p: node q_i's w_i(q), times 1 - p or p, times the scale
+    w_q = (1,) if eve is None else (1 - q, q) if family == "standard" else _gentle_weights(q)
+    ws = [w * w_p * scale for w in w_q for w_p in (1 - p, p)]
+    # exact inputs take integer weights, and u then holds den times the masses
+    den = math.lcm(*(w.denominator for w in ws)) if exact else 1
+    terms = [(int(w * den) if exact else w, t) for w, t in zip(ws, tables) if w]
+    u = {key: sum(w * t[i] for w, t in terms) for i, key in enumerate(keys)}
+    u = {key: v for key, v in u.items() if not _negligible(v)}
+    total = Fraction(sum(u.values())) if exact else sum(u.values())
+    return JointDistribution(p_sift=total / den, table={key: v / total for key, v in u.items()})
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -534,44 +555,6 @@ def _gentle_weights(q: float) -> tuple:
     return (2.0 - 2.0 * q - s, 2.5 * t, q - 1.5 * t)
 
 
-def _joint_curve(protocol, family, mix, channel):
-    """q -> sifted joint of the family's attack at strength q, read off `_corners`.
-
-    The unnormalised sifted table is linear in (1, p), and at a fixed p it
-    is linear in (1, q) under intercept/resend and in (1, q, sqrt(1 - q^2))
-    under the gentle attack (see eavesdrop). So it is sum_i w_i(q) V_i over
-    the family's nodes q_i, with V_i = (1 - p) U(q_i, 0) + p U(q_i, 1) taken
-    first. An exact p keeps V_i exact (none and standard), and an exact q
-    then gives Fractions; any float input is evaluated on float copies of
-    V_i made once per curve. Entries that combine to a negligible value
-    (exact zeros, float roundoff) are dropped.
-    """
-    keys, corners = _corners(protocol, family, mix)
-    exact = _is_exact(channel.depolarizing) and family != "gentle"
-    p = channel.depolarizing if exact else float(channel.depolarizing)
-    nodes = [
-        [(1 - p) * u0 + p * u1 for u0, u1 in zip(corners[i], corners[i + 1])]
-        for i in range(0, len(corners), 2)
-    ]
-    float_nodes = [[float(v) for v in vs] for vs in nodes]
-
-    def joint_at(q):
-        if exact and _is_exact(q):
-            vs = nodes
-        else:
-            vs, q = float_nodes, float(q)
-        if family == "gentle":
-            ws = _gentle_weights(q)
-        else:
-            ws = (1 - q, q) if family == "standard" else (1,)
-        u = {key: sum(w * v[i] for w, v in zip(ws, vs)) for i, key in enumerate(keys)}
-        u = {key: v for key, v in u.items() if not _negligible(v)}
-        p_sift = sum(u.values())
-        return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
-
-    return joint_at
-
-
 def find_threshold(
     protocol: ProtocolKind,
     attack_family: str = "standard",
@@ -580,11 +563,13 @@ def find_threshold(
 ) -> ThresholdResult:
     """Bisect for the attack strength where the key rate crosses zero.
 
-    Stops when |R| < 1e-10 or the q-interval is narrower than 1e-9. R is read
-    off `_joint_curve`, on float copies of the node tables, and qber_star is
-    the QBER enumerate_joint reports at q_star. n_enumerations counts the
-    branch walks the solve triggered: the corners of a (protocol, family,
-    mix) not yet cached (4 for standard, 6 for gentle), else 0.
+    Stops when |R| < 1e-10 or the q-interval is narrower than 1e-9. Every
+    step is an enumerate_joint call, so qber_star is the QBER enumerate_joint
+    reports at q_star. n_enumerations counts the branch walks the solve
+    triggered: the corners of a (protocol, family, mix) not yet cached (4 for
+    standard, 6 for gentle), else 0. It is read off the process-wide corner
+    cache, so it depends on what ran before (and on other threads filling the
+    cache meanwhile) and is left out of ThresholdResult equality.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
@@ -593,7 +578,10 @@ def find_threshold(
     if attack_family not in ("standard", "gentle"):
         raise ValueError(f"unknown attack family: {attack_family!r} (expected standard or gentle)")
     misses = _corners.cache_info().misses
-    joint_at = _joint_curve(protocol, attack_family, mix, channel)
+
+    def joint_at(q):
+        return enumerate_joint(protocol, _strategy_for(attack_family, q, mix), channel)
+
     r_lo, r_hi = (key_rate(joint_at(q)).r for q in (0.0, 1.0))
     if not (r_lo > 0.0 > r_hi):
         raise NoThresholdError(
@@ -602,14 +590,14 @@ def find_threshold(
     lo, hi = 0.0, 1.0
     while hi - lo >= 1e-9:
         mid = (lo + hi) / 2
-        r_mid = key_rate(joint_at(mid)).r
+        joint = joint_at(mid)
+        r_mid = key_rate(joint).r
         if abs(r_mid) < 1e-10:
             break
         if r_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    joint = enumerate_joint(protocol, _strategy_for(attack_family, mid, mix), channel)
     walks = (_corners.cache_info().misses - misses) * 2 * len(_NODES[attack_family])
     return ThresholdResult(mid, float(joint.qber), walks)
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .analysis import (
     JointDistribution,
     NoThresholdError,
-    _joint_curve,
     _strategy_for,
     analytic_curves,
     enumerate_joint,
@@ -49,14 +48,6 @@ def _fraction_arg(text: str) -> Fraction:
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
-
-
-def _echo(args) -> dict:
-    """The flags every record repeats: command, protocol, attack, mix, q if taken, depolarize."""
-    record = {key: getattr(args, key) for key in ("command", "protocol", "attack", "mix")}
-    if hasattr(args, "q"):
-        record["q"] = float(args.q)
-    return {**record, "depolarize": float(args.depolarize)}
 
 
 def _rates_record(joint: JointDistribution) -> dict:
@@ -106,7 +97,16 @@ def _cmd_analytic(args, parser) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     joint = enumerate_joint(protocol, eve, Channel(depolarizing=args.depolarize))
-    return {**_echo(args), **_rates_record(joint)}, 0
+    record = {
+        "command": "analytic",
+        "protocol": protocol.value,
+        "attack": args.attack,
+        "mix": args.mix,
+        "q": float(args.q),
+        "depolarize": float(args.depolarize),
+        **_rates_record(joint),
+    }
+    return record, 0
 
 
 def _cmd_threshold(args, parser) -> tuple:
@@ -116,7 +116,11 @@ def _cmd_threshold(args, parser) -> tuple:
     channel = Channel(depolarizing=args.depolarize)
     result = find_threshold(protocol, args.attack, EnsembleMix(args.mix), channel)
     record = {
-        **_echo(args),
+        "command": "threshold",
+        "protocol": protocol.value,
+        "attack": args.attack,
+        "mix": args.mix,
+        "depolarize": float(args.depolarize),
         "q_star": round(result.q_star, 4),
         "qber_star": round(result.qber_star, 4),
     }
@@ -137,7 +141,12 @@ def _cmd_simulate(args, parser) -> tuple:
     stats = run_trials(config)
     report = compare_to_oracle(stats, enumerate_joint(protocol, eve, channel))
     record = {
-        **_echo(args),
+        "command": "simulate",
+        "protocol": protocol.value,
+        "attack": args.attack,
+        "mix": args.mix,
+        "q": float(args.q),
+        "depolarize": float(args.depolarize),
         "n_rounds": stats.n_rounds,
         "seed": args.seed,
         "n_sifted": stats.n_sifted,
@@ -163,13 +172,16 @@ def _cmd_sweep(args, parser) -> tuple:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     channel = Channel(depolarizing=args.depolarize)
-    joint_at = _joint_curve(protocol, args.attack, EnsembleMix(args.mix), channel)
     rows = []
-    for i in range(args.steps):
-        q = Fraction(i, args.steps - 1)
-        rows.append({"q": float(q), **_rates_record(joint_at(q))})
+    for q in (Fraction(i, args.steps - 1) for i in range(args.steps)):
+        eve = _strategy_for(args.attack, q, EnsembleMix(args.mix))
+        rows.append({"q": float(q), **_rates_record(enumerate_joint(protocol, eve, channel))})
     record = {
-        **_echo(args),
+        "command": "sweep",
+        "protocol": protocol.value,
+        "attack": args.attack,
+        "mix": args.mix,
+        "depolarize": float(args.depolarize),
         "steps": args.steps,
         "rows": rows,
     }
