@@ -25,9 +25,7 @@ from .analysis import (
 from .codes import (
     CodeKind,
     SphericalCode,
-    basis_label,
     dual_code,
-    eigen_bit,
     make_code,
     tetra_key_bit,
     trine_key_bit,
@@ -58,11 +56,6 @@ from .protocol import (
     RoundTranscript,
     run_round,
 )
-from .states import (
-    Povm,
-    depolarize,
-    sqrt_post_measurement_state,
-)
 
 __version__ = "0.1.0"
 
@@ -80,7 +73,6 @@ __all__ = [
     "InterceptResend",
     "JointDistribution",
     "NoThresholdError",
-    "Povm",
     "ProtocolKind",
     "QSiftEstimate",
     "RateReport",
@@ -91,12 +83,9 @@ __all__ = [
     "ThresholdResult",
     "TrialConfig",
     "analytic_curves",
-    "basis_label",
     "compare_to_oracle",
-    "depolarize",
     "depolarizing_curves",
     "dual_code",
-    "eigen_bit",
     "enumerate_joint",
     "estimate_q_from_sift",
     "eve_guess",
@@ -108,7 +97,6 @@ __all__ = [
     "run_round",
     "run_trials",
     "simulate_rounds",
-    "sqrt_post_measurement_state",
     "stats_from_arrays",
     "tetra_key_bit",
     "trine_key_bit",

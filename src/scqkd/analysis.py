@@ -2,20 +2,23 @@
 
 The central object is the joint distribution p(a, b, e) of Alice's bit, Bob's
 bit, and Eve's guess (0, 1, or None for abstention) conditioned on successful
-sifting. A round is one model with two stage tables, built by `_stages`: Eve's
-outcome rows per (ensemble side, signal) and Bob's outcome rows per forwarded
-state, with the sifting stage (`_sifting`) cached per protocol. `_walk`
-exhaustively enumerates every branch of a round over these rows, and
-montecarlo samples from their Born form. For the intercept/resend attack every
-row entry is rational (read off the exact Bloch Gram matrix), so the walk runs
-in exact Fraction arithmetic whenever the inputs (q and the depolarizing
-strength) are rational; the gentle attack introduces matrix square roots and
-runs in double precision. The unnormalised sifted table is linear in the
-depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
-so a few walks per (protocol, attack family, mix), cached by `_corners`, give
-it at every (q, p). `enumerate_joint` evaluates those corners, thresholds and
-sweeps call it at each strength, and `_walk` stays as the reference the tests
-compare it with. The one-way distillable rate is the classical bound
+sifting. A round is one model, built by `_stages`: Eve's outcome rows per
+(ensemble side, signal) and Bob's outcome rows per (Eve's slot, signal). A
+cell of the round is Bob's row extended by his outcome and the announcement,
+and `_sifting`, cached per protocol, is the one table of what every cell sifts
+to. `_walk` exhaustively enumerates every branch of a round over these rows
+and projects its masses through `_sifting`; montecarlo samples the Born form
+of the same rows and reads the same table by the same cell index. For the
+intercept/resend attack every row entry is rational (read off the exact Bloch
+Gram matrix), so the walk runs in exact Fraction arithmetic whenever the
+inputs (q and the depolarizing strength) are rational; the gentle attack
+introduces matrix square roots and runs in double precision. The unnormalised
+sifted table is linear in the depolarizing strength p and, at a fixed p, in
+(1, q) or (1, q, sqrt(1 - q^2)), so a few walks per (protocol, attack family,
+mix), cached by `_corners`, give it at every (q, p). `enumerate_joint`
+evaluates those corners, thresholds and sweeps call it at each strength, and
+`_walk` stays as the reference the tests compare it with. The one-way
+distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
 
@@ -31,8 +34,6 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 from typing import NamedTuple
-
-import numpy as np
 
 from .codes import bloch_gram
 from .eavesdrop import (
@@ -191,19 +192,19 @@ class _Stages(NamedTuple):
     """Outcome rows of a round's two measurements; None marks a row the round never reads.
 
     eve[side * n + j-1][m-1] is the probability that Eve, measuring with the
-    side's ensemble (0 alice, 1 bob), sees outcome m on signal j. bob[row][k-1]
-    is the probability of Bob's outcome k on a forwarded state, after the
-    channel: row side * n + s-1 is the side's code state s, and row
-    2n + (side * n + m-1) * n + j-1 is signal j after Eve's gentle outcome m.
+    side's ensemble (0 alice, 1 bob), sees outcome m on signal j. Bob's rows
+    are indexed by Eve's slot and the signal: bob[slot * n + j-1][k-1] is the
+    probability of Bob's outcome k on signal j, after the channel, where slot
+    0 is a round Eve left alone and slot 1 + side * n + m-1 one in which she
+    saw outcome m on a side. An intercept/resend slot forwards Eve's state m
+    whatever j was, so its n rows are one shared list. A cell of the round is
+    Bob's row extended by his outcome and the announcement index ai:
+    (row * n + k-1) * n_opts + ai, the index of `_sifting` and of the
+    sampler's cell_bits.
     """
 
     eve: list
     bob: list
-
-
-def _update_row(n: int, side, m, j):
-    """Bob's row in _Stages.bob for signal j after Eve's gentle outcome m on a side."""
-    return 2 * n + (side * n + m - 1) * n + j - 1
 
 
 def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stages:
@@ -220,7 +221,7 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stage
     p = channel.depolarizing
     gentle = isinstance(eve, GentleIntercept)
     sides = [] if eve is None else [si for si, w in enumerate(_side_weights(eve.mix)) if w]
-    eve_rows, bob_rows = [None] * (2 * n), [None] * (2 * n * (n + 1))
+    eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
 
     def born_row(rho):
         rho = depolarize(rho, p)
@@ -250,7 +251,7 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stage
                     fwd = measuring_code(protocol, side).state(m)
                 else:
                     fwd = sqrt_post_measurement_state(rho, povm.elements[m - 1])
-                bob_rows[_update_row(n, si, m, j)] = born_row(fwd)
+                bob_rows[(1 + si * n + m - 1) * n + j - 1] = born_row(fwd)
     if gentle:
         return _Stages(eve_rows, bob_rows)
     gram = bloch_gram(protocol.code_kind)
@@ -264,18 +265,19 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stage
                 row = [(1 + flip * gram[k][s - 1]) * Fraction(1, n) for k in range(n)]
                 if p != 0:
                     row = [(1 - p) * pk + p * Fraction(1, n) for pk in row]
-            bob_rows[si * n + s - 1] = row
+            if si == 0:
+                bob_rows[s - 1] = row
+            if si in sides:
+                start = (1 + si * n + s - 1) * n
+                bob_rows[start:start + n] = [row] * n
     return _Stages(eve_rows, bob_rows)
 
 
 def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
-    """Yield (weight, Bob's row, Eve's slot) for every way signal j reaches Bob.
-
-    Slot 0 is an untouched round, 1 + side * n + m-1 Eve's outcome m on a side.
-    """
+    """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages)."""
     n = protocol.n_signals
     if eve is None or isinstance(eve, InterceptResend) and eve.q != 1:
-        yield (1 if eve is None else 1 - eve.q), j - 1, 0
+        yield (1 if eve is None else 1 - eve.q), 0
     if eve is None or isinstance(eve, InterceptResend) and eve.q == 0:
         return
     gentle = isinstance(eve, GentleIntercept)
@@ -283,87 +285,69 @@ def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
         if not ws:
             continue
         for m, p_m in enumerate(stages.eve[si * n + j - 1], 1):
-            if _negligible(p_m):
-                continue
-            slot = 1 + si * n + m - 1
-            if gentle:
-                yield float(ws) * p_m, _update_row(n, si, m, j), slot
-            else:
-                yield eve.q * ws * p_m, si * n + m - 1, slot
-
-
-class _Sifting(NamedTuple):
-    """Sifting outcome of every (signal j, Bob outcome k, announcement ai) of a protocol.
-
-    walk[j-1][k-1] is (announcement weight, its float, ((a, b, guesses), ...))
-    over the accepted announcements in order; guesses[slot] is Eve's guess in
-    the round's slot (see _branches). cell_bits[:, cell] is (accepted, alice bit,
-    bob bit, eve guess), -1 marking no bit, of the cell
-    ((slot * n + j-1) * n + k-1) * n_opts + ai.
-    """
-
-    walk: tuple
-    cell_bits: np.ndarray
+            if not _negligible(p_m):
+                yield (float(ws) * p_m if gentle else eve.q * ws * p_m), 1 + si * n + m - 1
 
 
 @lru_cache(maxsize=len(ProtocolKind))
-def _sifting(protocol: ProtocolKind) -> _Sifting:
+def _sifting(protocol: ProtocolKind) -> tuple:
+    """The sifting table of a protocol: one entry per cell of a round (see _Stages).
+
+    The entry of cell ((slot * n + j-1) * n + k-1) * n_opts + ai is the key
+    (alice bit, bob bit, Eve's guess) of the round in which Eve's slot, signal
+    j, Bob's outcome k and his announcement ai are accepted, or None if Alice
+    rejects it. Eve's guess is None where she abstains or left the round alone.
+    """
     n = protocol.n_signals
     records = [None] + [EveRecord(True, side, m) for side in _SIDES for m in range(1, n + 1)]
-    n_opts = len(announcement_options(protocol, 1))
-    cell_bits = np.full((4, len(records), n, n, n_opts), -1, dtype=np.int8)
-    cell_bits[0] = 0
-    walk = [[] for _ in range(n)]
-    for k in range(1, n + 1):
-        options = announcement_options(protocol, k)
-        cells = [[] for _ in range(n)]
-        for ai, ann in enumerate(options):
-            guesses = tuple(eve_guess(rec, protocol, ann, True) for rec in records)
-            for j in range(1, n + 1):
-                if sift_accept(protocol, j, ann):
-                    a, b = derive_bits(protocol, j, k, ann)
-                    cells[j - 1].append((a, b, guesses))
-                    cell_bits[:3, :, j - 1, k - 1, ai] = [[1], [a], [b]]
-                    cell_bits[3, :, j - 1, k - 1, ai] = [-1 if g is None else g for g in guesses]
-        w_a = Fraction(1, len(options))
-        for j in range(n):
-            walk[j].append((w_a, float(w_a), tuple(cells[j])))
-    cell_bits = cell_bits.reshape(4, -1)
-    cell_bits.flags.writeable = False
-    return _Sifting(tuple(map(tuple, walk)), cell_bits)
+    # (k, announcement) in cell order; bits depend on (j, k, ai), guesses on (slot, k, ai)
+    outcomes = [(k, ann) for k in range(1, n + 1) for ann in announcement_options(protocol, k)]
+    bits = [
+        [derive_bits(protocol, j, k, ann) if sift_accept(protocol, j, ann) else None for k, ann in outcomes]
+        for j in range(1, n + 1)
+    ]
+    guesses = [[eve_guess(rec, protocol, ann, True) for _, ann in outcomes] for rec in records]
+    return tuple(
+        None if ab is None else (*ab, g) for slot in guesses for row in bits for ab, g in zip(row, slot)
+    )
 
 
 def _walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
     """Walk every branch of one round: the unnormalised sifted table {(a, b, e): mass}.
 
     Every branch (signal, interception outcome, Bob outcome, announcement) is
-    taken with its probability; nothing is sampled. Arithmetic stays in exact
+    taken with its probability; nothing is sampled. Each (signal, slot) branch
+    reads Bob's row slot * n + j-1 and projects its masses through that row's
+    slice of `_sifting` (the layout is in _Stages). Arithmetic stays in exact
     rationals when the strategy and channel parameters are rational and the
     strategy is not gentle. Keys are in the order the walk first sees them.
     Only `_corners` walks; the tests compare enumerate_joint against this
     reference, as they compare the sampler against run_round.
     """
     n = protocol.n_signals
+    n_opts = len(announcement_options(protocol, 1))
     # Fraction * float computes float(Fraction) * float, so float branches
     # take the float copies of the weights and skip that slow fallback
-    w_j = Fraction(1, n)
-    w_j_float = float(w_j)
+    w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
+    w_j_float, w_a_float = float(w_j), float(w_a)
     stages = _stages(protocol, eve, channel, born=isinstance(eve, GentleIntercept))
     sifting = _sifting(protocol)
     table: dict = {}
     total_mass = 0
     for j in range(1, n + 1):
-        for w_e, row, slot in _branches(protocol, eve, stages, j):
+        for w_e, slot in _branches(protocol, eve, stages, j):
+            row = slot * n + j - 1
             base = (w_j_float if isinstance(w_e, float) else w_j) * w_e
-            for pk, (w_a, w_a_float, cells) in zip(stages.bob[row], sifting.walk[j - 1]):
+            for k, pk in enumerate(stages.bob[row]):
                 if _negligible(pk):
                     continue
                 mass = base * pk
                 total_mass += mass
                 w = mass * (w_a_float if isinstance(mass, float) else w_a)
-                for a, b, guesses in cells:
-                    key = (a, b, guesses[slot])
-                    table[key] = table.get(key, 0) + w
+                cell = (row * n + k) * n_opts
+                for key in sifting[cell:cell + n_opts]:
+                    if key is not None:
+                        table[key] = table.get(key, 0) + w
     if abs(float(total_mass) - 1.0) > 1e-9:
         raise AssertionError(f"branch probabilities sum to {float(total_mass)!r}")
     return table

@@ -50,6 +50,12 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
+def _echo(args, *names) -> dict:
+    """A record's head: command, protocol, attack and mix, then the named values as floats."""
+    head = {key: getattr(args, key) for key in ("command", "protocol", "attack", "mix")}
+    return {**head, **{name: float(getattr(args, name)) for name in names}}
+
+
 def _rates_record(joint: JointDistribution) -> dict:
     report = key_rate(joint)
     return {
@@ -97,16 +103,7 @@ def _cmd_analytic(args, parser) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     joint = enumerate_joint(protocol, eve, Channel(depolarizing=args.depolarize))
-    record = {
-        "command": "analytic",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "q": float(args.q),
-        "depolarize": float(args.depolarize),
-        **_rates_record(joint),
-    }
-    return record, 0
+    return {**_echo(args, "q", "depolarize"), **_rates_record(joint)}, 0
 
 
 def _cmd_threshold(args, parser) -> tuple:
@@ -116,11 +113,7 @@ def _cmd_threshold(args, parser) -> tuple:
     channel = Channel(depolarizing=args.depolarize)
     result = find_threshold(protocol, args.attack, EnsembleMix(args.mix), channel)
     record = {
-        "command": "threshold",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "depolarize": float(args.depolarize),
+        **_echo(args, "depolarize"),
         "q_star": round(result.q_star, 4),
         "qber_star": round(result.qber_star, 4),
     }
@@ -141,12 +134,7 @@ def _cmd_simulate(args, parser) -> tuple:
     stats = run_trials(config)
     report = compare_to_oracle(stats, enumerate_joint(protocol, eve, channel))
     record = {
-        "command": "simulate",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "q": float(args.q),
-        "depolarize": float(args.depolarize),
+        **_echo(args, "q", "depolarize"),
         "n_rounds": stats.n_rounds,
         "seed": args.seed,
         "n_sifted": stats.n_sifted,
@@ -176,16 +164,7 @@ def _cmd_sweep(args, parser) -> tuple:
     for q in (Fraction(i, args.steps - 1) for i in range(args.steps)):
         eve = _strategy_for(args.attack, q, EnsembleMix(args.mix))
         rows.append({"q": float(q), **_rates_record(enumerate_joint(protocol, eve, channel))})
-    record = {
-        "command": "sweep",
-        "protocol": protocol.value,
-        "attack": args.attack,
-        "mix": args.mix,
-        "depolarize": float(args.depolarize),
-        "steps": args.steps,
-        "rows": rows,
-    }
-    return record, 0
+    return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 
 def _cmd_estimate_q(args, parser) -> tuple:

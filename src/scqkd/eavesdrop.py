@@ -28,6 +28,7 @@ from .codes import (
     SphericalCode,
     Povm,
     basis_label,
+    bloch_gram,
     code_povm,
     eigen_bit,
     tetra_key_bit,
@@ -209,8 +210,6 @@ def eve_outcome_probability(protocol, strategy, side, m, j):
     measurement direction with the signal. Used by the exact enumeration and
     checked against matrix Born probabilities in tests.
     """
-    from .codes import bloch_gram
-
     n = protocol.n_signals
     g = bloch_gram(protocol.code_kind)[m - 1][j - 1]
     if side == "bob" and protocol.excludes_outcomes:

@@ -11,9 +11,10 @@ its inverse-CDF tables are a sequential np.cumsum of the Born rows of
 analysis._stages, which are the same matrix Born products run_round takes,
 so a vectorized batch reproduces the scalar transcript loop float for float.
 run_round itself keeps its own matrix path, as the independent reference.
-The tables of a configuration are built once and cached, and a round's key
-bits and Eve's guess are read from one table indexed by the round's cell
-(Eve's slot, signal, Bob's outcome, announcement).
+The tables of a configuration are built once and cached. A round's key bits
+and Eve's guess are read from cell_bits, the int8 encoding of
+analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
+announcement), in the layout analysis._Stages defines for both paths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from numbers import Integral
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analysis import _side_weights, _sifting, _stages, _update_row
+from .analysis import _side_weights, _sifting, _stages
 from .eavesdrop import GentleIntercept
 from .protocol import Channel, IDEAL, ProtocolKind, announcement_options
 
@@ -80,11 +81,21 @@ def _cdf(rows: list, n: int) -> tuple:
     return np.cumsum(probs, axis=1), last_nonzero
 
 
+@lru_cache(maxsize=len(ProtocolKind))
+def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
+    """analysis._sifting as int8 columns (accepted, alice bit, bob bit, eve guess), -1 for none."""
+    cells = [(0, None, None, None) if key is None else (1, *key) for key in _sifting(protocol)]
+    cell_bits = np.array([[-1 if v is None else v for v in c] for c in cells], dtype=np.int8).T
+    cell_bits.flags.writeable = False
+    return cell_bits
+
+
 class _Tables:
     """Per-configuration outcome tables for the vectorized kernel.
 
     The CDFs are cumulative sums of the Born rows of analysis._stages, one row
-    per state, so a round's row is one take; cell_bits is analysis._sifting's.
+    per (Eve's slot, signal) as laid out there, so a round's row is one take;
+    cell_bits encodes analysis._sifting, in the same cell layout.
     """
 
     def __init__(self, protocol: ProtocolKind, eve, channel: Channel):
@@ -93,7 +104,7 @@ class _Tables:
         self.eve_cum, self.eve_lnz = _cdf(stages.eve, n)
         self.bob_cum, self.bob_lnz = _cdf(stages.bob, n)
         self.n_opts = len(announcement_options(protocol, 1))
-        self.cell_bits = _sifting(protocol).cell_bits
+        self.cell_bits = _cell_bits(protocol)
         for value in vars(self).values():  # shared by every caller of _tables
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -139,7 +150,9 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     """Simulate rounds start..start+count-1 of the configured trial, vectorized.
 
     The defaults cover the whole trial. Identical to running the scalar
-    run_round loop over the same index range with the same seed.
+    run_round loop over the same index range with the same seed. A round reads
+    Bob's row and its bits by Eve's slot, in the cell layout of
+    analysis._Stages.
 
     The whole range is materialised at once: its uniform block alone is
     count x 8 doubles (64 bytes per round), so simulate_rounds(config) with
@@ -157,33 +170,25 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     j = np.minimum((u[:, 0] * n).astype(np.int64), n - 1) + 1
     if eve is None:
         intercepted = np.zeros(count, dtype=bool)
-        side = np.full(count, -1, dtype=np.int8)
-        m = np.zeros(count, dtype=np.int64)
-        row = j - 1
+        side, m = np.zeros(count, dtype=np.int8), np.zeros(count, dtype=np.int64)
     else:
         side = (u[:, 2] >= float(_side_weights(eve.mix)[0])).astype(np.int8)
         m = _sample_rows(tab.eve_cum, tab.eve_lnz, side * n + j - 1, u[:, 3])
-        if isinstance(eve, GentleIntercept):
-            intercepted = np.ones(count, dtype=bool)
-            row = _update_row(n, side, m, j)
-        else:
-            intercepted = u[:, 1] < float(eve.q)
-            # forwarded state: Eve's ensemble state m if intercepted, else signal j
-            row = np.where(intercepted, side * n + m - 1, j - 1)
-            side = np.where(intercepted, side, -1).astype(np.int8)
-            m = np.where(intercepted, m, 0)
+        gentle = isinstance(eve, GentleIntercept)
+        intercepted = np.ones(count, dtype=bool) if gentle else u[:, 1] < float(eve.q)
+    slot = np.where(intercepted, side * n + m, 0)  # 1 + side * n + m-1 if intercepted
+    row = slot * n + j - 1
     k = _sample_rows(tab.bob_cum, tab.bob_lnz, row, u[:, 4])
 
     ai = np.minimum((u[:, 5] * tab.n_opts).astype(np.int64), tab.n_opts - 1)
-    slot = np.where(intercepted, side * n + m, 0)
-    cell = ((slot * n + j - 1) * n + k - 1) * tab.n_opts + ai
+    cell = (row * n + k - 1) * tab.n_opts + ai
     accepted, alice_bit, bob_bit, eve_bit = tab.cell_bits.take(cell, axis=1)
 
     return RoundArrays(
         signal=j.astype(np.int8),
         intercepted=intercepted,
-        eve_side=side,
-        eve_outcome=m.astype(np.int8),
+        eve_side=np.where(intercepted, side, np.int8(-1)),
+        eve_outcome=np.where(intercepted, m, 0).astype(np.int8),
         bob_outcome=k.astype(np.int8),
         announce_index=ai.astype(np.int8),
         accepted=accepted.view(bool),

@@ -15,7 +15,6 @@ from scqkd.analysis import (
     _sifting,
     _stages,
     _strategy_for,
-    _update_row,
     _walk,
     NoThresholdError,
     analytic_curves,
@@ -27,7 +26,7 @@ from scqkd.analysis import (
     mutual_information,
 )
 from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
-from scqkd.protocol import Channel, ProtocolKind
+from scqkd.protocol import Channel, ProtocolKind, announcement_options
 
 ALL = list(ProtocolKind)
 EXCLUSION = [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]
@@ -123,8 +122,9 @@ def _walked(protocol, eve, channel):
 
 
 def _fraction_weight_joint(protocol, eve, channel):
-    """_walk's gentle walk over the _stages rows, with Fraction weights 1/n and 1/len(options)."""
+    """_walk's gentle walk over the _stages rows, with Fraction weights 1/n and 1/n_opts."""
     n = protocol.n_signals
+    n_opts = len(announcement_options(protocol, 1))
     stages, sifting = _stages(protocol, eve, channel, born=True), _sifting(protocol)
     table = {}
     for j in range(1, n + 1):
@@ -135,14 +135,14 @@ def _fraction_weight_joint(protocol, eve, channel):
                 if _negligible(p_m):
                     continue
                 base = F(1, n) * (float(ws) * p_m)
-                bob_row = stages.bob[_update_row(n, side, m, j)]
-                for pk, (w_a, _, cells) in zip(bob_row, sifting.walk[j - 1]):
+                row = (1 + side * n + m - 1) * n + j - 1
+                for k, pk in enumerate(stages.bob[row]):
                     if _negligible(pk):
                         continue
-                    w = base * pk * w_a
-                    for a, b, guesses in cells:
-                        key = (a, b, guesses[1 + side * n + m - 1])
-                        table[key] = table.get(key, 0) + w
+                    w = base * pk * F(1, n_opts)
+                    for key in sifting[(row * n + k) * n_opts:(row * n + k + 1) * n_opts]:
+                        if key is not None:
+                            table[key] = table.get(key, 0) + w
     return table
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from scqkd.analysis import _strategy_for, enumerate_joint
+from scqkd.analysis import _sifting, _strategy_for, enumerate_joint
 from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, InterceptResend, eve_guess
 from scqkd.montecarlo import (
     RoundArrays,
@@ -265,7 +265,13 @@ class TestChunkedKernel:
         # slot 0: Eve did not touch the round; 1 + side * n + m-1: she saw m on side
         records = [None] + [EveRecord(True, side, m) for side in ("alice", "bob") for m in range(1, n + 1)]
         n_opts = len(announcement_options(protocol, 1))
-        bits = _tables(protocol, None, IDEAL).cell_bits.reshape(4, len(records), n, n, n_opts)
+        cell_bits = _tables(protocol, None, IDEAL).cell_bits
+        # the sampler's columns are the int8 encoding of the one sifting table
+        assert cell_bits.shape == (4, (2 * n + 1) * n * n * n_opts)
+        encoded = [(0, -1, -1, -1) if key is None else (1, key[0], key[1], -1 if key[2] is None else key[2])
+                   for key in _sifting(protocol)]
+        assert cell_bits.dtype == np.int8 and cell_bits.T.tolist() == [list(c) for c in encoded]
+        bits = cell_bits.reshape(4, len(records), n, n, n_opts)
         for slot, j, k, ai in np.ndindex(bits.shape[1:]):
             accepted, alice, bob, eve = bits[:, slot, j, k, ai]
             ann = announcement_options(protocol, k + 1)[ai]
