@@ -8,16 +8,17 @@ cell of the round is Bob's row extended by his outcome and the announcement,
 and `_sifting`, cached per protocol, is the one table of what every cell sifts
 to. `_walk` exhaustively enumerates every branch of a round over these rows
 and projects its masses through `_sifting`; montecarlo samples the Born form
-of the same rows and reads the same table by the same cell index. For the
-intercept/resend attack every row entry is rational (read off the exact Bloch
-Gram matrix), so the walk runs in exact Fraction arithmetic whenever the
-inputs (q and the depolarizing strength) are rational; the gentle attack
-introduces matrix square roots and runs in double precision. The unnormalised
-sifted table is linear in the depolarizing strength p and, at a fixed p, in
-(1, q) or (1, q, sqrt(1 - q^2)), so a few walks per (protocol, attack family,
-mix), cached by `_corners`, give it at every (q, p). `enumerate_joint`
-evaluates those corners, thresholds and sweeps call it at each strength, and
-`_walk` stays as the reference the tests compare it with. The one-way
+of the same rows and reads the same table by the same cell index. The walk
+reads every row off the exact Bloch Gram matrix, the same way for every
+attack family, so it runs in exact Fraction arithmetic whenever its inputs
+are rational: q, the depolarizing strength and, for the gentle attack,
+sqrt(1 - q^2). Only the sampler's Born rows take matrix products and square
+roots in double precision. The unnormalised sifted table is linear in the
+depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
+so a few exact walks per (protocol, attack family, mix), cached by `_corners`,
+give it at every (q, p). `enumerate_joint` evaluates those corners,
+thresholds and sweeps call it at each strength, and `_walk` stays as the
+reference the tests compare it with. The one-way
 distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
@@ -189,7 +190,7 @@ def _side_weights(mix: EnsembleMix) -> tuple:
 
 
 class _Stages(NamedTuple):
-    """Outcome rows of a round's two measurements; None marks a row the round never reads.
+    """Outcome rows of a round's two measurements; None marks a row the round never reaches.
 
     eve[side * n + j-1][m-1] is the probability that Eve, measuring with the
     side's ensemble (0 alice, 1 bob), sees outcome m on signal j. Bob's rows
@@ -200,93 +201,110 @@ class _Stages(NamedTuple):
     whatever j was, so its n rows are one shared list. A cell of the round is
     Bob's row extended by his outcome and the announcement index ai:
     (row * n + k-1) * n_opts + ai, the index of `_sifting` and of the
-    sampler's cell_bits.
+    sampler's cell_bits. Slot 0 is None where Eve measures every signal
+    (gentle, or intercept/resend at q = 1); Eve's rows and slots are None on
+    a side the mix never picks, and everywhere when she measures no signal.
     """
 
     eve: list
     bob: list
 
 
-def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stages:
-    """Eve's and Bob's outcome rows of one configuration, for the sides the mix uses.
+def _sqrt(x):
+    """sqrt(x): a Fraction when x is the square of a rational, else a float."""
+    if isinstance(x, Rational):
+        a, b = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if a * a == x.numerator and b * b == x.denominator:
+            return Fraction(a, b)
+    return math.sqrt(x)
 
-    With born=False the no-Eve and intercept/resend rows come from the exact
-    Bloch Gram matrix (Fractions for exact inputs); with born=True every row is
-    a matrix Born product, the numbers the sampler draws from. A gentle attack's
-    rows are Born products either way.
+
+def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stages:
+    """Eve's and Bob's outcome rows of one configuration, for the branches a round reaches.
+
+    One loop over (signal j, side, Eve's outcome m) builds both forms; born
+    chooses only each row's arithmetic. With born=True a row is a matrix Born
+    product, the numbers the sampler draws from. With born=False it is read
+    off the exact Bloch Gram matrix. Eve's outcome m has Bloch vector u
+    (Alice's a_m, or -a_m on Bob's side under exclusion sifting) and
+    probability (1 + q g)/n, where g = u . a_j and q is her measurement
+    strength (1 for intercept/resend). She forwards the Bloch vector
+    b = ((q + g - s g) u + s a_j) / (1 + q g), with s = sqrt(1 - q^2): u at
+    full strength and a_j at q = 0. Bob's entry k is (1 + (1 - p) v_k . b)/n
+    for his measurement direction v_k. So the gram rows are Fractions when q,
+    p and s are rational (as at every corner node), and floats otherwise.
     """
     if eve is not None and not isinstance(eve, (InterceptResend, GentleIntercept)):
         raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
     n = protocol.n_signals
     p = channel.depolarizing
+    gram = bloch_gram(protocol.code_kind)
     gentle = isinstance(eve, GentleIntercept)
-    sides = [] if eve is None else [si for si, w in enumerate(_side_weights(eve.mix)) if w]
+    touched = 0 if eve is None else 1 if gentle else eve.q  # the share of signals Eve measures
+    strength = eve.q if gentle else 1
+    s = _sqrt(1 - strength * strength)
+    sides = [si for si, w in enumerate(_side_weights(eve.mix)) if w] if touched else []
+    # under exclusion sifting Bob measures the dual, antipodal to Alice's states
+    dual = -1 if protocol.excludes_outcomes else 1
+    uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
 
     def born_row(rho):
         rho = depolarize(rho, p)
         return [born_probability(rho, e) for e in bob_povm(protocol).elements]
 
-    for si in sides:
-        side = _SIDES[si]
-        if gentle:
-            povm = _side_gentle_povm(protocol, side, float(eve.q))
-        else:
-            povm = _side_povm(protocol, side)
-        for j in range(1, n + 1):
-            rho = alice_code(protocol).state(j)
-            if born or gentle:
-                row = [born_probability(rho, e) for e in povm.elements]
-            else:
-                row = [eve_outcome_probability(protocol, eve, side, m, j) for m in range(1, n + 1)]
-            eve_rows[si * n + j - 1] = row
-            if not gentle:
-                continue
-            for m in range(1, n + 1):
-                # below the cut the update is numerically undefined (full-strength
-                # orthogonal outcomes compute as ~1e-17); use its p -> 0 limit, the
-                # measured state. Enumeration skips the branch, and the sampler
-                # reaches it with probability < 1e-15
-                if _negligible(row[m - 1]):
-                    fwd = measuring_code(protocol, side).state(m)
-                else:
-                    fwd = sqrt_post_measurement_state(rho, povm.elements[m - 1])
-                bob_rows[(1 + si * n + m - 1) * n + j - 1] = born_row(fwd)
-    if gentle:
-        return _Stages(eve_rows, bob_rows)
-    gram = bloch_gram(protocol.code_kind)
-    for si in sorted({0, *sides}):  # signals Eve leaves alone, and the states she resends
-        # under exclusion sifting Bob measures the dual, antipodal to Alice's states
-        flip = -1 if si == 0 and protocol.excludes_outcomes else 1
-        for s in range(1, n + 1):
+    def gram_row(c_m, m, c_j, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
+        c_m, c_j = contrast * c_m, contrast * c_j
+        return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
+
+    for j in range(1, n + 1):
+        rho = alice_code(protocol).state(j) if born else None
+        if touched != 1:
+            bob_rows[j - 1] = born_row(rho) if born else gram_row(0, j, 1, j)
+        for si in sides:
+            side, sign = _SIDES[si], dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             if born:
-                row = born_row(measuring_code(protocol, _SIDES[si]).state(s))
+                povm = _side_gentle_povm(protocol, side, float(eve.q)) if gentle else _side_povm(protocol, side)
+                eve_row = [born_probability(rho, e) for e in povm.elements]
             else:
-                row = [(1 + flip * gram[k][s - 1]) * Fraction(1, n) for k in range(n)]
-                if p != 0:
-                    row = [(1 - p) * pk + p * Fraction(1, n) for pk in row]
-            if si == 0:
-                bob_rows[s - 1] = row
-            if si in sides:
-                start = (1 + si * n + s - 1) * n
-                bob_rows[start:start + n] = [row] * n
+                eve_row = [eve_outcome_probability(protocol, eve, side, m, j) for m in range(1, n + 1)]
+            eve_rows[si * n + j - 1] = eve_row
+            for m in range(1, n + 1):
+                at = (1 + si * n + m - 1) * n + j - 1
+                if not gentle and j > 1:  # a resend forwards her state m whatever j was
+                    bob_rows[at] = bob_rows[at - j + 1]
+                elif born:
+                    # below the cut the update is numerically undefined (full-strength
+                    # orthogonal outcomes compute as ~1e-17); use its p -> 0 limit, the
+                    # measured state. Enumeration skips the branch, and the sampler
+                    # reaches it with probability < 1e-15
+                    if not gentle or _negligible(eve_row[m - 1]):
+                        fwd = measuring_code(protocol, side).state(m)
+                    else:
+                        fwd = sqrt_post_measurement_state(rho, povm.elements[m - 1])
+                    bob_rows[at] = born_row(fwd)
+                else:
+                    g = sign * gram[m - 1][j - 1]
+                    d = 1 + strength * g
+                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
+                    bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
     return _Stages(eve_rows, bob_rows)
 
 
 def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
-    """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages)."""
+    """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages).
+
+    The stages say which slots a round reaches: a slot whose rows are None
+    (and Eve's outcomes on a side whose row is None) is never taken.
+    """
     n = protocol.n_signals
-    if eve is None or isinstance(eve, InterceptResend) and eve.q != 1:
+    if stages.bob[j - 1] is not None:
         yield (1 if eve is None else 1 - eve.q), 0
-    if eve is None or isinstance(eve, InterceptResend) and eve.q == 0:
-        return
-    gentle = isinstance(eve, GentleIntercept)
-    for si, ws in enumerate(_side_weights(eve.mix)):
-        if not ws:
-            continue
-        for m, p_m in enumerate(stages.eve[si * n + j - 1], 1):
+    for si, ws in enumerate(() if eve is None else _side_weights(eve.mix)):
+        w = ws if isinstance(eve, GentleIntercept) else eve.q * ws
+        for m, p_m in enumerate(stages.eve[si * n + j - 1] or (), 1):
             if not _negligible(p_m):
-                yield (float(ws) * p_m if gentle else eve.q * ws * p_m), 1 + si * n + m - 1
+                yield w * p_m, 1 + si * n + m - 1
 
 
 @lru_cache(maxsize=len(ProtocolKind))
@@ -317,33 +335,31 @@ def _walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
 
     Every branch (signal, interception outcome, Bob outcome, announcement) is
     taken with its probability; nothing is sampled. Each (signal, slot) branch
-    reads Bob's row slot * n + j-1 and projects its masses through that row's
-    slice of `_sifting` (the layout is in _Stages). Arithmetic stays in exact
-    rationals when the strategy and channel parameters are rational and the
-    strategy is not gentle. Keys are in the order the walk first sees them.
-    Only `_corners` walks; the tests compare enumerate_joint against this
+    reads Bob's gram row slot * n + j-1 of `_stages` and projects its masses
+    through that row's slice of `_sifting` (the layout is in _Stages). The
+    arithmetic is the rows', the same for every family: exact rationals
+    whenever q, p and, for the gentle attack, sqrt(1 - q^2) are rational,
+    floats otherwise. Keys are in the order the walk first sees them. Only
+    `_corners` walks; the tests compare enumerate_joint against this
     reference, as they compare the sampler against run_round.
     """
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
-    # Fraction * float computes float(Fraction) * float, so float branches
-    # take the float copies of the weights and skip that slow fallback
     w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
-    w_j_float, w_a_float = float(w_j), float(w_a)
-    stages = _stages(protocol, eve, channel, born=isinstance(eve, GentleIntercept))
+    stages = _stages(protocol, eve, channel, born=False)
     sifting = _sifting(protocol)
     table: dict = {}
     total_mass = 0
     for j in range(1, n + 1):
         for w_e, slot in _branches(protocol, eve, stages, j):
             row = slot * n + j - 1
-            base = (w_j_float if isinstance(w_e, float) else w_j) * w_e
+            base = w_j * w_e
             for k, pk in enumerate(stages.bob[row]):
                 if _negligible(pk):
                     continue
                 mass = base * pk
                 total_mass += mass
-                w = mass * (w_a_float if isinstance(mass, float) else w_a)
+                w = mass * w_a
                 cell = (row * n + k) * n_opts
                 for key in sifting[cell:cell + n_opts]:
                     if key is not None:
@@ -363,18 +379,16 @@ def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
 
     scale * tables[2i + p] lists the unnormalised sifted masses at node q_i
     and depolarizing strength p in the order of keys, the order in which the
-    walks first see them (nodes in increasing q, p = 0 before p = 1). For
-    none and standard, scale is 1 over the common denominator of the exact
-    masses, so the tables hold integers and exact sums of them stay integer;
-    for gentle the tables are the Born floats and scale is 1. "none" takes
-    mix None, so the cache holds at most 4 x (1 + 3 + 3) entries.
+    walks first see them (nodes in increasing q, p = 0 before p = 1). Every
+    node walk is exact, the gentle ones too (sqrt(1 - q_i^2) is rational at
+    each node), so scale is 1 over the common denominator of the masses,
+    the tables hold integers, and exact sums of them stay integer. "none"
+    takes mix None, so the cache holds at most 4 x (1 + 3 + 3) entries.
     """
     strategies = [_strategy_for(family, q, mix) for q in _NODES[family]]
     walks = [_walk(protocol, eve, Channel(depolarizing=p)) for eve in strategies for p in (0, 1)]
     keys = tuple(dict.fromkeys(key for u in walks for key in u))
     tables = [[u.get(key, 0) for key in keys] for u in walks]
-    if family == "gentle":
-        return keys, 1, tuple(map(tuple, tables))
     d = math.lcm(*(v.denominator for t in tables for v in t))
     return keys, Fraction(1, d), tuple(tuple(int(v * d) for v in t) for t in tables)
 
@@ -390,8 +404,9 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     (protocol, family, mix) walks its corners, and later calls at any
     strength and channel walk nothing. Exact (rational) q and p give the
     Fractions `_walk` gives, for no eavesdropper and intercept/resend, from
-    integer sums; any float input, or the gentle attack, is evaluated in
-    floats at float(q) and float(p) and gives floats. Entries that combine to
+    integer sums; any float input, or the gentle attack (whose weights take
+    sqrt(1 - q^2)), is evaluated in floats at float(q) and float(p) from the
+    same integer tables and gives floats. Entries that combine to
     a negligible value (exact zeros, float roundoff) are dropped, and table
     keys are in corner order: the order in which the corner walks first see
     them.
@@ -411,7 +426,7 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     keys, scale, tables = _corners(protocol, family, mix)
     p = channel.depolarizing
     exact = family != "gentle" and isinstance(q, Rational) and isinstance(p, Rational)
-    q, p = (q, p) if exact else (float(q), float(p))
+    q, p, scale = (q, p, scale) if exact else (float(q), float(p), float(scale))
     # the weight of table 2i + p: node q_i's w_i(q), times 1 - p or p, times the scale
     w_q = (1,) if eve is None else (1 - q, q) if family == "standard" else _gentle_weights(q)
     ws = [w * w_p * scale for w in w_q for w_p in (1 - p, p)]

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from .analysis import (
@@ -180,7 +181,9 @@ def _cmd_estimate_q(args, parser) -> tuple:
         parser.error(str(exc))
     se_rate = proportion_se(args.sift_count, args.total_count)
     slope = float(curves.sift_to_q(1) - curves.sift_to_q(0))
-    estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
+    with warnings.catch_warnings():  # the record's in_model flags an out-of-model rate
+        warnings.simplefilter("ignore")
+        estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
     joint = enumerate_joint(protocol, InterceptResend(q=estimate.q, mix=EnsembleMix.SYMMETRIC))
     report = key_rate(joint)

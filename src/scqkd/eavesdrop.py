@@ -160,12 +160,6 @@ def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     raise ValueError(f"unknown eavesdropping strategy: {strategy!r}")
 
 
-def intercept(strategy, protocol: ProtocolKind, rho, rng):
-    """Apply `strategy` to one in-flight state, drawing 3 uniforms from rng."""
-    u = rng.random(3)
-    return intercept_with_uniforms(strategy, protocol, rho, u[0], u[1], u[2])
-
-
 def eve_guess(record, protocol: ProtocolKind, ann: Announcement, accepted: bool):
     """Eve's key-bit guess for an accepted round, or None to abstain.
 

@@ -74,7 +74,8 @@ def _cdf(rows: list, n: int) -> tuple:
 
     np.cumsum adds along a row in order, as states.sample_outcome does, so the
     vectorized inverse CDF lands on the same outcome for the same uniform. A
-    left-out row (None) reads as zeros; the kernel never samples it.
+    left-out row (None) reads as zeros; the kernel never uses an outcome
+    drawn from it (Eve's rows at q = 0 are drawn from, then masked).
     """
     probs = np.array([[0.0] * n if row is None else row for row in rows])
     last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)

@@ -8,7 +8,7 @@ stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -83,21 +83,12 @@ def validate_state(rho, atol: float = ATOL) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A POVM: ordered elements summing to the identity, with outcome labels.
-
-    Labels default to 1..n; all public outcome indexing is 1-based.
-    """
+    """A POVM: ordered elements summing to the identity; outcome m is element m-1 (1-based)."""
 
     elements: tuple
-    labels: tuple = field(default=())
 
     def __post_init__(self):
-        elems = tuple(_frozen(e) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, len(elems) + 1)))
-        if len(self.labels) != len(elems):
-            raise ValueError("labels and elements must have equal length")
+        object.__setattr__(self, "elements", tuple(_frozen(e) for e in self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -209,17 +200,17 @@ def sample_outcome(rho, povm: Povm, u: float):
         u: uniform variate in [0, 1).
 
     Returns:
-        The label (1-based by default) of the sampled outcome.
+        The 1-based index of the sampled outcome.
     """
     c = 0.0
     last_nonzero = None
-    for label, e in zip(povm.labels, povm.elements):
+    for m, e in enumerate(povm.elements, 1):
         p = born_probability(rho, e)
         c += p
         if p > 0.0:
-            last_nonzero = label
+            last_nonzero = m
             if u < c:
-                return label
+                return m
     if last_nonzero is None:
         raise ValueError("all outcomes have zero probability")
     return last_nonzero

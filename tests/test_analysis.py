@@ -122,10 +122,10 @@ def _walked(protocol, eve, channel):
 
 
 def _fraction_weight_joint(protocol, eve, channel):
-    """_walk's gentle walk over the _stages rows, with Fraction weights 1/n and 1/n_opts."""
+    """_walk's gentle walk over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts."""
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
-    stages, sifting = _stages(protocol, eve, channel, born=True), _sifting(protocol)
+    stages, sifting = _stages(protocol, eve, channel, born=False), _sifting(protocol)
     table = {}
     for j in range(1, n + 1):
         for side, ws in enumerate(_side_weights(eve.mix)):
@@ -134,7 +134,7 @@ def _fraction_weight_joint(protocol, eve, channel):
             for m, p_m in enumerate(stages.eve[side * n + j - 1], 1):
                 if _negligible(p_m):
                     continue
-                base = F(1, n) * (float(ws) * p_m)
+                base = F(1, n) * (ws * p_m)
                 row = (1 + side * n + m - 1) * n + j - 1
                 for k, pk in enumerate(stages.bob[row]):
                     if _negligible(pk):
@@ -149,7 +149,9 @@ def _fraction_weight_joint(protocol, eve, channel):
 class TestEnumerateGentle:
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("mix", list(EnsembleMix))
-    @pytest.mark.parametrize("q,channel", [(0.7, Channel()), (0.3, Channel(depolarizing=0.05))])
+    @pytest.mark.parametrize("q,channel", [
+        (0.7, Channel()), (0.3, Channel(depolarizing=0.05)), (F(3, 5), Channel(depolarizing=F(1, 7))),
+    ])
     def test_float_weights_match_fraction_weights(self, protocol, mix, q, channel):
         walked = _walk(protocol, GentleIntercept(q=q, mix=mix), channel)
         table = _fraction_weight_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
@@ -163,6 +165,12 @@ class TestEnumerateGentle:
         assert set(soft.table) == set(hard.table)
         for key, v in hard.table.items():
             assert abs(float(v) - soft.table[key]) < 1e-12
+        # at exact full strength the two walks are the same walk, Fraction for Fraction
+        for mix in EnsembleMix:
+            soft = _walk(protocol, GentleIntercept(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
+            hard = _walk(protocol, InterceptResend(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
+            assert list(soft.items()) == list(hard.items())
+            assert all(type(v) is F for v in soft.values())
 
     @pytest.mark.parametrize("protocol", ALL)
     def test_zero_strength_is_invisible_and_useless(self, protocol):
@@ -192,10 +200,12 @@ _STRENGTH = st.fractions(min_value=0, max_value=1, max_denominator=60)
 class TestStages:
     """One round model: the exact Gram rows and the Born rows the sampler reads agree."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
+    @settings(max_examples=60, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
     def test_gram_rows_are_the_born_rows(self, protocol, family, mix, q, p):
+        if family == "gentle":
+            q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
         gram = _stages(protocol, eve, channel, born=False)
         born = _stages(protocol, eve, channel, born=True)
@@ -204,8 +214,18 @@ class TestStages:
             for exact, approx in zip(exact_rows, float_rows):
                 if exact is None:
                     continue
-                assert sum(exact) == 1
+                assert sum(exact) == 1 and all(type(e) is F for e in exact)
                 assert all(abs(e - b) <= 1e-12 for e, b in zip(exact, approx))
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @pytest.mark.parametrize("born", [False, True])
+    def test_unreachable_rows_are_left_out(self, protocol, born):
+        n = protocol.n_signals
+        untouched = _stages(protocol, _sym(F(0)), Channel(), born)
+        assert untouched.eve == [None] * (2 * n)
+        assert None not in untouched.bob[:n] and untouched.bob[n:] == [None] * (2 * n * n)
+        full = _stages(protocol, _sym(F(1)), Channel(), born)
+        assert None not in full.eve and None not in full.bob[n:] and full.bob[:n] == [None] * n
 
     @settings(max_examples=40, deadline=None)
     @given(protocol=st.sampled_from(ALL), mix=_MIXES, q=_STRENGTH, p=_NOISE)
@@ -419,11 +439,7 @@ class TestGentleCurve:
         protocol=st.sampled_from(ALL),
         mix=_MIXES,
         p=_NOISE,
-        # the reference, not the curve, loses precision as q -> 1: its
-        # sqrt_psd_2x2 reads the small eigenvalue (1 - q)/n off a determinant
-        # with ~1e-17 roundoff (~1e-13 off at 1 - q = 1e-9, ~4e-12 at 1e-12),
-        # and above 1 - 2e-14 it snaps the element to rank 1 (~1e-8 off)
-        q=st.floats(min_value=0, max_value=1 - 1e-9, exclude_min=True),
+        q=st.floats(min_value=0, max_value=1, exclude_min=True),
     )
     def test_curve_matches_enumeration(self, protocol, mix, p, q):
         channel = Channel(depolarizing=p)
@@ -470,11 +486,8 @@ class TestGentleCurve:
         assert res.qber_star == float(joint.qber)
 
 
-# exact or float inputs; float q stops short of 1, where the gentle reference
-# walk loses precision (see TestGentleCurve), but takes 1.0 itself
-_EXACT_OR_FLOAT = st.one_of(
-    _STRENGTH, st.floats(min_value=0, max_value=1 - 1e-9), st.sampled_from([0.0, 1.0])
-)
+# exact or float inputs, the ends of [0, 1] included
+_EXACT_OR_FLOAT = st.one_of(_STRENGTH, st.floats(min_value=0, max_value=1), st.sampled_from([0.0, 1.0]))
 
 
 class TestCorners:
@@ -504,6 +517,13 @@ class TestCorners:
         jd = enumerate_joint(protocol, eve, Channel(depolarizing=p))
         assert type(jd.p_sift) is float
         assert all(type(v) is float for v in jd.table.values())
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    def test_corner_tables_are_integers(self, protocol, family):
+        keys, scale, tables = _corners(protocol, family, None if family == "none" else EnsembleMix.SYMMETRIC)
+        assert type(scale) is F and scale.numerator == 1
+        assert all(len(t) == len(keys) and all(type(v) is int for v in t) for t in tables)
 
     def test_corners_are_walked_once_per_key(self):
         _corners.cache_clear()

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -330,8 +331,9 @@ class TestEstimateQ:
         assert record["r"] == 1.0
 
     def test_out_of_model_clamps_and_flags(self, capsys):
-        with pytest.warns(UserWarning):
-            code, record, _ = run_json(
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes: in_model is the signal
+            code, record, err = run_json(
                 [
                     "estimate-q", "--protocol", "trine",
                     "--sift-count", "700000", "--total-count", "1000000",
@@ -339,6 +341,7 @@ class TestEstimateQ:
                 capsys,
             )
         assert code == 0
+        assert err == ""
         assert record["q"] == 1.0
         assert record["q_raw"] == pytest.approx(12 * 0.7 - 6)
         assert record["in_model"] is False

@@ -15,7 +15,6 @@ from scqkd.eavesdrop import (
     eve_guess,
     eve_outcome_probability,
     gentle_povm,
-    intercept,
     intercept_with_uniforms,
     measuring_code,
 )
@@ -94,14 +93,6 @@ class TestInterceptResendAction:
         _, rec_b = intercept_with_uniforms(strategy, ProtocolKind.TRINE, rho, 0.0, 0.5, 0.0)
         assert rec_a.ensemble_used == "alice"
         assert rec_b.ensemble_used == "bob"
-
-    def test_consumes_three_uniforms(self):
-        rng1 = np.random.default_rng(3)
-        rng2 = np.random.default_rng(3)
-        rho = alice_code(ProtocolKind.TETRAHEDRON).state(2)
-        intercept(InterceptResend(q=0.5), ProtocolKind.TETRAHEDRON, rho, rng1)
-        rng2.random(3)
-        assert rng1.random() == rng2.random()
 
 
 class TestGentleAction:

@@ -93,8 +93,9 @@ class TestPovm:
         Povm(elements=(MIXED, MIXED)).validate()
 
     def test_default_labels(self):
+        # outcomes are named by their 1-based element index
         povm = Povm(elements=(MIXED, MIXED))
-        assert povm.labels == (1, 2)
+        assert [sample_outcome(MIXED, povm, u) for u in (0.2, 0.7)] == [1, 2]
         assert len(povm) == 2
 
     def test_incomplete_rejected(self):
