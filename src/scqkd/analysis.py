@@ -39,11 +39,12 @@ from typing import NamedTuple
 from .codes import bloch_gram
 from .eavesdrop import (
     EveRecord,
-    GentleIntercept,
-    InterceptResend,
     EnsembleMix,
+    _SIDES,
+    _attack,
     _side_gentle_povm,
-    _side_povm,
+    _side_weights,
+    _strategy_for,
     eve_guess,
     eve_outcome_probability,
     measuring_code,
@@ -177,18 +178,6 @@ def _negligible(p) -> bool:
 # -- the round model -------------------------------------------------------------
 
 
-_SIDES = ("alice", "bob")
-
-
-def _side_weights(mix: EnsembleMix) -> tuple:
-    """Probabilities (alice, bob) that Eve measures with each side's ensemble."""
-    if mix is EnsembleMix.ALICE_ONLY:
-        return Fraction(1), Fraction(0)
-    if mix is EnsembleMix.BOB_ONLY:
-        return Fraction(0), Fraction(1)
-    return Fraction(1, 2), Fraction(1, 2)
-
-
 class _Stages(NamedTuple):
     """Outcome rows of a round's two measurements; None marks a row the round never reaches.
 
@@ -197,11 +186,11 @@ class _Stages(NamedTuple):
     are indexed by Eve's slot and the signal: bob[slot * n + j-1][k-1] is the
     probability of Bob's outcome k on signal j, after the channel, where slot
     0 is a round Eve left alone and slot 1 + side * n + m-1 one in which she
-    saw outcome m on a side. An intercept/resend slot forwards Eve's state m
-    whatever j was, so its n rows are one shared list. A cell of the round is
-    Bob's row extended by his outcome and the announcement index ai:
-    (row * n + k-1) * n_opts + ai, the index of `_sifting` and of the
-    sampler's cell_bits. Slot 0 is None where Eve measures every signal
+    saw outcome m on a side. At full measurement strength a slot forwards
+    Eve's state m whatever j was, so its n rows are one shared list. A cell
+    of the round is Bob's row extended by his outcome and the announcement
+    index ai: (row * n + k-1) * n_opts + ai, the index of `_sifting` and of
+    the sampler's cell_bits. Slot 0 is None where Eve measures every signal
     (gentle, or intercept/resend at q = 1); Eve's rows and slots are None on
     a side the mix never picks, and everywhere when she measures no signal.
     """
@@ -222,26 +211,25 @@ def _sqrt(x):
 def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stages:
     """Eve's and Bob's outcome rows of one configuration, for the branches a round reaches.
 
-    One loop over (signal j, side, Eve's outcome m) builds both forms; born
-    chooses only each row's arithmetic. With born=True a row is a matrix Born
-    product, the numbers the sampler draws from. With born=False it is read
-    off the exact Bloch Gram matrix. Eve's outcome m has Bloch vector u
-    (Alice's a_m, or -a_m on Bob's side under exclusion sifting) and
-    probability (1 + q g)/n, where g = u . a_j and q is her measurement
-    strength (1 for intercept/resend). She forwards the Bloch vector
-    b = ((q + g - s g) u + s a_j) / (1 + q g), with s = sqrt(1 - q^2): u at
-    full strength and a_j at q = 0. Bob's entry k is (1 + (1 - p) v_k . b)/n
-    for his measurement direction v_k. So the gram rows are Fractions when q,
-    p and s are rational (as at every corner node), and floats otherwise.
+    The configuration is read through eavesdrop._attack: Eve measures a share
+    `touched` of the signals with measurement strength q (intercept/resend is
+    (q, 1), the gentle attack (1, q)). One loop over (signal j, side, Eve's
+    outcome m) builds both forms; born chooses only each row's arithmetic.
+    With born=True a row is a matrix Born product with the strength-q POVM,
+    the numbers the sampler draws from. With born=False it is read off the
+    exact Bloch Gram matrix. Eve's outcome m has Bloch vector u (Alice's a_m,
+    or -a_m on Bob's side under exclusion sifting) and probability
+    (1 + q g)/n, where g = u . a_j. She forwards the Bloch vector
+    b = ((q + g - s g) u + s a_j) / (1 + q g), with s = sqrt(1 - q^2): a_j at
+    q = 0, and u wherever s = 0, so a full-strength slot's row is shared
+    across signals. Bob's entry k is (1 + (1 - p) v_k . b)/n for his
+    measurement direction v_k. So the gram rows are Fractions when q, p and
+    s are rational (as at every corner node), and floats otherwise.
     """
-    if eve is not None and not isinstance(eve, (InterceptResend, GentleIntercept)):
-        raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
+    _, touched, strength = _attack(eve)
     n = protocol.n_signals
     p = channel.depolarizing
     gram = bloch_gram(protocol.code_kind)
-    gentle = isinstance(eve, GentleIntercept)
-    touched = 0 if eve is None else 1 if gentle else eve.q  # the share of signals Eve measures
-    strength = eve.q if gentle else 1
     s = _sqrt(1 - strength * strength)
     sides = [si for si, w in enumerate(_side_weights(eve.mix)) if w] if touched else []
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
@@ -264,21 +252,21 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stage
         for si in sides:
             side, sign = _SIDES[si], dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             if born:
-                povm = _side_gentle_povm(protocol, side, float(eve.q)) if gentle else _side_povm(protocol, side)
+                povm = _side_gentle_povm(protocol, side, float(strength))
                 eve_row = [born_probability(rho, e) for e in povm.elements]
             else:
                 eve_row = [eve_outcome_probability(protocol, eve, side, m, j) for m in range(1, n + 1)]
             eve_rows[si * n + j - 1] = eve_row
             for m in range(1, n + 1):
                 at = (1 + si * n + m - 1) * n + j - 1
-                if not gentle and j > 1:  # a resend forwards her state m whatever j was
+                if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
                     bob_rows[at] = bob_rows[at - j + 1]
                 elif born:
                     # below the cut the update is numerically undefined (full-strength
                     # orthogonal outcomes compute as ~1e-17); use its p -> 0 limit, the
                     # measured state. Enumeration skips the branch, and the sampler
                     # reaches it with probability < 1e-15
-                    if not gentle or _negligible(eve_row[m - 1]):
+                    if s == 0 or _negligible(eve_row[m - 1]):
                         fwd = measuring_code(protocol, side).state(m)
                     else:
                         fwd = sqrt_post_measurement_state(rho, povm.elements[m - 1])
@@ -294,17 +282,21 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stage
 def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
     """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages).
 
-    The stages say which slots a round reaches: a slot whose rows are None
-    (and Eve's outcomes on a side whose row is None) is never taken.
+    Slot 0, the round Eve leaves alone, has weight 1 - touched, and her
+    outcome m on a side has weight touched * w_side * p_m, with touched the
+    share of signals she measures (eavesdrop._attack) and w_side the mix's
+    weight of the side. The stages say which slots a round reaches: a slot
+    whose rows are None (and Eve's outcomes on a side whose row is None) is
+    never taken.
     """
     n = protocol.n_signals
+    touched = _attack(eve)[1]
     if stages.bob[j - 1] is not None:
-        yield (1 if eve is None else 1 - eve.q), 0
+        yield 1 - touched, 0
     for si, ws in enumerate(() if eve is None else _side_weights(eve.mix)):
-        w = ws if isinstance(eve, GentleIntercept) else eve.q * ws
         for m, p_m in enumerate(stages.eve[si * n + j - 1] or (), 1):
             if not _negligible(p_m):
-                yield w * p_m, 1 + si * n + m - 1
+                yield touched * ws * p_m, 1 + si * n + m - 1
 
 
 @lru_cache(maxsize=len(ProtocolKind))
@@ -419,16 +411,14 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     Returns:
         JointDistribution with p_sift and the conditional p(a, b, e) table.
     """
-    if eve is not None and not isinstance(eve, (InterceptResend, GentleIntercept)):
-        raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
-    family = "none" if eve is None else "gentle" if isinstance(eve, GentleIntercept) else "standard"
-    q, mix = (0, None) if eve is None else (eve.q, eve.mix)
-    keys, scale, tables = _corners(protocol, family, mix)
+    family, touched, strength = _attack(eve)
+    q = strength if family == "gentle" else touched
+    keys, scale, tables = _corners(protocol, family, None if eve is None else eve.mix)
     p = channel.depolarizing
     exact = family != "gentle" and isinstance(q, Rational) and isinstance(p, Rational)
     q, p, scale = (q, p, scale) if exact else (float(q), float(p), float(scale))
     # the weight of table 2i + p: node q_i's w_i(q), times 1 - p or p, times the scale
-    w_q = (1,) if eve is None else (1 - q, q) if family == "standard" else _gentle_weights(q)
+    w_q = (1,) if family == "none" else (1 - q, q) if family == "standard" else _gentle_weights(q)
     ws = [w * w_p * scale for w in w_q for w_p in (1 - p, p)]
     # exact inputs take integer weights, and u then holds den times the masses
     den = math.lcm(*(w.denominator for w in ws)) if exact else 1
@@ -534,17 +524,6 @@ def key_rate(joint: JointDistribution) -> RateReport:
     i_ae = mutual_information(joint.pair_ae())
     i_be = mutual_information(joint.pair_be())
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
-
-
-def _strategy_for(family: str, q, mix: EnsembleMix = EnsembleMix.SYMMETRIC):
-    """The eavesdropper of an attack family at strength q; "none" is no eavesdropper."""
-    if family == "none":
-        return None
-    if family == "standard":
-        return InterceptResend(q=q, mix=mix)
-    if family == "gentle":
-        return GentleIntercept(q=q, mix=mix)
-    raise ValueError(f"unknown attack family: {family!r} (expected standard or gentle)")
 
 
 def _gentle_weights(q: float) -> tuple:

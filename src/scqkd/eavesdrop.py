@@ -1,18 +1,20 @@
 """Eavesdropping strategies: intercept/resend and the gentle (smeared) attack.
 
-Both strategies measure with a signal-ensemble POVM, either the sender's code
-or the receiver's dual ("pretending to be Alice" / "pretending to be Bob"),
-possibly mixing the two. Intercept/resend measures a fraction q of signals
-with the full-strength code POVM and resends the measured ensemble's pure
-state. The gentle attack measures every signal with the weakened POVM
+Both strategies are one model with two numbers: the share of signals Eve
+measures (`touched`) and the strength of her measurement. Intercept/resend
+is (q, 1), the gentle attack (1, q), and `_attack` is the one place the two
+families differ. Eve measures with a signal-ensemble POVM, either the
+sender's code or the receiver's dual ("pretending to be Alice" /
+"pretending to be Bob"), possibly mixing the two, weakened to strength q:
 
     E_m = q (2/n) |psi_m><psi_m| + ((1 - q)/n) I
 
-and forwards the square-root-updated state, interpolating between no touch
-(q = 0) and full interception (q = 1). E_m has eigenvalues (1 + q)/n on
-|psi_m> and (1 - q)/n on its complement, so sqrt(E_m) rho sqrt(E_m) is linear
-in (1, q, sqrt(1 - q^2)), which is what lets the exact analysis rebuild any
-gentle table from three strengths.
+At full strength E_m is the code POVM and she forwards the measured
+ensemble's pure state (a resend); below it she forwards the
+square-root-updated state, interpolating down to no touch at q = 0. E_m has
+eigenvalues (1 + q)/n on |psi_m> and (1 - q)/n on its complement, so
+sqrt(E_m) rho sqrt(E_m) is linear in (1, q, sqrt(1 - q^2)), which is what
+lets the exact analysis rebuild any gentle table from three strengths.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .codes import (
     SphericalCode,
     Povm,
     basis_label,
     bloch_gram,
-    code_povm,
     eigen_bit,
     tetra_key_bit,
     trine_key_bit,
@@ -82,6 +81,46 @@ class EveRecord:
 NOT_INTERCEPTED = EveRecord(intercepted=False)
 
 
+_SIDES = ("alice", "bob")
+
+
+def _side_weights(mix: EnsembleMix) -> tuple:
+    """Probabilities (alice, bob) that Eve measures with each side's ensemble."""
+    if mix is EnsembleMix.ALICE_ONLY:
+        return Fraction(1), Fraction(0)
+    if mix is EnsembleMix.BOB_ONLY:
+        return Fraction(0), Fraction(1)
+    return Fraction(1, 2), Fraction(1, 2)
+
+
+def _attack(eve) -> tuple:
+    """The attack model of `eve`: (family, touched, strength).
+
+    touched is the share of signals Eve measures and strength the strength
+    she measures them with. Intercept/resend is (q, 1) and the gentle attack
+    (1, q); no eavesdropper is ("none", 0, 1). This is the one place the
+    strategy classes are told apart: every other fork reads these numbers.
+    """
+    if eve is None:
+        return "none", 0, 1
+    if isinstance(eve, InterceptResend):
+        return "standard", eve.q, 1
+    if isinstance(eve, GentleIntercept):
+        return "gentle", 1, eve.q
+    raise ValueError(f"unknown eavesdropping strategy: {eve!r}")
+
+
+def _strategy_for(family: str, q, mix: EnsembleMix = EnsembleMix.SYMMETRIC):
+    """The eavesdropper of an attack family at strength q; "none" is no eavesdropper."""
+    if family == "none":
+        return None
+    if family == "standard":
+        return InterceptResend(q=q, mix=mix)
+    if family == "gentle":
+        return GentleIntercept(q=q, mix=mix)
+    raise ValueError(f"unknown attack family: {family!r} (expected standard or gentle)")
+
+
 def gentle_povm(code: SphericalCode, q) -> Povm:
     """Smeared code POVM: q times the code POVM plus identity spread over all outcomes.
 
@@ -111,31 +150,22 @@ def measuring_code(protocol: ProtocolKind, side: str) -> SphericalCode:
     raise ValueError(f"unknown ensemble side: {side!r}")
 
 
-@lru_cache(maxsize=None)
-def _side_povm(protocol: ProtocolKind, side: str) -> Povm:
-    return code_povm(measuring_code(protocol, side))
-
-
-# keyed by float q, so bounded: analytic and simulate runs take any strength
+# Eve's POVM at every strength, full strength included; keyed by float q, so
+# bounded: simulate runs take any strength
 @lru_cache(maxsize=16)
 def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
     return gentle_povm(measuring_code(protocol, side), q)
-
-
-def _pick_side(mix: EnsembleMix, u: float) -> str:
-    if mix is EnsembleMix.ALICE_ONLY:
-        return "alice"
-    if mix is EnsembleMix.BOB_ONLY:
-        return "bob"
-    return "alice" if u < 0.5 else "bob"
 
 
 def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     """Apply `strategy` to one in-flight state using explicit uniform variates.
 
     The three variates (interception coin, ensemble coin, outcome) are always
-    consumed positionally by the caller even when a strategy ignores some,
-    keeping round transcripts replayable.
+    consumed positionally by the caller, keeping round transcripts replayable.
+    Eve measures when the coin falls below her touched share (always, for
+    the gentle attack), on the side the ensemble coin picks (bob once it
+    reaches alice's weight), with the POVM of her strength; she resends the
+    measured state at full strength and forwards the square-root update below.
 
     Returns:
         (forwarded state, EveRecord). With no strategy or no interception the
@@ -143,21 +173,17 @@ def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     """
     if strategy is None:
         return rho, None
-    if isinstance(strategy, InterceptResend):
-        if u_coin >= float(strategy.q):
-            return rho, NOT_INTERCEPTED
-        side = _pick_side(strategy.mix, u_side)
-        m = sample_outcome(rho, _side_povm(protocol, side), u_outcome)
-        resent = measuring_code(protocol, side).state(m)
-        return resent, EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
-    if isinstance(strategy, GentleIntercept):
-        # the coin variate is reserved: the gentle attack touches every signal
-        side = _pick_side(strategy.mix, u_side)
-        povm = _side_gentle_povm(protocol, side, float(strategy.q))
-        m = sample_outcome(rho, povm, u_outcome)
+    _, touched, strength = _attack(strategy)
+    if u_coin >= float(touched):
+        return rho, NOT_INTERCEPTED
+    side = _SIDES[u_side >= _side_weights(strategy.mix)[0]]
+    povm = _side_gentle_povm(protocol, side, float(strength))
+    m = sample_outcome(rho, povm, u_outcome)
+    if strength == 1:
+        forwarded = measuring_code(protocol, side).state(m)
+    else:
         forwarded = sqrt_post_measurement_state(rho, povm.elements[m - 1])
-        return forwarded, EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
-    raise ValueError(f"unknown eavesdropping strategy: {strategy!r}")
+    return forwarded, EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
 
 
 def eve_guess(record, protocol: ProtocolKind, ann: Announcement, accepted: bool):
@@ -199,15 +225,12 @@ def eve_guess(record, protocol: ProtocolKind, ann: Announcement, accepted: bool)
 def eve_outcome_probability(protocol, strategy, side, m, j):
     """Exact probability that Eve's `side`-ensemble measurement yields m on signal j.
 
-    Rational for any strategy: full strength gives (1 + g)/n and the gentle
-    POVM gives (q (1 + g) + (1 - q))/n, with g the Bloch overlap of Eve's
-    measurement direction with the signal. Used by the exact enumeration and
-    checked against matrix Born probabilities in tests.
+    (1 + q g)/n for measurement strength q (1 under intercept/resend), with g
+    the Bloch overlap of Eve's measurement direction with the signal: rational
+    whenever q is. Used by the exact enumeration and checked against matrix
+    Born probabilities in tests.
     """
-    n = protocol.n_signals
     g = bloch_gram(protocol.code_kind)[m - 1][j - 1]
     if side == "bob" and protocol.excludes_outcomes:
         g = -g
-    if isinstance(strategy, GentleIntercept):
-        return (strategy.q * (1 + g) + (1 - strategy.q)) * Fraction(1, n)
-    return (1 + g) * Fraction(1, n)
+    return (1 + _attack(strategy)[2] * g) * Fraction(1, protocol.n_signals)

@@ -27,8 +27,8 @@ from numbers import Integral
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analysis import _side_weights, _sifting, _stages
-from .eavesdrop import GentleIntercept
+from .analysis import _sifting, _stages
+from .eavesdrop import _attack, _side_weights
 from .protocol import Channel, IDEAL, ProtocolKind, announcement_options
 
 UNIFORMS_PER_ROUND = 8
@@ -170,13 +170,11 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
 
     j = np.minimum((u[:, 0] * n).astype(np.int64), n - 1) + 1
     if eve is None:
-        intercepted = np.zeros(count, dtype=bool)
         side, m = np.zeros(count, dtype=np.int8), np.zeros(count, dtype=np.int64)
     else:
         side = (u[:, 2] >= float(_side_weights(eve.mix)[0])).astype(np.int8)
         m = _sample_rows(tab.eve_cum, tab.eve_lnz, side * n + j - 1, u[:, 3])
-        gentle = isinstance(eve, GentleIntercept)
-        intercepted = np.ones(count, dtype=bool) if gentle else u[:, 1] < float(eve.q)
+    intercepted = u[:, 1] < float(_attack(eve)[1])  # all True for the gentle attack: u < 1
     slot = np.where(intercepted, side * n + m, 0)  # 1 + side * n + m-1 if intercepted
     row = slot * n + j - 1
     k = _sample_rows(tab.bob_cum, tab.bob_lnz, row, u[:, 4])
@@ -236,18 +234,6 @@ class SampleStats:
     @property
     def qber(self) -> float:
         return self.n_errors / self.n_sifted if self.n_sifted else math.nan
-
-    @property
-    def eve_agree_alice_rate(self) -> float:
-        return self.n_eve_agree_alice / self.n_sifted if self.n_sifted else math.nan
-
-    @property
-    def eve_agree_bob_rate(self) -> float:
-        return self.n_eve_agree_bob / self.n_sifted if self.n_sifted else math.nan
-
-    @property
-    def eve_abstain_rate(self) -> float:
-        return self.n_eve_abstain / self.n_sifted if self.n_sifted else math.nan
 
 
 def proportion_se(count: int, trials: int) -> float:

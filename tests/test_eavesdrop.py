@@ -1,5 +1,6 @@
 """Tests for interception strategies, forwarded states, and the guess rule."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -111,14 +112,16 @@ class TestGentleAction:
         np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_full_strength_forwards_measured_state(self):
-        # q = 1 degenerates to measure-and-resend
-        rho = alice_code(ProtocolKind.TRINE).state(1)
-        out, rec = intercept_with_uniforms(
-            GentleIntercept(q=1.0, mix=EnsembleMix.ALICE_ONLY),
-            ProtocolKind.TRINE, rho, 0.5, 0.2, 0.7,
-        )
-        expected = alice_code(ProtocolKind.TRINE).state(rec.outcome_index)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        # q = 1 is measure-and-resend: the forwarded state is the measured one, bit for bit
+        grid = itertools.product(ALL, EnsembleMix, (0.2, 0.7), [i / 10 for i in range(10)])
+        for protocol, mix, u_side, u_outcome in grid:
+            for j in range(1, protocol.n_signals + 1):
+                rho = alice_code(protocol).state(j)
+                out, rec = intercept_with_uniforms(
+                    GentleIntercept(q=1.0, mix=mix), protocol, rho, 0.5, u_side, u_outcome
+                )
+                measured = measuring_code(protocol, rec.ensemble_used).state(rec.outcome_index)
+                np.testing.assert_array_equal(out, measured)
 
 
 class TestEveGuess:
@@ -177,9 +180,7 @@ class TestEveOutcomeProbability:
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_standard_normalized_and_matches_born(self, protocol, side):
         strategy = InterceptResend(q=Fraction(1))
-        from scqkd.eavesdrop import _side_povm
-
-        povm = _side_povm(protocol, side)
+        povm = code_povm(measuring_code(protocol, side))
         for j in range(1, protocol.n_signals + 1):
             rho = alice_code(protocol).state(j)
             total = Fraction(0)

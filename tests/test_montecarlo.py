@@ -148,6 +148,27 @@ class TestKernelParity:
             simulate_rounds(config)
         with pytest.raises(ValueError):
             run_trials(config)
+        with pytest.raises(ValueError):
+            run_round(ProtocolKind.TRINE, object(), IDEAL, round_rng(0))
+
+    @pytest.mark.parametrize("p", [0, 0.05])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_full_strength_gentle_is_intercept_resend(self, protocol, mix, p):
+        # at q = 1 both families measure every signal at full strength and resend
+        channel = Channel(depolarizing=p)
+        hard, soft = (
+            TrialConfig(protocol, eve, channel, n_rounds=300, seed=31)
+            for eve in (InterceptResend(1.0, mix), GentleIntercept(1.0, mix))
+        )
+        a, b = simulate_rounds(hard), simulate_rounds(soft)
+        for f in dataclasses.fields(RoundArrays):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+        rng_a, rng_b = round_rng(31), round_rng(31)
+        for _ in range(300):
+            t_a = run_round(protocol, hard.eve, channel, rng_a)
+            t_b = run_round(protocol, soft.eve, channel, rng_b)
+            assert t_a == t_b
 
     def test_subrange_matches_full_run(self):
         config = TrialConfig(
