@@ -15,11 +15,18 @@ The tables of a configuration are built once and cached. A round's key bits
 and Eve's guess are read from cell_bits, the int8 encoding of
 analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
 announcement), in the layout analysis._Stages defines for both paths.
+
+run_trials keeps about one chunk of rounds in flight. It splits a trial of
+several chunks over min(CPUs in the affinity mask, chunks) threads, a
+number with no setting, and runs a trial of one chunk serially. Counter
+addressing and integer sums make its totals identical for any chunk size
+and thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -158,7 +165,8 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     The whole range is materialised at once: its uniform block alone is
     count x 8 doubles (64 bytes per round), so simulate_rounds(config) with
     no count holds n_rounds x 8 doubles. Callers that need only the totals
-    should use run_trials, which simulates bounded chunks and keeps counts.
+    should use run_trials, which keeps about one chunk of rounds in flight
+    across its threads and keeps counts.
     """
     if count is None:
         count = config.n_rounds - start
@@ -257,18 +265,52 @@ def stats_from_arrays(arrays: RoundArrays) -> SampleStats:
     )
 
 
-def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
-    """Run the whole trial in chunks and merge; totals are chunk-size invariant.
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Only one chunk's transcripts are held at a time, so peak memory is
-    about one chunk (the uniforms alone are 64 bytes per round).
+
+def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
+    """Run the whole trial in chunks and merge the counts of each.
+
+    A trial of several chunks is split over min(CPUs in the affinity mask,
+    chunks) threads; there is no setting for the number. Each thread sums a
+    strided run of steps of ceil(chunk_size / threads) rounds, so about
+    chunk_size rounds are in flight at once, and peak memory is about one
+    chunk (the uniforms alone are 64 bytes per round). A trial of one chunk
+    runs serially in the calling thread. Rounds are counter-addressed and
+    the counts are integer sums, so totals are identical for any chunk size
+    and thread count.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    total = SampleStats.zero()
-    for start in range(0, config.n_rounds, chunk_size):
-        count = min(chunk_size, config.n_rounds - start)
-        total = total + stats_from_arrays(simulate_rounds(config, start, count))
+    n = config.n_rounds
+    chunks = -(-n // chunk_size)
+    # A one-chunk trial skips the CPU query: its small malloc alone left the
+    # glibc heap trimming and page-faulting ~2 MB of arrays afresh on every call.
+    workers = 1 if chunks == 1 else min(_cpu_count(), chunks)
+    step = -(-chunk_size // workers)
+    starts = range(0, n, step)
+
+    def part(w: int) -> SampleStats:
+        total = SampleStats.zero()
+        for start in starts[w::workers]:
+            total = total + stats_from_arrays(simulate_rounds(config, start, min(step, n - start)))
+        return total
+
+    if workers == 1:
+        return part(0)
+    # importing concurrent.futures costs milliseconds; only pooled trials pay it
+    from concurrent.futures import ThreadPoolExecutor
+
+    _tables(config.protocol, config.eve, config.channel)  # built once, before the threads share it
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(part, w) for w in range(1, workers)]
+        total = part(0)
+        for future in futures:
+            total = total + future.result()
     return total
 
 

@@ -1,14 +1,19 @@
 """Tests for reproducible sampling: counter addressing, kernel parity, statistics."""
 
+import concurrent.futures
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
+from scqkd import montecarlo
 from scqkd.analysis import _sifting, _strategy_for, enumerate_joint
 from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, InterceptResend, eve_guess
 from scqkd.montecarlo import (
@@ -271,14 +276,78 @@ class TestRunTrials:
             run_trials(config, chunk_size=0)
 
 
+def _recording(calls, fail_in_workers=None):
+    """simulate_rounds that records each (start, count) and may fail off the main thread."""
+    original = montecarlo.simulate_rounds
+
+    def recorded(config, start=0, count=None):
+        calls.append((start, count))
+        if fail_in_workers is not None and threading.current_thread() is not threading.main_thread():
+            raise fail_in_workers
+        return original(config, start, count)
+
+    return mock.patch.object(montecarlo, "simulate_rounds", recorded)
+
+
+def _cpus(n):
+    return mock.patch.object(montecarlo, "_cpu_count", lambda: n)
+
+
 class TestChunkedKernel:
-    """run_trials reuses cached tables across chunks; totals must not change."""
+    """run_trials reuses cached tables across chunks and threads; totals must not change."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=trial_configs(), data=st.data())
     def test_chunks_equal_one_transcript(self, config, data):
         chunk = data.draw(st.integers(max(1, config.n_rounds // 40), 6000), label="chunk_size")
-        assert run_trials(config, chunk_size=chunk) == stats_from_arrays(simulate_rounds(config))
+        cpus = data.draw(st.integers(1, 4), label="cpus")
+        calls = []
+        with _cpus(cpus), _recording(calls):
+            pooled = run_trials(config, chunk_size=chunk)
+        assert pooled == stats_from_arrays(simulate_rounds(config))
+        # the chunks cover every round exactly once, each at most one thread's share
+        workers = min(cpus, -(-config.n_rounds // chunk))
+        covered = sorted(calls)
+        assert [start for start, _ in covered] == [0] + [s + c for s, c in covered[:-1]]
+        assert sum(c for _, c in covered) == config.n_rounds
+        assert max(c for _, c in covered) <= -(-chunk // workers)
+
+    @pytest.mark.parametrize("n_rounds", [1, 999, 1000])
+    def test_one_chunk_starts_no_thread(self, n_rounds):
+        config = TrialConfig(ProtocolKind.TRINE, InterceptResend(q=0.5), n_rounds=n_rounds, seed=2)
+        refused = mock.Mock(side_effect=AssertionError("a one-chunk trial started a pool"))
+        with _cpus(4), mock.patch.object(concurrent.futures, "ThreadPoolExecutor", refused):
+            assert run_trials(config, chunk_size=1000) == stats_from_arrays(simulate_rounds(config))
+        refused.assert_not_called()
+
+    def test_worker_exception_propagates_and_threads_end(self):
+        config = TrialConfig(ProtocolKind.SIX_STATE, GentleIntercept(q=0.5), n_rounds=5000, seed=8)
+        threads_before = threading.active_count()
+        calls = []
+        with _cpus(3), _recording(calls, fail_in_workers=KeyError("chunk")):
+            with pytest.raises(KeyError, match="chunk"):
+                run_trials(config, chunk_size=1200)
+        assert threading.active_count() == threads_before
+        assert (0, 400) in calls  # the calling thread ran its own part
+
+    def test_cold_pooled_calls_build_tables_once(self):
+        # more threads than cores and frequent switches, to give a second build a chance
+        configs = [
+            TrialConfig(ProtocolKind.TETRAHEDRON, eve, channel, n_rounds=6000, seed=4)
+            for eve in (None, InterceptResend(q=0.25), GentleIntercept(q=0.75, mix=EnsembleMix.BOB_ONLY))
+            for channel in (IDEAL, Channel(depolarizing=0.1))
+        ]
+        serial = [stats_from_arrays(simulate_rounds(config)) for config in configs]
+        _tables.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cpus(4):
+                for i, config in enumerate(configs):
+                    assert run_trials(config, chunk_size=64) == serial[i]
+                    assert _tables.cache_info().misses == i + 1
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_cell_bits_match_the_sifting_rules(self, protocol):
