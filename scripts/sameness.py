@@ -1,0 +1,125 @@
+"""Digest the observable outputs of a scqkd tree, to check that a change moves none of them.
+
+    cd <tree root> && python <path to>/scripts/sameness.py
+
+Imports scqkd from src/ under the current directory, so the same script
+digests any checkout: run it from the root of each tree and compare the
+lines. It prints one line per output set, "<set> <sha256> <outputs>":
+
+- cli: the stdout, stderr and exit code of in-process `scqkd` commands:
+  `sweep --steps 23` and `threshold` over protocols x {standard, gentle} x
+  mixes x --depolarize {0, 1/7, 1/20, 0.05}, `analytic` over the same grid
+  (no eavesdropper, and three strengths per family), `estimate-q` on a few
+  counts, and short seeded `simulate` runs;
+- enumerate_joint: the reprs of p_sift, the table, every mass property,
+  pair_ab/ae/be and key_rate, over protocols x families x mixes x q x p
+  with rational and float q and p;
+- find_threshold: the reprs of (q_star, qber_star), or the error, over the
+  threshold grid, with a float and a rational depolarizing strength.
+
+Every repr carries its type (Fraction or float) and its last bit, and the
+tables their key order, so equal digests mean identical outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path.cwd() / "src"))
+
+from scqkd import cli  # noqa: E402
+from scqkd.analysis import (  # noqa: E402
+    NoThresholdError,
+    _strategy_for,
+    enumerate_joint,
+    find_threshold,
+    key_rate,
+)
+from scqkd.eavesdrop import EnsembleMix  # noqa: E402
+from scqkd.protocol import Channel, ProtocolKind  # noqa: E402
+
+PROTOCOLS = list(ProtocolKind)
+FAMILIES = ("standard", "gentle")
+NOISE = ("0", "1/7", "1/20", "0.05")
+STRENGTHS = ("1/3", "0.63", "1")
+# the library sets take 0.05 as a float, so that both arithmetics are digested
+NOISE_VALUES = (Fraction(0), Fraction(1, 7), Fraction(1, 20), 0.05)
+STRENGTH_VALUES = (Fraction(0), Fraction(1, 3), Fraction(3, 5), Fraction(1), 0.63)
+MASSES = ("qber", "p_fail", "p_ab_agree", "p_eve_abstain", "p_eve_guess", "p_eve_agree_alice", "p_eve_agree_bob")
+
+
+def _cli_argvs():
+    for protocol in PROTOCOLS:
+        for p in NOISE:
+            yield ["analytic", "--protocol", protocol.value, "--depolarize", p]
+            for family in FAMILIES:
+                for mix in EnsembleMix:
+                    common = ["--protocol", protocol.value, "--attack", family, "--mix", mix.value, "--depolarize", p]
+                    yield ["sweep", *common, "--steps", "23"]
+                    yield ["threshold", *common]
+                    for q in STRENGTHS:
+                        yield ["analytic", *common, "--q", q]
+    for protocol in ("trine", "tetra"):
+        for sift, total in ((500, 1000), (517, 1000), (5833, 10000), (13, 24), (0, 10), (10, 10)):
+            yield ["estimate-q", "--protocol", protocol, "--sift-count", str(sift), "--total-count", str(total)]
+    for protocol in PROTOCOLS:
+        for attack in ("none", "standard", "gentle"):
+            q = [] if attack == "none" else ["--q", "1/2"]
+            yield ["simulate", "--protocol", protocol.value, "--attack", attack, *q, "--depolarize", "1/20", "--n", "3000"]
+
+
+def cli_outputs():
+    for argv in _cli_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        yield f"{argv} {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def joint_outputs():
+    for protocol in PROTOCOLS:
+        for p in NOISE_VALUES:
+            channel = Channel(depolarizing=p)
+            configs = [None] + [
+                _strategy_for(family, q, mix) for family in FAMILIES for mix in EnsembleMix for q in STRENGTH_VALUES
+            ]
+            for eve in configs:
+                joint = enumerate_joint(protocol, eve, channel)
+                values = [joint.p_sift, list(joint.table.items()), *(getattr(joint, name) for name in MASSES)]
+                values += [joint.pair_ab(), joint.pair_ae(), joint.pair_be(), key_rate(joint)]
+                yield f"{protocol} {eve!r} {p!r}\n{values!r}"
+
+
+def threshold_outputs():
+    for protocol in PROTOCOLS:
+        for family in FAMILIES:
+            for mix in EnsembleMix:
+                for p in NOISE_VALUES:
+                    try:
+                        result = find_threshold(protocol, family, mix, Channel(depolarizing=p))
+                        got = (result.q_star, result.qber_star)
+                    except NoThresholdError as exc:
+                        got = exc
+                    yield f"{protocol} {family} {mix} {p!r}\n{got!r}"
+
+
+def main() -> int:
+    for name, outputs in (("cli", cli_outputs), ("enumerate_joint", joint_outputs), ("find_threshold", threshold_outputs)):
+        digest, count = hashlib.sha256(), 0
+        for text in outputs():
+            digest.update(text.encode() + b"\0")
+            count += 1
+        print(name, digest.hexdigest(), count)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,8 +18,10 @@ depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
 so a few exact walks per (protocol, attack family, mix), cached by `_corners`,
 give it at every (q, p). `enumerate_joint` evaluates those corners,
 thresholds and sweeps call it at each strength, and `_walk` stays as the
-reference the tests compare it with. The one-way
-distillable rate is the classical bound
+reference the tests compare it with. Exact inputs give integer masses over
+one integer total: the Fraction table is built from them once, for callers,
+and `qber`, `mass`, the pair marginals and `key_rate` read the integers.
+The one-way distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
 
@@ -29,6 +31,7 @@ with abstention kept as a third symbol in Eve's alphabet.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,12 +76,29 @@ class JointDistribution:
     Table keys are (alice_bit, bob_bit, eve_guess) with eve_guess in
     {0, 1, None}; None marks abstention (including rounds Eve never touched).
     Values are Fractions when produced by the exact path, floats otherwise.
+
+    The exact path also keeps the integer masses it divided the table from,
+    as _masses = (masses, total) with table[key] == Fraction(masses[key],
+    total); its Fraction table is built once, for callers. qber, mass, the
+    pair marginals and key_rate then read the integers: they sum ints and
+    divide once per result. A table given without masses is read as it is.
     """
 
     p_sift: object
     table: dict
+    _masses: tuple = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
+        if self._masses is not None:
+            masses, total = self._masses
+            if masses.keys() != self.table.keys():
+                raise ValueError(f"masses have keys {list(masses)}, the table {list(self.table)}")
+            for key, v in masses.items():
+                if type(v) is not int or v < 0:
+                    raise ValueError(f"mass {v!r} at {key} is not a non-negative int")
+            if type(total) is not int or total <= 0 or sum(masses.values()) != total:
+                raise ValueError(f"masses sum to {sum(masses.values())!r}, expected the total {total!r} > 0")
+            return
         for key, v in self.table.items():
             if v < 0:
                 raise ValueError(f"negative probability {v!r} at {key}")
@@ -88,7 +108,10 @@ class JointDistribution:
 
     def mass(self, predicate):
         """Total conditional probability of entries whose (a, b, e) satisfies predicate."""
-        return sum(v for k, v in self.table.items() if predicate(*k))
+        values, total = self._masses or (self.table, None)
+        picked = [v for k, v in values.items() if predicate(*k)]
+        # the sum of nothing is the int 0 in both arithmetics
+        return Fraction(sum(picked), total) if total and picked else sum(picked)
 
     @property
     def p_fail(self):
@@ -120,20 +143,31 @@ class JointDistribution:
         return self.mass(lambda a, b, e: e is not None and e == b)
 
     def pair_ab(self) -> dict:
-        return self._pair(lambda a, b, e: (a, b))
+        return self._pairs(Fraction)[0]
 
     def pair_ae(self) -> dict:
-        return self._pair(lambda a, b, e: (a, e))
+        return self._pairs(Fraction)[1]
 
     def pair_be(self) -> dict:
-        return self._pair(lambda a, b, e: (b, e))
+        return self._pairs(Fraction)[2]
 
-    def _pair(self, proj) -> dict:
-        out: dict = {}
-        for key, v in self.table.items():
-            pk = proj(*key)
-            out[pk] = out.get(pk, 0) + v
-        return out
+    def _pairs(self, divide) -> tuple:
+        """The (a, b), (a, e) and (b, e) marginals, summed in one pass in table order.
+
+        Sums of the integer masses become divide(sum, total); a table without
+        masses is summed as it is.
+        """
+        values, total = self._masses or (self.table, None)
+        ab: dict = {}
+        ae: dict = {}
+        be: dict = {}
+        for (a, b, e), v in values.items():
+            ab[a, b] = ab.get((a, b), 0) + v
+            ae[a, e] = ae.get((a, e), 0) + v
+            be[b, e] = be.get((b, e), 0) + v
+        if total is None:
+            return ab, ae, be
+        return tuple({key: divide(v, total) for key, v in pair.items()} for pair in (ab, ae, be))
 
 
 @dataclass(frozen=True)
@@ -422,11 +456,15 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     ws = [w * w_p * scale for w in w_q for w_p in (1 - p, p)]
     # exact inputs take integer weights, and u then holds den times the masses
     den = math.lcm(*(w.denominator for w in ws)) if exact else 1
-    terms = [(int(w * den) if exact else w, t) for w, t in zip(ws, tables) if w]
-    u = {key: sum(w * t[i] for w, t in terms) for i, key in enumerate(keys)}
+    weights = [int(w * den) if exact else w for w in ws if w]
+    columns = zip(*(t for w, t in zip(ws, tables) if w))
+    u = {key: sum(map(operator.mul, weights, column)) for key, column in zip(keys, columns)}
     u = {key: v for key, v in u.items() if not _negligible(v)}
-    total = Fraction(sum(u.values())) if exact else sum(u.values())
-    return JointDistribution(p_sift=total / den, table={key: v / total for key, v in u.items()})
+    total = sum(u.values())
+    if not exact:
+        return JointDistribution(p_sift=total, table={key: v / total for key, v in u.items()})
+    table = {key: Fraction(v, total) for key, v in u.items()}
+    return JointDistribution(p_sift=Fraction(total, den), table=table, _masses=(u, total))
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -519,10 +557,12 @@ def mutual_information(joint: dict) -> float:
 
 
 def key_rate(joint: JointDistribution) -> RateReport:
-    """Distillable-rate report from a sifted joint distribution."""
-    i_ab = mutual_information(joint.pair_ab())
-    i_ae = mutual_information(joint.pair_ae())
-    i_be = mutual_information(joint.pair_be())
+    """Distillable-rate report from a sifted joint distribution.
+
+    The exact path's integer pair sums become floats by one correctly rounded
+    int / int each: the float of the pair's Fraction.
+    """
+    i_ab, i_ae, i_be = map(mutual_information, joint._pairs(operator.truediv))
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 

@@ -538,6 +538,26 @@ class TestCorners:
         assert info.misses == info.currsize == info.maxsize == 28
 
 
+class TestIntegerMasses:
+    """The exact path reads its integer masses; a table without them must read the same."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=_EXACT_OR_FLOAT, p=_EXACT_OR_FLOAT)
+    def test_same_values_and_types_as_the_table(self, protocol, family, mix, q, p):
+        joint = enumerate_joint(protocol, _strategy_for(family, q, mix), Channel(depolarizing=p))
+        plain = JointDistribution(p_sift=joint.p_sift, table=dict(joint.table))
+
+        def read(jd):
+            return [repr(v) for v in (
+                key_rate(jd), jd.qber, jd.p_fail, jd.p_ab_agree, jd.p_eve_abstain, jd.p_eve_guess,
+                jd.p_eve_agree_alice, jd.p_eve_agree_bob, jd.mass(lambda a, b, e: False),
+                jd.pair_ab(), jd.pair_ae(), jd.pair_be(),
+            )]
+
+        assert read(joint) == read(plain)
+
+
 class TestSiftInversion:
     @pytest.mark.parametrize("protocol", EXCLUSION)
     def test_round_trip_exact(self, protocol):
@@ -579,6 +599,27 @@ class TestJointDistributionValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             JointDistribution(p_sift=F(1, 2), table={(0, 0, None): F(1, 3)})
+
+    @pytest.mark.parametrize("masses,total", [
+        ({(0, 0, None): 3, (1, 1, None): -1}, 2),
+        ({(0, 0, None): F(3, 2), (1, 1, None): F(1, 2)}, 2),
+        ({(0, 0, None): 1.0, (1, 1, None): 1}, 2),
+        ({(0, 0, None): 1, (1, 0, None): 1}, 2),
+        ({(0, 0, None): 1}, 1),
+        ({(0, 0, None): 1, (1, 1, None): 1}, 3),
+        ({(0, 0, None): 0, (1, 1, None): 0}, 0),
+    ])
+    def test_rejects_inconsistent_masses(self, masses, total):
+        table = {(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)}
+        with pytest.raises(ValueError):
+            JointDistribution(p_sift=F(1, 2), table=table, _masses=(masses, total))
+
+    def test_accepts_consistent_masses(self):
+        jd = JointDistribution(
+            p_sift=F(1, 2), table={(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)},
+            _masses=({(0, 0, None): 1, (1, 1, None): 1}, 2),
+        )
+        assert (jd.qber, jd.p_ab_agree) == (0, F(1))
 
     def test_branch_bookkeeping_conserves_mass(self):
         jd = enumerate_joint(ProtocolKind.TETRAHEDRON, _sym(F(2, 3)), Channel(depolarizing=F(1, 5)))
