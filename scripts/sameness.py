@@ -15,7 +15,11 @@ lines. It prints one line per output set, "<set> <sha256> <outputs>":
   pair_ab/ae/be and key_rate, over protocols x families x mixes x q x p
   with rational and float q and p;
 - find_threshold: the reprs of (q_star, qber_star), or the error, over the
-  threshold grid, with a float and a rational depolarizing strength.
+  threshold grid, with a float and a rational depolarizing strength;
+- transcripts: the dtypes and bytes of all ten `simulate_rounds` columns,
+  2^12 rounds at a fixed seed per configuration, over protocols x (no
+  eavesdropper, and {standard, gentle} x mixes x q in {1/3, 0.63,
+  1 - 1e-12, 1}) x p in {0, 1/7, 0.05}.
 
 Every repr carries its type (Fraction or float) and its last bit, and the
 tables their key order, so equal digests mean identical outputs.
@@ -24,6 +28,7 @@ tables their key order, so equal digests mean identical outputs.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -41,6 +46,7 @@ from scqkd.analysis import (  # noqa: E402
     key_rate,
 )
 from scqkd.eavesdrop import EnsembleMix  # noqa: E402
+from scqkd.montecarlo import TrialConfig, simulate_rounds  # noqa: E402
 from scqkd.protocol import Channel, ProtocolKind  # noqa: E402
 
 PROTOCOLS = list(ProtocolKind)
@@ -50,6 +56,8 @@ STRENGTHS = ("1/3", "0.63", "1")
 # the library sets take 0.05 as a float, so that both arithmetics are digested
 NOISE_VALUES = (Fraction(0), Fraction(1, 7), Fraction(1, 20), 0.05)
 STRENGTH_VALUES = (Fraction(0), Fraction(1, 3), Fraction(3, 5), Fraction(1), 0.63)
+TRANSCRIPT_STRENGTHS = (Fraction(1, 3), 0.63, 1 - 1e-12, Fraction(1))
+TRANSCRIPT_NOISE = (Fraction(0), Fraction(1, 7), 0.05)
 MASSES = ("qber", "p_fail", "p_ab_agree", "p_eve_abstain", "p_eve_guess", "p_eve_agree_alice", "p_eve_agree_bob")
 
 
@@ -111,8 +119,32 @@ def threshold_outputs():
                     yield f"{protocol} {family} {mix} {p!r}\n{got!r}"
 
 
+def transcript_outputs():
+    configs = [
+        (protocol, eve, p)
+        for protocol in PROTOCOLS
+        for p in TRANSCRIPT_NOISE
+        for eve in [None] + [
+            _strategy_for(family, q, mix) for family in FAMILIES for mix in EnsembleMix for q in TRANSCRIPT_STRENGTHS
+        ]
+    ]
+    for seed, (protocol, eve, p) in enumerate(configs):
+        arrays = simulate_rounds(TrialConfig(protocol, eve, Channel(depolarizing=p), n_rounds=1 << 12, seed=seed))
+        columns = hashlib.sha256()
+        for f in dataclasses.fields(arrays):
+            column = getattr(arrays, f.name)
+            columns.update(column.dtype.str.encode() + column.tobytes())
+        yield f"{protocol} {eve!r} {p!r} {seed}\n{columns.hexdigest()}"
+
+
 def main() -> int:
-    for name, outputs in (("cli", cli_outputs), ("enumerate_joint", joint_outputs), ("find_threshold", threshold_outputs)):
+    sets = (
+        ("cli", cli_outputs),
+        ("enumerate_joint", joint_outputs),
+        ("find_threshold", threshold_outputs),
+        ("transcripts", transcript_outputs),
+    )
+    for name, outputs in sets:
         digest, count = hashlib.sha256(), 0
         for text in outputs():
             digest.update(text.encode() + b"\0")

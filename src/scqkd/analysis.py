@@ -7,13 +7,13 @@ sifting. A round is one model, built by `_stages`: Eve's outcome rows per
 cell of the round is Bob's row extended by his outcome and the announcement,
 and `_sifting`, cached per protocol, is the one table of what every cell sifts
 to. `_walk` exhaustively enumerates every branch of a round over these rows
-and projects its masses through `_sifting`; montecarlo samples the Born form
-of the same rows and reads the same table by the same cell index. The walk
-reads every row off the exact Bloch Gram matrix, the same way for every
-attack family, so it runs in exact Fraction arithmetic whenever its inputs
-are rational: q, the depolarizing strength and, for the gentle attack,
-sqrt(1 - q^2). Only the sampler's Born rows take matrix products and square
-roots in double precision. The unnormalised sifted table is linear in the
+and projects its masses through `_sifting`; montecarlo samples the floats of
+the same rows and reads the same table by the same cell index. Every row is
+read off the exact Bloch Gram matrix, the same way for every attack family,
+so the rows are exact Fractions whenever the inputs are rational: q, the
+depolarizing strength and, for the gentle attack, sqrt(1 - q^2). Nothing
+here takes a matrix product; only the scalar protocol.run_round, the
+independent reference, does. The unnormalised sifted table is linear in the
 depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
 so a few exact walks per (protocol, attack family, mix), cached by `_corners`,
 give it at every (q, p). `enumerate_joint` evaluates those corners,
@@ -40,29 +40,8 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .codes import bloch_gram
-from .eavesdrop import (
-    EveRecord,
-    EnsembleMix,
-    _SIDES,
-    _attack,
-    _side_gentle_povm,
-    _side_weights,
-    _strategy_for,
-    eve_guess,
-    eve_outcome_probability,
-    measuring_code,
-)
-from .protocol import (
-    Channel,
-    IDEAL,
-    ProtocolKind,
-    alice_code,
-    announcement_options,
-    bob_povm,
-    derive_bits,
-    sift_accept,
-)
-from .states import born_probability, depolarize, sqrt_post_measurement_state
+from .eavesdrop import EveRecord, EnsembleMix, _SIDES, _attack, _side_weights, _strategy_for, eve_guess
+from .protocol import Channel, IDEAL, ProtocolKind, announcement_options, derive_bits, sift_accept
 
 
 class NoThresholdError(RuntimeError):
@@ -242,23 +221,22 @@ def _sqrt(x):
     return math.sqrt(x)
 
 
-def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stages:
+def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
     """Eve's and Bob's outcome rows of one configuration, for the branches a round reaches.
 
     The configuration is read through eavesdrop._attack: Eve measures a share
     `touched` of the signals with measurement strength q (intercept/resend is
     (q, 1), the gentle attack (1, q)). One loop over (signal j, side, Eve's
-    outcome m) builds both forms; born chooses only each row's arithmetic.
-    With born=True a row is a matrix Born product with the strength-q POVM,
-    the numbers the sampler draws from. With born=False it is read off the
-    exact Bloch Gram matrix. Eve's outcome m has Bloch vector u (Alice's a_m,
-    or -a_m on Bob's side under exclusion sifting) and probability
-    (1 + q g)/n, where g = u . a_j. She forwards the Bloch vector
-    b = ((q + g - s g) u + s a_j) / (1 + q g), with s = sqrt(1 - q^2): a_j at
-    q = 0, and u wherever s = 0, so a full-strength slot's row is shared
-    across signals. Bob's entry k is (1 + (1 - p) v_k . b)/n for his
-    measurement direction v_k. So the gram rows are Fractions when q, p and
-    s are rational (as at every corner node), and floats otherwise.
+    outcome m) reads every row off the exact Bloch Gram matrix. Eve's outcome
+    m has Bloch vector u (Alice's a_m, or -a_m on Bob's side under exclusion
+    sifting) and probability (1 + q g)/n, where g = u . a_j. She forwards the
+    Bloch vector b = ((q + g - s g) u + s a_j) / (1 + q g), with
+    s = sqrt(1 - q^2): a_j at q = 0, and u wherever s = 0, so a full-strength
+    slot's row is shared across signals. Bob's entry k is
+    (1 + (1 - p) v_k . b)/n for his measurement direction v_k. So the rows
+    are Fractions when q, p and s are rational (as at every corner node), and
+    floats otherwise. The walk reads them as they are, and the sampler reads
+    their floats.
     """
     _, touched, strength = _attack(eve)
     n = protocol.n_signals
@@ -271,43 +249,24 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel, born: bool) -> _Stage
     uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
 
-    def born_row(rho):
-        rho = depolarize(rho, p)
-        return [born_probability(rho, e) for e in bob_povm(protocol).elements]
-
     def gram_row(c_m, m, c_j, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
         c_m, c_j = contrast * c_m, contrast * c_j
         return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
 
     for j in range(1, n + 1):
-        rho = alice_code(protocol).state(j) if born else None
         if touched != 1:
-            bob_rows[j - 1] = born_row(rho) if born else gram_row(0, j, 1, j)
+            bob_rows[j - 1] = gram_row(0, j, 1, j)
         for si in sides:
-            side, sign = _SIDES[si], dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
-            if born:
-                povm = _side_gentle_povm(protocol, side, float(strength))
-                eve_row = [born_probability(rho, e) for e in povm.elements]
-            else:
-                eve_row = [eve_outcome_probability(protocol, eve, side, m, j) for m in range(1, n + 1)]
-            eve_rows[si * n + j - 1] = eve_row
+            sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
+            eve_row = eve_rows[si * n + j - 1] = []
             for m in range(1, n + 1):
+                g = sign * gram[m - 1][j - 1]
+                d = 1 + strength * g
+                eve_row.append(d * uniform)
                 at = (1 + si * n + m - 1) * n + j - 1
                 if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
                     bob_rows[at] = bob_rows[at - j + 1]
-                elif born:
-                    # below the cut the update is numerically undefined (full-strength
-                    # orthogonal outcomes compute as ~1e-17); use its p -> 0 limit, the
-                    # measured state. Enumeration skips the branch, and the sampler
-                    # reaches it with probability < 1e-15
-                    if s == 0 or _negligible(eve_row[m - 1]):
-                        fwd = measuring_code(protocol, side).state(m)
-                    else:
-                        fwd = sqrt_post_measurement_state(rho, povm.elements[m - 1])
-                    bob_rows[at] = born_row(fwd)
                 else:
-                    g = sign * gram[m - 1][j - 1]
-                    d = 1 + strength * g
                     c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
                     bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
     return _Stages(eve_rows, bob_rows)
@@ -372,7 +331,7 @@ def _walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
     w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
-    stages = _stages(protocol, eve, channel, born=False)
+    stages = _stages(protocol, eve, channel)
     sifting = _sifting(protocol)
     table: dict = {}
     total_mass = 0

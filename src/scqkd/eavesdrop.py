@@ -24,16 +24,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .codes import (
-    SphericalCode,
-    Povm,
-    basis_label,
-    bloch_gram,
-    eigen_bit,
-    tetra_key_bit,
-    trine_key_bit,
-)
-from .protocol import Announcement, ProtocolKind, alice_code, bob_code
+from .codes import SphericalCode, Povm
+from .protocol import Announcement, ProtocolKind, _party_bit, alice_code, bob_code
 from .states import I2, pure_from_bloch, sample_outcome, sqrt_post_measurement_state
 
 
@@ -150,8 +142,9 @@ def measuring_code(protocol: ProtocolKind, side: str) -> SphericalCode:
     raise ValueError(f"unknown ensemble side: {side!r}")
 
 
-# Eve's POVM at every strength, full strength included; keyed by float q, so
-# bounded: simulate runs take any strength
+# Eve's POVM at every strength, full strength included, for the scalar
+# run_round (the sampler and the exact walk read Bloch Gram rows instead);
+# keyed by float q, so bounded: simulations take any strength
 @lru_cache(maxsize=16)
 def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
     return gentle_povm(measuring_code(protocol, side), q)
@@ -194,43 +187,11 @@ def eve_guess(record, protocol: ProtocolKind, ann: Announcement, accepted: bool)
     wrong, so she abstains; otherwise she infers the counterpart index the
     same way the legitimate party would and computes the key bit. Basis
     protocols: she guesses her outcome's bit exactly when its basis matches
-    the announced one. Rounds she did not intercept always yield None.
+    the announced one. Both are the parties' own rule, protocol._party_bit.
+    Rounds she did not intercept always yield None.
     """
     if not accepted:
         return None
     if record is None or not record.intercepted:
         return None
-    m = record.outcome_index
-    if protocol is ProtocolKind.TRINE:
-        (l,) = ann.excluded
-        if m == l:
-            return None
-        partner = 6 - m - l
-        if record.ensemble_used == "alice":
-            return trine_key_bit(m, partner, l)
-        return trine_key_bit(partner, m, l)
-    if protocol is ProtocolKind.TETRAHEDRON:
-        l, la = ann.excluded
-        if m in (l, la):
-            return None
-        partner = 10 - m - l - la
-        if record.ensemble_used == "alice":
-            return tetra_key_bit(m, partner, l, la)
-        return tetra_key_bit(partner, m, l, la)
-    if basis_label(m) != ann.bob_basis:
-        return None
-    return eigen_bit(m)
-
-
-def eve_outcome_probability(protocol, strategy, side, m, j):
-    """Exact probability that Eve's `side`-ensemble measurement yields m on signal j.
-
-    (1 + q g)/n for measurement strength q (1 under intercept/resend), with g
-    the Bloch overlap of Eve's measurement direction with the signal: rational
-    whenever q is. Used by the exact enumeration and checked against matrix
-    Born probabilities in tests.
-    """
-    g = bloch_gram(protocol.code_kind)[m - 1][j - 1]
-    if side == "bob" and protocol.excludes_outcomes:
-        g = -g
-    return (1 + _attack(strategy)[2] * g) * Fraction(1, protocol.n_signals)
+    return _party_bit(protocol, record.ensemble_used, record.outcome_index, ann)

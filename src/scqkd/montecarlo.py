@@ -7,11 +7,16 @@ of rounds is therefore reproducible from (seed, start index) alone, and
 chunked runs merge to bit-identical totals.
 
 The vectorized kernel samples from the round model of the exact analysis:
-its inverse-CDF tables are a sequential np.cumsum of the Born rows of
-analysis._stages, which are the same matrix Born products run_round takes,
-so a vectorized batch reproduces the scalar transcript loop float for float.
-run_round itself keeps its own matrix path, as the independent reference.
-The tables of a configuration are built once and cached. A round's key bits
+its inverse-CDF tables are a sequential np.cumsum of the floats of the
+exact Bloch Gram rows of analysis._stages, the rows the exact walk reads.
+run_round keeps its own matrix Born path (POVM products, square-root
+updates, the depolarizing map) as the independent reference. The two
+arithmetics can differ in a probability's last bits, so a vectorized batch
+reproduces the scalar transcript loop draw for draw except where a uniform
+lies within rounding of a CDF edge. Measured: the 1,228,800 rounds of the
+transcripts set of scripts/sameness.py (300 configurations of 4,096) all
+matched run_round, and the parity tests compare up to 18,000 rounds. The
+tables of a configuration are built once and cached. A round's key bits
 and Eve's guess are read from cell_bits, the int8 encoding of
 analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
 announcement), in the layout analysis._Stages defines for both paths.
@@ -77,14 +82,15 @@ def round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _cdf(rows: list, n: int) -> tuple:
-    """Flat CDF table of outcome rows, and each row's last nonzero outcome.
+    """Flat float CDF table of outcome rows, and each row's last nonzero outcome.
 
-    np.cumsum adds along a row in order, as states.sample_outcome does, so the
-    vectorized inverse CDF lands on the same outcome for the same uniform. A
-    left-out row (None) reads as zeros; the kernel never uses an outcome
-    drawn from it (Eve's rows at q = 0 are drawn from, then masked).
+    A row of Fractions or floats becomes the float of each entry. np.cumsum
+    adds along a row in order, as states.sample_outcome does, so the inverse
+    CDF reads a row the way the scalar sampler reads its own. A left-out row
+    (None) reads as zeros; the kernel never uses an outcome drawn from it
+    (Eve's rows at q = 0 are drawn from, then masked).
     """
-    probs = np.array([[0.0] * n if row is None else row for row in rows])
+    probs = np.array([[0.0] * n if row is None else row for row in rows], dtype=float)
     last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
     return np.cumsum(probs, axis=1), last_nonzero
 
@@ -101,13 +107,14 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
 class _Tables:
     """Per-configuration outcome tables for the vectorized kernel.
 
-    The CDFs are cumulative sums of the Born rows of analysis._stages, one row
-    per (Eve's slot, signal) as laid out there, so a round's row is one take;
-    cell_bits encodes analysis._sifting, in the same cell layout.
+    The CDFs are cumulative sums of the floats of analysis._stages' Gram
+    rows, one row per (Eve's slot, signal) as laid out there, so a round's
+    row is one take; cell_bits encodes analysis._sifting, in the same cell
+    layout.
     """
 
     def __init__(self, protocol: ProtocolKind, eve, channel: Channel):
-        stages = _stages(protocol, eve, channel, born=True)
+        stages = _stages(protocol, eve, channel)
         self.n = n = protocol.n_signals
         self.eve_cum, self.eve_lnz = _cdf(stages.eve, n)
         self.bob_cum, self.bob_lnz = _cdf(stages.bob, n)
@@ -157,10 +164,11 @@ class RoundArrays:
 def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArrays:
     """Simulate rounds start..start+count-1 of the configured trial, vectorized.
 
-    The defaults cover the whole trial. Identical to running the scalar
-    run_round loop over the same index range with the same seed. A round reads
-    Bob's row and its bits by Eve's slot, in the cell layout of
-    analysis._Stages.
+    The defaults cover the whole trial. The same rounds as the scalar
+    run_round loop over the same index range with the same seed, except
+    where a uniform lies within rounding of a CDF edge (see the module
+    docstring). A round reads Bob's row and its bits by Eve's slot, in the
+    cell layout of analysis._Stages.
 
     The whole range is materialised at once: its uniform block alone is
     count x 8 doubles (64 bytes per round), so simulate_rounds(config) with

@@ -165,6 +165,36 @@ def sift_accept(protocol: ProtocolKind, j: int, ann: Announcement) -> bool:
     return basis_label(j) == ann.bob_basis
 
 
+def _party_bit(protocol: ProtocolKind, side: str, index: int, ann: Announcement):
+    """The key bit of the `side` party holding `index`; None if the announcement rules it out.
+
+    Exclusion protocols: the party infers the counterpart index as the one
+    neither excluded nor its own, and the Levi-Civita rule of the ordered
+    (alice, bob) pair gives the bit. Basis protocols: the index's eigenvalue
+    bit when its basis is the announced one. Eve's guess is the same rule
+    applied to her outcome on the side she impersonates.
+    """
+    if protocol is ProtocolKind.TRINE:
+        (l,) = ann.excluded
+        if index == l:
+            return None
+        partner = 6 - index - l
+        if side == "alice":
+            return trine_key_bit(index, partner, l)
+        return trine_key_bit(partner, index, l)
+    if protocol is ProtocolKind.TETRAHEDRON:
+        l, m = ann.excluded
+        if index in (l, m):
+            return None
+        partner = 10 - index - l - m
+        if side == "alice":
+            return tetra_key_bit(index, partner, l, m)
+        return tetra_key_bit(partner, index, l, m)
+    if basis_label(index) != ann.bob_basis:
+        return None
+    return eigen_bit(index)
+
+
 def derive_bits(protocol: ProtocolKind, j: int, k: int, ann: Announcement) -> tuple:
     """Key bits (alice_bit, bob_bit) for an accepted round.
 
@@ -184,25 +214,19 @@ def derive_bits(protocol: ProtocolKind, j: int, k: int, ann: Announcement) -> tu
             raise ValueError("announcement excludes Bob's actual outcome")
         if l == j:
             raise ValueError("round was not accepted: signal is excluded")
-        k_inferred = 6 - j - l
-        j_inferred = 6 - k - l
-        return trine_key_bit(j, k_inferred, l), trine_key_bit(j_inferred, k, l)
-    if protocol is ProtocolKind.TETRAHEDRON:
+    elif protocol is ProtocolKind.TETRAHEDRON:
         l, m = ann.excluded
         if l == m or k in (l, m):
             raise ValueError("announcement inconsistent with Bob's outcome")
         if j in (l, m):
             raise ValueError("round was not accepted: signal is excluded")
-        k_inferred = 10 - j - l - m
-        j_inferred = 10 - k - l - m
-        return tetra_key_bit(j, k_inferred, l, m), tetra_key_bit(j_inferred, k, l, m)
-    if ann.bob_basis != basis_label(k):
+    elif ann.bob_basis != basis_label(k):
         raise ValueError("announced basis inconsistent with Bob's outcome")
-    if ann.alice_basis is not None and ann.alice_basis != basis_label(j):
+    elif ann.alice_basis is not None and ann.alice_basis != basis_label(j):
         raise ValueError("announced basis inconsistent with Alice's signal")
-    if basis_label(j) != ann.bob_basis:
+    elif basis_label(j) != ann.bob_basis:
         raise ValueError("round was not accepted: bases differ")
-    return eigen_bit(j), eigen_bit(k)
+    return _party_bit(protocol, "alice", j, ann), _party_bit(protocol, "bob", k, ann)
 
 
 def run_round(protocol: ProtocolKind, eve, channel: Channel, rng) -> RoundTranscript:

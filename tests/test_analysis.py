@@ -25,8 +25,17 @@ from scqkd.analysis import (
     key_rate,
     mutual_information,
 )
-from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
-from scqkd.protocol import Channel, ProtocolKind, announcement_options
+from scqkd.eavesdrop import (
+    EnsembleMix,
+    GentleIntercept,
+    InterceptResend,
+    _SIDES,
+    _attack,
+    _side_gentle_povm,
+    measuring_code,
+)
+from scqkd.protocol import Channel, ProtocolKind, alice_code, announcement_options, bob_povm
+from scqkd.states import born_probability, depolarize, sqrt_post_measurement_state
 
 ALL = list(ProtocolKind)
 EXCLUSION = [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]
@@ -125,7 +134,7 @@ def _fraction_weight_joint(protocol, eve, channel):
     """_walk's gentle walk over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts."""
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
-    stages, sifting = _stages(protocol, eve, channel, born=False), _sifting(protocol)
+    stages, sifting = _stages(protocol, eve, channel), _sifting(protocol)
     table = {}
     for j in range(1, n + 1):
         for side, ws in enumerate(_side_weights(eve.mix)):
@@ -197,8 +206,42 @@ _NOISE = st.fractions(min_value=0, max_value=1, max_denominator=20)
 _STRENGTH = st.fractions(min_value=0, max_value=1, max_denominator=60)
 
 
+def _born_stages(protocol, eve, channel):
+    """(eve, bob) rows laid out as in _stages, from run_round's matrix Born primitives.
+
+    Eve's row is the Born distribution of her strength-q POVM on Alice's
+    state j; Bob's is that of his POVM on the depolarized state she forwards:
+    her measured state at full strength, else the square-root update. Rows
+    that _stages leaves out are None here too.
+    """
+    _, touched, strength = _attack(eve)
+    n = protocol.n_signals
+    sides = [si for si, w in enumerate(_side_weights(eve.mix)) if w] if touched else []
+    eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
+
+    def bob_row(rho):
+        rho = depolarize(rho, channel.depolarizing)
+        return [born_probability(rho, e) for e in bob_povm(protocol).elements]
+
+    for j in range(1, n + 1):
+        rho = alice_code(protocol).state(j)
+        if touched != 1:
+            bob_rows[j - 1] = bob_row(rho)
+        for si in sides:
+            side = _SIDES[si]
+            povm = _side_gentle_povm(protocol, side, float(strength))
+            eve_rows[si * n + j - 1] = [born_probability(rho, e) for e in povm.elements]
+            for m in range(1, n + 1):
+                if strength == 1:
+                    forwarded = measuring_code(protocol, side).state(m)
+                else:
+                    forwarded = sqrt_post_measurement_state(rho, povm.elements[m - 1])
+                bob_rows[(1 + si * n + m - 1) * n + j - 1] = bob_row(forwarded)
+    return eve_rows, bob_rows
+
+
 class TestStages:
-    """One round model: the exact Gram rows and the Born rows the sampler reads agree."""
+    """One round model: the exact Gram rows agree with run_round's matrix Born rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
@@ -207,9 +250,9 @@ class TestStages:
         if family == "gentle":
             q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        gram = _stages(protocol, eve, channel, born=False)
-        born = _stages(protocol, eve, channel, born=True)
-        for exact_rows, float_rows in ((gram.eve, born.eve), (gram.bob, born.bob)):
+        gram = _stages(protocol, eve, channel)
+        born_eve, born_bob = _born_stages(protocol, eve, channel)
+        for exact_rows, float_rows in ((gram.eve, born_eve), (gram.bob, born_bob)):
             assert [row is None for row in exact_rows] == [row is None for row in float_rows]
             for exact, approx in zip(exact_rows, float_rows):
                 if exact is None:
@@ -218,13 +261,12 @@ class TestStages:
                 assert all(abs(e - b) <= 1e-12 for e, b in zip(exact, approx))
 
     @pytest.mark.parametrize("protocol", ALL)
-    @pytest.mark.parametrize("born", [False, True])
-    def test_unreachable_rows_are_left_out(self, protocol, born):
+    def test_unreachable_rows_are_left_out(self, protocol):
         n = protocol.n_signals
-        untouched = _stages(protocol, _sym(F(0)), Channel(), born)
+        untouched = _stages(protocol, _sym(F(0)), Channel())
         assert untouched.eve == [None] * (2 * n)
         assert None not in untouched.bob[:n] and untouched.bob[n:] == [None] * (2 * n * n)
-        full = _stages(protocol, _sym(F(1)), Channel(), born)
+        full = _stages(protocol, _sym(F(1)), Channel())
         assert None not in full.eve and None not in full.bob[n:] and full.bob[:n] == [None] * n
 
     @settings(max_examples=40, deadline=None)

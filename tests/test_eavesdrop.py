@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scqkd.analysis import _stages
 from scqkd.codes import basis_label, code_povm, eigen_bit, make_code
 from scqkd.eavesdrop import (
     EnsembleMix,
@@ -13,13 +14,13 @@ from scqkd.eavesdrop import (
     GentleIntercept,
     InterceptResend,
     NOT_INTERCEPTED,
+    _SIDES,
     eve_guess,
-    eve_outcome_probability,
     gentle_povm,
     intercept_with_uniforms,
     measuring_code,
 )
-from scqkd.protocol import ProtocolKind, alice_code, announcement_options
+from scqkd.protocol import IDEAL, ProtocolKind, alice_code, announcement_options
 from scqkd.states import I2, born_probability
 
 ALL = list(ProtocolKind)
@@ -176,35 +177,35 @@ class TestEveGuess:
 
 
 class TestEveOutcomeProbability:
+    """Eve's outcome rows of analysis._stages against her POVM's Born probabilities."""
+
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_standard_normalized_and_matches_born(self, protocol, side):
-        strategy = InterceptResend(q=Fraction(1))
+        rows = _stages(protocol, InterceptResend(q=Fraction(1)), IDEAL).eve
         povm = code_povm(measuring_code(protocol, side))
-        for j in range(1, protocol.n_signals + 1):
+        n = protocol.n_signals
+        for j in range(1, n + 1):
             rho = alice_code(protocol).state(j)
-            total = Fraction(0)
-            for m in range(1, protocol.n_signals + 1):
-                p = eve_outcome_probability(protocol, strategy, side, m, j)
-                total += p
+            row = rows[_SIDES.index(side) * n + j - 1]
+            for m, p in enumerate(row, 1):
                 assert abs(float(p) - born_probability(rho, povm.elements[m - 1])) < 1e-12
-            assert total == 1
+            assert sum(row) == 1
 
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("q", [Fraction(0), Fraction(2, 5), Fraction(1)])
     def test_gentle_normalized_and_matches_born(self, protocol, q):
-        strategy = GentleIntercept(q=q)
         from scqkd.eavesdrop import _side_gentle_povm
 
+        rows = _stages(protocol, GentleIntercept(q=q, mix=EnsembleMix.BOB_ONLY), IDEAL).eve
         povm = _side_gentle_povm(protocol, "bob", float(q))
-        for j in range(1, protocol.n_signals + 1):
+        n = protocol.n_signals
+        for j in range(1, n + 1):
             rho = alice_code(protocol).state(j)
-            total = Fraction(0)
-            for m in range(1, protocol.n_signals + 1):
-                p = eve_outcome_probability(protocol, strategy, "bob", m, j)
-                total += p
+            row = rows[n + j - 1]
+            for m, p in enumerate(row, 1):
                 assert abs(float(p) - born_probability(rho, povm.elements[m - 1])) < 1e-12
-            assert total == 1
+            assert sum(row) == 1
 
 
 class TestGentlePovmCache:
@@ -241,9 +242,10 @@ class TestGuessRuleIsPosteriorOptimal:
                 return derive_bits(protocol, j, k, ann)[0]
             return eigen_bit(j)
 
+        eve_rows = _stages(protocol, strategy, IDEAL).eve
         weights = {}
         for j in candidates:
-            w = eve_outcome_probability(protocol, strategy, side, m, j)
+            w = eve_rows[_SIDES.index(side) * n + j - 1][m - 1]
             weights[bit_for(j)] = weights.get(bit_for(j), Fraction(0)) + w
         p0, p1 = weights.get(0, 0), weights.get(1, 0)
         if p0 == p1:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from scqkd import montecarlo
-from scqkd.analysis import _sifting, _strategy_for, enumerate_joint
+from scqkd.analysis import _sifting, _stages, _strategy_for, enumerate_joint
 from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, InterceptResend, eve_guess
 from scqkd.montecarlo import (
     RoundArrays,
@@ -371,6 +371,20 @@ class TestChunkedKernel:
             assert (accepted, alice, bob) == (1, *derive_bits(protocol, j + 1, k + 1, ann))
             guess = eve_guess(records[slot], protocol, ann, True)
             assert eve == (-1 if guess is None else guess)
+
+    @pytest.mark.parametrize("q,p", [(F(1, 3), F(1, 7)), (0.63, 0.05)])
+    @pytest.mark.parametrize("family,mix", [("none", None)] + [
+        (family, mix) for family in ("standard", "gentle") for mix in EnsembleMix
+    ])
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_cdfs_are_cumsums_of_the_stage_rows(self, protocol, family, mix, q, p):
+        # the sampler draws from the floats of the exact walk's rows; a left-out row reads as zeros
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        stages, tab = _stages(protocol, eve, channel), _tables(protocol, eve, channel)
+        n = protocol.n_signals
+        for cum, rows in ((tab.eve_cum, stages.eve), (tab.bob_cum, stages.bob)):
+            floats = [[0.0] * n if row is None else [float(x) for x in row] for row in rows]
+            np.testing.assert_array_equal(cum, np.cumsum(floats, axis=1))
 
     def test_tables_built_once_per_configuration(self):
         config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
