@@ -16,6 +16,10 @@ lines. It prints one line per output set, "<set> <sha256> <outputs>":
   with rational and float q and p;
 - find_threshold: the reprs of (q_star, qber_star), or the error, over the
   threshold grid, with a float and a rational depolarizing strength;
+- estimate: the reprs of `estimate_q_from_sift` (q, q_raw, in_model) and
+  the text of any warning it emits, for trine and tetra, over observed
+  sifting rates that are Fractions inside, at the edges of and outside the
+  attainable bands, plus floats, and margins 0, 1/20 and 0.01;
 - transcripts: the dtypes and bytes of all ten `simulate_rounds` columns,
   2^12 rounds at a fixed seed per configuration, over protocols x (no
   eavesdropper, and {standard, gentle} x mixes x q in {1/3, 0.63,
@@ -32,6 +36,7 @@ import dataclasses
 import hashlib
 import io
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +47,7 @@ from scqkd.analysis import (  # noqa: E402
     NoThresholdError,
     _strategy_for,
     enumerate_joint,
+    estimate_q_from_sift,
     find_threshold,
     key_rate,
 )
@@ -58,6 +64,10 @@ NOISE_VALUES = (Fraction(0), Fraction(1, 7), Fraction(1, 20), 0.05)
 STRENGTH_VALUES = (Fraction(0), Fraction(1, 3), Fraction(3, 5), Fraction(1), 0.63)
 TRANSCRIPT_STRENGTHS = (Fraction(1, 3), 0.63, 1 - 1e-12, Fraction(1))
 TRANSCRIPT_NOISE = (Fraction(0), Fraction(1, 7), 0.05)
+# trine's band is [1/2, 7/12] and tetra's [1/3, 4/9]; every rate is tried on both
+OBSERVED_SIFT = tuple(Fraction(x) for x in ("0", "1/3", "3/8", "5/12", "4/9", "1/2", "13/24", "7/12", "2/3", "1"))
+OBSERVED_SIFT += (0.55, 0.5833, 0.7, 0.3)
+MARGINS = (0, Fraction(1, 20), 0.01)
 MASSES = ("qber", "p_fail", "p_ab_agree", "p_eve_abstain", "p_eve_guess", "p_eve_agree_alice", "p_eve_agree_bob")
 
 
@@ -119,6 +129,17 @@ def threshold_outputs():
                     yield f"{protocol} {family} {mix} {p!r}\n{got!r}"
 
 
+def estimate_outputs():
+    for protocol in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON):
+        for observed in OBSERVED_SIFT:
+            for margin in MARGINS:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    estimate = estimate_q_from_sift(protocol, observed, margin)
+                texts = [str(w.message) for w in caught]
+                yield f"{protocol} {observed!r} {margin!r}\n{estimate!r} {texts!r}"
+
+
 def transcript_outputs():
     configs = [
         (protocol, eve, p)
@@ -143,6 +164,7 @@ def main() -> int:
         ("enumerate_joint", joint_outputs),
         ("find_threshold", threshold_outputs),
         ("transcripts", transcript_outputs),
+        ("estimate", estimate_outputs),
     )
     for name, outputs in sets:
         digest, count = hashlib.sha256(), 0

@@ -4,40 +4,28 @@ Qubit signal constellations (trine, tetrahedron, and the BB84/six-state
 basis pairs) with exclusion or basis sifting, intercept/resend and gentle
 eavesdropping, exact joint-distribution enumeration, key-rate thresholds,
 and reproducible Monte Carlo cross-checks.
+
+The package exports what the analysis and the simulation take and give:
+protocols, attacks and channels; the exact joint, its key rate, thresholds
+and the sift-rate estimate of q; and the simulation with its comparison
+against the exact joint. The building blocks (code tables and key-bit
+rules, Eve's POVMs and guess rule, mutual information, the closed-form
+reference curves and the depolarizing-curve loop) are imported from their
+submodules.
 """
 
 from .analysis import (
-    AnalyticCurves,
-    DepolarizingPoint,
     JointDistribution,
     NoThresholdError,
     QSiftEstimate,
     RateReport,
     ThresholdResult,
-    analytic_curves,
-    depolarizing_curves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
     key_rate,
-    mutual_information,
 )
-from .codes import (
-    CodeKind,
-    SphericalCode,
-    dual_code,
-    make_code,
-    tetra_key_bit,
-    trine_key_bit,
-)
-from .eavesdrop import (
-    EnsembleMix,
-    EveRecord,
-    GentleIntercept,
-    InterceptResend,
-    eve_guess,
-    gentle_povm,
-)
+from .eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
 from .montecarlo import (
     ComparisonReport,
     RoundArrays,
@@ -48,26 +36,14 @@ from .montecarlo import (
     simulate_rounds,
     stats_from_arrays,
 )
-from .protocol import (
-    IDEAL,
-    Announcement,
-    Channel,
-    ProtocolKind,
-    RoundTranscript,
-    run_round,
-)
+from .protocol import IDEAL, Channel, ProtocolKind, RoundTranscript, run_round
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticCurves",
-    "Announcement",
     "Channel",
-    "CodeKind",
     "ComparisonReport",
-    "DepolarizingPoint",
     "EnsembleMix",
-    "EveRecord",
     "GentleIntercept",
     "IDEAL",
     "InterceptResend",
@@ -79,25 +55,15 @@ __all__ = [
     "RoundArrays",
     "RoundTranscript",
     "SampleStats",
-    "SphericalCode",
     "ThresholdResult",
     "TrialConfig",
-    "analytic_curves",
     "compare_to_oracle",
-    "depolarizing_curves",
-    "dual_code",
     "enumerate_joint",
     "estimate_q_from_sift",
-    "eve_guess",
     "find_threshold",
-    "gentle_povm",
     "key_rate",
-    "make_code",
-    "mutual_information",
     "run_round",
     "run_trials",
     "simulate_rounds",
     "stats_from_arrays",
-    "tetra_key_bit",
-    "trine_key_bit",
 ]

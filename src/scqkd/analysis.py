@@ -21,6 +21,10 @@ thresholds and sweeps call it at each strength, and `_walk` stays as the
 reference the tests compare it with. Exact inputs give integer masses over
 one integer total: the Fraction table is built from them once, for callers,
 and `qber`, `mass`, the pair marginals and `key_rate` read the integers.
+`estimate_q_from_sift` inverts the sifting rate along the line the same
+corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
+intercept/resend curves as the reference that the tests and the bench
+check those answers against; nothing else in the package reads it.
 The one-way distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
@@ -40,7 +44,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .codes import bloch_gram
-from .eavesdrop import EveRecord, EnsembleMix, _SIDES, _attack, _side_weights, _strategy_for, eve_guess
+from .eavesdrop import EveRecord, EnsembleMix, InterceptResend, _SIDES, _attack, _side_weights, _strategy_for, eve_guess
 from .protocol import Channel, IDEAL, ProtocolKind, announcement_options, derive_bits, sift_accept
 
 
@@ -200,12 +204,15 @@ class _Stages(NamedTuple):
     probability of Bob's outcome k on signal j, after the channel, where slot
     0 is a round Eve left alone and slot 1 + side * n + m-1 one in which she
     saw outcome m on a side. At full measurement strength a slot forwards
-    Eve's state m whatever j was, so its n rows are one shared list. A cell
-    of the round is Bob's row extended by his outcome and the announcement
-    index ai: (row * n + k-1) * n_opts + ai, the index of `_sifting` and of
-    the sampler's cell_bits. Slot 0 is None where Eve measures every signal
-    (gentle, or intercept/resend at q = 1); Eve's rows and slots are None on
-    a side the mix never picks, and everywhere when she measures no signal.
+    Eve's state m whatever j was, so its n rows are one shared list; below
+    it, a slot whose state is +-a_j forwards a_j and shares signal j's
+    undisturbed row (slot 0's, where slot 0 is reached). A cell of the round
+    is Bob's row extended by his outcome and the announcement index ai:
+    (row * n + k-1) * n_opts + ai, the index of `_sifting` and of the
+    sampler's cell_bits. Slot 0 is None
+    where Eve measures every signal (gentle, or intercept/resend at q = 1);
+    Eve's rows and slots are None on a side the mix never picks, and
+    everywhere when she measures no signal.
     """
 
     eve: list
@@ -232,7 +239,11 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
     sifting) and probability (1 + q g)/n, where g = u . a_j. She forwards the
     Bloch vector b = ((q + g - s g) u + s a_j) / (1 + q g), with
     s = sqrt(1 - q^2): a_j at q = 0, and u wherever s = 0, so a full-strength
-    slot's row is shared across signals. Bob's entry k is
+    slot's row is shared across signals. Where s > 0 and g = +-1, u = +-a_j
+    and b is a_j itself, so the slot shares signal j's undisturbed row: near
+    full strength the two coefficients grow like s / (1 - q) and cancel,
+    which would cost a float row its last digits (an entry below 0, a sum off
+    1 by up to 1e-9). Bob's entry k is
     (1 + (1 - p) v_k . b)/n for his measurement direction v_k. So the rows
     are Fractions when q, p and s are rational (as at every corner node), and
     floats otherwise. The walk reads them as they are, and the sampler reads
@@ -254,8 +265,9 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
         return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
 
     for j in range(1, n + 1):
+        direct = gram_row(0, j, 1, j)  # Bob's row for a_j itself
         if touched != 1:
-            bob_rows[j - 1] = gram_row(0, j, 1, j)
+            bob_rows[j - 1] = direct
         for si in sides:
             sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             eve_row = eve_rows[si * n + j - 1] = []
@@ -266,6 +278,8 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
                 at = (1 + si * n + m - 1) * n + j - 1
                 if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
                     bob_rows[at] = bob_rows[at - j + 1]
+                elif s != 0 and g * g == 1:  # u = ±a_j, and she forwards a_j itself
+                    bob_rows[at] = direct
                 else:
                     c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
                     bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
@@ -433,7 +447,9 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
 class AnalyticCurves:
     """Closed-form intercept/resend curves for the exclusion-sifted codes.
 
-    All conditional quantities assume the symmetric ensemble mix except
+    A reference only: the package reads every answer off the corner tables,
+    and the tests and the bench check those against these curves. All
+    conditional quantities assume the symmetric ensemble mix except
     p_sift, p_ab and qber, which are mix-independent. Accepts exact or float
     q and preserves the input's arithmetic.
     """
@@ -579,18 +595,45 @@ def find_threshold(
     return ThresholdResult(mid, float(joint.qber), walks)
 
 
+@lru_cache(maxsize=len(ProtocolKind))
+def _sift_line(protocol: ProtocolKind) -> tuple:
+    """(lo, hi): the exact sifting rates at intercept/resend fractions q = 0 and 1.
+
+    They are read off the corner tables, ideal channel and symmetric mix.
+    Intercept/resend weights are affine in q, so p_sift runs along the line
+    from lo to hi.
+
+    Raises:
+        ValueError: where lo == hi, as for the basis protocols: their
+            sifting rate does not move with q, so it carries no estimate.
+    """
+    lo, hi = (enumerate_joint(protocol, InterceptResend(q)).p_sift for q in (0, 1))
+    if lo == hi:
+        raise ValueError(
+            f"the sifting rate of {protocol.value} is {lo} at every interception fraction; "
+            "it carries no estimate of q"
+        )
+    return lo, hi
+
+
 def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSiftEstimate:
     """Infer the intercept/resend fraction from an observed sifting rate.
 
-    The sifting rate of the exclusion-sifted codes rises linearly with the
-    interception fraction, so the inversion is linear: q = 12 s - 6 (trine),
-    q = 9 s - 3 (tetrahedron). The estimate is clamped to [0, 1]; a rate
-    outside the attainable band by more than `margin` marks the observation
-    out-of-model and emits a warning rather than failing.
+    The sifting rate runs linearly from lo at q = 0 to hi at q = 1
+    (`_sift_line`, read off the corner tables), so the inversion is linear:
+    q = 12 s - 6 (trine), q = 9 s - 3 (tetrahedron). The estimate is clamped
+    to [0, 1]; a rate outside the attainable band by more than `margin`
+    marks the observation out-of-model and emits a warning rather than
+    failing.
+
+    Raises:
+        ValueError: for a protocol whose sifting rate is flat in q (BB84,
+            six-state).
     """
-    curves = analytic_curves(protocol)  # rejects basis protocols
-    raw = curves.sift_to_q(observed_sift)
-    lo, hi = curves.p_sift(0), curves.p_sift(1)
+    lo, hi = _sift_line(protocol)
+    slope = 1 / (hi - lo)
+    # slope and slope * lo are the exact integers 12 and 6 (or 9 and 3), so a float rate keeps its bits
+    raw = slope * observed_sift - slope * lo
     in_model = (lo - margin) <= observed_sift <= (hi + margin)
     if not in_model:
         warnings.warn(

@@ -21,8 +21,8 @@ from fractions import Fraction
 from .analysis import (
     JointDistribution,
     NoThresholdError,
+    _sift_line,
     _strategy_for,
-    analytic_curves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -176,11 +176,11 @@ def _cmd_estimate_q(args, parser) -> tuple:
         parser.error("--sift-count must lie in [0, total-count]")
     sift_rate = Fraction(args.sift_count, args.total_count)
     try:
-        curves = analytic_curves(protocol)
+        lo, hi = _sift_line(protocol)
     except ValueError as exc:
         parser.error(str(exc))
     se_rate = proportion_se(args.sift_count, args.total_count)
-    slope = float(curves.sift_to_q(1) - curves.sift_to_q(0))
+    slope = float(1 / (hi - lo))
     with warnings.catch_warnings():  # the record's in_model flags an out-of-model rate
         warnings.simplefilter("ignore")
         estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)

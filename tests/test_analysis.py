@@ -12,10 +12,12 @@ from scqkd.analysis import (
     _corners,
     _negligible,
     _side_weights,
+    _sift_line,
     _sifting,
     _stages,
     _strategy_for,
     _walk,
+    AnalyticCurves,
     NoThresholdError,
     analytic_curves,
     depolarizing_curves,
@@ -268,6 +270,19 @@ class TestStages:
         assert None not in untouched.bob[:n] and untouched.bob[n:] == [None] * (2 * n * n)
         full = _stages(protocol, _sym(F(1)), Channel())
         assert None not in full.eve and None not in full.bob[n:] and full.bob[:n] == [None] * n
+
+    @pytest.mark.parametrize("p", [F(0), 0.05, F(1, 7)])
+    @pytest.mark.parametrize("q", [1 - 1e-9, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_float_gentle_rows_near_full_strength_are_clean(self, protocol, mix, q, p):
+        stages = _stages(protocol, GentleIntercept(q, mix), Channel(depolarizing=p))
+        for row in stages.eve + stages.bob:
+            if row is None:
+                continue
+            floats = [float(e) for e in row]
+            assert min(floats) >= 0, row
+            assert abs(sum(floats) - 1) <= 4.5e-16, row
 
     @settings(max_examples=40, deadline=None)
     @given(protocol=st.sampled_from(ALL), mix=_MIXES, q=_STRENGTH, p=_NOISE)
@@ -631,6 +646,30 @@ class TestSiftInversion:
             estimate_q_from_sift(ProtocolKind.BB84, F(1, 2))
         with pytest.raises(ValueError):
             analytic_curves(ProtocolKind.SIX_STATE)
+
+    @settings(max_examples=80, deadline=None)
+    @given(protocol=st.sampled_from(EXCLUSION), mix=_MIXES, q=_STRENGTH)
+    def test_the_sift_line_is_the_model(self, protocol, mix, q):
+        p_sift = enumerate_joint(protocol, InterceptResend(q, mix)).p_sift
+        est = estimate_q_from_sift(protocol, p_sift)
+        assert est.q == q and type(est.q) is F and est.in_model
+
+    @pytest.mark.parametrize("protocol", BASIS)
+    def test_basis_sift_rate_is_flat_in_q(self, protocol):
+        for mix in EnsembleMix:
+            lo, hi = (enumerate_joint(protocol, InterceptResend(q, mix)).p_sift for q in (F(0), F(1)))
+            assert lo == hi
+        with pytest.raises(ValueError, match="no estimate of q"):
+            _sift_line(protocol)
+        with pytest.raises(ValueError, match="no estimate of q"):
+            estimate_q_from_sift(protocol, lo)
+
+    @pytest.mark.parametrize("protocol", EXCLUSION)
+    def test_sift_line_is_the_closed_form(self, protocol):
+        curves = AnalyticCurves(protocol)
+        lo, hi = _sift_line(protocol)
+        assert (lo, hi) == (curves.p_sift(0), curves.p_sift(1))
+        assert all(type(v) is F for v in (lo, hi))
 
 
 class TestJointDistributionValidation:

@@ -347,14 +347,16 @@ class TestEstimateQ:
         assert record["in_model"] is False
 
     def test_basis_protocols_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(
-                [
-                    "estimate-q", "--protocol", "bb84",
-                    "--sift-count", "1", "--total-count", "2",
-                ]
-            )
-        assert exc.value.code == 1
+        for protocol in ("bb84", "six-state"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(
+                    [
+                        "estimate-q", "--protocol", protocol,
+                        "--sift-count", "1", "--total-count", "2",
+                    ]
+                )
+            assert exc.value.code == 1
+            assert "at every interception fraction" in capsys.readouterr().err
 
     def test_count_validation(self, capsys):
         for sift, total in [("1", "0"), ("3", "2"), ("-1", "10")]:
