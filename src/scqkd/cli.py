@@ -245,22 +245,22 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("analytic", help="exact rates for one configuration")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_analytic)
+    sub.set_defaults(func=_cmd_analytic, parser=sub)
 
     sub = commands.add_parser("threshold", help="attack strength where the key rate vanishes")
     _add_common(sub, attack_default="standard", strength=False)
-    sub.set_defaults(func=_cmd_threshold)
+    sub.set_defaults(func=_cmd_threshold, parser=sub)
 
     sub = commands.add_parser("simulate", help="Monte Carlo run checked against enumeration")
     _add_common(sub)
     sub.add_argument("--n", type=int, default=100_000, help="number of rounds")
     sub.add_argument("--seed", type=int, default=0, help="Philox key; fixes the whole trial")
-    sub.set_defaults(func=_cmd_simulate)
+    sub.set_defaults(func=_cmd_simulate, parser=sub)
 
     sub = commands.add_parser("sweep", help="rate table over a uniform q-grid")
     _add_common(sub, attack_default="standard", strength=False)
     sub.add_argument("--steps", type=int, default=101, help="number of grid points on [0, 1]")
-    sub.set_defaults(func=_cmd_sweep)
+    sub.set_defaults(func=_cmd_sweep, parser=sub)
 
     sub = commands.add_parser("estimate-q", help="infer attack strength from sift counts")
     sub.add_argument(
@@ -268,18 +268,18 @@ def build_parser() -> _Parser:
     )
     sub.add_argument("--sift-count", type=int, required=True)
     sub.add_argument("--total-count", type=int, required=True)
-    sub.set_defaults(func=_cmd_estimate_q)
+    sub.set_defaults(func=_cmd_estimate_q, parser=sub)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # usage errors found past argparse print the subcommand's usage, as argparse's own do
     if getattr(args, "q", 0) and args.attack == "none":
-        parser.error("--q needs --attack standard or gentle")
+        args.parser.error("--q needs --attack standard or gentle")
     try:
-        record, code = args.func(args, parser)
+        record, code = args.func(args, args.parser)
     except NoThresholdError as exc:
         sys.stderr.write(f"scqkd: {exc}\n")
         return 1

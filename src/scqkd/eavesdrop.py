@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .codes import SphericalCode, Povm
-from .protocol import Announcement, ProtocolKind, _party_bit, alice_code, bob_code
+from .protocol import Announcement, ProtocolKind, _check_unit, _party_bit, alice_code, bob_code
 from .states import I2, pure_from_bloch, sample_outcome, sqrt_post_measurement_state
 
 
@@ -45,8 +45,7 @@ class InterceptResend:
     mix: EnsembleMix = EnsembleMix.SYMMETRIC
 
     def __post_init__(self):
-        if not 0 <= float(self.q) <= 1:
-            raise ValueError(f"interception fraction must lie in [0, 1], got {self.q!r}")
+        _check_unit(self.q, "interception fraction")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ class GentleIntercept:
     mix: EnsembleMix = EnsembleMix.SYMMETRIC
 
     def __post_init__(self):
-        if not 0 <= float(self.q) <= 1:
-            raise ValueError(f"attack strength must lie in [0, 1], got {self.q!r}")
+        _check_unit(self.q, "attack strength")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,13 @@ arithmetics can differ in a probability's last bits, so a vectorized batch
 reproduces the scalar transcript loop draw for draw except where a uniform
 lies within rounding of a CDF edge. Measured: the 1,228,800 rounds of the
 transcripts set of scripts/sameness.py (300 configurations of 4,096) all
-matched run_round, and the parity tests compare up to 18,000 rounds. The
-tables of a configuration are built once and cached. A round's key bits
-and Eve's guess are read from cell_bits, the int8 encoding of
+matched run_round, and the parity tests compare up to 18,000 rounds. A
+table row is +inf from its last nonzero outcome on, so a uniform that
+roundoff leaves past the total mass picks that outcome, as in
+states.sample_outcome, and the inverse CDF is one comparison per outcome.
+The tables of a configuration are built once and cached, keyed on the
+arithmetic of q and p as well as their values. A round's key bits and
+Eve's guess are read from cell_bits, the int8 encoding of
 analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
 announcement), in the layout analysis._Stages defines for both paths.
 
@@ -81,18 +85,23 @@ def round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 # -- precomputed branch tables ---------------------------------------------------
 
 
-def _cdf(rows: list, n: int) -> tuple:
-    """Flat float CDF table of outcome rows, and each row's last nonzero outcome.
+def _cdf(rows: list, n: int) -> np.ndarray:
+    """Read-only float CDF table of outcome rows, +inf from each row's last nonzero outcome.
 
     A row of Fractions or floats becomes the float of each entry. np.cumsum
     adds along a row in order, as states.sample_outcome does, so the inverse
-    CDF reads a row the way the scalar sampler reads its own. A left-out row
-    (None) reads as zeros; the kernel never uses an outcome drawn from it
-    (Eve's rows at q = 0 are drawn from, then masked).
+    CDF reads a row the way the scalar sampler reads its own. The last
+    nonzero outcome's interval reaches past the total mass, which is
+    sample_outcome's fallback for a uniform that roundoff leaves at or past
+    the total. A left-out row (None) reads as zeros, so it reads [0, ..., 0,
+    inf] and always gives outcome n; the kernel never uses an outcome drawn
+    from it (Eve's rows at q = 0 are drawn from, then masked).
     """
     probs = np.array([[0.0] * n if row is None else row for row in rows], dtype=float)
     last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
-    return np.cumsum(probs, axis=1), last_nonzero
+    cum = np.where(np.arange(n) >= last_nonzero[:, None], np.inf, np.cumsum(probs, axis=1))
+    cum.flags.writeable = False  # shared by every caller of _tables
+    return cum
 
 
 @lru_cache(maxsize=len(ProtocolKind))
@@ -104,42 +113,33 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
     return cell_bits
 
 
-class _Tables:
-    """Per-configuration outcome tables for the vectorized kernel.
+def _tables(protocol: ProtocolKind, eve, channel: Channel) -> tuple:
+    """The read-only CDF tables (Eve's, Bob's) of a configuration, built once and cached.
 
-    The CDFs are cumulative sums of the floats of analysis._stages' Gram
-    rows, one row per (Eve's slot, signal) as laid out there, so a round's
-    row is one take; cell_bits encodes analysis._sifting, in the same cell
-    layout.
+    Each is the _cdf of analysis._stages' Gram rows, one row per (Eve's
+    slot, signal) as laid out there, so a round's row is one take. The
+    cache is keyed on the types of q and p as well, since equal values in
+    other arithmetic give other floats: Channel(Fraction(1, 2)) equals
+    Channel(0.5), and its exact rows need not round to the float build's.
     """
-
-    def __init__(self, protocol: ProtocolKind, eve, channel: Channel):
-        stages = _stages(protocol, eve, channel)
-        self.n = n = protocol.n_signals
-        self.eve_cum, self.eve_lnz = _cdf(stages.eve, n)
-        self.bob_cum, self.bob_lnz = _cdf(stages.bob, n)
-        self.n_opts = len(announcement_options(protocol, 1))
-        self.cell_bits = _cell_bits(protocol)
-        for value in vars(self).values():  # shared by every caller of _tables
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+    return _typed_tables(protocol, eve, channel, *map(type, (*_attack(eve)[1:], channel.depolarizing)))
 
 
 @lru_cache(maxsize=16)
-def _tables(protocol: ProtocolKind, eve, channel: Channel) -> _Tables:
-    return _Tables(protocol, eve, channel)
+def _typed_tables(protocol: ProtocolKind, eve, channel: Channel, *types) -> tuple:
+    # types is read by the cache key only
+    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, eve, channel))
 
 
-def _sample_rows(cum: np.ndarray, lnz: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse CDF over the given rows of a CDF table; returns 1-based labels.
+def _sample_rows(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vectorized inverse CDF over the given rows of a _cdf table; returns 1-based labels.
 
     Equivalent to states.sample_outcome: a uniform in [c_{i-1}, c_i) picks
-    outcome i (zero-probability outcomes create empty intervals), and a
-    uniform at or past the total mass falls back to the last nonzero outcome.
+    outcome i (zero-probability outcomes create empty intervals), and since
+    a _cdf row is +inf from its last nonzero outcome on, a uniform at or
+    past the total mass picks that outcome.
     """
-    idx = (u[:, None] >= cum.take(rows, axis=0)).sum(axis=1)
-    over = idx >= cum.shape[1]
-    return np.where(over, lnz.take(rows), np.minimum(idx, cum.shape[1] - 1)) + 1
+    return (u[:, None] >= cum.take(rows, axis=0)).sum(axis=1) + 1
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,9 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
         count = config.n_rounds - start
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
-    tab = _tables(config.protocol, config.eve, config.channel)
-    n, eve = tab.n, config.eve
+    protocol, eve = config.protocol, config.eve
+    eve_cum, bob_cum = _tables(protocol, eve, config.channel)
+    n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
     u = round_uniforms(config.seed, start, count)
 
     j = np.minimum((u[:, 0] * n).astype(np.int64), n - 1) + 1
@@ -189,15 +190,15 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
         side, m = np.zeros(count, dtype=np.int8), np.zeros(count, dtype=np.int64)
     else:
         side = (u[:, 2] >= float(_side_weights(eve.mix)[0])).astype(np.int8)
-        m = _sample_rows(tab.eve_cum, tab.eve_lnz, side * n + j - 1, u[:, 3])
+        m = _sample_rows(eve_cum, side * n + j - 1, u[:, 3])
     intercepted = u[:, 1] < float(_attack(eve)[1])  # all True for the gentle attack: u < 1
     slot = np.where(intercepted, side * n + m, 0)  # 1 + side * n + m-1 if intercepted
     row = slot * n + j - 1
-    k = _sample_rows(tab.bob_cum, tab.bob_lnz, row, u[:, 4])
+    k = _sample_rows(bob_cum, row, u[:, 4])
 
-    ai = np.minimum((u[:, 5] * tab.n_opts).astype(np.int64), tab.n_opts - 1)
-    cell = (row * n + k - 1) * tab.n_opts + ai
-    accepted, alice_bit, bob_bit, eve_bit = tab.cell_bits.take(cell, axis=1)
+    ai = np.minimum((u[:, 5] * n_opts).astype(np.int64), n_opts - 1)
+    cell = (row * n + k - 1) * n_opts + ai
+    accepted, alice_bit, bob_bit, eve_bit = _cell_bits(protocol).take(cell, axis=1)
 
     return RoundArrays(
         signal=j.astype(np.int8),

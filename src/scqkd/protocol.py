@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from numbers import Real
 
 from .codes import (
     CodeKind,
@@ -57,6 +58,15 @@ _CODE_OF = {
 }
 
 
+def _check_unit(value, name: str) -> None:
+    """Reject a config value that is not a real number in [0, 1] (bool is not one)."""
+    # float and int first: isinstance(x, Real) is ~10x slower for a float, and solvers build many configs
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0 <= float(value) <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class Channel:
     """Transmission channel; depolarizing = 0 is the ideal channel."""
@@ -64,10 +74,7 @@ class Channel:
     depolarizing: object = 0
 
     def __post_init__(self):
-        if not 0 <= float(self.depolarizing) <= 1:
-            raise ValueError(
-                f"depolarizing strength must lie in [0, 1], got {self.depolarizing!r}"
-            )
+        _check_unit(self.depolarizing, "depolarizing strength")
 
 
 IDEAL = Channel()

@@ -404,6 +404,22 @@ class TestOutputFormats:
         record = json.loads(path.read_text())
         assert record["command"] == "analytic"
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--protocol", "trine", "--attack", "none"],
+        ["sweep", "--protocol", "trine", "--steps", "1"],
+        ["simulate", "--protocol", "trine", "--n", "0"],
+        ["estimate-q", "--protocol", "bb84", "--sift-count", "1", "--total-count", "2"],
+        ["analytic", "--protocol", "trine", "--q", "1/2"],
+    ])
+    def test_usage_errors_print_the_subcommand_usage(self, argv, capsys):
+        # as argparse's own errors do, e.g. a missing --total-count
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: scqkd {argv[0]} ")
+        assert f"\nscqkd {argv[0]}: error: " in err
+
     def test_missing_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -35,6 +35,16 @@ class TestStrategyValidation:
         with pytest.raises(ValueError):
             GentleIntercept(q=-0.1)
 
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5j, True])
+    @pytest.mark.parametrize("strategy,name", [
+        (InterceptResend, "interception fraction"), (GentleIntercept, "attack strength"),
+    ])
+    def test_rejects_what_is_not_a_real_number(self, strategy, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            strategy(q=value)
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
+            strategy(q=Fraction(-1, 3))
+
     def test_default_mix_symmetric(self):
         assert InterceptResend(q=0.5).mix is EnsembleMix.SYMMETRIC
 

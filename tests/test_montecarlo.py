@@ -21,7 +21,11 @@ from scqkd.montecarlo import (
     SampleStats,
     TrialConfig,
     ZScore,
+    _cdf,
+    _cell_bits,
+    _sample_rows,
     _tables,
+    _typed_tables,
     compare_to_oracle,
     proportion_se,
     round_rng,
@@ -338,14 +342,14 @@ class TestChunkedKernel:
             for channel in (IDEAL, Channel(depolarizing=0.1))
         ]
         serial = [stats_from_arrays(simulate_rounds(config)) for config in configs]
-        _tables.cache_clear()
+        _typed_tables.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with _cpus(4):
                 for i, config in enumerate(configs):
                     assert run_trials(config, chunk_size=64) == serial[i]
-                    assert _tables.cache_info().misses == i + 1
+                    assert _typed_tables.cache_info().misses == i + 1
         finally:
             sys.setswitchinterval(interval)
 
@@ -355,7 +359,7 @@ class TestChunkedKernel:
         # slot 0: Eve did not touch the round; 1 + side * n + m-1: she saw m on side
         records = [None] + [EveRecord(True, side, m) for side in ("alice", "bob") for m in range(1, n + 1)]
         n_opts = len(announcement_options(protocol, 1))
-        cell_bits = _tables(protocol, None, IDEAL).cell_bits
+        cell_bits = _cell_bits(protocol)
         # the sampler's columns are the int8 encoding of the one sifting table
         assert cell_bits.shape == (4, (2 * n + 1) * n * n * n_opts)
         encoded = [(0, -1, -1, -1) if key is None else (1, key[0], key[1], -1 if key[2] is None else key[2])
@@ -378,28 +382,97 @@ class TestChunkedKernel:
     ])
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_cdfs_are_cumsums_of_the_stage_rows(self, protocol, family, mix, q, p):
-        # the sampler draws from the floats of the exact walk's rows; a left-out row reads as zeros
+        # the sampler draws from the floats of the exact walk's rows; a left-out row reads as
+        # zeros, and each row is +inf from its last nonzero outcome on
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        stages, tab = _stages(protocol, eve, channel), _tables(protocol, eve, channel)
+        stages, (eve_cum, bob_cum) = _stages(protocol, eve, channel), _tables(protocol, eve, channel)
         n = protocol.n_signals
-        for cum, rows in ((tab.eve_cum, stages.eve), (tab.bob_cum, stages.bob)):
+        for cum, rows in ((eve_cum, stages.eve), (bob_cum, stages.bob)):
             floats = [[0.0] * n if row is None else [float(x) for x in row] for row in rows]
-            np.testing.assert_array_equal(cum, np.cumsum(floats, axis=1))
+            want = np.cumsum(floats, axis=1)
+            for r, row in enumerate(floats):
+                last = max((m for m in range(n) if row[m] > 0.0), default=n - 1)
+                want[r, last:] = np.inf
+            np.testing.assert_array_equal(cum, want)
 
     def test_tables_built_once_per_configuration(self):
         config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
-        _tables.cache_clear()
+        _typed_tables.cache_clear()
         run_trials(config, chunk_size=100)
         run_trials(config, chunk_size=700)
-        assert _tables.cache_info().misses == 1
-        tab = _tables(config.protocol, config.eve, config.channel)
-        assert not any(v.flags.writeable for v in vars(tab).values() if isinstance(v, np.ndarray))
+        assert _typed_tables.cache_info().misses == 1
+        tables = _tables(config.protocol, config.eve, config.channel)
+        assert len(tables) == 2 and not any(cum.flags.writeable for cum in tables)
+        assert not _cell_bits(config.protocol).flags.writeable
 
     def test_table_cache_is_bounded(self):
         for q in np.linspace(0, 1, 40):
             _tables(ProtocolKind.TRINE, GentleIntercept(q=float(q)), IDEAL)
-        info = _tables.cache_info()
+        info = _typed_tables.cache_info()
         assert info.maxsize == 16 and info.currsize <= 16
+
+    @pytest.mark.parametrize("protocol,family,q,p", [
+        (ProtocolKind.TRINE, "none", 0, F(1, 2)),
+        (ProtocolKind.TETRAHEDRON, "standard", F(1, 4), F(1, 8)),
+        (ProtocolKind.SIX_STATE, "gentle", F(1, 2), F(1, 4)),
+    ])
+    def test_equal_configs_in_other_arithmetic_get_their_own_tables(self, protocol, family, q, p):
+        # Channel(Fraction(1, 2)) == Channel(0.5) and they hash alike, but the exact rows
+        # round to other floats than the float build: neither may be served the other's
+        exact = (protocol, _strategy_for(family, q), Channel(depolarizing=p))
+        floats = (protocol, _strategy_for(family, float(q)), Channel(depolarizing=float(p)))
+        assert exact[1:] == floats[1:]
+        configs = (exact, floats)
+        fresh = [[_cdf(rows, protocol.n_signals) for rows in _stages(*config)] for config in configs]
+        assert not all(np.array_equal(a, b) for a, b in zip(*fresh))
+        for order in ((0, 1), (1, 0)):
+            _typed_tables.cache_clear()
+            for i in order:
+                for cum, want in zip(_tables(*configs[i]), fresh[i]):
+                    np.testing.assert_array_equal(cum, want)
+
+
+def _scalar_pick(row, u):
+    """states.sample_outcome's rule on a row of probabilities; an all-zero row gives outcome n."""
+    c, last = 0.0, len(row)
+    for m, p in enumerate(row, 1):
+        c += p
+        if p > 0.0:
+            last = m
+            if u < c:
+                return m
+    return last
+
+
+class TestSampleRows:
+    """The vectorized inverse CDF at the edges of its intervals, past the mass included."""
+
+    ROWS = [
+        [0.0, 0.3, 0.7, 0.0],  # leading and trailing zeros
+        [0.1, 0.0, 0.2, 0.7],  # an interior zero
+        [0.7, 0.1, 0.1, 0.1],  # sums to 1 - 2^-53: the last uniform lies past the mass
+        [0.3, 0.2, 0.0, 0.0],  # half the mass, then two zeros
+        [0.0, 0.0, 0.0, 1.0],
+        [F(1, 3), F(1, 3), F(1, 3), F(0)],
+        None,
+    ]
+
+    def test_matches_the_scalar_rule_at_every_edge(self):
+        n = 4
+        floats = [[0.0] * n if row is None else [float(x) for x in row] for row in self.ROWS]
+        rows, us = [], []
+        for r, row in enumerate(floats):
+            edges = [float(c) for c in np.cumsum(row)]
+            below = [float(np.nextafter(c, 0.0)) for c in edges]
+            for u in sorted({0.0, *edges, *below, float(np.nextafter(1.0, 0.0))}):
+                if u < 1.0:
+                    rows.append(r)
+                    us.append(u)
+        picked = _sample_rows(_cdf(self.ROWS, n), np.array(rows), np.array(us))
+        assert picked.tolist() == [_scalar_pick(floats[r], u) for r, u in zip(rows, us)]
+        # the rows whose mass falls short of 1 are drawn from at and past their total
+        past = {r for r, u in zip(rows, us) if u >= sum(floats[r]) > 0.0}
+        assert past == {2, 3}
 
 
 class TestComparison:

@@ -1,6 +1,7 @@
 """Tests for round structure: announcements, sifting, bit derivation, transcripts."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestChannel:
             Channel(depolarizing=-0.2)
         with pytest.raises(ValueError):
             Channel(depolarizing=2)
+
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5j, True, False])
+    def test_rejects_what_is_not_a_real_number(self, value):
+        # a string once passed through float() here and failed only deep inside run_trials
+        with pytest.raises(ValueError, match="depolarizing strength must be a real number"):
+            Channel(depolarizing=value)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, Fraction(1, 7), np.float64(0.5), np.int64(1)])
+    def test_accepts_real_numbers_in_range(self, value):
+        assert Channel(depolarizing=value).depolarizing is value
 
 
 class TestAlicePick:
