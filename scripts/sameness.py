@@ -23,7 +23,10 @@ lines. It prints one line per output set, "<set> <sha256> <outputs>":
 - transcripts: the dtypes and bytes of all ten `simulate_rounds` columns,
   2^12 rounds at a fixed seed per configuration, over protocols x (no
   eavesdropper, and {standard, gentle} x mixes x q in {1/3, 0.63,
-  1 - 1e-12, 1}) x p in {0, 1/7, 0.05}.
+  1 - 1e-12, 1}) x p in {0, 1/7, 0.05};
+- reference: the `run_round` transcripts (signal, Bob's outcome,
+  announcement, accepted, both bits and Eve's record) of 16 rounds per
+  configuration of the transcripts grid, seeded by the configuration's index.
 
 Every repr carries its type (Fraction or float) and its last bit, and the
 tables their key order, so equal digests mean identical outputs.
@@ -40,6 +43,8 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path.cwd() / "src"))
 
 from scqkd import cli  # noqa: E402
@@ -53,7 +58,7 @@ from scqkd.analysis import (  # noqa: E402
 )
 from scqkd.eavesdrop import EnsembleMix  # noqa: E402
 from scqkd.montecarlo import TrialConfig, simulate_rounds  # noqa: E402
-from scqkd.protocol import Channel, ProtocolKind  # noqa: E402
+from scqkd.protocol import Channel, ProtocolKind, run_round  # noqa: E402
 
 PROTOCOLS = list(ProtocolKind)
 FAMILIES = ("standard", "gentle")
@@ -140,8 +145,8 @@ def estimate_outputs():
                 yield f"{protocol} {observed!r} {margin!r}\n{estimate!r} {texts!r}"
 
 
-def transcript_outputs():
-    configs = [
+def _transcript_configs():
+    return [
         (protocol, eve, p)
         for protocol in PROTOCOLS
         for p in TRANSCRIPT_NOISE
@@ -149,13 +154,26 @@ def transcript_outputs():
             _strategy_for(family, q, mix) for family in FAMILIES for mix in EnsembleMix for q in TRANSCRIPT_STRENGTHS
         ]
     ]
-    for seed, (protocol, eve, p) in enumerate(configs):
+
+
+def transcript_outputs():
+    for seed, (protocol, eve, p) in enumerate(_transcript_configs()):
         arrays = simulate_rounds(TrialConfig(protocol, eve, Channel(depolarizing=p), n_rounds=1 << 12, seed=seed))
         columns = hashlib.sha256()
         for f in dataclasses.fields(arrays):
             column = getattr(arrays, f.name)
             columns.update(column.dtype.str.encode() + column.tobytes())
         yield f"{protocol} {eve!r} {p!r} {seed}\n{columns.hexdigest()}"
+
+
+def reference_outputs():
+    for seed, (protocol, eve, p) in enumerate(_transcript_configs()):
+        rng, channel = np.random.default_rng(seed), Channel(depolarizing=p)
+        rounds = []
+        for _ in range(16):
+            t = run_round(protocol, eve, channel, rng)
+            rounds.append((t.signal_index, t.bob_outcome, t.announcement, t.accepted, t.alice_bit, t.bob_bit, t.eve_record))
+        yield f"{protocol} {eve!r} {p!r} {seed}\n{rounds!r}"
 
 
 def main() -> int:
@@ -165,6 +183,7 @@ def main() -> int:
         ("find_threshold", threshold_outputs),
         ("transcripts", transcript_outputs),
         ("estimate", estimate_outputs),
+        ("reference", reference_outputs),
     )
     for name, outputs in sets:
         digest, count = hashlib.sha256(), 0

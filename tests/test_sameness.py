@@ -14,6 +14,6 @@ def test_prints_one_digest_per_set():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["cli", "enumerate_joint", "find_threshold", "transcripts", "estimate"]
+    assert [line.split()[0] for line in lines] == ["cli", "enumerate_joint", "find_threshold", "transcripts", "estimate", "reference"]
     for line in lines:
         assert re.fullmatch(r"\S+ [0-9a-f]{64} [1-9][0-9]*", line), line
