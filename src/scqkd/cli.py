@@ -100,17 +100,17 @@ def _to_csv(record: dict) -> str:
     return buf.getvalue()
 
 
-def _cmd_analytic(args, parser) -> tuple:
+def _cmd_analytic(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     joint = enumerate_joint(protocol, eve, Channel(depolarizing=args.depolarize))
     return {**_echo(args, "q", "depolarize"), **_rates_record(joint)}, 0
 
 
-def _cmd_threshold(args, parser) -> tuple:
+def _cmd_threshold(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.attack == "none":
-        parser.error("threshold requires --attack standard or gentle")
+        args.parser.error("threshold requires --attack standard or gentle")
     channel = Channel(depolarizing=args.depolarize)
     result = find_threshold(protocol, args.attack, EnsembleMix(args.mix), channel)
     record = {
@@ -121,12 +121,12 @@ def _cmd_threshold(args, parser) -> tuple:
     return record, 0
 
 
-def _cmd_simulate(args, parser) -> tuple:
+def _cmd_simulate(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.n < 1:
-        parser.error("--n must be positive")
+        args.parser.error("--n must be positive")
     if not 0 <= args.seed < 2**64:
-        parser.error("--seed must lie in [0, 2^64)")
+        args.parser.error("--seed must lie in [0, 2^64)")
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
     channel = Channel(depolarizing=args.depolarize)
     config = TrialConfig(
@@ -154,12 +154,12 @@ def _cmd_simulate(args, parser) -> tuple:
     return record, 0 if report.ok else 2
 
 
-def _cmd_sweep(args, parser) -> tuple:
+def _cmd_sweep(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.attack == "none":
-        parser.error("sweep requires --attack standard or gentle")
+        args.parser.error("sweep requires --attack standard or gentle")
     if args.steps < 2:
-        parser.error("--steps must be at least 2")
+        args.parser.error("--steps must be at least 2")
     channel = Channel(depolarizing=args.depolarize)
     rows = []
     for q in (Fraction(i, args.steps - 1) for i in range(args.steps)):
@@ -168,17 +168,17 @@ def _cmd_sweep(args, parser) -> tuple:
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 
-def _cmd_estimate_q(args, parser) -> tuple:
+def _cmd_estimate_q(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.total_count <= 0:
-        parser.error("--total-count must be positive")
+        args.parser.error("--total-count must be positive")
     if not 0 <= args.sift_count <= args.total_count:
-        parser.error("--sift-count must lie in [0, total-count]")
+        args.parser.error("--sift-count must lie in [0, total-count]")
     sift_rate = Fraction(args.sift_count, args.total_count)
     try:
         lo, hi = _sift_line(protocol)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     se_rate = proportion_se(args.sift_count, args.total_count)
     slope = float(1 / (hi - lo))
     with warnings.catch_warnings():  # the record's in_model flags an out-of-model rate
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     if getattr(args, "q", 0) and args.attack == "none":
         args.parser.error("--q needs --attack standard or gentle")
     try:
-        record, code = args.func(args, args.parser)
+        record, code = args.func(args)
     except NoThresholdError as exc:
         sys.stderr.write(f"scqkd: {exc}\n")
         return 1

@@ -10,11 +10,15 @@ sender's code or the receiver's dual ("pretending to be Alice" /
     E_m = q (2/n) |psi_m><psi_m| + ((1 - q)/n) I
 
 At full strength E_m is the code POVM and she forwards the measured
-ensemble's pure state (a resend); below it she forwards the
-square-root-updated state, interpolating down to no touch at q = 0. E_m has
-eigenvalues (1 + q)/n on |psi_m> and (1 - q)/n on its complement, so
-sqrt(E_m) rho sqrt(E_m) is linear in (1, q, sqrt(1 - q^2)), which is what
-lets the exact analysis rebuild any gentle table from three strengths.
+ensemble's pure state (a resend). E_m has eigenvalues (1 + q)/n on |psi_m>
+and (1 - q)/n on its complement, so its square root is the Kraus operator
+
+    K_m = sqrt((1 + q)/n) P_m + sqrt((1 - q)/n) (I - P_m),   P_m = |psi_m><psi_m|,
+
+and below full strength she forwards K_m rho K_m / tr(K_m rho K_m),
+interpolating down to no touch at q = 0. K_m rho K_m is linear in
+(1, q, sqrt(1 - q^2)), which is what lets the exact analysis rebuild any
+gentle table from three strengths.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 
 from .codes import SphericalCode, Povm
 from .protocol import Announcement, ProtocolKind, _check_unit, _party_bit, alice_code, bob_code
-from .states import I2, pure_from_bloch, sample_outcome, sqrt_post_measurement_state
+from .states import I2, post_measurement_state, pure_from_bloch, sample_outcome
 
 
 class EnsembleMix(Enum):
@@ -35,6 +39,11 @@ class EnsembleMix(Enum):
     ALICE_ONLY = "alice"
     BOB_ONLY = "bob"
     SYMMETRIC = "symmetric"
+
+
+def _check_mix(mix) -> None:
+    if not isinstance(mix, EnsembleMix):
+        raise ValueError(f"ensemble mix must be an EnsembleMix, got {mix!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,7 @@ class InterceptResend:
 
     def __post_init__(self):
         _check_unit(self.q, "interception fraction")
+        _check_mix(self.mix)
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,7 @@ class GentleIntercept:
 
     def __post_init__(self):
         _check_unit(self.q, "attack strength")
+        _check_mix(self.mix)
 
 
 @dataclass(frozen=True)
@@ -72,15 +83,16 @@ NOT_INTERCEPTED = EveRecord(intercepted=False)
 
 
 _SIDES = ("alice", "bob")
+_SIDE_WEIGHTS = {
+    EnsembleMix.ALICE_ONLY: (Fraction(1), Fraction(0)),
+    EnsembleMix.BOB_ONLY: (Fraction(0), Fraction(1)),
+    EnsembleMix.SYMMETRIC: (Fraction(1, 2), Fraction(1, 2)),
+}
 
 
 def _side_weights(mix: EnsembleMix) -> tuple:
     """Probabilities (alice, bob) that Eve measures with each side's ensemble."""
-    if mix is EnsembleMix.ALICE_ONLY:
-        return Fraction(1), Fraction(0)
-    if mix is EnsembleMix.BOB_ONLY:
-        return Fraction(0), Fraction(1)
-    return Fraction(1, 2), Fraction(1, 2)
+    return _SIDE_WEIGHTS[mix]
 
 
 def _attack(eve) -> tuple:
@@ -115,12 +127,10 @@ def gentle_povm(code: SphericalCode, q) -> Povm:
     """Smeared code POVM: q times the code POVM plus identity spread over all outcomes.
 
     q = 1 recovers the full-strength code POVM; q = 0 gives n copies of I/n,
-    whose square-root update leaves any state unchanged.
+    whose Kraus operators, I/sqrt(n), leave any state unchanged.
     """
-    qf = float(q)
-    if not 0.0 <= qf <= 1.0:
-        raise ValueError(f"attack strength must lie in [0, 1], got {q!r}")
-    n = len(code)
+    _check_unit(q, "attack strength")
+    qf, n = float(q), len(code)
     w = float(code.povm_weight)
     elements = tuple(
         qf * w * pure_from_bloch(v) + ((1.0 - qf) / n) * I2 for v in code.states
@@ -148,6 +158,12 @@ def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
     return gentle_povm(measuring_code(protocol, side), q)
 
 
+def _gentle_kraus(protocol: ProtocolKind, side: str, q: float, m: int):
+    """K_m = sqrt(E_m): sqrt((1 + q)/n) on Eve's measured state m, sqrt((1 - q)/n) off it."""
+    n, state = protocol.n_signals, measuring_code(protocol, side).state(m)
+    return ((1 + q) / n) ** 0.5 * state + ((1 - q) / n) ** 0.5 * (I2 - state)
+
+
 def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     """Apply `strategy` to one in-flight state using explicit uniform variates.
 
@@ -156,7 +172,8 @@ def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     Eve measures when the coin falls below her touched share (always, for
     the gentle attack), on the side the ensemble coin picks (bob once it
     reaches alice's weight), with the POVM of her strength; she resends the
-    measured state at full strength and forwards the square-root update below.
+    measured state at full strength and below it forwards the state updated
+    by her outcome's Kraus operator (see the module docstring).
 
     Returns:
         (forwarded state, EveRecord). With no strategy or no interception the
@@ -173,7 +190,7 @@ def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     if strength == 1:
         forwarded = measuring_code(protocol, side).state(m)
     else:
-        forwarded = sqrt_post_measurement_state(rho, povm.elements[m - 1])
+        forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, float(strength), m))
     return forwarded, EveRecord(intercepted=True, ensemble_used=side, outcome_index=m)
 
 

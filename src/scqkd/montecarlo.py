@@ -9,7 +9,7 @@ chunked runs merge to bit-identical totals.
 The vectorized kernel samples from the round model of the exact analysis:
 its inverse-CDF tables are a sequential np.cumsum of the floats of the
 exact Bloch Gram rows of analysis._stages, the rows the exact walk reads.
-run_round keeps its own matrix Born path (POVM products, square-root
+run_round keeps its own matrix Born path (POVM products, Eve's Kraus
 updates, the depolarizing map) as the independent reference. The two
 arithmetics can differ in a probability's last bits, so a vectorized batch
 reproduces the scalar transcript loop draw for draw except where a uniform
@@ -62,6 +62,10 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.protocol, ProtocolKind):
+            raise ValueError(f"protocol must be a ProtocolKind, got {self.protocol!r}")
+        if not isinstance(self.channel, Channel):
+            raise ValueError(f"channel must be a Channel, got {self.channel!r}")
         for name in ("n_rounds", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):

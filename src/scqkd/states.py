@@ -59,6 +59,18 @@ def bloch_of(rho) -> NDArray[np.float64]:
     )
 
 
+def _min_eigenvalue(a, what: str, atol: float) -> float:
+    """Smaller eigenvalue (t - sqrt(t^2 - 4 det))/2 of a 2x2 matrix, which must be Hermitian.
+
+    Raises:
+        ValueError: "<what> is not Hermitian".
+    """
+    if not np.allclose(a, a.conj().T, atol=atol):
+        raise ValueError(f"{what} is not Hermitian")
+    t, d = np.trace(a).real, np.linalg.det(a).real
+    return (t - max(t * t - 4 * d, 0.0) ** 0.5) / 2
+
+
 def validate_state(rho, atol: float = ATOL) -> None:
     """Check that rho is Hermitian, unit trace, and positive semidefinite.
 
@@ -68,15 +80,10 @@ def validate_state(rho, atol: float = ATOL) -> None:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
-        raise ValueError("density matrix is not Hermitian")
+    lam_min = _min_eigenvalue(rho, "density matrix", atol)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > atol:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    # eigenvalues of a Hermitian 2x2: (t +- sqrt(t^2 - 4d))/2
-    det = np.linalg.det(rho).real
-    disc = max(tr * tr - 4 * det, 0.0)
-    lam_min = (tr - disc**0.5) / 2
     if lam_min < -atol:
         raise ValueError(f"density matrix has negative eigenvalue {lam_min!r}")
 
@@ -99,12 +106,7 @@ class Povm:
         for e in self.elements:
             if e.shape != (2, 2):
                 raise ValueError("POVM element must be 2x2")
-            if not np.allclose(e, e.conj().T, atol=atol):
-                raise ValueError("POVM element is not Hermitian")
-            tr = np.trace(e).real
-            det = np.linalg.det(e).real
-            disc = max(tr * tr - 4 * det, 0.0)
-            if (tr - disc**0.5) / 2 < -atol:
+            if _min_eigenvalue(e, "POVM element", atol) < -atol:
                 raise ValueError("POVM element has a negative eigenvalue")
             total = total + e
         if not np.allclose(total, I2, atol=atol):
@@ -125,46 +127,22 @@ def born_probability(rho, element) -> float:
     return p
 
 
-def sqrt_psd_2x2(e) -> NDArray[np.complex128]:
-    """Principal square root of a 2x2 Hermitian PSD matrix, closed form.
+def post_measurement_state(rho, kraus) -> NDArray[np.complex128]:
+    """State after the outcome with Kraus operator K: K rho K / tr(K rho K).
 
-    Uses sqrt(E) = (E + sqrt(det) I) / sqrt(tr + 2 sqrt(det)), which follows
-    from Cayley-Hamilton for 2x2 PSD matrices. The zero matrix maps to zero.
-    """
-    e = np.asarray(e, dtype=np.complex128)
-    t = float(np.trace(e).real)
-    d = float(np.linalg.det(e).real)
-    if d < -ATOL:
-        raise ValueError(f"matrix is not PSD: det = {d!r}")
-    # determinant dust on a singular matrix would be amplified by the square
-    # root (1e-17 becomes 3e-9), so snap near-rank-1 inputs to exact rank 1
-    if d < 1e-14 * t * t:
-        d = 0.0
-    s = d**0.5
-    denom2 = t + 2 * s
-    if denom2 <= ATOL:
-        return np.zeros((2, 2), dtype=np.complex128)
-    return (e + s * I2) / denom2**0.5
-
-
-def sqrt_post_measurement_state(rho, element) -> NDArray[np.complex128]:
-    """State after obtaining `element`, using the square-root update rule.
-
-    Returns sqrt(E) rho sqrt(E) normalized by its trace. This is the gentlest
-    update consistent with the outcome statistics; for a rank-1 projector it
-    reduces to projection, and for any multiple of the identity it leaves the
-    state unchanged.
+    K is Hermitian here (the square root of the outcome's POVM element), and
+    tr(K rho K) is the outcome's probability. For a multiple of a projector K
+    projects; for a multiple of the identity it leaves the state unchanged.
 
     Raises:
         ValueError: if the outcome has (numerically) zero probability, since
             the conditional state is then undefined.
     """
-    p = born_probability(rho, element)
+    out = kraus @ np.asarray(rho, dtype=np.complex128) @ kraus
+    p = np.trace(out).real
     if p < 1e-15:
         raise ValueError("conditional state undefined: outcome probability is zero")
-    root = sqrt_psd_2x2(element)
-    out = root @ np.asarray(rho, dtype=np.complex128) @ root
-    return _frozen(out / np.trace(out).real)
+    return _frozen(out / p)
 
 
 def depolarize(rho, p):

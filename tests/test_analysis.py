@@ -33,11 +33,12 @@ from scqkd.eavesdrop import (
     InterceptResend,
     _SIDES,
     _attack,
+    _gentle_kraus,
     _side_gentle_povm,
     measuring_code,
 )
 from scqkd.protocol import Channel, ProtocolKind, alice_code, announcement_options, bob_povm
-from scqkd.states import born_probability, depolarize, sqrt_post_measurement_state
+from scqkd.states import born_probability, depolarize, post_measurement_state
 
 ALL = list(ProtocolKind)
 EXCLUSION = [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]
@@ -213,7 +214,8 @@ def _born_stages(protocol, eve, channel):
 
     Eve's row is the Born distribution of her strength-q POVM on Alice's
     state j; Bob's is that of his POVM on the depolarized state she forwards:
-    her measured state at full strength, else the square-root update. Rows
+    her measured state at full strength, else the update by her outcome's
+    Kraus operator. Rows
     that _stages leaves out are None here too.
     """
     _, touched, strength = _attack(eve)
@@ -237,7 +239,7 @@ def _born_stages(protocol, eve, channel):
                 if strength == 1:
                     forwarded = measuring_code(protocol, side).state(m)
                 else:
-                    forwarded = sqrt_post_measurement_state(rho, povm.elements[m - 1])
+                    forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, float(strength), m))
                 bob_rows[(1 + si * n + m - 1) * n + j - 1] = bob_row(forwarded)
     return eve_rows, bob_rows
 
@@ -283,6 +285,29 @@ class TestStages:
             floats = [float(e) for e in row]
             assert min(floats) >= 0, row
             assert abs(sum(floats) - 1) <= 4.5e-16, row
+
+    @pytest.mark.parametrize("q", [1 - 1e-9, 1 - 1e-12, 1 - 1.5e-14, 1 - 1e-15])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_gentle_branch_masses_near_full_strength(self, protocol, mix, q):
+        # run_round's Born rule and Kraus update give every branch (j, side, m, k) the Gram rows' mass
+        n = protocol.n_signals
+        gram = _stages(protocol, GentleIntercept(q, mix), Channel())
+        for si, side in enumerate(_SIDES):
+            if not _side_weights(mix)[si]:
+                continue
+            povm = _side_gentle_povm(protocol, side, q)
+            for j in range(1, n + 1):
+                rho = alice_code(protocol).state(j)
+                for m, element in enumerate(povm.elements, 1):
+                    p_m, exact_m = born_probability(rho, element), gram.eve[si * n + j - 1][m - 1]
+                    if p_m < 1e-15:  # too rare for run_round to condition on: the branch's mass is p_m
+                        assert exact_m <= 1e-14
+                        continue
+                    forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, q, m))
+                    exact_row = gram.bob[(1 + si * n + m - 1) * n + j - 1]
+                    for e, exact_k in zip(bob_povm(protocol).elements, exact_row):
+                        assert abs(p_m * born_probability(forwarded, e) - exact_m * exact_k) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(protocol=st.sampled_from(ALL), mix=_MIXES, q=_STRENGTH, p=_NOISE)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scqkd.analysis import _stages
+from scqkd.analysis import _stages, find_threshold
 from scqkd.codes import basis_label, code_povm, eigen_bit, make_code
 from scqkd.eavesdrop import (
     EnsembleMix,
@@ -48,12 +48,25 @@ class TestStrategyValidation:
     def test_default_mix_symmetric(self):
         assert InterceptResend(q=0.5).mix is EnsembleMix.SYMMETRIC
 
+    @pytest.mark.parametrize("mix", ["bob", "alice", None, 0])
+    @pytest.mark.parametrize("strategy", [InterceptResend, GentleIntercept])
+    def test_rejects_what_is_not_a_mix(self, strategy, mix):
+        with pytest.raises(ValueError, match="ensemble mix must be an EnsembleMix"):
+            strategy(q=0.5, mix=mix)
+        with pytest.raises(ValueError, match="ensemble mix must be an EnsembleMix"):
+            find_threshold(ProtocolKind.TRINE, "standard", mix=mix)
+
 
 class TestGentlePovm:
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.77, 1.0])
     @pytest.mark.parametrize("protocol", ALL)
     def test_complete(self, protocol, q):
         gentle_povm(alice_code(protocol), q).validate()
+
+    @pytest.mark.parametrize("q", ["0.5", True, None, 1.5])
+    def test_strength_checked(self, q):
+        with pytest.raises(ValueError, match="attack strength must"):
+            gentle_povm(alice_code(ProtocolKind.TRINE), q)
 
     def test_full_strength_is_code_povm(self):
         code = make_code(ProtocolKind.TRINE.code_kind)

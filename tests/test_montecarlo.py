@@ -82,6 +82,12 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(protocol=ProtocolKind.TRINE, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [("protocol", "trine"), ("protocol", None), ("channel", 0.5), ("channel", None)])
+    def test_protocol_and_channel_types_checked(self, field, value):
+        config = {"protocol": ProtocolKind.TRINE, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            TrialConfig(**config)
+
     def test_numpy_integers_accepted(self):
         config = TrialConfig(protocol=ProtocolKind.TRINE, n_rounds=np.int64(7), seed=np.uint32(3))
         assert run_trials(config) == run_trials(TrialConfig(ProtocolKind.TRINE, n_rounds=7, seed=3))

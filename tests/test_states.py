@@ -13,10 +13,9 @@ from scqkd.states import (
     bloch_of,
     born_probability,
     depolarize,
+    post_measurement_state,
     pure_from_bloch,
     sample_outcome,
-    sqrt_post_measurement_state,
-    sqrt_psd_2x2,
     validate_state,
 )
 
@@ -75,16 +74,16 @@ class TestValidateState:
         validate_state(0.7 * pure_from_bloch([0, 0, 1]) + 0.3 * MIXED)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"):
             validate_state(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="density matrix trace is"):
             validate_state(I2)
 
     def test_rejects_negative_eigenvalue(self):
         # bloch vector of length 2: trace 1, hermitian, not PSD
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="density matrix has negative eigenvalue"):
             validate_state((I2 + 2 * SIGMA_Z) / 2)
 
 
@@ -97,6 +96,15 @@ class TestPovm:
         povm = Povm(elements=(MIXED, MIXED))
         assert [sample_outcome(MIXED, povm, u) for u in (0.2, 0.7)] == [1, 2]
         assert len(povm) == 2
+
+    @pytest.mark.parametrize("element,message", [
+        (np.eye(3), "POVM element must be 2x2"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "POVM element is not Hermitian"),
+        ((I2 + 2 * SIGMA_Z) / 2, "POVM element has a negative eigenvalue"),
+    ])
+    def test_invalid_element_named(self, element, message):
+        with pytest.raises(ValueError, match=message):
+            Povm(elements=(element,)).validate()
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
@@ -123,52 +131,32 @@ class TestBornProbability:
             assert 0.0 <= born_probability(rho, e) <= 1.0
 
 
-class TestSqrtPsd:
-    def test_squares_back(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            e = a @ a.conj().T  # PSD by construction
-            r = sqrt_psd_2x2(e)
-            np.testing.assert_allclose(r @ r, e, atol=1e-10)
-
-    def test_rank_one(self):
-        p = pure_from_bloch([0, 1, 0])
-        np.testing.assert_allclose(sqrt_psd_2x2(0.25 * p), 0.5 * p, atol=1e-12)
-
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(sqrt_psd_2x2(np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_identity_multiple(self):
-        np.testing.assert_allclose(sqrt_psd_2x2(4 * I2), 2 * I2, atol=1e-12)
-
-
 class TestSqrtUpdate:
     def test_projector_reproduces_itself(self):
-        # measuring a state with a projector-weighted element leaves the
-        # conditional state on the projector's ray
+        # a Kraus operator on a projector's ray leaves the conditional state on that ray
         plus = pure_from_bloch([1, 0, 0])
         up = pure_from_bloch([0, 0, 1])
-        out = sqrt_post_measurement_state(up, 0.5 * plus)
+        out = post_measurement_state(up, 0.5**0.5 * plus)
         np.testing.assert_allclose(out, plus, atol=1e-12)
 
     def test_identity_element_is_transparent(self):
         rng = np.random.default_rng(15)
         rho = pure_from_bloch(_random_unit(rng))
-        np.testing.assert_allclose(sqrt_post_measurement_state(rho, 0.3 * I2), rho, atol=1e-12)
+        np.testing.assert_allclose(post_measurement_state(rho, 0.3**0.5 * I2), rho, atol=1e-12)
 
     def test_valid_state_out(self):
         rng = np.random.default_rng(16)
         for _ in range(25):
             rho = pure_from_bloch(_random_unit(rng))
-            e = 0.5 * pure_from_bloch(_random_unit(rng)) + 0.1 * I2
-            validate_state(sqrt_post_measurement_state(rho, e))
+            p = pure_from_bloch(_random_unit(rng))
+            # the root of the element 0.5 P + 0.1 I
+            validate_state(post_measurement_state(rho, 0.6**0.5 * p + 0.1**0.5 * (I2 - p)))
 
     def test_zero_probability_rejected(self):
         up = pure_from_bloch([0, 0, 1])
         down = pure_from_bloch([0, 0, -1])
         with pytest.raises(ValueError):
-            sqrt_post_measurement_state(up, down)
+            post_measurement_state(up, down)
 
 
 class TestDepolarize:
