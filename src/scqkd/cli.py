@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -237,7 +238,9 @@ def _add_common(sub, attack_default="none", strength=True):
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parse_args fills a fresh namespace on every call."""
     parser = _Parser(prog="scqkd", description=__doc__.splitlines()[0])
     parser.add_argument("--format", default="json", choices=["json", "csv"])
     parser.add_argument("--out", default=None, metavar="FILE", help="write to FILE instead of stdout")

@@ -133,14 +133,16 @@ def post_measurement_state(rho, kraus) -> NDArray[np.complex128]:
     K is Hermitian here (the square root of the outcome's POVM element), and
     tr(K rho K) is the outcome's probability. For a multiple of a projector K
     projects; for a multiple of the identity it leaves the state unchanged.
+    Any positive probability is conditioned on, however small: an outcome
+    that a uniform can select has a state to forward.
 
     Raises:
-        ValueError: if the outcome has (numerically) zero probability, since
-            the conditional state is then undefined.
+        ValueError: if tr(K rho K) is not positive, since the conditional
+            state is then undefined.
     """
     out = kraus @ np.asarray(rho, dtype=np.complex128) @ kraus
     p = np.trace(out).real
-    if p < 1e-15:
+    if not p > 0.0:
         raise ValueError("conditional state undefined: outcome probability is zero")
     return _frozen(out / p)
 

@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scqkd import analysis
 from scqkd.analysis import (
@@ -207,6 +208,8 @@ class TestEnumerateGentle:
 _MIXES = st.sampled_from(list(EnsembleMix))
 _NOISE = st.fractions(min_value=0, max_value=1, max_denominator=20)
 _STRENGTH = st.fractions(min_value=0, max_value=1, max_denominator=60)
+# depolarizing strengths up to 1/3, for solves: most cross zero, some do not
+_SOLVE_NOISE = st.fractions(min_value=0, max_value=F(1, 3), max_denominator=200)
 
 
 def _born_stages(protocol, eve, channel):
@@ -301,7 +304,7 @@ class TestStages:
                 rho = alice_code(protocol).state(j)
                 for m, element in enumerate(povm.elements, 1):
                     p_m, exact_m = born_probability(rho, element), gram.eve[si * n + j - 1][m - 1]
-                    if p_m < 1e-15:  # too rare for run_round to condition on: the branch's mass is p_m
+                    if p_m == 0.0:  # no state to condition on: the branch's mass is p_m
                         assert exact_m <= 1e-14
                         continue
                     forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, q, m))
@@ -417,21 +420,62 @@ class TestThresholds:
                 ProtocolKind.BB84, "standard", channel=Channel(depolarizing=F(1))
             )
 
+    @settings(max_examples=10, deadline=None)
+    @given(p=_SOLVE_NOISE)
+    # at p = 1/20 the gentle Alice-only trine solve's replay evaluates none of
+    # its midpoints, so qber_star takes one more evaluation
+    @example(p=F(1, 20))
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_solve_is_the_plain_bisection(self, protocol, family, mix, p):
+        # bit for bit: bracketing only skips evaluations, it never moves q_star
+        channel = Channel(depolarizing=p)
+        want = _plain_bisection(protocol, mix, channel, family, enumerate_joint)
+        if want is None:
+            with pytest.raises(NoThresholdError):
+                find_threshold(protocol, family, mix, channel)
+            return
+        res = find_threshold(protocol, family, mix, channel)
+        assert (res.q_star, res.qber_star) == want
 
-def _plain_bisection(protocol, mix, channel, family="standard"):
-    """Per-q bisection with find_threshold's stop rule, walking every point."""
+    @settings(max_examples=5, deadline=None)
+    @given(p=_SOLVE_NOISE)
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_rate_does_not_increase_in_q(self, protocol, family, mix, p):
+        # the solve skips the midpoints outside its bracket on this property
+        channel = Channel(depolarizing=p)
+        rates = [
+            key_rate(enumerate_joint(protocol, _strategy_for(family, i / 256, mix), channel)).r
+            for i in range(257)
+        ]
+        assert all(later <= earlier for earlier, later in zip(rates, rates[1:]))
 
-    def rate(q):
-        return key_rate(_walked(protocol, _strategy_for(family, q, mix), channel)).r
 
+def _plain_bisection(protocol, mix, channel, family="standard", joint=_walked):
+    """(q_star, qber_star) of the plain bisection that defines them, or None if R does not cross zero.
+
+    Every midpoint is a `joint` (the reference walk by default) and a key_rate,
+    with find_threshold's stop rule.
+    """
+
+    def joint_at(q):
+        return joint(protocol, _strategy_for(family, q, mix), channel)
+
+    r_lo, r_hi = (key_rate(joint_at(q)).r for q in (0.0, 1.0))
+    if not r_lo > 0.0 > r_hi:
+        return None
     lo, hi = 0.0, 1.0
     while hi - lo >= 1e-9:
         mid = (lo + hi) / 2
-        r = rate(mid)
+        at_mid = joint_at(mid)
+        r = key_rate(at_mid).r
         if abs(r) < 1e-10:
             break
         lo, hi = (mid, hi) if r > 0.0 else (lo, mid)
-    return mid
+    return mid, float(at_mid.qber)
 
 
 # every protocol noiseless and symmetric, and two noisy one-sided solves
@@ -477,7 +521,7 @@ class TestInterceptResendIsAffine:
     def test_standard_threshold_matches_per_q_bisection(self, protocol, mix, p):
         channel = Channel(depolarizing=p)
         res = find_threshold(protocol, "standard", mix, channel)
-        assert abs(res.q_star - _plain_bisection(protocol, mix, channel)) <= 1e-9
+        assert abs(res.q_star - _plain_bisection(protocol, mix, channel)[0]) <= 1e-9
         joint = enumerate_joint(protocol, InterceptResend(q=res.q_star, mix=mix), channel)
         assert res.qber_star == float(joint.qber)
 
@@ -492,24 +536,32 @@ class TestInterceptResendIsAffine:
             find_threshold(ProtocolKind.TRINE, "none")
 
     @pytest.mark.parametrize("family,count", [("standard", 4), ("gentle", 6)])
-    def test_solve_reports_its_enumerations(self, monkeypatch, family, count):
-        calls = []
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_solve_reports_its_enumerations(self, monkeypatch, protocol, family, count):
+        calls, evaluations = [], []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return _walk(*args, **kwargs)
 
+        def evaluating(*args, **kwargs):
+            evaluations.append(args)
+            return enumerate_joint(*args, **kwargs)
+
         monkeypatch.setattr(analysis, "_walk", counting)
+        monkeypatch.setattr(analysis, "enumerate_joint", evaluating)
         _corners.cache_clear()
         channel = Channel(depolarizing=F(1, 20))
-        res = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
+        res = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
+        # n_enumerations counts branch walks, not the solve's evaluations of R
         assert res.n_enumerations == len(calls) == count
+        assert 0 < len(evaluations) <= 15
         # the count depends on the cache, so it is not part of the result's equality
-        again = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
+        again = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
         assert again.n_enumerations == 0 and again == res
         # the corners are cached: a solve under another channel walks nothing
         channel = Channel(depolarizing=F(1, 16))
-        res = find_threshold(ProtocolKind.TETRAHEDRON, family, EnsembleMix.BOB_ONLY, channel)
+        res = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
         assert res.n_enumerations == 0 and len(calls) == count
 
 
@@ -563,7 +615,7 @@ class TestGentleCurve:
     def test_gentle_threshold_matches_per_q_bisection(self, protocol, mix, p):
         channel = Channel(depolarizing=p)
         res = find_threshold(protocol, "gentle", mix, channel)
-        assert abs(res.q_star - _plain_bisection(protocol, mix, channel, "gentle")) <= 1e-9
+        assert abs(res.q_star - _plain_bisection(protocol, mix, channel, "gentle")[0]) <= 1e-9
         joint = enumerate_joint(protocol, GentleIntercept(q=res.q_star, mix=mix), channel)
         assert res.qber_star == float(joint.qber)
 
@@ -622,6 +674,13 @@ class TestCorners:
 
 class TestIntegerMasses:
     """The exact path reads its integer masses; a table without them must read the same."""
+
+    @pytest.mark.parametrize("q,p", [(1, 0), (0, 1), (1, 1)])
+    def test_numpy_integers_are_ints(self, q, p):
+        want = enumerate_joint(ProtocolKind.SIX_STATE, _sym(q), Channel(depolarizing=p))
+        got = enumerate_joint(ProtocolKind.SIX_STATE, _sym(np.int64(q)), Channel(depolarizing=np.int64(p)))
+        assert got.p_sift == want.p_sift and got.table == want.table
+        assert all(type(v) is int for v in got._masses[0].values())
 
     @settings(max_examples=80, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),

@@ -424,3 +424,65 @@ class TestOutputFormats:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 1
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process command, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# every subcommand, defaults after set flags, usage errors after other
+# subcommands, and --format csv between json commands
+SEQUENCE = [
+    ["analytic", "--protocol", "trine", "--attack", "gentle", "--mix", "alice", "--q", "1/3", "--depolarize", "1/7"],
+    ["analytic", "--protocol", "trine"],
+    ["threshold", "--protocol", "tetra", "--mix", "bob", "--depolarize", "1/20"],
+    ["threshold", "--protocol", "tetra"],
+    ["sweep", "--protocol", "bb84", "--attack", "gentle", "--steps", "3"],
+    ["sweep", "--protocol", "bb84"],
+    ["simulate", "--protocol", "six-state", "--attack", "standard", "--q", "1/2", "--n", "2000", "--seed", "9"],
+    ["threshold", "--protocol", "trine", "--attack", "none"],
+    ["simulate", "--protocol", "six-state", "--n", "2000"],
+    ["analytic", "--protocol", "trine", "--q", "1/2"],
+    ["estimate-q", "--protocol", "trine", "--sift-count", "517", "--total-count", "1000"],
+    ["sweep", "--protocol", "trine", "--steps", "1"],
+    ["--format", "csv", "sweep", "--protocol", "tetra", "--steps", "4"],
+    ["sweep", "--protocol", "tetra", "--steps", "4"],
+    ["--format", "csv", "analytic", "--protocol", "bb84", "--attack", "standard", "--q", "1"],
+    ["analytic", "--protocol", "bb84", "--attack", "standard", "--q", "1"],
+    ["estimate-q", "--protocol", "bb84", "--sift-count", "1", "--total-count", "2"],
+    ["analytic", "--protocol", "trine"],
+]
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once; each call still sees only its own arguments."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_value_leaks_from_one_call_into_the_next(self, capsys):
+        # each command alone, on a freshly built parser, is the reference
+        alone = []
+        for argv in SEQUENCE:
+            cli.build_parser.cache_clear()
+            alone.append(_outcome(argv, capsys))
+        cli.build_parser.cache_clear()
+        in_turn = [_outcome(argv, capsys) for argv in SEQUENCE]
+        assert in_turn == alone
+        assert {code for code, _, _ in in_turn} == {0, 1}
+        assert in_turn[-1] == in_turn[1]
+
+    def test_namespaces_hold_their_own_subcommand(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(["--format", "csv", "simulate", "--protocol", "trine", "--n", "5"])
+        second = parser.parse_args(["estimate-q", "--protocol", "trine", "--sift-count", "1", "--total-count", "2"])
+        assert first.format == "csv" and second.format == "json"
+        assert first.parser.prog == "scqkd simulate" and second.parser.prog == "scqkd estimate-q"
+        assert second.func is cli._cmd_estimate_q
+        assert not {"n", "seed", "attack", "mix", "q", "depolarize"} & set(vars(second))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scqkd.codes import CodeKind
+from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept
 from scqkd.protocol import (
     IDEAL,
     Announcement,
@@ -25,6 +26,16 @@ from scqkd.protocol import (
 
 EXCLUSION = [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]
 BASIS = [ProtocolKind.BB84, ProtocolKind.SIX_STATE]
+
+
+class _FixedUniforms:
+    """A stand-in for the round generator that hands out given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms)
+
+    def random(self, size):
+        return self.uniforms[:size]
 
 
 class TestProtocolKind:
@@ -171,6 +182,17 @@ class TestRunRound:
         run_round(protocol, None, IDEAL, rng1)
         rng2.random(8)
         assert rng1.random() == rng2.random()
+
+    def test_selectable_near_zero_gentle_outcome_is_forwarded(self):
+        # Eve's row on signal 1 is [0.5, 2.5e-16, 0.25, 0.25] in floats, and this
+        # outcome uniform falls in outcome 2's sliver, as the sampler's CDF row has it
+        eve = GentleIntercept(q=1 - 1e-15, mix=EnsembleMix.ALICE_ONLY)
+        uniforms = _FixedUniforms([0.0, 0.0, 0.0, 0.4999999999999999, 0.0, 0.0, 0.0, 0.0])
+        t = run_round(ProtocolKind.BB84, eve, IDEAL, uniforms)
+        assert t.signal_index == 1
+        assert t.eve_record == EveRecord(intercepted=True, ensemble_used="alice", outcome_index=2)
+        # Eve's Kraus image of |0> is |0> itself, so Bob's z outcome is certain
+        assert t.bob_outcome == 1
 
     def test_replayable(self):
         t1 = run_round(ProtocolKind.TRINE, None, IDEAL, np.random.default_rng(5))

@@ -152,6 +152,12 @@ class TestSqrtUpdate:
             # the root of the element 0.5 P + 0.1 I
             validate_state(post_measurement_state(rho, 0.6**0.5 * p + 0.1**0.5 * (I2 - p)))
 
+    def test_tiny_positive_probability_is_conditioned_on(self):
+        # K = 1e-8 P(down) gives |+> the outcome probability 5e-17; the conditional state is |down>
+        plus, down = pure_from_bloch([1, 0, 0]), pure_from_bloch([0, 0, -1])
+        out = post_measurement_state(plus, 1e-8 * down)
+        np.testing.assert_allclose(out, down, atol=1e-12)
+
     def test_zero_probability_rejected(self):
         up = pure_from_bloch([0, 0, 1])
         down = pure_from_bloch([0, 0, -1])
