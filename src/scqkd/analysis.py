@@ -546,14 +546,15 @@ def key_rate(joint: JointDistribution) -> RateReport:
     """Distillable-rate report from a sifted joint distribution.
 
     The exact path's integer pair sums become floats by one correctly rounded
-    int / int each: the float of the pair's Fraction. Those pairs, and the
-    pair sums of a float table, are floats of a table checked when it was
-    built, so they skip mutual_information's checks and conversions; a table
-    given without masses in other numbers takes mutual_information itself.
+    int / int each: the float of the pair's Fraction. A table without masses
+    has its pair sums converted by float(), as mutual_information would.
+    The table was checked when it was built, so its pairs skip
+    mutual_information's checks.
     """
-    floats = joint._masses is not None or all(type(v) is float for v in joint.table.values())
-    info = _mutual_information if floats else mutual_information
-    i_ab, i_ae, i_be = map(info, joint._pairs(operator.truediv))
+    pairs = joint._pairs(operator.truediv)
+    if joint._masses is None:
+        pairs = [{key: float(v) for key, v in pair.items()} for pair in pairs]
+    i_ab, i_ae, i_be = map(_mutual_information, pairs)
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 
@@ -585,11 +586,17 @@ def find_threshold(
       of zero, the ends are pinned at c -+ 1e-9, each widened 4-fold until
       its R clears that band.
     - Replay. The bisection runs again, evaluating R only at midpoints
-      strictly inside (a, b). R decreases in q (the tests pin this on
-      grids), so a midpoint at or below a has R > 2e-10 and one at or above
-      b has R < -2e-10. Neither could have stopped the bisection, which
-      would have moved the same end, so the replay takes its path and
-      returns its float bit for bit; the 1e-10 margin covers R's roundoff.
+      strictly inside (a, b). Where R does not increase in q, a midpoint at
+      or below a has R > 2e-10 and one at or above b has R < -2e-10. Neither
+      could have stopped the bisection, which would have moved the same
+      end, so the replay takes its path and returns its float bit for bit;
+      the 1e-10 margin covers R's roundoff.
+
+    That R does not increase is sampled, not proven: the tests check it on a
+    257-point grid of q for every protocol, family and mix, at rational
+    depolarizing p in [0, 1/3]. Where it fails, the replay still returns a
+    crossing of R inside [a, b], found by the same stop rule, but it may not
+    be the one the plain bisection finds, and nothing flags the difference.
 
     qber_star is the QBER enumerate_joint reports at q_star, which costs one
     more evaluation when the last midpoint was skipped.
