@@ -18,10 +18,12 @@ transcripts set of scripts/sameness.py (300 configurations of 4,096) all
 matched run_round, and the parity tests compare up to 18,000 rounds. A
 table row is +inf from its last nonzero outcome on, so a uniform that
 roundoff leaves past the total mass picks that outcome, as in
-states.sample_outcome, and the inverse CDF is one comparison per outcome.
-The tables of a configuration are built once and cached, keyed on the
-arithmetic of q and p as well as their values. A round's key bits and
-Eve's guess are read from cell_bits, the int8 encoding of
+states.sample_outcome. Its last column is +inf in every row, so the
+inverse CDF gathers and compares only the first n - 1 columns, one column
+at a time, and its int8 labels become the transcript's outcome columns
+with no cast. The tables of a configuration are built once and cached,
+keyed on the arithmetic of q and p as well as their values. A round's key
+bits and Eve's guess are read from cell_bits, the int8 encoding of
 analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
 announcement), in the layout analysis._Stages defines for both paths.
 
@@ -51,6 +53,12 @@ UNIFORMS_PER_ROUND = 8
 _COUNTERS_PER_ROUND = UNIFORMS_PER_ROUND // 4  # Philox counter steps in 4-double blocks
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a bool or a non-Integral value of an integer argument."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One reproducible simulation: protocol, adversary, channel, size, seed."""
@@ -67,9 +75,7 @@ class TrialConfig:
         if not isinstance(self.channel, Channel):
             raise ValueError(f"channel must be a Channel, got {self.channel!r}")
         for name in ("n_rounds", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be positive, got {self.n_rounds}")
         if not 0 <= self.seed < 2**64:
@@ -136,14 +142,20 @@ def _typed_tables(protocol: ProtocolKind, eve, channel: Channel, *types) -> tupl
 
 
 def _sample_rows(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse CDF over the given rows of a _cdf table; returns 1-based labels.
+    """Vectorized inverse CDF over the given rows of a _cdf table; returns int8 1-based labels.
 
     Equivalent to states.sample_outcome: a uniform in [c_{i-1}, c_i) picks
     outcome i (zero-probability outcomes create empty intervals), and since
     a _cdf row is +inf from its last nonzero outcome on, a uniform at or
-    past the total mass picks that outcome.
+    past the total mass picks that outcome. The label starts at 1 and gains
+    u >= c for each of the first n - 1 columns, gathered one column at a
+    time; the last column is +inf in every row, so it is never read.
     """
-    return (u[:, None] >= cum.take(rows, axis=0)).sum(axis=1) + 1
+    u = np.ascontiguousarray(u)  # read once per column; a strided column of a block is copied
+    k = np.ones(rows.shape[0], dtype=np.int8)
+    for column in cum.T[:-1]:
+        k += u >= column.take(rows)
+    return k
 
 
 @dataclass(frozen=True)
@@ -174,14 +186,21 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     docstring). A round reads Bob's row and its bits by Eve's slot, in the
     cell layout of analysis._Stages.
 
+    The kernel carries signal - 1 as an intp index, builds Bob's row from
+    Eve's in one np.where, and samples both with _sample_rows. Its int8
+    labels are bob_outcome itself and, times the interception mask,
+    eve_outcome; no outcome column is cast.
+
     The whole range is materialised at once: its uniform block alone is
     count x 8 doubles (64 bytes per round), so simulate_rounds(config) with
     no count holds n_rounds x 8 doubles. Callers that need only the totals
     should use run_trials, which keeps about one chunk of rounds in flight
     across its threads and keeps counts.
     """
+    _check_integer("start", start)
     if count is None:
         count = config.n_rounds - start
+    _check_integer("count", count)
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
     protocol, eve = config.protocol, config.eve
@@ -189,27 +208,37 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
     u = round_uniforms(config.seed, start, count)
 
-    j = np.minimum((u[:, 0] * n).astype(np.int64), n - 1) + 1
-    if eve is None:
-        side, m = np.zeros(count, dtype=np.int8), np.zeros(count, dtype=np.int64)
-    else:
-        side = (u[:, 2] >= float(_side_weights(eve.mix)[0])).astype(np.int8)
-        m = _sample_rows(eve_cum, side * n + j - 1, u[:, 3])
+    j = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)  # signal - 1
     intercepted = u[:, 1] < float(_attack(eve)[1])  # all True for the gentle attack: u < 1
-    slot = np.where(intercepted, side * n + m, 0)  # 1 + side * n + m-1 if intercepted
-    row = slot * n + j - 1
+    if eve is None:  # intercepted is all False
+        side, m, row = intercepted, np.zeros(count, dtype=np.int8), j
+    else:
+        side = u[:, 2] >= float(_side_weights(eve.mix)[0])
+        touched_row = side * n
+        m = _sample_rows(eve_cum, touched_row + j, u[:, 3])  # Eve's row is side * n + j
+        # Eve's slot is 1 + side * n + m-1 if she intercepted, else 0, and Bob's row is
+        # slot * n + j; built in place, since every temporary is a chunk of intp
+        touched_row += m
+        touched_row *= n
+        touched_row += j
+        row = np.where(intercepted, touched_row, j)
     k = _sample_rows(bob_cum, row, u[:, 4])
 
-    ai = np.minimum((u[:, 5] * n_opts).astype(np.int64), n_opts - 1)
-    cell = (row * n + k - 1) * n_opts + ai
+    ai = np.minimum((u[:, 5] * n_opts).astype(np.intp), n_opts - 1)
+    cell = row * n  # (row * n + k - 1) * n_opts + ai, in place
+    cell += k
+    cell -= 1
+    cell *= n_opts
+    cell += ai
     accepted, alice_bit, bob_bit, eve_bit = _cell_bits(protocol).take(cell, axis=1)
 
+    # the int8 columns masked by arithmetic: np.where on one-byte items is several times slower
     return RoundArrays(
-        signal=j.astype(np.int8),
+        signal=j.astype(np.int8) + np.int8(1),
         intercepted=intercepted,
-        eve_side=np.where(intercepted, side, np.int8(-1)),
-        eve_outcome=np.where(intercepted, m, 0).astype(np.int8),
-        bob_outcome=k.astype(np.int8),
+        eve_side=(side.view(np.int8) + np.int8(1)) * intercepted - np.int8(1),
+        eve_outcome=m * intercepted,
+        bob_outcome=k,
         announce_index=ai.astype(np.int8),
         accepted=accepted.view(bool),
         alice_bit=alice_bit,
@@ -270,11 +299,11 @@ def stats_from_arrays(arrays: RoundArrays) -> SampleStats:
     guessed = acc & (arrays.eve_bit >= 0)
     return SampleStats(
         n_rounds=len(arrays),
-        n_sifted=int(acc.sum()),
-        n_errors=int((acc & (arrays.alice_bit != arrays.bob_bit)).sum()),
-        n_eve_agree_alice=int((guessed & (arrays.eve_bit == arrays.alice_bit)).sum()),
-        n_eve_agree_bob=int((guessed & (arrays.eve_bit == arrays.bob_bit)).sum()),
-        n_eve_abstain=int((acc & ~guessed).sum()),
+        n_sifted=int(np.count_nonzero(acc)),
+        n_errors=int(np.count_nonzero(acc & (arrays.alice_bit != arrays.bob_bit))),
+        n_eve_agree_alice=int(np.count_nonzero(guessed & (arrays.eve_bit == arrays.alice_bit))),
+        n_eve_agree_bob=int(np.count_nonzero(guessed & (arrays.eve_bit == arrays.bob_bit))),
+        n_eve_abstain=int(np.count_nonzero(acc & ~guessed)),
     )
 
 
@@ -297,6 +326,7 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
     the counts are integer sums, so totals are identical for any chunk size
     and thread count.
     """
+    _check_integer("chunk_size", chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     n = config.n_rounds

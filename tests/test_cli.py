@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import scqkd.cli as cli
+from scqkd import montecarlo
 from scqkd.analysis import NoThresholdError, enumerate_joint, find_threshold, key_rate
 from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
 from scqkd.montecarlo import SampleStats
@@ -163,6 +164,17 @@ class TestSimulate:
         )
         for name in ("z_sift", "z_error", "z_eve_agree_alice"):
             assert name in record
+
+    @pytest.mark.parametrize("cpus,n", [(1, 3000), (2, 40_000)])
+    def test_counts_serialise_as_integers(self, capsys, monkeypatch, cpus, n):
+        # a one-chunk serial trial and a pooled one; a numpy count would fail json.dumps
+        argv = ["simulate", "--protocol", "six-state", "--attack", "gentle", "--q", "1/2", "--n", str(n)]
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        code, record, _ = run_json(argv, capsys)
+        assert run_cli(["--format", "csv"] + argv, capsys)[0] == code == 0
+        counts = ("n_rounds", "n_sifted", "n_errors", "n_eve_agree_alice", "n_eve_agree_bob", "n_eve_abstain")
+        assert all(type(record[name]) is int for name in counts)
+        assert record["n_rounds"] == n
 
     def test_byte_identical_repeat(self, capsys):
         _, first, _ = run_cli(self.ARGS, capsys)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -199,6 +200,23 @@ class TestKernelParity:
         with pytest.raises(ValueError):
             simulate_rounds(config, start=5, count=6)
 
+    @pytest.mark.parametrize("start,count,name", [
+        (True, 3, "start"), (0.0, 4, "start"), (F(1), 2, "start"), ("0", 2, "start"),
+        (0, 3.0, "count"), (0, False, "count"), (2, F(3), "count"),
+    ])
+    def test_non_integer_range_rejected(self, start, count, name):
+        # a bool is an Integral, and True would read as round 1
+        config = TrialConfig(protocol=ProtocolKind.TRINE, n_rounds=10)
+        bad = start if name == "start" else count
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {re.escape(repr(bad))}"):
+            simulate_rounds(config, start, count)
+
+    def test_numpy_integer_range_accepted(self):
+        config = TrialConfig(protocol=ProtocolKind.TRINE, n_rounds=10, seed=4)
+        a, b = simulate_rounds(config, np.int64(2), np.uint8(5)), simulate_rounds(config, 2, 5)
+        for f in dataclasses.fields(RoundArrays):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
 
 class TestRoundArrays:
     def test_field_ranges(self):
@@ -251,6 +269,7 @@ class TestSampleStats:
         )
         assert s.sift_rate == 0.75
         assert s.qber == pytest.approx(1 / 3)
+        assert all(type(getattr(s, f.name)) is int for f in dataclasses.fields(SampleStats))
 
     def test_merge_is_componentwise(self):
         a = SampleStats(10, 5, 1, 2, 3, 1)
@@ -284,6 +303,22 @@ class TestRunTrials:
         config = TrialConfig(protocol=ProtocolKind.BB84, n_rounds=10)
         with pytest.raises(ValueError):
             run_trials(config, chunk_size=0)
+
+    @pytest.mark.parametrize("chunk_size", [True, False, 4096.0, 2.5, F(64), "64", None])
+    def test_non_integer_chunk_size_rejected(self, chunk_size):
+        # a bool is an Integral, and True would run 1-round chunks
+        config = TrialConfig(protocol=ProtocolKind.BB84, n_rounds=10)
+        with pytest.raises(ValueError, match=f"chunk_size must be an integer, got {re.escape(repr(chunk_size))}"):
+            run_trials(config, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("cpus,chunk_size", [(1, 1 << 14), (2, 1000), (3, 700)])
+    def test_counts_are_python_ints(self, cpus, chunk_size):
+        # numpy integer counts would fail json.dumps in the CLI's records
+        config = TrialConfig(ProtocolKind.SIX_STATE, GentleIntercept(q=0.5), n_rounds=3000, seed=5)
+        with _cpus(cpus):
+            stats = run_trials(config, chunk_size=chunk_size)
+        assert stats == stats_from_arrays(simulate_rounds(config))
+        assert all(type(getattr(stats, f.name)) is int for f in dataclasses.fields(SampleStats))
 
 
 def _recording(calls, fail_in_workers=None):
@@ -450,6 +485,19 @@ def _scalar_pick(row, u):
     return last
 
 
+def _one_shot_pick(cum, rows, u):
+    """The inverse CDF as one gather of whole rows: the count of row entries at or below u, plus 1."""
+    return (u[:, None] >= cum.take(rows, axis=0)).sum(axis=1) + 1
+
+
+def _edge_uniforms(floats):
+    """Uniforms at every CDF edge of a row, one ulp below each, past the row's mass, 0 and the largest."""
+    edges = [float(c) for c in np.cumsum(floats)]
+    below = [float(np.nextafter(c, 0.0)) for c in edges]
+    past = float(np.nextafter(edges[-1], 2.0))
+    return sorted(u for u in {0.0, *edges, *below, past, float(np.nextafter(1.0, 0.0))} if 0.0 <= u < 1.0)
+
+
 class TestSampleRows:
     """The vectorized inverse CDF at the edges of its intervals, past the mass included."""
 
@@ -474,11 +522,39 @@ class TestSampleRows:
                 if u < 1.0:
                     rows.append(r)
                     us.append(u)
-        picked = _sample_rows(_cdf(self.ROWS, n), np.array(rows), np.array(us))
+        cum, rows, us = _cdf(self.ROWS, n), np.array(rows), np.array(us)
+        picked = _sample_rows(cum, rows, us)
         assert picked.tolist() == [_scalar_pick(floats[r], u) for r, u in zip(rows, us)]
+        np.testing.assert_array_equal(picked, _one_shot_pick(cum, rows, us))
         # the rows whose mass falls short of 1 are drawn from at and past their total
         past = {r for r, u in zip(rows, us) if u >= sum(floats[r]) > 0.0}
         assert past == {2, 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        protocol=st.sampled_from(list(ProtocolKind)),
+        family=st.sampled_from(["none", "standard", "gentle"]),
+        mix=st.sampled_from(list(EnsembleMix)),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=60),
+        p=st.fractions(min_value=0, max_value=1, max_denominator=20),
+    )
+    def test_column_gathers_equal_the_one_shot_gather(self, protocol, family, mix, q, p):
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        n = protocol.n_signals
+        for cum, stage_rows in zip(_tables(protocol, eve, channel), _stages(protocol, eve, channel)):
+            rows, us = [], []
+            for r, row in enumerate(stage_rows):
+                for u in _edge_uniforms([0.0] * n if row is None else [float(x) for x in row]):
+                    rows.append(r)
+                    us.append(u)
+            rows, us = np.array(rows), np.array(us)
+            picked = _sample_rows(cum, rows, us)
+            assert picked.dtype == np.int8 and picked.shape == us.shape
+            assert 1 <= picked.min() and picked.max() <= n
+            np.testing.assert_array_equal(picked, _one_shot_pick(cum, rows, us))
+            # a strided column of a uniform block reads as its contiguous copy
+            block = np.stack([us, 1.0 - us], axis=1)
+            np.testing.assert_array_equal(_sample_rows(cum, rows, block[:, 0]), picked)
 
 
 class TestComparison:

@@ -13,22 +13,28 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_prints_one_digest_per_set():
-    done = subprocess.run(
+@pytest.fixture(scope="module")
+def sameness_run():
+    """One run of the script, shared by the tests of this module."""
+    return subprocess.run(
         [sys.executable, "scripts/sameness.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
     )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+
+
+def test_prints_one_digest_per_set(sameness_run):
+    assert sameness_run.returncode == 0, sameness_run.stderr
+    lines = sameness_run.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["cli", "enumerate_joint", "find_threshold", "transcripts", "estimate", "reference"]
     for line in lines:
         assert re.fullmatch(r"\S+ [0-9a-f]{64} [1-9][0-9]*", line), line
 
 
-def test_outputs_match_the_pinned_digests():
+def test_outputs_match_the_pinned_digests(sameness_run):
     pinned = (ROOT / "tests" / "sameness.txt").read_text().splitlines()
     versions = dict(line.split() for line in pinned[:2])
     here = {"python": platform.python_version(), "numpy": np.__version__}
@@ -37,10 +43,7 @@ def test_outputs_match_the_pinned_digests():
         f"and this is Python {here['python']} with numpy {here['numpy']}: floats may round differently, "
         "so check the outputs on the pinned versions before re-pinning"
     )
-    done = subprocess.run(
-        [sys.executable, "scripts/sameness.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    got, want = done.stdout.splitlines(), pinned[2:]
+    assert sameness_run.returncode == 0, sameness_run.stderr
+    got, want = sameness_run.stdout.splitlines(), pinned[2:]
     moved = [line.split()[0] for line, pin in zip(got, want) if line != pin]
     assert got == want, f"output sets moved: {moved}"
