@@ -8,9 +8,10 @@ and reproducible Monte Carlo cross-checks.
 The package exports what the analysis and the simulation take and give:
 protocols, attacks and channels; the exact joint, its key rate, thresholds
 and the sift-rate estimate of q; and the simulation with its comparison
-against the exact joint. The building blocks (code tables and key-bit
-rules, Eve's POVMs and guess rule, mutual information, the closed-form
-reference curves and the depolarizing-curve loop) are imported from their
+against the exact joint. A protocol is named by its constellation: one
+`ProtocolKind` keys the code tables and the round rules alike. The building
+blocks (code tables and key-bit rules, Eve's POVMs and guess rule, mutual
+information and the closed-form reference curves) are imported from their
 submodules.
 """
 

@@ -40,12 +40,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
+from numbers import Rational, Real
 from typing import NamedTuple
 
 from .codes import bloch_gram
-from .eavesdrop import EveRecord, EnsembleMix, InterceptResend, _SIDES, _attack, _side_weights, _strategy_for, eve_guess
-from .protocol import Channel, IDEAL, ProtocolKind, announcement_options, derive_bits, sift_accept
+from .eavesdrop import EveRecord, EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _strategy_for, eve_guess
+from .protocol import Channel, IDEAL, ProtocolKind, _check_unit, announcement_options, derive_bits, sift_accept
 
 
 class NoThresholdError(RuntimeError):
@@ -252,9 +252,9 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
     _, touched, strength = _attack(eve)
     n = protocol.n_signals
     p = channel.depolarizing
-    gram = bloch_gram(protocol.code_kind)
+    gram = bloch_gram(protocol)
     s = _sqrt(1 - strength * strength)
-    sides = [si for si, w in enumerate(_side_weights(eve.mix)) if w] if touched else []
+    sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
     dual = -1 if protocol.excludes_outcomes else 1
     uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
@@ -300,7 +300,7 @@ def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
     touched = _attack(eve)[1]
     if stages.bob[j - 1] is not None:
         yield 1 - touched, 0
-    for si, ws in enumerate(() if eve is None else _side_weights(eve.mix)):
+    for si, ws in enumerate(() if eve is None else _SIDE_WEIGHTS[eve.mix]):
         for m, p_m in enumerate(stages.eve[si * n + j - 1] or (), 1):
             if not _negligible(p_m):
                 yield touched * ws * p_m, 1 + si * n + m - 1
@@ -695,9 +695,13 @@ def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSi
     failing.
 
     Raises:
-        ValueError: for a protocol whose sifting rate is flat in q (BB84,
-            six-state).
+        ValueError: for a rate that is not a real number in [0, 1], a margin
+            that is not a real number >= 0 (bool and NaN are neither), or a
+            protocol whose sifting rate is flat in q (BB84, six-state).
     """
+    _check_unit(observed_sift, "observed sifting rate")
+    if isinstance(margin, bool) or not isinstance(margin, Real) or not margin >= 0:
+        raise ValueError(f"margin must be a real number >= 0, got {margin!r}")
     lo, hi = _sift_line(protocol)
     slope = 1 / (hi - lo)
     # slope and slope * lo are the exact integers 12 and 6 (or 9 and 3), so a float rate keeps its bits
@@ -712,22 +716,3 @@ def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSi
         )
     q = min(max(raw, 0), 1)
     return QSiftEstimate(q=q, q_raw=raw, in_model=in_model)
-
-
-@dataclass(frozen=True)
-class DepolarizingPoint:
-    p: object
-    p_sift: object
-    qber: object
-
-
-def depolarizing_curves(protocol: ProtocolKind, p_grid) -> list:
-    """Sifting and error rates of an eavesdropper-free depolarizing channel.
-
-    Exact when the grid values are rational (pass Fractions for exact rows).
-    """
-    rows = []
-    for p in p_grid:
-        jd = enumerate_joint(protocol, eve=None, channel=Channel(depolarizing=p))
-        rows.append(DepolarizingPoint(p=p, p_sift=jd.p_sift, qber=jd.qber))
-    return rows

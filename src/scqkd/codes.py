@@ -1,10 +1,11 @@
 """Signal constellations: equiangular spherical codes and basis-pair codes.
 
-A code is an ordered set of n pure-state Bloch vectors with an associated
-measurement weight 2/n, so the subnormalized projectors (2/n)|psi_m><psi_m|
-form a POVM. The trine and tetrahedron have antipodal dual codes used by the
-receiver; BB84 and six-state consist of orthogonal basis pairs and are their
-own antipode set. All public signal indices are 1-based.
+A protocol is its constellation, so `ProtocolKind` names both. A code is an
+ordered set of n pure-state Bloch vectors, and the subnormalized projectors
+(2/n)|psi_m><psi_m| form a POVM. The trine and tetrahedron receivers measure
+the antipodal code (protocol.bob_code); BB84 and six-state consist of
+orthogonal basis pairs and are their own antipode set. All public signal
+indices are 1-based.
 """
 
 from __future__ import annotations
@@ -17,23 +18,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import pure_from_bloch, Povm
+from .states import pure_from_bloch
 
 
-class CodeKind(Enum):
+class ProtocolKind(Enum):
     TRINE = "trine"
-    TETRAHEDRON = "tetrahedron"
+    TETRAHEDRON = "tetra"
     BB84 = "bb84"
     SIX_STATE = "six-state"
+
+    @property
+    def n_signals(self) -> int:
+        return len(make_code(self))
+
+    @property
+    def excludes_outcomes(self) -> bool:
+        """True for the exclusion-sifted codes (trine, tetrahedron)."""
+        return self in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON)
 
 
 @dataclass(frozen=True, eq=False)
 class SphericalCode:
-    """Ordered constellation of unit Bloch vectors with POVM weight 2/n."""
+    """Ordered constellation of unit Bloch vectors."""
 
-    kind: CodeKind
     states: np.ndarray  # shape (n, 3), read-only
-    povm_weight: Fraction
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.float64)
@@ -89,53 +97,33 @@ def _basis_pair_states(bases: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def make_code(kind: CodeKind) -> SphericalCode:
-    """Construct the constellation for `kind` with its exact coordinates."""
-    if kind is CodeKind.TRINE:
+def make_code(protocol: ProtocolKind) -> SphericalCode:
+    """Construct the sender's constellation of `protocol` with its exact coordinates."""
+    if protocol is ProtocolKind.TRINE:
         states = _trine_states()
-    elif kind is CodeKind.TETRAHEDRON:
+    elif protocol is ProtocolKind.TETRAHEDRON:
         states = _tetrahedron_states()
-    elif kind is CodeKind.BB84:
+    elif protocol is ProtocolKind.BB84:
         states = _basis_pair_states("zx")
-    elif kind is CodeKind.SIX_STATE:
+    elif protocol is ProtocolKind.SIX_STATE:
         states = _basis_pair_states("zxy")
     else:
-        raise ValueError(f"unknown code kind: {kind!r}")
-    return SphericalCode(kind=kind, states=states, povm_weight=Fraction(2, len(states)))
+        raise ValueError(f"unknown protocol: {protocol!r}")
+    return SphericalCode(states=states)
 
 
 @lru_cache(maxsize=None)
-def dual_code(kind: CodeKind) -> SphericalCode:
-    """Antipodal code: each dual state is orthogonal to exactly one code state.
-
-    Only defined for the trine and tetrahedron; the basis-pair codes are their
-    own antipode set and take no separate dual.
-    """
-    if kind not in (CodeKind.TRINE, CodeKind.TETRAHEDRON):
-        raise ValueError(f"dual code is not defined for {kind.value}")
-    base = make_code(kind)
-    return SphericalCode(kind=kind, states=-base.states, povm_weight=base.povm_weight)
-
-
-def code_povm(code: SphericalCode) -> Povm:
-    """POVM with elements (2/n)|psi_m><psi_m| over the code's states."""
-    w = float(code.povm_weight)
-    elements = tuple(w * pure_from_bloch(v) for v in code.states)
-    return Povm(elements=elements)
-
-
-@lru_cache(maxsize=None)
-def bloch_gram(kind: CodeKind) -> tuple:
+def bloch_gram(protocol: ProtocolKind) -> tuple:
     """Exact Gram matrix of Bloch-vector dot products, as Fractions.
 
     Equiangular codes have constant off-diagonal overlap (-1/2 for the trine,
     -1/3 for the tetrahedron); basis-pair codes have -1 within a pair and 0
     across pairs.
     """
-    n = len(make_code(kind))
-    if kind is CodeKind.TRINE:
+    n = len(make_code(protocol))
+    if protocol is ProtocolKind.TRINE:
         off = lambda i, j: Fraction(-1, 2)  # noqa: E731
-    elif kind is CodeKind.TETRAHEDRON:
+    elif protocol is ProtocolKind.TETRAHEDRON:
         off = lambda i, j: Fraction(-1, 3)  # noqa: E731
     else:
         off = lambda i, j: Fraction(-1) if j == i ^ 1 else Fraction(0)  # noqa: E731

@@ -28,9 +28,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .codes import SphericalCode, Povm
-from .protocol import Announcement, ProtocolKind, _check_unit, _party_bit, alice_code, bob_code
-from .states import I2, post_measurement_state, pure_from_bloch, sample_outcome
+from .codes import ProtocolKind, SphericalCode, make_code
+from .protocol import Announcement, _check_unit, _party_bit, bob_code
+from .states import I2, Povm, post_measurement_state, pure_from_bloch, sample_outcome
 
 
 class EnsembleMix(Enum):
@@ -83,16 +83,12 @@ NOT_INTERCEPTED = EveRecord(intercepted=False)
 
 
 _SIDES = ("alice", "bob")
+# probabilities (alice, bob) that Eve measures with each side's ensemble
 _SIDE_WEIGHTS = {
     EnsembleMix.ALICE_ONLY: (Fraction(1), Fraction(0)),
     EnsembleMix.BOB_ONLY: (Fraction(0), Fraction(1)),
     EnsembleMix.SYMMETRIC: (Fraction(1, 2), Fraction(1, 2)),
 }
-
-
-def _side_weights(mix: EnsembleMix) -> tuple:
-    """Probabilities (alice, bob) that Eve measures with each side's ensemble."""
-    return _SIDE_WEIGHTS[mix]
 
 
 def _attack(eve) -> tuple:
@@ -131,7 +127,7 @@ def gentle_povm(code: SphericalCode, q) -> Povm:
     """
     _check_unit(q, "attack strength")
     qf, n = float(q), len(code)
-    w = float(code.povm_weight)
+    w = 2 / n
     elements = tuple(
         qf * w * pure_from_bloch(v) + ((1.0 - qf) / n) * I2 for v in code.states
     )
@@ -144,7 +140,7 @@ def measuring_code(protocol: ProtocolKind, side: str) -> SphericalCode:
     Basis-pair codes are their own antipode set, so both sides coincide there.
     """
     if side == "alice":
-        return alice_code(protocol)
+        return make_code(protocol)
     if side == "bob":
         return bob_code(protocol)
     raise ValueError(f"unknown ensemble side: {side!r}")
@@ -184,7 +180,7 @@ def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
     _, touched, strength = _attack(strategy)
     if u_coin >= float(touched):
         return rho, NOT_INTERCEPTED
-    side = _SIDES[u_side >= _side_weights(strategy.mix)[0]]
+    side = _SIDES[u_side >= _SIDE_WEIGHTS[strategy.mix][0]]
     povm = _side_gentle_povm(protocol, side, float(strength))
     m = sample_outcome(rho, povm, u_outcome)
     if strength == 1:

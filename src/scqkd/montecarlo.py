@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .analysis import _sifting, _stages
-from .eavesdrop import _attack, _side_weights
+from .eavesdrop import _SIDE_WEIGHTS, _attack
 from .protocol import Channel, IDEAL, ProtocolKind, announcement_options
 
 UNIFORMS_PER_ROUND = 8
@@ -213,7 +213,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     if eve is None:  # intercepted is all False
         side, m, row = intercepted, np.zeros(count, dtype=np.int8), j
     else:
-        side = u[:, 2] >= float(_side_weights(eve.mix)[0])
+        side = u[:, 2] >= float(_SIDE_WEIGHTS[eve.mix][0])
         touched_row = side * n
         m = _sample_rows(eve_cum, touched_row + j, u[:, 3])  # Eve's row is side * n + j
         # Eve's slot is 1 + side * n + m-1 if she intercepted, else 0, and Bob's row is

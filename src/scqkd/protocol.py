@@ -1,9 +1,9 @@
 """Round structure: signal choice, announcements, sifting, and bit derivation.
 
 The trine and tetrahedron protocols sift by exclusion: Bob measures with the
-dual code and announces outcomes he did not obtain (one index for the trine,
-an ordered pair for the tetrahedron); Alice accepts when her signal is not
-excluded, and each party infers the other's index from the announcement.
+antipodal code and announces outcomes he did not obtain (one index for the
+trine, an ordered pair for the tetrahedron); Alice accepts when her signal is
+not excluded, and each party infers the other's index from the announcement.
 BB84 and six-state sift by basis agreement. Bob always announces, even when
 his outcome already dooms the round.
 """
@@ -11,51 +11,11 @@ his outcome already dooms the round.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 from numbers import Real
 
-from .codes import (
-    CodeKind,
-    SphericalCode,
-    Povm,
-    basis_label,
-    code_povm,
-    dual_code,
-    eigen_bit,
-    make_code,
-    tetra_key_bit,
-    trine_key_bit,
-)
-from .states import depolarize, sample_outcome
-
-
-class ProtocolKind(Enum):
-    TRINE = "trine"
-    TETRAHEDRON = "tetra"
-    BB84 = "bb84"
-    SIX_STATE = "six-state"
-
-    @property
-    def code_kind(self) -> CodeKind:
-        return _CODE_OF[self]
-
-    @property
-    def n_signals(self) -> int:
-        return len(make_code(self.code_kind))
-
-    @property
-    def excludes_outcomes(self) -> bool:
-        """True for the exclusion-sifted codes (trine, tetrahedron)."""
-        return self in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON)
-
-
-_CODE_OF = {
-    ProtocolKind.TRINE: CodeKind.TRINE,
-    ProtocolKind.TETRAHEDRON: CodeKind.TETRAHEDRON,
-    ProtocolKind.BB84: CodeKind.BB84,
-    ProtocolKind.SIX_STATE: CodeKind.SIX_STATE,
-}
+from .codes import ProtocolKind, SphericalCode, basis_label, eigen_bit, make_code, tetra_key_bit, trine_key_bit
+from .states import Povm, depolarize, sample_outcome
 
 
 def _check_unit(value, name: str) -> None:
@@ -110,21 +70,22 @@ class RoundTranscript:
 
 
 @lru_cache(maxsize=None)
-def alice_code(protocol: ProtocolKind) -> SphericalCode:
-    return make_code(protocol.code_kind)
-
-
-@lru_cache(maxsize=None)
 def bob_code(protocol: ProtocolKind) -> SphericalCode:
-    """Bob measures the dual code for exclusion protocols, the code itself otherwise."""
+    """Bob measures the antipodal code for exclusion protocols, the code itself otherwise.
+
+    Each antipodal state is orthogonal to exactly one code state; the
+    basis-pair codes are their own antipode set.
+    """
     if protocol.excludes_outcomes:
-        return dual_code(protocol.code_kind)
-    return make_code(protocol.code_kind)
+        return SphericalCode(states=-make_code(protocol).states)
+    return make_code(protocol)
 
 
 @lru_cache(maxsize=None)
 def bob_povm(protocol: ProtocolKind) -> Povm:
-    return code_povm(bob_code(protocol))
+    from .eavesdrop import gentle_povm  # cycle: protocol <-> eavesdrop
+
+    return gentle_povm(bob_code(protocol), 1)
 
 
 def alice_pick(protocol: ProtocolKind, u: float) -> int:
@@ -254,11 +215,11 @@ def run_round(protocol: ProtocolKind, eve, channel: Channel, rng) -> RoundTransc
         RoundTranscript; rejected rounds still record signal, outcome and
         announcement but carry no key bits.
     """
-    from .eavesdrop import intercept_with_uniforms  # cycle: strategies need codes
+    from .eavesdrop import intercept_with_uniforms  # cycle: protocol <-> eavesdrop
 
     u = rng.random(8)
     j = alice_pick(protocol, u[0])
-    rho = alice_code(protocol).state(j)
+    rho = make_code(protocol).state(j)
     rho, record = intercept_with_uniforms(eve, protocol, rho, u[1], u[2], u[3])
     rho = depolarize(rho, channel.depolarizing)
     k = sample_outcome(rho, bob_povm(protocol), u[4])

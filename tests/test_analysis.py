@@ -12,7 +12,6 @@ from scqkd.analysis import (
     JointDistribution,
     _corners,
     _negligible,
-    _side_weights,
     _sift_line,
     _sifting,
     _stages,
@@ -21,7 +20,6 @@ from scqkd.analysis import (
     AnalyticCurves,
     NoThresholdError,
     analytic_curves,
-    depolarizing_curves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -33,12 +31,14 @@ from scqkd.eavesdrop import (
     GentleIntercept,
     InterceptResend,
     _SIDES,
+    _SIDE_WEIGHTS,
     _attack,
     _gentle_kraus,
     _side_gentle_povm,
     measuring_code,
 )
-from scqkd.protocol import Channel, ProtocolKind, alice_code, announcement_options, bob_povm
+from scqkd.codes import make_code
+from scqkd.protocol import Channel, ProtocolKind, announcement_options, bob_povm
 from scqkd.states import born_probability, depolarize, post_measurement_state
 
 ALL = list(ProtocolKind)
@@ -141,7 +141,7 @@ def _fraction_weight_joint(protocol, eve, channel):
     stages, sifting = _stages(protocol, eve, channel), _sifting(protocol)
     table = {}
     for j in range(1, n + 1):
-        for side, ws in enumerate(_side_weights(eve.mix)):
+        for side, ws in enumerate(_SIDE_WEIGHTS[eve.mix]):
             if not ws:
                 continue
             for m, p_m in enumerate(stages.eve[side * n + j - 1], 1):
@@ -223,7 +223,7 @@ def _born_stages(protocol, eve, channel):
     """
     _, touched, strength = _attack(eve)
     n = protocol.n_signals
-    sides = [si for si, w in enumerate(_side_weights(eve.mix)) if w] if touched else []
+    sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
 
     def bob_row(rho):
@@ -231,7 +231,7 @@ def _born_stages(protocol, eve, channel):
         return [born_probability(rho, e) for e in bob_povm(protocol).elements]
 
     for j in range(1, n + 1):
-        rho = alice_code(protocol).state(j)
+        rho = make_code(protocol).state(j)
         if touched != 1:
             bob_rows[j - 1] = bob_row(rho)
         for si in sides:
@@ -297,11 +297,11 @@ class TestStages:
         n = protocol.n_signals
         gram = _stages(protocol, GentleIntercept(q, mix), Channel())
         for si, side in enumerate(_SIDES):
-            if not _side_weights(mix)[si]:
+            if not _SIDE_WEIGHTS[mix][si]:
                 continue
             povm = _side_gentle_povm(protocol, side, q)
             for j in range(1, n + 1):
-                rho = alice_code(protocol).state(j)
+                rho = make_code(protocol).state(j)
                 for m, element in enumerate(povm.elements, 1):
                     p_m, exact_m = born_probability(rho, element), gram.eve[si * n + j - 1][m - 1]
                     if p_m == 0.0:  # no state to condition on: the branch's mass is p_m
@@ -343,9 +343,12 @@ class TestDepolarizing:
     @pytest.mark.parametrize("protocol", ALL)
     def test_rows_helper(self, protocol):
         grid = [F(i, 4) for i in range(5)]
-        rows = depolarizing_curves(protocol, grid)
-        assert [r.p for r in rows] == grid
-        qbers = [r.qber for r in rows]
+        rows = []
+        for p in grid:
+            jd = enumerate_joint(protocol, eve=None, channel=Channel(depolarizing=p))
+            rows.append((p, jd.p_sift, jd.qber))
+        assert [p for p, _, _ in rows] == grid
+        qbers = [qber for _, _, qber in rows]
         assert qbers == sorted(qbers)
         assert qbers[-1] == F(1, 2)
 
@@ -724,6 +727,17 @@ class TestSiftInversion:
             est = estimate_q_from_sift(ProtocolKind.TRINE, F(3, 5), margin=F(1, 20))
         assert est.q == 1  # raw 6/5 clamped
         assert est.in_model
+
+    @pytest.mark.parametrize("rate", [math.nan, -0.1, F(11, 10), True, "0.55", None])
+    def test_rejects_a_rate_that_is_not_a_real_number_in_the_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="observed sifting rate must"):
+            estimate_q_from_sift(ProtocolKind.TRINE, rate)
+
+    # 0.55 lies inside the trine band [1/2, 7/12]; a negative or NaN margin would flag it
+    @pytest.mark.parametrize("margin", [-0.1, math.nan, True, "0.1", None])
+    def test_rejects_a_margin_that_is_not_a_real_number_at_least_zero(self, margin):
+        with pytest.raises(ValueError, match="margin must be a real number >= 0"):
+            estimate_q_from_sift(ProtocolKind.TRINE, 0.55, margin=margin)
 
     def test_basis_protocols_rejected(self):
         with pytest.raises(ValueError):

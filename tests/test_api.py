@@ -1,14 +1,21 @@
 """The public API: the exact names `scqkd` exports, so it cannot grow silently.
 
 The package exports the inputs and answers of the analysis and the
-simulation; the building blocks are imported from their submodules.
+simulation; the building blocks are imported from their submodules. Every
+name the benchmark under bench/ reads must resolve too.
 """
 
+import ast
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 import scqkd
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 PUBLIC = [
     "Channel",
@@ -40,8 +47,8 @@ PUBLIC = [
 
 # building blocks that are not exported, by the submodule that defines them
 SUBMODULE_ONLY = {
-    "analysis": ["AnalyticCurves", "DepolarizingPoint", "analytic_curves", "depolarizing_curves", "mutual_information"],
-    "codes": ["CodeKind", "SphericalCode", "dual_code", "make_code", "tetra_key_bit", "trine_key_bit"],
+    "analysis": ["AnalyticCurves", "analytic_curves", "mutual_information"],
+    "codes": ["SphericalCode", "make_code", "tetra_key_bit", "trine_key_bit"],
     "eavesdrop": ["EveRecord", "eve_guess", "gentle_povm"],
     "protocol": ["Announcement"],
 }
@@ -64,3 +71,25 @@ def test_building_blocks_resolve_from_their_submodules(module, name):
     obj = getattr(importlib.import_module(f"scqkd.{module}"), name)
     assert (obj.__module__, obj.__qualname__) == (f"scqkd.{module}", name)
     assert name not in scqkd.__all__ and name not in vars(scqkd)
+
+
+def _load_bench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_finds_every_name_it_reads(monkeypatch):
+    # the benchmark's files are fixed, so a name it reads must not go missing from the package
+    for module, attr, _ in _load_bench("tracing", monkeypatch).TARGETS:
+        assert hasattr(importlib.import_module(f"scqkd.{module}"), attr), (module, attr)
+    workloads = _load_bench("workloads", monkeypatch)  # its imports resolve, ProtocolKind among them
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = getattr(workloads, node.value.id, None)
+            if getattr(module, "__name__", "").startswith("scqkd."):
+                assert hasattr(module, node.attr), (node.value.id, node.attr)
+    assert callable(scqkd.eavesdrop._side_gentle_povm.cache_info)
+    assert scqkd.protocol.ProtocolKind is scqkd.ProtocolKind

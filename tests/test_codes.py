@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from scqkd.codes import (
-    CodeKind,
+    ProtocolKind,
     basis_label,
     bloch_gram,
-    code_povm,
-    dual_code,
     eigen_bit,
     levi_civita_3,
     levi_civita_4,
@@ -18,21 +16,22 @@ from scqkd.codes import (
     tetra_key_bit,
     trine_key_bit,
 )
+from scqkd.eavesdrop import gentle_povm
+from scqkd.protocol import bob_code
 
-ALL_KINDS = list(CodeKind)
+ALL_KINDS = list(ProtocolKind)
 
 
 class TestMakeCode:
     @pytest.mark.parametrize("kind,n", [
-        (CodeKind.TRINE, 3),
-        (CodeKind.TETRAHEDRON, 4),
-        (CodeKind.BB84, 4),
-        (CodeKind.SIX_STATE, 6),
+        (ProtocolKind.TRINE, 3),
+        (ProtocolKind.TETRAHEDRON, 4),
+        (ProtocolKind.BB84, 4),
+        (ProtocolKind.SIX_STATE, 6),
     ])
     def test_sizes(self, kind, n):
         code = make_code(kind)
         assert len(code) == n
-        assert code.povm_weight == Fraction(2, n)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_unit_vectors(self, kind):
@@ -40,23 +39,23 @@ class TestMakeCode:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_trine_coplanar_and_balanced(self):
-        states = make_code(CodeKind.TRINE).states
+        states = make_code(ProtocolKind.TRINE).states
         np.testing.assert_allclose(states[:, 1], 0.0, atol=1e-15)  # x-z plane
         np.testing.assert_allclose(states.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(states[0], [0, 0, 1], atol=1e-15)
 
     def test_tetrahedron_balanced(self):
-        states = make_code(CodeKind.TETRAHEDRON).states
+        states = make_code(ProtocolKind.TETRAHEDRON).states
         np.testing.assert_allclose(states.sum(axis=0), 0.0, atol=1e-12)
 
     def test_basis_pair_order(self):
-        bb84 = make_code(CodeKind.BB84).states
+        bb84 = make_code(ProtocolKind.BB84).states
         np.testing.assert_allclose(bb84, [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0]])
-        six = make_code(CodeKind.SIX_STATE).states
+        six = make_code(ProtocolKind.SIX_STATE).states
         np.testing.assert_allclose(six[4:], [[0, 1, 0], [0, -1, 0]])
 
     def test_indexing_one_based(self):
-        code = make_code(CodeKind.TRINE)
+        code = make_code(ProtocolKind.TRINE)
         np.testing.assert_allclose(code.bloch(1), [0, 0, 1])
         with pytest.raises(ValueError):
             code.bloch(0)
@@ -64,43 +63,30 @@ class TestMakeCode:
             code.bloch(4)
 
 
-class TestDualCode:
-    @pytest.mark.parametrize("kind", [CodeKind.TRINE, CodeKind.TETRAHEDRON])
-    def test_antipodal(self, kind):
-        code, dual = make_code(kind), dual_code(kind)
-        np.testing.assert_allclose(dual.states, -code.states)
-
-    @pytest.mark.parametrize("kind", [CodeKind.BB84, CodeKind.SIX_STATE])
-    def test_rejected_for_basis_pairs(self, kind):
-        # antipodes already belong to the code; a separate dual is a mistake
-        with pytest.raises(ValueError):
-            dual_code(kind)
-
-
 class TestCodePovm:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_complete(self, kind):
-        code_povm(make_code(kind)).validate()
+        gentle_povm(make_code(kind), 1).validate()
 
-    @pytest.mark.parametrize("kind", [CodeKind.TRINE, CodeKind.TETRAHEDRON])
+    @pytest.mark.parametrize("kind", [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON])
     def test_dual_complete(self, kind):
-        code_povm(dual_code(kind)).validate()
+        gentle_povm(bob_code(kind), 1).validate()
 
 
 class TestBlochGram:
     def test_trine_equiangular(self):
-        g = bloch_gram(CodeKind.TRINE)
+        g = bloch_gram(ProtocolKind.TRINE)
         for i in range(3):
             for j in range(3):
                 assert g[i][j] == (1 if i == j else Fraction(-1, 2))
 
     def test_tetrahedron_equiangular(self):
-        g = bloch_gram(CodeKind.TETRAHEDRON)
+        g = bloch_gram(ProtocolKind.TETRAHEDRON)
         for i in range(4):
             for j in range(4):
                 assert g[i][j] == (1 if i == j else Fraction(-1, 3))
 
-    @pytest.mark.parametrize("kind,n", [(CodeKind.BB84, 4), (CodeKind.SIX_STATE, 6)])
+    @pytest.mark.parametrize("kind,n", [(ProtocolKind.BB84, 4), (ProtocolKind.SIX_STATE, 6)])
     def test_basis_pairs(self, kind, n):
         g = bloch_gram(kind)
         for i in range(n):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scqkd.analysis import _stages, find_threshold
-from scqkd.codes import basis_label, code_povm, eigen_bit, make_code
+from scqkd.codes import basis_label, eigen_bit, make_code
 from scqkd.eavesdrop import (
     EnsembleMix,
     EveRecord,
@@ -20,8 +20,8 @@ from scqkd.eavesdrop import (
     intercept_with_uniforms,
     measuring_code,
 )
-from scqkd.protocol import IDEAL, ProtocolKind, alice_code, announcement_options
-from scqkd.states import I2, born_probability
+from scqkd.protocol import IDEAL, ProtocolKind, announcement_options
+from scqkd.states import I2, born_probability, pure_from_bloch
 
 ALL = list(ProtocolKind)
 EXCLUSION = [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]
@@ -61,29 +61,28 @@ class TestGentlePovm:
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.77, 1.0])
     @pytest.mark.parametrize("protocol", ALL)
     def test_complete(self, protocol, q):
-        gentle_povm(alice_code(protocol), q).validate()
+        gentle_povm(make_code(protocol), q).validate()
 
     @pytest.mark.parametrize("q", ["0.5", True, None, 1.5])
     def test_strength_checked(self, q):
         with pytest.raises(ValueError, match="attack strength must"):
-            gentle_povm(alice_code(ProtocolKind.TRINE), q)
+            gentle_povm(make_code(ProtocolKind.TRINE), q)
 
     def test_full_strength_is_code_povm(self):
-        code = make_code(ProtocolKind.TRINE.code_kind)
+        code = make_code(ProtocolKind.TRINE)
         full = gentle_povm(code, 1.0)
-        ref = code_povm(code)
-        for a, b in zip(full.elements, ref.elements):
-            np.testing.assert_allclose(a, np.asarray(b, dtype=complex), atol=1e-15)
+        for a, v in zip(full.elements, code.states):
+            np.testing.assert_allclose(a, (2 / 3) * pure_from_bloch(v), atol=1e-15)
 
     def test_zero_strength_is_uninformative(self):
-        code = make_code(ProtocolKind.TRINE.code_kind)
+        code = make_code(ProtocolKind.TRINE)
         for e in gentle_povm(code, 0.0).elements:
             np.testing.assert_allclose(e, I2 / 3, atol=1e-15)
 
 
 class TestInterceptResendAction:
     def test_coin_zero_never_intercepts(self):
-        rho = alice_code(ProtocolKind.TRINE).state(1)
+        rho = make_code(ProtocolKind.TRINE).state(1)
         out, rec = intercept_with_uniforms(
             InterceptResend(q=0), ProtocolKind.TRINE, rho, 0.0, 0.3, 0.3
         )
@@ -91,21 +90,21 @@ class TestInterceptResendAction:
         assert out is rho
 
     def test_coin_one_always_intercepts(self):
-        rho = alice_code(ProtocolKind.TRINE).state(1)
+        rho = make_code(ProtocolKind.TRINE).state(1)
         _, rec = intercept_with_uniforms(
             InterceptResend(q=1), ProtocolKind.TRINE, rho, 0.999999, 0.3, 0.3
         )
         assert rec.intercepted
 
     def test_no_strategy_passes_through(self):
-        rho = alice_code(ProtocolKind.TRINE).state(2)
+        rho = make_code(ProtocolKind.TRINE).state(2)
         out, rec = intercept_with_uniforms(None, ProtocolKind.TRINE, rho, 0.1, 0.2, 0.3)
         assert out is rho and rec is None
 
     @pytest.mark.parametrize("protocol", ALL)
     def test_resends_measured_ensemble_state(self, protocol):
         strategy = InterceptResend(q=1, mix=EnsembleMix.BOB_ONLY)
-        rho = alice_code(protocol).state(1)
+        rho = make_code(protocol).state(1)
         out, rec = intercept_with_uniforms(strategy, protocol, rho, 0.0, 0.9, 0.0)
         assert rec.ensemble_used == "bob"
         expected = measuring_code(protocol, "bob").state(rec.outcome_index)
@@ -113,7 +112,7 @@ class TestInterceptResendAction:
 
     def test_symmetric_mix_side_coin(self):
         strategy = InterceptResend(q=1)
-        rho = alice_code(ProtocolKind.TRINE).state(1)
+        rho = make_code(ProtocolKind.TRINE).state(1)
         _, rec_a = intercept_with_uniforms(strategy, ProtocolKind.TRINE, rho, 0.0, 0.49, 0.0)
         _, rec_b = intercept_with_uniforms(strategy, ProtocolKind.TRINE, rho, 0.0, 0.5, 0.0)
         assert rec_a.ensemble_used == "alice"
@@ -122,14 +121,14 @@ class TestInterceptResendAction:
 
 class TestGentleAction:
     def test_always_touches(self):
-        rho = alice_code(ProtocolKind.BB84).state(1)
+        rho = make_code(ProtocolKind.BB84).state(1)
         _, rec = intercept_with_uniforms(
             GentleIntercept(q=0.5), ProtocolKind.BB84, rho, 0.99, 0.2, 0.4
         )
         assert rec.intercepted
 
     def test_zero_strength_forwards_unchanged(self):
-        rho = alice_code(ProtocolKind.TRINE).state(3)
+        rho = make_code(ProtocolKind.TRINE).state(3)
         out, _ = intercept_with_uniforms(
             GentleIntercept(q=0.0), ProtocolKind.TRINE, rho, 0.5, 0.2, 0.6
         )
@@ -140,7 +139,7 @@ class TestGentleAction:
         grid = itertools.product(ALL, EnsembleMix, (0.2, 0.7), [i / 10 for i in range(10)])
         for protocol, mix, u_side, u_outcome in grid:
             for j in range(1, protocol.n_signals + 1):
-                rho = alice_code(protocol).state(j)
+                rho = make_code(protocol).state(j)
                 out, rec = intercept_with_uniforms(
                     GentleIntercept(q=1.0, mix=mix), protocol, rho, 0.5, u_side, u_outcome
                 )
@@ -206,10 +205,10 @@ class TestEveOutcomeProbability:
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_standard_normalized_and_matches_born(self, protocol, side):
         rows = _stages(protocol, InterceptResend(q=Fraction(1)), IDEAL).eve
-        povm = code_povm(measuring_code(protocol, side))
+        povm = gentle_povm(measuring_code(protocol, side), 1)
         n = protocol.n_signals
         for j in range(1, n + 1):
-            rho = alice_code(protocol).state(j)
+            rho = make_code(protocol).state(j)
             row = rows[_SIDES.index(side) * n + j - 1]
             for m, p in enumerate(row, 1):
                 assert abs(float(p) - born_probability(rho, povm.elements[m - 1])) < 1e-12
@@ -224,7 +223,7 @@ class TestEveOutcomeProbability:
         povm = _side_gentle_povm(protocol, "bob", float(q))
         n = protocol.n_signals
         for j in range(1, n + 1):
-            rho = alice_code(protocol).state(j)
+            rho = make_code(protocol).state(j)
             row = rows[n + j - 1]
             for m, p in enumerate(row, 1):
                 assert abs(float(p) - born_probability(rho, povm.elements[m - 1])) < 1e-12

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scqkd.codes import CodeKind
+from scqkd.codes import make_code
 from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept
 from scqkd.protocol import (
     IDEAL,
     Announcement,
     Channel,
     ProtocolKind,
-    alice_code,
     alice_pick,
     announcement_options,
     bob_announce,
@@ -48,20 +47,16 @@ class TestProtocolKind:
         assert not ProtocolKind.BB84.excludes_outcomes
         assert not ProtocolKind.SIX_STATE.excludes_outcomes
 
-    def test_code_kinds(self):
-        assert ProtocolKind.TRINE.code_kind is CodeKind.TRINE
-        assert ProtocolKind.BB84.code_kind is CodeKind.BB84
-
     @pytest.mark.parametrize("protocol", EXCLUSION)
     def test_bob_measures_dual(self, protocol):
         np.testing.assert_allclose(
-            bob_code(protocol).states, -alice_code(protocol).states
+            bob_code(protocol).states, -make_code(protocol).states
         )
 
     @pytest.mark.parametrize("protocol", BASIS)
     def test_bob_measures_same_constellation(self, protocol):
         np.testing.assert_allclose(
-            bob_code(protocol).states, alice_code(protocol).states
+            bob_code(protocol).states, make_code(protocol).states
         )
 
 
