@@ -43,9 +43,9 @@ from functools import lru_cache
 from numbers import Rational, Real
 from typing import NamedTuple
 
-from .codes import bloch_gram
+from .codes import _gram_ids
 from .eavesdrop import EveRecord, EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _strategy_for, eve_guess
-from .protocol import Channel, IDEAL, ProtocolKind, _check_unit, announcement_options, derive_bits, sift_accept
+from .protocol import Channel, IDEAL, ProtocolKind, _check_config, _check_unit, announcement_options, derive_bits, sift_accept
 
 
 class NoThresholdError(RuntimeError):
@@ -248,41 +248,66 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
     are Fractions when q, p and s are rational (as at every corner node), and
     floats otherwise. The walk reads them as they are, and the sampler reads
     their floats.
+
+    Each distinct entry is computed once per call. Eve's entry and the two
+    coefficients of b depend only on the side's sign and the Gram value
+    behind g, and Bob's entry k only on those and the Gram values
+    a_m . a_k and a_j . a_k, while a code's Gram matrix holds at most three
+    values: six-state takes 3 Eve evaluations instead of 72, and at most 36
+    Bob entries instead of up to 468. The memos are keyed on the Gram ids of
+    codes._gram_ids and on the branch that made the coefficients (signal
+    j's own row, or Eve's sign and g), never on computed values: Fraction(0)
+    == 0.0 and 1 == 1.0 hash alike, so a value key would hand an exact entry
+    to a float row (a float strength 0 forwards (0.0, 1.0) where signal j's
+    own row has (0, 1)). Every entry is evaluated with the expression and
+    operands of a plain loop over (j, side, m, k), so the rows, their None
+    layout and the rows they share are the same to the last bit.
     """
     _, touched, strength = _attack(eve)
     n = protocol.n_signals
     p = channel.depolarizing
-    gram = bloch_gram(protocol)
+    values, ids = _gram_ids(protocol)
     s = _sqrt(1 - strength * strength)
     sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
     dual = -1 if protocol.excludes_outcomes else 1
     uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
+    # memos keyed on Gram ids, never on values: Fraction(0) == 0.0 would hand a float row an exact entry
+    eves, coefs, entries = {}, {"direct": (contrast * 0, contrast * 1)}, {}
 
-    def gram_row(c_m, m, c_j, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
-        c_m, c_j = contrast * c_m, contrast * c_j
-        return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
+    def gram_row(key, m, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
+        c_m, c_j = coefs[key]  # contrast times the two coefficients
+        row = []
+        for x, y in zip(ids[m - 1], ids[j - 1]):
+            if (key, x, y) not in entries:
+                entries[key, x, y] = uniform + c_m * values[x] + c_j * values[y]
+            row.append(entries[key, x, y])
+        return row
 
     for j in range(1, n + 1):
-        direct = gram_row(0, j, 1, j)  # Bob's row for a_j itself
+        direct = gram_row("direct", j, j)  # Bob's row for a_j itself
         if touched != 1:
             bob_rows[j - 1] = direct
         for si in sides:
             sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             eve_row = eve_rows[si * n + j - 1] = []
             for m in range(1, n + 1):
-                g = sign * gram[m - 1][j - 1]
-                d = 1 + strength * g
-                eve_row.append(d * uniform)
+                key = sign, ids[m - 1][j - 1]  # g = u . a_j is the sign times a Gram value
+                if key not in eves:
+                    g = sign * values[key[1]]
+                    d = 1 + strength * g  # > 0 wherever s != 0
+                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
+                    eves[key], coefs[key] = (d * uniform, g * g == 1), (contrast * (sign * c_u), contrast * c_j)
+                p_m, unit = eves[key]
+                eve_row.append(p_m)
                 at = (1 + si * n + m - 1) * n + j - 1
                 if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
                     bob_rows[at] = bob_rows[at - j + 1]
-                elif s != 0 and g * g == 1:  # u = ±a_j, and she forwards a_j itself
+                elif s != 0 and unit:  # u = ±a_j, and she forwards a_j itself
                     bob_rows[at] = direct
                 else:
-                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
-                    bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
+                    bob_rows[at] = gram_row(key, m, j)
     return _Stages(eve_rows, bob_rows)
 
 
@@ -417,7 +442,12 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
 
     Returns:
         JointDistribution with p_sift and the conditional p(a, b, e) table.
+
+    Raises:
+        ValueError: for a protocol that is not a ProtocolKind, a channel that
+            is not a Channel, or an unknown eavesdropping strategy.
     """
+    _check_config(protocol, channel)
     family, touched, strength = _attack(eve)
     q = strength if family == "gentle" else touched
     keys, scale, tables = _corners(protocol, family, None if eve is None else eve.mix)
@@ -550,7 +580,12 @@ def key_rate(joint: JointDistribution) -> RateReport:
     has its pair sums converted by float(), as mutual_information would.
     The table was checked when it was built, so its pairs skip
     mutual_information's checks.
+
+    Raises:
+        ValueError: for anything that is not a JointDistribution.
     """
+    if not isinstance(joint, JointDistribution):
+        raise ValueError(f"joint must be a JointDistribution, got {joint!r}")
     pairs = joint._pairs(operator.truediv)
     if joint._masses is None:
         pairs = [{key: float(v) for key, v in pair.items()} for pair in pairs]
@@ -609,8 +644,11 @@ def find_threshold(
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
-        ValueError: for an attack family other than standard or gentle.
+        ValueError: for an attack family other than standard or gentle, a
+            protocol that is not a ProtocolKind or a channel that is not a
+            Channel.
     """
+    _check_config(protocol, channel)
     if attack_family not in ("standard", "gentle"):
         raise ValueError(f"unknown attack family: {attack_family!r} (expected standard or gentle)")
     misses = _corners.cache_info().misses
@@ -697,8 +735,10 @@ def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSi
     Raises:
         ValueError: for a rate that is not a real number in [0, 1], a margin
             that is not a real number >= 0 (bool and NaN are neither), or a
-            protocol whose sifting rate is flat in q (BB84, six-state).
+            protocol whose sifting rate is flat in q (BB84, six-state), or a
+            protocol that is not a ProtocolKind.
     """
+    _check_config(protocol)
     _check_unit(observed_sift, "observed sifting rate")
     if isinstance(margin, bool) or not isinstance(margin, Real) or not margin >= 0:
         raise ValueError(f"margin must be a real number >= 0, got {margin!r}")

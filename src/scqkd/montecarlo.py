@@ -22,7 +22,10 @@ states.sample_outcome. Its last column is +inf in every row, so the
 inverse CDF gathers and compares only the first n - 1 columns, one column
 at a time, and its int8 labels become the transcript's outcome columns
 with no cast. The tables of a configuration are built once and cached,
-keyed on the arithmetic of q and p as well as their values. A round's key
+keyed on the arithmetic of q and p as well as their values. A cold build
+reads analysis._stages, which computes each distinct entry of the rows
+once and shares it by identity, and _cdf floats each distinct entry once.
+A round's key
 bits and Eve's guess are read from cell_bits, the int8 encoding of
 analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
 announcement), in the layout analysis._Stages defines for both paths.
@@ -47,7 +50,7 @@ from numpy.random import Generator, Philox
 
 from .analysis import _sifting, _stages
 from .eavesdrop import _SIDE_WEIGHTS, _attack
-from .protocol import Channel, IDEAL, ProtocolKind, announcement_options
+from .protocol import Channel, IDEAL, ProtocolKind, _check_config, announcement_options
 
 UNIFORMS_PER_ROUND = 8
 _COUNTERS_PER_ROUND = UNIFORMS_PER_ROUND // 4  # Philox counter steps in 4-double blocks
@@ -70,10 +73,7 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.protocol, ProtocolKind):
-            raise ValueError(f"protocol must be a ProtocolKind, got {self.protocol!r}")
-        if not isinstance(self.channel, Channel):
-            raise ValueError(f"channel must be a Channel, got {self.channel!r}")
+        _check_config(self.protocol, self.channel)
         for name in ("n_rounds", "seed"):
             _check_integer(name, getattr(self, name))
         if self.n_rounds < 1:
@@ -107,7 +107,10 @@ def _cdf(rows: list, n: int) -> np.ndarray:
     inf] and always gives outcome n; the kernel never uses an outcome drawn
     from it (Eve's rows at q = 0 are drawn from, then masked).
     """
-    probs = np.array([[0.0] * n if row is None else row for row in rows], dtype=float)
+    # _stages gives an entry one object wherever it recurs, so each distinct entry is converted once
+    floats = {id(e): e for row in rows if row is not None for e in row}
+    floats = {key: float(e) for key, e in floats.items()}
+    probs = np.array([[0.0] * n if row is None else [floats[id(e)] for e in row] for row in rows], dtype=float)
     last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
     cum = np.where(np.arange(n) >= last_nonzero[:, None], np.inf, np.cumsum(probs, axis=1))
     cum.flags.writeable = False  # shared by every caller of _tables

@@ -40,6 +40,14 @@ class Channel:
 IDEAL = Channel()
 
 
+def _check_config(protocol, channel: Channel = IDEAL) -> None:
+    """Reject a protocol that is not a ProtocolKind or a channel that is not a Channel."""
+    if not isinstance(protocol, ProtocolKind):
+        raise ValueError(f"protocol must be a ProtocolKind, got {protocol!r}")
+    if not isinstance(channel, Channel):
+        raise ValueError(f"channel must be a Channel, got {channel!r}")
+
+
 @dataclass(frozen=True)
 class Announcement:
     """Public sifting message.

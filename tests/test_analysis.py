@@ -1,13 +1,14 @@
 """Tests for exact enumeration, closed forms, information rates, thresholds."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scqkd import analysis
+from scqkd import analysis, montecarlo
 from scqkd.analysis import (
     JointDistribution,
     _corners,
@@ -37,7 +38,7 @@ from scqkd.eavesdrop import (
     _side_gentle_povm,
     measuring_code,
 )
-from scqkd.codes import make_code
+from scqkd.codes import bloch_gram, make_code
 from scqkd.protocol import Channel, ProtocolKind, announcement_options, bob_povm
 from scqkd.states import born_probability, depolarize, post_measurement_state
 
@@ -325,6 +326,119 @@ class TestStages:
     def test_unknown_strategy_rejected(self, protocol):
         with pytest.raises(ValueError):
             enumerate_joint(protocol, object())
+
+
+def _reference_stages(protocol, eve, channel):
+    """_stages as one plain loop with no memo: every entry evaluated where it is used.
+
+    The reference the memoised _stages must equal entry by entry: same
+    types, same values to the last bit, same None layout and the same rows
+    shared by identity.
+    """
+    _, touched, strength = _attack(eve)
+    n = protocol.n_signals
+    p = channel.depolarizing
+    gram = bloch_gram(protocol)
+    s = analysis._sqrt(1 - strength * strength)
+    sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
+    # under exclusion sifting Bob measures the dual, antipodal to Alice's states
+    dual = -1 if protocol.excludes_outcomes else 1
+    uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
+    eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
+
+    def gram_row(c_m, m, c_j, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
+        c_m, c_j = contrast * c_m, contrast * c_j
+        return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
+
+    for j in range(1, n + 1):
+        direct = gram_row(0, j, 1, j)  # Bob's row for a_j itself
+        if touched != 1:
+            bob_rows[j - 1] = direct
+        for si in sides:
+            sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
+            eve_row = eve_rows[si * n + j - 1] = []
+            for m in range(1, n + 1):
+                g = sign * gram[m - 1][j - 1]
+                d = 1 + strength * g
+                eve_row.append(d * uniform)
+                at = (1 + si * n + m - 1) * n + j - 1
+                if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
+                    bob_rows[at] = bob_rows[at - j + 1]
+                elif s != 0 and g * g == 1:  # u = ±a_j, and she forwards a_j itself
+                    bob_rows[at] = direct
+                else:
+                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
+                    bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
+    return analysis._Stages(eve_rows, bob_rows)
+
+
+def _bits(v):
+    """An entry's type and exact value: a float by its hex digits, a numpy scalar by its bytes."""
+    return type(v), v.hex() if isinstance(v, float) else v.tobytes() if isinstance(v, np.generic) else v
+
+
+def _layout(rows):
+    """Per row: None, or the index of the first row that is the same list object."""
+    return [None if row is None else next(i for i, other in enumerate(rows) if other is row) for row in rows]
+
+
+# every arithmetic q and p can come in: small-denominator Fractions, the
+# rational-s strengths 3/5 and 4/5 and the irrational-s 3/7, floats with
+# 1 - q down to 1e-15, and numpy float64, float32 and int64 scalars
+_ANY_ARITHMETIC = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.sampled_from([F(3, 5), F(4, 5), F(3, 7), 0.0, 1.0, 1 - 2**-52, 1 - 2**-53]),
+    st.integers(min_value=1, max_value=15).map(lambda k: 1 - 10.0**-k),
+    st.floats(min_value=0, max_value=1),
+    st.floats(min_value=0, max_value=1).map(np.float64),
+    st.floats(min_value=0, max_value=1).map(np.float32),
+    st.integers(min_value=0, max_value=1).map(np.int64),
+)
+
+
+class TestMemoisedStages:
+    """_stages computes each distinct entry once and still gives the plain loop's rows, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=_ANY_ARITHMETIC, p=_ANY_ARITHMETIC)
+    # a float strength 0 forwards (0.0, 1.0) a_m + a_j: equal to the signal's own (0, 1), in other arithmetic
+    @example(protocol=ProtocolKind.TRINE, family="gentle", mix=EnsembleMix.SYMMETRIC, q=0.0, p=F(1, 10))
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.ALICE_ONLY, q=0.0, p=F(1, 10))
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.BOB_ONLY, q=F(0), p=0.0)
+    def test_rows_are_the_plain_loops(self, protocol, family, mix, q, p):
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        got, want = _stages(protocol, eve, channel), _reference_stages(protocol, eve, channel)
+        for got_rows, want_rows in zip(got, want):
+            assert _layout(got_rows) == _layout(want_rows)
+            for a, b in zip(got_rows, want_rows):
+                if b is not None:
+                    assert [_bits(v) for v in a] == [_bits(v) for v in b]
+
+    @pytest.mark.parametrize("q,p", [
+        (F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
+        (np.float32(0.6), np.int64(0)), (np.float64(0.3), np.float32(0.25)),
+    ])
+    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_sampler_tables_are_those_of_the_plain_loop(self, protocol, family, q, p):
+        eve, channel = _strategy_for(family, q, EnsembleMix.SYMMETRIC), Channel(depolarizing=p)
+        n = protocol.n_signals
+        types = map(type, (*_attack(eve)[1:], p))
+        got = montecarlo._typed_tables(protocol, eve, channel, *types)
+        for table, rows in zip(got, _reference_stages(protocol, eve, channel)):
+            assert table.dtype == np.float64 and not table.flags.writeable
+            assert np.array_equal(table, montecarlo._cdf(rows, n))
+
+    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_corners_are_those_of_the_plain_loop(self, monkeypatch, protocol, family):
+        for mix in [None] if family == "none" else list(EnsembleMix):
+            _corners.cache_clear()
+            got = _corners(protocol, family, mix)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_stages", _reference_stages)
+                assert got == _corners.__wrapped__(protocol, family, mix)
 
 
 class TestDepolarizing:
@@ -768,6 +882,42 @@ class TestSiftInversion:
         lo, hi = _sift_line(protocol)
         assert (lo, hi) == (curves.p_sift(0), curves.p_sift(1))
         assert all(type(v) is F for v in (lo, hi))
+
+
+class TestEntryPointsCheckTheirArguments:
+    """A protocol that is not a ProtocolKind, or a channel that is not a Channel, is rejected before any cache is read."""
+
+    NOT_A_PROTOCOL = "protocol must be a ProtocolKind, got 'trine'"
+    NOT_A_CHANNEL = "channel must be a Channel, got 0.1"
+
+    @staticmethod
+    def _rejected(call, message, cache):
+        before = cache.cache_info()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+        after = cache.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_enumerate_joint_rejects_a_protocol_name(self):
+        self._rejected(lambda: enumerate_joint("trine"), self.NOT_A_PROTOCOL, _corners)
+
+    def test_find_threshold_rejects_a_protocol_name(self):
+        self._rejected(lambda: find_threshold("trine", "standard"), self.NOT_A_PROTOCOL, _corners)
+
+    def test_estimate_q_from_sift_rejects_a_protocol_name(self):
+        self._rejected(lambda: estimate_q_from_sift("trine", 0.55), self.NOT_A_PROTOCOL, _sift_line)
+
+    def test_enumerate_joint_rejects_a_bare_strength_for_a_channel(self):
+        self._rejected(lambda: enumerate_joint(ProtocolKind.TRINE, None, 0.1), self.NOT_A_CHANNEL, _corners)
+
+    def test_find_threshold_rejects_a_bare_strength_for_a_channel(self):
+        call = lambda: find_threshold(ProtocolKind.TRINE, "standard", channel=0.1)  # noqa: E731
+        self._rejected(call, self.NOT_A_CHANNEL, _corners)
+
+    def test_key_rate_rejects_a_table_that_is_not_a_joint_distribution(self):
+        table = dict(enumerate_joint(ProtocolKind.TRINE).table)
+        with pytest.raises(ValueError, match="joint must be a JointDistribution, got {"):
+            key_rate(table)
 
 
 class TestJointDistributionValidation:
