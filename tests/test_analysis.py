@@ -885,7 +885,7 @@ class TestSiftInversion:
 
 
 class TestEntryPointsCheckTheirArguments:
-    """A protocol that is not a ProtocolKind, or a channel that is not a Channel, is rejected before any cache is read."""
+    """A protocol or channel of the wrong type is rejected before any cache is read."""
 
     NOT_A_PROTOCOL = "protocol must be a ProtocolKind, got 'trine'"
     NOT_A_CHANNEL = "channel must be a Channel, got 0.1"
