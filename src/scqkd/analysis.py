@@ -3,12 +3,15 @@
 The central object is the joint distribution p(a, b, e) of Alice's bit, Bob's
 bit, and Eve's guess (0, 1, or None for abstention) conditioned on successful
 sifting. A round is one model, built by `_stages`: Eve's outcome rows per
-(ensemble side, signal) and Bob's outcome rows per (Eve's slot, signal). A
-cell of the round is Bob's row extended by his outcome and the announcement,
-and `_sifting`, cached per protocol, is the one table of what every cell sifts
-to. `_walk` exhaustively enumerates every branch of a round over these rows
-and projects its masses through `_sifting`; montecarlo samples the floats of
-the same rows and reads the same table by the same cell index. Every row is
+(ensemble side, signal) and Bob's outcome rows per (Eve's slot, signal),
+which depend only on the protocol, Eve's measurement strength and the
+depolarizing strength; the share of signals she touches and the mix only
+weight the branches. A cell of the round is Bob's row extended by his
+outcome and the announcement, and `_sifting`, cached per protocol, is the
+one table of what every cell sifts to. `_walk` exhaustively enumerates
+every branch of a round over these rows and projects its masses through
+`_sifting`; montecarlo samples the floats of the same rows and reads the
+same table by the same cell index. Every row is
 read off the exact Bloch Gram matrix, the same way for every attack family,
 so the rows are exact Fractions whenever the inputs are rational: q, the
 depolarizing strength and, for the gentle attack, sqrt(1 - q^2). Nothing
@@ -45,7 +48,8 @@ from typing import NamedTuple
 
 from .codes import _gram_ids
 from .eavesdrop import EveRecord, EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _strategy_for, eve_guess
-from .protocol import Channel, IDEAL, ProtocolKind, _check_config, _check_unit, announcement_options, derive_bits, sift_accept
+from .protocol import (Channel, IDEAL, ProtocolKind, _check_config, _check_instance, _check_unit,
+                       announcement_options, derive_bits, sift_accept)
 
 
 class NoThresholdError(RuntimeError):
@@ -196,7 +200,7 @@ def _negligible(p) -> bool:
 
 
 class _Stages(NamedTuple):
-    """Outcome rows of a round's two measurements; None marks a row the round never reaches.
+    """Outcome rows of a round's two measurements, every slot and both sides.
 
     eve[side * n + j-1][m-1] is the probability that Eve, measuring with the
     side's ensemble (0 alice, 1 bob), sees outcome m on signal j. Bob's rows
@@ -206,13 +210,9 @@ class _Stages(NamedTuple):
     saw outcome m on a side. At full measurement strength a slot forwards
     Eve's state m whatever j was, so its n rows are one shared list; below
     it, a slot whose state is +-a_j forwards a_j and shares signal j's
-    undisturbed row (slot 0's, where slot 0 is reached). A cell of the round
-    is Bob's row extended by his outcome and the announcement index ai:
-    (row * n + k-1) * n_opts + ai, the index of `_sifting` and of the
-    sampler's cell_bits. Slot 0 is None
-    where Eve measures every signal (gentle, or intercept/resend at q = 1);
-    Eve's rows and slots are None on a side the mix never picks, and
-    everywhere when she measures no signal.
+    undisturbed row (slot 0's). A cell of the round is Bob's row extended by
+    his outcome and the announcement index ai: (row * n + k-1) * n_opts + ai,
+    the index of `_sifting` and of the sampler's cell_bits.
     """
 
     eve: list
@@ -228,14 +228,16 @@ def _sqrt(x):
     return math.sqrt(x)
 
 
-def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
-    """Eve's and Bob's outcome rows of one configuration, for the branches a round reaches.
+def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
+    """Every row of a round, both sides and every slot, at Eve's strength q and depolarizing p.
 
-    The configuration is read through eavesdrop._attack: Eve measures a share
-    `touched` of the signals with measurement strength q (intercept/resend is
-    (q, 1), the gentle attack (1, q)). One loop over (signal j, side, Eve's
-    outcome m) reads every row off the exact Bloch Gram matrix. Eve's outcome
-    m has Bloch vector u (Alice's a_m, or -a_m on Bob's side under exclusion
+    The share of signals Eve touches and the mix only weight the branches
+    (`_branches`), so the rows depend on the strength alone: intercept/resend
+    at any share and no eavesdropper both measure at strength 1
+    (eavesdrop._attack) and read the same rows, and a gentle strength's rows
+    serve every mix. One loop over (signal j, side, Eve's outcome m) reads
+    every row off the exact Bloch Gram matrix. Eve's outcome m has Bloch
+    vector u (Alice's a_m, or -a_m on Bob's side under exclusion
     sifting) and probability (1 + q g)/n, where g = u . a_j. She forwards the
     Bloch vector b = ((q + g - s g) u + s a_j) / (1 + q g), with
     s = sqrt(1 - q^2): a_j at q = 0, and u wherever s = 0, so a full-strength
@@ -260,15 +262,12 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
     == 0.0 and 1 == 1.0 hash alike, so a value key would hand an exact entry
     to a float row (a float strength 0 forwards (0.0, 1.0) where signal j's
     own row has (0, 1)). Every entry is evaluated with the expression and
-    operands of a plain loop over (j, side, m, k), so the rows, their None
-    layout and the rows they share are the same to the last bit.
+    operands of a plain loop over (j, side, m, k), so the rows and the rows
+    they share are the same to the last bit.
     """
-    _, touched, strength = _attack(eve)
     n = protocol.n_signals
-    p = channel.depolarizing
     values, ids = _gram_ids(protocol)
     s = _sqrt(1 - strength * strength)
-    sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
     dual = -1 if protocol.excludes_outcomes else 1
     uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
@@ -286,10 +285,8 @@ def _stages(protocol: ProtocolKind, eve, channel: Channel) -> _Stages:
         return row
 
     for j in range(1, n + 1):
-        direct = gram_row("direct", j, j)  # Bob's row for a_j itself
-        if touched != 1:
-            bob_rows[j - 1] = direct
-        for si in sides:
+        direct = bob_rows[j - 1] = gram_row("direct", j, j)  # Bob's row for a_j itself
+        for si in (0, 1):
             sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             eve_row = eve_rows[si * n + j - 1] = []
             for m in range(1, n + 1):
@@ -317,16 +314,16 @@ def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
     Slot 0, the round Eve leaves alone, has weight 1 - touched, and her
     outcome m on a side has weight touched * w_side * p_m, with touched the
     share of signals she measures (eavesdrop._attack) and w_side the mix's
-    weight of the side. The stages say which slots a round reaches: a slot
-    whose rows are None (and Eve's outcomes on a side whose row is None) is
-    never taken.
+    weight of the side. A branch of weight zero is never taken: slot 0 where
+    Eve measures every signal, a side the mix never picks, every side when
+    she measures none, and an outcome of negligible p_m.
     """
     n = protocol.n_signals
     touched = _attack(eve)[1]
-    if stages.bob[j - 1] is not None:
+    if touched != 1:
         yield 1 - touched, 0
-    for si, ws in enumerate(() if eve is None else _SIDE_WEIGHTS[eve.mix]):
-        for m, p_m in enumerate(stages.eve[si * n + j - 1] or (), 1):
+    for si, ws in enumerate(_SIDE_WEIGHTS[eve.mix] if touched else ()):
+        for m, p_m in enumerate(stages.eve[si * n + j - 1] if ws else (), 1):
             if not _negligible(p_m):
                 yield touched * ws * p_m, 1 + si * n + m - 1
 
@@ -370,7 +367,7 @@ def _walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
     w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
-    stages = _stages(protocol, eve, channel)
+    stages = _stages(protocol, _attack(eve)[2], channel.depolarizing)
     sifting = _sifting(protocol)
     table: dict = {}
     total_mass = 0
@@ -584,8 +581,7 @@ def key_rate(joint: JointDistribution) -> RateReport:
     Raises:
         ValueError: for anything that is not a JointDistribution.
     """
-    if not isinstance(joint, JointDistribution):
-        raise ValueError(f"joint must be a JointDistribution, got {joint!r}")
+    _check_instance("joint", joint, JointDistribution)
     pairs = joint._pairs(operator.truediv)
     if joint._masses is None:
         pairs = [{key: float(v) for key, v in pair.items()} for pair in pairs]

@@ -21,14 +21,16 @@ roundoff leaves past the total mass picks that outcome, as in
 states.sample_outcome. Its last column is +inf in every row, so the
 inverse CDF gathers and compares only the first n - 1 columns, one column
 at a time, and its int8 labels become the transcript's outcome columns
-with no cast. The tables of a configuration are built once and cached,
-keyed on the arithmetic of q and p as well as their values. A cold build
-reads analysis._stages, which computes each distinct entry of the rows
-once and shares it by identity, and _cdf floats each distinct entry once.
-A round's key
-bits and Eve's guess are read from cell_bits, the int8 encoding of
-analysis._sifting, at the round's cell (Eve's slot, signal, Bob's outcome,
-announcement), in the layout analysis._Stages defines for both paths.
+with no cast. The tables are built once per (protocol, Eve's measurement
+strength, p) and cached, keyed on the arithmetic of the strength and p as
+well as their values: no eavesdropper and intercept/resend at every share
+and mix read one table, and a gentle strength's table serves every mix. A
+cold build reads analysis._stages, which computes each distinct entry of
+the rows once and shares it by identity, and _cdf floats each distinct
+entry once. A round's key bits and Eve's guess are read from cell_bits,
+the int8 encoding of analysis._sifting, at the round's cell (Eve's slot,
+signal, Bob's outcome, announcement), in the layout analysis._Stages
+defines for both paths.
 
 run_trials keeps about one chunk of rounds in flight. It splits a trial of
 several chunks over min(CPUs in the affinity mask, chunks) threads, a
@@ -48,9 +50,9 @@ from numbers import Integral
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analysis import _sifting, _stages
+from .analysis import JointDistribution, _sifting, _stages
 from .eavesdrop import _SIDE_WEIGHTS, _attack
-from .protocol import Channel, IDEAL, ProtocolKind, _check_config, announcement_options
+from .protocol import Channel, IDEAL, ProtocolKind, _check_config, _check_instance, announcement_options
 
 UNIFORMS_PER_ROUND = 8
 _COUNTERS_PER_ROUND = UNIFORMS_PER_ROUND // 4  # Philox counter steps in 4-double blocks
@@ -74,6 +76,7 @@ class TrialConfig:
 
     def __post_init__(self):
         _check_config(self.protocol, self.channel)
+        _attack(self.eve)  # rejects an unknown strategy
         for name in ("n_rounds", "seed"):
             _check_integer(name, getattr(self, name))
         if self.n_rounds < 1:
@@ -103,14 +106,13 @@ def _cdf(rows: list, n: int) -> np.ndarray:
     CDF reads a row the way the scalar sampler reads its own. The last
     nonzero outcome's interval reaches past the total mass, which is
     sample_outcome's fallback for a uniform that roundoff leaves at or past
-    the total. A left-out row (None) reads as zeros, so it reads [0, ..., 0,
-    inf] and always gives outcome n; the kernel never uses an outcome drawn
-    from it (Eve's rows at q = 0 are drawn from, then masked).
+    the total. Eve's rows are drawn from on every round, so on a round she
+    did not touch her outcome comes from a real row and is then masked.
     """
     # _stages gives an entry one object wherever it recurs, so each distinct entry is converted once
-    floats = {id(e): e for row in rows if row is not None for e in row}
+    floats = {id(e): e for row in rows for e in row}
     floats = {key: float(e) for key, e in floats.items()}
-    probs = np.array([[0.0] * n if row is None else [floats[id(e)] for e in row] for row in rows], dtype=float)
+    probs = np.array([[floats[id(e)] for e in row] for row in rows], dtype=float)
     last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
     cum = np.where(np.arange(n) >= last_nonzero[:, None], np.inf, np.cumsum(probs, axis=1))
     cum.flags.writeable = False  # shared by every caller of _tables
@@ -126,22 +128,17 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
     return cell_bits
 
 
-def _tables(protocol: ProtocolKind, eve, channel: Channel) -> tuple:
-    """The read-only CDF tables (Eve's, Bob's) of a configuration, built once and cached.
+@lru_cache(maxsize=16, typed=True)
+def _tables(protocol: ProtocolKind, strength, p) -> tuple:
+    """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once and cached.
 
     Each is the _cdf of analysis._stages' Gram rows, one row per (Eve's
     slot, signal) as laid out there, so a round's row is one take. The
-    cache is keyed on the types of q and p as well, since equal values in
-    other arithmetic give other floats: Channel(Fraction(1, 2)) equals
-    Channel(0.5), and its exact rows need not round to the float build's.
+    cache is typed, since equal values in other arithmetic give other
+    floats: Fraction(1, 2) equals 0.5, and its exact rows need not round to
+    the float build's.
     """
-    return _typed_tables(protocol, eve, channel, *map(type, (*_attack(eve)[1:], channel.depolarizing)))
-
-
-@lru_cache(maxsize=16)
-def _typed_tables(protocol: ProtocolKind, eve, channel: Channel, *types) -> tuple:
-    # types is read by the cache key only
-    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, eve, channel))
+    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, strength, p))
 
 
 def _sample_rows(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -200,6 +197,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     should use run_trials, which keeps about one chunk of rounds in flight
     across its threads and keeps counts.
     """
+    _check_instance("config", config, TrialConfig)
     _check_integer("start", start)
     if count is None:
         count = config.n_rounds - start
@@ -207,7 +205,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
     protocol, eve = config.protocol, config.eve
-    eve_cum, bob_cum = _tables(protocol, eve, config.channel)
+    eve_cum, bob_cum = _tables(protocol, _attack(eve)[2], config.channel.depolarizing)
     n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
     u = round_uniforms(config.seed, start, count)
 
@@ -329,6 +327,7 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
     the counts are integer sums, so totals are identical for any chunk size
     and thread count.
     """
+    _check_instance("config", config, TrialConfig)
     _check_integer("chunk_size", chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -351,7 +350,8 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
     # importing concurrent.futures costs milliseconds; only pooled trials pay it
     from concurrent.futures import ThreadPoolExecutor
 
-    _tables(config.protocol, config.eve, config.channel)  # built once, before the threads share it
+    # built once, before the threads share it
+    _tables(config.protocol, _attack(config.eve)[2], config.channel.depolarizing)
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(part, w) for w in range(1, workers)]
         total = part(0)
@@ -403,6 +403,8 @@ def compare_to_oracle(stats: SampleStats, joint) -> ComparisonReport:
     are binomial over the sifted rounds. A zero-variance counter scores 0
     on exact agreement and infinity otherwise.
     """
+    _check_instance("stats", stats, SampleStats)
+    _check_instance("joint", joint, JointDistribution)
     entries = (
         ZScore("sift", stats.n_sifted, stats.n_rounds, float(joint.p_sift)),
         ZScore("error", stats.n_errors, stats.n_sifted, float(joint.qber)),

@@ -40,12 +40,16 @@ class Channel:
 IDEAL = Channel()
 
 
+def _check_instance(name: str, value, cls: type) -> None:
+    """Reject an argument that is not an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _check_config(protocol, channel: Channel = IDEAL) -> None:
     """Reject a protocol that is not a ProtocolKind or a channel that is not a Channel."""
-    if not isinstance(protocol, ProtocolKind):
-        raise ValueError(f"protocol must be a ProtocolKind, got {protocol!r}")
-    if not isinstance(channel, Channel):
-        raise ValueError(f"channel must be a Channel, got {channel!r}")
+    _check_instance("protocol", protocol, ProtocolKind)
+    _check_instance("channel", channel, Channel)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,11 @@ def _sym(q):
     return InterceptResend(q=q, mix=EnsembleMix.SYMMETRIC)
 
 
+def _stages_of(protocol, eve, channel):
+    """The rows _walk reads for a configuration: _stages at Eve's strength and the channel's p."""
+    return _stages(protocol, _attack(eve)[2], channel.depolarizing)
+
+
 class TestEnumerateNoEve:
     @pytest.mark.parametrize("protocol,sift", [
         (ProtocolKind.TRINE, F(1, 2)),
@@ -139,7 +144,7 @@ def _fraction_weight_joint(protocol, eve, channel):
     """_walk's gentle walk over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts."""
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
-    stages, sifting = _stages(protocol, eve, channel), _sifting(protocol)
+    stages, sifting = _stages_of(protocol, eve, channel), _sifting(protocol)
     table = {}
     for j in range(1, n + 1):
         for side, ws in enumerate(_SIDE_WEIGHTS[eve.mix]):
@@ -213,29 +218,25 @@ _STRENGTH = st.fractions(min_value=0, max_value=1, max_denominator=60)
 _SOLVE_NOISE = st.fractions(min_value=0, max_value=F(1, 3), max_denominator=200)
 
 
-def _born_stages(protocol, eve, channel):
+def _born_stages(protocol, strength, p):
     """(eve, bob) rows laid out as in _stages, from run_round's matrix Born primitives.
 
     Eve's row is the Born distribution of her strength-q POVM on Alice's
     state j; Bob's is that of his POVM on the depolarized state she forwards:
     her measured state at full strength, else the update by her outcome's
-    Kraus operator. Rows
-    that _stages leaves out are None here too.
+    Kraus operator. Every slot and both sides are built, as in _stages.
     """
-    _, touched, strength = _attack(eve)
     n = protocol.n_signals
-    sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
 
     def bob_row(rho):
-        rho = depolarize(rho, channel.depolarizing)
+        rho = depolarize(rho, p)
         return [born_probability(rho, e) for e in bob_povm(protocol).elements]
 
     for j in range(1, n + 1):
         rho = make_code(protocol).state(j)
-        if touched != 1:
-            bob_rows[j - 1] = bob_row(rho)
-        for si in sides:
+        bob_rows[j - 1] = bob_row(rho)
+        for si in (0, 1):
             side = _SIDES[si]
             povm = _side_gentle_povm(protocol, side, float(strength))
             eve_rows[si * n + j - 1] = [born_probability(rho, e) for e in povm.elements]
@@ -258,34 +259,48 @@ class TestStages:
         if family == "gentle":
             q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        gram = _stages(protocol, eve, channel)
-        born_eve, born_bob = _born_stages(protocol, eve, channel)
+        gram = _stages_of(protocol, eve, channel)
+        born_eve, born_bob = _born_stages(protocol, _attack(eve)[2], p)
         for exact_rows, float_rows in ((gram.eve, born_eve), (gram.bob, born_bob)):
-            assert [row is None for row in exact_rows] == [row is None for row in float_rows]
+            assert len(exact_rows) == len(float_rows)
             for exact, approx in zip(exact_rows, float_rows):
-                if exact is None:
-                    continue
                 assert sum(exact) == 1 and all(type(e) is F for e in exact)
                 assert all(abs(e - b) <= 1e-12 for e, b in zip(exact, approx))
 
+    @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(1), 0.0, 0.6, 1.0])
     @pytest.mark.parametrize("protocol", ALL)
-    def test_unreachable_rows_are_left_out(self, protocol):
+    def test_every_row_is_built(self, protocol, strength):
+        # the share Eve touches and the mix only weight the branches: no row is left out
         n = protocol.n_signals
-        untouched = _stages(protocol, _sym(F(0)), Channel())
-        assert untouched.eve == [None] * (2 * n)
-        assert None not in untouched.bob[:n] and untouched.bob[n:] == [None] * (2 * n * n)
-        full = _stages(protocol, _sym(F(1)), Channel())
-        assert None not in full.eve and None not in full.bob[n:] and full.bob[:n] == [None] * n
+        stages = _stages(protocol, strength, F(1, 10))
+        assert len(stages.eve) == 2 * n and len(stages.bob) == (2 * n + 1) * n
+        for row in stages.eve + stages.bob:
+            assert len(row) == n and abs(sum(row) - 1) <= 1e-15
+
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_branches_of_zero_weight_are_not_taken(self, protocol):
+        # slot 0 only where Eve leaves signals alone, a side only where she touches signals
+        # and the mix picks it, though every row is built
+        n = protocol.n_signals
+        alice, bob = set(range(1, n + 1)), set(range(n + 1, 2 * n + 1))
+
+        def slots(eve):
+            stages = _stages_of(protocol, eve, Channel())
+            return {slot for j in range(1, n + 1) for _, slot in analysis._branches(protocol, eve, stages, j)}
+
+        assert slots(None) == slots(_sym(F(0))) == slots(_sym(0.0)) == {0}
+        assert slots(_sym(F(1, 2))) == {0} | alice | bob
+        assert slots(_sym(F(1))) == slots(GentleIntercept(F(3, 5))) == alice | bob
+        assert slots(InterceptResend(1.0, EnsembleMix.ALICE_ONLY)) == alice
+        assert slots(GentleIntercept(F(0), EnsembleMix.BOB_ONLY)) == bob
 
     @pytest.mark.parametrize("p", [F(0), 0.05, F(1, 7)])
     @pytest.mark.parametrize("q", [1 - 1e-9, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53])
     @pytest.mark.parametrize("mix", list(EnsembleMix))
     @pytest.mark.parametrize("protocol", ALL)
     def test_float_gentle_rows_near_full_strength_are_clean(self, protocol, mix, q, p):
-        stages = _stages(protocol, GentleIntercept(q, mix), Channel(depolarizing=p))
+        stages = _stages_of(protocol, GentleIntercept(q, mix), Channel(depolarizing=p))
         for row in stages.eve + stages.bob:
-            if row is None:
-                continue
             floats = [float(e) for e in row]
             assert min(floats) >= 0, row
             assert abs(sum(floats) - 1) <= 4.5e-16, row
@@ -296,7 +311,7 @@ class TestStages:
     def test_gentle_branch_masses_near_full_strength(self, protocol, mix, q):
         # run_round's Born rule and Kraus update give every branch (j, side, m, k) the Gram rows' mass
         n = protocol.n_signals
-        gram = _stages(protocol, GentleIntercept(q, mix), Channel())
+        gram = _stages_of(protocol, GentleIntercept(q, mix), Channel())
         for si, side in enumerate(_SIDES):
             if not _SIDE_WEIGHTS[mix][si]:
                 continue
@@ -328,19 +343,16 @@ class TestStages:
             enumerate_joint(protocol, object())
 
 
-def _reference_stages(protocol, eve, channel):
+def _reference_stages(protocol, strength, p):
     """_stages as one plain loop with no memo: every entry evaluated where it is used.
 
     The reference the memoised _stages must equal entry by entry: same
-    types, same values to the last bit, same None layout and the same rows
-    shared by identity.
+    types, same values to the last bit, every slot and both sides, and the
+    same rows shared by identity.
     """
-    _, touched, strength = _attack(eve)
     n = protocol.n_signals
-    p = channel.depolarizing
     gram = bloch_gram(protocol)
     s = analysis._sqrt(1 - strength * strength)
-    sides = [si for si, w in enumerate(_SIDE_WEIGHTS[eve.mix]) if w] if touched else []
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
     dual = -1 if protocol.excludes_outcomes else 1
     uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
@@ -351,10 +363,8 @@ def _reference_stages(protocol, eve, channel):
         return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
 
     for j in range(1, n + 1):
-        direct = gram_row(0, j, 1, j)  # Bob's row for a_j itself
-        if touched != 1:
-            bob_rows[j - 1] = direct
-        for si in sides:
+        direct = bob_rows[j - 1] = gram_row(0, j, 1, j)  # Bob's row for a_j itself
+        for si in (0, 1):
             sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             eve_row = eve_rows[si * n + j - 1] = []
             for m in range(1, n + 1):
@@ -378,8 +388,8 @@ def _bits(v):
 
 
 def _layout(rows):
-    """Per row: None, or the index of the first row that is the same list object."""
-    return [None if row is None else next(i for i, other in enumerate(rows) if other is row) for row in rows]
+    """Per row: the index of the first row that is the same list object."""
+    return [next(i for i, other in enumerate(rows) if other is row) for row in rows]
 
 
 # every arithmetic q and p can come in: small-denominator Fractions, the
@@ -408,12 +418,11 @@ class TestMemoisedStages:
     @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.BOB_ONLY, q=F(0), p=0.0)
     def test_rows_are_the_plain_loops(self, protocol, family, mix, q, p):
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        got, want = _stages(protocol, eve, channel), _reference_stages(protocol, eve, channel)
+        got, want = _stages_of(protocol, eve, channel), _reference_stages(protocol, _attack(eve)[2], p)
         for got_rows, want_rows in zip(got, want):
             assert _layout(got_rows) == _layout(want_rows)
             for a, b in zip(got_rows, want_rows):
-                if b is not None:
-                    assert [_bits(v) for v in a] == [_bits(v) for v in b]
+                assert [_bits(v) for v in a] == [_bits(v) for v in b]
 
     @pytest.mark.parametrize("q,p", [
         (F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
@@ -422,11 +431,10 @@ class TestMemoisedStages:
     @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
     def test_sampler_tables_are_those_of_the_plain_loop(self, protocol, family, q, p):
-        eve, channel = _strategy_for(family, q, EnsembleMix.SYMMETRIC), Channel(depolarizing=p)
+        strength = _attack(_strategy_for(family, q, EnsembleMix.SYMMETRIC))[2]
         n = protocol.n_signals
-        types = map(type, (*_attack(eve)[1:], p))
-        got = montecarlo._typed_tables(protocol, eve, channel, *types)
-        for table, rows in zip(got, _reference_stages(protocol, eve, channel)):
+        got = montecarlo._tables(protocol, strength, p)
+        for table, rows in zip(got, _reference_stages(protocol, strength, p)):
             assert table.dtype == np.float64 and not table.flags.writeable
             assert np.array_equal(table, montecarlo._cdf(rows, n))
 

@@ -15,12 +15,13 @@ from scqkd.eavesdrop import (
     InterceptResend,
     NOT_INTERCEPTED,
     _SIDES,
+    _attack,
     eve_guess,
     gentle_povm,
     intercept_with_uniforms,
     measuring_code,
 )
-from scqkd.protocol import IDEAL, ProtocolKind, announcement_options
+from scqkd.protocol import ProtocolKind, announcement_options
 from scqkd.states import I2, born_probability, pure_from_bloch
 
 ALL = list(ProtocolKind)
@@ -204,7 +205,7 @@ class TestEveOutcomeProbability:
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_standard_normalized_and_matches_born(self, protocol, side):
-        rows = _stages(protocol, InterceptResend(q=Fraction(1)), IDEAL).eve
+        rows = _stages(protocol, 1, 0).eve  # intercept/resend measures at full strength
         povm = gentle_povm(measuring_code(protocol, side), 1)
         n = protocol.n_signals
         for j in range(1, n + 1):
@@ -219,7 +220,7 @@ class TestEveOutcomeProbability:
     def test_gentle_normalized_and_matches_born(self, protocol, q):
         from scqkd.eavesdrop import _side_gentle_povm
 
-        rows = _stages(protocol, GentleIntercept(q=q, mix=EnsembleMix.BOB_ONLY), IDEAL).eve
+        rows = _stages(protocol, q, 0).eve
         povm = _side_gentle_povm(protocol, "bob", float(q))
         n = protocol.n_signals
         for j in range(1, n + 1):
@@ -264,7 +265,7 @@ class TestGuessRuleIsPosteriorOptimal:
                 return derive_bits(protocol, j, k, ann)[0]
             return eigen_bit(j)
 
-        eve_rows = _stages(protocol, strategy, IDEAL).eve
+        eve_rows = _stages(protocol, _attack(strategy)[2], 0).eve
         weights = {}
         for j in candidates:
             w = eve_rows[_SIDES.index(side) * n + j - 1][m - 1]

@@ -16,7 +16,7 @@ from numpy.random import Generator, Philox
 
 from scqkd import montecarlo
 from scqkd.analysis import _sifting, _stages, _strategy_for, enumerate_joint
-from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, InterceptResend, eve_guess
+from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, InterceptResend, _attack, eve_guess
 from scqkd.montecarlo import (
     RoundArrays,
     SampleStats,
@@ -26,7 +26,6 @@ from scqkd.montecarlo import (
     _cell_bits,
     _sample_rows,
     _tables,
-    _typed_tables,
     compare_to_oracle,
     proportion_se,
     round_rng,
@@ -46,6 +45,11 @@ from scqkd.protocol import (
 )
 
 F = Fraction
+
+
+def _stages_of(protocol, eve, channel):
+    """The rows the sampler's tables are built from: _stages at Eve's strength and the channel's p."""
+    return _stages(protocol, _attack(eve)[2], channel.depolarizing)
 
 
 class TestRoundUniforms:
@@ -89,6 +93,12 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match=f"{field} must be a"):
             TrialConfig(**config)
 
+    @pytest.mark.parametrize("eve", ["trine", "standard", 0.5, EnsembleMix.SYMMETRIC, object()])
+    def test_unknown_eavesdropper_rejected(self, eve):
+        # rejected where the config is made, not first inside run_trials
+        with pytest.raises(ValueError, match=f"unknown eavesdropping strategy: {re.escape(repr(eve))}"):
+            TrialConfig(ProtocolKind.TRINE, eve=eve)
+
     def test_numpy_integers_accepted(self):
         config = TrialConfig(protocol=ProtocolKind.TRINE, n_rounds=np.int64(7), seed=np.uint32(3))
         assert run_trials(config) == run_trials(TrialConfig(ProtocolKind.TRINE, n_rounds=7, seed=3))
@@ -101,6 +111,13 @@ PARITY_CASES = [
     (ProtocolKind.TETRAHEDRON, GentleIntercept(q=0.9, mix=EnsembleMix.BOB_ONLY), Channel(depolarizing=0.1)),
     (ProtocolKind.BB84, GentleIntercept(q=0.8), IDEAL),
     (ProtocolKind.SIX_STATE, InterceptResend(q=0.4, mix=EnsembleMix.BOB_ONLY), Channel(depolarizing=0.05)),
+    # Eve's outcome is drawn from a real row on every round and masked where she did not measure:
+    # rounds she never touches, sides the mix never picks, and slot 0 where she touches every round
+    (ProtocolKind.TRINE, InterceptResend(q=F(0)), Channel(depolarizing=F(1, 7))),
+    (ProtocolKind.BB84, InterceptResend(q=0.0, mix=EnsembleMix.BOB_ONLY), IDEAL),
+    (ProtocolKind.SIX_STATE, InterceptResend(q=1.0, mix=EnsembleMix.ALICE_ONLY), Channel(depolarizing=0.05)),
+    (ProtocolKind.TRINE, InterceptResend(q=F(1), mix=EnsembleMix.BOB_ONLY), IDEAL),
+    (ProtocolKind.TETRAHEDRON, GentleIntercept(q=0.0), Channel(depolarizing=0.1)),
 ]
 
 
@@ -159,11 +176,9 @@ class TestKernelParity:
         _assert_matches_scalar(simulate_rounds(config, start, count), config, start)
 
     def test_unknown_strategy_rejected(self):
-        config = TrialConfig(protocol=ProtocolKind.TRINE, eve=object(), n_rounds=10)
+        # no TrialConfig holds one (TestTrialConfig), so simulate_rounds and run_trials never see it
         with pytest.raises(ValueError):
-            simulate_rounds(config)
-        with pytest.raises(ValueError):
-            run_trials(config)
+            TrialConfig(protocol=ProtocolKind.TRINE, eve=object(), n_rounds=10)
         with pytest.raises(ValueError):
             run_round(ProtocolKind.TRINE, object(), IDEAL, round_rng(0))
 
@@ -383,14 +398,16 @@ class TestChunkedKernel:
             for channel in (IDEAL, Channel(depolarizing=0.1))
         ]
         serial = [stats_from_arrays(simulate_rounds(config)) for config in configs]
-        _typed_tables.cache_clear()
+        _tables.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        keys = set()  # no eavesdropper and intercept/resend measure at strength 1 and share tables
         try:
             with _cpus(4):
                 for i, config in enumerate(configs):
                     assert run_trials(config, chunk_size=64) == serial[i]
-                    assert _typed_tables.cache_info().misses == i + 1
+                    keys.add((_attack(config.eve)[2], config.channel.depolarizing))
+                    assert _tables.cache_info().misses == len(keys)
         finally:
             sys.setswitchinterval(interval)
 
@@ -423,13 +440,13 @@ class TestChunkedKernel:
     ])
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_cdfs_are_cumsums_of_the_stage_rows(self, protocol, family, mix, q, p):
-        # the sampler draws from the floats of the exact walk's rows; a left-out row reads as
-        # zeros, and each row is +inf from its last nonzero outcome on
+        # the sampler draws from the floats of the exact walk's rows, and each row is +inf
+        # from its last nonzero outcome on
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        stages, (eve_cum, bob_cum) = _stages(protocol, eve, channel), _tables(protocol, eve, channel)
+        stages, (eve_cum, bob_cum) = _stages_of(protocol, eve, channel), _tables(protocol, _attack(eve)[2], p)
         n = protocol.n_signals
         for cum, rows in ((eve_cum, stages.eve), (bob_cum, stages.bob)):
-            floats = [[0.0] * n if row is None else [float(x) for x in row] for row in rows]
+            floats = [[float(x) for x in row] for row in rows]
             want = np.cumsum(floats, axis=1)
             for r, row in enumerate(floats):
                 last = max((m for m in range(n) if row[m] > 0.0), default=n - 1)
@@ -438,19 +455,35 @@ class TestChunkedKernel:
 
     def test_tables_built_once_per_configuration(self):
         config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
-        _typed_tables.cache_clear()
+        _tables.cache_clear()
         run_trials(config, chunk_size=100)
         run_trials(config, chunk_size=700)
-        assert _typed_tables.cache_info().misses == 1
-        tables = _tables(config.protocol, config.eve, config.channel)
+        assert _tables.cache_info().misses == 1
+        tables = _tables(config.protocol, 0.3, config.channel.depolarizing)
         assert len(tables) == 2 and not any(cum.flags.writeable for cum in tables)
         assert not _cell_bits(config.protocol).flags.writeable
 
+    def test_configurations_share_tables_by_strength(self):
+        # the share Eve touches and the mix only weight the branches: at one (protocol, p), no
+        # eavesdropper and intercept/resend at every q and mix read one table, gentle mixes another
+        channel = Channel(depolarizing=F(1, 7))
+
+        def misses(eves):
+            _tables.cache_clear()
+            for eve in eves:
+                simulate_rounds(TrialConfig(ProtocolKind.TRINE, eve, channel, n_rounds=50, seed=1))
+            return _tables.cache_info().misses
+
+        qs = (F(0), 0.0, F(1, 3), 0.5, F(1), 1.0)
+        assert misses([None] + [InterceptResend(q, mix) for q in qs for mix in EnsembleMix]) == 1
+        assert misses([GentleIntercept(F(3, 5), mix) for mix in EnsembleMix]) == 1
+
     def test_table_cache_is_bounded(self):
         for q in np.linspace(0, 1, 40):
-            _tables(ProtocolKind.TRINE, GentleIntercept(q=float(q)), IDEAL)
-        info = _typed_tables.cache_info()
+            _tables(ProtocolKind.TRINE, float(q), IDEAL.depolarizing)
+        info = _tables.cache_info()
         assert info.maxsize == 16 and info.currsize <= 16
+        assert _tables.cache_parameters() == {"maxsize": 16, "typed": True}
 
     @pytest.mark.parametrize("protocol,family,q,p", [
         (ProtocolKind.TRINE, "none", 0, F(1, 2)),
@@ -458,16 +491,16 @@ class TestChunkedKernel:
         (ProtocolKind.SIX_STATE, "gentle", F(1, 2), F(1, 4)),
     ])
     def test_equal_configs_in_other_arithmetic_get_their_own_tables(self, protocol, family, q, p):
-        # Channel(Fraction(1, 2)) == Channel(0.5) and they hash alike, but the exact rows
-        # round to other floats than the float build: neither may be served the other's
-        exact = (protocol, _strategy_for(family, q), Channel(depolarizing=p))
-        floats = (protocol, _strategy_for(family, float(q)), Channel(depolarizing=float(p)))
+        # Fraction(1, 2) == 0.5 and they hash alike, but the exact rows round to other
+        # floats than the float build: neither may be served the other's
+        exact = (protocol, _attack(_strategy_for(family, q))[2], p)
+        floats = (protocol, _attack(_strategy_for(family, float(q)))[2], float(p))
         assert exact[1:] == floats[1:]
         configs = (exact, floats)
         fresh = [[_cdf(rows, protocol.n_signals) for rows in _stages(*config)] for config in configs]
         assert not all(np.array_equal(a, b) for a, b in zip(*fresh))
         for order in ((0, 1), (1, 0)):
-            _typed_tables.cache_clear()
+            _tables.cache_clear()
             for i in order:
                 for cum, want in zip(_tables(*configs[i]), fresh[i]):
                     np.testing.assert_array_equal(cum, want)
@@ -508,12 +541,12 @@ class TestSampleRows:
         [0.3, 0.2, 0.0, 0.0],  # half the mass, then two zeros
         [0.0, 0.0, 0.0, 1.0],
         [F(1, 3), F(1, 3), F(1, 3), F(0)],
-        None,
+        [0.0, 0.0, 0.0, 0.0],  # no mass: every uniform picks outcome n
     ]
 
     def test_matches_the_scalar_rule_at_every_edge(self):
         n = 4
-        floats = [[0.0] * n if row is None else [float(x) for x in row] for row in self.ROWS]
+        floats = [[float(x) for x in row] for row in self.ROWS]
         rows, us = [], []
         for r, row in enumerate(floats):
             edges = [float(c) for c in np.cumsum(row)]
@@ -541,10 +574,10 @@ class TestSampleRows:
     def test_column_gathers_equal_the_one_shot_gather(self, protocol, family, mix, q, p):
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
         n = protocol.n_signals
-        for cum, stage_rows in zip(_tables(protocol, eve, channel), _stages(protocol, eve, channel)):
+        for cum, stage_rows in zip(_tables(protocol, _attack(eve)[2], p), _stages_of(protocol, eve, channel)):
             rows, us = [], []
             for r, row in enumerate(stage_rows):
-                for u in _edge_uniforms([0.0] * n if row is None else [float(x) for x in row]):
+                for u in _edge_uniforms([float(x) for x in row]):
                     rows.append(r)
                     us.append(u)
             rows, us = np.array(rows), np.array(us)
@@ -587,6 +620,23 @@ class TestComparison:
     def test_z_sign_convention(self):
         assert ZScore("x", 600, 1000, 0.5).z > 0
         assert ZScore("x", 400, 1000, 0.5).z < 0
+
+
+class TestEntryPointsCheckTheirArguments:
+    """An argument of the wrong type is rejected with a ValueError before any table is read."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: run_trials(None), "config must be a TrialConfig, got None"),
+        (lambda: simulate_rounds({"protocol": "trine"}), "config must be a TrialConfig, got {'protocol': 'trine'}"),
+        (lambda: compare_to_oracle(SampleStats.zero(), {}), "joint must be a JointDistribution, got {}"),
+        (lambda: compare_to_oracle(None, enumerate_joint(ProtocolKind.TRINE)), "stats must be a SampleStats, got None"),
+    ], ids=["run_trials", "simulate_rounds", "compare_to_oracle-joint", "compare_to_oracle-stats"])
+    def test_wrong_type_rejected(self, call, message):
+        before = _tables.cache_info()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+        after = _tables.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestProportionSe:
