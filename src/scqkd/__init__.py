@@ -11,8 +11,8 @@ and the sift-rate estimate of q; and the simulation with its comparison
 against the exact joint. A protocol is named by its constellation: one
 `ProtocolKind` keys the code tables and the round rules alike. The building
 blocks (code tables and key-bit rules, Eve's POVMs and guess rule, mutual
-information and the closed-form reference curves) are imported from their
-submodules.
+information, the closed-form reference curves, and the round transcripts
+with their tally) are imported from their submodules.
 """
 
 from .analysis import (
@@ -27,17 +27,8 @@ from .analysis import (
     key_rate,
 )
 from .eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
-from .montecarlo import (
-    ComparisonReport,
-    RoundArrays,
-    SampleStats,
-    TrialConfig,
-    compare_to_oracle,
-    run_trials,
-    simulate_rounds,
-    stats_from_arrays,
-)
-from .protocol import IDEAL, Channel, ProtocolKind, RoundTranscript, run_round
+from .montecarlo import ComparisonReport, SampleStats, TrialConfig, compare_to_oracle, run_trials, simulate_rounds
+from .protocol import IDEAL, Channel, ProtocolKind, run_round
 
 __version__ = "0.1.0"
 
@@ -53,8 +44,6 @@ __all__ = [
     "ProtocolKind",
     "QSiftEstimate",
     "RateReport",
-    "RoundArrays",
-    "RoundTranscript",
     "SampleStats",
     "ThresholdResult",
     "TrialConfig",
@@ -66,5 +55,4 @@ __all__ = [
     "run_round",
     "run_trials",
     "simulate_rounds",
-    "stats_from_arrays",
 ]

@@ -47,8 +47,8 @@ from numbers import Rational, Real
 from typing import NamedTuple
 
 from .codes import _gram_ids
-from .eavesdrop import EveRecord, EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _strategy_for, eve_guess
-from .protocol import (Channel, IDEAL, ProtocolKind, _check_config, _check_instance, _check_unit,
+from .eavesdrop import EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _strategy_for
+from .protocol import (Channel, IDEAL, ProtocolKind, _check_config, _check_instance, _check_unit, _party_bit,
                        announcement_options, derive_bits, sift_accept)
 
 
@@ -338,14 +338,15 @@ def _sifting(protocol: ProtocolKind) -> tuple:
     rejects it. Eve's guess is None where she abstains or left the round alone.
     """
     n = protocol.n_signals
-    records = [None] + [EveRecord(True, side, m) for side in _SIDES for m in range(1, n + 1)]
     # (k, announcement) in cell order; bits depend on (j, k, ai), guesses on (slot, k, ai)
     outcomes = [(k, ann) for k in range(1, n + 1) for ann in announcement_options(protocol, k)]
     bits = [
         [derive_bits(protocol, j, k, ann) if sift_accept(protocol, j, ann) else None for k, ann in outcomes]
         for j in range(1, n + 1)
     ]
-    guesses = [[eve_guess(rec, protocol, ann, True) for _, ann in outcomes] for rec in records]
+    guesses = [[None] * len(outcomes)] + [
+        [_party_bit(protocol, side, m, ann) for _, ann in outcomes] for side in _SIDES for m in range(1, n + 1)
+    ]
     return tuple(
         None if ab is None else (*ab, g) for slot in guesses for row in bits for ab, g in zip(row, slot)
     )

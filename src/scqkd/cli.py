@@ -110,8 +110,6 @@ def _cmd_analytic(args) -> tuple:
 
 def _cmd_threshold(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
-    if args.attack == "none":
-        args.parser.error("threshold requires --attack standard or gentle")
     channel = Channel(depolarizing=args.depolarize)
     result = find_threshold(protocol, args.attack, EnsembleMix(args.mix), channel)
     record = {
@@ -157,8 +155,6 @@ def _cmd_simulate(args) -> tuple:
 
 def _cmd_sweep(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
-    if args.attack == "none":
-        args.parser.error("sweep requires --attack standard or gentle")
     if args.steps < 2:
         args.parser.error("--steps must be at least 2")
     channel = Channel(depolarizing=args.depolarize)
@@ -204,7 +200,7 @@ def _cmd_estimate_q(args) -> tuple:
     return record, 0
 
 
-def _add_common(sub, attack_default="none", strength=True):
+def _add_common(sub, attacks=("none", "standard", "gentle"), strength=True):
     sub.add_argument(
         "--protocol",
         required=True,
@@ -213,8 +209,8 @@ def _add_common(sub, attack_default="none", strength=True):
     )
     sub.add_argument(
         "--attack",
-        default=attack_default,
-        choices=["none", "standard", "gentle"],
+        default=attacks[0],
+        choices=attacks,
         help="eavesdropping strategy family",
     )
     sub.add_argument(
@@ -251,7 +247,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_analytic, parser=sub)
 
     sub = commands.add_parser("threshold", help="attack strength where the key rate vanishes")
-    _add_common(sub, attack_default="standard", strength=False)
+    _add_common(sub, attacks=("standard", "gentle"), strength=False)
     sub.set_defaults(func=_cmd_threshold, parser=sub)
 
     sub = commands.add_parser("simulate", help="Monte Carlo run checked against enumeration")
@@ -261,7 +257,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_simulate, parser=sub)
 
     sub = commands.add_parser("sweep", help="rate table over a uniform q-grid")
-    _add_common(sub, attack_default="standard", strength=False)
+    _add_common(sub, attacks=("standard", "gentle"), strength=False)
     sub.add_argument("--steps", type=int, default=101, help="number of grid points on [0, 1]")
     sub.set_defaults(func=_cmd_sweep, parser=sub)
 

@@ -1,15 +1,18 @@
-"""Signal constellations: equiangular spherical codes and basis-pair codes.
+"""Signal constellations, the permutation symbol and the paper's two key-bit rules.
 
 A protocol is its constellation, so `ProtocolKind` names both. A code is an
 ordered set of n pure-state Bloch vectors, and the subnormalized projectors
-(2/n)|psi_m><psi_m| form a POVM. The trine and tetrahedron receivers measure
-the antipodal code (protocol.bob_code); BB84 and six-state consist of
-orthogonal basis pairs and are their own antipode set. All public signal
-indices are 1-based.
+(2/n)|psi_m><psi_m| form a POVM. The trine and tetrahedron are equiangular
+spherical codes and sift by exclusion; their receivers measure the antipodal
+code (protocol.bob_code), and a key bit is the parity of the permutation
+symbol of the full index assignment (trine_key_bit, tetra_key_bit). BB84
+and six-state consist of orthogonal basis pairs and are their own antipode
+set. All public signal indices are 1-based.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +36,7 @@ class ProtocolKind(Enum):
 
     @property
     def excludes_outcomes(self) -> bool:
-        """True for the exclusion-sifted codes (trine, tetrahedron)."""
+        """True for the exclusion-sifted codes, the equiangular trine and tetrahedron."""
         return self in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON)
 
 
@@ -116,23 +119,20 @@ def make_code(protocol: ProtocolKind) -> SphericalCode:
 def bloch_gram(protocol: ProtocolKind) -> tuple:
     """Exact Gram matrix of Bloch-vector dot products, as Fractions.
 
-    Equiangular codes have constant off-diagonal overlap (-1/2 for the trine,
-    -1/3 for the tetrahedron); basis-pair codes have -1 within a pair and 0
-    across pairs.
+    An equiangular code's n unit vectors sum to zero, so its constant
+    off-diagonal overlap is -1/(n - 1): -1/2 for the trine, -1/3 for the
+    tetrahedron. Basis-pair codes have -1 within a pair and 0 across pairs.
     """
     n = len(make_code(protocol))
-    if protocol is ProtocolKind.TRINE:
-        off = lambda i, j: Fraction(-1, 2)  # noqa: E731
-    elif protocol is ProtocolKind.TETRAHEDRON:
-        off = lambda i, j: Fraction(-1, 3)  # noqa: E731
-    else:
-        off = lambda i, j: Fraction(-1) if j == i ^ 1 else Fraction(0)  # noqa: E731
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(Fraction(1) if i == j else off(i, j) for j in range(n))
-        )
-    return tuple(rows)
+
+    def entry(i: int, j: int) -> Fraction:
+        if i == j:
+            return Fraction(1)
+        if protocol.excludes_outcomes:
+            return Fraction(-1, n - 1)
+        return Fraction(-1 if j == i ^ 1 else 0)
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -167,29 +167,15 @@ def eigen_bit(index: int) -> int:
 # -- permutation-symbol key bits ----------------------------------------------
 
 
-def _levi_civita(indices: tuple, n: int) -> int:
+def levi_civita(*indices: int) -> int:
+    """Permutation symbol over {1..len(indices)}: +1 even, -1 odd, 0 on repeats."""
+    n = len(indices)
     for i in indices:
         if not isinstance(i, int) or not 1 <= i <= n:
             raise ValueError(f"index {i!r} out of range 1..{n}")
-    if len(set(indices)) != len(indices):
+    if len(set(indices)) != n:
         return 0
-    sign = 1
-    perm = list(indices)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def levi_civita_3(j: int, k: int, l: int) -> int:
-    """Three-index permutation symbol over {1,2,3}: +1 even, -1 odd, 0 on repeats."""
-    return _levi_civita((j, k, l), 3)
-
-
-def levi_civita_4(j: int, k: int, l: int, m: int) -> int:
-    """Four-index permutation symbol over {1,2,3,4}."""
-    return _levi_civita((j, k, l, m), 4)
+    return (-1) ** sum(a > b for a, b in itertools.combinations(indices, 2))
 
 
 def trine_key_bit(j: int, k: int, l: int) -> int:
@@ -198,7 +184,7 @@ def trine_key_bit(j: int, k: int, l: int) -> int:
     j is the sender's signal, k the receiver's outcome, l the announced
     excluded outcome; the three must be distinct.
     """
-    eps = levi_civita_3(j, k, l)
+    eps = levi_civita(j, k, l)
     if eps == 0:
         raise ValueError(f"trine key bit needs distinct indices, got {(j, k, l)}")
     return (1 - eps) // 2
@@ -206,7 +192,7 @@ def trine_key_bit(j: int, k: int, l: int) -> int:
 
 def tetra_key_bit(j: int, k: int, l: int, m: int) -> int:
     """Key bit (1 + eps_jklm)/2 from a full tetrahedron index assignment."""
-    eps = levi_civita_4(j, k, l, m)
+    eps = levi_civita(j, k, l, m)
     if eps == 0:
         raise ValueError(
             f"tetrahedron key bit needs distinct indices, got {(j, k, l, m)}"

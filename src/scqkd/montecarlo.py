@@ -23,14 +23,15 @@ inverse CDF gathers and compares only the first n - 1 columns, one column
 at a time, and its int8 labels become the transcript's outcome columns
 with no cast. The tables are built once per (protocol, Eve's measurement
 strength, p) and cached, keyed on the arithmetic of the strength and p as
-well as their values: no eavesdropper and intercept/resend at every share
-and mix read one table, and a gentle strength's table serves every mix. A
-cold build reads analysis._stages, which computes each distinct entry of
-the rows once and shares it by identity, and _cdf floats each distinct
-entry once. A round's key bits and Eve's guess are read from cell_bits,
-the int8 encoding of analysis._sifting, at the round's cell (Eve's slot,
-signal, Bob's outcome, announcement), in the layout analysis._Stages
-defines for both paths.
+well as their values, with every exact value keyed as a Fraction: no
+eavesdropper and intercept/resend at every share and mix read one table,
+so do IDEAL and a Fraction(0) channel, and a gentle strength's table
+serves every mix. A cold build reads analysis._stages, which computes each
+distinct entry of the rows once and shares it by identity, and _cdf floats
+each distinct entry once. A round's key bits and Eve's guess are read
+from cell_bits, the int8 encoding of analysis._sifting, at the round's cell
+(Eve's slot, signal, Bob's outcome, announcement), in the layout
+analysis._Stages defines for both paths.
 
 run_trials keeps about one chunk of rounds in flight. It splits a trial of
 several chunks over min(CPUs in the affinity mask, chunks) threads, a
@@ -44,8 +45,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Rational
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -128,6 +130,11 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
     return cell_bits
 
 
+def _exact(x):
+    """An exact strength or p as a Fraction, so equal exact values share one _tables key; floats stay."""
+    return Fraction(x) if isinstance(x, Rational) else x
+
+
 @lru_cache(maxsize=16, typed=True)
 def _tables(protocol: ProtocolKind, strength, p) -> tuple:
     """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once and cached.
@@ -136,7 +143,8 @@ def _tables(protocol: ProtocolKind, strength, p) -> tuple:
     slot, signal) as laid out there, so a round's row is one take. The
     cache is typed, since equal values in other arithmetic give other
     floats: Fraction(1, 2) equals 0.5, and its exact rows need not round to
-    the float build's.
+    the float build's. Callers pass exact values through _exact, so an int
+    and an equal Fraction share one build.
     """
     return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, strength, p))
 
@@ -205,7 +213,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
     protocol, eve = config.protocol, config.eve
-    eve_cum, bob_cum = _tables(protocol, _attack(eve)[2], config.channel.depolarizing)
+    eve_cum, bob_cum = _tables(protocol, _exact(_attack(eve)[2]), _exact(config.channel.depolarizing))
     n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
     u = round_uniforms(config.seed, start, count)
 
@@ -351,7 +359,7 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
     from concurrent.futures import ThreadPoolExecutor
 
     # built once, before the threads share it
-    _tables(config.protocol, _attack(config.eve)[2], config.channel.depolarizing)
+    _tables(config.protocol, _exact(_attack(config.eve)[2]), _exact(config.channel.depolarizing))
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(part, w) for w in range(1, workers)]
         total = part(0)

@@ -1,15 +1,18 @@
 """Round structure: signal choice, announcements, sifting, and bit derivation.
 
-The trine and tetrahedron protocols sift by exclusion: Bob measures with the
-antipodal code and announces outcomes he did not obtain (one index for the
-trine, an ordered pair for the tetrahedron); Alice accepts when her signal is
-not excluded, and each party infers the other's index from the announcement.
-BB84 and six-state sift by basis agreement. Bob always announces, even when
-his outcome already dooms the round.
+Each rule is stated once per sifting kind (ProtocolKind.excludes_outcomes).
+The trine and tetrahedron sift by exclusion: Bob measures with the antipodal
+code of n signals and announces an ordered tuple of n - 2 outcomes he did
+not obtain; Alice accepts when her signal is not excluded, each party infers
+the other's index as the one neither excluded nor its own, and the key bit
+is the code's permutation-symbol rule (codes.trine_key_bit,
+codes.tetra_key_bit). BB84 and six-state sift by basis agreement. Bob always
+announces, even when his outcome already dooms the round.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Real
@@ -56,10 +59,10 @@ def _check_config(protocol, channel: Channel = IDEAL) -> None:
 class Announcement:
     """Public sifting message.
 
-    Exclusion protocols fill `excluded` (one index for the trine, an ordered
-    pair for the tetrahedron). Basis protocols fill the basis fields; Bob's
-    announcement knows only his own basis, the sender side is completed by
-    run_round.
+    Exclusion protocols fill `excluded` with n - 2 distinct outcomes (one
+    index for the trine, an ordered pair for the tetrahedron). Basis
+    protocols fill the basis fields; Bob's announcement knows only his own
+    basis, the sender side is completed by run_round.
     """
 
     excluded: tuple = ()
@@ -110,20 +113,16 @@ def alice_pick(protocol: ProtocolKind, u: float) -> int:
 def announcement_options(protocol: ProtocolKind, k: int) -> tuple:
     """Ordered tuple of announcements Bob may make after outcome k.
 
-    The order is fixed (ascending excluded index, then lexicographic pairs)
-    so that a uniform variate maps to a choice reproducibly.
+    The order is fixed (the ordered (n - 2)-tuples of the other outcomes,
+    lexicographically) so that a uniform variate maps to a choice
+    reproducibly.
     """
     n = protocol.n_signals
     if not 1 <= k <= n:
         raise ValueError(f"outcome index {k} out of range 1..{n}")
-    if protocol is ProtocolKind.TRINE:
-        others = tuple(i for i in (1, 2, 3) if i != k)
-        return tuple(Announcement(excluded=(l,)) for l in others)
-    if protocol is ProtocolKind.TETRAHEDRON:
-        others = tuple(i for i in (1, 2, 3, 4) if i != k)
-        return tuple(
-            Announcement(excluded=(l, m)) for l in others for m in others if m != l
-        )
+    if protocol.excludes_outcomes:
+        others = [i for i in range(1, n + 1) if i != k]
+        return tuple(Announcement(excluded=e) for e in itertools.permutations(others, n - 2))
     return (Announcement(bob_basis=basis_label(k)),)
 
 
@@ -145,31 +144,32 @@ def sift_accept(protocol: ProtocolKind, j: int, ann: Announcement) -> bool:
     return basis_label(j) == ann.bob_basis
 
 
+# the paper's key-bit rule of each exclusion code, on the full index assignment (alice, bob, *excluded)
+_KEY_BIT = {ProtocolKind.TRINE: trine_key_bit, ProtocolKind.TETRAHEDRON: tetra_key_bit}
+
+
 def _party_bit(protocol: ProtocolKind, side: str, index: int, ann: Announcement):
     """The key bit of the `side` party holding `index`; None if the announcement rules it out.
 
     Exclusion protocols: the party infers the counterpart index as the one
-    neither excluded nor its own, and the Levi-Civita rule of the ordered
-    (alice, bob) pair gives the bit. Basis protocols: the index's eigenvalue
-    bit when its basis is the announced one. Eve's guess is the same rule
-    applied to her outcome on the side she impersonates.
+    neither excluded nor its own, n(n+1)/2 less the others, and the
+    permutation-symbol rule of the ordered (alice, bob, *excluded) indices
+    gives the bit. Basis protocols: the index's eigenvalue bit when its
+    basis is the announced one. Eve's guess is the same rule applied to her
+    outcome on the side she impersonates.
+
+    Raises:
+        ValueError: if an exclusion is not n - 2 distinct outcomes.
     """
-    if protocol is ProtocolKind.TRINE:
-        (l,) = ann.excluded
-        if index == l:
+    if protocol.excludes_outcomes:
+        n = protocol.n_signals
+        if len(ann.excluded) != n - 2 or len(set(ann.excluded)) != n - 2:
+            raise ValueError(f"announcement must exclude n - 2 = {n - 2} distinct outcomes, got {ann.excluded!r}")
+        if index in ann.excluded:
             return None
-        partner = 6 - index - l
-        if side == "alice":
-            return trine_key_bit(index, partner, l)
-        return trine_key_bit(partner, index, l)
-    if protocol is ProtocolKind.TETRAHEDRON:
-        l, m = ann.excluded
-        if index in (l, m):
-            return None
-        partner = 10 - index - l - m
-        if side == "alice":
-            return tetra_key_bit(index, partner, l, m)
-        return tetra_key_bit(partner, index, l, m)
+        partner = n * (n + 1) // 2 - index - sum(ann.excluded)
+        pair = (index, partner) if side == "alice" else (partner, index)
+        return _KEY_BIT[protocol](*pair, *ann.excluded)
     if basis_label(index) != ann.bob_basis:
         return None
     return eigen_bit(index)
@@ -183,22 +183,15 @@ def derive_bits(protocol: ProtocolKind, j: int, k: int, ann: Announcement) -> tu
     inferences collide on the same wrong index, so the bits always disagree.
 
     Raises:
-        ValueError: if the announcement is inconsistent with j or k.
+        ValueError: if the announcement is malformed or inconsistent with j or k.
     """
     n = protocol.n_signals
     if not 1 <= j <= n or not 1 <= k <= n:
         raise ValueError(f"signal/outcome index out of range 1..{n}: {(j, k)}")
-    if protocol is ProtocolKind.TRINE:
-        (l,) = ann.excluded
-        if l == k:
+    if protocol.excludes_outcomes:
+        if k in ann.excluded:
             raise ValueError("announcement excludes Bob's actual outcome")
-        if l == j:
-            raise ValueError("round was not accepted: signal is excluded")
-    elif protocol is ProtocolKind.TETRAHEDRON:
-        l, m = ann.excluded
-        if l == m or k in (l, m):
-            raise ValueError("announcement inconsistent with Bob's outcome")
-        if j in (l, m):
+        if j in ann.excluded:
             raise ValueError("round was not accepted: signal is excluded")
     elif ann.bob_basis != basis_label(k):
         raise ValueError("announced basis inconsistent with Bob's outcome")

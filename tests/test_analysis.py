@@ -1,5 +1,6 @@
 """Tests for exact enumeration, closed forms, information rates, thresholds."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -29,6 +30,7 @@ from scqkd.analysis import (
 )
 from scqkd.eavesdrop import (
     EnsembleMix,
+    EveRecord,
     GentleIntercept,
     InterceptResend,
     _SIDES,
@@ -36,10 +38,11 @@ from scqkd.eavesdrop import (
     _attack,
     _gentle_kraus,
     _side_gentle_povm,
+    eve_guess,
     measuring_code,
 )
-from scqkd.codes import bloch_gram, make_code
-from scqkd.protocol import Channel, ProtocolKind, announcement_options, bob_povm
+from scqkd.codes import basis_label, bloch_gram, eigen_bit, make_code, tetra_key_bit, trine_key_bit
+from scqkd.protocol import Announcement, Channel, ProtocolKind, announcement_options, bob_povm
 from scqkd.states import born_probability, depolarize, post_measurement_state
 
 ALL = list(ProtocolKind)
@@ -247,6 +250,67 @@ def _born_stages(protocol, strength, p):
                     forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, float(strength), m))
                 bob_rows[(1 + si * n + m - 1) * n + j - 1] = bob_row(forwarded)
     return eve_rows, bob_rows
+
+
+# the exclusion rules written out per code: the independent reference for protocol's one rule per sifting kind
+def _per_code_options(protocol, k):
+    """Bob's announcements after outcome k: trine single exclusions, tetrahedron ordered pairs."""
+    if protocol is ProtocolKind.TRINE:
+        return [Announcement(excluded=(l,)) for l in (1, 2, 3) if l != k]
+    if protocol is ProtocolKind.TETRAHEDRON:
+        others = [i for i in (1, 2, 3, 4) if i != k]
+        return [Announcement(excluded=(l, m)) for l in others for m in others if m != l]
+    return [Announcement(bob_basis=basis_label(k))]
+
+
+def _per_code_bit(protocol, side, index, ann):
+    """The `side` party's key bit from `index`, or None where the announcement rules it out."""
+    if protocol is ProtocolKind.TRINE:
+        (l,) = ann.excluded
+        if index == l:
+            return None
+        partner = 6 - index - l
+        return trine_key_bit(index, partner, l) if side == "alice" else trine_key_bit(partner, index, l)
+    if protocol is ProtocolKind.TETRAHEDRON:
+        l, m = ann.excluded
+        if index in (l, m):
+            return None
+        partner = 10 - index - l - m
+        return tetra_key_bit(index, partner, l, m) if side == "alice" else tetra_key_bit(partner, index, l, m)
+    return eigen_bit(index) if basis_label(index) == ann.bob_basis else None
+
+
+def _per_code_sifting(protocol):
+    """_sifting's cells in its layout, (slot, j, k, announcement), from the per-code rules."""
+    n = protocol.n_signals
+    records = [None] + [EveRecord(True, side, m) for side in _SIDES for m in range(1, n + 1)]
+    cells = []
+    for record in records:
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for ann in _per_code_options(protocol, k):
+                    alice = _per_code_bit(protocol, "alice", j, ann)  # None exactly where Alice rejects
+                    guess = eve_guess(record, protocol, ann, True)
+                    cells.append(None if alice is None else (alice, _per_code_bit(protocol, "bob", k, ann), guess))
+    return cells
+
+
+class TestSiftingTable:
+    """One rule per sifting kind gives every cell the per-code rules gave."""
+
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_cells_match_the_per_code_rules(self, protocol):
+        got, want = _sifting(protocol), _per_code_sifting(protocol)
+        assert len(got) == len(want)
+        assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_eve_guesses_by_the_per_code_rule(self, protocol):
+        n = protocol.n_signals
+        for side, m, k in itertools.product(_SIDES, range(1, n + 1), range(1, n + 1)):
+            for ann in _per_code_options(protocol, k):
+                want = _per_code_bit(protocol, side, m, ann)
+                assert eve_guess(EveRecord(True, side, m), protocol, ann, True) == want
 
 
 class TestStages:

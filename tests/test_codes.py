@@ -1,5 +1,6 @@
 """Tests for the signal constellations and index/bit combinatorics."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,7 @@ from scqkd.codes import (
     basis_label,
     bloch_gram,
     eigen_bit,
-    levi_civita_3,
-    levi_civita_4,
+    levi_civita,
     make_code,
     tetra_key_bit,
     trine_key_bit,
@@ -117,23 +117,32 @@ class TestBasisLabels:
 
 
 class TestLeviCivita:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_is_the_determinant_of_the_permutation_matrix(self, n):
+        # rows e_i1 .. e_in: the determinant is the sign of the permutation, 0 on a repeat
+        for indices in itertools.product(range(1, n + 1), repeat=n):
+            want = round(np.linalg.det(np.eye(n)[[i - 1 for i in indices]]))
+            assert levi_civita(*indices) == want, indices
+
     def test_known_signs_3(self):
-        assert levi_civita_3(1, 2, 3) == 1
-        assert levi_civita_3(2, 3, 1) == 1
-        assert levi_civita_3(1, 3, 2) == -1
-        assert levi_civita_3(1, 1, 2) == 0
+        assert levi_civita(1, 2, 3) == 1
+        assert levi_civita(2, 3, 1) == 1
+        assert levi_civita(1, 3, 2) == -1
+        assert levi_civita(1, 1, 2) == 0
 
     def test_known_signs_4(self):
-        assert levi_civita_4(1, 2, 3, 4) == 1
-        assert levi_civita_4(2, 1, 3, 4) == -1
-        assert levi_civita_4(4, 3, 2, 1) == 1  # two transpositions
-        assert levi_civita_4(1, 2, 2, 4) == 0
+        assert levi_civita(1, 2, 3, 4) == 1
+        assert levi_civita(2, 1, 3, 4) == -1
+        assert levi_civita(4, 3, 2, 1) == 1  # two transpositions
+        assert levi_civita(1, 2, 2, 4) == 0
 
     def test_range_checked(self):
         with pytest.raises(ValueError):
-            levi_civita_3(0, 1, 2)
+            levi_civita(0, 1, 2)
         with pytest.raises(ValueError):
-            levi_civita_4(1, 2, 3, 5)
+            levi_civita(1, 2, 3, 5)
+        with pytest.raises(ValueError):
+            levi_civita(1, 3)
 
 
 class TestKeyBits:

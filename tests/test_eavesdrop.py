@@ -168,6 +168,20 @@ class TestEveGuess:
         assert eve_guess(self._rec("alice", 2), ProtocolKind.TRINE, ann, True) is None
         assert eve_guess(self._rec("bob", 2), ProtocolKind.TRINE, ann, True) is None
 
+    @pytest.mark.parametrize("protocol,excluded", [
+        (ProtocolKind.TRINE, ()),
+        (ProtocolKind.TRINE, (2, 3)),
+        (ProtocolKind.TETRAHEDRON, (2,)),
+        (ProtocolKind.TETRAHEDRON, (2, 2)),
+        (ProtocolKind.TETRAHEDRON, (2, 3, 4)),
+    ])
+    def test_malformed_exclusion_rejected(self, protocol, excluded):
+        from scqkd.protocol import Announcement
+
+        for side in _SIDES:
+            with pytest.raises(ValueError, match="distinct outcomes"):
+                eve_guess(self._rec(side, 1), protocol, Announcement(excluded=excluded), True)
+
     def test_trine_guess_matches_party_derivation(self):
         # alice-side outcome m plays the signal role, bob-side the outcome role
         from scqkd.codes import trine_key_bit

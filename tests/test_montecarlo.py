@@ -478,6 +478,26 @@ class TestChunkedKernel:
         assert misses([None] + [InterceptResend(q, mix) for q in qs for mix in EnsembleMix]) == 1
         assert misses([GentleIntercept(F(3, 5), mix) for mix in EnsembleMix]) == 1
 
+    def test_equal_exact_values_share_one_build(self):
+        # IDEAL's int 0 and the CLI's Fraction(0) are one exact p, and intercept/resend's int
+        # strength 1 is gentle's Fraction(1); a float strength keeps a build of its own
+        configs = [
+            TrialConfig(ProtocolKind.TRINE, eve, channel, n_rounds=50, seed=1)
+            for eve, channel in [
+                (None, IDEAL),
+                (None, Channel(depolarizing=F(0))),
+                (InterceptResend(q=F(1, 2)), IDEAL),
+                (GentleIntercept(q=F(1)), IDEAL),
+                (GentleIntercept(q=1.0), IDEAL),
+            ]
+        ]
+        _tables.cache_clear()
+        with _cpus(2):
+            for config in configs:  # the pooled pre-build first, then the kernel's own lookup
+                run_trials(config, chunk_size=16)
+                simulate_rounds(config)
+        assert _tables.cache_info().misses == 2
+
     def test_table_cache_is_bounded(self):
         for q in np.linspace(0, 1, 40):
             _tables(ProtocolKind.TRINE, float(q), IDEAL.depolarizing)

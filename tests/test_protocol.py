@@ -94,15 +94,20 @@ class TestAlicePick:
 
 
 class TestAnnouncementOptions:
-    def test_trine_excludes_one_other(self):
-        opts = announcement_options(ProtocolKind.TRINE, 2)
-        assert [a.excluded for a in opts] == [(1,), (3,)]
-
-    def test_tetra_excludes_ordered_pairs(self):
-        opts = announcement_options(ProtocolKind.TETRAHEDRON, 4)
-        assert [a.excluded for a in opts] == [
-            (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2),
-        ]
+    @pytest.mark.parametrize("protocol,k,excluded", [
+        # the trine excludes one other outcome, ascending
+        (ProtocolKind.TRINE, 1, ((2,), (3,))),
+        (ProtocolKind.TRINE, 2, ((1,), (3,))),
+        (ProtocolKind.TRINE, 3, ((1,), (2,))),
+        # the tetrahedron excludes an ordered pair of the others, lexicographically
+        (ProtocolKind.TETRAHEDRON, 1, ((2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3))),
+        (ProtocolKind.TETRAHEDRON, 2, ((1, 3), (1, 4), (3, 1), (3, 4), (4, 1), (4, 3))),
+        (ProtocolKind.TETRAHEDRON, 3, ((1, 2), (1, 4), (2, 1), (2, 4), (4, 1), (4, 2))),
+        (ProtocolKind.TETRAHEDRON, 4, ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))),
+    ])
+    def test_exclusion_options_in_order(self, protocol, k, excluded):
+        # the order maps Bob's announcement variate to a choice, so transcripts depend on it
+        assert announcement_options(protocol, k) == tuple(Announcement(excluded=e) for e in excluded)
 
     @pytest.mark.parametrize("protocol", EXCLUSION)
     def test_never_excludes_the_outcome(self, protocol):
@@ -167,6 +172,21 @@ class TestDeriveBits:
             derive_bits(ProtocolKind.TRINE, 3, 2, Announcement(excluded=(3,)))
         with pytest.raises(ValueError):
             derive_bits(ProtocolKind.BB84, 1, 2, Announcement(bob_basis="x"))
+
+    @pytest.mark.parametrize("protocol,excluded,reason", [
+        (ProtocolKind.TRINE, (), "n - 2 = 1 distinct outcomes"),
+        (ProtocolKind.TRINE, (3, 3), "n - 2 = 1 distinct outcomes"),
+        (ProtocolKind.TRINE, (2,), "excludes Bob's actual outcome"),
+        (ProtocolKind.TRINE, (1,), "signal is excluded"),
+        (ProtocolKind.TETRAHEDRON, (3,), "n - 2 = 2 distinct outcomes"),
+        (ProtocolKind.TETRAHEDRON, (3, 3), "n - 2 = 2 distinct outcomes"),
+        (ProtocolKind.TETRAHEDRON, (4, 2), "excludes Bob's actual outcome"),
+        (ProtocolKind.TETRAHEDRON, (3, 1), "signal is excluded"),
+    ])
+    def test_malformed_exclusion_rejected(self, protocol, excluded, reason):
+        # signal 1, outcome 2: too short, a repeated index, k excluded, j excluded
+        with pytest.raises(ValueError, match=reason):
+            derive_bits(protocol, 1, 2, Announcement(excluded=excluded))
 
 
 class TestRunRound:
