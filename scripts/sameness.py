@@ -11,9 +11,12 @@ lines. It prints one line per output set, "<set> <sha256> <outputs>":
   mixes x --depolarize {0, 1/7, 1/20, 0.05}, `analytic` over the same grid
   (no eavesdropper, and three strengths per family), `estimate-q` on a few
   counts, and short seeded `simulate` runs;
-- enumerate_joint: the reprs of p_sift, the table, every mass property,
-  pair_ab/ae/be and key_rate, over protocols x families x mixes x q x p
-  with rational and float q and p;
+- enumerate_joint: the reprs of p_sift, the table, the masses (qber,
+  1 - p_sift, the a == b mass, Eve's abstain, guess and agree masses), the
+  Fraction pair marginals and key_rate, over protocols x families x mixes
+  x q x p with rational and float q and p. The script computes the
+  complements and marginals the joint does not carry itself, from
+  p_sift, mass and _pairs;
 - find_threshold: the reprs of (q_star, qber_star), or the error, over the
   threshold grid, with a float and a rational depolarizing strength;
 - estimate: the reprs of `estimate_q_from_sift` (q, q_raw, in_model) and
@@ -73,7 +76,6 @@ TRANSCRIPT_NOISE = (Fraction(0), Fraction(1, 7), 0.05)
 OBSERVED_SIFT = tuple(Fraction(x) for x in ("0", "1/3", "3/8", "5/12", "4/9", "1/2", "13/24", "7/12", "2/3", "1"))
 OBSERVED_SIFT += (0.55, 0.5833, 0.7, 0.3)
 MARGINS = (0, Fraction(1, 20), 0.01)
-MASSES = ("qber", "p_fail", "p_ab_agree", "p_eve_abstain", "p_eve_guess", "p_eve_agree_alice", "p_eve_agree_bob")
 
 
 def _cli_argvs():
@@ -116,8 +118,10 @@ def joint_outputs():
             ]
             for eve in configs:
                 joint = enumerate_joint(protocol, eve, channel)
-                values = [joint.p_sift, list(joint.table.items()), *(getattr(joint, name) for name in MASSES)]
-                values += [joint.pair_ab(), joint.pair_ae(), joint.pair_be(), key_rate(joint)]
+                values = [joint.p_sift, list(joint.table.items()), joint.qber, 1 - joint.p_sift]
+                values += [joint.mass(lambda a, b, e: a == b), joint.p_eve_abstain]
+                values += [joint.mass(lambda a, b, e: e is not None), joint.p_eve_agree_alice, joint.p_eve_agree_bob]
+                values += [*joint._pairs(Fraction), key_rate(joint)]
                 yield f"{protocol} {eve!r} {p!r}\n{values!r}"
 
 

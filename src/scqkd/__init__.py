@@ -12,7 +12,8 @@ against the exact joint. A protocol is named by its constellation: one
 `ProtocolKind` keys the code tables and the round rules alike. The building
 blocks (code tables and key-bit rules, Eve's POVMs and guess rule, mutual
 information, the closed-form reference curves, and the round transcripts
-with their tally) are imported from their submodules.
+with their tally, run_round in scqkd.protocol and simulate_rounds in
+scqkd.montecarlo among them) are imported from their submodules.
 """
 
 from .analysis import (
@@ -27,8 +28,8 @@ from .analysis import (
     key_rate,
 )
 from .eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
-from .montecarlo import ComparisonReport, SampleStats, TrialConfig, compare_to_oracle, run_trials, simulate_rounds
-from .protocol import IDEAL, Channel, ProtocolKind, run_round
+from .montecarlo import ComparisonReport, SampleStats, TrialConfig, compare_to_oracle, run_trials
+from .protocol import IDEAL, Channel, ProtocolKind
 
 __version__ = "0.1.0"
 
@@ -52,7 +53,5 @@ __all__ = [
     "estimate_q_from_sift",
     "find_threshold",
     "key_rate",
-    "run_round",
     "run_trials",
-    "simulate_rounds",
 ]

@@ -23,11 +23,12 @@ give it at every (q, p). `enumerate_joint` evaluates those corners,
 thresholds and sweeps call it at each strength, and `_walk` stays as the
 reference the tests compare it with. Exact inputs give integer masses over
 one integer total: the Fraction table is built from them once, for callers,
-and `qber`, `mass`, the pair marginals and `key_rate` read the integers.
+and `qber`, `mass` and `key_rate` (through `_pairs`) read the integers.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
-intercept/resend curves as the reference that the tests and the bench
-check those answers against; nothing else in the package reads it.
+intercept/resend curves of the trine and tetrahedron (it rejects the basis
+protocols) as the reference that the tests and the bench check those
+answers against; nothing else in the package reads it.
 The one-way distillable rate is the classical bound
 
     R = I(A:B) - min(I(A:E), I(B:E))
@@ -66,9 +67,14 @@ class JointDistribution:
 
     The exact path also keeps the integer masses it divided the table from,
     as _masses = (masses, total) with table[key] == Fraction(masses[key],
-    total); its Fraction table is built once, for callers. qber, mass, the
-    pair marginals and key_rate then read the integers: they sum ints and
-    divide once per result. A table given without masses is read as it is.
+    total); its Fraction table is built once, for callers. qber, mass and
+    _pairs (the marginals key_rate reads) then read the integers: they sum
+    ints and divide once per result. A table given without masses is read
+    as it is.
+
+    It carries what the entry points read: p_sift, the table, mass, qber
+    and Eve's abstain and agree rates. A complement such as 1 - p_sift, or
+    any other event's mass, is one mass(predicate) call.
     """
 
     p_sift: object
@@ -101,25 +107,13 @@ class JointDistribution:
         return Fraction(sum(picked), total) if total and picked else sum(picked)
 
     @property
-    def p_fail(self):
-        return 1 - self.p_sift
-
-    @property
     def qber(self):
         """Conditional probability that the sifted bits disagree."""
         return self.mass(lambda a, b, e: a != b)
 
     @property
-    def p_ab_agree(self):
-        return self.mass(lambda a, b, e: a == b)
-
-    @property
     def p_eve_abstain(self):
         return self.mass(lambda a, b, e: e is None)
-
-    @property
-    def p_eve_guess(self):
-        return self.mass(lambda a, b, e: e is not None)
 
     @property
     def p_eve_agree_alice(self):
@@ -128,15 +122,6 @@ class JointDistribution:
     @property
     def p_eve_agree_bob(self):
         return self.mass(lambda a, b, e: e is not None and e == b)
-
-    def pair_ab(self) -> dict:
-        return self._pairs(Fraction)[0]
-
-    def pair_ae(self) -> dict:
-        return self._pairs(Fraction)[1]
-
-    def pair_be(self) -> dict:
-        return self._pairs(Fraction)[2]
 
     def _pairs(self, divide) -> tuple:
         """The (a, b), (a, e) and (b, e) marginals, summed in one pass in table order.
@@ -486,9 +471,17 @@ class AnalyticCurves:
     conditional quantities assume the symmetric ensemble mix except
     p_sift, p_ab and qber, which are mix-independent. Accepts exact or float
     q and preserves the input's arithmetic.
+
+    Raises:
+        ValueError: for a protocol without closed-form curves: only the
+            exclusion-sifted codes have them.
     """
 
     protocol: ProtocolKind
+
+    def __post_init__(self):
+        if not self.protocol.excludes_outcomes:
+            raise ValueError(f"no closed-form curves for {self.protocol.value}; use enumerate_joint")
 
     def p_sift(self, q):
         if self.protocol is ProtocolKind.TRINE:
@@ -520,15 +513,6 @@ class AnalyticCurves:
         if self.protocol is ProtocolKind.TRINE:
             return 12 * observed_sift - 6
         return 9 * observed_sift - 3
-
-
-def analytic_curves(protocol: ProtocolKind) -> AnalyticCurves:
-    """Closed-form curves; only the exclusion-sifted codes have them."""
-    if not protocol.excludes_outcomes:
-        raise ValueError(
-            f"no closed-form curves for {protocol.value}; use enumerate_joint"
-        )
-    return AnalyticCurves(protocol=protocol)
 
 
 # -- information quantities ----------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -168,14 +169,17 @@ def eigen_bit(index: int) -> int:
 
 
 def levi_civita(*indices: int) -> int:
-    """Permutation symbol over {1..len(indices)}: +1 even, -1 odd, 0 on repeats."""
+    """Permutation symbol over {1..len(indices)}: +1 even, -1 odd, 0 on repeats.
+
+    An index is any Integral (numpy integers too) but not a bool.
+    """
     n = len(indices)
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        if isinstance(i, bool) or not isinstance(i, Integral) or not 1 <= i <= n:
             raise ValueError(f"index {i!r} out of range 1..{n}")
     if len(set(indices)) != n:
         return 0
-    return (-1) ** sum(a > b for a, b in itertools.combinations(indices, 2))
+    return (-1) ** int(sum(a > b for a, b in itertools.combinations(indices, 2)))
 
 
 def trine_key_bit(j: int, k: int, l: int) -> int:

@@ -147,8 +147,9 @@ def measuring_code(protocol: ProtocolKind, side: str) -> SphericalCode:
 
 
 # Eve's POVM at every strength, full strength included, for the scalar
-# run_round (the sampler and the exact walk read Bloch Gram rows instead);
-# keyed by float q, so bounded: simulations take any strength
+# run_round, which also measures Bob with the bob side at strength 1: his
+# code POVM (the sampler and the exact walk read Bloch Gram rows instead);
+# keyed by q (1 and 1.0 are one key), so bounded: simulations take any strength
 @lru_cache(maxsize=16)
 def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
     return gentle_povm(measuring_code(protocol, side), q)

@@ -400,9 +400,6 @@ class ComparisonReport:
         """True when every counter sits within 4 standard deviations."""
         return all(abs(e.z) <= 4.0 for e in self.entries)
 
-    def flagged(self) -> tuple:
-        return tuple(e for e in self.entries if abs(e.z) > 4.0)
-
 
 def compare_to_oracle(stats: SampleStats, joint) -> ComparisonReport:
     """Z-scores of the simulated counters against an exact JointDistribution.

@@ -18,7 +18,7 @@ from functools import lru_cache
 from numbers import Real
 
 from .codes import ProtocolKind, SphericalCode, basis_label, eigen_bit, make_code, tetra_key_bit, trine_key_bit
-from .states import Povm, depolarize, sample_outcome
+from .states import depolarize, sample_outcome
 
 
 def _check_unit(value, name: str) -> None:
@@ -96,13 +96,6 @@ def bob_code(protocol: ProtocolKind) -> SphericalCode:
     return make_code(protocol)
 
 
-@lru_cache(maxsize=None)
-def bob_povm(protocol: ProtocolKind) -> Povm:
-    from .eavesdrop import gentle_povm  # cycle: protocol <-> eavesdrop
-
-    return gentle_povm(bob_code(protocol), 1)
-
-
 def alice_pick(protocol: ProtocolKind, u: float) -> int:
     """Uniform signal choice from one uniform variate; u = 0 maps to signal 1."""
     n = protocol.n_signals
@@ -159,12 +152,14 @@ def _party_bit(protocol: ProtocolKind, side: str, index: int, ann: Announcement)
     outcome on the side she impersonates.
 
     Raises:
-        ValueError: if an exclusion is not n - 2 distinct outcomes.
+        ValueError: if an exclusion is not n - 2 distinct outcomes in 1..n.
     """
     if protocol.excludes_outcomes:
         n = protocol.n_signals
         if len(ann.excluded) != n - 2 or len(set(ann.excluded)) != n - 2:
             raise ValueError(f"announcement must exclude n - 2 = {n - 2} distinct outcomes, got {ann.excluded!r}")
+        if not all(1 <= e <= n for e in ann.excluded):
+            raise ValueError(f"announced exclusion {ann.excluded!r} out of range 1..{n}")
         if index in ann.excluded:
             return None
         partner = n * (n + 1) // 2 - index - sum(ann.excluded)
@@ -220,14 +215,14 @@ def run_round(protocol: ProtocolKind, eve, channel: Channel, rng) -> RoundTransc
         RoundTranscript; rejected rounds still record signal, outcome and
         announcement but carry no key bits.
     """
-    from .eavesdrop import intercept_with_uniforms  # cycle: protocol <-> eavesdrop
+    from .eavesdrop import _side_gentle_povm, intercept_with_uniforms  # cycle: protocol <-> eavesdrop
 
     u = rng.random(8)
     j = alice_pick(protocol, u[0])
     rho = make_code(protocol).state(j)
     rho, record = intercept_with_uniforms(eve, protocol, rho, u[1], u[2], u[3])
     rho = depolarize(rho, channel.depolarizing)
-    k = sample_outcome(rho, bob_povm(protocol), u[4])
+    k = sample_outcome(rho, _side_gentle_povm(protocol, "bob", 1), u[4])  # Bob's code POVM
     ann = bob_announce(protocol, k, u[5])
     if not protocol.excludes_outcomes:
         ann = replace(ann, alice_basis=basis_label(j))

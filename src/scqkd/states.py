@@ -2,8 +2,9 @@
 
 States are 2x2 complex density matrices; Bloch vectors are the real
 three-component view rho = (I + v.sigma)/2. All functions are pure and never
-mutate their inputs. Numerical tolerance for validity checks is 1e-12 unless
-stated otherwise.
+mutate their inputs. The checks that a matrix is a valid state or POVM
+(Hermitian, unit trace or summing to the identity, positive semidefinite)
+live with the tests, the only code that asks.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-
-ATOL = 1e-12
 
 I2: NDArray[np.complex128] = np.eye(2, dtype=np.complex128)
 SIGMA_X: NDArray[np.complex128] = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -51,43 +50,6 @@ def pure_from_bloch(v) -> NDArray[np.complex128]:
     return _frozen(rho)
 
 
-def bloch_of(rho) -> NDArray[np.float64]:
-    """Bloch vector (x, y, z) of a density matrix."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    return np.array(
-        [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
-    )
-
-
-def _min_eigenvalue(a, what: str, atol: float) -> float:
-    """Smaller eigenvalue (t - sqrt(t^2 - 4 det))/2 of a 2x2 matrix, which must be Hermitian.
-
-    Raises:
-        ValueError: "<what> is not Hermitian".
-    """
-    if not np.allclose(a, a.conj().T, atol=atol):
-        raise ValueError(f"{what} is not Hermitian")
-    t, d = np.trace(a).real, np.linalg.det(a).real
-    return (t - max(t * t - 4 * d, 0.0) ** 0.5) / 2
-
-
-def validate_state(rho, atol: float = ATOL) -> None:
-    """Check that rho is Hermitian, unit trace, and positive semidefinite.
-
-    Raises:
-        ValueError: naming the violated property.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    lam_min = _min_eigenvalue(rho, "density matrix", atol)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    if lam_min < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {lam_min!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A POVM: ordered elements summing to the identity; outcome m is element m-1 (1-based)."""
@@ -96,21 +58,6 @@ class Povm:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(_frozen(e) for e in self.elements))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def validate(self, atol: float = ATOL) -> None:
-        """Check each element is Hermitian PSD and the set sums to identity."""
-        total = np.zeros((2, 2), dtype=np.complex128)
-        for e in self.elements:
-            if e.shape != (2, 2):
-                raise ValueError("POVM element must be 2x2")
-            if _min_eigenvalue(e, "POVM element", atol) < -atol:
-                raise ValueError("POVM element has a negative eigenvalue")
-            total = total + e
-        if not np.allclose(total, I2, atol=atol):
-            raise ValueError("POVM elements do not sum to the identity")
 
 
 def born_probability(rho, element) -> float:

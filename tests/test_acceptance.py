@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from scqkd.analysis import (
-    analytic_curves,
+    AnalyticCurves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -46,7 +46,7 @@ class TestAcceptance:
         )
         # unconditional masses
         checks = [
-            jd.p_fail == F(5, 12),
+            1 - jd.p_sift == F(5, 12),
             jd.p_sift * jd.mass(lambda a, b, e: e is not None and a == b == e) == F(1, 3),
             jd.p_sift * jd.mass(lambda a, b, e: e is not None and a != b and b == e) == F(1, 12),
             jd.p_sift * jd.p_eve_abstain == F(1, 6),
@@ -54,9 +54,9 @@ class TestAcceptance:
             # exhaust the guessed region
             jd.mass(lambda a, b, e: e is not None and e != b) == 0,
             # conditional rates
-            jd.p_ab_agree == F(5, 7),
+            jd.mass(lambda a, b, e: a == b) == F(5, 7),
             jd.p_eve_agree_alice == F(4, 7),
-            jd.p_eve_guess == F(5, 7),
+            jd.mass(lambda a, b, e: e is not None) == F(5, 7),
         ]
         elapsed = time.perf_counter() - t0
         ok = all(checks) and elapsed < 1.0
@@ -71,7 +71,7 @@ class TestAcceptance:
             trine.p_eve_agree_alice == F(9, 14),
             trine.mass(lambda a, b, e: e is not None and e != a) == F(1, 14),
             tetra.p_sift == F(4, 9),
-            tetra.p_ab_agree == F(5, 8),
+            tetra.mass(lambda a, b, e: a == b) == F(5, 8),
             tetra.p_eve_agree_alice == F(7, 16),
             tetra.p_eve_abstain == F(1, 2),
         ]
@@ -83,13 +83,13 @@ class TestAcceptance:
         t0 = time.perf_counter()
         mismatches = []
         for protocol in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON):
-            curves = analytic_curves(protocol)
+            curves = AnalyticCurves(protocol)
             for i in range(101):
                 q = F(i, 100)
                 jd = enumerate_joint(protocol, InterceptResend(q=q))
                 same = (
                     jd.p_sift == curves.p_sift(q)
-                    and jd.p_ab_agree == curves.p_ab(q)
+                    and jd.mass(lambda a, b, e: a == b) == curves.p_ab(q)
                     and jd.p_eve_agree_alice == curves.p_ae(q)
                     and jd.p_eve_abstain == curves.p_noguess(q)
                     and jd.qber == curves.qber(q)
@@ -175,7 +175,7 @@ class TestAcceptance:
         worst = F(0)
         in_model = True
         for protocol in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON):
-            curves = analytic_curves(protocol)
+            curves = AnalyticCurves(protocol)
             for i in range(101):
                 q = F(i, 100)
                 est = estimate_q_from_sift(protocol, curves.p_sift(q))

@@ -21,7 +21,6 @@ from scqkd.analysis import (
     _walk,
     AnalyticCurves,
     NoThresholdError,
-    analytic_curves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -42,7 +41,7 @@ from scqkd.eavesdrop import (
     measuring_code,
 )
 from scqkd.codes import basis_label, bloch_gram, eigen_bit, make_code, tetra_key_bit, trine_key_bit
-from scqkd.protocol import Announcement, Channel, ProtocolKind, announcement_options, bob_povm
+from scqkd.protocol import Announcement, Channel, ProtocolKind, announcement_options
 from scqkd.states import born_probability, depolarize, post_measurement_state
 
 ALL = list(ProtocolKind)
@@ -94,11 +93,11 @@ class TestEnumerateStandard:
 
     @pytest.mark.parametrize("protocol", EXCLUSION)
     def test_matches_closed_forms_exactly(self, protocol):
-        curves = analytic_curves(protocol)
+        curves = AnalyticCurves(protocol)
         for q in (F(0), F(1, 7), F(1, 3), F(1, 2), F(9, 11), F(1)):
             jd = enumerate_joint(protocol, _sym(q))
             assert jd.p_sift == curves.p_sift(q)
-            assert jd.p_ab_agree == curves.p_ab(q)
+            assert jd.mass(lambda a, b, e: a == b) == curves.p_ab(q)
             assert jd.p_eve_agree_alice == curves.p_ae(q)
             assert jd.p_eve_abstain == curves.p_noguess(q)
             assert jd.qber == curves.qber(q)
@@ -234,7 +233,7 @@ def _born_stages(protocol, strength, p):
 
     def bob_row(rho):
         rho = depolarize(rho, p)
-        return [born_probability(rho, e) for e in bob_povm(protocol).elements]
+        return [born_probability(rho, e) for e in _side_gentle_povm(protocol, "bob", 1).elements]
 
     for j in range(1, n + 1):
         rho = make_code(protocol).state(j)
@@ -389,7 +388,7 @@ class TestStages:
                         continue
                     forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, q, m))
                     exact_row = gram.bob[(1 + si * n + m - 1) * n + j - 1]
-                    for e, exact_k in zip(bob_povm(protocol).elements, exact_row):
+                    for e, exact_k in zip(_side_gentle_povm(protocol, "bob", 1).elements, exact_row):
                         assert abs(p_m * born_probability(forwarded, e) - exact_m * exact_k) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -595,7 +594,7 @@ class TestKeyRate:
 class TestThresholds:
     def test_trine_standard_location(self):
         res = find_threshold(ProtocolKind.TRINE, "standard")
-        curves = analytic_curves(ProtocolKind.TRINE)
+        curves = AnalyticCurves(ProtocolKind.TRINE)
         assert abs(res.qber_star - float(curves.qber(F(res.q_star).limit_denominator(10**9)))) < 1e-6
         # the rate really crosses there
         below = key_rate(enumerate_joint(ProtocolKind.TRINE, _sym(res.q_star - 1e-4))).r
@@ -789,7 +788,7 @@ class TestGentleCurve:
         soft = enumerate_joint(protocol, GentleIntercept(q=0.0, mix=mix), channel)
         ref = enumerate_joint(protocol, None, channel)
         assert abs(soft.p_sift - float(ref.p_sift)) <= 1e-12
-        soft_ab, ref_ab = soft.pair_ab(), ref.pair_ab()
+        soft_ab, ref_ab = soft._pairs(F)[0], ref._pairs(F)[0]
         for key in {**soft_ab, **ref_ab}:
             assert abs(soft_ab.get(key, 0) - float(ref_ab.get(key, 0))) <= 1e-12
 
@@ -880,9 +879,9 @@ class TestIntegerMasses:
 
         def read(jd):
             return [repr(v) for v in (
-                key_rate(jd), jd.qber, jd.p_fail, jd.p_ab_agree, jd.p_eve_abstain, jd.p_eve_guess,
-                jd.p_eve_agree_alice, jd.p_eve_agree_bob, jd.mass(lambda a, b, e: False),
-                jd.pair_ab(), jd.pair_ae(), jd.pair_be(),
+                key_rate(jd), jd.qber, 1 - jd.p_sift, jd.mass(lambda a, b, e: a == b), jd.p_eve_abstain,
+                jd.mass(lambda a, b, e: e is not None), jd.p_eve_agree_alice, jd.p_eve_agree_bob,
+                jd.mass(lambda a, b, e: False), *jd._pairs(F),
             )]
 
         assert read(joint) == read(plain)
@@ -891,7 +890,7 @@ class TestIntegerMasses:
 class TestSiftInversion:
     @pytest.mark.parametrize("protocol", EXCLUSION)
     def test_round_trip_exact(self, protocol):
-        curves = analytic_curves(protocol)
+        curves = AnalyticCurves(protocol)
         for i in range(0, 101, 10):
             q = F(i, 100)
             est = estimate_q_from_sift(protocol, curves.p_sift(q))
@@ -928,8 +927,8 @@ class TestSiftInversion:
     def test_basis_protocols_rejected(self):
         with pytest.raises(ValueError):
             estimate_q_from_sift(ProtocolKind.BB84, F(1, 2))
-        with pytest.raises(ValueError):
-            analytic_curves(ProtocolKind.SIX_STATE)
+        with pytest.raises(ValueError, match="no closed-form curves for six-state"):
+            AnalyticCurves(ProtocolKind.SIX_STATE)
 
     @settings(max_examples=80, deadline=None)
     @given(protocol=st.sampled_from(EXCLUSION), mix=_MIXES, q=_STRENGTH)
@@ -1020,9 +1019,10 @@ class TestJointDistributionValidation:
             p_sift=F(1, 2), table={(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)},
             _masses=({(0, 0, None): 1, (1, 1, None): 1}, 2),
         )
-        assert (jd.qber, jd.p_ab_agree) == (0, F(1))
+        assert (jd.qber, jd.mass(lambda a, b, e: a == b)) == (0, F(1))
 
     def test_branch_bookkeeping_conserves_mass(self):
-        jd = enumerate_joint(ProtocolKind.TETRAHEDRON, _sym(F(2, 3)), Channel(depolarizing=F(1, 5)))
-        assert jd.p_sift + jd.p_fail == 1
+        eve, channel = _sym(F(2, 3)), Channel(depolarizing=F(1, 5))
+        jd = enumerate_joint(ProtocolKind.TETRAHEDRON, eve, channel)
+        assert sum(_walk(ProtocolKind.TETRAHEDRON, eve, channel).values()) == jd.p_sift
         assert sum(jd.table.values()) == 1

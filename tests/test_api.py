@@ -9,11 +9,13 @@ import ast
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import scqkd
+from scqkd.analysis import AnalyticCurves
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,24 +39,41 @@ PUBLIC = [
     "estimate_q_from_sift",
     "find_threshold",
     "key_rate",
-    "run_round",
     "run_trials",
-    "simulate_rounds",
 ]
 
 # building blocks that are not exported, by the submodule that defines them
 SUBMODULE_ONLY = {
-    "analysis": ["AnalyticCurves", "analytic_curves", "mutual_information"],
+    "analysis": ["AnalyticCurves", "mutual_information"],
     "codes": ["SphericalCode", "make_code", "tetra_key_bit", "trine_key_bit"],
     "eavesdrop": ["EveRecord", "eve_guess", "gentle_povm"],
-    "montecarlo": ["RoundArrays", "stats_from_arrays"],
-    "protocol": ["Announcement", "RoundTranscript"],
+    "montecarlo": ["RoundArrays", "simulate_rounds", "stats_from_arrays"],
+    "protocol": ["Announcement", "RoundTranscript", "run_round"],
 }
+
+# what a joint carries: the entry points, the CLI and the bench read these and nothing else
+JOINT_ATTRIBUTES = ["mass", "p_eve_abstain", "p_eve_agree_alice", "p_eve_agree_bob", "p_sift", "qber", "table"]
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 22
+    assert len(PUBLIC) == 20
     assert scqkd.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_joint_attributes_are_pinned(exact):
+    q = Fraction(1, 2) if exact else 0.5
+    joint = scqkd.enumerate_joint(scqkd.ProtocolKind.TRINE, scqkd.InterceptResend(q))
+    assert [name for name in dir(joint) if not name.startswith("_")] == JOINT_ATTRIBUTES
+
+
+@pytest.mark.parametrize("protocol", list(scqkd.ProtocolKind))
+def test_closed_form_curves_only_for_the_exclusion_codes(protocol):
+    if protocol.excludes_outcomes:
+        assert AnalyticCurves(protocol).protocol is protocol
+    else:
+        with pytest.raises(ValueError, match=f"no closed-form curves for {protocol.value}"):
+            AnalyticCurves(protocol)
 
 
 def test_every_public_name_resolves():

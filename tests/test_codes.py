@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from qubit_checks import validate_povm
 
 from scqkd.codes import (
     ProtocolKind,
@@ -66,11 +67,11 @@ class TestMakeCode:
 class TestCodePovm:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_complete(self, kind):
-        gentle_povm(make_code(kind), 1).validate()
+        validate_povm(gentle_povm(make_code(kind), 1))
 
     @pytest.mark.parametrize("kind", [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON])
     def test_dual_complete(self, kind):
-        gentle_povm(bob_code(kind), 1).validate()
+        validate_povm(gentle_povm(bob_code(kind), 1))
 
 
 class TestBlochGram:
@@ -143,6 +144,12 @@ class TestLeviCivita:
             levi_civita(1, 2, 3, 5)
         with pytest.raises(ValueError):
             levi_civita(1, 3)
+        # any Integral index but a bool, which would otherwise pass as 1
+        assert levi_civita(np.int64(1), 2, 3) == 1
+        eps = levi_civita(np.int64(2), np.int8(1), 3)
+        assert type(eps) is int and eps == -1
+        with pytest.raises(ValueError, match="index True out of range"):
+            levi_civita(True, 2, 3)
 
 
 class TestKeyBits:

@@ -1,10 +1,12 @@
 """Tests for interception strategies, forwarded states, and the guess rule."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from qubit_checks import validate_povm
 
 from scqkd.analysis import _stages, find_threshold
 from scqkd.codes import basis_label, eigen_bit, make_code
@@ -62,7 +64,7 @@ class TestGentlePovm:
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.77, 1.0])
     @pytest.mark.parametrize("protocol", ALL)
     def test_complete(self, protocol, q):
-        gentle_povm(make_code(protocol), q).validate()
+        validate_povm(gentle_povm(make_code(protocol), q))
 
     @pytest.mark.parametrize("q", ["0.5", True, None, 1.5])
     def test_strength_checked(self, q):
@@ -168,18 +170,20 @@ class TestEveGuess:
         assert eve_guess(self._rec("alice", 2), ProtocolKind.TRINE, ann, True) is None
         assert eve_guess(self._rec("bob", 2), ProtocolKind.TRINE, ann, True) is None
 
-    @pytest.mark.parametrize("protocol,excluded", [
-        (ProtocolKind.TRINE, ()),
-        (ProtocolKind.TRINE, (2, 3)),
-        (ProtocolKind.TETRAHEDRON, (2,)),
-        (ProtocolKind.TETRAHEDRON, (2, 2)),
-        (ProtocolKind.TETRAHEDRON, (2, 3, 4)),
+    @pytest.mark.parametrize("protocol,excluded,reason", [
+        (ProtocolKind.TRINE, (), "distinct outcomes"),
+        (ProtocolKind.TRINE, (2, 3), "distinct outcomes"),
+        (ProtocolKind.TRINE, (5,), "announced exclusion (5,) out of range 1..3"),
+        (ProtocolKind.TETRAHEDRON, (2,), "distinct outcomes"),
+        (ProtocolKind.TETRAHEDRON, (2, 2), "distinct outcomes"),
+        (ProtocolKind.TETRAHEDRON, (2, 3, 4), "distinct outcomes"),
+        (ProtocolKind.TETRAHEDRON, (0, 3), "announced exclusion (0, 3) out of range 1..4"),
     ])
-    def test_malformed_exclusion_rejected(self, protocol, excluded):
+    def test_malformed_exclusion_rejected(self, protocol, excluded, reason):
         from scqkd.protocol import Announcement
 
         for side in _SIDES:
-            with pytest.raises(ValueError, match="distinct outcomes"):
+            with pytest.raises(ValueError, match=re.escape(reason)):
                 eve_guess(self._rec(side, 1), protocol, Announcement(excluded=excluded), True)
 
     def test_trine_guess_matches_party_derivation(self):

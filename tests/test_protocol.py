@@ -1,13 +1,15 @@
 """Tests for round structure: announcements, sifting, bit derivation, transcripts."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from qubit_checks import validate_povm
 
 from scqkd.codes import make_code
-from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept
+from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, _side_gentle_povm, gentle_povm
 from scqkd.protocol import (
     IDEAL,
     Announcement,
@@ -17,7 +19,6 @@ from scqkd.protocol import (
     announcement_options,
     bob_announce,
     bob_code,
-    bob_povm,
     derive_bits,
     run_round,
     sift_accept,
@@ -182,10 +183,12 @@ class TestDeriveBits:
         (ProtocolKind.TETRAHEDRON, (3, 3), "n - 2 = 2 distinct outcomes"),
         (ProtocolKind.TETRAHEDRON, (4, 2), "excludes Bob's actual outcome"),
         (ProtocolKind.TETRAHEDRON, (3, 1), "signal is excluded"),
+        (ProtocolKind.TRINE, (5,), "announced exclusion (5,) out of range 1..3"),
+        (ProtocolKind.TETRAHEDRON, (3, 5), "announced exclusion (3, 5) out of range 1..4"),
     ])
     def test_malformed_exclusion_rejected(self, protocol, excluded, reason):
-        # signal 1, outcome 2: too short, a repeated index, k excluded, j excluded
-        with pytest.raises(ValueError, match=reason):
+        # signal 1, outcome 2: too short, a repeated index, k excluded, j excluded, an index out of range
+        with pytest.raises(ValueError, match=re.escape(reason)):
             derive_bits(protocol, 1, 2, Announcement(excluded=excluded))
 
 
@@ -260,6 +263,14 @@ class TestRunRound:
 
 
 class TestBobPovm:
+    # run_round measures Bob with Eve's bob-side POVM at full strength: his code's POVM
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_complete(self, protocol):
-        bob_povm(protocol).validate()
+        validate_povm(_side_gentle_povm(protocol, "bob", 1))
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_is_the_code_povm_of_bob_code(self, protocol):
+        povm = _side_gentle_povm(protocol, "bob", 1)
+        assert _side_gentle_povm(protocol, "bob", 1.0) is povm  # 1 and 1.0 are one cache key
+        for got, want in zip(povm.elements, gentle_povm(bob_code(protocol), 1).elements, strict=True):
+            assert np.array_equal(got, want)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from qubit_checks import bloch_of, validate_povm, validate_state
 
 from scqkd.states import (
     I2,
@@ -10,13 +11,11 @@ from scqkd.states import (
     SIGMA_Y,
     SIGMA_Z,
     Povm,
-    bloch_of,
     born_probability,
     depolarize,
     post_measurement_state,
     pure_from_bloch,
     sample_outcome,
-    validate_state,
 )
 
 
@@ -89,13 +88,13 @@ class TestValidateState:
 
 class TestPovm:
     def test_complete_povm_validates(self):
-        Povm(elements=(MIXED, MIXED)).validate()
+        validate_povm(Povm(elements=(MIXED, MIXED)))
 
     def test_default_labels(self):
         # outcomes are named by their 1-based element index
         povm = Povm(elements=(MIXED, MIXED))
         assert [sample_outcome(MIXED, povm, u) for u in (0.2, 0.7)] == [1, 2]
-        assert len(povm) == 2
+        assert len(povm.elements) == 2
 
     @pytest.mark.parametrize("element,message", [
         (np.eye(3), "POVM element must be 2x2"),
@@ -104,11 +103,11 @@ class TestPovm:
     ])
     def test_invalid_element_named(self, element, message):
         with pytest.raises(ValueError, match=message):
-            Povm(elements=(element,)).validate()
+            validate_povm(Povm(elements=(element,)))
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
-            Povm(elements=(MIXED, MIXED, MIXED)).validate()
+            validate_povm(Povm(elements=(MIXED, MIXED, MIXED)))
 
 
 class TestBornProbability:
