@@ -5,23 +5,27 @@ bit, and Eve's guess (0, 1, or None for abstention) conditioned on successful
 sifting. A round is one model, built by `_stages`: Eve's outcome rows per
 (ensemble side, signal) and Bob's outcome rows per (Eve's slot, signal),
 which depend only on the protocol, Eve's measurement strength and the
-depolarizing strength; the share of signals she touches and the mix only
-weight the branches. A cell of the round is Bob's row extended by his
+depolarizing strength. A cell of the round is Bob's row extended by his
 outcome and the announcement, and `_sifting`, cached per protocol, is the
 one table of what every cell sifts to. `_walk` exhaustively enumerates
-every branch of a round over these rows and projects its masses through
-`_sifting`; montecarlo samples the floats of the same rows and reads the
-same table by the same cell index. Every row is
-read off the exact Bloch Gram matrix, the same way for every attack family,
-so the rows are exact Fractions whenever the inputs are rational: q, the
-depolarizing strength and, for the gentle attack, sqrt(1 - q^2). Nothing
-here takes a matrix product; only the scalar protocol.run_round, the
-independent reference, does. The unnormalised sifted table is linear in the
-depolarizing strength p and, at a fixed p, in (1, q) or (1, q, sqrt(1 - q^2)),
-so a few exact walks per (protocol, attack family, mix), cached by `_corners`,
-give it at every (q, p). `enumerate_joint` evaluates those corners,
-thresholds and sweeps call it at each strength, and `_walk` stays as the
-reference the tests compare it with. Exact inputs give integer masses over
+every branch of a round over these rows, with no eavesdropper in it, and
+projects its masses through `_sifting` in three parts: the round Eve
+leaves alone and her measuring with either side's ensemble. The share of
+signals she touches and the mix only weight those parts: every attack is
+(1 - t) U_0 + t (w_alice U_alice + w_bob U_bob). montecarlo samples the
+floats of the same rows and reads the same table by the same cell index.
+Every row is read off the exact Bloch Gram matrix, the same way for every
+attack family, so the rows are exact Fractions whenever the inputs are
+rational: q, the depolarizing strength and, for the gentle attack,
+sqrt(1 - q^2). Nothing here takes a matrix product; only the scalar
+protocol.run_round, the independent reference, does. The unnormalised
+sifted table is linear in the depolarizing strength p and, at a fixed p, in
+(1, q) or (1, q, sqrt(1 - q^2)), so the tables at a few nodes per
+(protocol, attack family, mix), weighted from 6 cached walks per protocol
+by `_corners`, give it at every (q, p). `enumerate_joint` evaluates those
+corners, and thresholds and sweeps call it at each strength; the tests keep
+the weighted walk of one eavesdropper as the reference they compare the
+corners with. Exact inputs give integer masses over
 one integer total: the Fraction table is built from them once, for callers,
 and `qber`, `mass` and `key_rate` (through `_pairs`) read the integers.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
@@ -156,7 +160,7 @@ class RateReport:
 class ThresholdResult:
     q_star: float
     qber_star: float
-    # branch walks the solve triggered; 0 once its corners are cached (see find_threshold)
+    # round walks the solve triggered: misses of the walk cache, 0 once they are cached (see find_threshold)
     n_enumerations: int = field(compare=False)
 
 
@@ -216,12 +220,12 @@ def _sqrt(x):
 def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     """Every row of a round, both sides and every slot, at Eve's strength q and depolarizing p.
 
-    The share of signals Eve touches and the mix only weight the branches
-    (`_branches`), so the rows depend on the strength alone: intercept/resend
-    at any share and no eavesdropper both measure at strength 1
-    (eavesdrop._attack) and read the same rows, and a gentle strength's rows
-    serve every mix. One loop over (signal j, side, Eve's outcome m) reads
-    every row off the exact Bloch Gram matrix. Eve's outcome m has Bloch
+    The share of signals Eve touches and the mix only weight the parts of
+    the walk (`_corners`), so the rows depend on the strength alone:
+    intercept/resend at any share and no eavesdropper both measure at
+    strength 1 (eavesdrop._attack) and read the same rows, and a gentle
+    strength's rows serve every mix. One loop over (signal j, side, Eve's
+    outcome m) reads every row off the exact Bloch Gram matrix. Eve's outcome m has Bloch
     vector u (Alice's a_m, or -a_m on Bob's side under exclusion
     sifting) and probability (1 + q g)/n, where g = u . a_j. She forwards the
     Bloch vector b = ((q + g - s g) u + s a_j) / (1 + q g), with
@@ -293,26 +297,6 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     return _Stages(eve_rows, bob_rows)
 
 
-def _branches(protocol: ProtocolKind, eve, stages: _Stages, j: int):
-    """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages).
-
-    Slot 0, the round Eve leaves alone, has weight 1 - touched, and her
-    outcome m on a side has weight touched * w_side * p_m, with touched the
-    share of signals she measures (eavesdrop._attack) and w_side the mix's
-    weight of the side. A branch of weight zero is never taken: slot 0 where
-    Eve measures every signal, a side the mix never picks, every side when
-    she measures none, and an outcome of negligible p_m.
-    """
-    n = protocol.n_signals
-    touched = _attack(eve)[1]
-    if touched != 1:
-        yield 1 - touched, 0
-    for si, ws in enumerate(_SIDE_WEIGHTS[eve.mix] if touched else ()):
-        for m, p_m in enumerate(stages.eve[si * n + j - 1] if ws else (), 1):
-            if not _negligible(p_m):
-                yield touched * ws * p_m, 1 + si * n + m - 1
-
-
 @lru_cache(maxsize=len(ProtocolKind))
 def _sifting(protocol: ProtocolKind) -> tuple:
     """The sifting table of a protocol: one entry per cell of a round (see _Stages).
@@ -337,63 +321,85 @@ def _sifting(protocol: ProtocolKind) -> tuple:
     )
 
 
-def _walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
-    """Walk every branch of one round: the unnormalised sifted table {(a, b, e): mass}.
+@lru_cache(maxsize=len(ProtocolKind) * 3 * 2, typed=True)
+def _walk(protocol: ProtocolKind, strength, p) -> dict:
+    """Walk every branch of one round, part by part: {(part, (a, b, e)): unnormalised sifted mass}.
 
-    Every branch (signal, interception outcome, Bob outcome, announcement) is
-    taken with its probability; nothing is sampled. Each (signal, slot) branch
-    reads Bob's gram row slot * n + j-1 of `_stages` and projects its masses
-    through that row's slice of `_sifting` (the layout is in _Stages). The
-    arithmetic is the rows', the same for every family: exact rationals
-    whenever q, p and, for the gentle attack, sqrt(1 - q^2) are rational,
-    floats otherwise. Keys are in the order the walk first sees them. Only
-    `_corners` walks; the tests compare enumerate_joint against this
-    reference, as they compare the sampler against run_round.
+    Part 0 is the round Eve leaves alone, and part 1 + side (0 alice, 1 bob)
+    every outcome of her measuring with that side's ensemble at `strength`;
+    each part's branches carry mass 1 in all. The share of signals she
+    touches and the mix only weight the parts (`_corners`), so no
+    eavesdropper, mix or channel is read here. Every branch (signal j, slot,
+    Bob outcome k, announcement) is taken with its probability, in that
+    order, slot 0 before Alice's outcomes before Bob's; nothing is sampled.
+    Each (signal, slot) branch reads Bob's gram row slot * n + j-1 of
+    `_stages` and projects its masses through that row's slice of `_sifting`
+    (the layout is in _Stages). The arithmetic is the rows': exact rationals
+    whenever strength, p and sqrt(1 - strength^2) are rational, floats
+    otherwise, and the typed cache keeps a float strength from reading an
+    exact walk. Keys are in the order the walk first sees them. The cache
+    holds what `_corners` reads: 4 protocols x strengths {0, 3/5, 1} x
+    p in {0, 1}.
     """
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
     w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
-    stages = _stages(protocol, _attack(eve)[2], channel.depolarizing)
-    sifting = _sifting(protocol)
-    table: dict = {}
-    total_mass = 0
+    stages, sifting = _stages(protocol, strength, p), _sifting(protocol)
+    table, totals = {}, [0, 0, 0]
     for j in range(1, n + 1):
-        for w_e, slot in _branches(protocol, eve, stages, j):
-            row = slot * n + j - 1
-            base = w_j * w_e
+        # slot 0 (part 0) with weight 1, then Eve's outcomes m on Alice's side (slots 1..n, part 1)
+        # and on Bob's (slots n+1..2n, part 2) with weight p_m
+        for slot, p_m in enumerate([1, *stages.eve[j - 1], *stages.eve[n + j - 1]]):
+            if _negligible(p_m):
+                continue
+            part, row, base = (slot + n - 1) // n, slot * n + j - 1, w_j * p_m
             for k, pk in enumerate(stages.bob[row]):
                 if _negligible(pk):
                     continue
                 mass = base * pk
-                total_mass += mass
+                totals[part] += mass
                 w = mass * w_a
                 cell = (row * n + k) * n_opts
                 for key in sifting[cell:cell + n_opts]:
                     if key is not None:
-                        table[key] = table.get(key, 0) + w
-    if abs(float(total_mass) - 1.0) > 1e-9:
-        raise AssertionError(f"branch probabilities sum to {float(total_mass)!r}")
+                        table[part, key] = table.get((part, key), 0) + w
+    if any(abs(float(total) - 1.0) > 1e-9 for total in totals):
+        raise AssertionError(f"branch probabilities of the parts sum to {[float(t) for t in totals]!r}")
     return table
 
 
-# each attack family's nodes q_i: its tables at any q are a mix of those at the nodes
-_NODES = {"none": (0,), "standard": (0, 1), "gentle": (0, Fraction(3, 5), 1)}
+# each attack family's nodes (touched, strength) in increasing q: its tables at any q mix those at the nodes
+_NODES = {"none": ((0, 1),), "standard": ((0, 1), (1, 1)), "gentle": ((1, 0), (1, Fraction(3, 5)), (1, 1))}
 
 
 @lru_cache(maxsize=len(ProtocolKind) * (1 + 2 * len(EnsembleMix)))
 def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
-    """(keys, scale, tables): the walks at the family's nodes q_i and p = 0, 1.
+    """(keys, scale, tables): the family's tables at its nodes and p = 0, 1.
 
-    scale * tables[2i + p] lists the unnormalised sifted masses at node q_i
+    A node (touched, strength) weights the parts of the cached `_walk` at its
+    strength by (1 - touched, touched * w_alice, touched * w_bob), w_side
+    being the mix's weight of the side, and skips a part of weight zero.
+    scale * tables[2i + p] lists the unnormalised sifted masses at node i
     and depolarizing strength p in the order of keys, the order in which the
-    walks first see them (nodes in increasing q, p = 0 before p = 1). Every
-    node walk is exact, the gentle ones too (sqrt(1 - q_i^2) is rational at
-    each node), so scale is 1 over the common denominator of the masses,
-    the tables hold integers, and exact sums of them stay integer. "none"
-    takes mix None, so the cache holds at most 4 x (1 + 3 + 3) entries.
+    weighted walks first see them (nodes in increasing q, p = 0 before
+    p = 1): the walk's entries are read in its order, so that is the order
+    of a walk that took only the branches of nonzero weight. Every node walk
+    is exact, the gentle ones too (sqrt(1 - q^2) is rational at each node),
+    so scale is 1 over the common denominator of the masses, the tables hold
+    integers, and exact sums of them stay integer. "none" takes mix None, so
+    the cache holds at most 4 x (1 + 3 + 3) entries, built from 6 walks per
+    protocol.
     """
-    strategies = [_strategy_for(family, q, mix) for q in _NODES[family]]
-    walks = [_walk(protocol, eve, Channel(depolarizing=p)) for eve in strategies for p in (0, 1)]
+    w_alice, w_bob = (0, 0) if mix is None else _SIDE_WEIGHTS[mix]
+
+    def weighted(touched, strength, p):  # a node's table: the walk's parts by their weights
+        weights, u = (1 - touched, touched * w_alice, touched * w_bob), {}
+        for (part, key), mass in _walk(protocol, strength, p).items():
+            if weights[part]:
+                u[key] = u.get(key, 0) + weights[part] * mass
+        return u
+
+    walks = [weighted(touched, strength, p) for touched, strength in _NODES[family] for p in (0, 1)]
     keys = tuple(dict.fromkeys(key for u in walks for key in u))
     tables = [[u.get(key, 0) for key in keys] for u in walks]
     d = math.lcm(*(v.denominator for t in tables for v in t))
@@ -408,15 +414,16 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     (1, q, sqrt(1 - q^2)) under the gentle attack (see eavesdrop). So it is
     sum_i w_i(q) ((1 - p) U(q_i, 0) + p U(q_i, 1)) over the cached corner
     tables U of the attack family (`_corners`): the first call for a
-    (protocol, family, mix) walks its corners, and later calls at any
-    strength and channel walk nothing. Exact (rational) q and p give the
-    Fractions `_walk` gives, for no eavesdropper and intercept/resend, from
+    (protocol, family, mix) weights the parts of its walks, walking only the
+    (strength, p) not yet cached, and later calls at any strength and
+    channel walk nothing. Exact (rational) q and p give the Fractions a full
+    walk of the round gives, for no eavesdropper and intercept/resend, from
     integer sums; any float input, or the gentle attack (whose weights take
     sqrt(1 - q^2)), is evaluated in floats at float(q) and float(p) from the
     same integer tables and gives floats. Entries that combine to
     a negligible value (exact zeros, float roundoff) are dropped, and table
-    keys are in corner order: the order in which the corner walks first see
-    them.
+    keys are in corner order: the order in which the weighted corner walks
+    first see them.
 
     Args:
         protocol: protocol to analyze.
@@ -473,13 +480,14 @@ class AnalyticCurves:
     q and preserves the input's arithmetic.
 
     Raises:
-        ValueError: for a protocol without closed-form curves: only the
-            exclusion-sifted codes have them.
+        ValueError: for a protocol that is not a ProtocolKind, or one without
+            closed-form curves: only the exclusion-sifted codes have them.
     """
 
     protocol: ProtocolKind
 
     def __post_init__(self):
+        _check_instance("protocol", self.protocol, ProtocolKind)
         if not self.protocol.excludes_outcomes:
             raise ValueError(f"no closed-form curves for {self.protocol.value}; use enumerate_joint")
 
@@ -617,11 +625,14 @@ def find_threshold(
     qber_star is the QBER enumerate_joint reports at q_star, which costs one
     more evaluation when the last midpoint was skipped.
 
-    n_enumerations counts the branch walks the solve triggered: the corners
-    of a (protocol, family, mix) not yet cached (4 for standard, 6 for
-    gentle), else 0. It is read off the process-wide corner cache, so it
-    depends on what ran before (and on other threads filling the cache
-    meanwhile) and is left out of ThresholdResult equality.
+    n_enumerations counts the round walks the solve triggered: the misses of
+    the walk cache, one per (strength, p) of the family's nodes not yet
+    walked. A cold standard solve walks 2 (strength 1 at p = 0 and 1), a
+    cold gentle one 6 (strengths 0, 3/5 and 1), a gentle solve after a
+    standard one 4, and a solve whose corners are cached 0. It is read off
+    the process-wide walk cache, so it depends on what ran before (and on
+    other threads filling the cache meanwhile) and is left out of
+    ThresholdResult equality.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
@@ -632,7 +643,7 @@ def find_threshold(
     _check_config(protocol, channel)
     if attack_family not in ("standard", "gentle"):
         raise ValueError(f"unknown attack family: {attack_family!r} (expected standard or gentle)")
-    misses = _corners.cache_info().misses
+    misses = _walk.cache_info().misses
 
     def joint_at(q):
         return enumerate_joint(protocol, _strategy_for(attack_family, q, mix), channel)
@@ -663,7 +674,7 @@ def find_threshold(
         if abs(r_mid) < 1e-10:
             break
         lo, hi = (mid, hi) if r_mid > 0.0 else (lo, mid)
-    walks = (_corners.cache_info().misses - misses) * 2 * len(_NODES[attack_family])
+    walks = _walk.cache_info().misses - misses
     return ThresholdResult(mid, float((joint if joint is not None else joint_at(mid)).qber), walks)
 
 

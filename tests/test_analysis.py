@@ -135,15 +135,39 @@ class TestEnumerateStandard:
             assert abs(float(v) - approx.table[key]) < 1e-12
 
 
+def _weights(eve):
+    """The weights of _walk's parts (untouched, alice, bob) under eve, read off _attack and the mix."""
+    _, touched, _ = _attack(eve)
+    w_alice, w_bob = (0, 0) if eve is None else _SIDE_WEIGHTS[eve.mix]
+    return 1 - touched, touched * w_alice, touched * w_bob
+
+
+def _composed(protocol, strength, p, weights):
+    """The unnormalised sifted table {(a, b, e): mass} of the parts of _walk, by their weights."""
+    u = {}
+    for (part, key), mass in _walk(protocol, strength, p).items():
+        if weights[part]:
+            u[key] = u.get(key, 0) + weights[part] * mass
+    return u
+
+
+def _weighted(protocol, eve, channel):
+    """The unnormalised sifted table of eve's round: _walk's parts at her strength, by her weights."""
+    return _composed(protocol, _attack(eve)[2], channel.depolarizing, _weights(eve))
+
+
 def _walked(protocol, eve, channel):
-    """The joint distribution of the reference walk, normalised."""
-    u = _walk(protocol, eve, channel)
+    """The joint distribution of the walk's parts composed by eve's weights, normalised."""
+    u = _weighted(protocol, eve, channel)
     p_sift = sum(u.values())
     return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
 
 
-def _fraction_weight_joint(protocol, eve, channel):
-    """_walk's gentle walk over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts."""
+def _fraction_weight_parts(protocol, eve, channel):
+    """_walk's side parts over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts.
+
+    A side the mix never picks is left out.
+    """
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
     stages, sifting = _stages_of(protocol, eve, channel), _sifting(protocol)
@@ -155,7 +179,7 @@ def _fraction_weight_joint(protocol, eve, channel):
             for m, p_m in enumerate(stages.eve[side * n + j - 1], 1):
                 if _negligible(p_m):
                     continue
-                base = F(1, n) * (ws * p_m)
+                base = F(1, n) * p_m
                 row = (1 + side * n + m - 1) * n + j - 1
                 for k, pk in enumerate(stages.bob[row]):
                     if _negligible(pk):
@@ -163,8 +187,85 @@ def _fraction_weight_joint(protocol, eve, channel):
                     w = base * pk * F(1, n_opts)
                     for key in sifting[(row * n + k) * n_opts:(row * n + k + 1) * n_opts]:
                         if key is not None:
-                            table[key] = table.get(key, 0) + w
+                            table[1 + side, key] = table.get((1 + side, key), 0) + w
     return table
+
+
+# the walk of one eavesdropper, her share and mix weighing each branch as it is taken: the
+# reference that _corners, weighting the parts of _walk, must reproduce key for key
+def _reference_branches(protocol: ProtocolKind, eve, stages, j: int):
+    """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages).
+
+    Slot 0, the round Eve leaves alone, has weight 1 - touched, and her
+    outcome m on a side has weight touched * w_side * p_m, with touched the
+    share of signals she measures (eavesdrop._attack) and w_side the mix's
+    weight of the side. A branch of weight zero is never taken: slot 0 where
+    Eve measures every signal, a side the mix never picks, every side when
+    she measures none, and an outcome of negligible p_m.
+    """
+    n = protocol.n_signals
+    touched = _attack(eve)[1]
+    if touched != 1:
+        yield 1 - touched, 0
+    for si, ws in enumerate(_SIDE_WEIGHTS[eve.mix] if touched else ()):
+        for m, p_m in enumerate(stages.eve[si * n + j - 1] if ws else (), 1):
+            if not _negligible(p_m):
+                yield touched * ws * p_m, 1 + si * n + m - 1
+
+
+def _reference_walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
+    """Walk every branch of one round: the unnormalised sifted table {(a, b, e): mass}.
+
+    Every branch (signal, interception outcome, Bob outcome, announcement) is
+    taken with its probability; nothing is sampled. Each (signal, slot) branch
+    reads Bob's gram row slot * n + j-1 of `_stages` and projects its masses
+    through that row's slice of `_sifting` (the layout is in _Stages). The
+    arithmetic is the rows', the same for every family: exact rationals
+    whenever q, p and, for the gentle attack, sqrt(1 - q^2) are rational,
+    floats otherwise. Keys are in the order the walk first sees them.
+    """
+    n = protocol.n_signals
+    n_opts = len(announcement_options(protocol, 1))
+    w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
+    stages = _stages(protocol, _attack(eve)[2], channel.depolarizing)
+    sifting = _sifting(protocol)
+    table: dict = {}
+    total_mass = 0
+    for j in range(1, n + 1):
+        for w_e, slot in _reference_branches(protocol, eve, stages, j):
+            row = slot * n + j - 1
+            base = w_j * w_e
+            for k, pk in enumerate(stages.bob[row]):
+                if _negligible(pk):
+                    continue
+                mass = base * pk
+                total_mass += mass
+                w = mass * w_a
+                cell = (row * n + k) * n_opts
+                for key in sifting[cell:cell + n_opts]:
+                    if key is not None:
+                        table[key] = table.get(key, 0) + w
+    if abs(float(total_mass) - 1.0) > 1e-9:
+        raise AssertionError(f"branch probabilities sum to {float(total_mass)!r}")
+    return table
+
+
+# each family's nodes q_i as the reference walks them, in increasing q
+_REFERENCE_NODES = {"none": (0,), "standard": (0, 1), "gentle": (0, F(3, 5), 1)}
+
+
+def _reference_corners(protocol, family, mix):
+    """(keys, scale, tables) of the reference walks at the family's nodes q_i and p = 0, 1."""
+    strategies = [_strategy_for(family, q, mix) for q in _REFERENCE_NODES[family]]
+    walks = [_reference_walk(protocol, eve, Channel(depolarizing=p)) for eve in strategies for p in (0, 1)]
+    keys = tuple(dict.fromkeys(key for u in walks for key in u))
+    tables = [[u.get(key, 0) for key in keys] for u in walks]
+    d = math.lcm(*(v.denominator for t in tables for v in t))
+    return keys, Fraction(1, d), tuple(tuple(int(v * d) for v in t) for t in tables)
+
+
+# every (family, mix) key of _corners: "none" takes mix None
+CORNER_KEYS = [("none", None)] + [(family, mix) for family in ("standard", "gentle") for mix in EnsembleMix]
 
 
 class TestEnumerateGentle:
@@ -174,8 +275,9 @@ class TestEnumerateGentle:
         (0.7, Channel()), (0.3, Channel(depolarizing=0.05)), (F(3, 5), Channel(depolarizing=F(1, 7))),
     ])
     def test_float_weights_match_fraction_weights(self, protocol, mix, q, channel):
-        walked = _walk(protocol, GentleIntercept(q=q, mix=mix), channel)
-        table = _fraction_weight_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
+        weights = _weights(GentleIntercept(q=q, mix=mix))
+        walked = {key: v for key, v in _walk(protocol, q, channel.depolarizing).items() if weights[key[0]]}
+        table = _fraction_weight_parts(protocol, GentleIntercept(q=q, mix=mix), channel)
         assert list(walked.items()) == list(table.items())
 
     @pytest.mark.parametrize("protocol", ALL)
@@ -188,8 +290,8 @@ class TestEnumerateGentle:
             assert abs(float(v) - soft.table[key]) < 1e-12
         # at exact full strength the two walks are the same walk, Fraction for Fraction
         for mix in EnsembleMix:
-            soft = _walk(protocol, GentleIntercept(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
-            hard = _walk(protocol, InterceptResend(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
+            soft = _weighted(protocol, GentleIntercept(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
+            hard = _weighted(protocol, InterceptResend(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
             assert list(soft.items()) == list(hard.items())
             assert all(type(v) is F for v in soft.values())
 
@@ -341,21 +443,26 @@ class TestStages:
             assert len(row) == n and abs(sum(row) - 1) <= 1e-15
 
     @pytest.mark.parametrize("protocol", ALL)
-    def test_branches_of_zero_weight_are_not_taken(self, protocol):
-        # slot 0 only where Eve leaves signals alone, a side only where she touches signals
-        # and the mix picks it, though every row is built
-        n = protocol.n_signals
-        alice, bob = set(range(1, n + 1)), set(range(n + 1, 2 * n + 1))
+    def test_branches_of_zero_weight_are_not_taken(self, monkeypatch, protocol):
+        # a node takes part 0 only where Eve leaves signals alone, and a side only where she
+        # touches signals and the mix picks it, though every walk has all three parts
+        def marked(protocol, strength, p):  # the walk, plus one key only part i sees, for each part
+            return {**_walk(protocol, strength, p), **{(i, ("part", i)): F(1) for i in range(3)}}
 
-        def slots(eve):
-            stages = _stages_of(protocol, eve, Channel())
-            return {slot for j in range(1, n + 1) for _, slot in analysis._branches(protocol, eve, stages, j)}
+        monkeypatch.setattr(analysis, "_walk", marked)
 
-        assert slots(None) == slots(_sym(F(0))) == slots(_sym(0.0)) == {0}
-        assert slots(_sym(F(1, 2))) == {0} | alice | bob
-        assert slots(_sym(F(1))) == slots(GentleIntercept(F(3, 5))) == alice | bob
-        assert slots(InterceptResend(1.0, EnsembleMix.ALICE_ONLY)) == alice
-        assert slots(GentleIntercept(F(0), EnsembleMix.BOB_ONLY)) == bob
+        def taken(family, mix):  # per node, at p = 0: the parts whose key it weighs
+            keys, _, tables = _corners.__wrapped__(protocol, family, mix)
+            marks = {i: key[1] for i, key in enumerate(keys) if key[0] == "part"}
+            # a part no node takes never adds its key
+            assert all(any(t[i] for t in tables) for i in marks)
+            return [{part for i, part in marks.items() if t[i]} for t in tables[::2]]
+
+        assert taken("none", None) == [{0}]
+        assert taken("standard", EnsembleMix.SYMMETRIC) == [{0}, {1, 2}]
+        assert taken("standard", EnsembleMix.ALICE_ONLY) == [{0}, {1}]
+        assert taken("gentle", EnsembleMix.SYMMETRIC) == [{1, 2}] * 3
+        assert taken("gentle", EnsembleMix.BOB_ONLY) == [{2}] * 3
 
     @pytest.mark.parametrize("p", [F(0), 0.05, F(1, 7)])
     @pytest.mark.parametrize("q", [1 - 1e-9, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53])
@@ -509,6 +616,7 @@ class TestMemoisedStages:
             got = _corners(protocol, family, mix)
             with monkeypatch.context() as patch:
                 patch.setattr(analysis, "_stages", _reference_stages)
+                patch.setattr(analysis, "_walk", _walk.__wrapped__)
                 assert got == _corners.__wrapped__(protocol, family, mix)
 
 
@@ -687,7 +795,7 @@ class TestInterceptResendIsAffine:
         channel = Channel(depolarizing=p)
 
         def unnormalised(q):
-            return _walk(protocol, InterceptResend(q=q, mix=mix), channel)
+            return _weighted(protocol, InterceptResend(q=q, mix=mix), channel)
 
         u0, u1, uq = unnormalised(F(0)), unnormalised(F(1)), unnormalised(q)
         for key in {**u0, **u1, **uq}:
@@ -723,26 +831,31 @@ class TestInterceptResendIsAffine:
         with pytest.raises(ValueError):
             find_threshold(ProtocolKind.TRINE, "none")
 
-    @pytest.mark.parametrize("family,count", [("standard", 4), ("gentle", 6)])
+    # a standard solve walks strength 1 at p = 0 and 1; a gentle one strengths 0, 3/5 and 1,
+    # and only 0 and 3/5 after a standard solve
+    @pytest.mark.parametrize("family,count,warm", [("standard", 2, None), ("gentle", 6, None),
+                                                   ("gentle", 4, "standard")])
     @pytest.mark.parametrize("protocol", ALL)
-    def test_solve_reports_its_enumerations(self, monkeypatch, protocol, family, count):
-        calls, evaluations = [], []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return _walk(*args, **kwargs)
+    def test_solve_reports_its_enumerations(self, monkeypatch, protocol, family, count, warm):
+        evaluations = []
 
         def evaluating(*args, **kwargs):
             evaluations.append(args)
             return enumerate_joint(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "_walk", counting)
+        def walks():  # each miss of the walk cache is one walk
+            return _walk.cache_info().misses
+
         monkeypatch.setattr(analysis, "enumerate_joint", evaluating)
         _corners.cache_clear()
+        _walk.cache_clear()
         channel = Channel(depolarizing=F(1, 20))
+        if warm is not None:
+            find_threshold(protocol, warm, EnsembleMix.BOB_ONLY, channel)
+        before, evaluations[:] = walks(), []
         res = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
         # n_enumerations counts branch walks, not the solve's evaluations of R
-        assert res.n_enumerations == len(calls) == count
+        assert res.n_enumerations == walks() - before == count
         assert 0 < len(evaluations) <= 15
         # the count depends on the cache, so it is not part of the result's equality
         again = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
@@ -750,7 +863,7 @@ class TestInterceptResendIsAffine:
         # the corners are cached: a solve under another channel walks nothing
         channel = Channel(depolarizing=F(1, 16))
         res = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
-        assert res.n_enumerations == 0 and len(calls) == count
+        assert res.n_enumerations == 0 and walks() - before == count
 
 
 class TestGentleCurve:
@@ -808,6 +921,25 @@ class TestGentleCurve:
         assert res.qber_star == float(joint.qber)
 
 
+class TestSymmetricMixIsEvesBest:
+    """The paper's Eve pretends to be either party with even odds: at p = 0 no other odds serve her better."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(lam=st.fractions(min_value=0, max_value=1, max_denominator=16),
+           q=st.fractions(min_value=0, max_value=1, max_denominator=128))
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_no_mix_beats_the_symmetric_one(self, protocol, family, lam, q):
+        # (1 - t) U_0 + t (lam U_alice + (1 - lam) U_bob) from the walk's parts; p = 0 only,
+        # since with noise a mix off 1/2 can serve Eve better (both exclusion codes at p = 1/20)
+        touched, strength = (q, 1) if family == "standard" else (1, q)
+        u = _composed(protocol, strength, 0, (1 - touched, touched * lam, touched * (1 - lam)))
+        total = sum(u.values())
+        mixed = key_rate(JointDistribution(p_sift=total, table={key: v / total for key, v in u.items()})).r
+        symmetric = key_rate(enumerate_joint(protocol, _strategy_for(family, q, EnsembleMix.SYMMETRIC))).r
+        assert mixed >= symmetric - 1e-12
+
+
 # exact or float inputs, the ends of [0, 1] included
 _EXACT_OR_FLOAT = st.one_of(_STRENGTH, st.floats(min_value=0, max_value=1), st.sampled_from([0.0, 1.0]))
 
@@ -849,6 +981,7 @@ class TestCorners:
 
     def test_corners_are_walked_once_per_key(self):
         _corners.cache_clear()
+        _walk.cache_clear()
         for _ in range(2):
             for protocol in ALL:
                 for family in ("none", "standard", "gentle"):
@@ -858,6 +991,41 @@ class TestCorners:
         info = _corners.cache_info()
         # "none" ignores the mix: 4 protocols x (1 + 3 standard + 3 gentle mixes)
         assert info.misses == info.currsize == info.maxsize == 28
+        # and they share the walks: 4 protocols x strengths {0, 3/5, 1} x p in {0, 1}
+        walks = _walk.cache_info()
+        assert walks.misses == walks.currsize == walks.maxsize == 24
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @pytest.mark.parametrize("family,mix", CORNER_KEYS)
+    def test_corners_are_the_reference_walks(self, protocol, family, mix):
+        # the same keys in the same order, the same scale and the same integers as one
+        # weighted walk per node and p
+        keys, scale, tables = _corners(protocol, family, mix)
+        want_keys, want_scale, want_tables = _reference_corners(protocol, family, mix)
+        assert keys == want_keys
+        assert (scale, type(scale)) == (want_scale, F)
+        assert tables == want_tables and all(type(v) is int for t in tables for v in t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=_STRENGTH, p=_NOISE)
+    def test_weighted_parts_are_the_reference_walk(self, protocol, family, mix, q, p):
+        if family == "gentle":
+            q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        got, want = _weighted(protocol, eve, channel), _reference_walk(protocol, eve, channel)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is F for v in got.values())
+
+    def test_walk_cache_is_bounded_and_typed(self):
+        assert _walk.cache_parameters() == {"maxsize": 24, "typed": True}
+        # an untyped cache would hand the float walk the exact one, as 1 == 1.0 and 0 == 0.0
+        for protocol in ALL:
+            exact, floats = _walk(protocol, 1, 0), _walk(protocol, 1.0, 0.0)
+            assert list(exact) == list(floats)
+            assert all(type(v) is F for v in exact.values())
+            assert all(type(v) is float for v in floats.values())
+            assert all(abs(float(v) - floats[key]) <= 1e-15 for key, v in exact.items())
 
 
 class TestIntegerMasses:
@@ -1024,5 +1192,24 @@ class TestJointDistributionValidation:
     def test_branch_bookkeeping_conserves_mass(self):
         eve, channel = _sym(F(2, 3)), Channel(depolarizing=F(1, 5))
         jd = enumerate_joint(ProtocolKind.TETRAHEDRON, eve, channel)
-        assert sum(_walk(ProtocolKind.TETRAHEDRON, eve, channel).values()) == jd.p_sift
+        assert sum(_weighted(ProtocolKind.TETRAHEDRON, eve, channel).values()) == jd.p_sift
         assert sum(jd.table.values()) == 1
+        # each part is a whole round: its sifted mass is the sifting rate of a round Eve
+        # leaves alone, or of one she measures on that side
+        parts = [0, 0, 0]
+        for (part, _), v in _walk(ProtocolKind.TETRAHEDRON, 1, channel.depolarizing).items():
+            parts[part] += v
+        alone = [None, InterceptResend(F(1), EnsembleMix.ALICE_ONLY), InterceptResend(F(1), EnsembleMix.BOB_ONLY)]
+        assert parts == [enumerate_joint(ProtocolKind.TETRAHEDRON, e, channel).p_sift for e in alone]
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_a_part_that_loses_mass_is_caught(self, monkeypatch, part):
+        # one of Bob's rows in the part's first slot scaled by 1/2: that part's branches sum to below 1
+        n = ProtocolKind.TRINE.n_signals
+        stages = _stages(ProtocolKind.TRINE, F(3, 5), 0)
+        bob = list(stages.bob)
+        row = [0, n, (n + 1) * n][part]
+        bob[row] = [v / 2 for v in bob[row]]
+        monkeypatch.setattr(analysis, "_stages", lambda *args: analysis._Stages(stages.eve, bob))
+        with pytest.raises(AssertionError, match="branch probabilities of the parts sum to"):
+            _walk.__wrapped__(ProtocolKind.TRINE, F(3, 5), 0)

@@ -67,9 +67,12 @@ def test_joint_attributes_are_pinned(exact):
     assert [name for name in dir(joint) if not name.startswith("_")] == JOINT_ATTRIBUTES
 
 
-@pytest.mark.parametrize("protocol", list(scqkd.ProtocolKind))
+@pytest.mark.parametrize("protocol", [*scqkd.ProtocolKind, "trine"])
 def test_closed_form_curves_only_for_the_exclusion_codes(protocol):
-    if protocol.excludes_outcomes:
+    if not isinstance(protocol, scqkd.ProtocolKind):
+        with pytest.raises(ValueError, match="protocol must be a ProtocolKind, got 'trine'"):
+            AnalyticCurves(protocol)
+    elif protocol.excludes_outcomes:
         assert AnalyticCurves(protocol).protocol is protocol
     else:
         with pytest.raises(ValueError, match=f"no closed-form curves for {protocol.value}"):
