@@ -14,6 +14,11 @@ blocks (code tables and key-bit rules, Eve's POVMs and guess rule, mutual
 information, the closed-form reference curves, and the round transcripts
 with their tally, run_round in scqkd.protocol and simulate_rounds in
 scqkd.montecarlo among them) are imported from their submodules.
+
+Importing the package, and every exact answer, loads no numpy. Only the
+matrix path (scqkd.states and the SphericalCode arrays of make_code, which
+the scalar run_round reads) and the first Monte Carlo call that samples
+load it.
 """
 
 from .analysis import (

@@ -597,6 +597,15 @@ def find_threshold(
 ) -> ThresholdResult:
     """The attack strength where the key rate crosses zero, as plain bisection finds it.
 
+    The mix defaults to EnsembleMix.SYMMETRIC, the paper's attack: Eve
+    pretends to be either party with even odds. On a quiet channel (p = 0)
+    no other odds serve her better (pinned by TestSymmetricMixIsEvesBest),
+    but with noise they can: the channel acts between Eve and Bob, so the two
+    sides stop mirroring each other. On the trine under intercept/resend at
+    p = 1/20, odds of 9/16 for Alice's ensemble lower the threshold from
+    0.682 to about 0.668. At p > 0 the symmetric threshold is therefore the
+    paper's attack, not a bound over every mix.
+
     q_star is defined by a plain bisection of R over q in [0, 1] in floats:
     starting from (0, 1), each midpoint replaces the end whose R has its
     sign, and the loop stops at a midpoint with |R| < 1e-10 or once the

@@ -8,6 +8,11 @@ code (protocol.bob_code), and a key bit is the parity of the permutation
 symbol of the full index assignment (trine_key_bit, tetra_key_bit). BB84
 and six-state consist of orthogonal basis pairs and are their own antipode
 set. All public signal indices are 1-based.
+
+The exact layer reads only ProtocolKind, its n_signals table, the Gram
+matrix and the key-bit rules, none of which touches numpy. A SphericalCode
+holds its Bloch vectors as a numpy array, so building or reading one
+(make_code, protocol.bob_code) is the only place this module imports numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
 
-import numpy as np
-
-from .states import pure_from_bloch
-
 
 class ProtocolKind(Enum):
     TRINE = "trine"
@@ -33,12 +34,16 @@ class ProtocolKind(Enum):
 
     @property
     def n_signals(self) -> int:
-        return len(make_code(self))
+        return _N_SIGNALS[self]
 
     @property
     def excludes_outcomes(self) -> bool:
         """True for the exclusion-sifted codes, the equiangular trine and tetrahedron."""
         return self in (ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON)
+
+
+# the size of each constellation, so that the exact layer never builds a matrix code to count it
+_N_SIGNALS = {ProtocolKind.TRINE: 3, ProtocolKind.TETRAHEDRON: 4, ProtocolKind.BB84: 4, ProtocolKind.SIX_STATE: 6}
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +53,8 @@ class SphericalCode:
     states: np.ndarray  # shape (n, 3), read-only
 
     def __post_init__(self):
+        import numpy as np
+
         s = np.asarray(self.states, dtype=np.float64)
         s.setflags(write=False)
         object.__setattr__(self, "states", s)
@@ -63,41 +70,41 @@ class SphericalCode:
 
     def state(self, index: int) -> np.ndarray:
         """Density matrix of signal `index` (1-based)."""
+        from .states import pure_from_bloch
+
         return pure_from_bloch(self.bloch(index))
 
 
-def _trine_states() -> np.ndarray:
+def _trine_states() -> list:
     # coplanar in the x-z plane, angle 2*pi*(j-1)/3 from +z
     rows = []
     for j in range(3):
         ang = 2 * math.pi * j / 3
         rows.append([math.sin(ang), 0.0, math.cos(ang)])
-    return np.array(rows)
+    return rows
 
 
-def _tetrahedron_states() -> np.ndarray:
+def _tetrahedron_states() -> list:
     r2 = math.sqrt(2.0)
     r23 = math.sqrt(2.0 / 3.0)
-    return np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [2 * r2 / 3, 0.0, -1.0 / 3],
-            [-r2 / 3, r23, -1.0 / 3],
-            [-r2 / 3, -r23, -1.0 / 3],
-        ]
-    )
+    return [
+        [0.0, 0.0, 1.0],
+        [2 * r2 / 3, 0.0, -1.0 / 3],
+        [-r2 / 3, r23, -1.0 / 3],
+        [-r2 / 3, -r23, -1.0 / 3],
+    ]
 
 
 _BASIS_AXES = {"z": [0.0, 0.0, 1.0], "x": [1.0, 0.0, 0.0], "y": [0.0, 1.0, 0.0]}
 
 
-def _basis_pair_states(bases: str) -> np.ndarray:
+def _basis_pair_states(bases: str) -> list:
     rows = []
     for b in bases:
-        axis = np.array(_BASIS_AXES[b])
+        axis = _BASIS_AXES[b]
         rows.append(axis)
-        rows.append(-axis)
-    return np.array(rows)
+        rows.append([-x for x in axis])
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +131,9 @@ def bloch_gram(protocol: ProtocolKind) -> tuple:
     off-diagonal overlap is -1/(n - 1): -1/2 for the trine, -1/3 for the
     tetrahedron. Basis-pair codes have -1 within a pair and 0 across pairs.
     """
-    n = len(make_code(protocol))
+    if not isinstance(protocol, ProtocolKind):
+        raise ValueError(f"unknown protocol: {protocol!r}")
+    n = protocol.n_signals
 
     def entry(i: int, j: int) -> Fraction:
         if i == j:
@@ -151,17 +160,21 @@ def _gram_ids(protocol: ProtocolKind) -> tuple:
 # -- basis-pair helpers (BB84 / six-state ordering: +z,-z,+x,-x,+y,-y) --------
 
 
+def _check_index(index, n: int) -> None:
+    """Reject an index that is a bool, not an Integral (numpy integers are) or outside 1..n."""
+    if isinstance(index, bool) or not isinstance(index, Integral) or not 1 <= index <= n:
+        raise ValueError(f"index {index!r} out of range 1..{n}")
+
+
 def basis_label(index: int) -> str:
-    """Basis ('z', 'x' or 'y') of a basis-pair code signal (1-based index)."""
-    if not 1 <= index <= 6:
-        raise ValueError(f"signal index {index} out of range 1..6")
+    """Basis ('z', 'x' or 'y') of a basis-pair code signal (1-based index in 1..6)."""
+    _check_index(index, 6)
     return "zxy"[(index - 1) // 2]
 
 
 def eigen_bit(index: int) -> int:
-    """Key bit of a basis-pair signal: + eigenstate encodes 0, - encodes 1."""
-    if index < 1:
-        raise ValueError(f"signal index {index} out of range")
+    """Key bit of a basis-pair signal (1-based index in 1..6): + eigenstate encodes 0, - encodes 1."""
+    _check_index(index, 6)
     return (index - 1) % 2
 
 
@@ -175,8 +188,7 @@ def levi_civita(*indices: int) -> int:
     """
     n = len(indices)
     for i in indices:
-        if isinstance(i, bool) or not isinstance(i, Integral) or not 1 <= i <= n:
-            raise ValueError(f"index {i!r} out of range 1..{n}")
+        _check_index(i, n)
     if len(set(indices)) != n:
         return 0
     return (-1) ** int(sum(a > b for a, b in itertools.combinations(indices, 2)))

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 from .codes import ProtocolKind, SphericalCode, make_code
 from .protocol import Announcement, _check_unit, _party_bit, bob_code
-from .states import I2, Povm, post_measurement_state, pure_from_bloch, sample_outcome
 
 
 class EnsembleMix(Enum):
@@ -125,6 +124,8 @@ def gentle_povm(code: SphericalCode, q) -> Povm:
     q = 1 recovers the full-strength code POVM; q = 0 gives n copies of I/n,
     whose Kraus operators, I/sqrt(n), leave any state unchanged.
     """
+    from .states import I2, Povm, pure_from_bloch
+
     _check_unit(q, "attack strength")
     qf, n = float(q), len(code)
     w = 2 / n
@@ -157,6 +158,8 @@ def _side_gentle_povm(protocol: ProtocolKind, side: str, q: float) -> Povm:
 
 def _gentle_kraus(protocol: ProtocolKind, side: str, q: float, m: int):
     """K_m = sqrt(E_m): sqrt((1 + q)/n) on Eve's measured state m, sqrt((1 - q)/n) off it."""
+    from .states import I2
+
     n, state = protocol.n_signals, measuring_code(protocol, side).state(m)
     return ((1 + q) / n) ** 0.5 * state + ((1 - q) / n) ** 0.5 * (I2 - state)
 
@@ -176,6 +179,8 @@ def intercept_with_uniforms(strategy, protocol, rho, u_coin, u_side, u_outcome):
         (forwarded state, EveRecord). With no strategy or no interception the
         state passes through untouched.
     """
+    from .states import post_measurement_state, sample_outcome
+
     if strategy is None:
         return rho, None
     _, touched, strength = _attack(strategy)

@@ -38,6 +38,10 @@ several chunks over min(CPUs in the affinity mask, chunks) threads, a
 number with no setting, and runs a trial of one chunk serially. Counter
 addressing and integer sums make its totals identical for any chunk size
 and thread count.
+
+The module imports without numpy, so the exact layer and the CLI load it
+at no cost: numpy and numpy.random are imported inside the functions that
+sample, on the first such call, as run_trials imports concurrent.futures.
 """
 
 from __future__ import annotations
@@ -48,9 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Rational
-
-import numpy as np
-from numpy.random import Generator, Philox
 
 from .analysis import JointDistribution, _sifting, _stages
 from .eavesdrop import _SIDE_WEIGHTS, _attack
@@ -89,6 +90,8 @@ class TrialConfig:
 
 def round_rng(seed: int, start: int = 0) -> Generator:
     """Generator positioned at the first uniform of round `start`."""
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=seed, counter=[_COUNTERS_PER_ROUND * start, 0, 0, 0]))
 
 
@@ -111,6 +114,8 @@ def _cdf(rows: list, n: int) -> np.ndarray:
     the total. Eve's rows are drawn from on every round, so on a round she
     did not touch her outcome comes from a real row and is then masked.
     """
+    import numpy as np
+
     # _stages gives an entry one object wherever it recurs, so each distinct entry is converted once
     floats = {id(e): e for row in rows for e in row}
     floats = {key: float(e) for key, e in floats.items()}
@@ -124,6 +129,8 @@ def _cdf(rows: list, n: int) -> np.ndarray:
 @lru_cache(maxsize=len(ProtocolKind))
 def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
     """analysis._sifting as int8 columns (accepted, alice bit, bob bit, eve guess), -1 for none."""
+    import numpy as np
+
     cells = [(0, None, None, None) if key is None else (1, *key) for key in _sifting(protocol)]
     cell_bits = np.array([[-1 if v is None else v for v in c] for c in cells], dtype=np.int8).T
     cell_bits.flags.writeable = False
@@ -159,6 +166,8 @@ def _sample_rows(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     u >= c for each of the first n - 1 columns, gathered one column at a
     time; the last column is +inf in every row, so it is never read.
     """
+    import numpy as np
+
     u = np.ascontiguousarray(u)  # read once per column; a strided column of a block is copied
     k = np.ones(rows.shape[0], dtype=np.int8)
     for column in cum.T[:-1]:
@@ -205,6 +214,8 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     should use run_trials, which keeps about one chunk of rounds in flight
     across its threads and keeps counts.
     """
+    import numpy as np
+
     _check_instance("config", config, TrialConfig)
     _check_integer("start", start)
     if count is None:
@@ -304,6 +315,8 @@ def proportion_se(count: int, trials: int) -> float:
 
 
 def stats_from_arrays(arrays: RoundArrays) -> SampleStats:
+    import numpy as np
+
     acc = arrays.accepted
     guessed = acc & (arrays.eve_bit >= 0)
     return SampleStats(

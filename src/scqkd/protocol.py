@@ -18,7 +18,6 @@ from functools import lru_cache
 from numbers import Real
 
 from .codes import ProtocolKind, SphericalCode, basis_label, eigen_bit, make_code, tetra_key_bit, trine_key_bit
-from .states import depolarize, sample_outcome
 
 
 def _check_unit(value, name: str) -> None:
@@ -216,6 +215,7 @@ def run_round(protocol: ProtocolKind, eve, channel: Channel, rng) -> RoundTransc
         announcement but carry no key bits.
     """
     from .eavesdrop import _side_gentle_povm, intercept_with_uniforms  # cycle: protocol <-> eavesdrop
+    from .states import depolarize, sample_outcome  # numpy: only the matrix path loads it
 
     u = rng.random(8)
     j = alice_pick(protocol, u[0])

@@ -921,6 +921,14 @@ class TestGentleCurve:
         assert res.qber_star == float(joint.qber)
 
 
+def _mixed_rate(protocol, family, q, p, lam):
+    """R when Eve measures with Alice's ensemble with probability lam: (1 - t) U_0 + t (lam U_alice + (1 - lam) U_bob)."""
+    touched, strength = (q, 1) if family == "standard" else (1, q)
+    u = _composed(protocol, strength, p, (1 - touched, touched * lam, touched * (1 - lam)))
+    total = sum(u.values())
+    return key_rate(JointDistribution(p_sift=total, table={key: v / total for key, v in u.items()})).r
+
+
 class TestSymmetricMixIsEvesBest:
     """The paper's Eve pretends to be either party with even odds: at p = 0 no other odds serve her better."""
 
@@ -930,14 +938,20 @@ class TestSymmetricMixIsEvesBest:
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
     def test_no_mix_beats_the_symmetric_one(self, protocol, family, lam, q):
-        # (1 - t) U_0 + t (lam U_alice + (1 - lam) U_bob) from the walk's parts; p = 0 only,
-        # since with noise a mix off 1/2 can serve Eve better (both exclusion codes at p = 1/20)
-        touched, strength = (q, 1) if family == "standard" else (1, q)
-        u = _composed(protocol, strength, 0, (1 - touched, touched * lam, touched * (1 - lam)))
-        total = sum(u.values())
-        mixed = key_rate(JointDistribution(p_sift=total, table={key: v / total for key, v in u.items()})).r
+        # p = 0 only: with noise a mix off 1/2 can serve Eve better (the test below)
+        mixed = _mixed_rate(protocol, family, q, 0, lam)
         symmetric = key_rate(enumerate_joint(protocol, _strategy_for(family, q, EnsembleMix.SYMMETRIC))).r
         assert mixed >= symmetric - 1e-12
+
+    def test_on_a_noisy_channel_a_tilted_mix_serves_eve_better(self):
+        # the channel acts between Eve and Bob, so at p > 0 the two sides no longer mirror each other:
+        # on the trine under intercept/resend, odds of 9/16 for Alice's ensemble take R below zero
+        # where the paper's symmetric attack leaves it positive
+        q, p = F(87, 128), F(1, 20)
+        symmetric = _mixed_rate(ProtocolKind.TRINE, "standard", q, p, F(1, 2))
+        assert symmetric == key_rate(enumerate_joint(ProtocolKind.TRINE, _sym(q), Channel(depolarizing=p))).r
+        assert symmetric == pytest.approx(0.0018, abs=1e-4)
+        assert _mixed_rate(ProtocolKind.TRINE, "standard", q, p, F(9, 16)) == pytest.approx(-0.0096, abs=1e-4)
 
 
 # exact or float inputs, the ends of [0, 1] included

@@ -99,6 +99,12 @@ class TestBlochGram:
                 else:
                     assert g[i][j] == 0
 
+    @pytest.mark.parametrize("build", [make_code, bloch_gram])
+    def test_unknown_protocol_rejected(self, build):
+        # bloch_gram reads the signal count off a table, not off make_code, so it checks for itself
+        with pytest.raises(ValueError, match="unknown protocol"):
+            build("trine")
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_numeric_states(self, kind):
         states = make_code(kind).states
@@ -115,6 +121,16 @@ class TestBasisLabels:
 
     def test_eigen_bits(self):
         assert [eigen_bit(i) for i in range(1, 7)] == [0, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("rule", [basis_label, eigen_bit])
+    @pytest.mark.parametrize("index", [0, 7, -1, True, False, 2.0, Fraction(2), "2", None])
+    def test_bad_index_rejected(self, rule, index):
+        # a bool would pass as 0 or 1, a float or Fraction as its value
+        with pytest.raises(ValueError, match=r"out of range 1\.\.6"):
+            rule(index)
+
+    def test_numpy_integer_index(self):
+        assert (basis_label(np.int64(5)), eigen_bit(np.int8(4))) == ("y", 1)
 
 
 class TestLeviCivita:
