@@ -21,8 +21,9 @@ sqrt(1 - q^2). Nothing here takes a matrix product; only the scalar
 protocol.run_round, the independent reference, does. The unnormalised
 sifted table is linear in the depolarizing strength p and, at a fixed p, in
 (1, q) or (1, q, sqrt(1 - q^2)), so the tables at a few nodes per
-(protocol, attack family, mix), weighted from 6 cached walks per protocol
-by `_corners`, give it at every (q, p). `enumerate_joint` evaluates those
+(protocol, attack family, mix), weighted by `_corners` from 3 cached walks
+per protocol (one per node strength, each giving p = 0 and p = 1 in one
+pass), give it at every (q, p). `enumerate_joint` evaluates those
 corners, and thresholds and sweeps call it at each strength; the tests keep
 the weighted walk of one eavesdropper as the reference they compare the
 corners with. Exact inputs give integer masses over
@@ -86,6 +87,9 @@ class JointDistribution:
     _masses: tuple = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
+        _check_unit(self.p_sift, "p_sift")
+        if not self.p_sift:
+            raise ValueError(f"p_sift must lie in (0, 1], got {self.p_sift!r}")
         if self._masses is not None:
             masses, total = self._masses
             if masses.keys() != self.table.keys():
@@ -96,11 +100,12 @@ class JointDistribution:
             if type(total) is not int or total <= 0 or sum(masses.values()) != total:
                 raise ValueError(f"masses sum to {sum(masses.values())!r}, expected the total {total!r} > 0")
             return
+        # written so that NaN fails: every comparison with it is False
         for key, v in self.table.items():
-            if v < 0:
-                raise ValueError(f"negative probability {v!r} at {key}")
+            if not v >= 0:
+                raise ValueError(f"probability {v!r} at {key} is not a number >= 0")
         total = float(sum(self.table.values()))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"conditional table sums to {total!r}, expected 1")
 
     def mass(self, predicate):
@@ -160,7 +165,8 @@ class RateReport:
 class ThresholdResult:
     q_star: float
     qber_star: float
-    # round walks the solve triggered: misses of the walk cache, 0 once they are cached (see find_threshold)
+    # round walks the solve triggered: misses of the walk cache, one per node strength not yet walked
+    # and 0 once they are cached (see find_threshold)
     n_enumerations: int = field(compare=False)
 
 
@@ -321,31 +327,35 @@ def _sifting(protocol: ProtocolKind) -> tuple:
     )
 
 
-@lru_cache(maxsize=len(ProtocolKind) * 3 * 2, typed=True)
-def _walk(protocol: ProtocolKind, strength, p) -> dict:
-    """Walk every branch of one round, part by part: {(part, (a, b, e)): unnormalised sifted mass}.
+@lru_cache(maxsize=len(ProtocolKind) * 3, typed=True)
+def _walk(protocol: ProtocolKind, strength) -> tuple:
+    """Walk every branch of one round, part by part, at p = 0 and p = 1 in one pass.
 
-    Part 0 is the round Eve leaves alone, and part 1 + side (0 alice, 1 bob)
-    every outcome of her measuring with that side's ensemble at `strength`;
-    each part's branches carry mass 1 in all. The share of signals she
-    touches and the mix only weight the parts (`_corners`), so no
-    eavesdropper, mix or channel is read here. Every branch (signal j, slot,
-    Bob outcome k, announcement) is taken with its probability, in that
-    order, slot 0 before Alice's outcomes before Bob's; nothing is sampled.
-    Each (signal, slot) branch reads Bob's gram row slot * n + j-1 of
-    `_stages` and projects its masses through that row's slice of `_sifting`
-    (the layout is in _Stages). The arithmetic is the rows': exact rationals
-    whenever strength, p and sqrt(1 - strength^2) are rational, floats
-    otherwise, and the typed cache keeps a float strength from reading an
-    exact walk. Keys are in the order the walk first sees them. The cache
-    holds what `_corners` reads: 4 protocols x strengths {0, 3/5, 1} x
-    p in {0, 1}.
+    Returns the two tables {(part, (a, b, e)): unnormalised sifted mass},
+    at depolarizing strength 0 and at 1; every table in between is their
+    mix (1 - p, p). Part 0 is the round Eve leaves alone, and part 1 + side
+    (0 alice, 1 bob) every outcome of her measuring with that side's
+    ensemble at `strength`; each part's branches carry mass 1 in all. The
+    share of signals she touches and the mix only weight the parts
+    (`_corners`), so no eavesdropper, mix or channel is read here. Every
+    branch (signal j, slot, Bob outcome k, announcement) is taken with its
+    probability, in that order, slot 0 before Alice's outcomes before
+    Bob's; nothing is sampled. Each (signal, slot) branch reads Bob's gram
+    row slot * n + j-1 of `_stages` at p = 0 and projects its masses through
+    that row's slice of `_sifting` (the layout is in _Stages). At p = 1
+    Bob's outcome is uniform whatever reached him, so that table takes every
+    branch Eve's outcome allows with Bob's 1/n. The arithmetic is the
+    rows': exact rationals whenever strength and sqrt(1 - strength^2) are
+    rational, floats otherwise, and the typed cache keeps a float strength
+    from reading an exact walk. Each table's keys are in the order its own
+    branches first see them. The cache holds what `_corners` reads: 4
+    protocols x strengths {0, 3/5, 1}.
     """
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
     w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
-    stages, sifting = _stages(protocol, strength, p), _sifting(protocol)
-    table, totals = {}, [0, 0, 0]
+    stages, sifting = _stages(protocol, strength, 0), _sifting(protocol)
+    quiet, noisy, totals = {}, {}, [0, 0, 0]
     for j in range(1, n + 1):
         # slot 0 (part 0) with weight 1, then Eve's outcomes m on Alice's side (slots 1..n, part 1)
         # and on Bob's (slots n+1..2n, part 2) with weight p_m
@@ -353,19 +363,19 @@ def _walk(protocol: ProtocolKind, strength, p) -> dict:
             if _negligible(p_m):
                 continue
             part, row, base = (slot + n - 1) // n, slot * n + j - 1, w_j * p_m
+            w_noisy = base * w_j * w_a  # at p = 1 Bob sees each of his n outcomes with probability 1/n
             for k, pk in enumerate(stages.bob[row]):
-                if _negligible(pk):
-                    continue
-                mass = base * pk
+                mass = 0 if _negligible(pk) else base * pk  # at p = 0 a branch of mass 0 is not taken
                 totals[part] += mass
-                w = mass * w_a
-                cell = (row * n + k) * n_opts
+                w, cell = mass * w_a, (row * n + k) * n_opts
                 for key in sifting[cell:cell + n_opts]:
                     if key is not None:
-                        table[part, key] = table.get((part, key), 0) + w
+                        noisy[part, key] = noisy.get((part, key), 0) + w_noisy
+                        if mass:
+                            quiet[part, key] = quiet.get((part, key), 0) + w
     if any(abs(float(total) - 1.0) > 1e-9 for total in totals):
         raise AssertionError(f"branch probabilities of the parts sum to {[float(t) for t in totals]!r}")
-    return table
+    return quiet, noisy
 
 
 # each attack family's nodes (touched, strength) in increasing q: its tables at any q mix those at the nodes
@@ -376,30 +386,30 @@ _NODES = {"none": ((0, 1),), "standard": ((0, 1), (1, 1)), "gentle": ((1, 0), (1
 def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
     """(keys, scale, tables): the family's tables at its nodes and p = 0, 1.
 
-    A node (touched, strength) weights the parts of the cached `_walk` at its
-    strength by (1 - touched, touched * w_alice, touched * w_bob), w_side
-    being the mix's weight of the side, and skips a part of weight zero.
-    scale * tables[2i + p] lists the unnormalised sifted masses at node i
-    and depolarizing strength p in the order of keys, the order in which the
-    weighted walks first see them (nodes in increasing q, p = 0 before
-    p = 1): the walk's entries are read in its order, so that is the order
-    of a walk that took only the branches of nonzero weight. Every node walk
-    is exact, the gentle ones too (sqrt(1 - q^2) is rational at each node),
-    so scale is 1 over the common denominator of the masses, the tables hold
-    integers, and exact sums of them stay integer. "none" takes mix None, so
-    the cache holds at most 4 x (1 + 3 + 3) entries, built from 6 walks per
-    protocol.
+    A node (touched, strength) weights the parts of the cached `_walk`
+    tables at its strength by (1 - touched, touched * w_alice,
+    touched * w_bob), w_side being the mix's weight of the side, and skips a
+    part of weight zero. scale * tables[2i + p] lists the unnormalised
+    sifted masses at node i and depolarizing strength p in the order of
+    keys, the order in which the weighted tables first see them (nodes in
+    increasing q, p = 0 before p = 1): a table's entries are read in its
+    order, so that is the order of a walk that took only the branches of
+    nonzero weight. Every node walk is exact, the gentle ones too
+    (sqrt(1 - q^2) is rational at each node), so scale is 1 over the common
+    denominator of the masses, the tables hold integers, and exact sums of
+    them stay integer. "none" takes mix None, so the cache holds at most
+    4 x (1 + 3 + 3) entries, built from 3 walks per protocol.
     """
     w_alice, w_bob = (0, 0) if mix is None else _SIDE_WEIGHTS[mix]
 
-    def weighted(touched, strength, p):  # a node's table: the walk's parts by their weights
+    def weighted(touched, parts):  # a node's table: the walk's parts by their weights
         weights, u = (1 - touched, touched * w_alice, touched * w_bob), {}
-        for (part, key), mass in _walk(protocol, strength, p).items():
+        for (part, key), mass in parts.items():
             if weights[part]:
                 u[key] = u.get(key, 0) + weights[part] * mass
         return u
 
-    walks = [weighted(touched, strength, p) for touched, strength in _NODES[family] for p in (0, 1)]
+    walks = [weighted(touched, parts) for touched, strength in _NODES[family] for parts in _walk(protocol, strength)]
     keys = tuple(dict.fromkeys(key for u in walks for key in u))
     tables = [[u.get(key, 0) for key in keys] for u in walks]
     d = math.lcm(*(v.denominator for t in tables for v in t))
@@ -415,7 +425,7 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     sum_i w_i(q) ((1 - p) U(q_i, 0) + p U(q_i, 1)) over the cached corner
     tables U of the attack family (`_corners`): the first call for a
     (protocol, family, mix) weights the parts of its walks, walking only the
-    (strength, p) not yet cached, and later calls at any strength and
+    node strengths not yet cached, and later calls at any strength and
     channel walk nothing. Exact (rational) q and p give the Fractions a full
     walk of the round gives, for no eavesdropper and intercept/resend, from
     integer sums; any float input, or the gentle attack (whose weights take
@@ -534,16 +544,17 @@ def mutual_information(joint: dict) -> float:
             within 1e-9. Zero entries contribute zero.
 
     Raises:
-        ValueError: on negative entries or a badly normalized table.
+        ValueError: on an entry that is not a number >= 0 (NaN is not) or a
+            badly normalized table.
     """
     floats: dict = {}
     total = 0.0
     for key, v in joint.items():
-        if v < 0:
-            raise ValueError(f"negative probability {v!r} at {key}")
+        if not v >= 0:  # so that NaN fails
+            raise ValueError(f"probability {v!r} at {key} is not a number >= 0")
         floats[key] = vf = float(v)
         total += vf
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"distribution sums to {total!r}, expected 1")
     return _mutual_information(floats)
 
@@ -635,13 +646,13 @@ def find_threshold(
     more evaluation when the last midpoint was skipped.
 
     n_enumerations counts the round walks the solve triggered: the misses of
-    the walk cache, one per (strength, p) of the family's nodes not yet
-    walked. A cold standard solve walks 2 (strength 1 at p = 0 and 1), a
-    cold gentle one 6 (strengths 0, 3/5 and 1), a gentle solve after a
-    standard one 4, and a solve whose corners are cached 0. It is read off
-    the process-wide walk cache, so it depends on what ran before (and on
-    other threads filling the cache meanwhile) and is left out of
-    ThresholdResult equality.
+    the walk cache, one per strength of the family's nodes not yet walked
+    (each walk gives p = 0 and p = 1). A cold standard solve walks 1
+    (strength 1), a cold gentle one 3 (strengths 0, 3/5 and 1), a gentle
+    solve after a standard one 2, and a solve whose corners are cached 0.
+    It is read off the process-wide walk cache, so it depends on what ran
+    before (and on other threads filling the cache meanwhile) and is left
+    out of ThresholdResult equality.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].

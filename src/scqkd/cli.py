@@ -71,16 +71,22 @@ def _rates_record(joint: JointDistribution) -> dict:
     }
 
 
-def _emit(record: dict, fmt: str, out_path):
+def _emit(record: dict, fmt: str, out_path) -> int:
+    """Write the record to stdout or out_path: 0, or 1 with one line on stderr if out_path cannot be written."""
     if fmt == "json":
         text = json.dumps(record, indent=2) + "\n"
     else:
         text = _to_csv(record)
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"scqkd: error: cannot write {out_path}: {exc.strerror or exc}\n")
+        return 1
+    return 0
 
 
 def _to_csv(record: dict) -> str:
@@ -285,8 +291,7 @@ def main(argv=None) -> int:
     for key, value in record.items():
         if isinstance(value, float) and not math.isfinite(value):
             record[key] = repr(value)  # keep the JSON parseable
-    _emit(record, args.format, args.out)
-    return code
+    return _emit(record, args.format, args.out) or code
 
 
 if __name__ == "__main__":

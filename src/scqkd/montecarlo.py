@@ -272,7 +272,13 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Counting summary of simulated rounds; conditional counts are per sifted round."""
+    """Counting summary of simulated rounds; conditional counts are per sifted round.
+
+    Raises:
+        ValueError: for a count that is a bool, not an Integral (numpy
+            integers are) or negative, more sifted rounds than rounds, or a
+            conditional count above the sifted rounds.
+    """
 
     n_rounds: int
     n_sifted: int
@@ -280,6 +286,19 @@ class SampleStats:
     n_eve_agree_alice: int
     n_eve_agree_bob: int
     n_eve_abstain: int
+
+    def __post_init__(self):
+        # plain int comparisons: this runs for every chunk and every sum of run_trials
+        for name, count in vars(self).items():
+            if type(count) is not int:
+                _check_integer(name, count)
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0, got {count!r}")
+        if self.n_sifted > self.n_rounds:
+            raise ValueError(f"n_sifted = {self.n_sifted!r} exceeds n_rounds = {self.n_rounds!r}")
+        for name in ("n_errors", "n_eve_agree_alice", "n_eve_agree_bob", "n_eve_abstain"):
+            if getattr(self, name) > self.n_sifted:
+                raise ValueError(f"{name} = {getattr(self, name)!r} exceeds n_sifted = {self.n_sifted!r}")
 
     def __add__(self, other: "SampleStats") -> "SampleStats":
         if not isinstance(other, SampleStats):

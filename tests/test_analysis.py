@@ -142,10 +142,46 @@ def _weights(eve):
     return 1 - touched, touched * w_alice, touched * w_bob
 
 
+def _reference_parts(protocol: ProtocolKind, strength, p) -> dict:
+    """_walk's parts at one depolarizing strength p: {(part, (a, b, e)): unnormalised sifted mass}.
+
+    The reference the one-pass walk must equal at p = 0 and p = 1, and that
+    the tests read at any other p. Part 0 is the round Eve leaves alone, and
+    part 1 + side her measuring with that side's ensemble at `strength`.
+    Every branch (signal j, slot, Bob outcome k, announcement) is taken with
+    its probability, in that order, reading Bob's gram row slot * n + j-1 of
+    `_stages` at p, and a branch of negligible weight is skipped. Keys are
+    in the order the walk first sees them.
+    """
+    n = protocol.n_signals
+    n_opts = len(announcement_options(protocol, 1))
+    w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
+    stages, sifting = _stages(protocol, strength, p), _sifting(protocol)
+    table, totals = {}, [0, 0, 0]
+    for j in range(1, n + 1):
+        for slot, p_m in enumerate([1, *stages.eve[j - 1], *stages.eve[n + j - 1]]):
+            if _negligible(p_m):
+                continue
+            part, row, base = (slot + n - 1) // n, slot * n + j - 1, w_j * p_m
+            for k, pk in enumerate(stages.bob[row]):
+                if _negligible(pk):
+                    continue
+                mass = base * pk
+                totals[part] += mass
+                w = mass * w_a
+                cell = (row * n + k) * n_opts
+                for key in sifting[cell:cell + n_opts]:
+                    if key is not None:
+                        table[part, key] = table.get((part, key), 0) + w
+    if any(abs(float(total) - 1.0) > 1e-9 for total in totals):
+        raise AssertionError(f"branch probabilities of the parts sum to {[float(t) for t in totals]!r}")
+    return table
+
+
 def _composed(protocol, strength, p, weights):
-    """The unnormalised sifted table {(a, b, e): mass} of the parts of _walk, by their weights."""
+    """The unnormalised sifted table {(a, b, e): mass} of the walk's parts at p, by their weights."""
     u = {}
-    for (part, key), mass in _walk(protocol, strength, p).items():
+    for (part, key), mass in _reference_parts(protocol, strength, p).items():
         if weights[part]:
             u[key] = u.get(key, 0) + weights[part] * mass
     return u
@@ -164,7 +200,7 @@ def _walked(protocol, eve, channel):
 
 
 def _fraction_weight_parts(protocol, eve, channel):
-    """_walk's side parts over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts.
+    """_reference_parts' side parts over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts.
 
     A side the mix never picks is left out.
     """
@@ -276,7 +312,8 @@ class TestEnumerateGentle:
     ])
     def test_float_weights_match_fraction_weights(self, protocol, mix, q, channel):
         weights = _weights(GentleIntercept(q=q, mix=mix))
-        walked = {key: v for key, v in _walk(protocol, q, channel.depolarizing).items() if weights[key[0]]}
+        parts = _reference_parts(protocol, q, channel.depolarizing)
+        walked = {key: v for key, v in parts.items() if weights[key[0]]}
         table = _fraction_weight_parts(protocol, GentleIntercept(q=q, mix=mix), channel)
         assert list(walked.items()) == list(table.items())
 
@@ -446,8 +483,9 @@ class TestStages:
     def test_branches_of_zero_weight_are_not_taken(self, monkeypatch, protocol):
         # a node takes part 0 only where Eve leaves signals alone, and a side only where she
         # touches signals and the mix picks it, though every walk has all three parts
-        def marked(protocol, strength, p):  # the walk, plus one key only part i sees, for each part
-            return {**_walk(protocol, strength, p), **{(i, ("part", i)): F(1) for i in range(3)}}
+        def marked(protocol, strength):  # the walk's tables, plus one key only part i sees, for each part
+            marks = {(i, ("part", i)): F(1) for i in range(3)}
+            return tuple({**parts, **marks} for parts in _walk(protocol, strength))
 
         monkeypatch.setattr(analysis, "_walk", marked)
 
@@ -673,6 +711,11 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information({(0, 0): 0.4})
 
+    def test_rejects_nan(self):
+        # NaN compares False both with 0 and with the 1e-9 tolerance
+        with pytest.raises(ValueError, match="probability nan at \\(0, 0\\) is not a number >= 0"):
+            mutual_information({(0, 0): math.nan, (1, 1): 1.0})
+
     def test_exact_inputs_accepted(self):
         joint = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
         assert mutual_information(joint) == 1.0
@@ -831,10 +874,10 @@ class TestInterceptResendIsAffine:
         with pytest.raises(ValueError):
             find_threshold(ProtocolKind.TRINE, "none")
 
-    # a standard solve walks strength 1 at p = 0 and 1; a gentle one strengths 0, 3/5 and 1,
-    # and only 0 and 3/5 after a standard solve
-    @pytest.mark.parametrize("family,count,warm", [("standard", 2, None), ("gentle", 6, None),
-                                                   ("gentle", 4, "standard")])
+    # a standard solve walks strength 1; a gentle one strengths 0, 3/5 and 1, and only 0 and 3/5
+    # after a standard solve: each walk gives the tables at p = 0 and 1
+    @pytest.mark.parametrize("family,count,warm", [("standard", 1, None), ("gentle", 3, None),
+                                                   ("gentle", 2, "standard")])
     @pytest.mark.parametrize("protocol", ALL)
     def test_solve_reports_its_enumerations(self, monkeypatch, protocol, family, count, warm):
         evaluations = []
@@ -1005,9 +1048,9 @@ class TestCorners:
         info = _corners.cache_info()
         # "none" ignores the mix: 4 protocols x (1 + 3 standard + 3 gentle mixes)
         assert info.misses == info.currsize == info.maxsize == 28
-        # and they share the walks: 4 protocols x strengths {0, 3/5, 1} x p in {0, 1}
+        # and they share the walks: 4 protocols x strengths {0, 3/5, 1}, each walk at p = 0 and 1
         walks = _walk.cache_info()
-        assert walks.misses == walks.currsize == walks.maxsize == 24
+        assert walks.misses == walks.currsize == walks.maxsize == 12
 
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("family,mix", CORNER_KEYS)
@@ -1032,14 +1075,33 @@ class TestCorners:
         assert all(type(v) is F for v in got.values())
 
     def test_walk_cache_is_bounded_and_typed(self):
-        assert _walk.cache_parameters() == {"maxsize": 24, "typed": True}
-        # an untyped cache would hand the float walk the exact one, as 1 == 1.0 and 0 == 0.0
+        assert _walk.cache_parameters() == {"maxsize": 12, "typed": True}
+        # an untyped cache would hand the float walk the exact one, as 1 == 1.0
         for protocol in ALL:
-            exact, floats = _walk(protocol, 1, 0), _walk(protocol, 1.0, 0.0)
-            assert list(exact) == list(floats)
-            assert all(type(v) is F for v in exact.values())
-            assert all(type(v) is float for v in floats.values())
-            assert all(abs(float(v) - floats[key]) <= 1e-15 for key, v in exact.items())
+            for exact, floats in zip(_walk(protocol, 1), _walk(protocol, 1.0)):
+                assert list(exact) == list(floats)
+                assert all(type(v) is F for v in exact.values())
+                # Eve's parts; the untouched part 0 reads no strength, and p is the exact 0 or 1
+                assert all(type(v) is float for (part, _), v in floats.items() if part)
+                assert all(abs(float(v) - floats[key]) <= 1e-15 for key, v in exact.items())
+
+    @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(1), 0.3])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_one_pass_is_the_walk_at_either_end(self, protocol, strength):
+        # item for item, in the same key order and with the same types as a walk at p = 0 and one at p = 1
+        for p, parts in enumerate(_walk(protocol, strength)):
+            want = _reference_parts(protocol, strength, p)
+            assert [(key, _bits(v)) for key, v in parts.items()] == [(key, _bits(v)) for key, v in want.items()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(protocol=st.sampled_from(ALL), q=_STRENGTH,
+           p=st.fractions(min_value=0, max_value=1, max_denominator=20).filter(lambda p: 0 < p < 1))
+    def test_a_walk_at_any_p_mixes_the_two_ends(self, protocol, q, p):
+        # the parts are affine in p; inside (0, 1) Bob sees every outcome, so the keys are those at p = 1
+        strength = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
+        w0, w1 = _walk(protocol, strength)
+        mixed = [(key, (1 - p) * w0.get(key, 0) + p * v) for key, v in w1.items()]
+        assert list(_reference_parts(protocol, strength, p).items()) == mixed
 
 
 class TestIntegerMasses:
@@ -1182,6 +1244,30 @@ class TestJointDistributionValidation:
         with pytest.raises(ValueError):
             JointDistribution(p_sift=F(1, 2), table={(0, 0, None): F(1, 3)})
 
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="probability nan at \\(0, 0, None\\) is not a number >= 0"):
+            JointDistribution(p_sift=0.5, table={(0, 0, None): math.nan, (1, 1, None): 1.0})
+        with pytest.raises(ValueError, match="conditional table sums to inf"):
+            JointDistribution(p_sift=0.5, table={(0, 0, None): math.inf, (1, 1, None): 1.0})
+
+    @pytest.mark.parametrize("p_sift,message", [
+        (3, "p_sift must lie in [0, 1], got 3"), (F(3, 2), "p_sift must lie in [0, 1], got Fraction(3, 2)"),
+        (-0.5, "p_sift must lie in [0, 1], got -0.5"), (math.nan, "p_sift must lie in [0, 1], got nan"),
+        (0, "p_sift must lie in (0, 1], got 0"), (0.0, "p_sift must lie in (0, 1], got 0.0"),
+        ("x", "p_sift must be a real number, got 'x'"), (True, "p_sift must be a real number, got True"),
+        (None, "p_sift must be a real number, got None"),
+    ])
+    def test_rejects_a_sifting_rate_outside_the_half_open_unit_interval(self, p_sift, message):
+        table = {(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution(p_sift=p_sift, table=table)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution(p_sift=p_sift, table=table, _masses=({(0, 0, None): 1, (1, 1, None): 1}, 2))
+
+    @pytest.mark.parametrize("p_sift", [1, F(1), 1.0, F(1, 3), 1e-300])
+    def test_accepts_a_sifting_rate_in_the_half_open_unit_interval(self, p_sift):
+        assert JointDistribution(p_sift=p_sift, table={(0, 0, None): 1.0}).p_sift == p_sift
+
     @pytest.mark.parametrize("masses,total", [
         ({(0, 0, None): 3, (1, 1, None): -1}, 2),
         ({(0, 0, None): F(3, 2), (1, 1, None): F(1, 2)}, 2),
@@ -1211,7 +1297,7 @@ class TestJointDistributionValidation:
         # each part is a whole round: its sifted mass is the sifting rate of a round Eve
         # leaves alone, or of one she measures on that side
         parts = [0, 0, 0]
-        for (part, _), v in _walk(ProtocolKind.TETRAHEDRON, 1, channel.depolarizing).items():
+        for (part, _), v in _reference_parts(ProtocolKind.TETRAHEDRON, 1, channel.depolarizing).items():
             parts[part] += v
         alone = [None, InterceptResend(F(1), EnsembleMix.ALICE_ONLY), InterceptResend(F(1), EnsembleMix.BOB_ONLY)]
         assert parts == [enumerate_joint(ProtocolKind.TETRAHEDRON, e, channel).p_sift for e in alone]
@@ -1226,4 +1312,4 @@ class TestJointDistributionValidation:
         bob[row] = [v / 2 for v in bob[row]]
         monkeypatch.setattr(analysis, "_stages", lambda *args: analysis._Stages(stages.eve, bob))
         with pytest.raises(AssertionError, match="branch probabilities of the parts sum to"):
-            _walk.__wrapped__(ProtocolKind.TRINE, F(3, 5), 0)
+            _walk.__wrapped__(ProtocolKind.TRINE, F(3, 5))

@@ -416,6 +416,16 @@ class TestOutputFormats:
         record = json.loads(path.read_text())
         assert record["command"] == "analytic"
 
+    @pytest.mark.parametrize("where,reason", [
+        ("missing/rates.json", "No such file or directory"), (".", "Is a directory"),
+    ])
+    def test_out_that_cannot_be_written_is_one_line_and_exit_1(self, capsys, tmp_path, where, reason):
+        path = tmp_path / where
+        code, out, err = run_cli(["--out", str(path), "analytic", "--protocol", "trine"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"scqkd: error: cannot write {path}: {reason}\n"
+
     @pytest.mark.parametrize("argv", [
         ["threshold", "--protocol", "trine", "--attack", "none"],
         ["sweep", "--protocol", "trine", "--steps", "1"],

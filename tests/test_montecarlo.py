@@ -296,6 +296,26 @@ class TestSampleStats:
         z = SampleStats.zero()
         assert math.isnan(z.sift_rate) and math.isnan(z.qber)
 
+    @pytest.mark.parametrize("counts,message", [
+        ((10, 5, -3, 0, 0, 5), "n_errors must be >= 0, got -3"),
+        ((-1, 0, 0, 0, 0, 0), "n_rounds must be >= 0, got -1"),
+        ((10, 5, True, 0, 0, 0), "n_errors must be an integer, got True"),
+        ((10, 5.0, 0, 0, 0, 0), "n_sifted must be an integer, got 5.0"),
+        ((10, 5, 0, 0, 0, Fraction(1)), "n_eve_abstain must be an integer, got Fraction(1, 1)"),
+        ((10, 11, 0, 0, 0, 0), "n_sifted = 11 exceeds n_rounds = 10"),
+        ((10, 5, 6, 0, 0, 0), "n_errors = 6 exceeds n_sifted = 5"),
+        ((10, 5, 0, 6, 0, 0), "n_eve_agree_alice = 6 exceeds n_sifted = 5"),
+        ((10, 5, 0, 0, 6, 0), "n_eve_agree_bob = 6 exceeds n_sifted = 5"),
+        ((10, 5, 0, 0, 0, 6), "n_eve_abstain = 6 exceeds n_sifted = 5"),
+    ])
+    def test_rejects_counts_no_simulation_can_produce(self, counts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SampleStats(*counts)
+
+    def test_accepts_numpy_integers_and_full_counts(self):
+        s = SampleStats(np.int64(10), np.int32(5), 5, 5, 5, np.uint8(5))
+        assert s.qber == 1.0 and s.sift_rate == 0.5
+
 
 class TestRunTrials:
     def test_chunk_size_invariant(self):
