@@ -15,8 +15,9 @@ lines. It prints one line per output set, "<set> <sha256> <outputs>":
   1 - p_sift, the a == b mass, Eve's abstain, guess and agree masses), the
   Fraction pair marginals and key_rate, over protocols x families x mixes
   x q x p with rational and float q and p. The script computes the
-  complements and marginals the joint does not carry itself, from
-  p_sift, mass and _pairs;
+  complements the joint does not carry itself from p_sift and mass, and
+  sums the pair marginals off the table in table order: Fractions on the
+  exact path, floats otherwise;
 - find_threshold: the reprs of (q_star, qber_star), or the error, over the
   threshold grid, with a float and a rational depolarizing strength;
 - estimate: the reprs of `estimate_q_from_sift` (q, q_raw, in_model) and
@@ -109,6 +110,15 @@ def cli_outputs():
         yield f"{argv} {code}\n{out.getvalue()}{err.getvalue()}"
 
 
+def _marginals(table):
+    """The (a, b), (a, e) and (b, e) marginals of a joint's table, summed in table order."""
+    pairs = ({}, {}, {})
+    for (a, b, e), v in table.items():
+        for pair, key in zip(pairs, ((a, b), (a, e), (b, e))):
+            pair[key] = pair.get(key, 0) + v
+    return pairs
+
+
 def joint_outputs():
     for protocol in PROTOCOLS:
         for p in NOISE_VALUES:
@@ -121,7 +131,7 @@ def joint_outputs():
                 values = [joint.p_sift, list(joint.table.items()), joint.qber, 1 - joint.p_sift]
                 values += [joint.mass(lambda a, b, e: a == b), joint.p_eve_abstain]
                 values += [joint.mass(lambda a, b, e: e is not None), joint.p_eve_agree_alice, joint.p_eve_agree_bob]
-                values += [*joint._pairs(Fraction), key_rate(joint)]
+                values += [*_marginals(joint.table), key_rate(joint)]
                 yield f"{protocol} {eve!r} {p!r}\n{values!r}"
 
 

@@ -8,7 +8,8 @@ which depend only on the protocol, Eve's measurement strength and the
 depolarizing strength. A cell of the round is Bob's row extended by his
 outcome and the announcement, and `_sifting`, cached per protocol, is the
 one table of what every cell sifts to. `_walk` exhaustively enumerates
-every branch of a round over these rows, with no eavesdropper in it, and
+every branch of a round over these rows at an exact strength, in
+Fractions and with no eavesdropper in it, and
 projects its masses through `_sifting` in three parts: the round Eve
 leaves alone and her measuring with either side's ensemble. The share of
 signals she touches and the mix only weight those parts: every attack is
@@ -100,13 +101,7 @@ class JointDistribution:
             if type(total) is not int or total <= 0 or sum(masses.values()) != total:
                 raise ValueError(f"masses sum to {sum(masses.values())!r}, expected the total {total!r} > 0")
             return
-        # written so that NaN fails: every comparison with it is False
-        for key, v in self.table.items():
-            if not v >= 0:
-                raise ValueError(f"probability {v!r} at {key} is not a number >= 0")
-        total = float(sum(self.table.values()))
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"conditional table sums to {total!r}, expected 1")
+        _check_probabilities(self.table, "conditional table")
 
     def mass(self, predicate):
         """Total conditional probability of entries whose (a, b, e) satisfies predicate."""
@@ -132,11 +127,13 @@ class JointDistribution:
     def p_eve_agree_bob(self):
         return self.mass(lambda a, b, e: e is not None and e == b)
 
-    def _pairs(self, divide) -> tuple:
-        """The (a, b), (a, e) and (b, e) marginals, summed in one pass in table order.
+    def _pairs(self) -> tuple:
+        """The (a, b), (a, e) and (b, e) marginals as floats, summed in one pass in table order.
 
-        Sums of the integer masses become divide(sum, total); a table without
-        masses is summed as it is.
+        An exact joint sums its integer masses, and each sum becomes one
+        correctly rounded int / int: the float of the marginal's Fraction. A
+        table without masses has its sums converted by float(), as
+        mutual_information would.
         """
         values, total = self._masses or (self.table, None)
         ab: dict = {}
@@ -147,8 +144,8 @@ class JointDistribution:
             ae[a, e] = ae.get((a, e), 0) + v
             be[b, e] = be.get((b, e), 0) + v
         if total is None:
-            return ab, ae, be
-        return tuple({key: divide(v, total) for key, v in pair.items()} for pair in (ab, ae, be))
+            return tuple({key: float(v) for key, v in pair.items()} for pair in (ab, ae, be))
+        return tuple({key: v / total for key, v in pair.items()} for pair in (ab, ae, be))
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,11 @@ class QSiftEstimate:
 
 
 def _negligible(p) -> bool:
-    """True for branch weights that cannot contribute at double precision.
+    """True for an evaluated mass of enumerate_joint that cannot contribute at double precision.
 
-    Exact zeros are dropped in both arithmetics; float weights additionally
-    drop roundoff dust below 1e-15 so that impossible branches (orthogonal
-    outcomes that compute as ~1e-17) do not grow spurious table entries.
+    Exact zeros are dropped in both arithmetics; float masses additionally
+    drop roundoff dust below 1e-15 (and below 0) so that entries whose
+    corner terms cancel do not grow spurious table entries.
     """
     if isinstance(p, float):
         return p < 1e-15
@@ -243,8 +240,8 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     1 by up to 1e-9). Bob's entry k is
     (1 + (1 - p) v_k . b)/n for his measurement direction v_k. So the rows
     are Fractions when q, p and s are rational (as at every corner node), and
-    floats otherwise. The walk reads them as they are, and the sampler reads
-    their floats.
+    floats otherwise. The walk reads them at the exact node strengths, and
+    the sampler reads their floats at any strength.
 
     Each distinct entry is computed once per call. Eve's entry and the two
     coefficients of b depend only on the side's sign and the Gram value
@@ -327,7 +324,7 @@ def _sifting(protocol: ProtocolKind) -> tuple:
     )
 
 
-@lru_cache(maxsize=len(ProtocolKind) * 3, typed=True)
+@lru_cache(maxsize=len(ProtocolKind) * 3)
 def _walk(protocol: ProtocolKind, strength) -> tuple:
     """Walk every branch of one round, part by part, at p = 0 and p = 1 in one pass.
 
@@ -344,12 +341,12 @@ def _walk(protocol: ProtocolKind, strength) -> tuple:
     row slot * n + j-1 of `_stages` at p = 0 and projects its masses through
     that row's slice of `_sifting` (the layout is in _Stages). At p = 1
     Bob's outcome is uniform whatever reached him, so that table takes every
-    branch Eve's outcome allows with Bob's 1/n. The arithmetic is the
-    rows': exact rationals whenever strength and sqrt(1 - strength^2) are
-    rational, floats otherwise, and the typed cache keeps a float strength
-    from reading an exact walk. Each table's keys are in the order its own
-    branches first see them. The cache holds what `_corners` reads: 4
-    protocols x strengths {0, 3/5, 1}.
+    branch Eve's outcome allows with Bob's 1/n. The strength is exact and
+    sqrt(1 - strength^2) rational, as at every node `_corners` reads, so the
+    rows and masses are Fractions: a branch of no weight is an exact zero,
+    and each part's masses sum to exactly 1. Each table's keys are in the
+    order its own branches first see them. The cache holds what `_corners`
+    reads: 4 protocols x strengths {0, 3/5, 1}.
     """
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
@@ -360,12 +357,12 @@ def _walk(protocol: ProtocolKind, strength) -> tuple:
         # slot 0 (part 0) with weight 1, then Eve's outcomes m on Alice's side (slots 1..n, part 1)
         # and on Bob's (slots n+1..2n, part 2) with weight p_m
         for slot, p_m in enumerate([1, *stages.eve[j - 1], *stages.eve[n + j - 1]]):
-            if _negligible(p_m):
+            if not p_m:
                 continue
             part, row, base = (slot + n - 1) // n, slot * n + j - 1, w_j * p_m
             w_noisy = base * w_j * w_a  # at p = 1 Bob sees each of his n outcomes with probability 1/n
             for k, pk in enumerate(stages.bob[row]):
-                mass = 0 if _negligible(pk) else base * pk  # at p = 0 a branch of mass 0 is not taken
+                mass = base * pk  # at p = 0 a branch of mass 0 is not taken
                 totals[part] += mass
                 w, cell = mass * w_a, (row * n + k) * n_opts
                 for key in sifting[cell:cell + n_opts]:
@@ -373,7 +370,7 @@ def _walk(protocol: ProtocolKind, strength) -> tuple:
                         noisy[part, key] = noisy.get((part, key), 0) + w_noisy
                         if mass:
                             quiet[part, key] = quiet.get((part, key), 0) + w
-    if any(abs(float(total) - 1.0) > 1e-9 for total in totals):
+    if totals != [1, 1, 1]:
         raise AssertionError(f"branch probabilities of the parts sum to {[float(t) for t in totals]!r}")
     return quiet, noisy
 
@@ -544,19 +541,21 @@ def mutual_information(joint: dict) -> float:
             within 1e-9. Zero entries contribute zero.
 
     Raises:
-        ValueError: on an entry that is not a number >= 0 (NaN is not) or a
-            badly normalized table.
+        ValueError: on an entry below 0 or not a number (NaN included), or
+            a badly normalized table.
     """
-    floats: dict = {}
-    total = 0.0
-    for key, v in joint.items():
-        if not v >= 0:  # so that NaN fails
+    _check_probabilities(joint, "distribution")
+    return _mutual_information({key: float(v) for key, v in joint.items()})
+
+
+def _check_probabilities(table: dict, what: str) -> None:
+    """Reject a table unless its entries are numbers >= 0 whose sum is 1 within 1e-9 (as a float)."""
+    for key, v in table.items():
+        if not v >= 0:  # so that NaN fails: every comparison with it is False
             raise ValueError(f"probability {v!r} at {key} is not a number >= 0")
-        floats[key] = vf = float(v)
-        total += vf
+    total = float(sum(table.values()))
     if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"distribution sums to {total!r}, expected 1")
-    return _mutual_information(floats)
+        raise ValueError(f"{what} sums to {total!r}, expected 1")
 
 
 def _mutual_information(joint: dict) -> float:
@@ -576,20 +575,15 @@ def _mutual_information(joint: dict) -> float:
 def key_rate(joint: JointDistribution) -> RateReport:
     """Distillable-rate report from a sifted joint distribution.
 
-    The exact path's integer pair sums become floats by one correctly rounded
-    int / int each: the float of the pair's Fraction. A table without masses
-    has its pair sums converted by float(), as mutual_information would.
-    The table was checked when it was built, so its pairs skip
-    mutual_information's checks.
+    It reads the float marginals of `JointDistribution._pairs`: the float of
+    each marginal's Fraction on the exact path. The table was checked when
+    it was built, so its pairs skip mutual_information's checks.
 
     Raises:
         ValueError: for anything that is not a JointDistribution.
     """
     _check_instance("joint", joint, JointDistribution)
-    pairs = joint._pairs(operator.truediv)
-    if joint._masses is None:
-        pairs = [{key: float(v) for key, v in pair.items()} for pair in pairs]
-    i_ab, i_ae, i_be = map(_mutual_information, pairs)
+    i_ab, i_ae, i_be = map(_mutual_information, joint._pairs())
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 

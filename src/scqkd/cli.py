@@ -240,7 +240,7 @@ def _add_common(sub, attacks=("none", "standard", "gentle"), strength=True):
     )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The CLI's parser, built once per process: parse_args fills a fresh namespace on every call."""
     parser = _Parser(prog="scqkd", description=__doc__.splitlines()[0])

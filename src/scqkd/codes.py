@@ -107,7 +107,7 @@ def _basis_pair_states(bases: str) -> list:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(ProtocolKind))
 def make_code(protocol: ProtocolKind) -> SphericalCode:
     """Construct the sender's constellation of `protocol` with its exact coordinates."""
     if protocol is ProtocolKind.TRINE:
@@ -123,7 +123,7 @@ def make_code(protocol: ProtocolKind) -> SphericalCode:
     return SphericalCode(states=states)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(ProtocolKind))
 def bloch_gram(protocol: ProtocolKind) -> tuple:
     """Exact Gram matrix of Bloch-vector dot products, as Fractions.
 
@@ -145,7 +145,7 @@ def bloch_gram(protocol: ProtocolKind) -> tuple:
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(ProtocolKind))
 def _gram_ids(protocol: ProtocolKind) -> tuple:
     """(values, ids): the distinct entries of bloch_gram, and each entry's index among them.
 

@@ -83,7 +83,7 @@ class RoundTranscript:
     eve_record: "EveRecord | None" = None  # noqa: F821 - defined in eavesdrop
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(ProtocolKind))
 def bob_code(protocol: ProtocolKind) -> SphericalCode:
     """Bob measures the antipodal code for exclusion protocols, the code itself otherwise.
 
@@ -101,7 +101,7 @@ def alice_pick(protocol: ProtocolKind, u: float) -> int:
     return min(int(u * n), n - 1) + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=sum(kind.n_signals for kind in ProtocolKind))  # every (protocol, outcome k)
 def announcement_options(protocol: ProtocolKind, k: int) -> tuple:
     """Ordered tuple of announcements Bob may make after outcome k.
 

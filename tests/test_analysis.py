@@ -792,6 +792,19 @@ class TestThresholds:
         ]
         assert all(later <= earlier for earlier, later in zip(rates, rates[1:]))
 
+    def test_symmetric_threshold_rises_with_channel_noise(self):
+        # the channel acts after Eve, so its noise lowers I(B:E) more than I(A:B): a higher
+        # q_star at higher p comes from the model, not from a more tolerant protocol
+        solves = [
+            find_threshold(ProtocolKind.BB84, "standard", EnsembleMix.SYMMETRIC, Channel(depolarizing=p))
+            for p in (F(0), F(1, 20), F(1, 10), F(1, 5))
+        ]
+        q_stars, qber_stars = [r.q_star for r in solves], [r.qber_star for r in solves]
+        assert q_stars == pytest.approx([0.6821, 0.7055, 0.7172, 0.7322], abs=5e-5)
+        assert qber_stars == pytest.approx([0.1705, 0.1925, 0.2114, 0.2464], abs=5e-5)
+        for values in (q_stars, qber_stars):
+            assert all(earlier < later for earlier, later in zip(values, values[1:]))
+
 
 def _plain_bisection(protocol, mix, channel, family="standard", joint=_walked):
     """(q_star, qber_star) of the plain bisection that defines them, or None if R does not cross zero.
@@ -944,9 +957,9 @@ class TestGentleCurve:
         soft = enumerate_joint(protocol, GentleIntercept(q=0.0, mix=mix), channel)
         ref = enumerate_joint(protocol, None, channel)
         assert abs(soft.p_sift - float(ref.p_sift)) <= 1e-12
-        soft_ab, ref_ab = soft._pairs(F)[0], ref._pairs(F)[0]
+        soft_ab, ref_ab = soft._pairs()[0], ref._pairs()[0]
         for key in {**soft_ab, **ref_ab}:
-            assert abs(soft_ab.get(key, 0) - float(ref_ab.get(key, 0))) <= 1e-12
+            assert abs(soft_ab.get(key, 0) - ref_ab.get(key, 0)) <= 1e-12
 
     def test_roundoff_dust_is_dropped(self):
         # next to q = 1 some entries are O(1 - q): below the enumeration's cut,
@@ -1074,18 +1087,24 @@ class TestCorners:
         assert list(got.items()) == list(want.items())
         assert all(type(v) is F for v in got.values())
 
-    def test_walk_cache_is_bounded_and_typed(self):
-        assert _walk.cache_parameters() == {"maxsize": 12, "typed": True}
-        # an untyped cache would hand the float walk the exact one, as 1 == 1.0
+    def test_walk_cache_is_bounded_and_exact(self):
+        # every strength the corners walk is exact, so the cache needs no typing
+        assert _walk.cache_parameters() == {"maxsize": 12, "typed": False}
+        _corners.cache_clear()
+        _walk.cache_clear()
         for protocol in ALL:
-            for exact, floats in zip(_walk(protocol, 1), _walk(protocol, 1.0)):
-                assert list(exact) == list(floats)
-                assert all(type(v) is F for v in exact.values())
-                # Eve's parts; the untouched part 0 reads no strength, and p is the exact 0 or 1
-                assert all(type(v) is float for (part, _), v in floats.items() if part)
-                assert all(abs(float(v) - floats[key]) <= 1e-15 for key, v in exact.items())
+            for family, mix in CORNER_KEYS:
+                _corners(protocol, family, mix)
+        built = _walk.cache_info()
+        assert built.misses == built.currsize == 12
+        for protocol in ALL:
+            for strength in (0, F(3, 5), 1):
+                for parts in _walk(protocol, strength):
+                    assert parts and all(type(v) is F for v in parts.values())
+        assert _walk.cache_info().misses == 12
 
-    @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(1), 0.3])
+    # the node strengths, and one off the nodes whose sqrt(1 - q^2) = 15/17 is rational too
+    @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(1), F(8, 17)])
     @pytest.mark.parametrize("protocol", ALL)
     def test_one_pass_is_the_walk_at_either_end(self, protocol, strength):
         # item for item, in the same key order and with the same types as a walk at p = 0 and one at p = 1
@@ -1125,10 +1144,23 @@ class TestIntegerMasses:
             return [repr(v) for v in (
                 key_rate(jd), jd.qber, 1 - jd.p_sift, jd.mass(lambda a, b, e: a == b), jd.p_eve_abstain,
                 jd.mass(lambda a, b, e: e is not None), jd.p_eve_agree_alice, jd.p_eve_agree_bob,
-                jd.mass(lambda a, b, e: False), *jd._pairs(F),
+                jd.mass(lambda a, b, e: False), *jd._pairs(),
             )]
 
         assert read(joint) == read(plain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
+           mix=_MIXES, q=_STRENGTH, p=_NOISE)
+    def test_pairs_are_the_floats_of_the_table_marginals(self, protocol, family, mix, q, p):
+        joint = enumerate_joint(protocol, _strategy_for(family, q, mix), Channel(depolarizing=p))
+        assert joint._masses is not None
+        marginals = ({}, {}, {})
+        for (a, b, e), v in joint.table.items():
+            for pair, key in zip(marginals, ((a, b), (a, e), (b, e))):
+                pair[key] = pair.get(key, F(0)) + v
+        for got, want in zip(joint._pairs(), marginals):
+            assert [(key, v, type(v)) for key, v in got.items()] == [(key, float(v), float) for key, v in want.items()]
 
 
 class TestSiftInversion:
@@ -1199,6 +1231,67 @@ class TestSiftInversion:
         assert all(type(v) is F for v in (lo, hi))
 
 
+def _disclosure_share(lo, hi, at, q, n):
+    """The share m / (n s) of the sifted bits that a disclosure of m of them spends to learn the QBER
+    as precisely as the sift rate of n signals tells it; intercept/resend, symmetric mix, p = 0.
+
+    (lo, hi) is the sift line and at(x) the (p_sift, qber) at intercepted fraction x. p_sift and
+    the unnormalised a != b mass are affine in q, so the QBER's slope is exact. Both variances are
+    binomial, as in montecarlo.proportion_se: the sift rate's, carried to the QBER through
+    q = (rate - lo) / (hi - lo), and that of the m disclosed bits.
+    """
+    (s, e), (s0, e0), (s1, e1) = at(q), at(F(0)), at(F(1))
+    assert (s0, s1) == (lo, hi) and s == lo + q * (hi - lo)
+    d0, d1 = s0 * e0, s1 * e1
+    assert s * e == d0 + q * (d1 - d0)
+    slope = (d1 - d0 - e * (hi - lo)) / s  # d(D / s)/dq = (D' - E s') / s
+    variance = (slope / (hi - lo)) ** 2 * s * (1 - s) / n
+    m = e * (1 - e) / variance
+    return m / (n * s)
+
+
+class TestSiftEstimateWorth:
+    """The QBER read off the sift rate saves a share of the sifted bits that disclosure would spend."""
+
+    SHARE = {ProtocolKind.TRINE: F(1, 6), ProtocolKind.TETRAHEDRON: F(1, 3)}
+
+    @staticmethod
+    def _shares(protocol, q, n):
+        """The share read off the corner tables, and off the closed forms."""
+        curves = AnalyticCurves(protocol)
+
+        def corners(x):
+            jd = enumerate_joint(protocol, _sym(x))
+            return jd.p_sift, jd.qber
+
+        def closed(x):
+            return curves.p_sift(x), curves.qber(x)
+
+        return (_disclosure_share(*_sift_line(protocol), corners, q, n),
+                _disclosure_share(curves.p_sift(F(0)), curves.p_sift(F(1)), closed, q, n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(protocol=st.sampled_from(EXCLUSION), q=_STRENGTH.filter(lambda q: q > 0),
+           n=st.integers(min_value=1, max_value=10**12))
+    def test_share_is_linear_in_q_and_free_of_n(self, protocol, q, n):
+        # the share is q/6 (trine) or q/3 (tetrahedron) from the corners and the closed forms alike
+        assert self._shares(protocol, q, n) == (self.SHARE[protocol] * q,) * 2
+
+    @pytest.mark.parametrize("protocol,q,share,percent", [
+        (ProtocolKind.TRINE, F(1, 5), F(1, 30), 3.3), (ProtocolKind.TRINE, F(1, 3), F(1, 18), 5.6),
+        (ProtocolKind.TETRAHEDRON, F(1, 5), F(1, 15), 6.7), (ProtocolKind.TETRAHEDRON, F(1, 3), F(1, 9), 11.1),
+    ])
+    def test_pinned_shares(self, protocol, q, share, percent):
+        for n in (1000, 10**6):
+            assert self._shares(protocol, q, n) == (share, share)
+        assert round(100 * float(share), 1) == percent
+
+    def test_variances_are_proportion_se_squared(self):
+        s = enumerate_joint(ProtocolKind.TRINE, _sym(F(1, 5))).p_sift
+        n = s.denominator * 1000
+        assert montecarlo.proportion_se(int(s * n), n) ** 2 == pytest.approx(float(s * (1 - s) / n), rel=1e-12)
+
+
 class TestEntryPointsCheckTheirArguments:
     """A protocol or channel of the wrong type is rejected before any cache is read."""
 
@@ -1249,6 +1342,17 @@ class TestJointDistributionValidation:
             JointDistribution(p_sift=0.5, table={(0, 0, None): math.nan, (1, 1, None): 1.0})
         with pytest.raises(ValueError, match="conditional table sums to inf"):
             JointDistribution(p_sift=0.5, table={(0, 0, None): math.inf, (1, 1, None): 1.0})
+
+    @pytest.mark.parametrize("table,messages", [
+        ({(0, 0, None): math.nan, (1, 1, None): 1.0}, ["probability nan at (0, 0, None) is not a number >= 0"] * 2),
+        ({(0, 0, None): 0.5, (1, 1, None): 0.5 + 1e-8},
+         ["conditional table sums to 1.00000001, expected 1", "distribution sums to 1.00000001, expected 1"]),
+    ])
+    def test_mutual_information_rejects_the_same_tables(self, table, messages):
+        with pytest.raises(ValueError, match=re.escape(messages[0])):
+            JointDistribution(p_sift=0.5, table=table)
+        with pytest.raises(ValueError, match=re.escape(messages[1])):
+            mutual_information(table)
 
     @pytest.mark.parametrize("p_sift,message", [
         (3, "p_sift must lie in [0, 1], got 3"), (F(3, 2), "p_sift must lie in [0, 1], got Fraction(3, 2)"),

@@ -8,6 +8,7 @@ name the benchmark under bench/ reads must resolve too.
 import ast
 import importlib
 import importlib.util
+import pkgutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +92,18 @@ def test_building_blocks_resolve_from_their_submodules(module, name):
     obj = getattr(importlib.import_module(f"scqkd.{module}"), name)
     assert (obj.__module__, obj.__qualname__) == (f"scqkd.{module}", name)
     assert name not in scqkd.__all__ and name not in vars(scqkd)
+
+
+def test_every_cache_is_bounded():
+    # each cache is keyed on a finite domain and declares it, so none grows with the inputs a process sees
+    caches = {}
+    for info in pkgutil.iter_modules(scqkd.__path__):
+        module = importlib.import_module(f"scqkd.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)):
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"analysis._walk", "cli.build_parser", "codes.make_code", "protocol.announcement_options"} <= set(caches)
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []
 
 
 def _load_bench(name, monkeypatch):
