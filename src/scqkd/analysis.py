@@ -24,12 +24,16 @@ sifted table is linear in the depolarizing strength p and, at a fixed p, in
 (1, q) or (1, q, sqrt(1 - q^2)), so the tables at a few nodes per
 (protocol, attack family, mix), weighted by `_corners` from 3 cached walks
 per protocol (one per node strength, each giving p = 0 and p = 1 in one
-pass), give it at every (q, p). `enumerate_joint` evaluates those
-corners, and thresholds and sweeps call it at each strength; the tests keep
-the weighted walk of one eavesdropper as the reference they compare the
-corners with. Exact inputs give integer masses over
-one integer total: the Fraction table is built from them once, for callers,
-and `qber`, `mass` and `key_rate` (through `_pairs`) read the integers.
+pass), give it at every (q, p). `_evaluate` is that evaluation: the kept
+masses of one (q, p) in corner key order, their total and, for exact inputs,
+the denominator. `enumerate_joint` wraps them in a JointDistribution, and
+thresholds call it and `key_rate` at each probe; the tests keep the weighted
+walk of one eavesdropper as the reference they compare the corners with.
+Exact inputs give integer masses over one integer total: the Fraction table
+is built from them once, for callers, and `qber`, `mass` and `key_rate`
+(through `_pairs`) read the integers. The CLI's rate records skip the joint:
+`_rates` reads the same floats straight off `_evaluate`'s masses, with the
+same marginals (`_pair_floats`).
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -128,24 +132,29 @@ class JointDistribution:
         return self.mass(lambda a, b, e: e is not None and e == b)
 
     def _pairs(self) -> tuple:
-        """The (a, b), (a, e) and (b, e) marginals as floats, summed in one pass in table order.
-
-        An exact joint sums its integer masses, and each sum becomes one
-        correctly rounded int / int: the float of the marginal's Fraction. A
-        table without masses has its sums converted by float(), as
-        mutual_information would.
-        """
+        """The (a, b), (a, e) and (b, e) float marginals key_rate reads: _pair_floats of the masses or table."""
         values, total = self._masses or (self.table, None)
-        ab: dict = {}
-        ae: dict = {}
-        be: dict = {}
-        for (a, b, e), v in values.items():
-            ab[a, b] = ab.get((a, b), 0) + v
-            ae[a, e] = ae.get((a, e), 0) + v
-            be[b, e] = be.get((b, e), 0) + v
-        if total is None:
-            return tuple({key: float(v) for key, v in pair.items()} for pair in (ab, ae, be))
-        return tuple({key: v / total for key, v in pair.items()} for pair in (ab, ae, be))
+        return _pair_floats(values.items(), total)
+
+
+def _pair_floats(items, total) -> tuple:
+    """The (a, b), (a, e) and (b, e) marginals of (key, mass) items as floats, summed in one pass in order.
+
+    With an int total, each sum of integer masses becomes one correctly
+    rounded int / int: the float of the marginal's Fraction. With total None
+    the items are probabilities already, and their sums are converted by
+    float(), as mutual_information would.
+    """
+    ab: dict = {}
+    ae: dict = {}
+    be: dict = {}
+    for (a, b, e), v in items:
+        ab[a, b] = ab.get((a, b), 0) + v
+        ae[a, e] = ae.get((a, e), 0) + v
+        be[b, e] = be.get((b, e), 0) + v
+    if total is None:
+        return tuple({key: float(v) for key, v in pair.items()} for pair in (ab, ae, be))
+    return tuple({key: v / total for key, v in pair.items()} for pair in (ab, ae, be))
 
 
 @dataclass(frozen=True)
@@ -174,18 +183,6 @@ class QSiftEstimate:
     q: object
     q_raw: object
     in_model: bool
-
-
-def _negligible(p) -> bool:
-    """True for an evaluated mass of enumerate_joint that cannot contribute at double precision.
-
-    Exact zeros are dropped in both arithmetics; float masses additionally
-    drop roundoff dust below 1e-15 (and below 0) so that entries whose
-    corner terms cancel do not grow spurious table entries.
-    """
-    if isinstance(p, float):
-        return p < 1e-15
-    return p == 0
 
 
 # -- the round model -------------------------------------------------------------
@@ -445,32 +442,72 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
             is not a Channel, or an unknown eavesdropping strategy.
     """
     _check_config(protocol, channel)
+    items, total, den = _evaluate(protocol, *_family_mix_q(eve), channel.depolarizing)
+    if den is None:
+        return JointDistribution(p_sift=total, table={key: v / total for key, v in items})
+    table = {key: Fraction(v, total) for key, v in items}
+    return JointDistribution(p_sift=Fraction(total, den), table=table, _masses=(dict(items), total))
+
+
+def _family_mix_q(eve) -> tuple:
+    """(family, mix, q): what `_evaluate` reads of an eavesdropper. q is the family's strength (see _attack)."""
     family, touched, strength = _attack(eve)
-    q = strength if family == "gentle" else touched
-    keys, scale, tables = _corners(protocol, family, None if eve is None else eve.mix)
-    p = channel.depolarizing
+    return family, None if eve is None else eve.mix, strength if family == "gentle" else touched
+
+
+def _evaluate(protocol: ProtocolKind, family: str, mix, q, p) -> tuple:
+    """(items, total, den): the kept unnormalised sifted masses at (q, p), read off the corner tables.
+
+    items are the (key, mass) pairs in corner key order and total their sum.
+    Exact q and p, outside the gentle family, give integer masses: den times
+    the masses, den being the product of the denominators of q, p and the
+    corners' scale, so p_sift is total / den and the conditional table
+    mass / total. Otherwise the masses are floats and den is None. Exact
+    zeros are dropped, and float masses below 1e-15 (corner terms that
+    cancel to roundoff dust or below 0; a NaN is kept).
+    """
+    keys, scale, tables = _corners(protocol, family, mix)
     exact = family != "gentle" and isinstance(q, Rational) and isinstance(p, Rational)
     if exact:
-        # integer weights over den, the product of the denominators of q, p and
-        # the scale: u then holds den times the masses (Python ints, for numpy integers too)
+        # integer weights over den (Python ints, for numpy integers too)
         qn, qd, pn, pd = int(q.numerator), int(q.denominator), int(p.numerator), int(p.denominator)
         w_q, w_p = ((1,) if family == "none" else (qd - qn, qn)), (pd - pn, pn)
         scale, den = 1, qd * pd * scale.denominator
     else:
-        q, p, scale = float(q), float(p), float(scale)
+        q, p, scale, den = float(q), float(p), float(scale), None
         w_q = (1,) if family == "none" else (1 - q, q) if family == "standard" else _gentle_weights(q)
         w_p = (1 - p, p)
     # the weight of table 2i + p: node q_i's w_i(q), times 1 - p or p, times the scale
     ws = [w * v * scale for w in w_q for v in w_p]
     weights = [w for w in ws if w]
     columns = zip(*(t for w, t in zip(ws, tables) if w))
-    u = {key: sum(map(operator.mul, weights, column)) for key, column in zip(keys, columns)}
-    u = {key: v for key, v in u.items() if not _negligible(v)}
-    total = sum(u.values())
-    if not exact:
-        return JointDistribution(p_sift=total, table={key: v / total for key, v in u.items()})
-    table = {key: Fraction(v, total) for key, v in u.items()}
-    return JointDistribution(p_sift=Fraction(total, den), table=table, _masses=(u, total))
+    masses = zip(keys, (sum(map(operator.mul, weights, column)) for column in columns))
+    items = [(key, v) for key, v in masses if v] if exact else [(key, v) for key, v in masses if not v < 1e-15]
+    return items, sum(v for _, v in items), den
+
+
+def _rates(items, total, den) -> tuple:
+    """(p_sift, qber, p_noguess, RateReport) of `_evaluate`'s masses, with no JointDistribution built.
+
+    They are float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain)
+    and key_rate(joint) of the joint enumerate_joint builds from the same
+    masses, bit for bit, without its Fraction table. Exact masses stay
+    integers, and every rate is one correctly rounded int / int: the float of
+    the joint's Fraction. Float masses are divided by the total first and
+    then summed in table order, as the joint's table, mass and _pairs are.
+
+    Raises:
+        ValueError: unless total > 0, as JointDistribution does.
+    """
+    if not total > 0:
+        raise ValueError(f"p_sift must lie in (0, 1], got {total!r}")
+    if den is None:  # the joint's table: each mass over the total
+        p_sift, items, total = total, [(key, v / total) for key, v in items], None
+    else:
+        p_sift = total / den
+    sums = (sum(v for (a, b, _), v in items if a != b), sum(v for (_, _, e), v in items if e is None))
+    qber, p_noguess = (float(s) if total is None else s / total for s in sums)
+    return p_sift, qber, p_noguess, _rate_report(_pair_floats(items, total))
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -583,7 +620,12 @@ def key_rate(joint: JointDistribution) -> RateReport:
         ValueError: for anything that is not a JointDistribution.
     """
     _check_instance("joint", joint, JointDistribution)
-    i_ab, i_ae, i_be = map(_mutual_information, joint._pairs())
+    return _rate_report(joint._pairs())
+
+
+def _rate_report(pairs) -> RateReport:
+    """The RateReport of the float (a, b), (a, e) and (b, e) marginals."""
+    i_ab, i_ae, i_be = map(_mutual_information, pairs)
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 

@@ -5,6 +5,11 @@ Every command emits one machine-readable record (JSON by default, CSV with
 be re-parsed and reproduced. Exit codes: 0 success, 1 usage error or no
 threshold, 2 when a simulation disagrees with the exact distribution beyond
 4 standard deviations on any counter.
+
+The rate records of `analytic`, `sweep` and `estimate-q` are read straight
+off the corner masses (analysis._evaluate and _rates), with no
+JointDistribution built; they are its floats and key_rate's, bit for bit.
+Only `simulate` builds a joint, as the oracle its counts are compared with.
 """
 
 from __future__ import annotations
@@ -20,18 +25,20 @@ import warnings
 from fractions import Fraction
 
 from .analysis import (
-    JointDistribution,
     NoThresholdError,
+    _evaluate,
+    _family_mix_q,
+    _rates,
     _sift_line,
     _strategy_for,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
-    key_rate,
+    key_rate,  # noqa: F401 - no command calls it; bench/tracing.py wraps cli.key_rate
 )
 from .eavesdrop import EnsembleMix, InterceptResend
 from .montecarlo import TrialConfig, compare_to_oracle, proportion_se, run_trials
-from .protocol import Channel, ProtocolKind
+from .protocol import IDEAL, Channel, ProtocolKind
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,12 +65,18 @@ def _echo(args, *names) -> dict:
     return {**head, **{name: float(getattr(args, name)) for name in names}}
 
 
-def _rates_record(joint: JointDistribution) -> dict:
-    report = key_rate(joint)
+def _rates_record(protocol: ProtocolKind, family: str, mix, q, channel: Channel) -> dict:
+    """The rate fields of a record, read straight off the corner masses (analysis._evaluate and _rates).
+
+    They are the floats of the JointDistribution that enumerate_joint builds
+    for the same configuration, and of key_rate on it, bit for bit; the
+    Fraction table is never built.
+    """
+    p_sift, qber, p_noguess, report = _rates(*_evaluate(protocol, family, mix, q, channel.depolarizing))
     return {
-        "p_sift": float(joint.p_sift),
-        "qber": float(joint.qber),
-        "p_noguess": float(joint.p_eve_abstain),
+        "p_sift": p_sift,
+        "qber": qber,
+        "p_noguess": p_noguess,
         "i_ab": report.i_ab,
         "i_ae": report.i_ae,
         "i_be": report.i_be,
@@ -110,8 +123,8 @@ def _to_csv(record: dict) -> str:
 def _cmd_analytic(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
-    joint = enumerate_joint(protocol, eve, Channel(depolarizing=args.depolarize))
-    return {**_echo(args, "q", "depolarize"), **_rates_record(joint)}, 0
+    record = _rates_record(protocol, *_family_mix_q(eve), Channel(depolarizing=args.depolarize))
+    return {**_echo(args, "q", "depolarize"), **record}, 0
 
 
 def _cmd_threshold(args) -> tuple:
@@ -164,10 +177,10 @@ def _cmd_sweep(args) -> tuple:
     if args.steps < 2:
         args.parser.error("--steps must be at least 2")
     channel = Channel(depolarizing=args.depolarize)
-    rows = []
-    for q in (Fraction(i, args.steps - 1) for i in range(args.steps)):
-        eve = _strategy_for(args.attack, q, EnsembleMix(args.mix))
-        rows.append({"q": float(q), **_rates_record(enumerate_joint(protocol, eve, channel))})
+    # one strategy checks the family and mix for every row; the rows differ only in q, which lies in [0, 1]
+    family, mix, _ = _family_mix_q(_strategy_for(args.attack, 1, EnsembleMix(args.mix)))
+    grid = (Fraction(i, args.steps - 1) for i in range(args.steps))
+    rows = [{"q": float(q), **_rates_record(protocol, family, mix, q, channel)} for q in grid]
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 
@@ -188,8 +201,8 @@ def _cmd_estimate_q(args) -> tuple:
         warnings.simplefilter("ignore")
         estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
-    joint = enumerate_joint(protocol, InterceptResend(q=estimate.q, mix=EnsembleMix.SYMMETRIC))
-    report = key_rate(joint)
+    eve = InterceptResend(q=estimate.q, mix=EnsembleMix.SYMMETRIC)
+    rates = _rates_record(protocol, *_family_mix_q(eve), IDEAL)
     record = {
         "command": "estimate-q",
         "protocol": protocol.value,
@@ -200,8 +213,8 @@ def _cmd_estimate_q(args) -> tuple:
         "q_raw": float(estimate.q_raw),
         "q_se": slope * se_rate,
         "in_model": estimate.in_model,
-        "qber": float(joint.qber),
-        "r": report.r,
+        "qber": rates["qber"],
+        "r": rates["r"],
     }
     return record, 0
 

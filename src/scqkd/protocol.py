@@ -21,11 +21,16 @@ from .codes import ProtocolKind, SphericalCode, basis_label, eigen_bit, make_cod
 
 
 def _check_unit(value, name: str) -> None:
-    """Reject a config value that is not a real number in [0, 1] (bool is not one)."""
+    """Reject a config value that is not a real number in [0, 1] (bool is not one).
+
+    The value itself is compared, not its float: a Fraction just above 1 or
+    just below 0 is rejected, not rounded into range, and a huge int raises
+    ValueError, not OverflowError. NaN fails both comparisons.
+    """
     # float and int first: isinstance(x, Real) is ~10x slower for a float, and solvers build many configs
     if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not 0 <= float(value) <= 1:
+    if not 0 <= value <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 

@@ -13,7 +13,9 @@ from scqkd import analysis, montecarlo
 from scqkd.analysis import (
     JointDistribution,
     _corners,
-    _negligible,
+    _evaluate,
+    _family_mix_q,
+    _rates,
     _sift_line,
     _sifting,
     _stages,
@@ -140,6 +142,13 @@ def _weights(eve):
     _, touched, _ = _attack(eve)
     w_alice, w_bob = (0, 0) if eve is None else _SIDE_WEIGHTS[eve.mix]
     return 1 - touched, touched * w_alice, touched * w_bob
+
+
+def _negligible(p) -> bool:
+    """True for a branch probability the reference walks skip: an exact zero, or a float below 1e-15."""
+    if isinstance(p, float):
+        return p < 1e-15
+    return p == 0
 
 
 def _reference_parts(protocol: ProtocolKind, strength, p) -> dict:
@@ -1290,6 +1299,51 @@ class TestSiftEstimateWorth:
         s = enumerate_joint(ProtocolKind.TRINE, _sym(F(1, 5))).p_sift
         n = s.denominator * 1000
         assert montecarlo.proportion_se(int(s * n), n) ** 2 == pytest.approx(float(s * (1 - s) / n), rel=1e-12)
+
+
+# exact and float inputs, with the ends of [0, 1] in both arithmetics and the float just below 1
+_RATE_INPUTS = st.one_of(
+    _STRENGTH, st.floats(min_value=0, max_value=1), st.sampled_from([F(0), F(1), 0.0, 1.0, 1 - 2**-52])
+)
+
+
+class TestRates:
+    """The CLI's rate rows: _rates of _evaluate's masses are the joint's floats and key_rate's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=_RATE_INPUTS, p=_RATE_INPUTS)
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, q=F(1), p=1 - 2**-52)
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.BOB_ONLY, q=1 - 2**-52, p=F(1))
+    def test_equal_the_joint_and_key_rate(self, protocol, family, mix, q, p):
+        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
+        joint = enumerate_joint(protocol, eve, channel)
+        report = key_rate(joint)
+        want = [float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain),
+                report.i_ab, report.i_ae, report.i_be, report.r]
+        p_sift, qber, p_noguess, got = _rates(*_evaluate(protocol, *_family_mix_q(eve), p))
+        got = [p_sift, qber, p_noguess, got.i_ab, got.i_ae, got.i_be, got.r]
+        assert all(type(v) is float for v in got)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+    @pytest.mark.parametrize("den", [None, 1, 12])
+    def test_need_a_positive_total(self, den):
+        with pytest.raises(ValueError, match=re.escape("p_sift must lie in (0, 1]")):
+            _rates([], 0, den)
+
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_solve_evaluates_each_probe_through_the_module(self, monkeypatch, protocol, family):
+        # the bench's tracer counts these module attributes under each solve
+        calls = {"enumerate_joint": 0, "key_rate": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(analysis, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counted)
+        find_threshold(protocol, family, EnsembleMix.ALICE_ONLY, Channel(depolarizing=F(1, 20)))
+        assert 1 <= calls["enumerate_joint"] <= 15
+        assert 1 <= calls["key_rate"] <= calls["enumerate_joint"]
 
 
 class TestEntryPointsCheckTheirArguments:

@@ -10,7 +10,7 @@ import pytest
 
 import scqkd.cli as cli
 from scqkd import montecarlo
-from scqkd.analysis import NoThresholdError, enumerate_joint, find_threshold, key_rate
+from scqkd.analysis import JointDistribution, NoThresholdError, enumerate_joint, find_threshold, key_rate
 from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
 from scqkd.montecarlo import SampleStats
 from scqkd.protocol import Channel, ProtocolKind
@@ -212,6 +212,20 @@ class TestSimulate:
         assert record["q"] == 0.0
 
 
+def _joint_rates(joint):
+    """The rate fields of a record, as enumerate_joint's JointDistribution and key_rate give them."""
+    report = key_rate(joint)
+    return {
+        "p_sift": float(joint.p_sift),
+        "qber": float(joint.qber),
+        "p_noguess": float(joint.p_eve_abstain),
+        "i_ab": report.i_ab,
+        "i_ae": report.i_ae,
+        "i_be": report.i_be,
+        "r": report.r,
+    }
+
+
 class TestSweep:
     def test_default_grid_has_101_rows(self, capsys):
         code, record, _ = run_json(["sweep", "--protocol", "bb84"], capsys)
@@ -268,7 +282,7 @@ class TestSweep:
             q = F(i, 8)
             eve = InterceptResend(q=q, mix=EnsembleMix(mix))
             joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
-            want = {"q": float(q), **cli._rates_record(joint)}
+            want = {"q": float(q), **_joint_rates(joint)}
             assert json.dumps(row) == json.dumps(want)
 
     def test_standard_rows_keep_the_enumeration_key_order(self, capsys):
@@ -278,7 +292,7 @@ class TestSweep:
         _, record, _ = run_json(["sweep", "--protocol", "bb84"], capsys)
         for i, row in enumerate(record["rows"]):
             joint = enumerate_joint(ProtocolKind.BB84, InterceptResend(q=F(i, 100)))
-            assert json.dumps(row) == json.dumps({"q": i / 100, **cli._rates_record(joint)})
+            assert json.dumps(row) == json.dumps({"q": i / 100, **_joint_rates(joint)})
 
     def test_gentle_rows_see_the_channel(self, capsys):
         _, quiet, _ = run_json(
@@ -308,8 +322,25 @@ class TestSweep:
             q = F(i, 10)
             eve = GentleIntercept(q=float(q), mix=EnsembleMix(mix))
             joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
-            want = {"q": float(q), **cli._rates_record(joint)}
+            want = {"q": float(q), **_joint_rates(joint)}
             assert json.dumps(row) == json.dumps(want)  # one evaluation path
+
+
+class TestRateRowsSkipTheJoint:
+    """A sweep's rows read the corner masses: no JointDistribution, and its strategy is checked once."""
+
+    @pytest.mark.parametrize("protocol,attack", [("trine", "standard"), ("six-state", "gentle")])
+    def test_sweep_builds_no_joint_and_at_most_one_strategy(self, monkeypatch, capsys, protocol, attack):
+        built = {}
+        for cls in (JointDistribution, InterceptResend, GentleIntercept):
+            def counted(self, _original=cls.__post_init__, _name=cls.__name__):
+                built[_name] = built.get(_name, 0) + 1
+                _original(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        code, record, _ = run_json(["sweep", "--protocol", protocol, "--attack", attack], capsys)
+        assert code == 0 and len(record["rows"]) == 101
+        assert "JointDistribution" not in built
+        assert sum(built.values()) <= 1
 
 
 class TestEstimateQ:

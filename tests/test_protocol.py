@@ -2,14 +2,17 @@
 
 import itertools
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from qubit_checks import validate_povm
 
+from scqkd.analysis import enumerate_joint, estimate_q_from_sift
 from scqkd.codes import make_code
-from scqkd.eavesdrop import EnsembleMix, EveRecord, GentleIntercept, _side_gentle_povm, gentle_povm
+from scqkd.eavesdrop import (EnsembleMix, EveRecord, GentleIntercept, InterceptResend, _side_gentle_povm,
+                             gentle_povm)
 from scqkd.protocol import (
     IDEAL,
     Announcement,
@@ -80,6 +83,40 @@ class TestChannel:
     @pytest.mark.parametrize("value", [0, 1, 0.25, Fraction(1, 7), np.float64(0.5), np.int64(1)])
     def test_accepts_real_numbers_in_range(self, value):
         assert Channel(depolarizing=value).depolarizing is value
+
+
+# the value itself is compared with 0 and 1: as floats these round into [0, 1] (to 1.0 and -0.0) or overflow
+_OUT_OF_RANGE = pytest.mark.parametrize(
+    "value", [Fraction(10**30 + 1, 10**30), Fraction(-1, 10**400), 10**400, Fraction(10**400, 3)],
+    ids=["1+1e-30", "-1e-400", "1e400", "1e400/3"],
+)
+_IN_RANGE = [0, 1, Fraction(1), 1.0, np.float64(0.5)]
+_UNIT_CHECKS = pytest.mark.parametrize("build,name", [
+    pytest.param(lambda v: Channel(depolarizing=v), "depolarizing strength", id="channel"),
+    pytest.param(lambda v: InterceptResend(q=v), "interception fraction", id="intercept-resend"),
+    pytest.param(lambda v: GentleIntercept(q=v), "attack strength", id="gentle"),
+    pytest.param(lambda v: estimate_q_from_sift(ProtocolKind.TRINE, v), "observed sifting rate", id="estimate"),
+])
+
+
+class TestUnitIntervalIsExact:
+    @_OUT_OF_RANGE
+    @_UNIT_CHECKS
+    def test_rejects_a_value_just_outside(self, build, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
+            build(value)
+
+    @pytest.mark.parametrize("value", _IN_RANGE)
+    @_UNIT_CHECKS
+    def test_accepts_the_ends_and_numpy_floats(self, build, name, value):
+        with warnings.catch_warnings():  # an end of [0, 1] lies outside the trine's sifting band
+            warnings.simplefilter("ignore")
+            build(value)
+
+    def test_enumeration_does_not_extrapolate_past_full_noise(self):
+        with pytest.raises(ValueError, match="depolarizing strength must lie in"):
+            enumerate_joint(ProtocolKind.TRINE, None, Channel(Fraction(10**30 + 1, 10**30)))
+        assert enumerate_joint(ProtocolKind.TRINE, None, Channel(Fraction(1))).p_sift == Fraction(2, 3)
 
 
 class TestAlicePick:
