@@ -26,14 +26,13 @@ sifted table is linear in the depolarizing strength p and, at a fixed p, in
 per protocol (one per node strength, each giving p = 0 and p = 1 in one
 pass), give it at every (q, p). `_evaluate` is that evaluation: the kept
 masses of one (q, p) in corner key order, their total and, for exact inputs,
-the denominator. `enumerate_joint` wraps them in a JointDistribution, and
-thresholds call it and `key_rate` at each probe; the tests keep the weighted
-walk of one eavesdropper as the reference they compare the corners with.
-Exact inputs give integer masses over one integer total: the Fraction table
-is built from them once, for callers, and `qber`, `mass` and `key_rate`
-(through `_pairs`) read the integers. The CLI's rate records skip the joint:
-`_rates` reads the same floats straight off `_evaluate`'s masses, with the
-same marginals (`_pair_floats`).
+the denominator. `enumerate_joint` divides them into a JointDistribution,
+and thresholds call it and `key_rate` at each probe; the tests keep the
+weighted walk of one eavesdropper as the reference they compare the corners
+with. Exact inputs give integer masses over one integer total, and the joint
+keeps only their Fractions. The CLI's rate records skip the joint: `_rates`
+reads the same floats straight off `_evaluate`'s masses, with the same
+marginals (`_pair_floats`).
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -67,6 +66,10 @@ class NoThresholdError(RuntimeError):
     """Raised when the key rate does not change sign on q in [0, 1]."""
 
 
+# the keys a table may have: (alice_bit, bob_bit, eve_guess)
+_KEYS = frozenset((a, b, e) for a in (0, 1) for b in (0, 1) for e in (0, 1, None))
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """p(a, b, e) conditioned on sifting success, plus the sifting probability.
@@ -75,13 +78,6 @@ class JointDistribution:
     {0, 1, None}; None marks abstention (including rounds Eve never touched).
     Values are Fractions when produced by the exact path, floats otherwise.
 
-    The exact path also keeps the integer masses it divided the table from,
-    as _masses = (masses, total) with table[key] == Fraction(masses[key],
-    total); its Fraction table is built once, for callers. qber, mass and
-    _pairs (the marginals key_rate reads) then read the integers: they sum
-    ints and divide once per result. A table given without masses is read
-    as it is.
-
     It carries what the entry points read: p_sift, the table, mass, qber
     and Eve's abstain and agree rates. A complement such as 1 - p_sift, or
     any other event's mass, is one mass(predicate) call.
@@ -89,30 +85,20 @@ class JointDistribution:
 
     p_sift: object
     table: dict
-    _masses: tuple = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         _check_unit(self.p_sift, "p_sift")
         if not self.p_sift:
             raise ValueError(f"p_sift must lie in (0, 1], got {self.p_sift!r}")
-        if self._masses is not None:
-            masses, total = self._masses
-            if masses.keys() != self.table.keys():
-                raise ValueError(f"masses have keys {list(masses)}, the table {list(self.table)}")
-            for key, v in masses.items():
-                if type(v) is not int or v < 0:
-                    raise ValueError(f"mass {v!r} at {key} is not a non-negative int")
-            if type(total) is not int or total <= 0 or sum(masses.values()) != total:
-                raise ValueError(f"masses sum to {sum(masses.values())!r}, expected the total {total!r} > 0")
-            return
+        _check_instance("table", self.table, dict)
+        if not self.table.keys() <= _KEYS:
+            raise ValueError(f"table keys must be (a, b, e) with a, b in {{0, 1}} and e in {{0, 1, None}}, "
+                             f"got {[key for key in self.table if key not in _KEYS]}")
         _check_probabilities(self.table, "conditional table")
 
     def mass(self, predicate):
         """Total conditional probability of entries whose (a, b, e) satisfies predicate."""
-        values, total = self._masses or (self.table, None)
-        picked = [v for k, v in values.items() if predicate(*k)]
-        # the sum of nothing is the int 0 in both arithmetics
-        return Fraction(sum(picked), total) if total and picked else sum(picked)
+        return sum(v for k, v in self.table.items() if predicate(*k))
 
     @property
     def qber(self):
@@ -131,19 +117,16 @@ class JointDistribution:
     def p_eve_agree_bob(self):
         return self.mass(lambda a, b, e: e is not None and e == b)
 
-    def _pairs(self) -> tuple:
-        """The (a, b), (a, e) and (b, e) float marginals key_rate reads: _pair_floats of the masses or table."""
-        values, total = self._masses or (self.table, None)
-        return _pair_floats(values.items(), total)
-
 
 def _pair_floats(items, total) -> tuple:
     """The (a, b), (a, e) and (b, e) marginals of (key, mass) items as floats, summed in one pass in order.
 
     With an int total, each sum of integer masses becomes one correctly
     rounded int / int: the float of the marginal's Fraction. With total None
-    the items are probabilities already, and their sums are converted by
-    float(), as mutual_information would.
+    the items are probabilities already, floats or an exact joint's
+    Fractions, and their sums are converted by float(), as
+    mutual_information would: a Fraction sum gives the same float as the
+    int / int of its masses.
     """
     ab: dict = {}
     ae: dict = {}
@@ -445,8 +428,7 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     items, total, den = _evaluate(protocol, *_family_mix_q(eve), channel.depolarizing)
     if den is None:
         return JointDistribution(p_sift=total, table={key: v / total for key, v in items})
-    table = {key: Fraction(v, total) for key, v in items}
-    return JointDistribution(p_sift=Fraction(total, den), table=table, _masses=(dict(items), total))
+    return JointDistribution(p_sift=Fraction(total, den), table={key: Fraction(v, total) for key, v in items})
 
 
 def _family_mix_q(eve) -> tuple:
@@ -494,7 +476,7 @@ def _rates(items, total, den) -> tuple:
     masses, bit for bit, without its Fraction table. Exact masses stay
     integers, and every rate is one correctly rounded int / int: the float of
     the joint's Fraction. Float masses are divided by the total first and
-    then summed in table order, as the joint's table, mass and _pairs are.
+    then summed in table order, as the joint's table and mass are.
 
     Raises:
         ValueError: unless total > 0, as JointDistribution does.
@@ -612,7 +594,7 @@ def _mutual_information(joint: dict) -> float:
 def key_rate(joint: JointDistribution) -> RateReport:
     """Distillable-rate report from a sifted joint distribution.
 
-    It reads the float marginals of `JointDistribution._pairs`: the float of
+    It reads the float marginals of the table (`_pair_floats`): the float of
     each marginal's Fraction on the exact path. The table was checked when
     it was built, so its pairs skip mutual_information's checks.
 
@@ -620,7 +602,7 @@ def key_rate(joint: JointDistribution) -> RateReport:
         ValueError: for anything that is not a JointDistribution.
     """
     _check_instance("joint", joint, JointDistribution)
-    return _rate_report(joint._pairs())
+    return _rate_report(_pair_floats(joint.table.items(), None))
 
 
 def _rate_report(pairs) -> RateReport:

@@ -36,7 +36,7 @@ from .analysis import (
     find_threshold,
     key_rate,  # noqa: F401 - no command calls it; bench/tracing.py wraps cli.key_rate
 )
-from .eavesdrop import EnsembleMix, InterceptResend
+from .eavesdrop import EnsembleMix
 from .montecarlo import TrialConfig, compare_to_oracle, proportion_se, run_trials
 from .protocol import IDEAL, Channel, ProtocolKind
 
@@ -201,8 +201,7 @@ def _cmd_estimate_q(args) -> tuple:
         warnings.simplefilter("ignore")
         estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
-    eve = InterceptResend(q=estimate.q, mix=EnsembleMix.SYMMETRIC)
-    rates = _rates_record(protocol, *_family_mix_q(eve), IDEAL)
+    rates = _rates_record(protocol, "standard", EnsembleMix.SYMMETRIC, estimate.q, IDEAL)
     record = {
         "command": "estimate-q",
         "protocol": protocol.value,

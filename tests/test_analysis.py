@@ -15,6 +15,7 @@ from scqkd.analysis import (
     _corners,
     _evaluate,
     _family_mix_q,
+    _pair_floats,
     _rates,
     _sift_line,
     _sifting,
@@ -966,7 +967,7 @@ class TestGentleCurve:
         soft = enumerate_joint(protocol, GentleIntercept(q=0.0, mix=mix), channel)
         ref = enumerate_joint(protocol, None, channel)
         assert abs(soft.p_sift - float(ref.p_sift)) <= 1e-12
-        soft_ab, ref_ab = soft._pairs()[0], ref._pairs()[0]
+        soft_ab, ref_ab = (_pair_floats(jd.table.items(), None)[0] for jd in (soft, ref))
         for key in {**soft_ab, **ref_ab}:
             assert abs(soft_ab.get(key, 0) - ref_ab.get(key, 0)) <= 1e-12
 
@@ -1133,43 +1134,44 @@ class TestCorners:
 
 
 class TestIntegerMasses:
-    """The exact path reads its integer masses; a table without them must read the same."""
+    """Exact inputs give integer masses, and the joint their Fractions."""
 
     @pytest.mark.parametrize("q,p", [(1, 0), (0, 1), (1, 1)])
     def test_numpy_integers_are_ints(self, q, p):
         want = enumerate_joint(ProtocolKind.SIX_STATE, _sym(q), Channel(depolarizing=p))
         got = enumerate_joint(ProtocolKind.SIX_STATE, _sym(np.int64(q)), Channel(depolarizing=np.int64(p)))
         assert got.p_sift == want.p_sift and got.table == want.table
-        assert all(type(v) is int for v in got._masses[0].values())
-
-    @settings(max_examples=80, deadline=None)
-    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
-           mix=_MIXES, q=_EXACT_OR_FLOAT, p=_EXACT_OR_FLOAT)
-    def test_same_values_and_types_as_the_table(self, protocol, family, mix, q, p):
-        joint = enumerate_joint(protocol, _strategy_for(family, q, mix), Channel(depolarizing=p))
-        plain = JointDistribution(p_sift=joint.p_sift, table=dict(joint.table))
-
-        def read(jd):
-            return [repr(v) for v in (
-                key_rate(jd), jd.qber, 1 - jd.p_sift, jd.mass(lambda a, b, e: a == b), jd.p_eve_abstain,
-                jd.mass(lambda a, b, e: e is not None), jd.p_eve_agree_alice, jd.p_eve_agree_bob,
-                jd.mass(lambda a, b, e: False), *jd._pairs(),
-            )]
-
-        assert read(joint) == read(plain)
+        assert all(type(v) is F for v in got.table.values())
+        items, total, _ = _evaluate(ProtocolKind.SIX_STATE, *_family_mix_q(_sym(np.int64(q))), np.int64(p))
+        assert all(type(v) is int for _, v in items) and type(total) is int
 
     @settings(max_examples=40, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
     def test_pairs_are_the_floats_of_the_table_marginals(self, protocol, family, mix, q, p):
-        joint = enumerate_joint(protocol, _strategy_for(family, q, mix), Channel(depolarizing=p))
-        assert joint._masses is not None
+        eve = _strategy_for(family, q, mix)
+        items, total, den = _evaluate(protocol, *_family_mix_q(eve), p)
+        assert den is not None
         marginals = ({}, {}, {})
-        for (a, b, e), v in joint.table.items():
+        for (a, b, e), v in enumerate_joint(protocol, eve, Channel(depolarizing=p)).table.items():
             for pair, key in zip(marginals, ((a, b), (a, e), (b, e))):
                 pair[key] = pair.get(key, F(0)) + v
-        for got, want in zip(joint._pairs(), marginals):
+        for got, want in zip(_pair_floats(items, total), marginals):
             assert [(key, v, type(v)) for key, v in got.items()] == [(key, float(v), float) for key, v in want.items()]
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
+           mix=_MIXES, q=_STRENGTH, p=_NOISE)
+    def test_exact_joint_is_the_masses_over_their_total(self, protocol, family, mix, q, p):
+        eve = _strategy_for(family, q, mix)
+        items, total, den = _evaluate(protocol, *_family_mix_q(eve), p)
+        joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
+        assert joint.p_sift == F(total, den)
+        assert list(joint.table.items()) == [(key, F(v, total)) for key, v in items]
+        # a Fraction sum is the Fraction of the summed masses; the sum of nothing is the int 0
+        errors = [v for (a, b, _), v in items if a != b]
+        assert (type(joint.qber), joint.qber) == ((F, F(sum(errors), total)) if errors else (int, 0))
 
 
 class TestSiftInversion:
@@ -1419,33 +1421,35 @@ class TestJointDistributionValidation:
         table = {(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)}
         with pytest.raises(ValueError, match=re.escape(message)):
             JointDistribution(p_sift=p_sift, table=table)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            JointDistribution(p_sift=p_sift, table=table, _masses=({(0, 0, None): 1, (1, 1, None): 1}, 2))
 
     @pytest.mark.parametrize("p_sift", [1, F(1), 1.0, F(1, 3), 1e-300])
     def test_accepts_a_sifting_rate_in_the_half_open_unit_interval(self, p_sift):
         assert JointDistribution(p_sift=p_sift, table={(0, 0, None): 1.0}).p_sift == p_sift
 
-    @pytest.mark.parametrize("masses,total", [
-        ({(0, 0, None): 3, (1, 1, None): -1}, 2),
-        ({(0, 0, None): F(3, 2), (1, 1, None): F(1, 2)}, 2),
-        ({(0, 0, None): 1.0, (1, 1, None): 1}, 2),
-        ({(0, 0, None): 1, (1, 0, None): 1}, 2),
-        ({(0, 0, None): 1}, 1),
-        ({(0, 0, None): 1, (1, 1, None): 1}, 3),
-        ({(0, 0, None): 0, (1, 1, None): 0}, 0),
+    @pytest.mark.parametrize("table,message", [
+        ({(0, 7, "x"): 1.0}, "keys must be (a, b, e) with a, b in {0, 1} and e in {0, 1, None}, got [(0, 7, 'x')]"),
+        ({(0, 0): 1.0}, "got [(0, 0)]"),
+        ({(0, 0, None): 0.5, (2, 0, None): 0.5}, "got [(2, 0, None)]"),
+        ([((0, 0, None), 1.0)], "table must be a dict, got [((0, 0, None), 1.0)]"),
+        ({(0, 0, 2): 1.0}, "got [(0, 0, 2)]"),
+        ({(0, 0, None, None): 1.0}, "got [(0, 0, None, None)]"),
+        (None, "table must be a dict, got None"),
     ])
-    def test_rejects_inconsistent_masses(self, masses, total):
-        table = {(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)}
-        with pytest.raises(ValueError):
-            JointDistribution(p_sift=F(1, 2), table=table, _masses=(masses, total))
+    def test_rejects_a_table_it_cannot_read(self, table, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution(p_sift=1, table=table)
 
-    def test_accepts_consistent_masses(self):
-        jd = JointDistribution(
-            p_sift=F(1, 2), table={(0, 0, None): F(1, 2), (1, 1, None): F(1, 2)},
-            _masses=({(0, 0, None): 1, (1, 1, None): 1}, 2),
-        )
-        assert (jd.qber, jd.mass(lambda a, b, e: a == b)) == (0, F(1))
+    @pytest.mark.parametrize("kind", [F, float])
+    def test_reads_every_key_it_accepts(self, kind):
+        # dyadic shares, so float sums are exact: 1/8 where Eve abstains, 1/16 where she guesses
+        table = {key: kind(F(1, 8) if key[2] is None else F(1, 16))
+                 for key in itertools.product((0, 1), (0, 1), (0, 1, None))}
+        jd = JointDistribution(p_sift=1, table=table)
+        assert [jd.mass(lambda *k, key=key: k == key) for key in table] == list(table.values())
+        assert (jd.qber, jd.p_eve_abstain, jd.p_eve_agree_alice, jd.p_eve_agree_bob) == (0.5, 0.5, 0.25, 0.25)
+        assert all(type(v) is kind for v in (jd.qber, jd.p_eve_abstain, jd.p_eve_agree_alice, jd.p_eve_agree_bob))
+        report = key_rate(jd)
+        assert (report.i_ab, report.i_ae, report.i_be) == (0.0, 0.0, 0.0)
 
     def test_branch_bookkeeping_conserves_mass(self):
         eve, channel = _sym(F(2, 3)), Channel(depolarizing=F(1, 5))

@@ -6,6 +6,7 @@ name the benchmark under bench/ reads must resolve too.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -66,6 +67,7 @@ def test_joint_attributes_are_pinned(exact):
     q = Fraction(1, 2) if exact else 0.5
     joint = scqkd.enumerate_joint(scqkd.ProtocolKind.TRINE, scqkd.InterceptResend(q))
     assert [name for name in dir(joint) if not name.startswith("_")] == JOINT_ATTRIBUTES
+    assert [f.name for f in dataclasses.fields(joint)] == ["p_sift", "table"]
 
 
 @pytest.mark.parametrize("protocol", [*scqkd.ProtocolKind, "trine"])
