@@ -624,7 +624,7 @@ def find_threshold(
     mix: EnsembleMix = EnsembleMix.SYMMETRIC,
     channel: Channel = IDEAL,
 ) -> ThresholdResult:
-    """The attack strength where the key rate crosses zero, as plain bisection finds it.
+    """The attack strength where the key rate crosses zero.
 
     The mix defaults to EnsembleMix.SYMMETRIC, the paper's attack: Eve
     pretends to be either party with even odds. On a quiet channel (p = 0)
@@ -635,33 +635,25 @@ def find_threshold(
     0.682 to about 0.668. At p > 0 the symmetric threshold is therefore the
     paper's attack, not a bound over every mix.
 
-    q_star is defined by a plain bisection of R over q in [0, 1] in floats:
-    starting from (0, 1), each midpoint replaces the end whose R has its
-    sign, and the loop stops at a midpoint with |R| < 1e-10 or once the
-    interval is narrower than 1e-9. That takes ~32 evaluations of R (an
-    enumerate_joint and a key_rate each); this solve returns the same float
-    from about 13 (9 to 14 over every protocol, family and mix).
+    The solve is an Illinois search (regula falsi that halves the kept end's
+    R when the same end is kept twice) on a bracket a < b with
+    R(a) > 0 > R(b), starting from (0, 1). Each probe c costs one
+    enumerate_joint and one key_rate, and replaces the end whose R has its
+    sign. The solve returns the first probe that meets a plain bisection's
+    stop rule: |R(c)| < 1e-10, or a bracket narrower than 1e-9 once c has
+    replaced an end. So either |R(q_star)| < 1e-10, or R changes sign
+    between q_star and a point less than 1e-9 away, and by continuity a
+    zero of R lies there. Nothing here assumes that R falls in q.
 
-    - Bracket. An Illinois search (regula falsi that halves the kept end's R
-      when the same end is kept twice) narrows a < b with R(a) > 2e-10 (or
-      a = 0) and R(b) < -2e-10 (or b = 1). Once a probe c lands within 2e-10
-      of zero, the ends are pinned at c -+ 1e-9, each widened 4-fold until
-      its R clears that band.
-    - Replay. The bisection runs again, evaluating R only at midpoints
-      strictly inside (a, b). Where R does not increase in q, a midpoint at
-      or below a has R > 2e-10 and one at or above b has R < -2e-10. Neither
-      could have stopped the bisection, which would have moved the same
-      end, so the replay takes its path and returns its float bit for bit;
-      the 1e-10 margin covers R's roundoff.
+    A solve takes 6 to 10 evaluations of R (median 9, both ends included),
+    where a plain bisection of [0, 1] with the same stop rule takes ~32.
+    The two need not return the same float: over 1,440 solves (every
+    protocol, family and mix at 60 random rational p <= 1/3) their q_star
+    differed by up to 8.7e-10, and q_star and qber_star rounded to 4 places
+    not at all.
 
-    That R does not increase is sampled, not proven: the tests check it on a
-    257-point grid of q for every protocol, family and mix, at rational
-    depolarizing p in [0, 1/3]. Where it fails, the replay still returns a
-    crossing of R inside [a, b], found by the same stop rule, but it may not
-    be the one the plain bisection finds, and nothing flags the difference.
-
-    qber_star is the QBER enumerate_joint reports at q_star, which costs one
-    more evaluation when the last midpoint was skipped.
+    qber_star is the QBER enumerate_joint reports at q_star: the float of
+    the joint of the returned probe.
 
     n_enumerations counts the round walks the solve triggered: the misses of
     the walk cache, one per strength of the family's nodes not yet walked
@@ -686,49 +678,22 @@ def find_threshold(
     def joint_at(q):
         return enumerate_joint(protocol, _strategy_for(attack_family, q, mix), channel)
 
-    def rate(q):
-        return key_rate(joint_at(q)).r
-
-    a, b, r_a, r_b = 0.0, 1.0, rate(0.0), rate(1.0)
+    a, b = 0.0, 1.0
+    r_a, r_b = (key_rate(joint_at(q)).r for q in (a, b))
     if not (r_a > 0.0 > r_b):
         raise NoThresholdError(f"key rate does not cross zero on [0, 1]: R(0)={r_a!r}, R(1)={r_b!r}")
     kept = 0  # +1 after a probe replaced a, -1 after one replaced b
-    while b - a > 2e-9:
+    while True:
         c = a + (b - a) * (r_a / (r_a - r_b))
-        r_c = rate(c)
-        if abs(r_c) <= 2e-10:
-            a, b = _clear_of_band(rate, c, -1, a, b), _clear_of_band(rate, c, 1, a, b)
-            break
+        joint = joint_at(c)
+        r_c = key_rate(joint).r
         if r_c > 0.0:
             a, r_a, r_b, kept = c, r_c, r_b / 2 if kept > 0 else r_b, 1
         else:
             b, r_b, r_a, kept = c, r_c, r_a / 2 if kept < 0 else r_a, -1
-    lo, hi = 0.0, 1.0
-    while hi - lo >= 1e-9:
-        mid = (lo + hi) / 2
-        joint = joint_at(mid) if a < mid < b else None
-        # outside (a, b) the sign of R is known, and |R| > 2e-10
-        r_mid = key_rate(joint).r if joint is not None else 1.0 if mid <= a else -1.0
-        if abs(r_mid) < 1e-10:
-            break
-        lo, hi = (mid, hi) if r_mid > 0.0 else (lo, mid)
-    walks = _walk.cache_info().misses - misses
-    return ThresholdResult(mid, float((joint if joint is not None else joint_at(mid)).qber), walks)
-
-
-def _clear_of_band(rate, c, side, a, b) -> float:
-    """The bracket end on `side` (-1 for a, +1 for b), given R(c) within 2e-10 of zero.
-
-    It is the point c + side * 1e-9 * 4^k nearest c whose R clears the band
-    (R > 2e-10 below c, R < -2e-10 above it), or the old end if none lies
-    strictly inside (a, b).
-    """
-    step = 1e-9
-    while a < c + side * step < b:
-        if -side * rate(c + side * step) > 2e-10:
-            return c + side * step
-        step *= 4
-    return a if side < 0 else b
+        if abs(r_c) < 1e-10 or b - a < 1e-9:
+            walks = _walk.cache_info().misses - misses
+            return ThresholdResult(c, float(joint.qber), walks)
 
 
 @lru_cache(maxsize=len(ProtocolKind))

@@ -771,22 +771,27 @@ class TestThresholds:
 
     @settings(max_examples=10, deadline=None)
     @given(p=_SOLVE_NOISE)
-    # at p = 1/20 the gentle Alice-only trine solve's replay evaluates none of
-    # its midpoints, so qber_star takes one more evaluation
-    @example(p=F(1, 20))
+    # at p = 1/12 the gentle symmetric tetrahedron solve stops on its bracket, at |R| = 2.7e-10
+    @example(p=F(1, 12))
     @pytest.mark.parametrize("mix", list(EnsembleMix))
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
-    def test_solve_is_the_plain_bisection(self, protocol, family, mix, p):
-        # bit for bit: bracketing only skips evaluations, it never moves q_star
+    def test_solve_returns_a_point_that_meets_the_stop_rule(self, protocol, family, mix, p):
+        # checked where the solve stops; q_star may differ from the plain bisection's by ~1e-9
         channel = Channel(depolarizing=p)
-        want = _plain_bisection(protocol, mix, channel, family, enumerate_joint)
-        if want is None:
+        if _plain_bisection(protocol, mix, channel, family, enumerate_joint) is None:
             with pytest.raises(NoThresholdError):
                 find_threshold(protocol, family, mix, channel)
             return
         res = find_threshold(protocol, family, mix, channel)
-        assert (res.q_star, res.qber_star) == want
+
+        def joint_at(q):
+            return enumerate_joint(protocol, _strategy_for(family, q, mix), channel)
+
+        joint = joint_at(res.q_star)
+        if abs(key_rate(joint).r) >= 1e-10:
+            assert key_rate(joint_at(res.q_star - 1e-9)).r > 0.0 > key_rate(joint_at(res.q_star + 1e-9)).r
+        assert res.qber_star == float(joint.qber)
 
     @settings(max_examples=5, deadline=None)
     @given(p=_SOLVE_NOISE)
@@ -794,7 +799,7 @@ class TestThresholds:
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
     def test_rate_does_not_increase_in_q(self, protocol, family, mix, p):
-        # the solve skips the midpoints outside its bracket on this property
+        # a property of the model: more interception never leaves more key (find_threshold does not rely on it)
         channel = Channel(depolarizing=p)
         rates = [
             key_rate(enumerate_joint(protocol, _strategy_for(family, i / 256, mix), channel)).r
@@ -817,10 +822,11 @@ class TestThresholds:
 
 
 def _plain_bisection(protocol, mix, channel, family="standard", joint=_walked):
-    """(q_star, qber_star) of the plain bisection that defines them, or None if R does not cross zero.
+    """(q_star, qber_star) of a plain bisection of R over q in [0, 1], or None if R does not cross zero.
 
-    Every midpoint is a `joint` (the reference walk by default) and a key_rate,
-    with find_threshold's stop rule.
+    Every midpoint is a `joint` (the reference walk by default) and a key_rate.
+    It stops at a midpoint with |R| < 1e-10 or once the interval is narrower
+    than 1e-9, the rule find_threshold applies to its probes.
     """
 
     def joint_at(q):
@@ -1183,6 +1189,14 @@ class TestSiftInversion:
             est = estimate_q_from_sift(protocol, curves.p_sift(q))
             assert est.q == q
             assert est.in_model
+
+    @pytest.mark.parametrize("protocol", EXCLUSION)
+    @pytest.mark.parametrize("q", [F(0), F(1, 7), F(1, 2), F(1)])
+    def test_closed_form_inverse_is_the_estimate(self, protocol, q):
+        curves = AnalyticCurves(protocol)
+        back = curves.sift_to_q(curves.p_sift(q))
+        assert back == q == estimate_q_from_sift(protocol, curves.p_sift(q)).q_raw
+        assert type(back) is F
 
     def test_clamps_and_warns_out_of_model(self):
         with pytest.warns(UserWarning):

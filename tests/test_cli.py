@@ -12,7 +12,7 @@ import scqkd.cli as cli
 from scqkd import montecarlo
 from scqkd.analysis import JointDistribution, NoThresholdError, enumerate_joint, find_threshold, key_rate
 from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
-from scqkd.montecarlo import SampleStats
+from scqkd.montecarlo import ComparisonReport, SampleStats, ZScore
 from scqkd.protocol import Channel, ProtocolKind
 
 F = Fraction
@@ -196,6 +196,20 @@ class TestSimulate:
         assert code == 2
         assert record["consistent"] is False
         assert record["max_abs_z"] > 4.0
+
+    def test_infinite_z_is_written_as_a_string_and_exits_2(self, capsys, monkeypatch):
+        def one_impossible_error(stats, joint):
+            # an error counted where the oracle allows none: a zero-variance counter, off by one
+            entries = list(montecarlo.compare_to_oracle(stats, joint).entries)
+            entries[1] = ZScore("error", 1, stats.n_sifted, 0.0)
+            return ComparisonReport(tuple(entries))
+
+        monkeypatch.setattr(cli, "compare_to_oracle", one_impossible_error)
+        code, out, _ = run_cli(self.ARGS, capsys)
+        record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+        assert code == 2
+        assert record["z_error"] == record["max_abs_z"] == "inf"
+        assert record["consistent"] is False
 
     def test_bad_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -472,6 +486,16 @@ class TestOutputFormats:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: scqkd {argv[0]} ")
         assert f"\nscqkd {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["analytic", "--protocol", "trine", "--attack", "standard", "--q", "abc"], "argument --q: not a number: 'abc'"),
+        (["simulate", "--protocol", "trine", "--seed", "-1"], "--seed must lie in [0, 2^64)"),
+        (["simulate", "--protocol", "trine", "--seed", str(2**64)], "--seed must lie in [0, 2^64)"),
+    ])
+    def test_bad_values_are_one_error_line_and_exit_1(self, argv, message, capsys):
+        code, out, err = _outcome(argv, capsys)
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [f"scqkd {argv[0]}: error: {message}"]
 
     def test_missing_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -291,6 +291,8 @@ class TestSampleStats:
         b = SampleStats(20, 8, 2, 4, 4, 2)
         assert a + b == SampleStats(30, 13, 3, 6, 7, 3)
         assert SampleStats.zero() + a == a
+        with pytest.raises(TypeError):
+            SampleStats.zero() + 1
 
     def test_empty_rates_are_nan(self):
         z = SampleStats.zero()

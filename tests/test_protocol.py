@@ -210,6 +210,15 @@ class TestDeriveBits:
             derive_bits(ProtocolKind.TRINE, 3, 2, Announcement(excluded=(3,)))
         with pytest.raises(ValueError):
             derive_bits(ProtocolKind.BB84, 1, 2, Announcement(bob_basis="x"))
+        with pytest.raises(ValueError, match=re.escape("index out of range 1..3: (0, 2)")):
+            derive_bits(ProtocolKind.TRINE, 0, 2, Announcement(excluded=(3,)))
+        with pytest.raises(ValueError, match=re.escape("index out of range 1..4: (1, 5)")):
+            derive_bits(ProtocolKind.BB84, 1, 5, Announcement(bob_basis="y"))
+        # BB84 signal 1 is a z state and outcome 3 an x one
+        with pytest.raises(ValueError, match="inconsistent with Alice's signal"):
+            derive_bits(ProtocolKind.BB84, 1, 3, Announcement(alice_basis="x", bob_basis="x"))
+        with pytest.raises(ValueError, match="bases differ"):
+            derive_bits(ProtocolKind.BB84, 1, 3, Announcement(bob_basis="x"))
 
     @pytest.mark.parametrize("protocol,excluded,reason", [
         (ProtocolKind.TRINE, (), "n - 2 = 1 distinct outcomes"),

@@ -45,6 +45,9 @@ class TestPureFromBloch:
             pure_from_bloch([0, 0, 0.5])
         with pytest.raises(ValueError):
             pure_from_bloch([1, 1, 1])
+        for v in ([0, 1], [0, 0, 1, 0], [[0, 0, 1]]):
+            with pytest.raises(ValueError, match="Bloch vector must have 3 components"):
+                pure_from_bloch(v)
 
     def test_bloch_round_trip(self):
         rng = np.random.default_rng(12)
@@ -96,6 +99,11 @@ class TestPovm:
         assert [sample_outcome(MIXED, povm, u) for u in (0.2, 0.7)] == [1, 2]
         assert len(povm.elements) == 2
 
+    def test_u_past_the_total_mass_gives_the_last_nonzero_outcome(self):
+        # the elements sum to just under I, and the last one is zero
+        povm = Povm(elements=(MIXED, MIXED * (1 - 1e-12), 0 * I2))
+        assert sample_outcome(MIXED, povm, 1 - 1e-13) == 2
+
     @pytest.mark.parametrize("element,message", [
         (np.eye(3), "POVM element must be 2x2"),
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "POVM element is not Hermitian"),
@@ -123,6 +131,8 @@ class TestBornProbability:
         assert born_probability(up, plus) == pytest.approx(0.5, abs=1e-15)
 
     def test_clamped_to_unit_interval(self):
+        up = pure_from_bloch([0, 0, 1])
+        assert born_probability(up, up * (1 + 1e-9)) == 1.0
         rng = np.random.default_rng(13)
         for _ in range(50):
             rho = pure_from_bloch(_random_unit(rng))
