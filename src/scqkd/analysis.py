@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -723,9 +722,9 @@ def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSi
     The sifting rate runs linearly from lo at q = 0 to hi at q = 1
     (`_sift_line`, read off the corner tables), so the inversion is linear:
     q = 12 s - 6 (trine), q = 9 s - 3 (tetrahedron). The estimate is clamped
-    to [0, 1]; a rate outside the attainable band by more than `margin`
-    marks the observation out-of-model and emits a warning rather than
-    failing.
+    to [0, 1], and the exact inversion is kept as q_raw. A rate outside the
+    attainable band [lo, hi] by more than `margin` is flagged in the result,
+    in_model False, and nothing else: no warning, no error.
 
     Raises:
         ValueError: for a rate that is not a real number in [0, 1], a margin
@@ -742,12 +741,4 @@ def estimate_q_from_sift(protocol: ProtocolKind, observed_sift, margin=0) -> QSi
     # slope and slope * lo are the exact integers 12 and 6 (or 9 and 3), so a float rate keeps its bits
     raw = slope * observed_sift - slope * lo
     in_model = (lo - margin) <= observed_sift <= (hi + margin)
-    if not in_model:
-        warnings.warn(
-            f"observed sifting rate {float(observed_sift)!r} is outside "
-            f"[{float(lo)!r}, {float(hi)!r}] by more than the stated margin; "
-            "the interception model cannot produce it",
-            stacklevel=2,
-        )
-    q = min(max(raw, 0), 1)
-    return QSiftEstimate(q=q, q_raw=raw, in_model=in_model)
+    return QSiftEstimate(q=min(max(raw, 0), 1), q_raw=raw, in_model=in_model)

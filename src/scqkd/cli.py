@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 from .analysis import (
@@ -197,9 +196,7 @@ def _cmd_estimate_q(args) -> tuple:
         args.parser.error(str(exc))
     se_rate = proportion_se(args.sift_count, args.total_count)
     slope = float(1 / (hi - lo))
-    with warnings.catch_warnings():  # the record's in_model flags an out-of-model rate
-        warnings.simplefilter("ignore")
-        estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
+    estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
     rates = _rates_record(protocol, "standard", EnsembleMix.SYMMETRIC, estimate.q, IDEAL)
     record = {

@@ -123,7 +123,6 @@ def make_code(protocol: ProtocolKind) -> SphericalCode:
     return SphericalCode(states=states)
 
 
-@lru_cache(maxsize=len(ProtocolKind))
 def bloch_gram(protocol: ProtocolKind) -> tuple:
     """Exact Gram matrix of Bloch-vector dot products, as Fractions.
 

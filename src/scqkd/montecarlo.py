@@ -269,6 +269,17 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
 
 # -- summary statistics ----------------------------------------------------------
 
+# The oracle's counters, as (z-score name, SampleStats count, the count it is
+# a share of, the JointDistribution rate it estimates). SampleStats checks the
+# bounds, and compare_to_oracle lists its z-scores, in this order.
+_COUNTERS = (
+    ("sift", "n_sifted", "n_rounds", "p_sift"),
+    ("error", "n_errors", "n_sifted", "qber"),
+    ("eve_agree_alice", "n_eve_agree_alice", "n_sifted", "p_eve_agree_alice"),
+    ("eve_agree_bob", "n_eve_agree_bob", "n_sifted", "p_eve_agree_bob"),
+    ("eve_abstain", "n_eve_abstain", "n_sifted", "p_eve_abstain"),
+)
+
 
 @dataclass(frozen=True)
 class SampleStats:
@@ -294,23 +305,15 @@ class SampleStats:
                 _check_integer(name, count)
             if count < 0:
                 raise ValueError(f"{name} must be >= 0, got {count!r}")
-        if self.n_sifted > self.n_rounds:
-            raise ValueError(f"n_sifted = {self.n_sifted!r} exceeds n_rounds = {self.n_rounds!r}")
-        for name in ("n_errors", "n_eve_agree_alice", "n_eve_agree_bob", "n_eve_abstain"):
-            if getattr(self, name) > self.n_sifted:
-                raise ValueError(f"{name} = {getattr(self, name)!r} exceeds n_sifted = {self.n_sifted!r}")
+        for _, name, of, _ in _COUNTERS:
+            count, trials = getattr(self, name), getattr(self, of)
+            if count > trials:
+                raise ValueError(f"{name} = {count!r} exceeds {of} = {trials!r}")
 
     def __add__(self, other: "SampleStats") -> "SampleStats":
         if not isinstance(other, SampleStats):
             return NotImplemented
-        return SampleStats(
-            n_rounds=self.n_rounds + other.n_rounds,
-            n_sifted=self.n_sifted + other.n_sifted,
-            n_errors=self.n_errors + other.n_errors,
-            n_eve_agree_alice=self.n_eve_agree_alice + other.n_eve_agree_alice,
-            n_eve_agree_bob=self.n_eve_agree_bob + other.n_eve_agree_bob,
-            n_eve_abstain=self.n_eve_abstain + other.n_eve_abstain,
-        )
+        return SampleStats(*(a + b for a, b in zip(vars(self).values(), vars(other).values())))
 
     @staticmethod
     def zero() -> "SampleStats":
@@ -442,21 +445,9 @@ def compare_to_oracle(stats: SampleStats, joint) -> ComparisonReport:
     """
     _check_instance("stats", stats, SampleStats)
     _check_instance("joint", joint, JointDistribution)
-    entries = (
-        ZScore("sift", stats.n_sifted, stats.n_rounds, float(joint.p_sift)),
-        ZScore("error", stats.n_errors, stats.n_sifted, float(joint.qber)),
-        ZScore(
-            "eve_agree_alice",
-            stats.n_eve_agree_alice,
-            stats.n_sifted,
-            float(joint.p_eve_agree_alice),
-        ),
-        ZScore(
-            "eve_agree_bob",
-            stats.n_eve_agree_bob,
-            stats.n_sifted,
-            float(joint.p_eve_agree_bob),
-        ),
-        ZScore("eve_abstain", stats.n_eve_abstain, stats.n_sifted, float(joint.p_eve_abstain)),
+    return ComparisonReport(
+        entries=tuple(
+            ZScore(name, getattr(stats, count), getattr(stats, of), float(getattr(joint, rate)))
+            for name, count, of, rate in _COUNTERS
+        )
     )
-    return ComparisonReport(entries=entries)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1198,21 +1199,42 @@ class TestSiftInversion:
         assert back == q == estimate_q_from_sift(protocol, curves.p_sift(q)).q_raw
         assert type(back) is F
 
-    def test_clamps_and_warns_out_of_model(self):
-        with pytest.warns(UserWarning):
+    def test_clamps_and_flags_out_of_model(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             est = estimate_q_from_sift(ProtocolKind.TRINE, F(2, 3))
+        assert caught == []
         assert est.q == 1
         assert est.q_raw == 2
         assert not est.in_model
 
-    def test_margin_suppresses_warning(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = estimate_q_from_sift(ProtocolKind.TRINE, F(3, 5), margin=F(1, 20))
+    def test_margin_widens_the_band(self):
+        est = estimate_q_from_sift(ProtocolKind.TRINE, F(3, 5), margin=F(1, 20))
         assert est.q == 1  # raw 6/5 clamped
         assert est.in_model
+        assert not estimate_q_from_sift(ProtocolKind.TRINE, F(3, 5)).in_model
+
+    # (lo, hi, slope, offset): the sifting band and the line q = slope * s - offset
+    BANDS = {
+        ProtocolKind.TRINE: (F(1, 2), F(7, 12), 12, 6),
+        ProtocolKind.TETRAHEDRON: (F(1, 3), F(4, 9), 9, 3),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(protocol=st.sampled_from(EXCLUSION), rate=st.fractions(min_value=0, max_value=1),
+           margin=st.fractions(min_value=0, max_value=F(1, 4)))
+    @example(protocol=ProtocolKind.TRINE, rate=F(9, 20), margin=F(1, 20))  # the band's lower edge
+    @example(protocol=ProtocolKind.TETRAHEDRON, rate=F(4, 9), margin=F(0))
+    @example(protocol=ProtocolKind.TETRAHEDRON, rate=F(1), margin=F(1, 4))
+    def test_the_estimate_is_the_line_clamped_and_flagged(self, protocol, rate, margin):
+        lo, hi, slope, offset = self.BANDS[protocol]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_q_from_sift(protocol, rate, margin)
+        assert caught == []
+        assert est.in_model == (lo - margin <= rate <= hi + margin)
+        assert est.q_raw == slope * rate - offset and type(est.q_raw) is F
+        assert est.q == min(max(est.q_raw, 0), 1)
 
     @pytest.mark.parametrize("rate", [math.nan, -0.1, F(11, 10), True, "0.55", None])
     def test_rejects_a_rate_that_is_not_a_real_number_in_the_unit_interval(self, rate):

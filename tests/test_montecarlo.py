@@ -137,6 +137,14 @@ def trial_configs(draw, max_rounds=5000):
     )
 
 
+@st.composite
+def sample_stats(draw):
+    """Counts a simulation could produce: sifted rounds within the rounds, the rest within the sifted."""
+    rounds = draw(st.integers(0, 10**9))
+    sifted = draw(st.integers(0, rounds))
+    return SampleStats(rounds, sifted, *draw(st.lists(st.integers(0, sifted), min_size=4, max_size=4)))
+
+
 def _assert_matches_scalar(arrays, config, start):
     """Each round of `arrays` is the scalar run_round of the same round index."""
     rng = round_rng(config.seed, start)
@@ -309,10 +317,30 @@ class TestSampleStats:
         ((10, 5, 0, 6, 0, 0), "n_eve_agree_alice = 6 exceeds n_sifted = 5"),
         ((10, 5, 0, 0, 6, 0), "n_eve_agree_bob = 6 exceeds n_sifted = 5"),
         ((10, 5, 0, 0, 0, 6), "n_eve_abstain = 6 exceeds n_sifted = 5"),
+        ((10, 11, 12, 0, 0, 0), "n_sifted = 11 exceeds n_rounds = 10"),  # the first bound broken is named
+        ((10, 5, 0, 7, 6, 0), "n_eve_agree_alice = 7 exceeds n_sifted = 5"),
+        ((10, 11, 0, 0, 0, -1), "n_eve_abstain must be >= 0, got -1"),  # a sign before any bound
     ])
     def test_rejects_counts_no_simulation_can_produce(self, counts, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SampleStats(*counts)
+
+    # each count after n_rounds is a share of the count named here
+    SHARE_OF = {"n_sifted": "n_rounds", "n_errors": "n_sifted", "n_eve_agree_alice": "n_sifted",
+                "n_eve_agree_bob": "n_sifted", "n_eve_abstain": "n_sifted"}
+
+    @settings(max_examples=300)
+    @given(counts=st.lists(st.integers(-2, 12), min_size=6, max_size=6))
+    def test_accepts_exactly_the_counts_within_their_shares(self, counts):
+        count = dict(zip([f.name for f in dataclasses.fields(SampleStats)], counts))
+        broken = [f"{name} must be >= 0, got {c}" for name, c in count.items() if c < 0]
+        broken += [f"{name} = {count[name]} exceeds {of} = {count[of]}"
+                   for name, of in self.SHARE_OF.items() if count[name] > count[of]]
+        if broken:
+            with pytest.raises(ValueError, match=f"^{re.escape(broken[0])}$"):
+                SampleStats(*counts)
+        else:
+            assert dataclasses.astuple(SampleStats(*counts)) == tuple(counts)
 
     def test_accepts_numpy_integers_and_full_counts(self):
         s = SampleStats(np.int64(10), np.int32(5), 5, 5, 5, np.uint8(5))
@@ -653,6 +681,26 @@ class TestComparison:
         report = compare_to_oracle(stats, wrong)
         assert not report.ok
         assert len([e for e in report.entries if abs(e.z) > 4.0]) >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=sample_stats(), b=sample_stats(), protocol=st.sampled_from(list(ProtocolKind)),
+           family=st.sampled_from(["none", "standard", "gentle"]), mix=st.sampled_from(list(EnsembleMix)),
+           q=st.fractions(min_value=0, max_value=1, max_denominator=12))
+    def test_entries_and_sums_follow_the_counters(self, a, b, protocol, family, mix, q):
+        total = a + b
+        pairs = zip(dataclasses.astuple(a), dataclasses.astuple(b))
+        assert dataclasses.astuple(total) == tuple(x + y for x, y in pairs)
+        assert SampleStats.zero() + a == a == a + SampleStats.zero()
+        joint = enumerate_joint(protocol, _strategy_for(family, q, mix))
+        entries = compare_to_oracle(total, joint).entries
+        assert [(e.name, e.observed, e.trials, e.expected) for e in entries] == [
+            ("sift", total.n_sifted, total.n_rounds, float(joint.p_sift)),
+            ("error", total.n_errors, total.n_sifted, float(joint.qber)),
+            ("eve_agree_alice", total.n_eve_agree_alice, total.n_sifted, float(joint.p_eve_agree_alice)),
+            ("eve_agree_bob", total.n_eve_agree_bob, total.n_sifted, float(joint.p_eve_agree_bob)),
+            ("eve_abstain", total.n_eve_abstain, total.n_sifted, float(joint.p_eve_abstain)),
+        ]
+        assert all(type(e.expected) is float for e in entries)
 
     def test_zero_variance_scoring(self):
         assert ZScore("x", 0, 1000, 0.0).z == 0.0
