@@ -32,7 +32,10 @@ weighted walk of one eavesdropper as the reference they compare the corners
 with. Exact inputs give integer masses over one integer total, and the joint
 keeps only their Fractions. The CLI's rate records skip the joint: `_rates`
 reads the same floats straight off `_evaluate`'s masses, with the same
-marginals (`_pair_floats`).
+marginals (`_pair_floats`). A sweep's grid, q = i / (steps - 1), is one
+`_sweep`: its exact rows share one denominator, the channel folded into
+the node vectors once per sweep, and its float rows read the corner tables
+transposed once; every row is `_rates` of `_evaluate` at its q, bit for bit.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -456,8 +459,7 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, q, p) -> tuple:
         scale, den = 1, qd * pd * scale.denominator
     else:
         q, p, scale, den = float(q), float(p), float(scale), None
-        w_q = (1,) if family == "none" else (1 - q, q) if family == "standard" else _gentle_weights(q)
-        w_p = (1 - p, p)
+        w_q, w_p = _float_weights(family, q), (1 - p, p)
     # the weight of table 2i + p: node q_i's w_i(q), times 1 - p or p, times the scale
     ws = [w * v * scale for w in w_q for v in w_p]
     weights = [w for w in ws if w]
@@ -489,6 +491,43 @@ def _rates(items, total, den) -> tuple:
     sums = (sum(v for (a, b, _), v in items if a != b), sum(v for (_, _, e), v in items if e is None))
     qber, p_noguess = (float(s) if total is None else s / total for s in sums)
     return p_sift, qber, p_noguess, _rate_report(_pair_floats(items, total))
+
+
+def _sweep(protocol: ProtocolKind, family: str, mix, steps: int, p) -> list:
+    """_rates(*_evaluate(protocol, family, mix, Fraction(i, steps - 1), p)) for i in range(steps), bit for bit.
+
+    The family is standard or gentle. On the exact path (standard, rational
+    p) every row shares one denominator den = d pd / scale, d = steps - 1:
+    the channel is folded into each node's integer vector once,
+    V_k = (pd - pn) T[2k] + pn T[2k + 1], and row i's masses are
+    (d - i) V_0 + i V_1. They are _evaluate's masses times d / qd, so every
+    rate, one correctly rounded int / int, is the same float. The float rows
+    (gentle, or a float p) read the tables transposed once and weight each
+    column with _evaluate's weights and sums. A table that _evaluate skips
+    for a zero weight adds only a ±0.0 here, to a sum begun at int 0, which
+    leaves the float as it was.
+    """
+    keys, scale, tables = _corners(protocol, family, mix)
+    d = steps - 1
+    if family != "gentle" and isinstance(p, Rational):
+        pn, pd = int(p.numerator), int(p.denominator)
+        nodes = [[(pd - pn) * a + pn * b for a, b in zip(tables[k], tables[k + 1])] for k in (0, 2)]
+        den, vectors = d * pd * scale.denominator, list(zip(*nodes))
+        rows = []
+        for i in range(steps):
+            masses = [(d - i) * a + i * b for a, b in vectors]
+            rows.append(_rates([(key, v) for key, v in zip(keys, masses) if v], sum(masses), den))
+        return rows
+    p, scale = float(p), float(scale)
+    w_p = [w for w in (1 - p, p) if w]  # a channel weight of zero drops its tables from every row
+    columns = list(zip(*(t for k, t in enumerate(tables) if (1 - p, p)[k % 2])))
+    rows = []
+    for i in range(steps):
+        ws = [w * v * scale for w in _float_weights(family, i / d) for v in w_p]
+        masses = zip(keys, (sum(map(operator.mul, ws, column)) for column in columns))
+        items = [(key, v) for key, v in masses if not v < 1e-15]
+        rows.append(_rates(items, sum(v for _, v in items), None))
+    return rows
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -610,7 +649,10 @@ def _rate_report(pairs) -> RateReport:
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 
-def _gentle_weights(q: float) -> tuple:
+def _float_weights(family: str, q: float) -> tuple:
+    """The weights w_i(q) of the family's nodes (_NODES) at a float strength q."""
+    if family != "gentle":
+        return (1,) if family == "none" else (1 - q, q)
     # solves w . 1 = 1, w . q_i = q, w . s_i = s at q_i = (0, 3/5, 1), s_i = (1, 4/5, 0)
     s = math.sqrt(1.0 - q * q)
     t = q + s - 1.0

@@ -9,7 +9,10 @@ threshold, 2 when a simulation disagrees with the exact distribution beyond
 The rate records of `analytic`, `sweep` and `estimate-q` are read straight
 off the corner masses (analysis._evaluate and _rates), with no
 JointDistribution built; they are its floats and key_rate's, bit for bit.
-Only `simulate` builds a joint, as the oracle its counts are compared with.
+A sweep reads its whole grid at once (analysis._sweep). Only `simulate`
+builds a joint, as the oracle its counts are compared with. A JSON record
+is laid out by hand (`_layout`), byte for byte as json.dumps(indent=2)
+would write it, with a non-finite float written as its quoted repr.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     NoThresholdError,
@@ -30,6 +33,7 @@ from .analysis import (
     _rates,
     _sift_line,
     _strategy_for,
+    _sweep,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -64,14 +68,8 @@ def _echo(args, *names) -> dict:
     return {**head, **{name: float(getattr(args, name)) for name in names}}
 
 
-def _rates_record(protocol: ProtocolKind, family: str, mix, q, channel: Channel) -> dict:
-    """The rate fields of a record, read straight off the corner masses (analysis._evaluate and _rates).
-
-    They are the floats of the JointDistribution that enumerate_joint builds
-    for the same configuration, and of key_rate on it, bit for bit; the
-    Fraction table is never built.
-    """
-    p_sift, qber, p_noguess, report = _rates(*_evaluate(protocol, family, mix, q, channel.depolarizing))
+def _rates_record(p_sift, qber, p_noguess, report) -> dict:
+    """The rate fields of a record from one `_rates` tuple: enumerate_joint's floats and key_rate's, bit for bit."""
     return {
         "p_sift": p_sift,
         "qber": qber,
@@ -86,7 +84,7 @@ def _rates_record(protocol: ProtocolKind, family: str, mix, q, channel: Channel)
 def _emit(record: dict, fmt: str, out_path) -> int:
     """Write the record to stdout or out_path: 0, or 1 with one line on stderr if out_path cannot be written."""
     if fmt == "json":
-        text = json.dumps(record, indent=2) + "\n"
+        text = _layout(record, "\n") + "\n"
     else:
         text = _to_csv(record)
     if out_path is None:
@@ -99,6 +97,32 @@ def _emit(record: dict, fmt: str, out_path) -> int:
         sys.stderr.write(f"scqkd: error: cannot write {out_path}: {exc.strerror or exc}\n")
         return 1
     return 0
+
+
+def _layout(value, pad: str) -> str:
+    """json.dumps(value, indent=2), byte for byte, but a non-finite float is its quoted repr, at any depth.
+
+    pad is a newline and the indent of the line that holds the value. A
+    value json.dumps rejects raises TypeError, and so does a key that is
+    not a string (json.dumps would convert a number, bool or None key).
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'  # keep the JSON parseable
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + f",{inner}".join([_layout(v, inner) for v in value]) + pad + "]" if value else "[]"
+    if not isinstance(value, dict):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # encode_basestring_ascii raises the TypeError for a key that is not a string
+    entries = [encode_basestring_ascii(key) + ": " + _layout(v, inner) for key, v in value.items()]
+    return "{" + inner + f",{inner}".join(entries) + pad + "}" if value else "{}"
 
 
 def _to_csv(record: dict) -> str:
@@ -122,7 +146,7 @@ def _to_csv(record: dict) -> str:
 def _cmd_analytic(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
-    record = _rates_record(protocol, *_family_mix_q(eve), Channel(depolarizing=args.depolarize))
+    record = _rates_record(*_rates(*_evaluate(protocol, *_family_mix_q(eve), args.depolarize)))
     return {**_echo(args, "q", "depolarize"), **record}, 0
 
 
@@ -175,11 +199,10 @@ def _cmd_sweep(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.steps < 2:
         args.parser.error("--steps must be at least 2")
-    channel = Channel(depolarizing=args.depolarize)
     # one strategy checks the family and mix for every row; the rows differ only in q, which lies in [0, 1]
     family, mix, _ = _family_mix_q(_strategy_for(args.attack, 1, EnsembleMix(args.mix)))
-    grid = (Fraction(i, args.steps - 1) for i in range(args.steps))
-    rows = [{"q": float(q), **_rates_record(protocol, family, mix, q, channel)} for q in grid]
+    grid = _sweep(protocol, family, mix, args.steps, args.depolarize)
+    rows = [{"q": i / (args.steps - 1), **_rates_record(*rates)} for i, rates in enumerate(grid)]
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 
@@ -198,7 +221,8 @@ def _cmd_estimate_q(args) -> tuple:
     slope = float(1 / (hi - lo))
     estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
-    rates = _rates_record(protocol, "standard", EnsembleMix.SYMMETRIC, estimate.q, IDEAL)
+    masses = _evaluate(protocol, "standard", EnsembleMix.SYMMETRIC, estimate.q, IDEAL.depolarizing)
+    _, qber, _, report = _rates(*masses)
     record = {
         "command": "estimate-q",
         "protocol": protocol.value,
@@ -209,8 +233,8 @@ def _cmd_estimate_q(args) -> tuple:
         "q_raw": float(estimate.q_raw),
         "q_se": slope * se_rate,
         "in_model": estimate.in_model,
-        "qber": rates["qber"],
-        "r": rates["r"],
+        "qber": qber,
+        "r": report.r,
     }
     return record, 0
 
@@ -297,9 +321,6 @@ def main(argv=None) -> int:
     except NoThresholdError as exc:
         sys.stderr.write(f"scqkd: {exc}\n")
         return 1
-    for key, value in record.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            record[key] = repr(value)  # keep the JSON parseable
     return _emit(record, args.format, args.out) or code
 
 

@@ -22,6 +22,7 @@ from scqkd.analysis import (
     _sifting,
     _stages,
     _strategy_for,
+    _sweep,
     _walk,
     AnalyticCurves,
     NoThresholdError,
@@ -821,6 +822,29 @@ class TestThresholds:
         for values in (q_stars, qber_stars):
             assert all(earlier < later for earlier, later in zip(values, values[1:]))
 
+    # find_threshold's symmetric (q_star, qber_star) per family and p, for trine, BB84, tetra and six-state
+    CLAIM = {
+        ("standard", F(0)): ((0.6808, 0.2038), (0.6821, 0.1705), (0.6502, 0.2672), (0.6813, 0.2271)),
+        ("standard", F(1, 10)): ((0.6828, 0.2390), (0.7172, 0.2114), (0.6526, 0.2959), (0.7098, 0.2629)),
+        ("standard", F(1, 5)): ((0.6833, 0.2726), (0.7322, 0.2464), (0.6539, 0.3229), (0.7225, 0.2927)),
+        ("gentle", F(0)): ((0.8900, 0.1663), (0.9224, 0.1534), (0.8841, 0.2262), (0.9286, 0.2096)),
+        ("gentle", F(1, 10)): ((0.8916, 0.2069), (0.9287, 0.1916), (0.8870, 0.2618), (0.9344, 0.2431)),
+        ("gentle", F(1, 5)): ((0.8925, 0.2454), (0.9328, 0.2279), (0.8890, 0.2948), (0.9381, 0.2743)),
+    }
+
+    @pytest.mark.parametrize("family,p", list(CLAIM))
+    def test_codes_tolerate_more_error_but_less_attack_than_their_basis_counterparts(self, family, p):
+        # the paper's first claim holds in QBER and reverses in attack strength, at every p and in both families
+        order = (ProtocolKind.TRINE, ProtocolKind.BB84, ProtocolKind.TETRAHEDRON, ProtocolKind.SIX_STATE)
+        channel = Channel(depolarizing=p)
+        solves = [find_threshold(protocol, family, EnsembleMix.SYMMETRIC, channel) for protocol in order]
+        trine, bb84, tetra, six_state = solves
+        for code, counterpart in ((trine, bb84), (tetra, six_state)):
+            assert code.qber_star > counterpart.qber_star
+            assert code.q_star < counterpart.q_star
+        want = [pytest.approx(pair, abs=5e-5) for pair in self.CLAIM[family, p]]
+        assert [(r.q_star, r.qber_star) for r in solves] == want
+
 
 def _plain_bisection(protocol, mix, channel, family="standard", joint=_walked):
     """(q_star, qber_star) of a plain bisection of R over q in [0, 1], or None if R does not cross zero.
@@ -1382,6 +1406,33 @@ class TestRates:
         find_threshold(protocol, family, EnsembleMix.ALICE_ONLY, Channel(depolarizing=F(1, 20)))
         assert 1 <= calls["enumerate_joint"] <= 15
         assert 1 <= calls["key_rate"] <= calls["enumerate_joint"]
+
+
+def _rate_bits(rates):
+    """A `_rates` tuple as (type, float.hex) of each float, so that equality sees the sign of a zero."""
+    p_sift, qber, p_noguess, report = rates
+    values = (p_sift, qber, p_noguess, report.i_ab, report.i_ae, report.i_be, report.r)
+    return type(report), [(type(v), float.hex(v)) for v in values]
+
+
+_GRID_NOISE = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+class TestSweepGrid:
+    """_sweep, the CLI's sweep grid, is _rates of _evaluate at each q = i / (steps - 1), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["standard", "gentle"]), mix=_MIXES,
+           p=st.one_of(st.just(F(0)), _GRID_NOISE, _GRID_NOISE.map(float)), steps=st.integers(2, 40))
+    # the bench's sweeps: p = 0, both families
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, p=F(0), steps=40)
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, p=F(0), steps=40)
+    @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.ALICE_ONLY, p=F(1), steps=2)
+    def test_rows_equal_per_q_evaluation(self, protocol, family, mix, p, steps):
+        got = _sweep(protocol, family, mix, steps, p)
+        want = [_rates(*_evaluate(protocol, family, mix, F(i, steps - 1), p)) for i in range(steps)]
+        assert got == want
+        assert [_rate_bits(rates) for rates in got] == [_rate_bits(rates) for rates in want]
 
 
 class TestEntryPointsCheckTheirArguments:

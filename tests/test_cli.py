@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scqkd.cli as cli
 from scqkd import montecarlo
@@ -339,6 +343,26 @@ class TestSweep:
             want = {"q": float(q), **_joint_rates(joint)}
             assert json.dumps(row) == json.dumps(want)  # one evaluation path
 
+    def test_non_finite_rates_in_a_row_are_written_as_strings(self, capsys, monkeypatch):
+        grid = cli._sweep
+
+        def one_non_finite_row(*args):
+            rows = grid(*args)
+            p_sift, _, p_noguess, report = rows[1]
+            rows[1] = (p_sift, math.inf, p_noguess, dataclasses.replace(report, r=math.nan))
+            return rows
+
+        monkeypatch.setattr(cli, "_sweep", one_non_finite_row)
+        argv = ["sweep", "--protocol", "trine", "--steps", "3"]
+        code, out, _ = run_cli(argv, capsys)
+        record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+        assert code == 0
+        assert (record["rows"][1]["qber"], record["rows"][1]["r"]) == ("inf", "nan")
+        assert record["rows"][0]["qber"] == 0.0
+        code, out, _ = run_cli(["--format", "csv"] + argv, capsys)
+        row = list(csv.DictReader(io.StringIO(out)))[1]
+        assert code == 0 and (row["qber"], row["r"]) == ("inf", "nan")
+
 
 class TestRateRowsSkipTheJoint:
     """A sweep's rows read the corner masses: no JointDistribution, and its strategy is checked once."""
@@ -501,6 +525,57 @@ class TestOutputFormats:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 1
+
+
+def _quoted(value):
+    """value with every non-finite float replaced by its repr, at any depth (the identity on other values)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return [_quoted(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _quoted(v) for key, v in value.items()}
+    return value
+
+
+_STRINGS = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\x7f\n\t\"\\", "é ü ∞ \u2028 \U0001f600"]))
+_SCALARS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324]),
+    st.integers(), st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1),
+    st.booleans(), st.none(), _STRINGS,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestRecordLayout:
+    """_layout is json.dumps(indent=2), byte for byte, with non-finite floats as their quoted reprs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=_VALUES)
+    @example(value={"rows": [], "empty": {}, "nested": [[{}], {"a": [[]]}], "n": 2**64 + 1})
+    @example(value={"z": [math.inf, {"w": -math.inf}], "nan": math.nan, "zero": -0.0})
+    def test_is_json_dumps_indent_2(self, value):
+        # _quoted leaves a value without non-finite floats as it is, so such a value gives json.dumps' bytes
+        assert cli._layout(value, "\n") == json.dumps(_quoted(value), indent=2)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), Fraction(1, 2), {"rows": [{"n": np.int64(1)}]}, [Fraction(1, 2)], b"x", {1, 2}, object(),
+    ])
+    def test_rejects_what_json_dumps_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._layout(value, "\n")
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True])
+    def test_keys_must_be_strings(self, key):
+        with pytest.raises(TypeError):
+            cli._layout({key: 0}, "\n")
 
 
 def _outcome(argv, capsys):
