@@ -24,18 +24,17 @@ sifted table is linear in the depolarizing strength p and, at a fixed p, in
 (1, q) or (1, q, sqrt(1 - q^2)), so the tables at a few nodes per
 (protocol, attack family, mix), weighted by `_corners` from 3 cached walks
 per protocol (one per node strength, each giving p = 0 and p = 1 in one
-pass), give it at every (q, p). `_evaluate` is that evaluation: the kept
-masses of one (q, p) in corner key order, their total and, for exact inputs,
-the denominator. `enumerate_joint` divides them into a JointDistribution,
-and thresholds call it and `key_rate` at each probe; the tests keep the
-weighted walk of one eavesdropper as the reference they compare the corners
-with. Exact inputs give integer masses over one integer total, and the joint
-keeps only their Fractions. The CLI's rate records skip the joint: `_rates`
-reads the same floats straight off `_evaluate`'s masses, with the same
-marginals (`_pair_floats`). A sweep's grid, q = i / (steps - 1), is one
-`_sweep`: its exact rows share one denominator, the channel folded into
-the node vectors once per sweep, and its float rows read the corner tables
-transposed once; every row is `_rates` of `_evaluate` at its q, bit for bit.
+pass), give it at every (q, p). `_evaluate` is that evaluation, the only
+one: at one p and a grid of q (integer numerators over one denominator, or
+floats), one row per q of the kept masses in corner key order, their total
+and, for exact inputs, the denominator. A single q is a one-row grid.
+`enumerate_joint` divides its row into a JointDistribution, and thresholds
+call it and `key_rate` at each probe; the tests keep the weighted walk of
+one eavesdropper as the reference they compare the corners with. Exact
+inputs give integer masses over one integer total, and the joint keeps only
+their Fractions. The CLI's rate records skip the joint: `_rates` reads the
+same floats straight off a row's masses, with the same marginals
+(`_pair_floats`), and a sweep, q = i / (steps - 1), is one grid.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -50,9 +49,10 @@ with abstention kept as a third symbol in Eve's alphabet.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational, Real
@@ -156,9 +156,6 @@ class RateReport:
 class ThresholdResult:
     q_star: float
     qber_star: float
-    # round walks the solve triggered: misses of the walk cache, one per node strength not yet walked
-    # and 0 once they are cached (see find_threshold)
-    n_enumerations: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -427,46 +424,64 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
             is not a Channel, or an unknown eavesdropping strategy.
     """
     _check_config(protocol, channel)
-    items, total, den = _evaluate(protocol, *_family_mix_q(eve), channel.depolarizing)
+    [(items, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), channel.depolarizing)
     if den is None:
         return JointDistribution(p_sift=total, table={key: v / total for key, v in items})
     return JointDistribution(p_sift=Fraction(total, den), table={key: Fraction(v, total) for key, v in items})
 
 
-def _family_mix_q(eve) -> tuple:
-    """(family, mix, q): what `_evaluate` reads of an eavesdropper. q is the family's strength (see _attack)."""
+def _family_mix_grid(eve) -> tuple:
+    """(family, mix, xs, d): what `_evaluate` reads of an eavesdropper, its strength q as a one-row grid.
+
+    q is the family's strength (see _attack): a rational q is the grid of its
+    numerator over its denominator (Python ints, for numpy integers too), and
+    any other q the float grid (q,), d None.
+    """
     family, touched, strength = _attack(eve)
-    return family, None if eve is None else eve.mix, strength if family == "gentle" else touched
+    q = strength if family == "gentle" else touched
+    xs, d = ((int(q.numerator),), int(q.denominator)) if isinstance(q, Rational) else ((q,), None)
+    return family, None if eve is None else eve.mix, xs, d
 
 
-def _evaluate(protocol: ProtocolKind, family: str, mix, q, p) -> tuple:
-    """(items, total, den): the kept unnormalised sifted masses at (q, p), read off the corner tables.
+def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
+    """[(items, total, den)]: the kept unnormalised sifted masses at p and each q = x / d, off the corners.
 
-    items are the (key, mass) pairs in corner key order and total their sum.
-    Exact q and p, outside the gentle family, give integer masses: den times
-    the masses, den being the product of the denominators of q, p and the
-    corners' scale, so p_sift is total / den and the conditional table
-    mass / total. Otherwise the masses are floats and den is None. Exact
-    zeros are dropped, and float masses below 1e-15 (corner terms that
-    cancel to roundoff dust or below 0; a NaN is kept).
+    The grid is integer numerators xs over one denominator d, or a float
+    grid (d None) of the strengths themselves. items are the (key, mass)
+    pairs in corner key order and total their sum. An integer grid and a
+    rational p, outside the gentle family, give integer masses over one
+    den = d pd / scale: the channel is folded into each node's integer
+    vector once, V_k = (pd - pn) T[2k] + pn T[2k + 1], and row x's masses
+    are (d - x) V_0 + x V_1 ("none" has one node, V_0 = V_1). So p_sift is
+    total / den and the conditional table mass / total, the Fractions of
+    the round's walk. Otherwise every row is evaluated in floats, at
+    float(q) and float(p), from the tables transposed once: node q_i's
+    weight w_i(q), times 1 - p or p, times the scale, a table of zero
+    channel weight dropped. Exact zeros are dropped, and float masses below
+    1e-15 (corner terms that cancel to roundoff dust or below 0; a NaN is
+    kept).
     """
     keys, scale, tables = _corners(protocol, family, mix)
-    exact = family != "gentle" and isinstance(q, Rational) and isinstance(p, Rational)
-    if exact:
-        # integer weights over den (Python ints, for numpy integers too)
-        qn, qd, pn, pd = int(q.numerator), int(q.denominator), int(p.numerator), int(p.denominator)
-        w_q, w_p = ((1,) if family == "none" else (qd - qn, qn)), (pd - pn, pn)
-        scale, den = 1, qd * pd * scale.denominator
-    else:
-        q, p, scale, den = float(q), float(p), float(scale), None
-        w_q, w_p = _float_weights(family, q), (1 - p, p)
-    # the weight of table 2i + p: node q_i's w_i(q), times 1 - p or p, times the scale
-    ws = [w * v * scale for w in w_q for v in w_p]
-    weights = [w for w in ws if w]
-    columns = zip(*(t for w, t in zip(ws, tables) if w))
-    masses = zip(keys, (sum(map(operator.mul, weights, column)) for column in columns))
-    items = [(key, v) for key, v in masses if v] if exact else [(key, v) for key, v in masses if not v < 1e-15]
-    return items, sum(v for _, v in items), den
+    rows = []
+    if family != "gentle" and d is not None and isinstance(p, Rational):
+        pn, pd = int(p.numerator), int(p.denominator)  # Python ints, for numpy integers too
+        nodes = [[(pd - pn) * a + pn * b for a, b in zip(tables[k], tables[k + 1])] for k in range(0, len(tables), 2)]
+        vectors, den = list(zip(nodes[0], nodes[-1])), d * pd * scale.denominator
+        for x in xs:
+            masses = [(d - x) * a + x * b for a, b in vectors]
+            rows.append(([(key, v) for key, v in zip(keys, masses) if v], sum(masses), den))
+        return rows
+    p, scale = float(p), float(scale)
+    channel = (1 - p, p)
+    w_p = [w for w in channel if w]
+    columns = list(zip(*itertools.compress(tables, itertools.cycle(channel))))
+    for q in map(float, xs) if d is None else (x / d for x in xs):
+        # a zero weight adds only a ±0.0, to a sum begun at int 0, which leaves the float as it was
+        ws = [w * v * scale for w in _float_weights(family, q) for v in w_p]
+        masses = [sum(map(operator.mul, ws, column)) for column in columns]
+        items = [(key, v) for key, v in zip(keys, masses) if not v < 1e-15]
+        rows.append((items, sum(v for _, v in items), None))
+    return rows
 
 
 def _rates(items, total, den) -> tuple:
@@ -491,43 +506,6 @@ def _rates(items, total, den) -> tuple:
     sums = (sum(v for (a, b, _), v in items if a != b), sum(v for (_, _, e), v in items if e is None))
     qber, p_noguess = (float(s) if total is None else s / total for s in sums)
     return p_sift, qber, p_noguess, _rate_report(_pair_floats(items, total))
-
-
-def _sweep(protocol: ProtocolKind, family: str, mix, steps: int, p) -> list:
-    """_rates(*_evaluate(protocol, family, mix, Fraction(i, steps - 1), p)) for i in range(steps), bit for bit.
-
-    The family is standard or gentle. On the exact path (standard, rational
-    p) every row shares one denominator den = d pd / scale, d = steps - 1:
-    the channel is folded into each node's integer vector once,
-    V_k = (pd - pn) T[2k] + pn T[2k + 1], and row i's masses are
-    (d - i) V_0 + i V_1. They are _evaluate's masses times d / qd, so every
-    rate, one correctly rounded int / int, is the same float. The float rows
-    (gentle, or a float p) read the tables transposed once and weight each
-    column with _evaluate's weights and sums. A table that _evaluate skips
-    for a zero weight adds only a ±0.0 here, to a sum begun at int 0, which
-    leaves the float as it was.
-    """
-    keys, scale, tables = _corners(protocol, family, mix)
-    d = steps - 1
-    if family != "gentle" and isinstance(p, Rational):
-        pn, pd = int(p.numerator), int(p.denominator)
-        nodes = [[(pd - pn) * a + pn * b for a, b in zip(tables[k], tables[k + 1])] for k in (0, 2)]
-        den, vectors = d * pd * scale.denominator, list(zip(*nodes))
-        rows = []
-        for i in range(steps):
-            masses = [(d - i) * a + i * b for a, b in vectors]
-            rows.append(_rates([(key, v) for key, v in zip(keys, masses) if v], sum(masses), den))
-        return rows
-    p, scale = float(p), float(scale)
-    w_p = [w for w in (1 - p, p) if w]  # a channel weight of zero drops its tables from every row
-    columns = list(zip(*(t for k, t in enumerate(tables) if (1 - p, p)[k % 2])))
-    rows = []
-    for i in range(steps):
-        ws = [w * v * scale for w in _float_weights(family, i / d) for v in w_p]
-        masses = zip(keys, (sum(map(operator.mul, ws, column)) for column in columns))
-        items = [(key, v) for key, v in masses if not v < 1e-15]
-        rows.append(_rates(items, sum(v for _, v in items), None))
-    return rows
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -670,11 +648,12 @@ def find_threshold(
     The mix defaults to EnsembleMix.SYMMETRIC, the paper's attack: Eve
     pretends to be either party with even odds. On a quiet channel (p = 0)
     no other odds serve her better (pinned by TestSymmetricMixIsEvesBest),
-    but with noise they can: the channel acts between Eve and Bob, so the two
-    sides stop mirroring each other. On the trine under intercept/resend at
-    p = 1/20, odds of 9/16 for Alice's ensemble lower the threshold from
-    0.682 to about 0.668. At p > 0 the symmetric threshold is therefore the
-    paper's attack, not a bound over every mix.
+    but with noise they can: the noise lowers one of Eve's two informations,
+    whichever side of her the channel acts on, and R subtracts only the
+    smaller one, so the two sides stop mirroring each other. On the trine
+    under intercept/resend at p = 1/20, odds of 9/16 for Alice's ensemble
+    lower the threshold from 0.682 to about 0.668. At p > 0 the symmetric
+    threshold is therefore the paper's attack, not a bound over every mix.
 
     The solve is an Illinois search (regula falsi that halves the kept end's
     R when the same end is kept twice) on a bracket a < b with
@@ -696,15 +675,6 @@ def find_threshold(
     qber_star is the QBER enumerate_joint reports at q_star: the float of
     the joint of the returned probe.
 
-    n_enumerations counts the round walks the solve triggered: the misses of
-    the walk cache, one per strength of the family's nodes not yet walked
-    (each walk gives p = 0 and p = 1). A cold standard solve walks 1
-    (strength 1), a cold gentle one 3 (strengths 0, 3/5 and 1), a gentle
-    solve after a standard one 2, and a solve whose corners are cached 0.
-    It is read off the process-wide walk cache, so it depends on what ran
-    before (and on other threads filling the cache meanwhile) and is left
-    out of ThresholdResult equality.
-
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
         ValueError: for an attack family other than standard or gentle, a
@@ -714,7 +684,6 @@ def find_threshold(
     _check_config(protocol, channel)
     if attack_family not in ("standard", "gentle"):
         raise ValueError(f"unknown attack family: {attack_family!r} (expected standard or gentle)")
-    misses = _walk.cache_info().misses
 
     def joint_at(q):
         return enumerate_joint(protocol, _strategy_for(attack_family, q, mix), channel)
@@ -733,8 +702,7 @@ def find_threshold(
         else:
             b, r_b, r_a, kept = c, r_c, r_a / 2 if kept < 0 else r_a, -1
         if abs(r_c) < 1e-10 or b - a < 1e-9:
-            walks = _walk.cache_info().misses - misses
-            return ThresholdResult(c, float(joint.qber), walks)
+            return ThresholdResult(c, float(joint.qber))
 
 
 @lru_cache(maxsize=len(ProtocolKind))

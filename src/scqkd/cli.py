@@ -9,7 +9,7 @@ threshold, 2 when a simulation disagrees with the exact distribution beyond
 The rate records of `analytic`, `sweep` and `estimate-q` are read straight
 off the corner masses (analysis._evaluate and _rates), with no
 JointDistribution built; they are its floats and key_rate's, bit for bit.
-A sweep reads its whole grid at once (analysis._sweep). Only `simulate`
+A point is a one-row grid and a sweep one grid of q. Only `simulate`
 builds a joint, as the oracle its counts are compared with. A JSON record
 is laid out by hand (`_layout`), byte for byte as json.dumps(indent=2)
 would write it, with a non-finite float written as its quoted repr.
@@ -29,11 +29,10 @@ from json.encoder import encode_basestring_ascii
 from .analysis import (
     NoThresholdError,
     _evaluate,
-    _family_mix_q,
+    _family_mix_grid,
     _rates,
     _sift_line,
     _strategy_for,
-    _sweep,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -146,7 +145,8 @@ def _to_csv(record: dict) -> str:
 def _cmd_analytic(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
-    record = _rates_record(*_rates(*_evaluate(protocol, *_family_mix_q(eve), args.depolarize)))
+    [masses] = _evaluate(protocol, *_family_mix_grid(eve), args.depolarize)
+    record = _rates_record(*_rates(*masses))
     return {**_echo(args, "q", "depolarize"), **record}, 0
 
 
@@ -200,9 +200,10 @@ def _cmd_sweep(args) -> tuple:
     if args.steps < 2:
         args.parser.error("--steps must be at least 2")
     # one strategy checks the family and mix for every row; the rows differ only in q, which lies in [0, 1]
-    family, mix, _ = _family_mix_q(_strategy_for(args.attack, 1, EnsembleMix(args.mix)))
-    grid = _sweep(protocol, family, mix, args.steps, args.depolarize)
-    rows = [{"q": i / (args.steps - 1), **_rates_record(*rates)} for i, rates in enumerate(grid)]
+    family, mix, _, _ = _family_mix_grid(_strategy_for(args.attack, 1, EnsembleMix(args.mix)))
+    d = args.steps - 1
+    grid = _evaluate(protocol, family, mix, range(args.steps), d, args.depolarize)
+    rows = [{"q": i / d, **_rates_record(*_rates(*masses))} for i, masses in enumerate(grid)]
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 
@@ -221,7 +222,7 @@ def _cmd_estimate_q(args) -> tuple:
     slope = float(1 / (hi - lo))
     estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
-    masses = _evaluate(protocol, "standard", EnsembleMix.SYMMETRIC, estimate.q, IDEAL.depolarizing)
+    [masses] = _evaluate(protocol, *_family_mix_grid(_strategy_for("standard", estimate.q)), IDEAL.depolarizing)
     _, qber, _, report = _rates(*masses)
     record = {
         "command": "estimate-q",

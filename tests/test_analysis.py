@@ -15,14 +15,13 @@ from scqkd.analysis import (
     JointDistribution,
     _corners,
     _evaluate,
-    _family_mix_q,
+    _family_mix_grid,
     _pair_floats,
     _rates,
     _sift_line,
     _sifting,
     _stages,
     _strategy_for,
-    _sweep,
     _walk,
     AnalyticCurves,
     NoThresholdError,
@@ -810,8 +809,9 @@ class TestThresholds:
         assert all(later <= earlier for earlier, later in zip(rates, rates[1:]))
 
     def test_symmetric_threshold_rises_with_channel_noise(self):
-        # the channel acts after Eve, so its noise lowers I(B:E) more than I(A:B): a higher
-        # q_star at higher p comes from the model, not from a more tolerant protocol
+        # the noise lowers one of Eve's two informations, whichever side of her the channel acts on
+        # (TestChannelPlacement), and R subtracts only the smaller one: a higher q_star at higher p
+        # comes from the model, not from a more tolerant protocol
         solves = [
             find_threshold(ProtocolKind.BB84, "standard", EnsembleMix.SYMMETRIC, Channel(depolarizing=p))
             for p in (F(0), F(1, 20), F(1, 10), F(1, 5))
@@ -951,16 +951,16 @@ class TestInterceptResendIsAffine:
             find_threshold(protocol, warm, EnsembleMix.BOB_ONLY, channel)
         before, evaluations[:] = walks(), []
         res = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
-        # n_enumerations counts branch walks, not the solve's evaluations of R
-        assert res.n_enumerations == walks() - before == count
+        # the walks are the family's node strengths not yet cached, not the solve's evaluations of R
+        assert walks() - before == count
         assert 0 < len(evaluations) <= 15
-        # the count depends on the cache, so it is not part of the result's equality
+        # a second solve walks nothing and gives the same result
         again = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
-        assert again.n_enumerations == 0 and again == res
+        assert walks() - before == count and again == res
         # the corners are cached: a solve under another channel walks nothing
         channel = Channel(depolarizing=F(1, 16))
-        res = find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
-        assert res.n_enumerations == 0 and walks() - before == count
+        find_threshold(protocol, family, EnsembleMix.BOB_ONLY, channel)
+        assert walks() - before == count
 
 
 class TestGentleCurve:
@@ -1041,14 +1041,65 @@ class TestSymmetricMixIsEvesBest:
         assert mixed >= symmetric - 1e-12
 
     def test_on_a_noisy_channel_a_tilted_mix_serves_eve_better(self):
-        # the channel acts between Eve and Bob, so at p > 0 the two sides no longer mirror each other:
-        # on the trine under intercept/resend, odds of 9/16 for Alice's ensemble take R below zero
-        # where the paper's symmetric attack leaves it positive
+        # the noise lowers one of Eve's two informations, whichever side of her the channel acts on, and R
+        # subtracts only the smaller one, so at p > 0 the two sides no longer mirror each other: on the trine
+        # under intercept/resend, odds of 9/16 for Alice's ensemble take R below zero where the paper's
+        # symmetric attack leaves it positive
         q, p = F(87, 128), F(1, 20)
         symmetric = _mixed_rate(ProtocolKind.TRINE, "standard", q, p, F(1, 2))
         assert symmetric == key_rate(enumerate_joint(ProtocolKind.TRINE, _sym(q), Channel(depolarizing=p))).r
         assert symmetric == pytest.approx(0.0018, abs=1e-4)
         assert _mixed_rate(ProtocolKind.TRINE, "standard", q, p, F(9, 16)) == pytest.approx(-0.0096, abs=1e-4)
+
+
+# Eve's side mirrored: the ensemble she measures with is the other party's
+_MIRRORED = {EnsembleMix.ALICE_ONLY: EnsembleMix.BOB_ONLY, EnsembleMix.BOB_ONLY: EnsembleMix.ALICE_ONLY,
+             EnsembleMix.SYMMETRIC: EnsembleMix.SYMMETRIC}
+
+
+def _before_eve(protocol, q, p, mix) -> dict:
+    """The unnormalised sifted table {(a, b, e): mass} of intercept/resend with the channel before Eve.
+
+    The round Eve leaves alone reaches Bob through the channel: Bob's row of
+    the signal in `_stages` at p. Eve measures the depolarized signal, so she
+    sees outcome m with probability (1 - p) p_m + p / n, p_m her row at
+    p = 0, and forwards her state m clean: Bob's row of her slot at p = 0.
+    """
+    n = protocol.n_signals
+    n_opts = len(announcement_options(protocol, 1))
+    clean, noisy, sifting = _stages(protocol, 1, 0), _stages(protocol, 1, p), _sifting(protocol)
+    table = {}
+    for j in range(1, n + 1):
+        branches = [(1 - q, 0, noisy)] + [
+            (q * w_side * ((1 - p) * p_m + p * F(1, n)), 1 + side * n + m - 1, clean)
+            for side, w_side in enumerate(_SIDE_WEIGHTS[mix])
+            for m, p_m in enumerate(clean.eve[side * n + j - 1], 1)
+        ]
+        for w, slot, stages in branches:
+            row = slot * n + j - 1
+            for k, pk in enumerate(stages.bob[row]):
+                mass = w * pk * F(1, n * n_opts)
+                for key in sifting[(row * n + k) * n_opts:(row * n + k + 1) * n_opts]:
+                    if key is not None and mass:
+                        table[key] = table.get(key, 0) + mass
+    return table
+
+
+class TestChannelPlacement:
+    """Under intercept/resend the channel acting before Eve is today's round with a and b swapped."""
+
+    @pytest.mark.parametrize("p", [F(1, 20), F(1, 10), F(1, 3)])
+    @pytest.mark.parametrize("q", [F(1, 3), F(2, 3), F(1)])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_before_eve_is_after_eve_with_the_parties_swapped(self, protocol, mix, q, p):
+        # R = I(A:B) - min(I(A:E), I(B:E)) is symmetric under the swap, so where the channel sits
+        # changes no rate and no threshold
+        u = _before_eve(protocol, q, p, mix)
+        p_sift = sum(u.values())
+        swapped = {(b, a, e): v / p_sift for (a, b, e), v in u.items()}
+        joint = enumerate_joint(protocol, InterceptResend(q, _MIRRORED[mix]), Channel(depolarizing=p))
+        assert p_sift == joint.p_sift and swapped == joint.table
 
 
 # exact or float inputs, the ends of [0, 1] included
@@ -1173,7 +1224,7 @@ class TestIntegerMasses:
         got = enumerate_joint(ProtocolKind.SIX_STATE, _sym(np.int64(q)), Channel(depolarizing=np.int64(p)))
         assert got.p_sift == want.p_sift and got.table == want.table
         assert all(type(v) is F for v in got.table.values())
-        items, total, _ = _evaluate(ProtocolKind.SIX_STATE, *_family_mix_q(_sym(np.int64(q))), np.int64(p))
+        [(items, total, _)] = _evaluate(ProtocolKind.SIX_STATE, *_family_mix_grid(_sym(np.int64(q))), np.int64(p))
         assert all(type(v) is int for _, v in items) and type(total) is int
 
     @settings(max_examples=40, deadline=None)
@@ -1181,7 +1232,7 @@ class TestIntegerMasses:
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
     def test_pairs_are_the_floats_of_the_table_marginals(self, protocol, family, mix, q, p):
         eve = _strategy_for(family, q, mix)
-        items, total, den = _evaluate(protocol, *_family_mix_q(eve), p)
+        [(items, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), p)
         assert den is not None
         marginals = ({}, {}, {})
         for (a, b, e), v in enumerate_joint(protocol, eve, Channel(depolarizing=p)).table.items():
@@ -1196,7 +1247,7 @@ class TestIntegerMasses:
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
     def test_exact_joint_is_the_masses_over_their_total(self, protocol, family, mix, q, p):
         eve = _strategy_for(family, q, mix)
-        items, total, den = _evaluate(protocol, *_family_mix_q(eve), p)
+        [(items, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), p)
         joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
         assert joint.p_sift == F(total, den)
         assert list(joint.table.items()) == [(key, F(v, total)) for key, v in items]
@@ -1369,6 +1420,13 @@ _RATE_INPUTS = st.one_of(
 )
 
 
+_NUMPY_SCALARS = st.one_of(
+    st.floats(min_value=0, max_value=1).map(np.float64),
+    st.floats(min_value=0, max_value=1).map(np.float32),
+    st.integers(min_value=0, max_value=1).map(np.int64),
+)
+
+
 class TestRates:
     """The CLI's rate rows: _rates of _evaluate's masses are the joint's floats and key_rate's, bit for bit."""
 
@@ -1383,10 +1441,28 @@ class TestRates:
         report = key_rate(joint)
         want = [float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain),
                 report.i_ab, report.i_ae, report.i_be, report.r]
-        p_sift, qber, p_noguess, got = _rates(*_evaluate(protocol, *_family_mix_q(eve), p))
+        [masses] = _evaluate(protocol, *_family_mix_grid(eve), p)
+        p_sift, qber, p_noguess, got = _rates(*masses)
         got = [p_sift, qber, p_noguess, got.i_ab, got.i_ae, got.i_be, got.r]
         assert all(type(v) is float for v in got)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=st.one_of(_NUMPY_SCALARS, _RATE_INPUTS), p=st.one_of(_NUMPY_SCALARS, _RATE_INPUTS))
+    @example(protocol=ProtocolKind.TRINE, family="gentle", mix=EnsembleMix.SYMMETRIC, q=np.float32(0.3), p=F(0))
+    @example(protocol=ProtocolKind.TETRAHEDRON, family="standard", mix=EnsembleMix.ALICE_ONLY,
+             q=np.int64(1), p=np.float32(0.1))
+    def test_numpy_scalars_are_their_python_numbers(self, protocol, family, mix, q, p):
+        # a numpy q or p gives the joint and the rates of its float() or int(), bit for bit
+        def observed(q, p):
+            eve = _strategy_for(family, q, mix)
+            joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
+            [masses] = _evaluate(protocol, *_family_mix_grid(eve), p)
+            table = [(key, _bits(v)) for key, v in joint.table.items()]
+            return _bits(joint.p_sift), table, _rate_bits(_rates(*masses))
+
+        assert observed(q, p) == observed(*(v.item() if isinstance(v, np.generic) else v for v in (q, p)))
 
     @pytest.mark.parametrize("den", [None, 1, 12])
     def test_need_a_positive_total(self, den):
@@ -1419,7 +1495,7 @@ _GRID_NOISE = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 class TestSweepGrid:
-    """_sweep, the CLI's sweep grid, is _rates of _evaluate at each q = i / (steps - 1), bit for bit."""
+    """The CLI's sweep grid, q = i / (steps - 1) over one denominator, has the rates of each q evaluated alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["standard", "gentle"]), mix=_MIXES,
@@ -1429,8 +1505,11 @@ class TestSweepGrid:
     @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, p=F(0), steps=40)
     @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.ALICE_ONLY, p=F(1), steps=2)
     def test_rows_equal_per_q_evaluation(self, protocol, family, mix, p, steps):
-        got = _sweep(protocol, family, mix, steps, p)
-        want = [_rates(*_evaluate(protocol, family, mix, F(i, steps - 1), p)) for i in range(steps)]
+        got = [_rates(*row) for row in _evaluate(protocol, family, mix, range(steps), steps - 1, p)]
+        # each q alone, as enumerate_joint reads it: a one-row grid over the q's own denominator
+        alone = (_evaluate(protocol, *_family_mix_grid(_strategy_for(family, F(i, steps - 1), mix)), p)
+                 for i in range(steps))
+        want = [_rates(*row) for [row] in alone]
         assert got == want
         assert [_rate_bits(rates) for rates in got] == [_rate_bits(rates) for rates in want]
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import warnings
@@ -344,15 +345,15 @@ class TestSweep:
             assert json.dumps(row) == json.dumps(want)  # one evaluation path
 
     def test_non_finite_rates_in_a_row_are_written_as_strings(self, capsys, monkeypatch):
-        grid = cli._sweep
+        rates, calls = cli._rates, itertools.count()
 
-        def one_non_finite_row(*args):
-            rows = grid(*args)
-            p_sift, _, p_noguess, report = rows[1]
-            rows[1] = (p_sift, math.inf, p_noguess, dataclasses.replace(report, r=math.nan))
-            return rows
+        def one_non_finite_row(*masses):
+            p_sift, qber, p_noguess, report = rates(*masses)
+            if next(calls) % 3 == 1:  # the middle row of each 3-step sweep
+                return p_sift, math.inf, p_noguess, dataclasses.replace(report, r=math.nan)
+            return p_sift, qber, p_noguess, report
 
-        monkeypatch.setattr(cli, "_sweep", one_non_finite_row)
+        monkeypatch.setattr(cli, "_rates", one_non_finite_row)
         argv = ["sweep", "--protocol", "trine", "--steps", "3"]
         code, out, _ = run_cli(argv, capsys)
         record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
