@@ -406,10 +406,12 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     walk of the round gives, for no eavesdropper and intercept/resend, from
     integer sums; any float input, or the gentle attack (whose weights take
     sqrt(1 - q^2)), is evaluated in floats at float(q) and float(p) from the
-    same integer tables and gives floats. Entries that combine to
-    a negligible value (exact zeros, float roundoff) are dropped, and table
-    keys are in corner order: the order in which the weighted corner walks
-    first see them.
+    same integer tables and gives floats. So at a float p, q = 0 and no
+    eavesdropper can differ in the last bit (by ~1e-16), because the "none"
+    and "standard" corners carry different integer scales. Entries that
+    combine to a negligible value (exact zeros, float roundoff) are
+    dropped, and table keys are in corner order: the order in which the
+    weighted corner walks first see them.
 
     Args:
         protocol: protocol to analyze.

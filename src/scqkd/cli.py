@@ -11,8 +11,8 @@ off the corner masses (analysis._evaluate and _rates), with no
 JointDistribution built; they are its floats and key_rate's, bit for bit.
 A point is a one-row grid and a sweep one grid of q. Only `simulate`
 builds a joint, as the oracle its counts are compared with. A JSON record
-is laid out by hand (`_layout`), byte for byte as json.dumps(indent=2)
-would write it, with a non-finite float written as its quoted repr.
+is json.dumps output on one line (no indent, so the C encoder writes it),
+with a non-finite float written as its quoted repr.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import argparse
 import csv
 import functools
 import io
+import json
 import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     NoThresholdError,
@@ -32,13 +32,12 @@ from .analysis import (
     _family_mix_grid,
     _rates,
     _sift_line,
-    _strategy_for,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
     key_rate,  # noqa: F401 - no command calls it; bench/tracing.py wraps cli.key_rate
 )
-from .eavesdrop import EnsembleMix
+from .eavesdrop import EnsembleMix, _strategy_for
 from .montecarlo import TrialConfig, compare_to_oracle, proportion_se, run_trials
 from .protocol import IDEAL, Channel, ProtocolKind
 
@@ -83,7 +82,7 @@ def _rates_record(p_sift, qber, p_noguess, report) -> dict:
 def _emit(record: dict, fmt: str, out_path) -> int:
     """Write the record to stdout or out_path: 0, or 1 with one line on stderr if out_path cannot be written."""
     if fmt == "json":
-        text = _layout(record, "\n") + "\n"
+        text = json.dumps(_finite(record)) + "\n"
     else:
         text = _to_csv(record)
     if out_path is None:
@@ -98,30 +97,15 @@ def _emit(record: dict, fmt: str, out_path) -> int:
     return 0
 
 
-def _layout(value, pad: str) -> str:
-    """json.dumps(value, indent=2), byte for byte, but a non-finite float is its quoted repr, at any depth.
-
-    pad is a newline and the indent of the line that holds the value. A
-    value json.dumps rejects raises TypeError, and so does a key that is
-    not a string (json.dumps would convert a number, bool or None key).
-    """
+def _finite(value):
+    """value with each non-finite float, at any depth, replaced by its repr, so that the record stays valid JSON."""
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return text if math.isfinite(value) else f'"{text}"'  # keep the JSON parseable
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
+        return value if math.isfinite(value) else float.__repr__(value)
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return "[" + inner + f",{inner}".join([_layout(v, inner) for v in value]) + pad + "]" if value else "[]"
-    if not isinstance(value, dict):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    # encode_basestring_ascii raises the TypeError for a key that is not a string
-    entries = [encode_basestring_ascii(key) + ": " + _layout(v, inner) for key, v in value.items()]
-    return "{" + inner + f",{inner}".join(entries) + pad + "}" if value else "{}"
+        return [_finite(v) for v in value]
+    return value
 
 
 def _to_csv(record: dict) -> str:
@@ -199,10 +183,8 @@ def _cmd_sweep(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.steps < 2:
         args.parser.error("--steps must be at least 2")
-    # one strategy checks the family and mix for every row; the rows differ only in q, which lies in [0, 1]
-    family, mix, _, _ = _family_mix_grid(_strategy_for(args.attack, 1, EnsembleMix(args.mix)))
     d = args.steps - 1
-    grid = _evaluate(protocol, family, mix, range(args.steps), d, args.depolarize)
+    grid = _evaluate(protocol, args.attack, EnsembleMix(args.mix), range(args.steps), d, args.depolarize)
     rows = [{"q": i / d, **_rates_record(*_rates(*masses))} for i, masses in enumerate(grid)]
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 

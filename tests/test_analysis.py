@@ -89,11 +89,23 @@ class TestEnumerateNoEve:
 
 class TestEnumerateStandard:
     def test_q_zero_is_no_eve(self):
-        for protocol in ALL:
-            jd0 = enumerate_joint(protocol)
-            jdq = enumerate_joint(protocol, _sym(F(0)))
-            assert jdq.p_sift == jd0.p_sift
-            assert jdq.table == jd0.table
+        # every mix and channel: the same Fractions in the same key order at a rational p, and at a
+        # float p the same keys within 1e-15 (the two corner sets carry different integer scales)
+        def typed(jd):
+            return type(jd.p_sift), jd.p_sift, [(key, type(v), v) for key, v in jd.table.items()]
+
+        for protocol, mix in itertools.product(ALL, EnsembleMix):
+            for p in (F(0), F(1, 7), F(1, 20), F(1, 3)):
+                jd0 = enumerate_joint(protocol, None, Channel(depolarizing=p))
+                jdq = enumerate_joint(protocol, InterceptResend(q=F(0), mix=mix), Channel(depolarizing=p))
+                assert typed(jdq) == typed(jd0)
+                assert type(jd0.p_sift) is Fraction
+            for p in (0.0, 0.05, 1 / 7, 0.37):
+                jd0 = enumerate_joint(protocol, None, Channel(depolarizing=p))
+                jdq = enumerate_joint(protocol, InterceptResend(q=F(0), mix=mix), Channel(depolarizing=p))
+                assert list(jdq.table) == list(jd0.table)
+                assert jdq.p_sift == pytest.approx(jd0.p_sift, rel=0, abs=1e-15)
+                assert list(jdq.table.values()) == pytest.approx(list(jd0.table.values()), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("protocol", EXCLUSION)
     def test_matches_closed_forms_exactly(self, protocol):
@@ -1085,8 +1097,36 @@ def _before_eve(protocol, q, p, mix) -> dict:
     return table
 
 
+def _gentle_before_eve(protocol, q, p, mix) -> dict:
+    """The unnormalised sifted table {(a, b, e): mass} of the gentle attack with the channel before Eve.
+
+    Eve measures every depolarized signal (1 - p) rho_j + p I/2 at strength
+    q, so she sees outcome m with probability (1 - p) p_m + p / n, p_m her
+    row at p = 0, and forwards K_m rho' K_m = (1 - p) K_m rho_j K_m +
+    (p / n) rho(q u_m). Bob, with a clean channel after her, sees
+    (1 - p) p_m row(b_mj) + (p / n) row(q u_m): row(b_mj) is the slot's
+    gentle row at p = 0, and row(q u_m) the slot's full-strength row at
+    p = 1 - q, whose contrast is q. Both branches read the slot's sifting.
+    """
+    n = protocol.n_signals
+    n_opts = len(announcement_options(protocol, 1))
+    gentle, contracted, sifting = _stages(protocol, q, 0), _stages(protocol, 1, 1 - q), _sifting(protocol)
+    table = {}
+    for j in range(1, n + 1):
+        for side, w_side in enumerate(_SIDE_WEIGHTS[mix]):
+            for m, p_m in enumerate(gentle.eve[side * n + j - 1], 1):
+                row = (1 + side * n + m - 1) * n + j - 1
+                bob = [(1 - p) * p_m * b + p * F(1, n) * c for b, c in zip(gentle.bob[row], contracted.bob[row])]
+                for k, pk in enumerate(bob):
+                    mass = w_side * pk * F(1, n * n_opts)
+                    for key in sifting[(row * n + k) * n_opts:(row * n + k + 1) * n_opts]:
+                        if key is not None and mass:
+                            table[key] = table.get(key, 0) + mass
+    return table
+
+
 class TestChannelPlacement:
-    """Under intercept/resend the channel acting before Eve is today's round with a and b swapped."""
+    """Under both attacks the channel acting before Eve is today's round with a and b swapped."""
 
     @pytest.mark.parametrize("p", [F(1, 20), F(1, 10), F(1, 3)])
     @pytest.mark.parametrize("q", [F(1, 3), F(2, 3), F(1)])
@@ -1100,6 +1140,23 @@ class TestChannelPlacement:
         swapped = {(b, a, e): v / p_sift for (a, b, e), v in u.items()}
         joint = enumerate_joint(protocol, InterceptResend(q, _MIRRORED[mix]), Channel(depolarizing=p))
         assert p_sift == joint.p_sift and swapped == joint.table
+
+    @pytest.mark.parametrize("p", [F(1, 20), F(1, 10), F(1, 3)])
+    @pytest.mark.parametrize("q", [F(3, 5), F(4, 5)])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_gentle_before_eve_is_after_eve_with_the_parties_swapped(self, protocol, mix, q, p):
+        # the walk is exact (sqrt(1 - q^2) is rational at these q) and enumerate_joint's gentle joint floats;
+        # unswapped, the tables differ by 2.5e-3 or more at every p here
+        u = _gentle_before_eve(protocol, q, p, mix)
+        p_sift = sum(u.values())
+        assert type(p_sift) is F
+        swapped = {(b, a, e): v / p_sift for (a, b, e), v in u.items()}
+        joint = enumerate_joint(protocol, GentleIntercept(q, _MIRRORED[mix]), Channel(depolarizing=p))
+        assert joint.p_sift == pytest.approx(p_sift, rel=0, abs=1e-12)
+        keys = dict.fromkeys([*swapped, *joint.table])
+        want = [swapped.get(key, 0) for key in keys]
+        assert [joint.table.get(key, 0) for key in keys] == pytest.approx(want, rel=0, abs=1e-12)
 
 
 # exact or float inputs, the ends of [0, 1] included
