@@ -33,8 +33,12 @@ call it and `key_rate` at each probe; the tests keep the weighted walk of
 one eavesdropper as the reference they compare the corners with. Exact
 inputs give integer masses over one integer total, and the joint keeps only
 their Fractions. The CLI's rate records skip the joint: `_rates` reads the
-same floats straight off a row's masses, with the same marginals
-(`_pair_floats`), and a sweep, q = i / (steps - 1), is one grid.
+same floats straight off a row's masses, and a sweep, q = i / (steps - 1),
+is one grid. `key_rate` and `_rates` share one rate kernel, `_rate_kernel`:
+a table's keys in order (its layout) have a plan, built once per layout
+and cached, of the (a, b), (a, e) and (b, e) cells and marginals as
+indices, so a row sums, divides and takes logs in mutual_information's
+order with no dict built.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -118,28 +122,6 @@ class JointDistribution:
     @property
     def p_eve_agree_bob(self):
         return self.mass(lambda a, b, e: e is not None and e == b)
-
-
-def _pair_floats(items, total) -> tuple:
-    """The (a, b), (a, e) and (b, e) marginals of (key, mass) items as floats, summed in one pass in order.
-
-    With an int total, each sum of integer masses becomes one correctly
-    rounded int / int: the float of the marginal's Fraction. With total None
-    the items are probabilities already, floats or an exact joint's
-    Fractions, and their sums are converted by float(), as
-    mutual_information would: a Fraction sum gives the same float as the
-    int / int of its masses.
-    """
-    ab: dict = {}
-    ae: dict = {}
-    be: dict = {}
-    for (a, b, e), v in items:
-        ab[a, b] = ab.get((a, b), 0) + v
-        ae[a, e] = ae.get((a, e), 0) + v
-        be[b, e] = be.get((b, e), 0) + v
-    if total is None:
-        return tuple({key: float(v) for key, v in pair.items()} for pair in (ab, ae, be))
-    return tuple({key: v / total for key, v in pair.items()} for pair in (ab, ae, be))
 
 
 @dataclass(frozen=True)
@@ -494,7 +476,8 @@ def _rates(items, total, den) -> tuple:
     masses, bit for bit, without its Fraction table. Exact masses stay
     integers, and every rate is one correctly rounded int / int: the float of
     the joint's Fraction. Float masses are divided by the total first and
-    then summed in table order, as the joint's table and mass are.
+    then summed in table order, as the joint's table and mass are. The
+    RateReport is `_rate_kernel`'s, through the plan of the row's kept keys.
 
     Raises:
         ValueError: unless total > 0, as JointDistribution does.
@@ -507,7 +490,8 @@ def _rates(items, total, den) -> tuple:
         p_sift = total / den
     sums = (sum(v for (a, b, _), v in items if a != b), sum(v for (_, _, e), v in items if e is None))
     qber, p_noguess = (float(s) if total is None else s / total for s in sums)
-    return p_sift, qber, p_noguess, _rate_report(_pair_floats(items, total))
+    layout, values = zip(*items)  # a positive total has a kept mass
+    return p_sift, qber, p_noguess, _rate_kernel(layout, values, total)
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -612,20 +596,71 @@ def _mutual_information(joint: dict) -> float:
 def key_rate(joint: JointDistribution) -> RateReport:
     """Distillable-rate report from a sifted joint distribution.
 
-    It reads the float marginals of the table (`_pair_floats`): the float of
-    each marginal's Fraction on the exact path. The table was checked when
-    it was built, so its pairs skip mutual_information's checks.
+    It reads the table's (a, b), (a, e) and (b, e) marginals through the
+    plan of its keys (`_rate_kernel`), converting each marginal sum by
+    float(): the float of the marginal's Fraction on the exact path. The
+    table was checked when it was built, so its pairs skip
+    mutual_information's checks.
 
     Raises:
         ValueError: for anything that is not a JointDistribution.
     """
     _check_instance("joint", joint, JointDistribution)
-    return _rate_report(_pair_floats(joint.table.items(), None))
+    return _rate_kernel(tuple(joint.table), tuple(joint.table.values()), None)
 
 
-def _rate_report(pairs) -> RateReport:
-    """The RateReport of the float (a, b), (a, e) and (b, e) marginals."""
-    i_ab, i_ae, i_be = map(_mutual_information, pairs)
+# 39 layouts (kept keys in corner order) occur over every protocol x family x mix, 101-step q grids and float q
+# at 0, 1 and in between, and p in {0, 1/7, 0.05, 1}; a hand-built table's key order may bring more
+@lru_cache(maxsize=64)
+def _rate_plan(layout: tuple) -> tuple:
+    """The (a, b), (a, e) and (b, e) pairs of a table's keys, in its order, as indices.
+
+    For each pair, (nx, ny, cells): the number of its x and y values and,
+    per cell (x, y) in the order the keys first see it, the indices of the
+    keys summed into the cell and the indices of its x and y among the
+    pair's x and y values in the order the cells first see them. So a row
+    reads its three mutual informations with no dict built, the plan once
+    per layout.
+    """
+    plan = []
+    for u, v in ((0, 1), (0, 2), (1, 2)):
+        cells: dict = {}
+        for i, key in enumerate(layout):
+            cells.setdefault((key[u], key[v]), []).append(i)
+        xs, ys = (list(dict.fromkeys(cell[w] for cell in cells)) for w in (0, 1))
+        plan.append((len(xs), len(ys), tuple((tuple(c), xs.index(x), ys.index(y)) for (x, y), c in cells.items())))
+    return tuple(plan)
+
+
+def _rate_kernel(layout: tuple, values, total) -> RateReport:
+    """The RateReport of a table given as its keys and their values, through the layout's plan.
+
+    Each pair's cell sums its values with plain + from int 0 in table order
+    and is converted to a float: by float() with total None (the values are
+    probabilities already, floats or an exact joint's Fractions), else as
+    one correctly rounded int / int of integer masses over their int total,
+    the float of the marginal's Fraction. Each marginal sums its cells from
+    0.0 in cell order, and the log sum runs in cell order, as
+    mutual_information does over the pair's table, so the floats are its
+    own bit for bit.
+    """
+    infos = []
+    for nx, ny, cells in _rate_plan(layout):
+        pair, px, py = [], [0.0] * nx, [0.0] * ny
+        for indices, x, y in cells:
+            s = 0
+            for i in indices:
+                s += values[i]
+            s = float(s) if total is None else s / total
+            pair.append(s)
+            px[x] += s
+            py[y] += s
+        info = 0.0
+        for v, (_, x, y) in zip(pair, cells):
+            if v > 0.0:
+                info += v * math.log2(v / (px[x] * py[y]))
+        infos.append(info)
+    i_ab, i_ae, i_be = infos
     return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 

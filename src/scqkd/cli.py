@@ -82,7 +82,10 @@ def _rates_record(p_sift, qber, p_noguess, report) -> dict:
 def _emit(record: dict, fmt: str, out_path) -> int:
     """Write the record to stdout or out_path: 0, or 1 with one line on stderr if out_path cannot be written."""
     if fmt == "json":
-        text = json.dumps(_finite(record)) + "\n"
+        try:
+            text = json.dumps(record, allow_nan=False) + "\n"
+        except ValueError:  # a non-finite float somewhere: only then is the record walked
+            text = json.dumps(_finite(record)) + "\n"
     else:
         text = _to_csv(record)
     if out_path is None:

@@ -16,7 +16,7 @@ from scqkd.analysis import (
     _corners,
     _evaluate,
     _family_mix_grid,
-    _pair_floats,
+    _rate_plan,
     _rates,
     _sift_line,
     _sifting,
@@ -25,6 +25,7 @@ from scqkd.analysis import (
     _walk,
     AnalyticCurves,
     NoThresholdError,
+    RateReport,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
@@ -742,6 +743,33 @@ class TestMutualInformation:
     def test_exact_inputs_accepted(self):
         joint = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
         assert mutual_information(joint) == 1.0
+
+
+def _pair_floats(items, total) -> tuple:
+    """The (a, b), (a, e) and (b, e) marginals of (key, mass) items as floats, summed in one pass in order.
+
+    The reference of analysis._rate_kernel's cells, with dicts: with an int
+    total each sum of integer masses becomes one correctly rounded
+    int / int, the float of the marginal's Fraction; with total None the
+    items are probabilities already, floats or an exact joint's Fractions,
+    and their sums are converted by float().
+    """
+    ab: dict = {}
+    ae: dict = {}
+    be: dict = {}
+    for (a, b, e), v in items:
+        ab[a, b] = ab.get((a, b), 0) + v
+        ae[a, e] = ae.get((a, e), 0) + v
+        be[b, e] = be.get((b, e), 0) + v
+    if total is None:
+        return tuple({key: float(v) for key, v in pair.items()} for pair in (ab, ae, be))
+    return tuple({key: v / total for key, v in pair.items()} for pair in (ab, ae, be))
+
+
+def _rate_report(pairs) -> RateReport:
+    """The RateReport of the float (a, b), (a, e) and (b, e) marginals, each pair through _mutual_information."""
+    i_ab, i_ae, i_be = map(analysis._mutual_information, pairs)
+    return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
 
 
 class TestKeyRate:
@@ -1569,6 +1597,57 @@ class TestSweepGrid:
         want = [_rates(*row) for [row] in alone]
         assert got == want
         assert [_rate_bits(rates) for rates in got] == [_rate_bits(rates) for rates in want]
+
+
+def _report_bits(report):
+    """A RateReport's type and the type and float.hex of each field, so that equality sees the sign of a zero."""
+    return type(report), [(type(v), float.hex(v)) for v in (report.i_ab, report.i_ae, report.i_be, report.r)]
+
+
+class TestRateKernel:
+    """`_rate_kernel`, through a layout's cached plan, is the dict reference `_rate_report(_pair_floats(...))`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
+           mix=_MIXES, q=_RATE_INPUTS, p=_RATE_INPUTS)
+    # the corner keys a row drops at q in {0, 1} or p in {0, 1}, exact and float
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, q=F(0), p=F(0))
+    @example(protocol=ProtocolKind.TETRAHEDRON, family="standard", mix=EnsembleMix.ALICE_ONLY, q=F(1), p=F(1))
+    @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.BOB_ONLY, q=0.0, p=1.0)
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, q=1.0, p=0.0)
+    @example(protocol=ProtocolKind.SIX_STATE, family="none", mix=EnsembleMix.SYMMETRIC, q=F(0), p=F(1))
+    def test_rates_are_the_dict_reference(self, protocol, family, mix, q, p):
+        eve = _strategy_for(family, q, mix)
+        [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
+        items, total, den = row
+        if den is None:  # _rates' float path: the joint's table, each mass over the total
+            items, total = [(key, v / total) for key, v in items], None
+        assert _report_bits(_rates(*row)[3]) == _report_bits(_rate_report(_pair_floats(items, total)))
+        joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
+        assert _report_bits(key_rate(joint)) == _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
+           mix=_MIXES, q=_STRENGTH, p=_NOISE, data=st.data())
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, q=F(1), p=F(0), data=None)
+    def test_key_rate_of_an_exact_joint_in_any_key_order(self, protocol, family, mix, q, p, data):
+        # a Fraction table whose keys come in another order has another layout, and its own plan
+        table = enumerate_joint(protocol, _strategy_for(family, q, mix), Channel(depolarizing=p)).table
+        assert all(type(v) is F for v in table.values())
+        order = list(table) if data is None else data.draw(st.permutations(list(table)))
+        joint = JointDistribution(p_sift=F(1, 2), table={key: table[key] for key in order})
+        assert _report_bits(key_rate(joint)) == _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+
+    def test_plan_cache_holds_every_sweep_layout(self):
+        # these sweeps see 39 layouts, each built once; the bound leaves room over that
+        assert _rate_plan.cache_parameters() == {"maxsize": 64, "typed": False}
+        _rate_plan.cache_clear()
+        for protocol, family, p in itertools.product(ALL, ["none", "standard", "gentle"], [F(0), F(1, 7), 0.05]):
+            for mix in [None] if family == "none" else list(EnsembleMix):
+                for row in _evaluate(protocol, family, mix, range(101), 100, p):
+                    _rates(*row)
+        info = _rate_plan.cache_info()
+        assert 0 < info.misses == info.currsize <= info.maxsize
 
 
 class TestEntryPointsCheckTheirArguments:

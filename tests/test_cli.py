@@ -367,10 +367,10 @@ class TestSweep:
 
 
 class TestRateRowsSkipTheJoint:
-    """A sweep's rows read the corner masses: no JointDistribution, and its strategy is checked once."""
+    """A sweep's rows read the corner masses: it builds no JointDistribution and no strategy."""
 
     @pytest.mark.parametrize("protocol,attack", [("trine", "standard"), ("six-state", "gentle")])
-    def test_sweep_builds_no_joint_and_at_most_one_strategy(self, monkeypatch, capsys, protocol, attack):
+    def test_sweep_builds_no_joint_and_no_strategy(self, monkeypatch, capsys, protocol, attack):
         built = {}
         for cls in (JointDistribution, InterceptResend, GentleIntercept):
             def counted(self, _original=cls.__post_init__, _name=cls.__name__):
@@ -379,8 +379,7 @@ class TestRateRowsSkipTheJoint:
             monkeypatch.setattr(cls, "__post_init__", counted)
         code, record, _ = run_json(["sweep", "--protocol", protocol, "--attack", attack], capsys)
         assert code == 0 and len(record["rows"]) == 101
-        assert "JointDistribution" not in built
-        assert sum(built.values()) <= 1
+        assert built == {}
 
 
 class TestEstimateQ:
@@ -573,6 +572,16 @@ class TestRecordLayout:
         text = self.emitted(value)
         assert text == json.dumps(_quoted(value)) + "\n"
         json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+
+    @pytest.mark.parametrize("value,walked", [
+        ({"rows": [{"q": 0.5, "r": -0.25}], "n": 3}, False),
+        ({"rows": [{"q": 0.5, "r": math.nan}], "n": 3}, True),
+    ])
+    def test_only_a_non_finite_record_is_walked(self, monkeypatch, value, walked):
+        calls = []
+        monkeypatch.setattr(cli, "_finite", lambda v, _original=cli._finite: calls.append(v) or _original(v))
+        assert self.emitted(value) == json.dumps(_quoted(value)) + "\n"
+        assert bool(calls) is walked
 
     @pytest.mark.parametrize("value", [
         np.int64(1), Fraction(1, 2), {"rows": [{"n": np.int64(1)}]}, [Fraction(1, 2)], b"x", {1, 2}, object(),
