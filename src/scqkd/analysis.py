@@ -38,7 +38,10 @@ is one grid. `key_rate` and `_rates` share one rate kernel, `_rate_kernel`:
 a table's keys in order (its layout) have a plan, built once per layout
 and cached, of the (a, b), (a, e) and (b, e) cells and marginals as
 indices, so a row sums, divides and takes logs in mutual_information's
-order with no dict built.
+order with no dict built. `_grid_rates` reads a whole grid: the rows of
+one layout go through the same steps together, each step one map over
+the rows (`_column_kernel`), so each row's floats are its own `_rates`;
+a layout that only a few rows share goes through `_rates` row by row.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -478,6 +481,8 @@ def _rates(items, total, den) -> tuple:
     the joint's Fraction. Float masses are divided by the total first and
     then summed in table order, as the joint's table and mass are. The
     RateReport is `_rate_kernel`'s, through the plan of the row's kept keys.
+    This is the one-row path: a grid's rows go through `_grid_rates`,
+    which gives the same tuples.
 
     Raises:
         ValueError: unless total > 0, as JointDistribution does.
@@ -492,6 +497,85 @@ def _rates(items, total, den) -> tuple:
     qber, p_noguess = (float(s) if total is None else s / total for s in sums)
     layout, values = zip(*items)  # a positive total has a kept mass
     return p_sift, qber, p_noguess, _rate_kernel(layout, values, total)
+
+
+def _grid_rates(rows) -> list:
+    """[_rates(*row) for row in rows], the same tuples bit for bit, the rows of one layout taken together.
+
+    Rows are grouped by their kept keys in order (and by exact or float). A
+    group of at least _COLUMN_ROWS rows takes each step of `_rates` as one
+    map over its rows, the rate kernel's too (`_column_kernel`), so each row
+    gets the same operations on the same operands in the same order; its
+    QBER and abstain rate are builtin sums over its own values, as sum is
+    compensated for floats from Python 3.12 on. A smaller group goes
+    through `_rates` row by row, and so does a row whose total is not in
+    (0, 2^1074): in a group every kept mass is an int >= 1 or a float
+    >= 1e-15, so every value and cell over such a total is a positive float.
+    """
+    out, groups = [None] * len(rows), {}
+    for r, (items, total, den) in enumerate(rows):
+        if 0 < total < 1 << 1074:
+            layout, values = zip(*items)
+            groups.setdefault((layout, den is None), []).append((r, values, total, den))
+        else:
+            out[r] = _rates(items, total, den)
+    for (layout, floats), group in groups.items():
+        if len(group) < _COLUMN_ROWS:
+            for r, *_ in group:
+                out[r] = _rates(*rows[r])
+            continue
+        index, values, totals, dens = zip(*group)
+        columns = list(zip(*values))
+        if floats:  # the joint's table: each mass over the total
+            columns = [list(map(operator.truediv, column, totals)) for column in columns]
+            p_sift = totals
+        else:
+            p_sift = map(operator.truediv, totals, dens)
+        sums = []
+        for keep in (lambda a, b, e: a != b, lambda a, b, e: e is None):
+            kept = [column for key, column in zip(layout, columns) if keep(*key)]
+            sums.append(list(map(sum, zip(*kept))) if kept else [0] * len(index))
+        qber, p_noguess = (map(float, s) if floats else map(operator.truediv, s, totals) for s in sums)
+        reports = _column_kernel(layout, columns, None if floats else totals)
+        for r, rates in zip(index, zip(p_sift, qber, p_noguess, reports)):
+            out[r] = rates
+    return out
+
+
+# a group of fewer rows is faster through `_rate_kernel` row by row
+_COLUMN_ROWS = 5
+
+
+def _column_kernel(layout: tuple, columns: list, totals) -> list:
+    """`_rate_kernel` of a group of rows: columns[i] holds key i's value in each row, totals their totals or None.
+
+    Each cell, marginal and log term is one map over the rows, with the
+    kernel's operations in its order: cells summed with + in table order
+    and divided by the total, marginals summed in cell order, and log sums
+    from 0.0 in cell order. The kernel begins a cell at int 0 and a
+    marginal at 0.0, which leave a positive value as it is, and every
+    value and cell here is positive (see _grid_rates), so no log term is
+    skipped.
+    """
+    n, add, mul = len(columns[0]), operator.add, operator.mul
+    infos = []
+    for nx, ny, cells in _rate_plan(layout):
+        pair, px, py = [], [None] * nx, [None] * ny
+        for (first, *rest), x, y in cells:
+            s = columns[first]
+            for i in rest:
+                s = list(map(add, s, columns[i]))
+            if totals is not None:
+                s = list(map(operator.truediv, s, totals))
+            pair.append(s)
+            px[x] = s if px[x] is None else list(map(add, px[x], s))
+            py[y] = s if py[y] is None else list(map(add, py[y], s))
+        info = [0.0] * n
+        for v, (_, x, y) in zip(pair, cells):
+            info = map(add, info, map(mul, v, map(math.log2, map(operator.truediv, v, map(mul, px[x], py[y])))))
+        infos.append(list(info))
+    i_ab, i_ae, i_be = infos
+    return list(map(RateReport, i_ab, i_ae, i_be, map(operator.sub, i_ab, map(min, i_ae, i_be))))
 
 
 # -- closed-form curves --------------------------------------------------------

@@ -9,7 +9,8 @@ threshold, 2 when a simulation disagrees with the exact distribution beyond
 The rate records of `analytic`, `sweep` and `estimate-q` are read straight
 off the corner masses (analysis._evaluate and _rates), with no
 JointDistribution built; they are its floats and key_rate's, bit for bit.
-A point is a one-row grid and a sweep one grid of q. Only `simulate`
+A point is a one-row grid and a sweep one grid of q, whose rates are read
+in one call (analysis._grid_rates). Only `simulate`
 builds a joint, as the oracle its counts are compared with. A JSON record
 is json.dumps output on one line (no indent, so the C encoder writes it),
 with a non-finite float written as its quoted repr.
@@ -30,6 +31,7 @@ from .analysis import (
     NoThresholdError,
     _evaluate,
     _family_mix_grid,
+    _grid_rates,
     _rates,
     _sift_line,
     enumerate_joint,
@@ -188,7 +190,7 @@ def _cmd_sweep(args) -> tuple:
         args.parser.error("--steps must be at least 2")
     d = args.steps - 1
     grid = _evaluate(protocol, args.attack, EnsembleMix(args.mix), range(args.steps), d, args.depolarize)
-    rows = [{"q": i / d, **_rates_record(*_rates(*masses))} for i, masses in enumerate(grid)]
+    rows = [{"q": i / d, **_rates_record(*rates)} for i, rates in enumerate(_grid_rates(grid))]
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 

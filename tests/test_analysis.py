@@ -1,5 +1,6 @@
 """Tests for exact enumeration, closed forms, information rates, thresholds."""
 
+import collections
 import itertools
 import math
 import re
@@ -16,6 +17,8 @@ from scqkd.analysis import (
     _corners,
     _evaluate,
     _family_mix_grid,
+    _grid_rates,
+    _rate_kernel,
     _rate_plan,
     _rates,
     _sift_line,
@@ -1604,6 +1607,12 @@ def _report_bits(report):
     return type(report), [(type(v), float.hex(v)) for v in (report.i_ab, report.i_ae, report.i_be, report.r)]
 
 
+# the sweep's grids q = i / (steps - 1), and float grids from 0 to 1
+_SWEEP_GRIDS = st.sampled_from([2, 3, 23, 101]).map(lambda steps: (range(steps), steps - 1))
+_FLOAT_GRIDS = st.lists(st.floats(min_value=0, max_value=1), min_size=5, max_size=30).map(
+    lambda qs: ([0.0, *qs, 1.0], None))
+
+
 class TestRateKernel:
     """`_rate_kernel`, through a layout's cached plan, is the dict reference `_rate_report(_pair_floats(...))`."""
 
@@ -1625,6 +1634,40 @@ class TestRateKernel:
         assert _report_bits(_rates(*row)[3]) == _report_bits(_rate_report(_pair_floats(items, total)))
         joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
         assert _report_bits(key_rate(joint)) == _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]), mix=_MIXES,
+           p=_RATE_INPUTS, grid=st.one_of(_SWEEP_GRIDS, _FLOAT_GRIDS))
+    # the bench's sweeps, and grids whose rows at q = 0 and 1 drop keys, with exact and float p at 0 and 1
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, p=F(0),
+             grid=(range(101), 100))
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, p=F(0),
+             grid=(range(101), 100))
+    @example(protocol=ProtocolKind.TETRAHEDRON, family="standard", mix=EnsembleMix.ALICE_ONLY, p=F(1),
+             grid=(range(23), 22))
+    @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.BOB_ONLY, p=1.0,
+             grid=([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0], None))
+    @example(protocol=ProtocolKind.SIX_STATE, family="none", mix=EnsembleMix.SYMMETRIC, p=0.0,
+             grid=(range(3), 2))
+    def test_grid_rates_are_each_rows_rates(self, protocol, family, mix, p, grid):
+        rows = _evaluate(protocol, family, None if family == "none" else mix, *grid, p)
+        got = _grid_rates(rows)
+        assert [_rate_bits(rates) for rates in got] == [_rate_bits(_rates(*row)) for row in rows]
+        for (items, total, den), (*_, report) in zip(rows, got):
+            if den is None:  # _rates' float path: the joint's table, each mass over the total
+                items, total = [(key, v / total) for key, v in items], None
+            assert _report_bits(report) == _report_bits(_rate_report(_pair_floats(items, total)))
+
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
+    def test_grid_rates_take_a_layout_of_several_rows_by_column(self, monkeypatch, family):
+        # only the rows of a layout that fewer than _COLUMN_ROWS rows share go through the one-row kernel
+        rows = _evaluate(ProtocolKind.TRINE, family, EnsembleMix.SYMMETRIC, range(101), 100, F(0))
+        shares = collections.Counter(tuple(key for key, _ in items) for items, _, _ in rows)
+        calls = []
+        monkeypatch.setattr(analysis, "_rate_kernel", lambda *args: calls.append(args) or _rate_kernel(*args))
+        _grid_rates(rows)
+        assert max(shares.values()) >= analysis._COLUMN_ROWS
+        assert len(calls) == sum(n for n in shares.values() if n < analysis._COLUMN_ROWS) < len(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),

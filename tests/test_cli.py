@@ -4,7 +4,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import warnings
@@ -346,15 +345,15 @@ class TestSweep:
             assert json.dumps(row) == json.dumps(want)  # one evaluation path
 
     def test_non_finite_rates_in_a_row_are_written_as_strings(self, capsys, monkeypatch):
-        rates, calls = cli._rates, itertools.count()
+        grid_rates = cli._grid_rates
 
-        def one_non_finite_row(*masses):
-            p_sift, qber, p_noguess, report = rates(*masses)
-            if next(calls) % 3 == 1:  # the middle row of each 3-step sweep
-                return p_sift, math.inf, p_noguess, dataclasses.replace(report, r=math.nan)
-            return p_sift, qber, p_noguess, report
+        def one_non_finite_row(rows):
+            rates = grid_rates(rows)
+            p_sift, _, p_noguess, report = rates[1]  # the middle row of the 3-step sweep
+            rates[1] = p_sift, math.inf, p_noguess, dataclasses.replace(report, r=math.nan)
+            return rates
 
-        monkeypatch.setattr(cli, "_rates", one_non_finite_row)
+        monkeypatch.setattr(cli, "_grid_rates", one_non_finite_row)
         argv = ["sweep", "--protocol", "trine", "--steps", "3"]
         code, out, _ = run_cli(argv, capsys)
         record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
