@@ -27,9 +27,13 @@ per protocol (one per node strength, each giving p = 0 and p = 1 in one
 pass), give it at every (q, p). `_evaluate` is that evaluation, the only
 one: at one p and a grid of q (integer numerators over one denominator, or
 floats), one row per q of the kept masses in corner key order, their total
-and, for exact inputs, the denominator. A single q is a one-row grid.
-`enumerate_joint` divides its row into a JointDistribution, and thresholds
-call it and `key_rate` at each probe; the tests keep the weighted walk of
+and, for exact inputs, the denominator. A single q is a one-row grid,
+and float rows read the corner tables as columns, one per key, cached
+once per (protocol, family, mix) and zero pattern of the channel weights
+(`_float_columns`). `enumerate_joint` divides its row into a
+JointDistribution, and `find_threshold` calls it and `key_rate` at each
+probe of Chandrupatla's bracketed step (secant first, then inverse
+quadratic interpolation or bisection); the tests keep the weighted walk of
 one eavesdropper as the reference they compare the corners with. Exact
 inputs give integer masses over one integer total, and the joint keeps only
 their Fractions. The CLI's rate records skip the joint: `_rates` reads the
@@ -139,6 +143,8 @@ class RateReport:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """The attack strength q_star where the key rate crosses zero, and the QBER there."""
+
     q_star: float
     qber_star: float
 
@@ -442,7 +448,8 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
     are (d - x) V_0 + x V_1 ("none" has one node, V_0 = V_1). So p_sift is
     total / den and the conditional table mass / total, the Fractions of
     the round's walk. Otherwise every row is evaluated in floats, at
-    float(q) and float(p), from the tables transposed once: node q_i's
+    float(q) and float(p), from the corner columns `_float_columns` caches
+    per (protocol, family, mix) and zero pattern of (1 - p, p): node q_i's
     weight w_i(q), times 1 - p or p, times the scale, a table of zero
     channel weight dropped. Exact zeros are dropped, and float masses below
     1e-15 (corner terms that cancel to roundoff dust or below 0; a NaN is
@@ -458,10 +465,10 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
             masses = [(d - x) * a + x * b for a, b in vectors]
             rows.append(([(key, v) for key, v in zip(keys, masses) if v], sum(masses), den))
         return rows
-    p, scale = float(p), float(scale)
+    p = float(p)
     channel = (1 - p, p)
     w_p = [w for w in channel if w]
-    columns = list(zip(*itertools.compress(tables, itertools.cycle(channel))))
+    scale, columns = _float_columns(protocol, family, mix, tuple(map(bool, channel)))
     for q in map(float, xs) if d is None else (x / d for x in xs):
         # a zero weight adds only a ±0.0, to a sum begun at int 0, which leaves the float as it was
         ws = [w * v * scale for w in _float_weights(family, q) for v in w_p]
@@ -469,6 +476,19 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
         items = [(key, v) for key, v in zip(keys, masses) if not v < 1e-15]
         rows.append((items, sum(v for _, v in items), None))
     return rows
+
+
+@lru_cache(maxsize=len(ProtocolKind) * (1 + 2 * len(EnsembleMix)) * 3)
+def _float_columns(protocol: ProtocolKind, family: str, mix, kept: tuple) -> tuple:
+    """(float(scale), columns): `_evaluate`'s float rows read the corner tables as one column per key.
+
+    A column lists the key's integers in the tables of nonzero channel
+    weight, node by node, as `_corners` orders them. kept says which of
+    (1 - p, p) is nonzero, so the cache holds at most the 28 corner keys x 3
+    patterns: the two weights are never both zero.
+    """
+    _, scale, tables = _corners(protocol, family, mix)
+    return float(scale), tuple(zip(*itertools.compress(tables, itertools.cycle(kept))))
 
 
 def _rates(items, total, den) -> tuple:
@@ -776,22 +796,28 @@ def find_threshold(
     lower the threshold from 0.682 to about 0.668. At p > 0 the symmetric
     threshold is therefore the paper's attack, not a bound over every mix.
 
-    The solve is an Illinois search (regula falsi that halves the kept end's
-    R when the same end is kept twice) on a bracket a < b with
+    The solve is Chandrupatla's bracketed method (T. R. Chandrupatla, Adv.
+    Eng. Software 28(3):145-149, 1997) on a bracket a < b with
     R(a) > 0 > R(b), starting from (0, 1). Each probe c costs one
     enumerate_joint and one key_rate, and replaces the end whose R has its
-    sign. The solve returns the first probe that meets a plain bisection's
-    stop rule: |R(c)| < 1e-10, or a bracket narrower than 1e-9 once c has
-    replaced an end. So either |R(q_star)| < 1e-10, or R changes sign
-    between q_star and a point less than 1e-9 away, and by continuity a
-    zero of R lies there. Nothing here assumes that R falls in q.
+    sign. The first probe is the secant's. After that a probe is the
+    inverse quadratic interpolation through the newest probe, the bracket's
+    other end and the end the newest probe replaced, where Chandrupatla's
+    test on the three points (xi and phi) says the interpolation is
+    monotone between them, and the bracket's midpoint otherwise, or where
+    roundoff would put the probe on an end. The solve returns the first
+    probe that meets a plain bisection's stop rule: |R(c)| < 1e-10, or a
+    bracket narrower than 1e-9 once c has replaced an end. So either
+    |R(q_star)| < 1e-10, or R changes sign between q_star and a point less
+    than 1e-9 away, and by continuity a zero of R lies there. Nothing here
+    assumes that R falls in q.
 
-    A solve takes 6 to 10 evaluations of R (median 9, both ends included),
-    where a plain bisection of [0, 1] with the same stop rule takes ~32.
-    The two need not return the same float: over 1,440 solves (every
-    protocol, family and mix at 60 random rational p <= 1/3) their q_star
-    differed by up to 8.7e-10, and q_star and qber_star rounded to 4 places
-    not at all.
+    Over 1,440 solves (every protocol, family and mix at 60 random
+    p = k/3000 <= 1/3) a solve took 6 to 9 evaluations of R (median 7,
+    mean 7.27, both ends included), where a plain bisection of [0, 1] with
+    the same stop rule takes ~32. The two need not return the same float:
+    their q_star differed by up to 8.8e-10, and q_star and qber_star
+    rounded to 4 places not at all.
 
     qber_star is the QBER enumerate_joint reports at q_star: the float of
     the joint of the returned probe.
@@ -813,17 +839,28 @@ def find_threshold(
     r_a, r_b = (key_rate(joint_at(q)).r for q in (a, b))
     if not (r_a > 0.0 > r_b):
         raise NoThresholdError(f"key rate does not cross zero on [0, 1]: R(0)={r_a!r}, R(1)={r_b!r}")
-    kept = 0  # +1 after a probe replaced a, -1 after one replaced b
+    # the step goes from x1, the newest end, toward x2, the other one; the first is the secant's
+    x1, r1, x2, r2, t = a, r_a, b, r_b, r_a / (r_a - r_b)
     while True:
-        c = a + (b - a) * (r_a / (r_a - r_b))
+        c = x1 + (x2 - x1) * t
+        if not a < c < b:  # roundoff at an end: bisect
+            c = a + (b - a) / 2
         joint = joint_at(c)
         r_c = key_rate(joint).r
+        # x3 is the end c replaces
         if r_c > 0.0:
-            a, r_a, r_b, kept = c, r_c, r_b / 2 if kept > 0 else r_b, 1
+            (x2, r2), (x3, r3), a, r_a = (b, r_b), (a, r_a), c, r_c
         else:
-            b, r_b, r_a, kept = c, r_c, r_a / 2 if kept < 0 else r_a, -1
+            (x2, r2), (x3, r3), b, r_b = (a, r_a), (b, r_b), c, r_c
         if abs(r_c) < 1e-10 or b - a < 1e-9:
             return ThresholdResult(c, float(joint.qber))
+        x1, r1 = c, r_c
+        # inverse quadratic interpolation through the three points where it is monotone, else bisection
+        xi, phi = (x1 - x2) / (x3 - x2), (r1 - r2) / (r3 - r2)
+        if phi * phi < xi and (1 - phi) * (1 - phi) < 1 - xi:
+            t = r1 / (r1 - r2) * r3 / (r3 - r2) - (x3 - x1) / (x2 - x1) * r1 / (r3 - r1) * r2 / (r2 - r3)
+        else:
+            t = 0.5
 
 
 @lru_cache(maxsize=len(ProtocolKind))

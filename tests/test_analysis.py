@@ -3,7 +3,9 @@
 import collections
 import itertools
 import math
+import operator
 import re
+import types
 import warnings
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from scqkd.analysis import (
     _corners,
     _evaluate,
     _family_mix_grid,
+    _float_columns,
     _grid_rates,
     _rate_kernel,
     _rate_plan,
@@ -875,6 +878,47 @@ class TestThresholds:
         ("gentle", F(1, 5)): ((0.8925, 0.2454), (0.9328, 0.2279), (0.8890, 0.2948), (0.9381, 0.2743)),
     }
 
+    def test_solves_take_few_evaluations(self, monkeypatch):
+        # Chandrupatla's step takes 6 to 9 evaluations here, 7.36 on average; the Illinois step took 7 to 10, 8.94
+        calls = []
+        monkeypatch.setattr(analysis, "enumerate_joint", lambda *args: calls.append(args) or enumerate_joint(*args))
+        counts = []
+        noise = [F(0), F(1, 20), F(1, 16), F(1, 10), F(1, 8)]
+        for protocol, family, mix, p in itertools.product(ALL, ["standard", "gentle"], EnsembleMix, noise):
+            calls.clear()
+            find_threshold(protocol, family, mix, Channel(depolarizing=p))
+            counts.append(len(calls))
+        assert len(counts) == 120 and max(counts) <= 9
+        assert sum(counts) / len(counts) <= 7.5
+
+    # R curves that no model gives, to exercise the step's safeguards: a jump at an irrational point
+    # (every step a bisection: 32 evaluations), a cubic flat at its root (12) and a line (the secant lands: 3)
+    @pytest.mark.parametrize("curve", [
+        lambda q: 1.0 if q < _ROOT else -1.0,
+        lambda q: (_ROOT - q) ** 3,
+        lambda q: _ROOT - q,
+    ], ids=["step", "cubic", "line"])
+    def test_probes_stay_inside_the_bracket_on_synthetic_curves(self, monkeypatch, curve):
+        probes = []
+
+        def probe(protocol, eve, channel):  # a stand-in joint: the probe's q, and a QBER for the result
+            probes.append(eve.q)
+            return types.SimpleNamespace(q=eve.q, qber=0.25)
+
+        monkeypatch.setattr(analysis, "enumerate_joint", probe)
+        monkeypatch.setattr(analysis, "key_rate", lambda joint: RateReport(0.0, 0.0, 0.0, curve(joint.q)))
+        res = find_threshold(ProtocolKind.TRINE, "standard")
+        assert probes[:2] == [0.0, 1.0]
+        lo, hi, stops = 0.0, 1.0, []
+        for c in probes[2:]:
+            assert lo < c < hi  # strictly inside the bracket it was taken from, so no probe repeats
+            lo, hi = (c, hi) if curve(c) > 0.0 else (lo, c)
+            stops.append(abs(curve(c)) < 1e-10 or hi - lo < 1e-9)
+        assert len(set(probes)) == len(probes) <= 40
+        # the first probe that meets the stop rule is the result
+        assert stops == [False] * (len(stops) - 1) + [True]
+        assert (res.q_star, res.qber_star) == (probes[-1], 0.25)
+
     @pytest.mark.parametrize("family,p", list(CLAIM))
     def test_codes_tolerate_more_error_but_less_attack_than_their_basis_counterparts(self, family, p):
         # the paper's first claim holds in QBER and reverses in attack strength, at every p and in both families
@@ -887,6 +931,10 @@ class TestThresholds:
             assert code.q_star < counterpart.q_star
         want = [pytest.approx(pair, abs=5e-5) for pair in self.CLAIM[family, p]]
         assert [(r.q_star, r.qber_star) for r in solves] == want
+
+
+# the root of the synthetic R curves the solver is tried on
+_ROOT = 1 / math.sqrt(2)
 
 
 def _plain_bisection(protocol, mix, channel, family="standard", joint=_walked):
@@ -1301,6 +1349,37 @@ class TestCorners:
         w0, w1 = _walk(protocol, strength)
         mixed = [(key, (1 - p) * w0.get(key, 0) + p * v) for key, v in w1.items()]
         assert list(_reference_parts(protocol, strength, p).items()) == mixed
+
+    @settings(max_examples=200, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["standard", "gentle"]), mix=_MIXES,
+           qs=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=5),
+           p=st.one_of(st.sampled_from([F(0), F(1), 0.0, 1.0]), _NOISE, st.floats(min_value=0, max_value=1)))
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, qs=[0.0, 0.5, 1.0], p=F(1))
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.ALICE_ONLY, qs=[0.3, 1.0], p=0.0)
+    @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.BOB_ONLY, qs=[0.7], p=F(1, 7))
+    def test_float_rows_read_the_cached_columns_bit_for_bit(self, protocol, family, mix, qs, p):
+        # the reference transposes the corner tables and converts the scale on every call
+        keys, scale, tables = _corners(protocol, family, mix)
+        p_f, scale = float(p), float(scale)
+        channel = (1 - p_f, p_f)
+        w_p = [w for w in channel if w]
+        columns = list(zip(*itertools.compress(tables, itertools.cycle(channel))))
+        want = []
+        for q in qs:
+            ws = [w * v * scale for w in analysis._float_weights(family, q) for v in w_p]
+            masses = [sum(map(operator.mul, ws, column)) for column in columns]
+            items = [(key, v) for key, v in zip(keys, masses) if not v < 1e-15]
+            want.append(([(key, _bits(v)) for key, v in items], _bits(sum(v for _, v in items)), None))
+        got = _evaluate(protocol, family, mix, qs, None, p)
+        assert [([(key, _bits(v)) for key, v in items], _bits(total), den) for items, total, den in got] == want
+
+    def test_float_column_cache_holds_every_corner_key_and_channel_pattern(self):
+        # 28 corner keys x which of (1 - p, p) is nonzero: both, or one at p = 0 or 1
+        _float_columns.cache_clear()
+        for protocol, (family, mix), p in itertools.product(ALL, CORNER_KEYS, (0.0, 0.5, 1.0, F(1, 7))):
+            _evaluate(protocol, family, mix, [0.5], None, p)
+        info = _float_columns.cache_info()
+        assert info.misses == info.currsize == info.maxsize == 84
 
 
 class TestIntegerMasses:
