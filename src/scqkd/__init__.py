@@ -10,10 +10,10 @@ protocols, attacks and channels; the exact joint, its key rate, thresholds
 and the sift-rate estimate of q; and the simulation with its comparison
 against the exact joint. A protocol is named by its constellation: one
 `ProtocolKind` keys the code tables and the round rules alike. The building
-blocks (code tables and key-bit rules, Eve's POVMs and guess rule, mutual
-information, the closed-form reference curves, and the round transcripts
-with their tally, run_round in scqkd.protocol and simulate_rounds in
-scqkd.montecarlo among them) are imported from their submodules.
+blocks (code tables and key-bit rules, Eve's POVMs and guess rule, the
+closed-form reference curves, and the round transcripts with their tally,
+run_round in scqkd.protocol and simulate_rounds in scqkd.montecarlo among
+them) are imported from their submodules.
 
 Importing the package, and every exact answer, loads no numpy. Only the
 matrix path (scqkd.states and the SphericalCode arrays of make_code, which

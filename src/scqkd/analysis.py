@@ -1,4 +1,4 @@
-"""Exact analysis: joint distributions, mutual information, key rates, thresholds.
+"""Exact analysis: joint distributions, key rates, thresholds.
 
 The central object is the joint distribution p(a, b, e) of Alice's bit, Bob's
 bit, and Eve's guess (0, 1, or None for abstention) conditioned on successful
@@ -26,8 +26,9 @@ sifted table is linear in the depolarizing strength p and, at a fixed p, in
 per protocol (one per node strength, each giving p = 0 and p = 1 in one
 pass), give it at every (q, p). `_evaluate` is that evaluation, the only
 one: at one p and a grid of q (integer numerators over one denominator, or
-floats), one row per q of the kept masses in corner key order, their total
-and, for exact inputs, the denominator. A single q is a one-row grid,
+floats), one row (layout, values, total, den) per q: the kept corner keys
+in corner order (the row's layout), their masses, the masses' total and,
+for exact inputs, the denominator. A single q is a one-row grid,
 and float rows read the corner tables as columns, one per key, cached
 once per (protocol, family, mix) and zero pattern of the channel weights
 (`_float_columns`). `enumerate_joint` divides its row into a
@@ -37,15 +38,18 @@ quadratic interpolation or bisection); the tests keep the weighted walk of
 one eavesdropper as the reference they compare the corners with. Exact
 inputs give integer masses over one integer total, and the joint keeps only
 their Fractions. The CLI's rate records skip the joint: `_rates` reads the
-same floats straight off a row's masses, and a sweep, q = i / (steps - 1),
-is one grid. `key_rate` and `_rates` share one rate kernel, `_rate_kernel`:
-a table's keys in order (its layout) have a plan, built once per layout
+same floats straight off a row, as one flat tuple (p_sift, qber,
+p_noguess, i_ab, i_ae, i_be, r), and a sweep, q = i / (steps - 1), is one
+grid. `key_rate` and `_rates` share one rate kernel, `_rate_kernel`, which
+gives (i_ab, i_ae, i_be, r): a layout has a plan, built once per layout
 and cached, of the (a, b), (a, e) and (b, e) cells and marginals as
-indices, so a row sums, divides and takes logs in mutual_information's
-order with no dict built. `_grid_rates` reads a whole grid: the rows of
-one layout go through the same steps together, each step one map over
-the rows (`_column_kernel`), so each row's floats are its own `_rates`;
-a layout that only a few rows share goes through `_rates` row by row.
+indices, so a row sums, divides and takes logs in the order of the
+dict-based reference the tests keep, with no dict built. Only `key_rate`
+wraps the four floats in a RateReport. `_grid_rates` reads a whole grid:
+the rows of one layout go through the same steps together, each step one
+map over the rows (`_column_kernel`), so each row's floats are its own
+`_rates`; a layout that only a few rows share goes through `_rates` row
+by row.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -417,10 +421,11 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
             is not a Channel, or an unknown eavesdropping strategy.
     """
     _check_config(protocol, channel)
-    [(items, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), channel.depolarizing)
+    [(layout, values, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), channel.depolarizing)
     if den is None:
-        return JointDistribution(p_sift=total, table={key: v / total for key, v in items})
-    return JointDistribution(p_sift=Fraction(total, den), table={key: Fraction(v, total) for key, v in items})
+        return JointDistribution(p_sift=total, table={key: v / total for key, v in zip(layout, values)})
+    table = {key: Fraction(v, total) for key, v in zip(layout, values)}
+    return JointDistribution(p_sift=Fraction(total, den), table=table)
 
 
 def _family_mix_grid(eve) -> tuple:
@@ -437,11 +442,12 @@ def _family_mix_grid(eve) -> tuple:
 
 
 def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
-    """[(items, total, den)]: the kept unnormalised sifted masses at p and each q = x / d, off the corners.
+    """[(layout, values, total, den)]: the kept unnormalised sifted masses at p and each q = x / d, off the corners.
 
     The grid is integer numerators xs over one denominator d, or a float
-    grid (d None) of the strengths themselves. items are the (key, mass)
-    pairs in corner key order and total their sum. An integer grid and a
+    grid (d None) of the strengths themselves. A row's layout is the tuple
+    of its kept corner keys in corner order, values their masses in the
+    same order and total the masses' sum. An integer grid and a
     rational p, outside the gentle family, give integer masses over one
     den = d pd / scale: the channel is folded into each node's integer
     vector once, V_k = (pd - pn) T[2k] + pn T[2k + 1], and row x's masses
@@ -463,7 +469,7 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
         vectors, den = list(zip(nodes[0], nodes[-1])), d * pd * scale.denominator
         for x in xs:
             masses = [(d - x) * a + x * b for a, b in vectors]
-            rows.append(([(key, v) for key, v in zip(keys, masses) if v], sum(masses), den))
+            rows.append((tuple(itertools.compress(keys, masses)), [v for v in masses if v], sum(masses), den))
         return rows
     p = float(p)
     channel = (1 - p, p)
@@ -473,8 +479,9 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
         # a zero weight adds only a ±0.0, to a sum begun at int 0, which leaves the float as it was
         ws = [w * v * scale for w in _float_weights(family, q) for v in w_p]
         masses = [sum(map(operator.mul, ws, column)) for column in columns]
-        items = [(key, v) for key, v in zip(keys, masses) if not v < 1e-15]
-        rows.append((items, sum(v for _, v in items), None))
+        kept = [not v < 1e-15 for v in masses]
+        values = list(itertools.compress(masses, kept))
+        rows.append((tuple(itertools.compress(keys, kept)), values, sum(values), None))
     return rows
 
 
@@ -491,17 +498,17 @@ def _float_columns(protocol: ProtocolKind, family: str, mix, kept: tuple) -> tup
     return float(scale), tuple(zip(*itertools.compress(tables, itertools.cycle(kept))))
 
 
-def _rates(items, total, den) -> tuple:
-    """(p_sift, qber, p_noguess, RateReport) of `_evaluate`'s masses, with no JointDistribution built.
+def _rates(layout, values, total, den) -> tuple:
+    """(p_sift, qber, p_noguess, i_ab, i_ae, i_be, r) of one `_evaluate` row, with no JointDistribution built.
 
     They are float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain)
-    and key_rate(joint) of the joint enumerate_joint builds from the same
-    masses, bit for bit, without its Fraction table. Exact masses stay
+    and the fields of key_rate(joint) of the joint enumerate_joint builds from
+    the same row, bit for bit, without its Fraction table. Exact masses stay
     integers, and every rate is one correctly rounded int / int: the float of
     the joint's Fraction. Float masses are divided by the total first and
-    then summed in table order, as the joint's table and mass are. The
-    RateReport is `_rate_kernel`'s, through the plan of the row's kept keys.
-    This is the one-row path: a grid's rows go through `_grid_rates`,
+    then summed in table order, as the joint's table and mass are. The four
+    information fields are `_rate_kernel`'s, through the plan of the row's
+    layout. This is the one-row path: a grid's rows go through `_grid_rates`,
     which gives the same tuples.
 
     Raises:
@@ -510,41 +517,40 @@ def _rates(items, total, den) -> tuple:
     if not total > 0:
         raise ValueError(f"p_sift must lie in (0, 1], got {total!r}")
     if den is None:  # the joint's table: each mass over the total
-        p_sift, items, total = total, [(key, v / total) for key, v in items], None
+        p_sift, values, total = total, [v / total for v in values], None
     else:
         p_sift = total / den
-    sums = (sum(v for (a, b, _), v in items if a != b), sum(v for (_, _, e), v in items if e is None))
+    sums = (sum(v for (a, b, _), v in zip(layout, values) if a != b),
+            sum(v for (_, _, e), v in zip(layout, values) if e is None))
     qber, p_noguess = (float(s) if total is None else s / total for s in sums)
-    layout, values = zip(*items)  # a positive total has a kept mass
-    return p_sift, qber, p_noguess, _rate_kernel(layout, values, total)
+    return (p_sift, qber, p_noguess, *_rate_kernel(layout, values, total))
 
 
 def _grid_rates(rows) -> list:
     """[_rates(*row) for row in rows], the same tuples bit for bit, the rows of one layout taken together.
 
-    Rows are grouped by their kept keys in order (and by exact or float). A
-    group of at least _COLUMN_ROWS rows takes each step of `_rates` as one
-    map over its rows, the rate kernel's too (`_column_kernel`), so each row
-    gets the same operations on the same operands in the same order; its
-    QBER and abstain rate are builtin sums over its own values, as sum is
+    Rows are grouped by their layout (and by exact or float). A group of at
+    least _COLUMN_ROWS rows takes each step of `_rates` as one map over its
+    rows, the rate kernel's too (`_column_kernel`), so each row gets the
+    same operations on the same operands in the same order; its QBER and
+    abstain rate are builtin sums over its own values, as sum is
     compensated for floats from Python 3.12 on. A smaller group goes
     through `_rates` row by row, and so does a row whose total is not in
     (0, 2^1074): in a group every kept mass is an int >= 1 or a float
     >= 1e-15, so every value and cell over such a total is a positive float.
     """
     out, groups = [None] * len(rows), {}
-    for r, (items, total, den) in enumerate(rows):
+    for r, (layout, _, total, den) in enumerate(rows):
         if 0 < total < 1 << 1074:
-            layout, values = zip(*items)
-            groups.setdefault((layout, den is None), []).append((r, values, total, den))
+            groups.setdefault((layout, den is None), []).append(r)
         else:
-            out[r] = _rates(items, total, den)
-    for (layout, floats), group in groups.items():
-        if len(group) < _COLUMN_ROWS:
-            for r, *_ in group:
+            out[r] = _rates(*rows[r])
+    for (layout, floats), index in groups.items():
+        if len(index) < _COLUMN_ROWS:
+            for r in index:
                 out[r] = _rates(*rows[r])
             continue
-        index, values, totals, dens = zip(*group)
+        _, values, totals, dens = zip(*(rows[r] for r in index))
         columns = list(zip(*values))
         if floats:  # the joint's table: each mass over the total
             columns = [list(map(operator.truediv, column, totals)) for column in columns]
@@ -556,8 +562,8 @@ def _grid_rates(rows) -> list:
             kept = [column for key, column in zip(layout, columns) if keep(*key)]
             sums.append(list(map(sum, zip(*kept))) if kept else [0] * len(index))
         qber, p_noguess = (map(float, s) if floats else map(operator.truediv, s, totals) for s in sums)
-        reports = _column_kernel(layout, columns, None if floats else totals)
-        for r, rates in zip(index, zip(p_sift, qber, p_noguess, reports)):
+        infos = _column_kernel(layout, columns, None if floats else totals)
+        for r, rates in zip(index, zip(p_sift, qber, p_noguess, *infos)):
             out[r] = rates
     return out
 
@@ -566,11 +572,12 @@ def _grid_rates(rows) -> list:
 _COLUMN_ROWS = 5
 
 
-def _column_kernel(layout: tuple, columns: list, totals) -> list:
+def _column_kernel(layout: tuple, columns: list, totals) -> tuple:
     """`_rate_kernel` of a group of rows: columns[i] holds key i's value in each row, totals their totals or None.
 
-    Each cell, marginal and log term is one map over the rows, with the
-    kernel's operations in its order: cells summed with + in table order
+    It returns the kernel's (i_ab, i_ae, i_be, r) as four columns, one entry
+    per row. Each cell, marginal and log term is one map over the rows, with
+    the kernel's operations in its order: cells summed with + in table order
     and divided by the total, marginals summed in cell order, and log sums
     from 0.0 in cell order. The kernel begins a cell at int 0 and a
     marginal at 0.0, which leave a positive value as it is, and every
@@ -595,7 +602,7 @@ def _column_kernel(layout: tuple, columns: list, totals) -> list:
             info = map(add, info, map(mul, v, map(math.log2, map(operator.truediv, v, map(mul, px[x], py[y])))))
         infos.append(list(info))
     i_ab, i_ae, i_be = infos
-    return list(map(RateReport, i_ab, i_ae, i_be, map(operator.sub, i_ab, map(min, i_ae, i_be))))
+    return i_ab, i_ae, i_be, list(map(operator.sub, i_ab, map(min, i_ae, i_be)))
 
 
 # -- closed-form curves --------------------------------------------------------
@@ -655,22 +662,7 @@ class AnalyticCurves:
         return 9 * observed_sift - 3
 
 
-# -- information quantities ----------------------------------------------------
-
-
-def mutual_information(joint: dict) -> float:
-    """Mutual information (bits) of a finite two-variable joint distribution.
-
-    Args:
-        joint: mapping (x, y) -> probability; must be nonnegative and sum to 1
-            within 1e-9. Zero entries contribute zero.
-
-    Raises:
-        ValueError: on an entry below 0 or not a number (NaN included), or
-            a badly normalized table.
-    """
-    _check_probabilities(joint, "distribution")
-    return _mutual_information({key: float(v) for key, v in joint.items()})
+# -- key rates -----------------------------------------------------------------
 
 
 def _check_probabilities(table: dict, what: str) -> None:
@@ -683,34 +675,21 @@ def _check_probabilities(table: dict, what: str) -> None:
         raise ValueError(f"{what} sums to {total!r}, expected 1")
 
 
-def _mutual_information(joint: dict) -> float:
-    """mutual_information of a checked table of floats: the marginals, then the log sum, in table order."""
-    px: dict = {}
-    py: dict = {}
-    for (x, y), v in joint.items():
-        px[x] = px.get(x, 0.0) + v
-        py[y] = py.get(y, 0.0) + v
-    info = 0.0
-    for (x, y), v in joint.items():
-        if v > 0.0:
-            info += v * math.log2(v / (px[x] * py[y]))
-    return info
-
-
 def key_rate(joint: JointDistribution) -> RateReport:
     """Distillable-rate report from a sifted joint distribution.
 
     It reads the table's (a, b), (a, e) and (b, e) marginals through the
     plan of its keys (`_rate_kernel`), converting each marginal sum by
     float(): the float of the marginal's Fraction on the exact path. The
-    table was checked when it was built, so its pairs skip
-    mutual_information's checks.
+    table was checked when it was built, so it is not checked again. This
+    is the one place that builds a RateReport: inside the package the
+    kernel's four floats travel as a plain tuple.
 
     Raises:
         ValueError: for anything that is not a JointDistribution.
     """
     _check_instance("joint", joint, JointDistribution)
-    return _rate_kernel(tuple(joint.table), tuple(joint.table.values()), None)
+    return RateReport(*_rate_kernel(tuple(joint.table), tuple(joint.table.values()), None))
 
 
 # 39 layouts (kept keys in corner order) occur over every protocol x family x mix, 101-step q grids and float q
@@ -736,17 +715,17 @@ def _rate_plan(layout: tuple) -> tuple:
     return tuple(plan)
 
 
-def _rate_kernel(layout: tuple, values, total) -> RateReport:
-    """The RateReport of a table given as its keys and their values, through the layout's plan.
+def _rate_kernel(layout: tuple, values, total) -> tuple:
+    """(i_ab, i_ae, i_be, r) of a table given as its keys and their values, through the layout's plan.
 
     Each pair's cell sums its values with plain + from int 0 in table order
     and is converted to a float: by float() with total None (the values are
     probabilities already, floats or an exact joint's Fractions), else as
     one correctly rounded int / int of integer masses over their int total,
     the float of the marginal's Fraction. Each marginal sums its cells from
-    0.0 in cell order, and the log sum runs in cell order, as
-    mutual_information does over the pair's table, so the floats are its
-    own bit for bit.
+    0.0 in cell order, and the log sum runs in cell order, as a mutual
+    information over the pair's table as a dict does, so the floats are
+    its own bit for bit. r is i_ab - min(i_ae, i_be).
     """
     infos = []
     for nx, ny, cells in _rate_plan(layout):
@@ -765,7 +744,7 @@ def _rate_kernel(layout: tuple, values, total) -> RateReport:
                 info += v * math.log2(v / (px[x] * py[y]))
         infos.append(info)
     i_ab, i_ae, i_be = infos
-    return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
+    return i_ab, i_ae, i_be, i_ab - min(i_ae, i_be)
 
 
 def _float_weights(family: str, q: float) -> tuple:

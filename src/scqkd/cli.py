@@ -10,7 +10,9 @@ The rate records of `analytic`, `sweep` and `estimate-q` are read straight
 off the corner masses (analysis._evaluate and _rates), with no
 JointDistribution built; they are its floats and key_rate's, bit for bit.
 A point is a one-row grid and a sweep one grid of q, whose rates are read
-in one call (analysis._grid_rates). Only `simulate`
+in one call (analysis._grid_rates). Each row's rates come as one flat
+tuple (p_sift, qber, p_noguess, i_ab, i_ae, i_be, r), and a record's rate
+fields are those names zipped with it. Only `simulate`
 builds a joint, as the oracle its counts are compared with. A JSON record
 is json.dumps output on one line (no indent, so the C encoder writes it),
 with a non-finite float written as its quoted repr.
@@ -68,17 +70,9 @@ def _echo(args, *names) -> dict:
     return {**head, **{name: float(getattr(args, name)) for name in names}}
 
 
-def _rates_record(p_sift, qber, p_noguess, report) -> dict:
+def _rates_record(rates) -> dict:
     """The rate fields of a record from one `_rates` tuple: enumerate_joint's floats and key_rate's, bit for bit."""
-    return {
-        "p_sift": p_sift,
-        "qber": qber,
-        "p_noguess": p_noguess,
-        "i_ab": report.i_ab,
-        "i_ae": report.i_ae,
-        "i_be": report.i_be,
-        "r": report.r,
-    }
+    return dict(zip(("p_sift", "qber", "p_noguess", "i_ab", "i_ae", "i_be", "r"), rates))
 
 
 def _emit(record: dict, fmt: str, out_path) -> int:
@@ -134,8 +128,8 @@ def _to_csv(record: dict) -> str:
 def _cmd_analytic(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
-    [masses] = _evaluate(protocol, *_family_mix_grid(eve), args.depolarize)
-    record = _rates_record(*_rates(*masses))
+    [row] = _evaluate(protocol, *_family_mix_grid(eve), args.depolarize)
+    record = _rates_record(_rates(*row))
     return {**_echo(args, "q", "depolarize"), **record}, 0
 
 
@@ -190,7 +184,7 @@ def _cmd_sweep(args) -> tuple:
         args.parser.error("--steps must be at least 2")
     d = args.steps - 1
     grid = _evaluate(protocol, args.attack, EnsembleMix(args.mix), range(args.steps), d, args.depolarize)
-    rows = [{"q": i / d, **_rates_record(*rates)} for i, rates in enumerate(_grid_rates(grid))]
+    rows = [{"q": i / d, **_rates_record(rates)} for i, rates in enumerate(_grid_rates(grid))]
     return {**_echo(args, "depolarize"), "steps": args.steps, "rows": rows}, 0
 
 
@@ -209,8 +203,8 @@ def _cmd_estimate_q(args) -> tuple:
     slope = float(1 / (hi - lo))
     estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
-    [masses] = _evaluate(protocol, *_family_mix_grid(_strategy_for("standard", estimate.q)), IDEAL.depolarizing)
-    _, qber, _, report = _rates(*masses)
+    [row] = _evaluate(protocol, *_family_mix_grid(_strategy_for("standard", estimate.q)), IDEAL.depolarizing)
+    _, qber, *_, r = _rates(*row)
     record = {
         "command": "estimate-q",
         "protocol": protocol.value,
@@ -222,7 +216,7 @@ def _cmd_estimate_q(args) -> tuple:
         "q_se": slope * se_rate,
         "in_model": estimate.in_model,
         "qber": qber,
-        "r": report.r,
+        "r": r,
     }
     return record, 0
 

@@ -11,13 +11,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from rate_reference import mutual_information
 
 from scqkd.analysis import (
     AnalyticCurves,
     enumerate_joint,
     estimate_q_from_sift,
     find_threshold,
-    mutual_information,
 )
 from scqkd.eavesdrop import EnsembleMix, InterceptResend
 from scqkd.montecarlo import TrialConfig, compare_to_oracle, run_trials, simulate_rounds, stats_from_arrays

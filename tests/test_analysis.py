@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from rate_reference import _mutual_information, mutual_information
 
 from scqkd import analysis, montecarlo
 from scqkd.analysis import (
@@ -36,7 +37,6 @@ from scqkd.analysis import (
     estimate_q_from_sift,
     find_threshold,
     key_rate,
-    mutual_information,
 )
 from scqkd.eavesdrop import (
     EnsembleMix,
@@ -772,10 +772,10 @@ def _pair_floats(items, total) -> tuple:
     return tuple({key: v / total for key, v in pair.items()} for pair in (ab, ae, be))
 
 
-def _rate_report(pairs) -> RateReport:
-    """The RateReport of the float (a, b), (a, e) and (b, e) marginals, each pair through _mutual_information."""
-    i_ab, i_ae, i_be = map(analysis._mutual_information, pairs)
-    return RateReport(i_ab=i_ab, i_ae=i_ae, i_be=i_be, r=i_ab - min(i_ae, i_be))
+def _rate_report(pairs) -> tuple:
+    """(i_ab, i_ae, i_be, r) of the float (a, b), (a, e) and (b, e) marginals, each through _mutual_information."""
+    i_ab, i_ae, i_be = map(_mutual_information, pairs)
+    return i_ab, i_ae, i_be, i_ab - min(i_ae, i_be)
 
 
 class TestKeyRate:
@@ -1369,9 +1369,10 @@ class TestCorners:
             ws = [w * v * scale for w in analysis._float_weights(family, q) for v in w_p]
             masses = [sum(map(operator.mul, ws, column)) for column in columns]
             items = [(key, v) for key, v in zip(keys, masses) if not v < 1e-15]
-            want.append(([(key, _bits(v)) for key, v in items], _bits(sum(v for _, v in items)), None))
+            want.append((tuple(key for key, _ in items), [_bits(v) for _, v in items],
+                         _bits(sum(v for _, v in items)), None))
         got = _evaluate(protocol, family, mix, qs, None, p)
-        assert [([(key, _bits(v)) for key, v in items], _bits(total), den) for items, total, den in got] == want
+        assert [(layout, list(map(_bits, values)), _bits(total), den) for layout, values, total, den in got] == want
 
     def test_float_column_cache_holds_every_corner_key_and_channel_pattern(self):
         # 28 corner keys x which of (1 - p, p) is nonzero: both, or one at p = 0 or 1
@@ -1391,21 +1392,22 @@ class TestIntegerMasses:
         got = enumerate_joint(ProtocolKind.SIX_STATE, _sym(np.int64(q)), Channel(depolarizing=np.int64(p)))
         assert got.p_sift == want.p_sift and got.table == want.table
         assert all(type(v) is F for v in got.table.values())
-        [(items, total, _)] = _evaluate(ProtocolKind.SIX_STATE, *_family_mix_grid(_sym(np.int64(q))), np.int64(p))
-        assert all(type(v) is int for _, v in items) and type(total) is int
+        grid = _family_mix_grid(_sym(np.int64(q)))
+        [(_, values, total, _)] = _evaluate(ProtocolKind.SIX_STATE, *grid, np.int64(p))
+        assert all(type(v) is int for v in values) and type(total) is int
 
     @settings(max_examples=40, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
     def test_pairs_are_the_floats_of_the_table_marginals(self, protocol, family, mix, q, p):
         eve = _strategy_for(family, q, mix)
-        [(items, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), p)
+        [(layout, values, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), p)
         assert den is not None
         marginals = ({}, {}, {})
         for (a, b, e), v in enumerate_joint(protocol, eve, Channel(depolarizing=p)).table.items():
             for pair, key in zip(marginals, ((a, b), (a, e), (b, e))):
                 pair[key] = pair.get(key, F(0)) + v
-        for got, want in zip(_pair_floats(items, total), marginals):
+        for got, want in zip(_pair_floats(zip(layout, values), total), marginals):
             assert [(key, v, type(v)) for key, v in got.items()] == [(key, float(v), float) for key, v in want.items()]
 
 
@@ -1414,12 +1416,18 @@ class TestIntegerMasses:
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
     def test_exact_joint_is_the_masses_over_their_total(self, protocol, family, mix, q, p):
         eve = _strategy_for(family, q, mix)
-        [(items, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), p)
+        grid = _family_mix_grid(eve)
+        [(layout, values, total, den)] = _evaluate(protocol, *grid, p)
+        # the row _grid_rates groups: one int mass >= 1 per key of its layout, a subsequence of the corner keys
+        assert all(type(v) is int and v > 0 for v in values)
+        assert len(layout) == len(values)
+        corner_keys = iter(_corners(protocol, grid[0], grid[1])[0])
+        assert all(key in corner_keys for key in layout)  # each key found past the one before it: in order
         joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
         assert joint.p_sift == F(total, den)
-        assert list(joint.table.items()) == [(key, F(v, total)) for key, v in items]
+        assert list(joint.table.items()) == [(key, F(v, total)) for key, v in zip(layout, values)]
         # a Fraction sum is the Fraction of the summed masses; the sum of nothing is the int 0
-        errors = [v for (a, b, _), v in items if a != b]
+        errors = [v for (a, b, _), v in zip(layout, values) if a != b]
         assert (type(joint.qber), joint.qber) == ((F, F(sum(errors), total)) if errors else (int, 0))
 
 
@@ -1608,10 +1616,9 @@ class TestRates:
         report = key_rate(joint)
         want = [float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain),
                 report.i_ab, report.i_ae, report.i_be, report.r]
-        [masses] = _evaluate(protocol, *_family_mix_grid(eve), p)
-        p_sift, qber, p_noguess, got = _rates(*masses)
-        got = [p_sift, qber, p_noguess, got.i_ab, got.i_ae, got.i_be, got.r]
-        assert all(type(v) is float for v in got)
+        [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
+        got = _rates(*row)
+        assert type(got) is tuple and all(type(v) is float for v in got)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
     @settings(max_examples=200, deadline=None)
@@ -1625,16 +1632,16 @@ class TestRates:
         def observed(q, p):
             eve = _strategy_for(family, q, mix)
             joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
-            [masses] = _evaluate(protocol, *_family_mix_grid(eve), p)
+            [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
             table = [(key, _bits(v)) for key, v in joint.table.items()]
-            return _bits(joint.p_sift), table, _rate_bits(_rates(*masses))
+            return _bits(joint.p_sift), table, _rate_bits(_rates(*row))
 
         assert observed(q, p) == observed(*(v.item() if isinstance(v, np.generic) else v for v in (q, p)))
 
     @pytest.mark.parametrize("den", [None, 1, 12])
     def test_need_a_positive_total(self, den):
         with pytest.raises(ValueError, match=re.escape("p_sift must lie in (0, 1]")):
-            _rates([], 0, den)
+            _rates((), [], 0, den)
 
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
@@ -1652,10 +1659,9 @@ class TestRates:
 
 
 def _rate_bits(rates):
-    """A `_rates` tuple as (type, float.hex) of each float, so that equality sees the sign of a zero."""
-    p_sift, qber, p_noguess, report = rates
-    values = (p_sift, qber, p_noguess, report.i_ab, report.i_ae, report.i_be, report.r)
-    return type(report), [(type(v), float.hex(v)) for v in values]
+    """A `_rates` tuple, checked to be 7 floats, as their float.hex, so that equality sees the sign of a zero."""
+    assert type(rates) is tuple and len(rates) == 7 and all(type(v) is float for v in rates), rates
+    return [float.hex(v) for v in rates]
 
 
 _GRID_NOISE = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -1682,8 +1688,15 @@ class TestSweepGrid:
 
 
 def _report_bits(report):
-    """A RateReport's type and the type and float.hex of each field, so that equality sees the sign of a zero."""
-    return type(report), [(type(v), float.hex(v)) for v in (report.i_ab, report.i_ae, report.i_be, report.r)]
+    """An (i_ab, i_ae, i_be, r) tuple's type and each float's type and hex, so that equality sees a zero's sign."""
+    return type(report), [(type(v), float.hex(v)) for v in report]
+
+
+def _key_rate_fields(joint) -> tuple:
+    """key_rate(joint), checked to be the public RateReport, as its (i_ab, i_ae, i_be, r)."""
+    report = key_rate(joint)
+    assert type(report) is RateReport
+    return report.i_ab, report.i_ae, report.i_be, report.r
 
 
 # the sweep's grids q = i / (steps - 1), and float grids from 0 to 1
@@ -1707,12 +1720,13 @@ class TestRateKernel:
     def test_rates_are_the_dict_reference(self, protocol, family, mix, q, p):
         eve = _strategy_for(family, q, mix)
         [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
-        items, total, den = row
+        layout, values, total, den = row
         if den is None:  # _rates' float path: the joint's table, each mass over the total
-            items, total = [(key, v / total) for key, v in items], None
-        assert _report_bits(_rates(*row)[3]) == _report_bits(_rate_report(_pair_floats(items, total)))
+            values, total = [v / total for v in values], None
+        assert _report_bits(_rates(*row)[3:]) == _report_bits(_rate_report(_pair_floats(zip(layout, values), total)))
         joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
-        assert _report_bits(key_rate(joint)) == _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+        want = _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+        assert _report_bits(_key_rate_fields(joint)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]), mix=_MIXES,
@@ -1732,16 +1746,16 @@ class TestRateKernel:
         rows = _evaluate(protocol, family, None if family == "none" else mix, *grid, p)
         got = _grid_rates(rows)
         assert [_rate_bits(rates) for rates in got] == [_rate_bits(_rates(*row)) for row in rows]
-        for (items, total, den), (*_, report) in zip(rows, got):
+        for (layout, values, total, den), rates in zip(rows, got):
             if den is None:  # _rates' float path: the joint's table, each mass over the total
-                items, total = [(key, v / total) for key, v in items], None
-            assert _report_bits(report) == _report_bits(_rate_report(_pair_floats(items, total)))
+                values, total = [v / total for v in values], None
+            assert _report_bits(rates[3:]) == _report_bits(_rate_report(_pair_floats(zip(layout, values), total)))
 
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     def test_grid_rates_take_a_layout_of_several_rows_by_column(self, monkeypatch, family):
         # only the rows of a layout that fewer than _COLUMN_ROWS rows share go through the one-row kernel
         rows = _evaluate(ProtocolKind.TRINE, family, EnsembleMix.SYMMETRIC, range(101), 100, F(0))
-        shares = collections.Counter(tuple(key for key, _ in items) for items, _, _ in rows)
+        shares = collections.Counter(layout for layout, *_ in rows)
         calls = []
         monkeypatch.setattr(analysis, "_rate_kernel", lambda *args: calls.append(args) or _rate_kernel(*args))
         _grid_rates(rows)
@@ -1758,7 +1772,8 @@ class TestRateKernel:
         assert all(type(v) is F for v in table.values())
         order = list(table) if data is None else data.draw(st.permutations(list(table)))
         joint = JointDistribution(p_sift=F(1, 2), table={key: table[key] for key in order})
-        assert _report_bits(key_rate(joint)) == _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+        want = _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
+        assert _report_bits(_key_rate_fields(joint)) == want
 
     def test_plan_cache_holds_every_sweep_layout(self):
         # these sweeps see 39 layouts, each built once; the bound leaves room over that

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -349,8 +348,8 @@ class TestSweep:
 
         def one_non_finite_row(rows):
             rates = grid_rates(rows)
-            p_sift, _, p_noguess, report = rates[1]  # the middle row of the 3-step sweep
-            rates[1] = p_sift, math.inf, p_noguess, dataclasses.replace(report, r=math.nan)
+            p_sift, _, p_noguess, i_ab, i_ae, i_be, _ = rates[1]  # the middle row of the 3-step sweep
+            rates[1] = p_sift, math.inf, p_noguess, i_ab, i_ae, i_be, math.nan
             return rates
 
         monkeypatch.setattr(cli, "_grid_rates", one_non_finite_row)
