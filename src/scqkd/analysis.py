@@ -13,8 +13,10 @@ Fractions and with no eavesdropper in it, and
 projects its masses through `_sifting` in three parts: the round Eve
 leaves alone and her measuring with either side's ensemble. The share of
 signals she touches and the mix only weight those parts: every attack is
-(1 - t) U_0 + t (w_alice U_alice + w_bob U_bob). montecarlo samples the
-floats of the same rows and reads the same table by the same cell index.
+(1 - t) U_0 + t (w_alice U_alice + w_bob U_bob), and no eavesdropper is
+intercept/resend on a share t = 0, so it has no corners of its own and
+reads the symmetric intercept/resend ones. montecarlo samples the same
+rows, built in floats, and reads the same table by the same cell index.
 Every row is read off the exact Bloch Gram matrix, the same way for every
 attack family, so the rows are exact Fractions whenever the inputs are
 rational: q, the depolarizing strength and, for the gentle attack,
@@ -199,13 +201,13 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
 
     The share of signals Eve touches and the mix only weight the parts of
     the walk (`_corners`), so the rows depend on the strength alone:
-    intercept/resend at any share and no eavesdropper both measure at
-    strength 1 (eavesdrop._attack) and read the same rows, and a gentle
-    strength's rows serve every mix. One loop over (signal j, side, Eve's
-    outcome m) reads every row off the exact Bloch Gram matrix. Eve's outcome m has Bloch
-    vector u (Alice's a_m, or -a_m on Bob's side under exclusion
-    sifting) and probability (1 + q g)/n, where g = u . a_j. She forwards the
-    Bloch vector b = ((q + g - s g) u + s a_j) / (1 + q g), with
+    intercept/resend at any share, no eavesdropper (its share 0) included,
+    measures at strength 1 (eavesdrop._attack) and reads one set of rows,
+    and a gentle strength's rows serve every mix. One loop over (signal j,
+    side, Eve's outcome m) reads every row off the exact Bloch Gram matrix.
+    Eve's outcome m has Bloch vector u (Alice's a_m, or -a_m on Bob's side
+    under exclusion sifting) and probability (1 + q g)/n, where g = u . a_j.
+    She forwards the Bloch vector b = ((q + g - s g) u + s a_j) / (1 + q g), with
     s = sqrt(1 - q^2): a_j at q = 0, and u wherever s = 0, so a full-strength
     slot's row is shared across signals. Where s > 0 and g = +-1, u = +-a_j
     and b is a_j itself, so the slot shares signal j's undisturbed row: near
@@ -215,7 +217,7 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     (1 + (1 - p) v_k . b)/n for his measurement direction v_k. So the rows
     are Fractions when q, p and s are rational (as at every corner node), and
     floats otherwise. The walk reads them at the exact node strengths, and
-    the sampler reads their floats at any strength.
+    the sampler builds them in floats at any strength.
 
     Each distinct entry is computed once per call. Eve's entry and the two
     coefficients of b depend only on the side's sign and the Gram value
@@ -350,10 +352,10 @@ def _walk(protocol: ProtocolKind, strength) -> tuple:
 
 
 # each attack family's nodes (touched, strength) in increasing q: its tables at any q mix those at the nodes
-_NODES = {"none": ((0, 1),), "standard": ((0, 1), (1, 1)), "gentle": ((1, 0), (1, Fraction(3, 5)), (1, 1))}
+_NODES = {"standard": ((0, 1), (1, 1)), "gentle": ((1, 0), (1, Fraction(3, 5)), (1, 1))}
 
 
-@lru_cache(maxsize=len(ProtocolKind) * (1 + 2 * len(EnsembleMix)))
+@lru_cache(maxsize=len(ProtocolKind) * 2 * len(EnsembleMix))
 def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
     """(keys, scale, tables): the family's tables at its nodes and p = 0, 1.
 
@@ -368,10 +370,11 @@ def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
     nonzero weight. Every node walk is exact, the gentle ones too
     (sqrt(1 - q^2) is rational at each node), so scale is 1 over the common
     denominator of the masses, the tables hold integers, and exact sums of
-    them stay integer. "none" takes mix None, so the cache holds at most
-    4 x (1 + 3 + 3) entries, built from 3 walks per protocol.
+    them stay integer. No eavesdropper is the standard family at q = 0, so
+    the cache holds at most 4 x (3 + 3) entries, built from 3 walks per
+    protocol.
     """
-    w_alice, w_bob = (0, 0) if mix is None else _SIDE_WEIGHTS[mix]
+    w_alice, w_bob = _SIDE_WEIGHTS[mix]
 
     def weighted(touched, parts):  # a node's table: the walk's parts by their weights
         weights, u = (1 - touched, touched * w_alice, touched * w_bob), {}
@@ -397,13 +400,13 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
     tables U of the attack family (`_corners`): the first call for a
     (protocol, family, mix) weights the parts of its walks, walking only the
     node strengths not yet cached, and later calls at any strength and
-    channel walk nothing. Exact (rational) q and p give the Fractions a full
-    walk of the round gives, for no eavesdropper and intercept/resend, from
-    integer sums; any float input, or the gentle attack (whose weights take
-    sqrt(1 - q^2)), is evaluated in floats at float(q) and float(p) from the
-    same integer tables and gives floats. So at a float p, q = 0 and no
-    eavesdropper can differ in the last bit (by ~1e-16), because the "none"
-    and "standard" corners carry different integer scales. Entries that
+    channel walk nothing. No eavesdropper is intercept/resend at q = 0 with
+    the symmetric mix (eavesdrop._attack), read off the same corners, so
+    the two give the same joint to the last bit. Exact (rational) q and p
+    give the Fractions a full walk of the round gives, for intercept/resend,
+    from integer sums; any float input, or the gentle attack (whose weights
+    take sqrt(1 - q^2)), is evaluated in floats at float(q) and float(p)
+    from the same integer tables and gives floats. Entries that
     combine to a negligible value (exact zeros, float roundoff) are
     dropped, and table keys are in corner order: the order in which the
     weighted corner walks first see them.
@@ -433,12 +436,13 @@ def _family_mix_grid(eve) -> tuple:
 
     q is the family's strength (see _attack): a rational q is the grid of its
     numerator over its denominator (Python ints, for numpy integers too), and
-    any other q the float grid (q,), d None.
+    any other q the float grid (q,), d None. No eavesdropper is
+    InterceptResend(0): the standard family at q = 0 with the symmetric mix.
     """
     family, touched, strength = _attack(eve)
     q = strength if family == "gentle" else touched
     xs, d = ((int(q.numerator),), int(q.denominator)) if isinstance(q, Rational) else ((q,), None)
-    return family, None if eve is None else eve.mix, xs, d
+    return family, EnsembleMix.SYMMETRIC if eve is None else eve.mix, xs, d
 
 
 def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
@@ -451,7 +455,7 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
     rational p, outside the gentle family, give integer masses over one
     den = d pd / scale: the channel is folded into each node's integer
     vector once, V_k = (pd - pn) T[2k] + pn T[2k + 1], and row x's masses
-    are (d - x) V_0 + x V_1 ("none" has one node, V_0 = V_1). So p_sift is
+    are (d - x) V_0 + x V_1. So p_sift is
     total / den and the conditional table mass / total, the Fractions of
     the round's walk. Otherwise every row is evaluated in floats, at
     float(q) and float(p), from the corner columns `_float_columns` caches
@@ -466,7 +470,7 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
     if family != "gentle" and d is not None and isinstance(p, Rational):
         pn, pd = int(p.numerator), int(p.denominator)  # Python ints, for numpy integers too
         nodes = [[(pd - pn) * a + pn * b for a, b in zip(tables[k], tables[k + 1])] for k in range(0, len(tables), 2)]
-        vectors, den = list(zip(nodes[0], nodes[-1])), d * pd * scale.denominator
+        vectors, den = list(zip(*nodes)), d * pd * scale.denominator
         for x in xs:
             masses = [(d - x) * a + x * b for a, b in vectors]
             rows.append((tuple(itertools.compress(keys, masses)), [v for v in masses if v], sum(masses), den))
@@ -485,13 +489,13 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
     return rows
 
 
-@lru_cache(maxsize=len(ProtocolKind) * (1 + 2 * len(EnsembleMix)) * 3)
+@lru_cache(maxsize=len(ProtocolKind) * 2 * len(EnsembleMix) * 3)
 def _float_columns(protocol: ProtocolKind, family: str, mix, kept: tuple) -> tuple:
     """(float(scale), columns): `_evaluate`'s float rows read the corner tables as one column per key.
 
     A column lists the key's integers in the tables of nonzero channel
     weight, node by node, as `_corners` orders them. kept says which of
-    (1 - p, p) is nonzero, so the cache holds at most the 28 corner keys x 3
+    (1 - p, p) is nonzero, so the cache holds at most the 24 corner keys x 3
     patterns: the two weights are never both zero.
     """
     _, scale, tables = _corners(protocol, family, mix)
@@ -750,7 +754,7 @@ def _rate_kernel(layout: tuple, values, total) -> tuple:
 def _float_weights(family: str, q: float) -> tuple:
     """The weights w_i(q) of the family's nodes (_NODES) at a float strength q."""
     if family != "gentle":
-        return (1,) if family == "none" else (1 - q, q)
+        return 1 - q, q
     # solves w . 1 = 1, w . q_i = q, w . s_i = s at q_i = (0, 3/5, 1), s_i = (1, 4/5, 0)
     s = math.sqrt(1.0 - q * q)
     t = q + s - 1.0

@@ -95,11 +95,12 @@ def _attack(eve) -> tuple:
 
     touched is the share of signals Eve measures and strength the strength
     she measures them with. Intercept/resend is (q, 1) and the gentle attack
-    (1, q); no eavesdropper is ("none", 0, 1). This is the one place the
-    strategy classes are told apart: every other fork reads these numbers.
+    (1, q); no eavesdropper is intercept/resend on a share of 0,
+    ("standard", 0, 1). This is the one place the strategy classes are told
+    apart: every other fork reads these numbers.
     """
     if eve is None:
-        return "none", 0, 1
+        return "standard", 0, 1
     if isinstance(eve, InterceptResend):
         return "standard", eve.q, 1
     if isinstance(eve, GentleIntercept):

@@ -7,8 +7,8 @@ of rounds is therefore reproducible from (seed, start index) alone, and
 chunked runs merge to bit-identical totals.
 
 The vectorized kernel samples from the round model of the exact analysis:
-its inverse-CDF tables are a sequential np.cumsum of the floats of the
-exact Bloch Gram rows of analysis._stages, the rows the exact walk reads.
+its inverse-CDF tables are a sequential np.cumsum of the Bloch Gram rows
+of analysis._stages, the rows the exact walk reads, built in floats.
 run_round keeps its own matrix Born path (POVM products, Eve's Kraus
 updates, the depolarizing map) as the independent reference. The two
 arithmetics can differ in a probability's last bits, so a vectorized batch
@@ -21,17 +21,16 @@ roundoff leaves past the total mass picks that outcome, as in
 states.sample_outcome. Its last column is +inf in every row, so the
 inverse CDF gathers and compares only the first n - 1 columns, one column
 at a time, and its int8 labels become the transcript's outcome columns
-with no cast. The tables are built once per (protocol, Eve's measurement
-strength, p) and cached, keyed on the arithmetic of the strength and p as
-well as their values, with every exact value keyed as a Fraction: no
-eavesdropper and intercept/resend at every share and mix read one table,
-so do IDEAL and a Fraction(0) channel, and a gentle strength's table
-serves every mix. A cold build reads analysis._stages, which computes each
-distinct entry of the rows once and shares it by identity, and _cdf floats
-each distinct entry once. A round's key bits and Eve's guess are read
-from cell_bits, the int8 encoding of analysis._sifting, at the round's cell
-(Eve's slot, signal, Bob's outcome, announcement), in the layout
-analysis._Stages defines for both paths.
+with no cast. The tables are built once per value of (protocol, Eve's
+measurement strength, p), from _stages at float(strength) and float(p),
+and cached under a plain key: Fraction(1, 2) and 0.5 are one value and
+share one build, as do IDEAL's 0 and a Fraction(0) channel. No
+eavesdropper and intercept/resend at every share and mix measure at
+strength 1 and read one table, and a gentle strength's table serves every
+mix. A round's key bits and Eve's guess are read from cell_bits, the int8
+encoding of analysis._sifting, at the round's cell (Eve's slot, signal,
+Bob's outcome, announcement), in the layout analysis._Stages defines for
+both paths.
 
 run_trials keeps about one chunk of rounds in flight. It splits a trial of
 several chunks over min(CPUs in the affinity mask, chunks) threads, a
@@ -49,9 +48,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral, Rational
+from numbers import Integral
 
 from .analysis import JointDistribution, _sifting, _stages
 from .eavesdrop import _SIDE_WEIGHTS, _attack
@@ -106,20 +104,16 @@ def round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 def _cdf(rows: list, n: int) -> np.ndarray:
     """Read-only float CDF table of outcome rows, +inf from each row's last nonzero outcome.
 
-    A row of Fractions or floats becomes the float of each entry. np.cumsum
-    adds along a row in order, as states.sample_outcome does, so the inverse
-    CDF reads a row the way the scalar sampler reads its own. The last
-    nonzero outcome's interval reaches past the total mass, which is
+    np.cumsum adds along a row in order, as states.sample_outcome does, so
+    the inverse CDF reads a row the way the scalar sampler reads its own.
+    The last nonzero outcome's interval reaches past the total mass, which is
     sample_outcome's fallback for a uniform that roundoff leaves at or past
     the total. Eve's rows are drawn from on every round, so on a round she
     did not touch her outcome comes from a real row and is then masked.
     """
     import numpy as np
 
-    # _stages gives an entry one object wherever it recurs, so each distinct entry is converted once
-    floats = {id(e): e for row in rows for e in row}
-    floats = {key: float(e) for key, e in floats.items()}
-    probs = np.array([[floats[id(e)] for e in row] for row in rows], dtype=float)
+    probs = np.array(rows, dtype=float)
     last_nonzero = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
     cum = np.where(np.arange(n) >= last_nonzero[:, None], np.inf, np.cumsum(probs, axis=1))
     cum.flags.writeable = False  # shared by every caller of _tables
@@ -137,23 +131,17 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
     return cell_bits
 
 
-def _exact(x):
-    """An exact strength or p as a Fraction, so equal exact values share one _tables key; floats stay."""
-    return Fraction(x) if isinstance(x, Rational) else x
-
-
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=16)
 def _tables(protocol: ProtocolKind, strength, p) -> tuple:
-    """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once and cached.
+    """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once per value.
 
-    Each is the _cdf of analysis._stages' Gram rows, one row per (Eve's
-    slot, signal) as laid out there, so a round's row is one take. The
-    cache is typed, since equal values in other arithmetic give other
-    floats: Fraction(1, 2) equals 0.5, and its exact rows need not round to
-    the float build's. Callers pass exact values through _exact, so an int
-    and an equal Fraction share one build.
+    Each is the _cdf of analysis._stages' Gram rows at float(strength) and
+    float(p), one row per (Eve's slot, signal) as laid out there, so a
+    round's row is one take. The rows are floats whatever the arithmetic
+    of the inputs, so equal values (an int, a Fraction, a float) share one
+    key and one build.
     """
-    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, strength, p))
+    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, float(strength), float(p)))
 
 
 def _sample_rows(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -224,12 +212,13 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     if start < 0 or count < 0 or start + count > config.n_rounds:
         raise ValueError(f"round range {start}..{start + count} outside trial")
     protocol, eve = config.protocol, config.eve
-    eve_cum, bob_cum = _tables(protocol, _exact(_attack(eve)[2]), _exact(config.channel.depolarizing))
+    _, touched, strength = _attack(eve)
+    eve_cum, bob_cum = _tables(protocol, strength, config.channel.depolarizing)
     n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
     u = round_uniforms(config.seed, start, count)
 
     j = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)  # signal - 1
-    intercepted = u[:, 1] < float(_attack(eve)[1])  # all True for the gentle attack: u < 1
+    intercepted = u[:, 1] < float(touched)  # all True for the gentle attack: u < 1
     if eve is None:  # intercepted is all False
         side, m, row = intercepted, np.zeros(count, dtype=np.int8), j
     else:
@@ -394,7 +383,7 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
     from concurrent.futures import ThreadPoolExecutor
 
     # built once, before the threads share it
-    _tables(config.protocol, _exact(_attack(config.eve)[2]), _exact(config.channel.depolarizing))
+    _tables(config.protocol, _attack(config.eve)[2], config.channel.depolarizing)
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(part, w) for w in range(1, workers)]
         total = part(0)

@@ -96,10 +96,12 @@ class TestEnumerateNoEve:
 
 class TestEnumerateStandard:
     def test_q_zero_is_no_eve(self):
-        # every mix and channel: the same Fractions in the same key order at a rational p, and at a
-        # float p the same keys within 1e-15 (the two corner sets carry different integer scales)
+        # no eavesdropper reads the symmetric intercept/resend corners at q = 0: the same joint in
+        # type, key order and last bit at every p; every mix gives the same Fractions in the same key
+        # order at a rational p, and at a float p the same keys within 1e-15 (other mixes' corner
+        # sets carry other integer scales)
         def typed(jd):
-            return type(jd.p_sift), jd.p_sift, [(key, type(v), v) for key, v in jd.table.items()]
+            return _bits(jd.p_sift), [(key, _bits(v)) for key, v in jd.table.items()]
 
         for protocol, mix in itertools.product(ALL, EnsembleMix):
             for p in (F(0), F(1, 7), F(1, 20), F(1, 3)):
@@ -107,9 +109,12 @@ class TestEnumerateStandard:
                 jdq = enumerate_joint(protocol, InterceptResend(q=F(0), mix=mix), Channel(depolarizing=p))
                 assert typed(jdq) == typed(jd0)
                 assert type(jd0.p_sift) is Fraction
-            for p in (0.0, 0.05, 1 / 7, 0.37):
+            for p in (0.0, 0.05, 1 / 7, 0.37, 1.0):
                 jd0 = enumerate_joint(protocol, None, Channel(depolarizing=p))
                 jdq = enumerate_joint(protocol, InterceptResend(q=F(0), mix=mix), Channel(depolarizing=p))
+                assert type(jd0.p_sift) is float
+                if mix is EnsembleMix.SYMMETRIC:
+                    assert typed(jdq) == typed(jd0)
                 assert list(jdq.table) == list(jd0.table)
                 assert jdq.p_sift == pytest.approx(jd0.p_sift, rel=0, abs=1e-15)
                 assert list(jdq.table.values()) == pytest.approx(list(jd0.table.values()), rel=0, abs=1e-15)
@@ -317,7 +322,7 @@ def _reference_walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
 
 
 # each family's nodes q_i as the reference walks them, in increasing q
-_REFERENCE_NODES = {"none": (0,), "standard": (0, 1), "gentle": (0, F(3, 5), 1)}
+_REFERENCE_NODES = {"standard": (0, 1), "gentle": (0, F(3, 5), 1)}
 
 
 def _reference_corners(protocol, family, mix):
@@ -330,8 +335,8 @@ def _reference_corners(protocol, family, mix):
     return keys, Fraction(1, d), tuple(tuple(int(v * d) for v in t) for t in tables)
 
 
-# every (family, mix) key of _corners: "none" takes mix None
-CORNER_KEYS = [("none", None)] + [(family, mix) for family in ("standard", "gentle") for mix in EnsembleMix]
+# every (family, mix) key of _corners: no eavesdropper is the standard family's symmetric key
+CORNER_KEYS = [(family, mix) for family in ("standard", "gentle") for mix in EnsembleMix]
 
 
 class TestEnumerateGentle:
@@ -526,7 +531,6 @@ class TestStages:
             assert all(any(t[i] for t in tables) for i in marks)
             return [{part for i, part in marks.items() if t[i]} for t in tables[::2]]
 
-        assert taken("none", None) == [{0}]
         assert taken("standard", EnsembleMix.SYMMETRIC) == [{0}, {1, 2}]
         assert taken("standard", EnsembleMix.ALICE_ONLY) == [{0}, {1}]
         assert taken("gentle", EnsembleMix.SYMMETRIC) == [{1, 2}] * 3
@@ -669,17 +673,18 @@ class TestMemoisedStages:
     @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
     def test_sampler_tables_are_those_of_the_plain_loop(self, protocol, family, q, p):
+        # the sampler builds in floats: the plain loop's rows at float(strength) and float(p)
         strength = _attack(_strategy_for(family, q, EnsembleMix.SYMMETRIC))[2]
         n = protocol.n_signals
         got = montecarlo._tables(protocol, strength, p)
-        for table, rows in zip(got, _reference_stages(protocol, strength, p)):
+        for table, rows in zip(got, _reference_stages(protocol, float(strength), float(p))):
             assert table.dtype == np.float64 and not table.flags.writeable
             assert np.array_equal(table, montecarlo._cdf(rows, n))
 
-    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
     def test_corners_are_those_of_the_plain_loop(self, monkeypatch, protocol, family):
-        for mix in [None] if family == "none" else list(EnsembleMix):
+        for mix in EnsembleMix:
             _corners.cache_clear()
             got = _corners(protocol, family, mix)
             with monkeypatch.context() as patch:
@@ -1271,9 +1276,9 @@ class TestCorners:
         assert all(type(v) is float for v in jd.table.values())
 
     @pytest.mark.parametrize("protocol", ALL)
-    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
     def test_corner_tables_are_integers(self, protocol, family):
-        keys, scale, tables = _corners(protocol, family, None if family == "none" else EnsembleMix.SYMMETRIC)
+        keys, scale, tables = _corners(protocol, family, EnsembleMix.SYMMETRIC)
         assert type(scale) is F and scale.numerator == 1
         assert all(len(t) == len(keys) and all(type(v) is int for v in t) for t in tables)
 
@@ -1287,8 +1292,8 @@ class TestCorners:
                         eve = _strategy_for(family, F(1, 3), mix)
                         enumerate_joint(protocol, eve, Channel(depolarizing=F(1, 7)))
         info = _corners.cache_info()
-        # "none" ignores the mix: 4 protocols x (1 + 3 standard + 3 gentle mixes)
-        assert info.misses == info.currsize == info.maxsize == 28
+        # no eavesdropper reads the standard symmetric corners: 4 protocols x (3 standard + 3 gentle mixes)
+        assert info.misses == info.currsize == info.maxsize == 24
         # and they share the walks: 4 protocols x strengths {0, 3/5, 1}, each walk at p = 0 and 1
         walks = _walk.cache_info()
         assert walks.misses == walks.currsize == walks.maxsize == 12
@@ -1375,12 +1380,12 @@ class TestCorners:
         assert [(layout, list(map(_bits, values)), _bits(total), den) for layout, values, total, den in got] == want
 
     def test_float_column_cache_holds_every_corner_key_and_channel_pattern(self):
-        # 28 corner keys x which of (1 - p, p) is nonzero: both, or one at p = 0 or 1
+        # 24 corner keys x which of (1 - p, p) is nonzero: both, or one at p = 0 or 1
         _float_columns.cache_clear()
         for protocol, (family, mix), p in itertools.product(ALL, CORNER_KEYS, (0.0, 0.5, 1.0, F(1, 7))):
             _evaluate(protocol, family, mix, [0.5], None, p)
         info = _float_columns.cache_info()
-        assert info.misses == info.currsize == info.maxsize == 84
+        assert info.misses == info.currsize == info.maxsize == 72
 
 
 class TestIntegerMasses:
@@ -1589,6 +1594,51 @@ class TestSiftEstimateWorth:
         assert montecarlo.proportion_se(int(s * n), n) ** 2 == pytest.approx(float(s * (1 - s) / n), rel=1e-12)
 
 
+def _sift_and_ab(joint) -> tuple:
+    """p_sift and the (a, b) marginal of a joint, the marginal summed over Eve's guess."""
+    ab = {}
+    for (a, b, _), v in joint.table.items():
+        ab[a, b] = ab.get((a, b), 0) + v
+    return joint.p_sift, ab
+
+
+class TestOneBlochShrink:
+    """Every modelled attack reaches Alice and Bob as one Bloch-vector shrink, as the channel does.
+
+    So p_sift and the (a, b) marginal, hence the QBER read off the sift rate,
+    move along one line for every attack: only Eve's guesses tell them apart.
+    """
+
+    # the dimension of the span of a protocol's states: intercept/resend on a share q shrinks by 1 - q (1 - 1/D)
+    SPAN = {ProtocolKind.TRINE: 2, ProtocolKind.BB84: 2, ProtocolKind.TETRAHEDRON: 3, ProtocolKind.SIX_STATE: 3}
+
+    @settings(max_examples=200, deadline=None)
+    @given(protocol=st.sampled_from(ALL), mix=_MIXES, q=_STRENGTH, p=_NOISE)
+    # trine at q = 3/10, p = 1/10 is no eavesdropper at p' = 47/200: 1 - p' = (9/10)(1 - (3/10)(1/2))
+    @example(protocol=ProtocolKind.TRINE, mix=EnsembleMix.SYMMETRIC, q=F(3, 10), p=F(1, 10))
+    @example(protocol=ProtocolKind.SIX_STATE, mix=EnsembleMix.ALICE_ONLY, q=F(1), p=F(1, 3))
+    def test_intercept_resend_is_a_channel(self, protocol, mix, q, p):
+        shrink = (1 - p) * (1 - q * (1 - F(1, self.SPAN[protocol])))
+        got = enumerate_joint(protocol, InterceptResend(q, mix), Channel(depolarizing=p))
+        want = enumerate_joint(protocol, None, Channel(depolarizing=1 - shrink))
+        (sift, ab), (want_sift, want_ab) = _sift_and_ab(got), _sift_and_ab(want)
+        assert type(sift) is F and all(type(v) is F for v in ab.values())
+        assert (sift, ab) == (want_sift, want_ab)
+
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_gentle_at_equal_shrink_is_intercept_resend(self, protocol, mix):
+        # GentleIntercept(g) with g = sqrt(q (2 - q)) shrinks as InterceptResend(q) does; the gentle
+        # joint is floats, so within 1e-15
+        for q, p in itertools.product([F(i, 20) for i in range(21)], [0.0, 0.05, 0.1, 1 / 3]):
+            channel = Channel(depolarizing=p)
+            sift, ab = _sift_and_ab(enumerate_joint(protocol, GentleIntercept(math.sqrt(q * (2 - q)), mix), channel))
+            want_sift, want_ab = _sift_and_ab(enumerate_joint(protocol, InterceptResend(q, mix), channel))
+            assert abs(sift - want_sift) <= 1e-15
+            assert ab.keys() == want_ab.keys()
+            assert all(abs(ab[key] - want_ab[key]) <= 1e-15 for key in ab)
+
+
 # exact and float inputs, with the ends of [0, 1] in both arithmetics and the float just below 1
 _RATE_INPUTS = st.one_of(
     _STRENGTH, st.floats(min_value=0, max_value=1), st.sampled_from([F(0), F(1), 0.0, 1.0, 1 - 2**-52])
@@ -1729,7 +1779,7 @@ class TestRateKernel:
         assert _report_bits(_key_rate_fields(joint)) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]), mix=_MIXES,
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["standard", "gentle"]), mix=_MIXES,
            p=_RATE_INPUTS, grid=st.one_of(_SWEEP_GRIDS, _FLOAT_GRIDS))
     # the bench's sweeps, and grids whose rows at q = 0 and 1 drop keys, with exact and float p at 0 and 1
     @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, p=F(0),
@@ -1740,10 +1790,10 @@ class TestRateKernel:
              grid=(range(23), 22))
     @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.BOB_ONLY, p=1.0,
              grid=([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0], None))
-    @example(protocol=ProtocolKind.SIX_STATE, family="none", mix=EnsembleMix.SYMMETRIC, p=0.0,
+    @example(protocol=ProtocolKind.SIX_STATE, family="standard", mix=EnsembleMix.SYMMETRIC, p=0.0,
              grid=(range(3), 2))
     def test_grid_rates_are_each_rows_rates(self, protocol, family, mix, p, grid):
-        rows = _evaluate(protocol, family, None if family == "none" else mix, *grid, p)
+        rows = _evaluate(protocol, family, mix, *grid, p)
         got = _grid_rates(rows)
         assert [_rate_bits(rates) for rates in got] == [_rate_bits(_rates(*row)) for row in rows]
         for (layout, values, total, den), rates in zip(rows, got):
@@ -1779,8 +1829,8 @@ class TestRateKernel:
         # these sweeps see 39 layouts, each built once; the bound leaves room over that
         assert _rate_plan.cache_parameters() == {"maxsize": 64, "typed": False}
         _rate_plan.cache_clear()
-        for protocol, family, p in itertools.product(ALL, ["none", "standard", "gentle"], [F(0), F(1, 7), 0.05]):
-            for mix in [None] if family == "none" else list(EnsembleMix):
+        for protocol, family, p in itertools.product(ALL, ["standard", "gentle"], [F(0), F(1, 7), 0.05]):
+            for mix in EnsembleMix:
                 for row in _evaluate(protocol, family, mix, range(101), 100, p):
                     _rates(*row)
         info = _rate_plan.cache_info()
