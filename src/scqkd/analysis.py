@@ -30,11 +30,12 @@ pass), give it at every (q, p). `_evaluate` is that evaluation, the only
 one: at one p and a grid of q (integer numerators over one denominator, or
 floats), one row (layout, values, total, den) per q: the kept corner keys
 in corner order (the row's layout), their masses, the masses' total and,
-for exact inputs, the denominator. A single q is a one-row grid,
-and float rows read the corner tables as columns, one per key, cached
-once per (protocol, family, mix) and zero pattern of the channel weights
-(`_float_columns`). `enumerate_joint` divides its row into a
-JointDistribution, and `find_threshold` calls it and `key_rate` at each
+for exact inputs, the denominator. A single q is a one-row grid. One
+cached `_corners` entry per (protocol, family, mix) holds what both kinds
+of row read: the integer tables and, for float rows, the same tables as
+one column per key for each zero pattern of the channel weights, so a
+row of either kind is one cache lookup. `enumerate_joint` divides its row
+into a JointDistribution, and `find_threshold` calls it and `key_rate` at each
 probe of Chandrupatla's bracketed step (secant first, then inverse
 quadratic interpolation or bisection); the tests keep the weighted walk of
 one eavesdropper as the reference they compare the corners with. Exact
@@ -46,7 +47,9 @@ grid. `key_rate` and `_rates` share one rate kernel, `_rate_kernel`, which
 gives (i_ab, i_ae, i_be, r): a layout has a plan, built once per layout
 and cached, of the (a, b), (a, e) and (b, e) cells and marginals as
 indices, so a row sums, divides and takes logs in the order of the
-dict-based reference the tests keep, with no dict built. Only `key_rate`
+dict-based reference the tests keep, with no dict built; a pair whose x or
+y takes one value has no cells, so its information is exactly 0.0, as
+Eve's is where she touches nothing. Only `key_rate`
 wraps the four floats in a RateReport. `_grid_rates` reads a whole grid:
 the rows of one layout go through the same steps together, each step one
 map over the rows (`_column_kernel`), so each row's floats are its own
@@ -357,7 +360,7 @@ _NODES = {"standard": ((0, 1), (1, 1)), "gentle": ((1, 0), (1, Fraction(3, 5)), 
 
 @lru_cache(maxsize=len(ProtocolKind) * 2 * len(EnsembleMix))
 def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
-    """(keys, scale, tables): the family's tables at its nodes and p = 0, 1.
+    """(keys, scale, tables, float_scale, columns): the family's tables at its nodes and p = 0, 1.
 
     A node (touched, strength) weights the parts of the cached `_walk`
     tables at its strength by (1 - touched, touched * w_alice,
@@ -370,8 +373,12 @@ def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
     nonzero weight. Every node walk is exact, the gentle ones too
     (sqrt(1 - q^2) is rational at each node), so scale is 1 over the common
     denominator of the masses, the tables hold integers, and exact sums of
-    them stay integer. No eavesdropper is the standard family at q = 0, so
-    the cache holds at most 4 x (3 + 3) entries, built from 3 walks per
+    them stay integer. What `_evaluate`'s float rows read is in the same
+    entry: float_scale is float(scale), and columns[kept], for each zero
+    pattern kept of the channel weights (1 - p, p) (never both zero), lists
+    one column per key: its integers in the tables of nonzero channel
+    weight, node by node. No eavesdropper is the standard family at q = 0,
+    so the cache holds at most 4 x (3 + 3) entries, built from 3 walks per
     protocol.
     """
     w_alice, w_bob = _SIDE_WEIGHTS[mix]
@@ -385,9 +392,11 @@ def _corners(protocol: ProtocolKind, family: str, mix) -> tuple:
 
     walks = [weighted(touched, parts) for touched, strength in _NODES[family] for parts in _walk(protocol, strength)]
     keys = tuple(dict.fromkeys(key for u in walks for key in u))
-    tables = [[u.get(key, 0) for key in keys] for u in walks]
-    d = math.lcm(*(v.denominator for t in tables for v in t))
-    return keys, Fraction(1, d), tuple(tuple(int(v * d) for v in t) for t in tables)
+    d = math.lcm(*(v.denominator for u in walks for v in u.values()))
+    tables = tuple(tuple(int(u.get(key, 0) * d) for key in keys) for u in walks)
+    columns = {kept: tuple(zip(*itertools.compress(tables, itertools.cycle(kept))))
+               for kept in ((True, True), (True, False), (False, True))}
+    return keys, Fraction(1, d), tables, 1 / d, columns
 
 
 def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) -> JointDistribution:
@@ -458,14 +467,14 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
     are (d - x) V_0 + x V_1. So p_sift is
     total / den and the conditional table mass / total, the Fractions of
     the round's walk. Otherwise every row is evaluated in floats, at
-    float(q) and float(p), from the corner columns `_float_columns` caches
-    per (protocol, family, mix) and zero pattern of (1 - p, p): node q_i's
-    weight w_i(q), times 1 - p or p, times the scale, a table of zero
-    channel weight dropped. Exact zeros are dropped, and float masses below
-    1e-15 (corner terms that cancel to roundoff dust or below 0; a NaN is
-    kept).
+    float(q) and float(p), from the corner columns of the same `_corners`
+    entry for the zero pattern of (1 - p, p): node q_i's weight w_i(q),
+    times 1 - p or p, times the float scale, a table of zero channel weight
+    dropped. Either branch reads the corners with one cache lookup. Exact
+    zeros are dropped, and float masses below 1e-15 (corner terms that
+    cancel to roundoff dust or below 0; a NaN is kept).
     """
-    keys, scale, tables = _corners(protocol, family, mix)
+    keys, scale, tables, float_scale, columns = _corners(protocol, family, mix)
     rows = []
     if family != "gentle" and d is not None and isinstance(p, Rational):
         pn, pd = int(p.numerator), int(p.denominator)  # Python ints, for numpy integers too
@@ -475,31 +484,16 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
             masses = [(d - x) * a + x * b for a, b in vectors]
             rows.append((tuple(itertools.compress(keys, masses)), [v for v in masses if v], sum(masses), den))
         return rows
-    p = float(p)
-    channel = (1 - p, p)
-    w_p = [w for w in channel if w]
-    scale, columns = _float_columns(protocol, family, mix, tuple(map(bool, channel)))
+    channel = (1 - float(p), float(p))
+    w_p, columns = [w for w in channel if w], columns[tuple(map(bool, channel))]
     for q in map(float, xs) if d is None else (x / d for x in xs):
         # a zero weight adds only a ±0.0, to a sum begun at int 0, which leaves the float as it was
-        ws = [w * v * scale for w in _float_weights(family, q) for v in w_p]
+        ws = [w * v * float_scale for w in _float_weights(family, q) for v in w_p]
         masses = [sum(map(operator.mul, ws, column)) for column in columns]
         kept = [not v < 1e-15 for v in masses]
         values = list(itertools.compress(masses, kept))
         rows.append((tuple(itertools.compress(keys, kept)), values, sum(values), None))
     return rows
-
-
-@lru_cache(maxsize=len(ProtocolKind) * 2 * len(EnsembleMix) * 3)
-def _float_columns(protocol: ProtocolKind, family: str, mix, kept: tuple) -> tuple:
-    """(float(scale), columns): `_evaluate`'s float rows read the corner tables as one column per key.
-
-    A column lists the key's integers in the tables of nonzero channel
-    weight, node by node, as `_corners` orders them. kept says which of
-    (1 - p, p) is nonzero, so the cache holds at most the 24 corner keys x 3
-    patterns: the two weights are never both zero.
-    """
-    _, scale, tables = _corners(protocol, family, mix)
-    return float(scale), tuple(zip(*itertools.compress(tables, itertools.cycle(kept))))
 
 
 def _rates(layout, values, total, den) -> tuple:
@@ -586,7 +580,8 @@ def _column_kernel(layout: tuple, columns: list, totals) -> tuple:
     from 0.0 in cell order. The kernel begins a cell at int 0 and a
     marginal at 0.0, which leave a positive value as it is, and every
     value and cell here is positive (see _grid_rates), so no log term is
-    skipped.
+    skipped. A pair the plan gives no cells (one x or one y value) stays
+    at 0.0 in every row, as in the kernel.
     """
     n, add, mul = len(columns[0]), operator.add, operator.mul
     infos = []
@@ -707,7 +702,10 @@ def _rate_plan(layout: tuple) -> tuple:
     keys summed into the cell and the indices of its x and y among the
     pair's x and y values in the order the cells first see them. So a row
     reads its three mutual informations with no dict built, the plan once
-    per layout.
+    per layout. A pair whose x or y takes one value over the layout, as
+    Eve's guess does where she touches nothing, carries no information: it
+    gets no cells, so its information is exactly 0.0, not the roundoff of
+    a float table whose marginal sums to 1 - 1 ulp.
     """
     plan = []
     for u, v in ((0, 1), (0, 2), (1, 2)):
@@ -715,6 +713,7 @@ def _rate_plan(layout: tuple) -> tuple:
         for i, key in enumerate(layout):
             cells.setdefault((key[u], key[v]), []).append(i)
         xs, ys = (list(dict.fromkeys(cell[w] for cell in cells)) for w in (0, 1))
+        cells = cells if len(xs) > 1 and len(ys) > 1 else {}  # a side of one value: no cells, no logs
         plan.append((len(xs), len(ys), tuple((tuple(c), xs.index(x), ys.index(y)) for (x, y), c in cells.items())))
     return tuple(plan)
 
@@ -729,7 +728,8 @@ def _rate_kernel(layout: tuple, values, total) -> tuple:
     the float of the marginal's Fraction. Each marginal sums its cells from
     0.0 in cell order, and the log sum runs in cell order, as a mutual
     information over the pair's table as a dict does, so the floats are
-    its own bit for bit. r is i_ab - min(i_ae, i_be).
+    its own bit for bit. A pair of one x or one y value has no cells in
+    the plan, so its information is 0.0. r is i_ab - min(i_ae, i_be).
     """
     infos = []
     for nx, ny, cells in _rate_plan(layout):

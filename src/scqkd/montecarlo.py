@@ -21,10 +21,11 @@ roundoff leaves past the total mass picks that outcome, as in
 states.sample_outcome. Its last column is +inf in every row, so the
 inverse CDF gathers and compares only the first n - 1 columns, one column
 at a time, and its int8 labels become the transcript's outcome columns
-with no cast. The tables are built once per value of (protocol, Eve's
-measurement strength, p), from _stages at float(strength) and float(p),
-and cached under a plain key: Fraction(1, 2) and 0.5 are one value and
-share one build, as do IDEAL's 0 and a Fraction(0) channel. No
+with no cast. The tables are built once per (protocol, float(Eve's
+measurement strength), float(p)), from _stages at those floats, and cached
+under that key: a Fraction and the float it rounds to share one build
+(Fraction(1, 3) and 1/3, as Fraction(1, 2) and 0.5 or IDEAL's 0 and a
+Fraction(0) channel), and a chunk hashes two floats. No
 eavesdropper and intercept/resend at every share and mix measure at
 strength 1 and read one table, and a gentle strength's table serves every
 mix. A round's key bits and Eve's guess are read from cell_bits, the int8
@@ -133,13 +134,15 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _tables(protocol: ProtocolKind, strength, p) -> tuple:
-    """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once per value.
+    """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once per float.
 
     Each is the _cdf of analysis._stages' Gram rows at float(strength) and
     float(p), one row per (Eve's slot, signal) as laid out there, so a
     round's row is one take. The rows are floats whatever the arithmetic
-    of the inputs, so equal values (an int, a Fraction, a float) share one
-    key and one build.
+    of the inputs, so the samplers key the cache on the two floats: a
+    Fraction and the float it rounds to (Fraction(1, 3) and 1/3) share one
+    key and one build. A direct caller may pass any real; it is converted
+    here.
     """
     return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, float(strength), float(p)))
 
@@ -213,7 +216,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
         raise ValueError(f"round range {start}..{start + count} outside trial")
     protocol, eve = config.protocol, config.eve
     _, touched, strength = _attack(eve)
-    eve_cum, bob_cum = _tables(protocol, strength, config.channel.depolarizing)
+    eve_cum, bob_cum = _tables(protocol, float(strength), float(config.channel.depolarizing))
     n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
     u = round_uniforms(config.seed, start, count)
 
@@ -383,7 +386,7 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
     from concurrent.futures import ThreadPoolExecutor
 
     # built once, before the threads share it
-    _tables(config.protocol, _attack(config.eve)[2], config.channel.depolarizing)
+    _tables(config.protocol, float(_attack(config.eve)[2]), float(config.channel.depolarizing))
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(part, w) for w in range(1, workers)]
         total = part(0)

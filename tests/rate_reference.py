@@ -16,7 +16,8 @@ def mutual_information(joint: dict) -> float:
 
     Args:
         joint: mapping (x, y) -> probability; must be nonnegative and sum to 1
-            within 1e-9. Zero entries contribute zero.
+            within 1e-9. Zero entries contribute zero, and a side that takes
+            one value gives exactly zero.
 
     Raises:
         ValueError: on an entry below 0 or not a number (NaN included), or
@@ -27,12 +28,19 @@ def mutual_information(joint: dict) -> float:
 
 
 def _mutual_information(joint: dict) -> float:
-    """mutual_information of a checked table of floats: the marginals, then the log sum, in table order."""
+    """mutual_information of a checked table of floats: the marginals, then the log sum, in table order.
+
+    A side that takes one value over the table's keys carries no
+    information, so its table gives exactly 0.0, whatever roundoff its
+    float marginal holds.
+    """
     px: dict = {}
     py: dict = {}
     for (x, y), v in joint.items():
         px[x] = px.get(x, 0.0) + v
         py[y] = py.get(y, 0.0) + v
+    if len(px) == 1 or len(py) == 1:
+        return 0.0
     info = 0.0
     for (x, y), v in joint.items():
         if v > 0.0:

@@ -20,7 +20,6 @@ from scqkd.analysis import (
     _corners,
     _evaluate,
     _family_mix_grid,
-    _float_columns,
     _grid_rates,
     _rate_kernel,
     _rate_plan,
@@ -525,7 +524,7 @@ class TestStages:
         monkeypatch.setattr(analysis, "_walk", marked)
 
         def taken(family, mix):  # per node, at p = 0: the parts whose key it weighs
-            keys, _, tables = _corners.__wrapped__(protocol, family, mix)
+            keys, _, tables, _, _ = _corners.__wrapped__(protocol, family, mix)
             marks = {i: key[1] for i, key in enumerate(keys) if key[0] == "part"}
             # a part no node takes never adds its key
             assert all(any(t[i] for t in tables) for i in marks)
@@ -802,6 +801,17 @@ class TestKeyRate:
         assert rates == sorted(rates, reverse=True)
         assert rates[0] == 1.0
         assert rates[-1] < 0.0
+
+    @pytest.mark.parametrize("p", [0, 0.05, 1 / 7, 0.37, 1.0, 0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_a_side_of_one_value_carries_exactly_zero_information(self, protocol, p):
+        # where Eve touches nothing she never guesses, though a float table may sum to 1 - 1 ulp
+        report = key_rate(enumerate_joint(protocol, None, Channel(depolarizing=p)))
+        assert report.i_ae == report.i_be == 0.0 and report.r == report.i_ab
+        # so does a standard sweep's row at q = 0, alone and taken by column with rows of its layout
+        rows = _evaluate(protocol, "standard", EnsembleMix.SYMMETRIC, range(11), 10, p)
+        for rates in (_grid_rates(rows)[0], *_grid_rates([rows[0]] * analysis._COLUMN_ROWS)):
+            assert rates[4:6] == (0.0, 0.0) and rates[6] == rates[3]
 
 
 class TestThresholds:
@@ -1278,7 +1288,7 @@ class TestCorners:
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     def test_corner_tables_are_integers(self, protocol, family):
-        keys, scale, tables = _corners(protocol, family, EnsembleMix.SYMMETRIC)
+        keys, scale, tables, _, _ = _corners(protocol, family, EnsembleMix.SYMMETRIC)
         assert type(scale) is F and scale.numerator == 1
         assert all(len(t) == len(keys) and all(type(v) is int for v in t) for t in tables)
 
@@ -1303,7 +1313,7 @@ class TestCorners:
     def test_corners_are_the_reference_walks(self, protocol, family, mix):
         # the same keys in the same order, the same scale and the same integers as one
         # weighted walk per node and p
-        keys, scale, tables = _corners(protocol, family, mix)
+        keys, scale, tables, _, _ = _corners(protocol, family, mix)
         want_keys, want_scale, want_tables = _reference_corners(protocol, family, mix)
         assert keys == want_keys
         assert (scale, type(scale)) == (want_scale, F)
@@ -1364,7 +1374,7 @@ class TestCorners:
     @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.BOB_ONLY, qs=[0.7], p=F(1, 7))
     def test_float_rows_read_the_cached_columns_bit_for_bit(self, protocol, family, mix, qs, p):
         # the reference transposes the corner tables and converts the scale on every call
-        keys, scale, tables = _corners(protocol, family, mix)
+        keys, scale, tables, _, _ = _corners(protocol, family, mix)
         p_f, scale = float(p), float(scale)
         channel = (1 - p_f, p_f)
         w_p = [w for w in channel if w]
@@ -1379,13 +1389,24 @@ class TestCorners:
         got = _evaluate(protocol, family, mix, qs, None, p)
         assert [(layout, list(map(_bits, values)), _bits(total), den) for layout, values, total, den in got] == want
 
-    def test_float_column_cache_holds_every_corner_key_and_channel_pattern(self):
-        # 24 corner keys x which of (1 - p, p) is nonzero: both, or one at p = 0 or 1
-        _float_columns.cache_clear()
+    def test_every_channel_pattern_is_read_from_the_corner_entry(self):
+        # 24 corner keys, each read for both of (1 - p, p) nonzero and for one at p = 0 or 1,
+        # on the float branch and the exact one: one lookup per evaluation, no entry besides the 24
+        _corners.cache_clear()
+        calls = 0
         for protocol, (family, mix), p in itertools.product(ALL, CORNER_KEYS, (0.0, 0.5, 1.0, F(1, 7))):
-            _evaluate(protocol, family, mix, [0.5], None, p)
-        info = _float_columns.cache_info()
-        assert info.misses == info.currsize == info.maxsize == 72
+            for xs, d in (([0.5], None), ([1], 3)):
+                _evaluate(protocol, family, mix, xs, d, p)
+                calls += 1
+        info = _corners.cache_info()
+        assert info.misses == info.currsize == info.maxsize == 24
+        assert info.hits == calls - 24
+        for protocol, (family, mix) in itertools.product(ALL, CORNER_KEYS):
+            _, scale, tables, float_scale, columns = _corners(protocol, family, mix)
+            assert (float_scale, type(float_scale)) == (float(scale), float)
+            assert list(columns) == [(True, True), (True, False), (False, True)]
+            for kept, cols in columns.items():
+                assert cols == tuple(zip(*(t for i, t in enumerate(tables) if kept[i % 2])))
 
 
 class TestIntegerMasses:

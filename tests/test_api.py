@@ -60,6 +60,17 @@ UNREAD_IN_SRC = {"AnalyticCurves", "eve_guess", "run_round"}
 # what a joint carries: the entry points, the CLI and the bench read these and nothing else
 JOINT_ATTRIBUTES = ["mass", "p_eve_abstain", "p_eve_agree_alice", "p_eve_agree_bob", "p_sift", "qber", "table"]
 
+# every cache of the package and its bound, by the module that defines it: a new cache or a larger bound is
+# a change to this map, as a new public name is a change to PUBLIC
+CACHES = {
+    "analysis": {"_corners": 24, "_rate_plan": 64, "_sift_line": 4, "_sifting": 4, "_walk": 12},
+    "cli": {"build_parser": 1},
+    "codes": {"_gram_ids": 4, "make_code": 4},
+    "eavesdrop": {"_side_gentle_povm": 16},
+    "montecarlo": {"_cell_bits": 4, "_tables": 16},
+    "protocol": {"announcement_options": 17, "bob_code": 4},
+}
+
 
 def test_all_is_pinned():
     assert len(PUBLIC) == 20
@@ -123,9 +134,12 @@ def test_every_cache_is_bounded():
         module = importlib.import_module(f"scqkd.{info.name}")
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_parameters", None)):
-                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"analysis._walk", "cli.build_parser", "codes.make_code", "protocol.announcement_options"} <= set(caches)
-    assert [name for name, maxsize in caches.items() if maxsize is None] == []
+                # modules import each other's cached functions: file each under the module defining it
+                defining = value.__module__.removeprefix("scqkd.")
+                caches.setdefault(defining, {})[value.__name__] = value.cache_parameters()["maxsize"]
+    assert [name for names in caches.values() for name, maxsize in names.items() if maxsize is None] == []
+    assert caches == CACHES
+    assert sum(map(len, CACHES.values())) == 13
 
 
 def _load_bench(name, monkeypatch):

@@ -587,6 +587,21 @@ class TestChunkedKernel:
 
         assert columns(q, p) == columns(float(q), float(p))
 
+    @pytest.mark.parametrize("family,q,p", [("none", 0, F(1, 7)), ("standard", F(1, 3), F(1, 7)),
+                                            ("gentle", F(1, 3), F(1, 20)), ("gentle", F(3, 5), F(0))])
+    def test_a_fraction_and_its_float_twin_share_one_build(self, family, q, p):
+        # Fraction(1, 3) != 1/3, yet both build from the float 1/3: the samplers key the tables on it
+        def columns(q, p):
+            config = TrialConfig(ProtocolKind.TRINE, _strategy_for(family, q), Channel(depolarizing=p),
+                                 n_rounds=3000, seed=5)
+            with _cpus(2):
+                run_trials(config, chunk_size=1000)  # the pooled pre-build, then each chunk's lookup
+            return [(column.dtype, column.tobytes()) for column in dataclasses.astuple(simulate_rounds(config))]
+
+        _tables.cache_clear()
+        assert columns(q, p) == columns(float(q), float(p))
+        assert _tables.cache_info().misses == 1
+
 
 def _scalar_pick(row, u):
     """states.sample_outcome's rule on a row of probabilities; an all-zero row gives outcome n."""
