@@ -35,10 +35,12 @@ cached `_corners` entry per (protocol, family, mix) holds what both kinds
 of row read: the integer tables and, for float rows, the same tables as
 one column per key for each zero pattern of the channel weights, so a
 row of either kind is one cache lookup. `enumerate_joint` divides its row
-into a JointDistribution, and `find_threshold` calls it and `key_rate` at each
-probe of Chandrupatla's bracketed step (secant first, then inverse
-quadratic interpolation or bisection); the tests keep the weighted walk of
-one eavesdropper as the reference they compare the corners with. Exact
+into a JointDistribution. `find_threshold` reads R at each probe of
+Chandrupatla's bracketed step (secant first, then inverse quadratic
+interpolation or bisection) straight off the probe's row (`_r_at`), the
+rate kernel over the masses divided by their total, and enumerates one
+joint, at the probe it returns, for its QBER; the tests keep the weighted
+walk of one eavesdropper as the reference they compare the corners with. Exact
 inputs give integer masses over one integer total, and the joint keeps only
 their Fractions. The CLI's rate records skip the joint: `_rates` reads the
 same floats straight off a row, as one flat tuple (p_sift, qber,
@@ -79,7 +81,7 @@ from numbers import Rational, Real
 from typing import NamedTuple
 
 from .codes import _gram_ids
-from .eavesdrop import EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _strategy_for
+from .eavesdrop import EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _check_mix, _strategy_for
 from .protocol import (Channel, IDEAL, ProtocolKind, _check_config, _check_instance, _check_unit, _party_bit,
                        announcement_options, derive_bits, sift_accept)
 
@@ -761,6 +763,22 @@ def _float_weights(family: str, q: float) -> tuple:
     return (2.0 - 2.0 * q - s, 2.5 * t, q - 1.5 * t)
 
 
+def _r_at(protocol: ProtocolKind, family: str, mix, p, q: float) -> float:
+    """key_rate(enumerate_joint(...)).r at a float strength q, read off its one `_evaluate` row.
+
+    The row's masses over their total are the joint's table, in its order,
+    so the rate kernel gives key_rate's r bit for bit, with no eavesdropper,
+    JointDistribution or RateReport built. This is a solve's probe of R.
+
+    Raises:
+        ValueError: unless the total is > 0, as JointDistribution does.
+    """
+    [(layout, values, total, _)] = _evaluate(protocol, family, mix, (q,), None, p)
+    if not total > 0:
+        raise ValueError(f"p_sift must lie in (0, 1], got {total!r}")
+    return _rate_kernel(layout, [v / total for v in values], None)[3]
+
+
 def find_threshold(
     protocol: ProtocolKind,
     attack_family: str = "standard",
@@ -781,13 +799,14 @@ def find_threshold(
 
     The solve is Chandrupatla's bracketed method (T. R. Chandrupatla, Adv.
     Eng. Software 28(3):145-149, 1997) on a bracket a < b with
-    R(a) > 0 > R(b), starting from (0, 1). Each probe c costs one
-    enumerate_joint and one key_rate, and replaces the end whose R has its
-    sign. The first probe is the secant's. After that a probe is the
-    inverse quadratic interpolation through the newest probe, the bracket's
-    other end and the end the newest probe replaced, where Chandrupatla's
-    test on the three points (xi and phi) says the interpolation is
-    monotone between them, and the bracket's midpoint otherwise, or where
+    R(a) > 0 > R(b), starting from (0, 1). Each probe c reads R(c) off one
+    `_evaluate` row (`_r_at`: the float key_rate(enumerate_joint(...)).r
+    gives, with no joint built) and replaces the end whose R has its sign.
+    The first probe is the secant's. After that a probe is the inverse
+    quadratic interpolation through the newest probe, the bracket's other
+    end and the end the newest probe replaced, where Chandrupatla's test on
+    the three points (xi and phi) says the interpolation is monotone
+    between them, and the bracket's midpoint otherwise, or where
     roundoff would put the probe on an end. The solve returns the first
     probe that meets a plain bisection's stop rule: |R(c)| < 1e-10, or a
     bracket narrower than 1e-9 once c has replaced an end. So either
@@ -803,23 +822,21 @@ def find_threshold(
     rounded to 4 places not at all.
 
     qber_star is the QBER enumerate_joint reports at q_star: the float of
-    the joint of the returned probe.
+    the joint of the returned probe, the one joint a solve enumerates.
 
     Raises:
         NoThresholdError: if R does not change sign over q in [0, 1].
         ValueError: for an attack family other than standard or gentle, a
-            protocol that is not a ProtocolKind or a channel that is not a
-            Channel.
+            mix that is not an EnsembleMix, a protocol that is not a
+            ProtocolKind or a channel that is not a Channel.
     """
     _check_config(protocol, channel)
     if attack_family not in ("standard", "gentle"):
         raise ValueError(f"unknown attack family: {attack_family!r} (expected standard or gentle)")
-
-    def joint_at(q):
-        return enumerate_joint(protocol, _strategy_for(attack_family, q, mix), channel)
-
+    _check_mix(mix)
+    p = channel.depolarizing
     a, b = 0.0, 1.0
-    r_a, r_b = (key_rate(joint_at(q)).r for q in (a, b))
+    r_a, r_b = (_r_at(protocol, attack_family, mix, p, q) for q in (a, b))
     if not (r_a > 0.0 > r_b):
         raise NoThresholdError(f"key rate does not cross zero on [0, 1]: R(0)={r_a!r}, R(1)={r_b!r}")
     # the step goes from x1, the newest end, toward x2, the other one; the first is the secant's
@@ -828,14 +845,14 @@ def find_threshold(
         c = x1 + (x2 - x1) * t
         if not a < c < b:  # roundoff at an end: bisect
             c = a + (b - a) / 2
-        joint = joint_at(c)
-        r_c = key_rate(joint).r
+        r_c = _r_at(protocol, attack_family, mix, p, c)
         # x3 is the end c replaces
         if r_c > 0.0:
             (x2, r2), (x3, r3), a, r_a = (b, r_b), (a, r_a), c, r_c
         else:
             (x2, r2), (x3, r3), b, r_b = (a, r_a), (b, r_b), c, r_c
         if abs(r_c) < 1e-10 or b - a < 1e-9:
+            joint = enumerate_joint(protocol, _strategy_for(attack_family, c, mix), channel)
             return ThresholdResult(c, float(joint.qber))
         x1, r1 = c, r_c
         # inverse quadratic interpolation through the three points where it is monotone, else bisection

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from rate_reference import _mutual_information, mutual_information
+from rate_reference import (_mutual_information, bb84_one_way_rate, mutual_information, one_way_bound,
+                            six_state_one_way_rate)
 
 from scqkd import analysis, montecarlo
 from scqkd.analysis import (
@@ -21,6 +22,7 @@ from scqkd.analysis import (
     _evaluate,
     _family_mix_grid,
     _grid_rates,
+    _r_at,
     _rate_kernel,
     _rate_plan,
     _rates,
@@ -895,8 +897,9 @@ class TestThresholds:
 
     def test_solves_take_few_evaluations(self, monkeypatch):
         # Chandrupatla's step takes 6 to 9 evaluations here, 7.36 on average; the Illinois step took 7 to 10, 8.94
+        # (an evaluation of R is a probe, `_r_at`: a solve enumerates one joint, its answer's)
         calls = []
-        monkeypatch.setattr(analysis, "enumerate_joint", lambda *args: calls.append(args) or enumerate_joint(*args))
+        monkeypatch.setattr(analysis, "_r_at", lambda *args: calls.append(args) or _r_at(*args))
         counts = []
         noise = [F(0), F(1, 20), F(1, 16), F(1, 10), F(1, 8)]
         for protocol, family, mix, p in itertools.product(ALL, ["standard", "gentle"], EnsembleMix, noise):
@@ -914,14 +917,18 @@ class TestThresholds:
         lambda q: _ROOT - q,
     ], ids=["step", "cubic", "line"])
     def test_probes_stay_inside_the_bracket_on_synthetic_curves(self, monkeypatch, curve):
-        probes = []
+        probes, joints = [], []
 
-        def probe(protocol, eve, channel):  # a stand-in joint: the probe's q, and a QBER for the result
-            probes.append(eve.q)
-            return types.SimpleNamespace(q=eve.q, qber=0.25)
+        def probe(protocol, family, mix, p, q):  # a stand-in probe of R: the synthetic curve at q
+            probes.append(q)
+            return curve(q)
 
-        monkeypatch.setattr(analysis, "enumerate_joint", probe)
-        monkeypatch.setattr(analysis, "key_rate", lambda joint: RateReport(0.0, 0.0, 0.0, curve(joint.q)))
+        def joint(protocol, eve, channel):  # a stand-in joint: a QBER for the result
+            joints.append(eve.q)
+            return types.SimpleNamespace(qber=0.25)
+
+        monkeypatch.setattr(analysis, "_r_at", probe)
+        monkeypatch.setattr(analysis, "enumerate_joint", joint)
         res = find_threshold(ProtocolKind.TRINE, "standard")
         assert probes[:2] == [0.0, 1.0]
         lo, hi, stops = 0.0, 1.0, []
@@ -933,6 +940,8 @@ class TestThresholds:
         # the first probe that meets the stop rule is the result
         assert stops == [False] * (len(stops) - 1) + [True]
         assert (res.q_star, res.qber_star) == (probes[-1], 0.25)
+        # the one joint the solve enumerates is its result's
+        assert joints == [probes[-1]]
 
     @pytest.mark.parametrize("family,p", list(CLAIM))
     def test_codes_tolerate_more_error_but_less_attack_than_their_basis_counterparts(self, family, p):
@@ -946,6 +955,31 @@ class TestThresholds:
             assert code.q_star < counterpart.q_star
         want = [pytest.approx(pair, abs=5e-5) for pair in self.CLAIM[family, p]]
         assert [(r.q_star, r.qber_star) for r in solves] == want
+
+
+class TestWhatAThresholdIsNot:
+    """A threshold QBER is where one modelled attack removes the one-way key: an upper bound on what a protocol
+    tolerates, since that attack reaches it, and not a security guarantee."""
+
+    # the closed-form one-way rates of the basis protocols against every attack, and where each reaches zero
+    BOUNDS = {
+        ProtocolKind.BB84: (bb84_one_way_rate, 0.110028),
+        ProtocolKind.SIX_STATE: (six_state_one_way_rate, 0.126193),
+    }
+
+    @pytest.mark.parametrize("protocol", BASIS)
+    def test_the_one_way_bounds(self, protocol):
+        rate, bound = self.BOUNDS[protocol]
+        assert round(one_way_bound(rate), 6) == bound
+
+    @pytest.mark.parametrize("p", [F(0), F(1, 20)])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("family", ["standard", "gentle"])
+    @pytest.mark.parametrize("protocol", BASIS)
+    def test_qber_star_lies_above_the_unconditional_bound(self, protocol, family, mix, p):
+        # the closest is BB84 under the gentle attack at p = 0: 0.1534 against 0.1100
+        rate, _ = self.BOUNDS[protocol]
+        assert find_threshold(protocol, family, mix, Channel(depolarizing=p)).qber_star > one_way_bound(rate)
 
 
 # the root of the synthetic R curves the solver is tried on
@@ -1716,17 +1750,33 @@ class TestRates:
 
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
-    def test_solve_evaluates_each_probe_through_the_module(self, monkeypatch, protocol, family):
-        # the bench's tracer counts these module attributes under each solve
-        calls = {"enumerate_joint": 0, "key_rate": 0}
+    def test_solve_enumerates_one_joint_through_the_module_at_its_answer(self, monkeypatch, protocol, family):
+        # the bench's tracer counts these module attributes under each solve: a probe reads R off its
+        # `_evaluate` row, so a solve enumerates its answer's joint and builds no RateReport
+        calls = {"enumerate_joint": [], "key_rate": []}
         for name in calls:
             def counted(*args, _original=getattr(analysis, name), _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(analysis, name, counted)
-        find_threshold(protocol, family, EnsembleMix.ALICE_ONLY, Channel(depolarizing=F(1, 20)))
-        assert 1 <= calls["enumerate_joint"] <= 15
-        assert 1 <= calls["key_rate"] <= calls["enumerate_joint"]
+        mix, channel = EnsembleMix.ALICE_ONLY, Channel(depolarizing=F(1, 20))
+        res = find_threshold(protocol, family, mix, channel)
+        assert calls["enumerate_joint"] == [(protocol, _strategy_for(family, res.q_star, mix), channel)]
+        assert calls["key_rate"] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["standard", "gentle"]), mix=_MIXES,
+           q=st.floats(min_value=0, max_value=1), p=st.one_of(_NOISE, st.floats(min_value=0, max_value=1)))
+    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.SYMMETRIC, q=0.0, p=F(0))
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.BOB_ONLY, q=1 - 2**-52, p=F(1))
+    @example(protocol=ProtocolKind.TETRAHEDRON, family="gentle", mix=EnsembleMix.ALICE_ONLY, q=1.0, p=1 - 2**-52)
+    def test_a_probe_is_the_key_rate_of_the_joint(self, protocol, family, mix, q, p):
+        # a solve's probe of R, off the row, is key_rate's r of the joint enumerate_joint builds, bit for bit
+        channel = Channel(depolarizing=p)
+        want = key_rate(enumerate_joint(protocol, _strategy_for(family, q, mix), channel)).r
+        got = _r_at(protocol, family, mix, p, q)
+        assert type(got) is float
+        assert float.hex(got) == float.hex(want)
 
 
 def _rate_bits(rates):
