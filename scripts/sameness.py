@@ -1,10 +1,11 @@
 """Digest the observable outputs of a scqkd tree, to check that a change moves none of them.
 
-    cd <tree root> && python <path to>/scripts/sameness.py
+    cd <tree root> && python <path to>/scripts/sameness.py [SET ...]
 
 Imports scqkd from src/ under the current directory, so the same script
 digests any checkout: run it from the root of each tree and compare the
-lines. It prints one line per output set, "<set> <sha256> <outputs>":
+lines. It prints one line per output set, "<set> <sha256> <outputs>", for
+the sets named as arguments, or for all six when none is named:
 
 - cli: the stdout, stderr and exit code of in-process `scqkd` commands:
   `sweep --steps 23` and `threshold` over protocols x {standard, gentle} x
@@ -33,7 +34,9 @@ lines. It prints one line per output set, "<set> <sha256> <outputs>":
   configuration of the transcripts grid, seeded by the configuration's index.
 
 Every repr carries its type (Fraction or float) and its last bit, and the
-tables their key order, so equal digests mean identical outputs.
+tables their key order, so equal digests mean identical outputs. Only
+transcripts and reference load numpy, so the exact sets (enumerate_joint,
+find_threshold, estimate) run where numpy is not installed.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
@@ -181,6 +182,8 @@ def transcript_outputs():
 
 
 def reference_outputs():
+    import numpy as np
+
     for seed, (protocol, eve, p) in enumerate(_transcript_configs()):
         rng, channel = np.random.default_rng(seed), Channel(depolarizing=p)
         rounds = []
@@ -190,16 +193,22 @@ def reference_outputs():
         yield f"{protocol} {eve!r} {p!r} {seed}\n{rounds!r}"
 
 
-def main() -> int:
-    sets = (
-        ("cli", cli_outputs),
-        ("enumerate_joint", joint_outputs),
-        ("find_threshold", threshold_outputs),
-        ("transcripts", transcript_outputs),
-        ("estimate", estimate_outputs),
-        ("reference", reference_outputs),
-    )
-    for name, outputs in sets:
+def main(names) -> int:
+    sets = {
+        "cli": cli_outputs,
+        "enumerate_joint": joint_outputs,
+        "find_threshold": threshold_outputs,
+        "transcripts": transcript_outputs,
+        "estimate": estimate_outputs,
+        "reference": reference_outputs,
+    }
+    unknown = [name for name in names if name not in sets]
+    if unknown:
+        sys.stderr.write(f"unknown output sets {unknown}; the sets are {list(sets)}\n")
+        return 2
+    for name, outputs in sets.items():
+        if names and name not in names:
+            continue
         digest, count = hashlib.sha256(), 0
         for text in outputs():
             digest.update(text.encode() + b"\0")
@@ -209,4 +218,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -222,7 +222,12 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     (1 + (1 - p) v_k . b)/n for his measurement direction v_k. So the rows
     are Fractions when q, p and s are rational (as at every corner node), and
     floats otherwise. The walk reads them at the exact node strengths, and
-    the sampler builds them in floats at any strength.
+    the sampler builds them in floats at any strength. When strength and p
+    are both Python floats, as in the sampler's call, the Gram values and
+    1/n are read as floats too, the operands Fraction's float fallback
+    converts them to, so the rows are the same bits with no Fraction
+    arithmetic. A numpy float is not a float by type and takes the
+    Fraction path, whose fallback yields Python floats.
 
     Each distinct entry is computed once per call. Eve's entry and the two
     coefficients of b depend only on the side's sign and the Gram value
@@ -240,10 +245,13 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     """
     n = protocol.n_signals
     values, ids = _gram_ids(protocol)
+    uniform = Fraction(1, n)
+    if type(strength) is float and type(p) is float:  # the sampler's call: the floats Fraction's fallback would take
+        values, uniform = [float(v) for v in values], 1 / n
     s = _sqrt(1 - strength * strength)
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
     dual = -1 if protocol.excludes_outcomes else 1
-    uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
+    contrast = (1 - p) * dual * uniform
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
     # memos keyed on Gram ids, never on values: Fraction(0) == 0.0 would hand a float row an exact entry
     eves, coefs, entries = {}, {"direct": (contrast * 0, contrast * 1)}, {}

@@ -41,8 +41,8 @@ from .analysis import (
     find_threshold,
     key_rate,  # noqa: F401 - no command calls it; bench/tracing.py wraps cli.key_rate
 )
-from .eavesdrop import EnsembleMix, _strategy_for
-from .montecarlo import TrialConfig, compare_to_oracle, proportion_se, run_trials
+from .eavesdrop import EnsembleMix, GentleIntercept, InterceptResend, _strategy_for
+from .montecarlo import _COUNTERS, TrialConfig, compare_to_oracle, proportion_se, run_trials
 from .protocol import IDEAL, Channel, ProtocolKind
 
 
@@ -162,11 +162,7 @@ def _cmd_simulate(args) -> tuple:
         **_echo(args, "q", "depolarize"),
         "n_rounds": stats.n_rounds,
         "seed": args.seed,
-        "n_sifted": stats.n_sifted,
-        "n_errors": stats.n_errors,
-        "n_eve_agree_alice": stats.n_eve_agree_alice,
-        "n_eve_agree_bob": stats.n_eve_agree_bob,
-        "n_eve_abstain": stats.n_eve_abstain,
+        **{count: getattr(stats, count) for _, count, _, _ in _COUNTERS},
         "sift_rate": stats.sift_rate,
         "sift_rate_se": proportion_se(stats.n_sifted, stats.n_rounds),
         "qber": stats.qber,
@@ -203,8 +199,14 @@ def _cmd_estimate_q(args) -> tuple:
     slope = float(1 / (hi - lo))
     estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
-    [row] = _evaluate(protocol, *_family_mix_grid(_strategy_for("standard", estimate.q)), IDEAL.depolarizing)
-    _, qber, *_, r = _rates(*row)
+
+    def rates(eve):  # one `_evaluate` row on the noiseless channel
+        [row] = _evaluate(protocol, *_family_mix_grid(eve), IDEAL.depolarizing)
+        return _rates(*row)
+
+    _, qber, *_, r = rates(InterceptResend(estimate.q))
+    # the gentle symmetric attack of the same Bloch shrink 1 - q: the same sift rate and QBER, its own R
+    r_gentle = rates(GentleIntercept(math.sqrt(q_hat * (2 - q_hat))))[-1]
     record = {
         "command": "estimate-q",
         "protocol": protocol.value,
@@ -217,6 +219,7 @@ def _cmd_estimate_q(args) -> tuple:
         "in_model": estimate.in_model,
         "qber": qber,
         "r": r,
+        "r_gentle": r_gentle,
     }
     return record, 0
 

@@ -33,11 +33,11 @@ encoding of analysis._sifting, at the round's cell (Eve's slot, signal,
 Bob's outcome, announcement), in the layout analysis._Stages defines for
 both paths.
 
-run_trials keeps about one chunk of rounds in flight. It splits a trial of
-several chunks over min(CPUs in the affinity mask, chunks) threads, a
-number with no setting, and runs a trial of one chunk serially. Counter
-addressing and integer sums make its totals identical for any chunk size
-and thread count.
+run_trials keeps about one chunk of _CHUNK_ROUNDS rounds in flight. It
+splits a trial of several chunks over min(CPUs in the affinity mask,
+chunks) threads, and runs a trial of one chunk serially; neither number has
+a setting. Counter addressing and integer sums make its totals identical
+for any chunk size and thread count.
 
 The module imports without numpy, so the exact layer and the CLI load it
 at no cost: numpy and numpy.random are imported inside the functions that
@@ -58,6 +58,7 @@ from .protocol import Channel, IDEAL, ProtocolKind, _check_config, _check_instan
 
 UNIFORMS_PER_ROUND = 8
 _COUNTERS_PER_ROUND = UNIFORMS_PER_ROUND // 4  # Philox counter steps in 4-double blocks
+_CHUNK_ROUNDS = 1 << 14  # rounds run_trials keeps in flight, read at each call
 
 
 def _check_integer(name: str, value) -> None:
@@ -197,7 +198,9 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
     The kernel carries signal - 1 as an intp index, builds Bob's row from
     Eve's in one np.where, and samples both with _sample_rows. Its int8
     labels are bob_outcome itself and, times the interception mask,
-    eve_outcome; no outcome column is cast.
+    eve_outcome; no outcome column is cast. Where Eve touches no round (no
+    eavesdropper, or intercept/resend at q = 0) it draws no outcome of
+    hers, so the two give the same transcript bytes.
 
     The whole range is materialised at once: its uniform block alone is
     count x 8 doubles (64 bytes per round), so simulate_rounds(config) with
@@ -222,7 +225,7 @@ def simulate_rounds(config: TrialConfig, start: int = 0, count=None) -> RoundArr
 
     j = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)  # signal - 1
     intercepted = u[:, 1] < float(touched)  # all True for the gentle attack: u < 1
-    if eve is None:  # intercepted is all False
+    if touched == 0:  # intercepted is all False: no eavesdropper, or intercept/resend at q = 0
         side, m, row = intercepted, np.zeros(count, dtype=np.int8), j
     else:
         side = u[:, 2] >= float(_SIDE_WEIGHTS[eve.mix][0])
@@ -350,28 +353,25 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_trials(config: TrialConfig, chunk_size: int = 1 << 14) -> SampleStats:
-    """Run the whole trial in chunks and merge the counts of each.
+def run_trials(config: TrialConfig) -> SampleStats:
+    """Run the whole trial in chunks of _CHUNK_ROUNDS rounds and merge the counts of each.
 
     A trial of several chunks is split over min(CPUs in the affinity mask,
-    chunks) threads; there is no setting for the number. Each thread sums a
-    strided run of steps of ceil(chunk_size / threads) rounds, so about
-    chunk_size rounds are in flight at once, and peak memory is about one
-    chunk (the uniforms alone are 64 bytes per round). A trial of one chunk
-    runs serially in the calling thread. Rounds are counter-addressed and
-    the counts are integer sums, so totals are identical for any chunk size
-    and thread count.
+    chunks) threads; neither the chunk nor the number of threads has a
+    setting. Each thread sums a strided run of steps of ceil(chunk /
+    threads) rounds, so about one chunk of rounds is in flight at once, and
+    peak memory is about one chunk (the uniforms alone are 64 bytes per
+    round). A trial of one chunk runs serially in the calling thread.
+    Rounds are counter-addressed and the counts are integer sums, so totals
+    are identical for any chunk size and thread count.
     """
     _check_instance("config", config, TrialConfig)
-    _check_integer("chunk_size", chunk_size)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    n = config.n_rounds
-    chunks = -(-n // chunk_size)
+    n, chunk = config.n_rounds, _CHUNK_ROUNDS
+    chunks = -(-n // chunk)
     # A one-chunk trial skips the CPU query: its small malloc alone left the
     # glibc heap trimming and page-faulting ~2 MB of arrays afresh on every call.
     workers = 1 if chunks == 1 else min(_cpu_count(), chunks)
-    step = -(-chunk_size // workers)
+    step = -(-chunk // workers)
     starts = range(0, n, step)
 
     def part(w: int) -> SampleStats:

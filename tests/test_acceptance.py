@@ -9,10 +9,12 @@ Fractions, never via float rounding.
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from rate_reference import mutual_information
 
+from scqkd import montecarlo
 from scqkd.analysis import (
     AnalyticCurves,
     enumerate_joint,
@@ -156,7 +158,8 @@ class TestAcceptance:
         stats = run_trials(config)
         report = compare_to_oracle(stats, enumerate_joint(ProtocolKind.TRINE, eve))
         rerun = run_trials(config)
-        rechunked = run_trials(config, chunk_size=37777)
+        with mock.patch.object(montecarlo, "_CHUNK_ROUNDS", 37777):
+            rechunked = run_trials(config)
         elapsed = time.perf_counter() - t0
         ok = (
             report.ok

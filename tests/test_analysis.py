@@ -682,6 +682,23 @@ class TestMemoisedStages:
             assert table.dtype == np.float64 and not table.flags.writeable
             assert np.array_equal(table, montecarlo._cdf(rows, n))
 
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_a_float_build_takes_no_fraction_arithmetic(self, monkeypatch, protocol):
+        # the sampler's call, two Python floats, reads the Gram values and 1/n as floats; an exact
+        # strength still takes the Fraction path, which shows that the counter counts
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(self, other, _original=getattr(Fraction, name)):
+                calls.append(other)
+                return _original(self, other)
+            monkeypatch.setattr(Fraction, name, counted)
+        for strength, p in itertools.product([0.0, 0.6, 1 - 1e-12, 1.0], [0.0, 0.05, 1.0]):
+            rows = _stages(protocol, strength, p)
+            assert all(type(v) is float for part in rows for row in part for v in row)
+        assert calls == []
+        _stages(protocol, F(3, 5), 0.05)
+        assert calls
+
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
     def test_corners_are_those_of_the_plain_loop(self, monkeypatch, protocol, family):

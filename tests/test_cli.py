@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import scqkd.cli as cli
 from scqkd import montecarlo
-from scqkd.analysis import JointDistribution, NoThresholdError, enumerate_joint, find_threshold, key_rate
+from scqkd.analysis import (JointDistribution, NoThresholdError, enumerate_joint, estimate_q_from_sift, find_threshold,
+                            key_rate)
 from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
 from scqkd.montecarlo import ComparisonReport, SampleStats, ZScore
 from scqkd.protocol import Channel, ProtocolKind
@@ -425,6 +426,44 @@ class TestEstimateQ:
         assert record["q"] == 1.0
         assert record["q_raw"] == pytest.approx(12 * 0.7 - 6)
         assert record["in_model"] is False
+
+    @pytest.mark.parametrize("protocol,sift,q,r,r_gentle", [
+        ("trine", 5500, 0.6, 0.0746, -0.0508),
+        ("tetra", 3700, 0.33, 0.3031, 0.2173),
+    ])
+    def test_reports_the_gentle_rate_of_the_same_shrink(self, capsys, protocol, sift, q, r, r_gentle):
+        # GentleIntercept(sqrt(q (2 - q))) shrinks the Bloch vector by 1 - q, as InterceptResend(q) does:
+        # the same sift rate and QBER, and a lower R, reported as it is when negative
+        code, record, _ = run_json(
+            ["estimate-q", "--protocol", protocol, "--sift-count", str(sift), "--total-count", "10000"], capsys
+        )
+        assert code == 0 and record["q"] == q
+        assert (round(record["r"], 4), round(record["r_gentle"], 4)) == (r, r_gentle)
+        gentle = enumerate_joint(ProtocolKind(protocol), GentleIntercept(math.sqrt(q * (2 - q))))
+        assert record["r_gentle"] == key_rate(gentle).r
+        assert abs(gentle.p_sift - record["sift_rate"]) <= 1e-15 and abs(gentle.qber - record["qber"]) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        protocol=st.sampled_from([ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]),
+        family=st.sampled_from([InterceptResend, GentleIntercept]),
+        mix=st.sampled_from(list(EnsembleMix)),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=60),
+        p=st.fractions(min_value=0, max_value=F(1, 3), max_denominator=60),
+    )
+    # the gentle symmetric attack at p = 0 is the bound itself: GentleIntercept(4/5) is the shrink of q = 2/5
+    @example(protocol=ProtocolKind.TRINE, family=GentleIntercept, mix=EnsembleMix.SYMMETRIC, q=F(4, 5), p=F(0))
+    def test_no_modelled_attack_in_the_band_keys_below_r_gentle(self, protocol, family, mix, q, p):
+        # a conjecture the test checks: of every attack and channel that gives an observed sift rate in
+        # the band, the gentle symmetric attack alone on a noiseless channel leaves the least key
+        joint = enumerate_joint(protocol, family(q, mix), Channel(depolarizing=p))
+        assume(estimate_q_from_sift(protocol, joint.p_sift).in_model)
+        sift = F(joint.p_sift)
+        argv = ["estimate-q", "--protocol", protocol.value,
+                "--sift-count", str(sift.numerator), "--total-count", str(sift.denominator)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert key_rate(joint).r >= json.loads(out.getvalue())["r_gentle"] - 1e-12
 
     def test_basis_protocols_rejected(self, capsys):
         for protocol in ("bb84", "six-state"):

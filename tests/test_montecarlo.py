@@ -209,6 +209,32 @@ class TestKernelParity:
             t_b = run_round(protocol, soft.eve, channel, rng_b)
             assert t_a == t_b
 
+    @pytest.mark.parametrize("p", [0, F(1, 7), 0.05])
+    @pytest.mark.parametrize("mix", list(EnsembleMix))
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_intercept_resend_at_zero_is_no_eavesdropper(self, protocol, mix, p):
+        # Eve touches no round in either, so both take one path: every column's dtype and bytes
+        def columns(eve):
+            arrays = simulate_rounds(TrialConfig(protocol, eve, Channel(depolarizing=p), n_rounds=2000, seed=13))
+            return [(column.dtype, column.tobytes()) for column in dataclasses.astuple(arrays)]
+
+        assert columns(InterceptResend(0, mix)) == columns(None)
+
+    @pytest.mark.parametrize("eve", [None, InterceptResend(0), InterceptResend(F(0), EnsembleMix.ALICE_ONLY),
+                                     InterceptResend(0.0, EnsembleMix.BOB_ONLY)])
+    def test_no_touched_round_draws_no_eve_outcome(self, eve):
+        # the sampler forks on the share Eve touches, not on the strategy's class: only Bob's draw is made
+        config = TrialConfig(ProtocolKind.SIX_STATE, eve, Channel(depolarizing=0.05), n_rounds=500, seed=3)
+        original, calls = montecarlo._sample_rows, []
+
+        def counted(cum, rows, u):
+            calls.append(cum)
+            return original(cum, rows, u)
+
+        with mock.patch.object(montecarlo, "_sample_rows", counted):
+            simulate_rounds(config)
+        assert len(calls) == 1 and calls[0] is _tables(ProtocolKind.SIX_STATE, 1.0, 0.05)[1]
+
     def test_subrange_matches_full_run(self):
         config = TrialConfig(
             protocol=ProtocolKind.TRINE, eve=InterceptResend(q=0.5), n_rounds=400, seed=11
@@ -355,33 +381,24 @@ class TestRunTrials:
             n_rounds=30_000,
             seed=44,
         )
-        a = run_trials(config, chunk_size=30_000)
-        b = run_trials(config, chunk_size=1 << 12)
-        c = run_trials(config, chunk_size=9973)  # prime, rounds don't divide evenly
+        with _chunk(30_000):
+            a = run_trials(config)
+        with _chunk(1 << 12):
+            b = run_trials(config)
+        with _chunk(9973):  # prime, rounds don't divide evenly
+            c = run_trials(config)
         assert a == b == c
 
     def test_matches_arrays_total(self):
         config = TrialConfig(protocol=ProtocolKind.BB84, n_rounds=5000, seed=3)
         assert run_trials(config) == stats_from_arrays(simulate_rounds(config))
 
-    def test_chunk_size_validated(self):
-        config = TrialConfig(protocol=ProtocolKind.BB84, n_rounds=10)
-        with pytest.raises(ValueError):
-            run_trials(config, chunk_size=0)
-
-    @pytest.mark.parametrize("chunk_size", [True, False, 4096.0, 2.5, F(64), "64", None])
-    def test_non_integer_chunk_size_rejected(self, chunk_size):
-        # a bool is an Integral, and True would run 1-round chunks
-        config = TrialConfig(protocol=ProtocolKind.BB84, n_rounds=10)
-        with pytest.raises(ValueError, match=f"chunk_size must be an integer, got {re.escape(repr(chunk_size))}"):
-            run_trials(config, chunk_size=chunk_size)
-
-    @pytest.mark.parametrize("cpus,chunk_size", [(1, 1 << 14), (2, 1000), (3, 700)])
-    def test_counts_are_python_ints(self, cpus, chunk_size):
+    @pytest.mark.parametrize("cpus,chunk", [(1, 1 << 14), (2, 1000), (3, 700)])
+    def test_counts_are_python_ints(self, cpus, chunk):
         # numpy integer counts would fail json.dumps in the CLI's records
         config = TrialConfig(ProtocolKind.SIX_STATE, GentleIntercept(q=0.5), n_rounds=3000, seed=5)
-        with _cpus(cpus):
-            stats = run_trials(config, chunk_size=chunk_size)
+        with _cpus(cpus), _chunk(chunk):
+            stats = run_trials(config)
         assert stats == stats_from_arrays(simulate_rounds(config))
         assert all(type(getattr(stats, f.name)) is int for f in dataclasses.fields(SampleStats))
 
@@ -403,6 +420,10 @@ def _cpus(n):
     return mock.patch.object(montecarlo, "_cpu_count", lambda: n)
 
 
+def _chunk(n):
+    return mock.patch.object(montecarlo, "_CHUNK_ROUNDS", n)
+
+
 class TestChunkedKernel:
     """run_trials reuses cached tables across chunks and threads; totals must not change."""
 
@@ -412,8 +433,8 @@ class TestChunkedKernel:
         chunk = data.draw(st.integers(max(1, config.n_rounds // 40), 6000), label="chunk_size")
         cpus = data.draw(st.integers(1, 4), label="cpus")
         calls = []
-        with _cpus(cpus), _recording(calls):
-            pooled = run_trials(config, chunk_size=chunk)
+        with _cpus(cpus), _recording(calls), _chunk(chunk):
+            pooled = run_trials(config)
         assert pooled == stats_from_arrays(simulate_rounds(config))
         # the chunks cover every round exactly once, each at most one thread's share
         workers = min(cpus, -(-config.n_rounds // chunk))
@@ -426,17 +447,17 @@ class TestChunkedKernel:
     def test_one_chunk_starts_no_thread(self, n_rounds):
         config = TrialConfig(ProtocolKind.TRINE, InterceptResend(q=0.5), n_rounds=n_rounds, seed=2)
         refused = mock.Mock(side_effect=AssertionError("a one-chunk trial started a pool"))
-        with _cpus(4), mock.patch.object(concurrent.futures, "ThreadPoolExecutor", refused):
-            assert run_trials(config, chunk_size=1000) == stats_from_arrays(simulate_rounds(config))
+        with _cpus(4), _chunk(1000), mock.patch.object(concurrent.futures, "ThreadPoolExecutor", refused):
+            assert run_trials(config) == stats_from_arrays(simulate_rounds(config))
         refused.assert_not_called()
 
     def test_worker_exception_propagates_and_threads_end(self):
         config = TrialConfig(ProtocolKind.SIX_STATE, GentleIntercept(q=0.5), n_rounds=5000, seed=8)
         threads_before = threading.active_count()
         calls = []
-        with _cpus(3), _recording(calls, fail_in_workers=KeyError("chunk")):
+        with _cpus(3), _chunk(1200), _recording(calls, fail_in_workers=KeyError("chunk")):
             with pytest.raises(KeyError, match="chunk"):
-                run_trials(config, chunk_size=1200)
+                run_trials(config)
         assert threading.active_count() == threads_before
         assert (0, 400) in calls  # the calling thread ran its own part
 
@@ -453,9 +474,9 @@ class TestChunkedKernel:
         sys.setswitchinterval(1e-6)
         keys = set()  # no eavesdropper and intercept/resend measure at strength 1 and share tables
         try:
-            with _cpus(4):
+            with _cpus(4), _chunk(64):
                 for i, config in enumerate(configs):
-                    assert run_trials(config, chunk_size=64) == serial[i]
+                    assert run_trials(config) == serial[i]
                     keys.add((_attack(config.eve)[2], config.channel.depolarizing))
                     assert _tables.cache_info().misses == len(keys)
         finally:
@@ -506,8 +527,9 @@ class TestChunkedKernel:
     def test_tables_built_once_per_configuration(self):
         config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
         _tables.cache_clear()
-        run_trials(config, chunk_size=100)
-        run_trials(config, chunk_size=700)
+        for chunk in (100, 700):
+            with _chunk(chunk):
+                run_trials(config)
         assert _tables.cache_info().misses == 1
         tables = _tables(config.protocol, 0.3, config.channel.depolarizing)
         assert len(tables) == 2 and not any(cum.flags.writeable for cum in tables)
@@ -542,9 +564,9 @@ class TestChunkedKernel:
             ]
         ]
         _tables.cache_clear()
-        with _cpus(2):
+        with _cpus(2), _chunk(16):
             for config in configs:  # the pooled pre-build first, then the kernel's own lookup
-                run_trials(config, chunk_size=16)
+                run_trials(config)
                 simulate_rounds(config)
         assert _tables.cache_info().misses == 1
 
@@ -594,8 +616,8 @@ class TestChunkedKernel:
         def columns(q, p):
             config = TrialConfig(ProtocolKind.TRINE, _strategy_for(family, q), Channel(depolarizing=p),
                                  n_rounds=3000, seed=5)
-            with _cpus(2):
-                run_trials(config, chunk_size=1000)  # the pooled pre-build, then each chunk's lookup
+            with _cpus(2), _chunk(1000):
+                run_trials(config)  # the pooled pre-build, then each chunk's lookup
             return [(column.dtype, column.tobytes()) for column in dataclasses.astuple(simulate_rounds(config))]
 
         _tables.cache_clear()
