@@ -55,8 +55,7 @@ Eve's is where she touches nothing. Only `key_rate`
 wraps the four floats in a RateReport. `_grid_rates` reads a whole grid:
 the rows of one layout go through the same steps together, each step one
 map over the rows (`_column_kernel`), so each row's floats are its own
-`_rates`; a layout that only a few rows share goes through `_rates` row
-by row.
+`_rates`, a layout of one row included.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -80,7 +79,7 @@ from functools import lru_cache
 from numbers import Rational, Real
 from typing import NamedTuple
 
-from .codes import _gram_ids
+from .codes import bloch_gram
 from .eavesdrop import EnsembleMix, InterceptResend, _SIDES, _SIDE_WEIGHTS, _attack, _check_mix, _strategy_for
 from .protocol import (Channel, IDEAL, ProtocolKind, _check_config, _check_instance, _check_unit, _party_bit,
                        announcement_options, derive_bits, sift_accept)
@@ -228,64 +227,38 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     converts them to, so the rows are the same bits with no Fraction
     arithmetic. A numpy float is not a float by type and takes the
     Fraction path, whose fallback yields Python floats.
-
-    Each distinct entry is computed once per call. Eve's entry and the two
-    coefficients of b depend only on the side's sign and the Gram value
-    behind g, and Bob's entry k only on those and the Gram values
-    a_m . a_k and a_j . a_k, while a code's Gram matrix holds at most three
-    values: six-state takes 3 Eve evaluations instead of 72, and at most 36
-    Bob entries instead of up to 468. The memos are keyed on the Gram ids of
-    codes._gram_ids and on the branch that made the coefficients (signal
-    j's own row, or Eve's sign and g), never on computed values: Fraction(0)
-    == 0.0 and 1 == 1.0 hash alike, so a value key would hand an exact entry
-    to a float row (a float strength 0 forwards (0.0, 1.0) where signal j's
-    own row has (0, 1)). Every entry is evaluated with the expression and
-    operands of a plain loop over (j, side, m, k), so the rows and the rows
-    they share are the same to the last bit.
     """
     n = protocol.n_signals
-    values, ids = _gram_ids(protocol)
-    uniform = Fraction(1, n)
+    gram, uniform = bloch_gram(protocol), Fraction(1, n)
     if type(strength) is float and type(p) is float:  # the sampler's call: the floats Fraction's fallback would take
-        values, uniform = [float(v) for v in values], 1 / n
+        gram, uniform = [[float(x) for x in row] for row in gram], 1 / n
     s = _sqrt(1 - strength * strength)
     # under exclusion sifting Bob measures the dual, antipodal to Alice's states
     dual = -1 if protocol.excludes_outcomes else 1
     contrast = (1 - p) * dual * uniform
     eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
-    # memos keyed on Gram ids, never on values: Fraction(0) == 0.0 would hand a float row an exact entry
-    eves, coefs, entries = {}, {"direct": (contrast * 0, contrast * 1)}, {}
 
-    def gram_row(key, m, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
-        c_m, c_j = coefs[key]  # contrast times the two coefficients
-        row = []
-        for x, y in zip(ids[m - 1], ids[j - 1]):
-            if (key, x, y) not in entries:
-                entries[key, x, y] = uniform + c_m * values[x] + c_j * values[y]
-            row.append(entries[key, x, y])
-        return row
+    def gram_row(c_m, m, c_j, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
+        c_m, c_j = contrast * c_m, contrast * c_j
+        return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
 
     for j in range(1, n + 1):
-        direct = bob_rows[j - 1] = gram_row("direct", j, j)  # Bob's row for a_j itself
+        direct = bob_rows[j - 1] = gram_row(0, j, 1, j)  # Bob's row for a_j itself
         for si in (0, 1):
             sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
             eve_row = eve_rows[si * n + j - 1] = []
             for m in range(1, n + 1):
-                key = sign, ids[m - 1][j - 1]  # g = u . a_j is the sign times a Gram value
-                if key not in eves:
-                    g = sign * values[key[1]]
-                    d = 1 + strength * g  # > 0 wherever s != 0
-                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
-                    eves[key], coefs[key] = (d * uniform, g * g == 1), (contrast * (sign * c_u), contrast * c_j)
-                p_m, unit = eves[key]
-                eve_row.append(p_m)
+                g = sign * gram[m - 1][j - 1]
+                d = 1 + strength * g  # > 0 wherever s != 0
+                eve_row.append(d * uniform)
                 at = (1 + si * n + m - 1) * n + j - 1
                 if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
                     bob_rows[at] = bob_rows[at - j + 1]
-                elif s != 0 and unit:  # u = ±a_j, and she forwards a_j itself
+                elif s != 0 and g * g == 1:  # u = ±a_j, and she forwards a_j itself
                     bob_rows[at] = direct
                 else:
-                    bob_rows[at] = gram_row(key, m, j)
+                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
+                    bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
     return _Stages(eve_rows, bob_rows)
 
 
@@ -537,15 +510,15 @@ def _rates(layout, values, total, den) -> tuple:
 def _grid_rates(rows) -> list:
     """[_rates(*row) for row in rows], the same tuples bit for bit, the rows of one layout taken together.
 
-    Rows are grouped by their layout (and by exact or float). A group of at
-    least _COLUMN_ROWS rows takes each step of `_rates` as one map over its
-    rows, the rate kernel's too (`_column_kernel`), so each row gets the
-    same operations on the same operands in the same order; its QBER and
-    abstain rate are builtin sums over its own values, as sum is
-    compensated for floats from Python 3.12 on. A smaller group goes
-    through `_rates` row by row, and so does a row whose total is not in
-    (0, 2^1074): in a group every kept mass is an int >= 1 or a float
-    >= 1e-15, so every value and cell over such a total is a positive float.
+    Rows are grouped by their layout (and by exact or float). A group, one
+    row or many, takes each step of `_rates` as one map over its rows, the
+    rate kernel's too (`_column_kernel`), so each row gets the same
+    operations on the same operands in the same order; its QBER and abstain
+    rate are builtin sums over its own values, as sum is compensated for
+    floats from Python 3.12 on. A row whose total is not in (0, 2^1074)
+    goes through `_rates` alone: in a group every kept mass is an int >= 1
+    or a float >= 1e-15, so every value and cell over such a total is a
+    positive float.
     """
     out, groups = [None] * len(rows), {}
     for r, (layout, _, total, den) in enumerate(rows):
@@ -554,10 +527,6 @@ def _grid_rates(rows) -> list:
         else:
             out[r] = _rates(*rows[r])
     for (layout, floats), index in groups.items():
-        if len(index) < _COLUMN_ROWS:
-            for r in index:
-                out[r] = _rates(*rows[r])
-            continue
         _, values, totals, dens = zip(*(rows[r] for r in index))
         columns = list(zip(*values))
         if floats:  # the joint's table: each mass over the total
@@ -576,22 +545,18 @@ def _grid_rates(rows) -> list:
     return out
 
 
-# a group of fewer rows is faster through `_rate_kernel` row by row
-_COLUMN_ROWS = 5
-
-
 def _column_kernel(layout: tuple, columns: list, totals) -> tuple:
     """`_rate_kernel` of a group of rows: columns[i] holds key i's value in each row, totals their totals or None.
 
     It returns the kernel's (i_ab, i_ae, i_be, r) as four columns, one entry
-    per row. Each cell, marginal and log term is one map over the rows, with
-    the kernel's operations in its order: cells summed with + in table order
-    and divided by the total, marginals summed in cell order, and log sums
-    from 0.0 in cell order. The kernel begins a cell at int 0 and a
-    marginal at 0.0, which leave a positive value as it is, and every
-    value and cell here is positive (see _grid_rates), so no log term is
-    skipped. A pair the plan gives no cells (one x or one y value) stays
-    at 0.0 in every row, as in the kernel.
+    per row, for a group of any size, one row included. Each cell, marginal
+    and log term is one map over the rows, with the kernel's operations in
+    its order: cells summed with + in table order and divided by the total,
+    marginals summed in cell order, and log sums from 0.0 in cell order.
+    The kernel begins a cell at int 0 and a marginal at 0.0, which leave a
+    positive value as it is, and every value and cell here is positive (see
+    _grid_rates), so no log term is skipped. A pair the plan gives no cells
+    (one x or one y value) stays at 0.0 in every row, as in the kernel.
     """
     n, add, mul = len(columns[0]), operator.add, operator.mul
     infos = []

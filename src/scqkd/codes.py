@@ -144,18 +144,6 @@ def bloch_gram(protocol: ProtocolKind) -> tuple:
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=len(ProtocolKind))
-def _gram_ids(protocol: ProtocolKind) -> tuple:
-    """(values, ids): the distinct entries of bloch_gram, and each entry's index among them.
-
-    A code's Gram matrix holds at most three values, so anything computed
-    from Gram entries can be memoised on these small ints.
-    """
-    values: dict = {}
-    ids = tuple(tuple(values.setdefault(x, len(values)) for x in row) for row in bloch_gram(protocol))
-    return tuple(values), ids
-
-
 # -- basis-pair helpers (BB84 / six-state ordering: +z,-z,+x,-x,+y,-y) --------
 
 

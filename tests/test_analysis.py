@@ -492,8 +492,8 @@ class TestStages:
 
     @settings(max_examples=60, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
-           mix=_MIXES, q=_STRENGTH, p=_NOISE)
-    def test_gram_rows_are_the_born_rows(self, protocol, family, mix, q, p):
+           mix=_MIXES, q=_STRENGTH, p=_NOISE, float_q=st.floats(0, 0.99), float_p=st.floats(0, 1))
+    def test_gram_rows_are_the_born_rows(self, protocol, family, mix, q, p, float_q, float_p):
         if family == "gentle":
             q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
@@ -504,6 +504,16 @@ class TestStages:
             for exact, approx in zip(exact_rows, float_rows):
                 assert sum(exact) == 1 and all(type(e) is F for e in exact)
                 assert all(abs(e - b) <= 1e-12 for e, b in zip(exact, approx))
+        # the sampler's call, two Python floats, checked against the Born rows too; closer to q = 1 the
+        # Born side's Kraus normalisation loses digits, and test_gentle_branch_masses_near_full_strength
+        # covers that range
+        strength = _attack(_strategy_for(family, float_q, mix))[2]
+        floats = _stages(protocol, float(strength), float_p)
+        for float_rows, born_rows in zip(floats, _born_stages(protocol, strength, float_p)):
+            assert len(float_rows) == len(born_rows)
+            for got, want in zip(float_rows, born_rows):
+                assert all(type(e) is float for e in got)
+                assert all(abs(e - b) <= 1e-12 for e, b in zip(got, want))
 
     @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(1), 0.0, 0.6, 1.0])
     @pytest.mark.parametrize("protocol", ALL)
@@ -650,7 +660,7 @@ _ANY_ARITHMETIC = st.one_of(
 
 
 class TestMemoisedStages:
-    """_stages computes each distinct entry once and still gives the plain loop's rows, bit for bit."""
+    """_stages gives the plain loop's rows, bit for bit, in every arithmetic q and p come in."""
 
     @settings(max_examples=120, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
@@ -829,7 +839,7 @@ class TestKeyRate:
         assert report.i_ae == report.i_be == 0.0 and report.r == report.i_ab
         # so does a standard sweep's row at q = 0, alone and taken by column with rows of its layout
         rows = _evaluate(protocol, "standard", EnsembleMix.SYMMETRIC, range(11), 10, p)
-        for rates in (_grid_rates(rows)[0], *_grid_rates([rows[0]] * analysis._COLUMN_ROWS)):
+        for rates in (_grid_rates(rows)[0], *_grid_rates([rows[0]] * 5)):
             assert rates[4:6] == (0.0, 0.0) and rates[6] == rates[3]
 
 
@@ -1891,14 +1901,26 @@ class TestRateKernel:
 
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     def test_grid_rates_take_a_layout_of_several_rows_by_column(self, monkeypatch, family):
-        # only the rows of a layout that fewer than _COLUMN_ROWS rows share go through the one-row kernel
+        # every layout goes by column, one of a single row too: the one-row kernel is never called
         rows = _evaluate(ProtocolKind.TRINE, family, EnsembleMix.SYMMETRIC, range(101), 100, F(0))
         shares = collections.Counter(layout for layout, *_ in rows)
         calls = []
         monkeypatch.setattr(analysis, "_rate_kernel", lambda *args: calls.append(args) or _rate_kernel(*args))
         _grid_rates(rows)
-        assert max(shares.values()) >= analysis._COLUMN_ROWS
-        assert len(calls) == sum(n for n in shares.values() if n < analysis._COLUMN_ROWS) < len(rows)
+        assert min(shares.values()) == 1 and max(shares.values()) > 1
+        assert calls == []
+
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_grid_rates_take_a_row_of_a_huge_total_alone(self, monkeypatch, protocol):
+        # at p = 10^-400 every row's total is past 2^1074, over which some values underflow to 0.0,
+        # a log2 domain error by column: each row goes through `_rates` and the columns are never taken
+        rows = _evaluate(protocol, "standard", EnsembleMix.SYMMETRIC, range(101), 100, F(1, 10**400))
+        assert all(total >= 1 << 1074 for _, _, total, _ in rows)
+        want = [_rate_bits(_rates(*row)) for row in rows]
+        calls = []
+        monkeypatch.setattr(analysis, "_column_kernel", lambda *args: calls.append(args))
+        assert [_rate_bits(rates) for rates in _grid_rates(rows)] == want
+        assert calls == []
 
     @settings(max_examples=200, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
