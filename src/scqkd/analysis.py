@@ -220,13 +220,14 @@ def _stages(protocol: ProtocolKind, strength, p) -> _Stages:
     1 by up to 1e-9). Bob's entry k is
     (1 + (1 - p) v_k . b)/n for his measurement direction v_k. So the rows
     are Fractions when q, p and s are rational (as at every corner node), and
-    floats otherwise. The walk reads them at the exact node strengths, and
-    the sampler builds them in floats at any strength. When strength and p
-    are both Python floats, as in the sampler's call, the Gram values and
-    1/n are read as floats too, the operands Fraction's float fallback
-    converts them to, so the rows are the same bits with no Fraction
-    arithmetic. A numpy float is not a float by type and takes the
-    Fraction path, whose fallback yields Python floats.
+    floats otherwise. Two callers reach it: `_walk`, at the exact node
+    strengths and p = 0, and `_tables`, with Python floats at any strength.
+    When strength and p are both Python floats, as in the sampler's call,
+    the Gram values and 1/n are read as floats too, the operands Fraction's
+    float fallback converts them to, so the rows are the same bits with no
+    Fraction arithmetic. Any other real (a Fraction, a numpy scalar, a float
+    subclass) takes the Fraction path; a float subclass gives the gate's
+    bits there, which test_the_gate_gives_the_fraction_paths_bits pins.
     """
     n = protocol.n_signals
     gram, uniform = bloch_gram(protocol), Fraction(1, n)

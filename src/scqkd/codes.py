@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Integral
 
 
@@ -107,7 +106,6 @@ def _basis_pair_states(bases: str) -> list:
     return rows
 
 
-@lru_cache(maxsize=len(ProtocolKind))
 def make_code(protocol: ProtocolKind) -> SphericalCode:
     """Construct the sender's constellation of `protocol` with its exact coordinates."""
     if protocol is ProtocolKind.TRINE:

@@ -88,7 +88,6 @@ class RoundTranscript:
     eve_record: "EveRecord | None" = None  # noqa: F821 - defined in eavesdrop
 
 
-@lru_cache(maxsize=len(ProtocolKind))
 def bob_code(protocol: ProtocolKind) -> SphericalCode:
     """Bob measures the antipodal code for exclusion protocols, the code itself otherwise.
 

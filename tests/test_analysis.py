@@ -52,7 +52,7 @@ from scqkd.eavesdrop import (
     eve_guess,
     measuring_code,
 )
-from scqkd.codes import basis_label, bloch_gram, eigen_bit, make_code, tetra_key_bit, trine_key_bit
+from scqkd.codes import basis_label, eigen_bit, make_code, tetra_key_bit, trine_key_bit
 from scqkd.protocol import Announcement, Channel, ProtocolKind, announcement_options
 from scqkd.states import born_probability, depolarize, post_measurement_state
 
@@ -235,34 +235,6 @@ def _walked(protocol, eve, channel):
     return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
 
 
-def _fraction_weight_parts(protocol, eve, channel):
-    """_reference_parts' side parts over the gram rows of _stages, with Fraction weights 1/n and 1/n_opts.
-
-    A side the mix never picks is left out.
-    """
-    n = protocol.n_signals
-    n_opts = len(announcement_options(protocol, 1))
-    stages, sifting = _stages_of(protocol, eve, channel), _sifting(protocol)
-    table = {}
-    for j in range(1, n + 1):
-        for side, ws in enumerate(_SIDE_WEIGHTS[eve.mix]):
-            if not ws:
-                continue
-            for m, p_m in enumerate(stages.eve[side * n + j - 1], 1):
-                if _negligible(p_m):
-                    continue
-                base = F(1, n) * p_m
-                row = (1 + side * n + m - 1) * n + j - 1
-                for k, pk in enumerate(stages.bob[row]):
-                    if _negligible(pk):
-                        continue
-                    w = base * pk * F(1, n_opts)
-                    for key in sifting[(row * n + k) * n_opts:(row * n + k + 1) * n_opts]:
-                        if key is not None:
-                            table[1 + side, key] = table.get((1 + side, key), 0) + w
-    return table
-
-
 # the walk of one eavesdropper, her share and mix weighing each branch as it is taken: the
 # reference that _corners, weighting the parts of _walk, must reproduce key for key
 def _reference_branches(protocol: ProtocolKind, eve, stages, j: int):
@@ -341,18 +313,6 @@ CORNER_KEYS = [(family, mix) for family in ("standard", "gentle") for mix in Ens
 
 
 class TestEnumerateGentle:
-    @pytest.mark.parametrize("protocol", ALL)
-    @pytest.mark.parametrize("mix", list(EnsembleMix))
-    @pytest.mark.parametrize("q,channel", [
-        (0.7, Channel()), (0.3, Channel(depolarizing=0.05)), (F(3, 5), Channel(depolarizing=F(1, 7))),
-    ])
-    def test_float_weights_match_fraction_weights(self, protocol, mix, q, channel):
-        weights = _weights(GentleIntercept(q=q, mix=mix))
-        parts = _reference_parts(protocol, q, channel.depolarizing)
-        walked = {key: v for key, v in parts.items() if weights[key[0]]}
-        table = _fraction_weight_parts(protocol, GentleIntercept(q=q, mix=mix), channel)
-        assert list(walked.items()) == list(table.items())
-
     @pytest.mark.parametrize("protocol", ALL)
     def test_full_strength_equals_intercept_resend(self, protocol):
         hard = enumerate_joint(protocol, _sym(F(1)))
@@ -525,6 +485,28 @@ class TestStages:
         for row in stages.eve + stages.bob:
             assert len(row) == n and abs(sum(row) - 1) <= 1e-15
 
+    # F(3, 7) has an irrational s, so its rows mix Fractions and floats; a numpy float takes the Fraction path
+    @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(3, 7), F(1), 0.0, 0.6, 1 - 1e-12, 1.0,
+                                          np.float64(0.6), np.float64(1.0)])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_rows_are_shared_by_the_two_rules(self, protocol, strength):
+        # at full strength a slot's rows for j > 1 are its j = 1 row; below it, a slot whose state is
+        # +-a_j (read off the codes' Bloch vectors) holds signal j's undisturbed row; no other row is shared
+        n = protocol.n_signals
+        alice = make_code(protocol).states
+        want = list(range((2 * n + 1) * n))
+        for si, side in enumerate(_SIDES):
+            eve = measuring_code(protocol, side).states
+            for m, j in itertools.product(range(1, n + 1), repeat=2):
+                at = (1 + si * n + m - 1) * n + j - 1
+                if strength == 1:
+                    want[at] = at - j + 1
+                elif abs(abs(float(eve[m - 1] @ alice[j - 1])) - 1) < 1e-9:
+                    want[at] = j - 1
+        for p in (F(1, 10), 0.1):
+            stages = _stages(protocol, strength, p)
+            assert _layout(stages.eve + stages.bob) == [*range(2 * n), *(2 * n + i for i in want)]
+
     @pytest.mark.parametrize("protocol", ALL)
     def test_branches_of_zero_weight_are_not_taken(self, monkeypatch, protocol):
         # a node takes part 0 only where Eve leaves signals alone, and a side only where she
@@ -596,45 +578,6 @@ class TestStages:
             enumerate_joint(protocol, object())
 
 
-def _reference_stages(protocol, strength, p):
-    """_stages as one plain loop with no memo: every entry evaluated where it is used.
-
-    The reference the memoised _stages must equal entry by entry: same
-    types, same values to the last bit, every slot and both sides, and the
-    same rows shared by identity.
-    """
-    n = protocol.n_signals
-    gram = bloch_gram(protocol)
-    s = analysis._sqrt(1 - strength * strength)
-    # under exclusion sifting Bob measures the dual, antipodal to Alice's states
-    dual = -1 if protocol.excludes_outcomes else 1
-    uniform, contrast = Fraction(1, n), (1 - p) * dual * Fraction(1, n)
-    eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
-
-    def gram_row(c_m, m, c_j, j):  # Bob's row for the forwarded Bloch vector c_m a_m + c_j a_j
-        c_m, c_j = contrast * c_m, contrast * c_j
-        return [uniform + c_m * x + c_j * y for x, y in zip(gram[m - 1], gram[j - 1])]
-
-    for j in range(1, n + 1):
-        direct = bob_rows[j - 1] = gram_row(0, j, 1, j)  # Bob's row for a_j itself
-        for si in (0, 1):
-            sign = dual if si else 1  # u = sign * a_m; Bob's states are dual * a_m
-            eve_row = eve_rows[si * n + j - 1] = []
-            for m in range(1, n + 1):
-                g = sign * gram[m - 1][j - 1]
-                d = 1 + strength * g
-                eve_row.append(d * uniform)
-                at = (1 + si * n + m - 1) * n + j - 1
-                if s == 0 and j > 1:  # at full strength she forwards her state m whatever j was
-                    bob_rows[at] = bob_rows[at - j + 1]
-                elif s != 0 and g * g == 1:  # u = ±a_j, and she forwards a_j itself
-                    bob_rows[at] = direct
-                else:
-                    c_u, c_j = (1, 0) if s == 0 else ((strength + g - s * g) / d, s / d)
-                    bob_rows[at] = gram_row(sign * c_u, m, c_j, j)
-    return analysis._Stages(eve_rows, bob_rows)
-
-
 def _bits(v):
     """An entry's type and exact value: a float by its hex digits, a numpy scalar by its bytes."""
     return type(v), v.hex() if isinstance(v, float) else v.tobytes() if isinstance(v, np.generic) else v
@@ -645,37 +588,38 @@ def _layout(rows):
     return [next(i for i, other in enumerate(rows) if other is row) for row in rows]
 
 
-# every arithmetic q and p can come in: small-denominator Fractions, the
-# rational-s strengths 3/5 and 4/5 and the irrational-s 3/7, floats with
-# 1 - q down to 1e-15, and numpy float64, float32 and int64 scalars
-_ANY_ARITHMETIC = st.one_of(
-    st.fractions(min_value=0, max_value=1, max_denominator=12),
-    st.sampled_from([F(3, 5), F(4, 5), F(3, 7), 0.0, 1.0, 1 - 2**-52, 1 - 2**-53]),
-    st.integers(min_value=1, max_value=15).map(lambda k: 1 - 10.0**-k),
-    st.floats(min_value=0, max_value=1),
-    st.floats(min_value=0, max_value=1).map(np.float64),
-    st.floats(min_value=0, max_value=1).map(np.float32),
-    st.integers(min_value=0, max_value=1).map(np.int64),
-)
+class _Boxed(float):
+    """A float that is not a float by type, as a numpy float is not: _stages takes it the Fraction way."""
 
 
-class TestMemoisedStages:
-    """_stages gives the plain loop's rows, bit for bit, in every arithmetic q and p come in."""
+def _assert_same_rows(got, want):
+    """Both sides' rows alike by type and bits, and shared alike."""
+    for got_rows, want_rows in zip(got, want):
+        assert _layout(got_rows) == _layout(want_rows)
+        for a, b in zip(got_rows, want_rows):
+            assert [_bits(v) for v in a] == [_bits(v) for v in b]
 
-    @settings(max_examples=120, deadline=None)
-    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
-           mix=_MIXES, q=_ANY_ARITHMETIC, p=_ANY_ARITHMETIC)
-    # a float strength 0 forwards (0.0, 1.0) a_m + a_j: equal to the signal's own (0, 1), in other arithmetic
-    @example(protocol=ProtocolKind.TRINE, family="gentle", mix=EnsembleMix.SYMMETRIC, q=0.0, p=F(1, 10))
-    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.ALICE_ONLY, q=0.0, p=F(1, 10))
-    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.BOB_ONLY, q=F(0), p=0.0)
-    def test_rows_are_the_plain_loops(self, protocol, family, mix, q, p):
-        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        got, want = _stages_of(protocol, eve, channel), _reference_stages(protocol, _attack(eve)[2], p)
-        for got_rows, want_rows in zip(got, want):
-            assert _layout(got_rows) == _layout(want_rows)
-            for a, b in zip(got_rows, want_rows):
-                assert [_bits(v) for v in a] == [_bits(v) for v in b]
+
+# any float in [0, 1], and the ends and near-ends where the rows lose the most digits
+_GATE_FLOATS = st.one_of(st.floats(min_value=0, max_value=1),
+                         st.sampled_from([0.0, 1.0, 1 - 2**-52, 1 - 1e-12, 2**-60]))
+
+
+class TestFloatGate:
+    """The sampler's call, two Python floats, gives the Fraction path's rows with no Fraction arithmetic."""
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @settings(max_examples=60, deadline=None)
+    @given(q=_GATE_FLOATS, p=_GATE_FLOATS)
+    def test_the_gate_gives_the_fraction_paths_bits(self, protocol, q, p):
+        _assert_same_rows(_stages(protocol, q, p), _stages(protocol, _Boxed(q), _Boxed(p)))
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @settings(max_examples=30, deadline=None)
+    @given(q=_GATE_FLOATS, p=_GATE_FLOATS)
+    def test_numpy_floats_give_the_gates_bits(self, protocol, q, p):
+        # numpy's own operators meet the Fraction path here, and its rows are still Python floats
+        _assert_same_rows(_stages(protocol, q, p), _stages(protocol, np.float64(q), np.float64(p)))
 
     @pytest.mark.parametrize("q,p", [
         (F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
@@ -683,14 +627,13 @@ class TestMemoisedStages:
     ])
     @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
-    def test_sampler_tables_are_those_of_the_plain_loop(self, protocol, family, q, p):
-        # the sampler builds in floats: the plain loop's rows at float(strength) and float(p)
+    def test_sampler_tables_are_the_cdfs_of_the_float_rows(self, protocol, family, q, p):
+        # the sampler builds in floats: the CDFs of _stages' rows at float(strength) and float(p)
         strength = _attack(_strategy_for(family, q, EnsembleMix.SYMMETRIC))[2]
-        n = protocol.n_signals
         got = montecarlo._tables(protocol, strength, p)
-        for table, rows in zip(got, _reference_stages(protocol, float(strength), float(p))):
+        for table, rows in zip(got, _stages(protocol, float(strength), float(p))):
             assert table.dtype == np.float64 and not table.flags.writeable
-            assert np.array_equal(table, montecarlo._cdf(rows, n))
+            assert np.array_equal(table, montecarlo._cdf(rows, protocol.n_signals))
 
     @pytest.mark.parametrize("protocol", ALL)
     def test_a_float_build_takes_no_fraction_arithmetic(self, monkeypatch, protocol):
@@ -708,17 +651,6 @@ class TestMemoisedStages:
         assert calls == []
         _stages(protocol, F(3, 5), 0.05)
         assert calls
-
-    @pytest.mark.parametrize("family", ["standard", "gentle"])
-    @pytest.mark.parametrize("protocol", ALL)
-    def test_corners_are_those_of_the_plain_loop(self, monkeypatch, protocol, family):
-        for mix in EnsembleMix:
-            _corners.cache_clear()
-            got = _corners(protocol, family, mix)
-            with monkeypatch.context() as patch:
-                patch.setattr(analysis, "_stages", _reference_stages)
-                patch.setattr(analysis, "_walk", _walk.__wrapped__)
-                assert got == _corners.__wrapped__(protocol, family, mix)
 
 
 class TestDepolarizing:

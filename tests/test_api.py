@@ -60,10 +60,9 @@ JOINT_ATTRIBUTES = ["mass", "p_eve_abstain", "p_eve_agree_alice", "p_eve_agree_b
 CACHES = {
     "analysis": {"_corners": 24, "_rate_plan": 64, "_sift_line": 4, "_sifting": 4, "_walk": 12},
     "cli": {"build_parser": 1},
-    "codes": {"make_code": 4},
     "eavesdrop": {"_side_gentle_povm": 16},
     "montecarlo": {"_cell_bits": 4, "_tables": 16},
-    "protocol": {"announcement_options": 17, "bob_code": 4},
+    "protocol": {"announcement_options": 17},
 }
 
 
@@ -134,7 +133,7 @@ def test_every_cache_is_bounded():
                 caches.setdefault(defining, {})[value.__name__] = value.cache_parameters()["maxsize"]
     assert [name for names in caches.values() for name, maxsize in names.items() if maxsize is None] == []
     assert caches == CACHES
-    assert sum(map(len, CACHES.values())) == 12
+    assert sum(map(len, CACHES.values())) == 10
 
 
 def _load_bench(name, monkeypatch):
