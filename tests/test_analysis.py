@@ -3,7 +3,6 @@
 import collections
 import itertools
 import math
-import operator
 import re
 import types
 import warnings
@@ -164,13 +163,6 @@ class TestEnumerateStandard:
             assert abs(float(v) - approx.table[key]) < 1e-12
 
 
-def _weights(eve):
-    """The weights of _walk's parts (untouched, alice, bob) under eve, read off _attack and the mix."""
-    _, touched, _ = _attack(eve)
-    w_alice, w_bob = (0, 0) if eve is None else _SIDE_WEIGHTS[eve.mix]
-    return 1 - touched, touched * w_alice, touched * w_bob
-
-
 def _negligible(p) -> bool:
     """True for a branch probability the reference walks skip: an exact zero, or a float below 1e-15."""
     if isinstance(p, float):
@@ -178,120 +170,87 @@ def _negligible(p) -> bool:
     return p == 0
 
 
-def _reference_parts(protocol: ProtocolKind, strength, p) -> dict:
-    """_walk's parts at one depolarizing strength p: {(part, (a, b, e)): unnormalised sifted mass}.
+def _reference_cells(protocol: ProtocolKind, strength, p, weights):
+    """Yield (part, (a, b, e), mass) for every sifted cell of one round, walking every branch.
 
-    The reference the one-pass walk must equal at p = 0 and p = 1, and that
-    the tests read at any other p. Part 0 is the round Eve leaves alone, and
-    part 1 + side her measuring with that side's ensemble at `strength`.
-    Every branch (signal j, slot, Bob outcome k, announcement) is taken with
-    its probability, in that order, reading Bob's gram row slot * n + j-1 of
-    `_stages` at p, and a branch of negligible weight is skipped. Keys are
-    in the order the walk first sees them.
+    Independent of `_walk`'s one pass and of `_corners`' part weighting: every
+    branch is taken at any p with its own probability, and weighed as it is
+    taken. Part 0 is the round Eve leaves alone, and part 1 + side her
+    measuring with that side's ensemble at `strength`. Every branch (signal j,
+    slot, Bob outcome k, announcement) is taken in that order, reading Bob's
+    gram row slot * n + j-1 of `_stages` at p (the layout is in _Stages), and
+    its mass is 1/n * weights[part] * p_m * p_k / n_opts, with p_m = 1 in slot
+    0. A part of weight zero and an outcome of negligible probability are
+    skipped. Once exhausted, it checks that each part's branch probabilities
+    sum to the part's weight.
     """
     n = protocol.n_signals
     n_opts = len(announcement_options(protocol, 1))
     w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
     stages, sifting = _stages(protocol, strength, p), _sifting(protocol)
-    table, totals = {}, [0, 0, 0]
+    totals = [0, 0, 0]
     for j in range(1, n + 1):
         for slot, p_m in enumerate([1, *stages.eve[j - 1], *stages.eve[n + j - 1]]):
-            if _negligible(p_m):
+            part = (slot + n - 1) // n
+            if not weights[part] or _negligible(p_m):
                 continue
-            part, row, base = (slot + n - 1) // n, slot * n + j - 1, w_j * p_m
+            row, base = slot * n + j - 1, w_j * (weights[part] * p_m)
             for k, pk in enumerate(stages.bob[row]):
                 if _negligible(pk):
                     continue
                 mass = base * pk
                 totals[part] += mass
-                w = mass * w_a
                 cell = (row * n + k) * n_opts
                 for key in sifting[cell:cell + n_opts]:
                     if key is not None:
-                        table[part, key] = table.get((part, key), 0) + w
-    if any(abs(float(total) - 1.0) > 1e-9 for total in totals):
-        raise AssertionError(f"branch probabilities of the parts sum to {[float(t) for t in totals]!r}")
+                        yield part, key, mass * w_a
+    if any(abs(float(total) - float(w)) > 1e-9 for total, w in zip(totals, weights)):
+        raise AssertionError(f"branch probabilities of the parts sum to {[float(t) for t in totals]!r}, "
+                             f"not their weights {[float(w) for w in weights]!r}")
+
+
+def _reference_parts(protocol: ProtocolKind, strength, p) -> dict:
+    """_walk's parts at one depolarizing strength p: {(part, (a, b, e)): unnormalised sifted mass}.
+
+    The reference the one-pass walk must equal at p = 0 and p = 1, and that
+    the tests read at any other p: `_reference_cells` with every part at
+    weight 1, so independent of the one pass (the two ends built together,
+    Bob's uniform 1/n at p = 1, exact-zero skips). Keys are in the order the
+    walk first sees them.
+    """
+    table: dict = {}
+    for part, key, mass in _reference_cells(protocol, strength, p, (1, 1, 1)):
+        table[part, key] = table.get((part, key), 0) + mass
     return table
 
 
-def _composed(protocol, strength, p, weights):
-    """The unnormalised sifted table {(a, b, e): mass} of the walk's parts at p, by their weights."""
-    u = {}
-    for (part, key), mass in _reference_parts(protocol, strength, p).items():
-        if weights[part]:
-            u[key] = u.get(key, 0) + weights[part] * mass
-    return u
-
-
-def _weighted(protocol, eve, channel):
-    """The unnormalised sifted table of eve's round: _walk's parts at her strength, by her weights."""
-    return _composed(protocol, _attack(eve)[2], channel.depolarizing, _weights(eve))
-
-
-def _walked(protocol, eve, channel):
-    """The joint distribution of the walk's parts composed by eve's weights, normalised."""
-    u = _weighted(protocol, eve, channel)
-    p_sift = sum(u.values())
-    return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
-
-
-# the walk of one eavesdropper, her share and mix weighing each branch as it is taken: the
-# reference that _corners, weighting the parts of _walk, must reproduce key for key
-def _reference_branches(protocol: ProtocolKind, eve, stages, j: int):
-    """Yield (weight, Eve's slot) for every way signal j reaches Bob (slots: see _Stages).
-
-    Slot 0, the round Eve leaves alone, has weight 1 - touched, and her
-    outcome m on a side has weight touched * w_side * p_m, with touched the
-    share of signals she measures (eavesdrop._attack) and w_side the mix's
-    weight of the side. A branch of weight zero is never taken: slot 0 where
-    Eve measures every signal, a side the mix never picks, every side when
-    she measures none, and an outcome of negligible p_m.
-    """
-    n = protocol.n_signals
-    touched = _attack(eve)[1]
-    if touched != 1:
-        yield 1 - touched, 0
-    for si, ws in enumerate(_SIDE_WEIGHTS[eve.mix] if touched else ()):
-        for m, p_m in enumerate(stages.eve[si * n + j - 1] if ws else (), 1):
-            if not _negligible(p_m):
-                yield touched * ws * p_m, 1 + si * n + m - 1
-
-
-def _reference_walk(protocol: ProtocolKind, eve, channel: Channel) -> dict:
+def _reference_walk(protocol: ProtocolKind, eve, channel: Channel, sides=None) -> dict:
     """Walk every branch of one round: the unnormalised sifted table {(a, b, e): mass}.
 
-    Every branch (signal, interception outcome, Bob outcome, announcement) is
-    taken with its probability; nothing is sampled. Each (signal, slot) branch
-    reads Bob's gram row slot * n + j-1 of `_stages` and projects its masses
-    through that row's slice of `_sifting` (the layout is in _Stages). The
+    Independent of `_corners`' part weighting, node table and scaling: each
+    branch is weighed by Eve's share and side as `_reference_cells` takes it,
+    1 - touched for the round she leaves alone and touched * w_side for a
+    side, with touched her share (eavesdrop._attack) and (w_alice, w_bob) the
+    mix's side weights, or `sides` if given. Nothing is sampled. The
     arithmetic is the rows', the same for every family: exact rationals
     whenever q, p and, for the gentle attack, sqrt(1 - q^2) are rational,
     floats otherwise. Keys are in the order the walk first sees them.
     """
-    n = protocol.n_signals
-    n_opts = len(announcement_options(protocol, 1))
-    w_j, w_a = Fraction(1, n), Fraction(1, n_opts)
-    stages = _stages(protocol, _attack(eve)[2], channel.depolarizing)
-    sifting = _sifting(protocol)
+    _, touched, strength = _attack(eve)
+    if sides is None:
+        sides = (0, 0) if eve is None else _SIDE_WEIGHTS[eve.mix]
+    weights = (1 - touched, *(touched * w for w in sides))
     table: dict = {}
-    total_mass = 0
-    for j in range(1, n + 1):
-        for w_e, slot in _reference_branches(protocol, eve, stages, j):
-            row = slot * n + j - 1
-            base = w_j * w_e
-            for k, pk in enumerate(stages.bob[row]):
-                if _negligible(pk):
-                    continue
-                mass = base * pk
-                total_mass += mass
-                w = mass * w_a
-                cell = (row * n + k) * n_opts
-                for key in sifting[cell:cell + n_opts]:
-                    if key is not None:
-                        table[key] = table.get(key, 0) + w
-    if abs(float(total_mass) - 1.0) > 1e-9:
-        raise AssertionError(f"branch probabilities sum to {float(total_mass)!r}")
+    for _, key, mass in _reference_cells(protocol, strength, channel.depolarizing, weights):
+        table[key] = table.get(key, 0) + mass
     return table
+
+
+def _reference_joint(protocol: ProtocolKind, eve, channel: Channel, sides=None) -> JointDistribution:
+    """The reference walk's table normalised: the joint distribution enumerate_joint must give."""
+    u = _reference_walk(protocol, eve, channel, sides)
+    p_sift = sum(u.values())
+    return JointDistribution(p_sift=p_sift, table={key: v / p_sift for key, v in u.items()})
 
 
 # each family's nodes q_i as the reference walks them, in increasing q
@@ -323,8 +282,8 @@ class TestEnumerateGentle:
             assert abs(float(v) - soft.table[key]) < 1e-12
         # at exact full strength the two walks are the same walk, Fraction for Fraction
         for mix in EnsembleMix:
-            soft = _weighted(protocol, GentleIntercept(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
-            hard = _weighted(protocol, InterceptResend(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
+            soft = _reference_walk(protocol, GentleIntercept(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
+            hard = _reference_walk(protocol, InterceptResend(q=F(1), mix=mix), Channel(depolarizing=F(1, 7)))
             assert list(soft.items()) == list(hard.items())
             assert all(type(v) is F for v in soft.values())
 
@@ -620,20 +579,6 @@ class TestFloatGate:
     def test_numpy_floats_give_the_gates_bits(self, protocol, q, p):
         # numpy's own operators meet the Fraction path here, and its rows are still Python floats
         _assert_same_rows(_stages(protocol, q, p), _stages(protocol, np.float64(q), np.float64(p)))
-
-    @pytest.mark.parametrize("q,p", [
-        (F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
-        (np.float32(0.6), np.int64(0)), (np.float64(0.3), np.float32(0.25)),
-    ])
-    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
-    @pytest.mark.parametrize("protocol", ALL)
-    def test_sampler_tables_are_the_cdfs_of_the_float_rows(self, protocol, family, q, p):
-        # the sampler builds in floats: the CDFs of _stages' rows at float(strength) and float(p)
-        strength = _attack(_strategy_for(family, q, EnsembleMix.SYMMETRIC))[2]
-        got = montecarlo._tables(protocol, strength, p)
-        for table, rows in zip(got, _stages(protocol, float(strength), float(p))):
-            assert table.dtype == np.float64 and not table.flags.writeable
-            assert np.array_equal(table, montecarlo._cdf(rows, protocol.n_signals))
 
     @pytest.mark.parametrize("protocol", ALL)
     def test_a_float_build_takes_no_fraction_arithmetic(self, monkeypatch, protocol):
@@ -945,7 +890,7 @@ class TestWhatAThresholdIsNot:
 _ROOT = 1 / math.sqrt(2)
 
 
-def _plain_bisection(protocol, mix, channel, family="standard", joint=_walked):
+def _plain_bisection(protocol, mix, channel, family="standard", joint=_reference_joint):
     """(q_star, qber_star) of a plain bisection of R over q in [0, 1], or None if R does not cross zero.
 
     Every midpoint is a `joint` (the reference walk by default) and a key_rate.
@@ -991,7 +936,7 @@ class TestInterceptResendIsAffine:
         channel = Channel(depolarizing=p)
 
         def unnormalised(q):
-            return _weighted(protocol, InterceptResend(q=q, mix=mix), channel)
+            return _reference_walk(protocol, InterceptResend(q=q, mix=mix), channel)
 
         u0, u1, uq = unnormalised(F(0)), unnormalised(F(1)), unnormalised(q)
         for key in {**u0, **u1, **uq}:
@@ -1003,7 +948,7 @@ class TestInterceptResendIsAffine:
         channel = Channel(depolarizing=F(1, 7))
         keys = _corners(protocol, "standard", mix)[0]
         for q in (F(0), F(1, 9), F(1, 2), F(5, 6), F(1)):
-            want = _walked(protocol, InterceptResend(q=q, mix=mix), channel)
+            want = _reference_joint(protocol, InterceptResend(q=q, mix=mix), channel)
             got = enumerate_joint(protocol, InterceptResend(q=q, mix=mix), channel)
             assert got.p_sift == want.p_sift
             assert got.table == want.table
@@ -1075,7 +1020,7 @@ class TestGentleCurve:
     def test_curve_matches_enumeration(self, protocol, mix, p, q):
         channel = Channel(depolarizing=p)
         got = enumerate_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
-        want = _walked(protocol, GentleIntercept(q=q, mix=mix), channel)
+        want = _reference_joint(protocol, GentleIntercept(q=q, mix=mix), channel)
         assert abs(got.p_sift - want.p_sift) <= 1e-12
         for key in {**got.table, **want.table}:
             assert abs(got.table.get(key, 0) - want.table.get(key, 0)) <= 1e-12
@@ -1119,10 +1064,8 @@ class TestGentleCurve:
 
 def _mixed_rate(protocol, family, q, p, lam):
     """R when Eve measures with Alice's ensemble with probability lam: (1 - t) U_0 + t (lam U_alice + (1 - lam) U_bob)."""
-    touched, strength = (q, 1) if family == "standard" else (1, q)
-    u = _composed(protocol, strength, p, (1 - touched, touched * lam, touched * (1 - lam)))
-    total = sum(u.values())
-    return key_rate(JointDistribution(p_sift=total, table={key: v / total for key, v in u.items()})).r
+    joint = _reference_joint(protocol, _strategy_for(family, q), Channel(depolarizing=p), sides=(lam, 1 - lam))
+    return key_rate(joint).r
 
 
 class TestSymmetricMixIsEvesBest:
@@ -1138,6 +1081,16 @@ class TestSymmetricMixIsEvesBest:
         mixed = _mixed_rate(protocol, family, q, 0, lam)
         symmetric = key_rate(enumerate_joint(protocol, _strategy_for(family, q, EnsembleMix.SYMMETRIC))).r
         assert mixed >= symmetric - 1e-12
+
+    @pytest.mark.parametrize("family,q", [("standard", F(2, 3)), ("gentle", F(4, 5))])
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_the_ends_and_middle_of_the_mix_are_the_three_mixes(self, protocol, family, q):
+        # odds 1, 1/2 and 0 for Alice's ensemble are her ensemble alone, the paper's even odds and Bob's alone;
+        # key_rate adds its floats in key order, and the walk's order is not the corners'
+        p, mixes = F(1, 20), (EnsembleMix.ALICE_ONLY, EnsembleMix.SYMMETRIC, EnsembleMix.BOB_ONLY)
+        for lam, mix in zip((F(1), F(1, 2), F(0)), mixes):
+            want = key_rate(enumerate_joint(protocol, _strategy_for(family, q, mix), Channel(depolarizing=p))).r
+            assert _mixed_rate(protocol, family, q, p, lam) == pytest.approx(want, abs=1e-12)
 
     def test_on_a_noisy_channel_a_tilted_mix_serves_eve_better(self):
         # the noise lowers one of Eve's two informations, whichever side of her the channel acts on, and R
@@ -1258,7 +1211,7 @@ class TestCorners:
            mix=_MIXES, q=_EXACT_OR_FLOAT, p=_EXACT_OR_FLOAT)
     def test_matches_the_walk(self, protocol, family, mix, q, p):
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        got, want = enumerate_joint(protocol, eve, channel), _walked(protocol, eve, channel)
+        got, want = enumerate_joint(protocol, eve, channel), _reference_joint(protocol, eve, channel)
         if family != "gentle" and isinstance(p, F) and (eve is None or isinstance(q, F)):
             assert (got.p_sift, type(got.p_sift)) == (want.p_sift, type(want.p_sift))
             typed = [{key: (v, type(v)) for key, v in jd.table.items()} for jd in (got, want)]
@@ -1297,9 +1250,16 @@ class TestCorners:
         info = _corners.cache_info()
         # no eavesdropper reads the standard symmetric corners: 4 protocols x (3 standard + 3 gentle mixes)
         assert info.misses == info.currsize == info.maxsize == 24
-        # and they share the walks: 4 protocols x strengths {0, 3/5, 1}, each walk at p = 0 and 1
+        # and they share the walks: 4 protocols x strengths {0, 3/5, 1}, each walk at p = 0 and 1;
+        # every strength the corners walk is exact, so the cache needs no typing
         walks = _walk.cache_info()
         assert walks.misses == walks.currsize == walks.maxsize == 12
+        assert _walk.cache_parameters() == {"maxsize": 12, "typed": False}
+        for protocol in ALL:
+            for strength in (0, F(3, 5), 1):
+                for parts in _walk(protocol, strength):
+                    assert parts and all(type(v) is F for v in parts.values())
+        assert _walk.cache_info().misses == 12
 
     @pytest.mark.parametrize("protocol", ALL)
     @pytest.mark.parametrize("family,mix", CORNER_KEYS)
@@ -1311,33 +1271,6 @@ class TestCorners:
         assert keys == want_keys
         assert (scale, type(scale)) == (want_scale, F)
         assert tables == want_tables and all(type(v) is int for t in tables for v in t)
-
-    @settings(max_examples=40, deadline=None)
-    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
-           mix=_MIXES, q=_STRENGTH, p=_NOISE)
-    def test_weighted_parts_are_the_reference_walk(self, protocol, family, mix, q, p):
-        if family == "gentle":
-            q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
-        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        got, want = _weighted(protocol, eve, channel), _reference_walk(protocol, eve, channel)
-        assert list(got.items()) == list(want.items())
-        assert all(type(v) is F for v in got.values())
-
-    def test_walk_cache_is_bounded_and_exact(self):
-        # every strength the corners walk is exact, so the cache needs no typing
-        assert _walk.cache_parameters() == {"maxsize": 12, "typed": False}
-        _corners.cache_clear()
-        _walk.cache_clear()
-        for protocol in ALL:
-            for family, mix in CORNER_KEYS:
-                _corners(protocol, family, mix)
-        built = _walk.cache_info()
-        assert built.misses == built.currsize == 12
-        for protocol in ALL:
-            for strength in (0, F(3, 5), 1):
-                for parts in _walk(protocol, strength):
-                    assert parts and all(type(v) is F for v in parts.values())
-        assert _walk.cache_info().misses == 12
 
     # the node strengths, and one off the nodes whose sqrt(1 - q^2) = 15/17 is rational too
     @pytest.mark.parametrize("strength", [F(0), F(3, 5), F(1), F(8, 17)])
@@ -1357,30 +1290,6 @@ class TestCorners:
         w0, w1 = _walk(protocol, strength)
         mixed = [(key, (1 - p) * w0.get(key, 0) + p * v) for key, v in w1.items()]
         assert list(_reference_parts(protocol, strength, p).items()) == mixed
-
-    @settings(max_examples=200, deadline=None)
-    @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["standard", "gentle"]), mix=_MIXES,
-           qs=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=5),
-           p=st.one_of(st.sampled_from([F(0), F(1), 0.0, 1.0]), _NOISE, st.floats(min_value=0, max_value=1)))
-    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, qs=[0.0, 0.5, 1.0], p=F(1))
-    @example(protocol=ProtocolKind.TRINE, family="standard", mix=EnsembleMix.ALICE_ONLY, qs=[0.3, 1.0], p=0.0)
-    @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.BOB_ONLY, qs=[0.7], p=F(1, 7))
-    def test_float_rows_read_the_cached_columns_bit_for_bit(self, protocol, family, mix, qs, p):
-        # the reference transposes the corner tables and converts the scale on every call
-        keys, scale, tables, _, _ = _corners(protocol, family, mix)
-        p_f, scale = float(p), float(scale)
-        channel = (1 - p_f, p_f)
-        w_p = [w for w in channel if w]
-        columns = list(zip(*itertools.compress(tables, itertools.cycle(channel))))
-        want = []
-        for q in qs:
-            ws = [w * v * scale for w in analysis._float_weights(family, q) for v in w_p]
-            masses = [sum(map(operator.mul, ws, column)) for column in columns]
-            items = [(key, v) for key, v in zip(keys, masses) if not v < 1e-15]
-            want.append((tuple(key for key, _ in items), [_bits(v) for _, v in items],
-                         _bits(sum(v for _, v in items)), None))
-        got = _evaluate(protocol, family, mix, qs, None, p)
-        assert [(layout, list(map(_bits, values)), _bits(total), den) for layout, values, total, den in got] == want
 
     def test_every_channel_pattern_is_read_from_the_corner_entry(self):
         # 24 corner keys, each read for both of (1 - p, p) nonzero and for one at p = 0 or 1,
@@ -1985,7 +1894,7 @@ class TestJointDistributionValidation:
     def test_branch_bookkeeping_conserves_mass(self):
         eve, channel = _sym(F(2, 3)), Channel(depolarizing=F(1, 5))
         jd = enumerate_joint(ProtocolKind.TETRAHEDRON, eve, channel)
-        assert sum(_weighted(ProtocolKind.TETRAHEDRON, eve, channel).values()) == jd.p_sift
+        assert sum(_reference_walk(ProtocolKind.TETRAHEDRON, eve, channel).values()) == jd.p_sift
         assert sum(jd.table.values()) == 1
         # each part is a whole round: its sifted mass is the sifting rate of a round Eve
         # leaves alone, or of one she measures on that side

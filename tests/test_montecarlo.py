@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
+from test_analysis import _born_stages
 
 from scqkd import montecarlo
 from scqkd.analysis import _sifting, _stages, _strategy_for, enumerate_joint
@@ -43,6 +44,7 @@ from scqkd.protocol import (
     run_round,
     sift_accept,
 )
+from scqkd.states import I2, MIXED, Povm, sample_outcome
 
 F = Fraction
 
@@ -524,6 +526,29 @@ class TestChunkedKernel:
                 want[r, last:] = np.inf
             np.testing.assert_array_equal(cum, want)
 
+    @pytest.mark.parametrize("q,p", [(F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
+                                     (np.float32(0.6), np.int64(0)), (np.float64(0.3), np.float32(0.25))])
+    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_tables_are_the_cdfs_of_the_born_rows(self, protocol, family, q, p):
+        # each row against run_round's matrix Born rows at float(strength) and float(p), weighed by the share of
+        # rounds that read it: 1 for Eve's rows and Bob's in slot 0, Eve's Born p_m for Bob's after her outcome m
+        strength = _attack(_strategy_for(family, q, EnsembleMix.SYMMETRIC))[2]
+        tables, twin = _tables(protocol, strength, p), _tables(protocol, float(strength), float(p))
+        # the float twin's build where it is the same value (a Fraction that is not is its own key, as the
+        # samplers convert first), and the same tables either way
+        assert tables is twin or (strength, p) != (float(strength), float(p))
+        assert all(np.array_equal(a, b) for a, b in zip(tables, twin))
+        n = protocol.n_signals
+        eve_rows, bob_rows = _born_stages(protocol, float(strength), float(p))
+        reads = [1.0] * n + [eve_rows[si * n + j][m] for si in (0, 1) for m in range(n) for j in range(n)]
+        for cum, born_rows, weights in zip(tables, (eve_rows, bob_rows), ([1.0] * 2 * n, reads)):
+            assert cum.dtype == np.float64 and not cum.flags.writeable
+            for row, born, w in zip(cum.tolist(), born_rows, weights, strict=True):
+                first_inf = row.index(math.inf)
+                assert all(w * abs(c - want) <= 1e-12 for c, want in zip(row[:first_inf], np.cumsum(born)))
+                assert w * sum(born[first_inf + 1:]) <= 1e-12 and born[first_inf] > 0.0
+
     def test_tables_built_once_per_configuration(self):
         config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
         _tables.cache_clear()
@@ -625,29 +650,20 @@ class TestChunkedKernel:
         assert _tables.cache_info().misses == 1
 
 
-def _scalar_pick(row, u):
-    """states.sample_outcome's rule on a row of probabilities; an all-zero row gives outcome n."""
-    c, last = 0.0, len(row)
-    for m, p in enumerate(row, 1):
-        c += p
-        if p > 0.0:
-            last = m
-            if u < c:
-                return m
-    return last
-
-
 def _one_shot_pick(cum, rows, u):
     """The inverse CDF as one gather of whole rows: the count of row entries at or below u, plus 1."""
     return (u[:, None] >= cum.take(rows, axis=0)).sum(axis=1) + 1
 
 
-def _edge_uniforms(floats):
-    """Uniforms at every CDF edge of a row, one ulp below each, past the row's mass, 0 and the largest."""
-    edges = [float(c) for c in np.cumsum(floats)]
-    below = [float(np.nextafter(c, 0.0)) for c in edges]
-    past = float(np.nextafter(edges[-1], 2.0))
-    return sorted(u for u in {0.0, *edges, *below, past, float(np.nextafter(1.0, 0.0))} if 0.0 <= u < 1.0)
+def _edge_uniforms(rows):
+    """(row, u) arrays: u at each row's CDF edges, one ulp below each, past its mass, at 0 and the largest."""
+    draws = []
+    for r, row in enumerate(rows):
+        edges = [float(c) for c in np.cumsum([float(x) for x in row])]
+        below = [float(np.nextafter(c, 0.0)) for c in edges]
+        past = float(np.nextafter(edges[-1], 2.0))
+        draws += [(r, u) for u in sorted({0.0, *edges, *below, past, float(np.nextafter(1.0, 0.0))}) if 0.0 <= u < 1.0]
+    return tuple(map(np.array, zip(*draws)))
 
 
 class TestSampleRows:
@@ -666,18 +682,18 @@ class TestSampleRows:
     def test_matches_the_scalar_rule_at_every_edge(self):
         n = 4
         floats = [[float(x) for x in row] for row in self.ROWS]
-        rows, us = [], []
-        for r, row in enumerate(floats):
-            edges = [float(c) for c in np.cumsum(row)]
-            below = [float(np.nextafter(c, 0.0)) for c in edges]
-            for u in sorted({0.0, *edges, *below, float(np.nextafter(1.0, 0.0))}):
-                if u < 1.0:
-                    rows.append(r)
-                    us.append(u)
-        cum, rows, us = _cdf(self.ROWS, n), np.array(rows), np.array(us)
+        cum, (rows, us) = _cdf(self.ROWS, n), _edge_uniforms(floats)
         picked = _sample_rows(cum, rows, us)
-        assert picked.tolist() == [_scalar_pick(floats[r], u) for r, u in zip(rows, us)]
         np.testing.assert_array_equal(picked, _one_shot_pick(cum, rows, us))
+        # the Born probability of p * I on I/2 is 0.5 p + 0.5 p = p: the scalar sampler reads each row as it is
+        povms = [Povm(tuple(p * I2 for p in row)) for row in floats]
+        for r, u, k in zip(rows.tolist(), us.tolist(), picked.tolist()):
+            if any(floats[r]):
+                assert k == sample_outcome(MIXED, povms[r], u)
+            else:  # no mass is no distribution: the scalar sampler refuses it, the table gives outcome n
+                assert k == n
+                with pytest.raises(ValueError, match="all outcomes have zero probability"):
+                    sample_outcome(MIXED, povms[r], u)
         # the rows whose mass falls short of 1 are drawn from at and past their total
         past = {r for r, u in zip(rows, us) if u >= sum(floats[r]) > 0.0}
         assert past == {2, 3}
@@ -694,12 +710,7 @@ class TestSampleRows:
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
         n = protocol.n_signals
         for cum, stage_rows in zip(_tables(protocol, _attack(eve)[2], p), _stages_of(protocol, eve, channel)):
-            rows, us = [], []
-            for r, row in enumerate(stage_rows):
-                for u in _edge_uniforms([float(x) for x in row]):
-                    rows.append(r)
-                    us.append(u)
-            rows, us = np.array(rows), np.array(us)
+            rows, us = _edge_uniforms(stage_rows)
             picked = _sample_rows(cum, rows, us)
             assert picked.dtype == np.int8 and picked.shape == us.shape
             assert 1 <= picked.min() and picked.max() <= n
