@@ -134,18 +134,17 @@ def _cell_bits(protocol: ProtocolKind) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _tables(protocol: ProtocolKind, strength, p) -> tuple:
+def _tables(protocol: ProtocolKind, strength: float, p: float) -> tuple:
     """The read-only CDF tables (Eve's, Bob's) at Eve's strength and channel p, built once per float.
 
-    Each is the _cdf of analysis._stages' Gram rows at float(strength) and
-    float(p), one row per (Eve's slot, signal) as laid out there, so a
-    round's row is one take. The rows are floats whatever the arithmetic
-    of the inputs, so the samplers key the cache on the two floats: a
-    Fraction and the float it rounds to (Fraction(1, 3) and 1/3) share one
-    key and one build. A direct caller may pass any real; it is converted
-    here.
+    Each is the _cdf of analysis._stages' Gram rows at the floats strength
+    and p, one row per (Eve's slot, signal) as laid out there, so a round's
+    row is one take. The rows are floats whatever the arithmetic of the
+    inputs, so the samplers key the cache on the two floats: a Fraction and
+    the float it rounds to (Fraction(1, 3) and 1/3) share one key and one
+    build.
     """
-    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, float(strength), float(p)))
+    return tuple(_cdf(rows, protocol.n_signals) for rows in _stages(protocol, strength, p))
 
 
 def _sample_rows(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -249,22 +249,6 @@ class TestEveOutcomeProbability:
             assert sum(row) == 1
 
 
-class TestGentlePovmCache:
-    def test_bounded_across_solves(self):
-        from scqkd.analysis import find_threshold
-        from scqkd.eavesdrop import _side_gentle_povm
-
-        maxsize = _side_gentle_povm.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64
-        for protocol, mix in [
-            (ProtocolKind.TRINE, EnsembleMix.SYMMETRIC),
-            (ProtocolKind.BB84, EnsembleMix.ALICE_ONLY),
-            (ProtocolKind.SIX_STATE, EnsembleMix.BOB_ONLY),
-        ]:
-            find_threshold(protocol, "gentle", mix)
-            assert _side_gentle_povm.cache_info().currsize <= maxsize
-
-
 class TestGuessRuleIsPosteriorOptimal:
     """The index rule must agree with an explicit posterior maximization."""
 

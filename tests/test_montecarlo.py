@@ -426,6 +426,40 @@ def _chunk(n):
     return mock.patch.object(montecarlo, "_CHUNK_ROUNDS", n)
 
 
+_FAMILIES = ["none", "standard", "gentle"]
+# Fraction (q, p) points with their floats equal (Fraction(1) == 1.0) or not (Fraction(1, 3) != 1/3)
+_TWIN_POINTS = [(F(1, 3), F(1, 7)), (F(3, 5), F(0)), (F(1), F(1, 20)), (F(0), F(1))]
+
+
+def _twins(protocol, family, q, p):
+    """A configuration and its float twin: Fraction(1, 3) != 1/3, yet both build from the float 1/3."""
+    return protocol, [(_strategy_for(family, q), p), (_strategy_for(family, float(q)), float(p))]
+
+
+# groups of configurations that share one (protocol, float strength, float p) key, so one build: no
+# eavesdropper and intercept/resend at every share and mix measure at strength 1, a gentle strength's
+# table serves every mix, IDEAL's int 0 and a Fraction(0) channel are one p, and each point that
+# test_a_fraction_configuration_simulates_as_its_float_twin runs shares its float twin's build
+_SHARED_BUILDS = {
+    "one-config": (ProtocolKind.BB84, [(GentleIntercept(q=0.3), 0)]),
+    "strength-1": (ProtocolKind.TRINE, [(None, F(1, 7))] + [
+        (InterceptResend(q, mix), F(1, 7)) for q in (F(0), 0.0, F(1, 3), 0.5, F(1), 1.0) for mix in EnsembleMix
+    ]),
+    "gentle-mixes": (ProtocolKind.TRINE, [(GentleIntercept(F(3, 5), mix), F(1, 7)) for mix in EnsembleMix]),
+    "equal-exact-values": (ProtocolKind.TRINE, [(None, 0), (None, F(0)), (InterceptResend(F(1, 2)), 0),
+                                                (GentleIntercept(F(1)), 0), (GentleIntercept(1.0), 0)]),
+    **{f"twins-{protocol.value}-{family}-{q}-{p}": _twins(protocol, family, q, p) for protocol, family, q, p in [
+        (ProtocolKind.TRINE, "none", 0, F(1, 2)),
+        (ProtocolKind.TETRAHEDRON, "standard", F(1, 4), F(1, 8)),
+        (ProtocolKind.SIX_STATE, "gentle", F(1, 2), F(1, 4)),
+        (ProtocolKind.TRINE, "none", 0, F(1, 7)),
+        (ProtocolKind.TRINE, "standard", F(1, 3), F(1, 7)),
+        (ProtocolKind.TRINE, "gentle", F(1, 3), F(1, 20)),
+        (ProtocolKind.TRINE, "gentle", F(3, 5), F(0)),
+    ] + [(protocol, family, q, p) for protocol in ProtocolKind for family in _FAMILIES for q, p in _TWIN_POINTS]},
+}
+
+
 class TestChunkedKernel:
     """run_trials reuses cached tables across chunks and threads; totals must not change."""
 
@@ -495,7 +529,8 @@ class TestChunkedKernel:
         assert cell_bits.shape == (4, (2 * n + 1) * n * n * n_opts)
         encoded = [(0, -1, -1, -1) if key is None else (1, key[0], key[1], -1 if key[2] is None else key[2])
                    for key in _sifting(protocol)]
-        assert cell_bits.dtype == np.int8 and cell_bits.T.tolist() == [list(c) for c in encoded]
+        assert cell_bits.dtype == np.int8 and not cell_bits.flags.writeable
+        assert cell_bits.T.tolist() == [list(c) for c in encoded]
         bits = cell_bits.reshape(4, len(records), n, n, n_opts)
         for slot, j, k, ai in np.ndindex(bits.shape[1:]):
             accepted, alice, bob, eve = bits[:, slot, j, k, ai]
@@ -507,38 +542,16 @@ class TestChunkedKernel:
             guess = eve_guess(records[slot], protocol, ann, True)
             assert eve == (-1 if guess is None else guess)
 
-    @pytest.mark.parametrize("q,p", [(F(1, 3), F(1, 7)), (0.63, 0.05)])
-    @pytest.mark.parametrize("family,mix", [("none", None)] + [
-        (family, mix) for family in ("standard", "gentle") for mix in EnsembleMix
-    ])
-    @pytest.mark.parametrize("protocol", list(ProtocolKind))
-    def test_cdfs_are_cumsums_of_the_stage_rows(self, protocol, family, mix, q, p):
-        # the sampler draws from the walk's rows built in floats, and each row is +inf
-        # from its last nonzero outcome on
-        eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
-        stages, (eve_cum, bob_cum) = _stages_of(protocol, eve, channel), _tables(protocol, _attack(eve)[2], p)
-        n = protocol.n_signals
-        for cum, rows in ((eve_cum, stages.eve), (bob_cum, stages.bob)):
-            floats = [[float(x) for x in row] for row in rows]
-            want = np.cumsum(floats, axis=1)
-            for r, row in enumerate(floats):
-                last = max((m for m in range(n) if row[m] > 0.0), default=n - 1)
-                want[r, last:] = np.inf
-            np.testing.assert_array_equal(cum, want)
-
     @pytest.mark.parametrize("q,p", [(F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
-                                     (np.float32(0.6), np.int64(0)), (np.float64(0.3), np.float32(0.25))])
-    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+                                     (np.float32(0.6), np.int64(0)), (np.float64(0.3), np.float32(0.25)),
+                                     (F(1, 3), F(1, 7)), (0.63, 0.05)])
+    @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_tables_are_the_cdfs_of_the_born_rows(self, protocol, family, q, p):
         # each row against run_round's matrix Born rows at float(strength) and float(p), weighed by the share of
         # rounds that read it: 1 for Eve's rows and Bob's in slot 0, Eve's Born p_m for Bob's after her outcome m
         strength = _attack(_strategy_for(family, q, EnsembleMix.SYMMETRIC))[2]
-        tables, twin = _tables(protocol, strength, p), _tables(protocol, float(strength), float(p))
-        # the float twin's build where it is the same value (a Fraction that is not is its own key, as the
-        # samplers convert first), and the same tables either way
-        assert tables is twin or (strength, p) != (float(strength), float(p))
-        assert all(np.array_equal(a, b) for a, b in zip(tables, twin))
+        tables = _tables(protocol, float(strength), float(p))
         n = protocol.n_signals
         eve_rows, bob_rows = _born_stages(protocol, float(strength), float(p))
         reads = [1.0] * n + [eve_rows[si * n + j][m] for si in (0, 1) for m in range(n) for j in range(n)]
@@ -549,81 +562,19 @@ class TestChunkedKernel:
                 assert all(w * abs(c - want) <= 1e-12 for c, want in zip(row[:first_inf], np.cumsum(born)))
                 assert w * sum(born[first_inf + 1:]) <= 1e-12 and born[first_inf] > 0.0
 
-    def test_tables_built_once_per_configuration(self):
-        config = TrialConfig(ProtocolKind.BB84, GentleIntercept(q=0.3), n_rounds=5000, seed=1)
-        _tables.cache_clear()
-        for chunk in (100, 700):
-            with _chunk(chunk):
-                run_trials(config)
-        assert _tables.cache_info().misses == 1
-        tables = _tables(config.protocol, 0.3, config.channel.depolarizing)
-        assert len(tables) == 2 and not any(cum.flags.writeable for cum in tables)
-        assert not _cell_bits(config.protocol).flags.writeable
-
-    def test_configurations_share_tables_by_strength(self):
-        # the share Eve touches and the mix only weight the branches: at one (protocol, p), no
-        # eavesdropper and intercept/resend at every q and mix read one table, gentle mixes another
-        channel = Channel(depolarizing=F(1, 7))
-
-        def misses(eves):
+    @pytest.mark.parametrize("protocol,eves", list(_SHARED_BUILDS.values()), ids=list(_SHARED_BUILDS))
+    def test_a_group_of_configurations_builds_its_tables_once(self, protocol, eves):
+        configs = [TrialConfig(protocol, eve, Channel(depolarizing=p), n_rounds=50, seed=1) for eve, p in eves]
+        for order in (configs, configs[::-1]):
             _tables.cache_clear()
-            for eve in eves:
-                simulate_rounds(TrialConfig(ProtocolKind.TRINE, eve, channel, n_rounds=50, seed=1))
-            return _tables.cache_info().misses
-
-        qs = (F(0), 0.0, F(1, 3), 0.5, F(1), 1.0)
-        assert misses([None] + [InterceptResend(q, mix) for q in qs for mix in EnsembleMix]) == 1
-        assert misses([GentleIntercept(F(3, 5), mix) for mix in EnsembleMix]) == 1
-
-    def test_equal_exact_values_share_one_build(self):
-        # IDEAL's int 0 and the CLI's Fraction(0) are one p, and intercept/resend's int
-        # strength 1 is gentle's Fraction(1) and 1.0: tables are built once per value
-        configs = [
-            TrialConfig(ProtocolKind.TRINE, eve, channel, n_rounds=50, seed=1)
-            for eve, channel in [
-                (None, IDEAL),
-                (None, Channel(depolarizing=F(0))),
-                (InterceptResend(q=F(1, 2)), IDEAL),
-                (GentleIntercept(q=F(1)), IDEAL),
-                (GentleIntercept(q=1.0), IDEAL),
-            ]
-        ]
-        _tables.cache_clear()
-        with _cpus(2), _chunk(16):
-            for config in configs:  # the pooled pre-build first, then the kernel's own lookup
-                run_trials(config)
-                simulate_rounds(config)
-        assert _tables.cache_info().misses == 1
-
-    def test_table_cache_is_bounded(self):
-        for q in np.linspace(0, 1, 40):
-            _tables(ProtocolKind.TRINE, float(q), IDEAL.depolarizing)
-        info = _tables.cache_info()
-        assert info.maxsize == 16 and info.currsize <= 16
-        assert _tables.cache_parameters() == {"maxsize": 16, "typed": False}
-
-    @pytest.mark.parametrize("protocol,family,q,p", [
-        (ProtocolKind.TRINE, "none", 0, F(1, 2)),
-        (ProtocolKind.TETRAHEDRON, "standard", F(1, 4), F(1, 8)),
-        (ProtocolKind.SIX_STATE, "gentle", F(1, 2), F(1, 4)),
-    ])
-    def test_equal_configs_in_other_arithmetic_share_one_build(self, protocol, family, q, p):
-        # Fraction(1, 2) == 0.5 and they hash alike: whichever comes first, both are served
-        # the float build, once
-        exact = (protocol, _attack(_strategy_for(family, q))[2], p)
-        floats = (protocol, _attack(_strategy_for(family, float(q)))[2], float(p))
-        assert exact[1:] == floats[1:]
-        configs = (exact, floats)
-        fresh = [_cdf(rows, protocol.n_signals) for rows in _stages(protocol, *map(float, floats[1:]))]
-        for order in ((0, 1), (1, 0)):
-            _tables.cache_clear()
-            for i in order:
-                for cum, want in zip(_tables(*configs[i]), fresh):
-                    np.testing.assert_array_equal(cum, want)
+            with _cpus(2), _chunk(16):
+                for config in order:  # the pooled pre-build, each chunk's lookup, then the kernel's own
+                    run_trials(config)
+                    simulate_rounds(config)
             assert _tables.cache_info().misses == 1
 
-    @pytest.mark.parametrize("q,p", [(F(1, 3), F(1, 7)), (F(3, 5), F(0)), (F(1), F(1, 20)), (F(0), F(1))])
-    @pytest.mark.parametrize("family", ["none", "standard", "gentle"])
+    @pytest.mark.parametrize("q,p", _TWIN_POINTS)
+    @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_a_fraction_configuration_simulates_as_its_float_twin(self, protocol, family, q, p):
         # the same tables, so the same transcript: every column's dtype and bytes
@@ -633,21 +584,6 @@ class TestChunkedKernel:
             return [(column.dtype, column.tobytes()) for column in dataclasses.astuple(arrays)]
 
         assert columns(q, p) == columns(float(q), float(p))
-
-    @pytest.mark.parametrize("family,q,p", [("none", 0, F(1, 7)), ("standard", F(1, 3), F(1, 7)),
-                                            ("gentle", F(1, 3), F(1, 20)), ("gentle", F(3, 5), F(0))])
-    def test_a_fraction_and_its_float_twin_share_one_build(self, family, q, p):
-        # Fraction(1, 3) != 1/3, yet both build from the float 1/3: the samplers key the tables on it
-        def columns(q, p):
-            config = TrialConfig(ProtocolKind.TRINE, _strategy_for(family, q), Channel(depolarizing=p),
-                                 n_rounds=3000, seed=5)
-            with _cpus(2), _chunk(1000):
-                run_trials(config)  # the pooled pre-build, then each chunk's lookup
-            return [(column.dtype, column.tobytes()) for column in dataclasses.astuple(simulate_rounds(config))]
-
-        _tables.cache_clear()
-        assert columns(q, p) == columns(float(q), float(p))
-        assert _tables.cache_info().misses == 1
 
 
 def _one_shot_pick(cum, rows, u):
@@ -709,7 +645,8 @@ class TestSampleRows:
     def test_column_gathers_equal_the_one_shot_gather(self, protocol, family, mix, q, p):
         eve, channel = _strategy_for(family, q, mix), Channel(depolarizing=p)
         n = protocol.n_signals
-        for cum, stage_rows in zip(_tables(protocol, _attack(eve)[2], p), _stages_of(protocol, eve, channel)):
+        tables = _tables(protocol, float(_attack(eve)[2]), float(p))
+        for cum, stage_rows in zip(tables, _stages_of(protocol, eve, channel)):
             rows, us = _edge_uniforms(stage_rows)
             picked = _sample_rows(cum, rows, us)
             assert picked.dtype == np.int8 and picked.shape == us.shape
