@@ -24,7 +24,10 @@ the sets named as arguments, or for all six when none is named:
 - estimate: the reprs of `estimate_q_from_sift` (q, q_raw, in_model) and
   the text of any warning it emits, for trine and tetra, over observed
   sifting rates that are Fractions inside, at the edges of and outside the
-  attainable bands, plus floats, and margins 0, 1/20 and 0.01;
+  attainable bands, plus floats, and margins 0, 1/20 and 0.01. It emits
+  none since it reports an out-of-model rate as in_model False, so each
+  warning list is empty; the empty list stays in the digest, which
+  therefore did not move;
 - transcripts: the dtypes and bytes of all ten `simulate_rounds` columns,
   2^12 rounds at a fixed seed per configuration, over protocols x (no
   eavesdropper, and {standard, gentle} x mixes x q in {1/3, 0.63,

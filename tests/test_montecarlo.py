@@ -543,7 +543,6 @@ class TestChunkedKernel:
             assert eve == (-1 if guess is None else guess)
 
     @pytest.mark.parametrize("q,p", [(F(3, 7), F(1, 10)), (F(3, 5), 0.0), (0.3, F(1, 7)), (1 - 1e-12, 0.05),
-                                     (np.float32(0.6), np.int64(0)), (np.float64(0.3), np.float32(0.25)),
                                      (F(1, 3), F(1, 7)), (0.63, 0.05)])
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
