@@ -1,23 +1,19 @@
-"""Validity checks of qubit states and POVMs, which only the tests ask for.
+"""Qubit references that only the tests ask for: POVM validity and the matrix Born rows of a round.
 
-A density matrix is Hermitian, of unit trace and positive semidefinite; a
-POVM's elements are Hermitian positive semidefinite 2x2 matrices that sum to
-the identity. Tolerances are ATOL unless a caller gives its own.
+A POVM's elements are Hermitian positive semidefinite 2x2 matrices that sum
+to the identity; tolerances are ATOL unless a caller gives its own.
+`_born_stages` builds the rows of analysis._stages from run_round's matrix
+primitives, the independent reference for the exact rows and the sampler's
+tables.
 """
 
 import numpy as np
 
-from scqkd.states import I2
+from scqkd.codes import make_code
+from scqkd.eavesdrop import _SIDES, _gentle_kraus, _side_gentle_povm, measuring_code
+from scqkd.states import I2, born_probability, depolarize, post_measurement_state
 
 ATOL = 1e-12
-
-
-def bloch_of(rho) -> np.ndarray:
-    """Bloch vector (x, y, z) of a density matrix."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    return np.array(
-        [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
-    )
 
 
 def _min_eigenvalue(a, what: str, atol: float) -> float:
@@ -30,23 +26,6 @@ def _min_eigenvalue(a, what: str, atol: float) -> float:
         raise ValueError(f"{what} is not Hermitian")
     t, d = np.trace(a).real, np.linalg.det(a).real
     return (t - max(t * t - 4 * d, 0.0) ** 0.5) / 2
-
-
-def validate_state(rho, atol: float = ATOL) -> None:
-    """Check that rho is Hermitian, unit trace, and positive semidefinite.
-
-    Raises:
-        ValueError: naming the violated property.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    lam_min = _min_eigenvalue(rho, "density matrix", atol)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    if lam_min < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {lam_min!r}")
 
 
 def validate_povm(povm, atol: float = ATOL) -> None:
@@ -64,3 +43,34 @@ def validate_povm(povm, atol: float = ATOL) -> None:
         total = total + e
     if not np.allclose(total, I2, atol=atol):
         raise ValueError("POVM elements do not sum to the identity")
+
+
+def _born_stages(protocol, strength, p):
+    """(eve, bob) rows laid out as in _stages, from run_round's matrix Born primitives.
+
+    Eve's row is the Born distribution of her strength-q POVM on Alice's
+    state j; Bob's is that of his POVM on the depolarized state she forwards:
+    her measured state at full strength, else the update by her outcome's
+    Kraus operator. Every slot and both sides are built, as in _stages.
+    """
+    n = protocol.n_signals
+    eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
+
+    def bob_row(rho):
+        rho = depolarize(rho, p)
+        return [born_probability(rho, e) for e in _side_gentle_povm(protocol, "bob", 1).elements]
+
+    for j in range(1, n + 1):
+        rho = make_code(protocol).state(j)
+        bob_rows[j - 1] = bob_row(rho)
+        for si in (0, 1):
+            side = _SIDES[si]
+            povm = _side_gentle_povm(protocol, side, float(strength))
+            eve_rows[si * n + j - 1] = [born_probability(rho, e) for e in povm.elements]
+            for m in range(1, n + 1):
+                if strength == 1:
+                    forwarded = measuring_code(protocol, side).state(m)
+                else:
+                    forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, float(strength), m))
+                bob_rows[(1 + si * n + m - 1) * n + j - 1] = bob_row(forwarded)
+    return eve_rows, bob_rows

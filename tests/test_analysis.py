@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from qubit_checks import _born_stages
 from rate_reference import (_mutual_information, bb84_one_way_rate, mutual_information, one_way_bound,
                             six_state_one_way_rate)
 
@@ -53,7 +54,7 @@ from scqkd.eavesdrop import (
 )
 from scqkd.codes import basis_label, eigen_bit, make_code, tetra_key_bit, trine_key_bit
 from scqkd.protocol import Announcement, Channel, ProtocolKind, announcement_options
-from scqkd.states import born_probability, depolarize, post_measurement_state
+from scqkd.states import born_probability, post_measurement_state
 
 ALL = list(ProtocolKind)
 EXCLUSION = [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON]
@@ -311,37 +312,6 @@ class TestEnumerateGentle:
         assert set(joint.table) == set(full.table)
 
 
-def _born_stages(protocol, strength, p):
-    """(eve, bob) rows laid out as in _stages, from run_round's matrix Born primitives.
-
-    Eve's row is the Born distribution of her strength-q POVM on Alice's
-    state j; Bob's is that of his POVM on the depolarized state she forwards:
-    her measured state at full strength, else the update by her outcome's
-    Kraus operator. Every slot and both sides are built, as in _stages.
-    """
-    n = protocol.n_signals
-    eve_rows, bob_rows = [None] * (2 * n), [None] * ((2 * n + 1) * n)
-
-    def bob_row(rho):
-        rho = depolarize(rho, p)
-        return [born_probability(rho, e) for e in _side_gentle_povm(protocol, "bob", 1).elements]
-
-    for j in range(1, n + 1):
-        rho = make_code(protocol).state(j)
-        bob_rows[j - 1] = bob_row(rho)
-        for si in (0, 1):
-            side = _SIDES[si]
-            povm = _side_gentle_povm(protocol, side, float(strength))
-            eve_rows[si * n + j - 1] = [born_probability(rho, e) for e in povm.elements]
-            for m in range(1, n + 1):
-                if strength == 1:
-                    forwarded = measuring_code(protocol, side).state(m)
-                else:
-                    forwarded = post_measurement_state(rho, _gentle_kraus(protocol, side, float(strength), m))
-                bob_rows[(1 + si * n + m - 1) * n + j - 1] = bob_row(forwarded)
-    return eve_rows, bob_rows
-
-
 # the exclusion rules written out per code: the independent reference for protocol's one rule per sifting kind
 def _per_code_options(protocol, k):
     """Bob's announcements after outcome k: trine single exclusions, tetrahedron ordered pairs."""
@@ -394,10 +364,11 @@ class TestSiftingTable:
         assert len(got) == len(want)
         assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
 
+    @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("protocol", ALL)
-    def test_eve_guesses_by_the_per_code_rule(self, protocol):
+    def test_eve_guesses_by_the_per_code_rule(self, protocol, side):
         n = protocol.n_signals
-        for side, m, k in itertools.product(_SIDES, range(1, n + 1), range(1, n + 1)):
+        for m, k in itertools.product(range(1, n + 1), range(1, n + 1)):
             for ann in _per_code_options(protocol, k):
                 want = _per_code_bit(protocol, side, m, ann)
                 assert eve_guess(EveRecord(True, side, m), protocol, ann, True) == want
@@ -409,6 +380,13 @@ class TestStages:
     @settings(max_examples=60, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
            mix=_MIXES, q=_STRENGTH, p=_NOISE, float_q=st.floats(0, 0.99), float_p=st.floats(0, 1))
+    # the ends of the channel, and the gentle strengths 0 (Eve's Kraus operators are multiples of I), 2/5 and 1
+    @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, q=F(0), p=F(0),
+             float_q=0.0, float_p=0.0)
+    @example(protocol=ProtocolKind.BB84, family="standard", mix=EnsembleMix.ALICE_ONLY, q=F(1), p=F(1),
+             float_q=0.4, float_p=1.0)
+    @example(protocol=ProtocolKind.TETRAHEDRON, family="gentle", mix=EnsembleMix.BOB_ONLY, q=F(1), p=F(1, 7),
+             float_q=0.4, float_p=0.05)
     def test_gram_rows_are_the_born_rows(self, protocol, family, mix, q, p, float_q, float_p):
         if family == "gentle":
             q = 2 * q / (1 + q * q)  # a Pythagorean strength: sqrt(1 - q^2) is rational
@@ -728,23 +706,10 @@ class TestThresholds:
         ]
         assert all(later <= earlier for earlier, later in zip(rates, rates[1:]))
 
-    def test_symmetric_threshold_rises_with_channel_noise(self):
-        # the noise lowers one of Eve's two informations, whichever side of her the channel acts on
-        # (TestChannelPlacement), and R subtracts only the smaller one: a higher q_star at higher p
-        # comes from the model, not from a more tolerant protocol
-        solves = [
-            find_threshold(ProtocolKind.BB84, "standard", EnsembleMix.SYMMETRIC, Channel(depolarizing=p))
-            for p in (F(0), F(1, 20), F(1, 10), F(1, 5))
-        ]
-        q_stars, qber_stars = [r.q_star for r in solves], [r.qber_star for r in solves]
-        assert q_stars == pytest.approx([0.6821, 0.7055, 0.7172, 0.7322], abs=5e-5)
-        assert qber_stars == pytest.approx([0.1705, 0.1925, 0.2114, 0.2464], abs=5e-5)
-        for values in (q_stars, qber_stars):
-            assert all(earlier < later for earlier, later in zip(values, values[1:]))
-
     # find_threshold's symmetric (q_star, qber_star) per family and p, for trine, BB84, tetra and six-state
     CLAIM = {
         ("standard", F(0)): ((0.6808, 0.2038), (0.6821, 0.1705), (0.6502, 0.2672), (0.6813, 0.2271)),
+        ("standard", F(1, 20)): ((0.6820, 0.2217), (0.7055, 0.1925), (0.6515, 0.2818), (0.7001, 0.2467)),
         ("standard", F(1, 10)): ((0.6828, 0.2390), (0.7172, 0.2114), (0.6526, 0.2959), (0.7098, 0.2629)),
         ("standard", F(1, 5)): ((0.6833, 0.2726), (0.7322, 0.2464), (0.6539, 0.3229), (0.7225, 0.2927)),
         ("gentle", F(0)): ((0.8900, 0.1663), (0.9224, 0.1534), (0.8841, 0.2262), (0.9286, 0.2096)),
@@ -812,6 +777,12 @@ class TestThresholds:
             assert code.q_star < counterpart.q_star
         want = [pytest.approx(pair, abs=5e-5) for pair in self.CLAIM[family, p]]
         assert [(r.q_star, r.qber_star) for r in solves] == want
+        # both rise with the noise: it lowers one of Eve's two informations, whichever side of her the channel
+        # acts on (TestChannelPlacement), and R subtracts only the smaller one, so a higher q_star at higher p
+        # comes from the model, not from a more tolerant protocol
+        for (f, lower), pins in self.CLAIM.items():
+            if f == family and lower < p:
+                assert all(r.q_star > q and r.qber_star > e for r, (q, e) in zip(solves, pins))
 
 
 class TestWhatAThresholdIsNot:
@@ -1174,16 +1145,6 @@ class TestCorners:
 class TestIntegerMasses:
     """Exact inputs give integer masses, and the joint their Fractions."""
 
-    @pytest.mark.parametrize("q,p", [(1, 0), (0, 1), (1, 1)])
-    def test_numpy_integers_are_ints(self, q, p):
-        want = enumerate_joint(ProtocolKind.SIX_STATE, _sym(q), Channel(depolarizing=p))
-        got = enumerate_joint(ProtocolKind.SIX_STATE, _sym(np.int64(q)), Channel(depolarizing=np.int64(p)))
-        assert got.p_sift == want.p_sift and got.table == want.table
-        assert all(type(v) is F for v in got.table.values())
-        grid = _family_mix_grid(_sym(np.int64(q)))
-        [(_, values, total, _)] = _evaluate(ProtocolKind.SIX_STATE, *grid, np.int64(p))
-        assert all(type(v) is int for v in values) and type(total) is int
-
     @settings(max_examples=40, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard"]),
            mix=_MIXES, q=_STRENGTH, p=_NOISE)
@@ -1429,6 +1390,9 @@ class TestRates:
     @example(protocol=ProtocolKind.TRINE, family="gentle", mix=EnsembleMix.SYMMETRIC, q=np.float32(0.3), p=F(0))
     @example(protocol=ProtocolKind.TETRAHEDRON, family="standard", mix=EnsembleMix.ALICE_ONLY,
              q=np.int64(1), p=np.float32(0.1))
+    @example(protocol=ProtocolKind.SIX_STATE, family="standard", mix=EnsembleMix.SYMMETRIC, q=np.int64(1), p=np.int64(0))
+    @example(protocol=ProtocolKind.SIX_STATE, family="standard", mix=EnsembleMix.SYMMETRIC, q=np.int64(0), p=np.int64(1))
+    @example(protocol=ProtocolKind.SIX_STATE, family="standard", mix=EnsembleMix.SYMMETRIC, q=np.int64(1), p=np.int64(1))
     def test_numpy_scalars_are_their_python_numbers(self, protocol, family, mix, q, p):
         # a numpy q or p gives the joint and the rates of its float() or int(), bit for bit
         def observed(q, p):
@@ -1436,9 +1400,13 @@ class TestRates:
             joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
             [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
             table = [(key, _bits(v)) for key, v in joint.table.items()]
-            return _bits(joint.p_sift), table, _rate_bits(_rates(*row))
+            return _bits(joint.p_sift), table, _rate_bits(_rates(*row)), row
 
-        assert observed(q, p) == observed(*(v.item() if isinstance(v, np.generic) else v for v in (q, p)))
+        (*got, row), (*want, _) = observed(q, p), observed(*(v.item() if isinstance(v, np.generic) else v for v in (q, p)))
+        assert got == want
+        # an exact row's masses and total are Python ints, for numpy integer inputs too
+        _, values, total, den = row
+        assert den is None or (all(type(v) is int for v in values) and type(total) is int)
 
     @pytest.mark.parametrize("den", [None, 1, 12])
     def test_need_a_positive_total(self, den):

@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -412,15 +411,14 @@ class TestEstimateQ:
         assert record["r"] == 1.0
 
     def test_out_of_model_clamps_and_flags(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning escapes: in_model is the signal
-            code, record, err = run_json(
-                [
-                    "estimate-q", "--protocol", "trine",
-                    "--sift-count", "700000", "--total-count", "1000000",
-                ],
-                capsys,
-            )
+        # no warning escapes (pyproject's filterwarnings makes one an error): in_model is the signal
+        code, record, err = run_json(
+            [
+                "estimate-q", "--protocol", "trine",
+                "--sift-count", "700000", "--total-count", "1000000",
+            ],
+            capsys,
+        )
         assert code == 0
         assert err == ""
         assert record["q"] == 1.0

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from qubit_checks import validate_povm
 
 from scqkd.codes import (
     ProtocolKind,
@@ -17,8 +16,6 @@ from scqkd.codes import (
     tetra_key_bit,
     trine_key_bit,
 )
-from scqkd.eavesdrop import gentle_povm
-from scqkd.protocol import bob_code
 
 ALL_KINDS = list(ProtocolKind)
 
@@ -31,8 +28,8 @@ class TestMakeCode:
         (ProtocolKind.SIX_STATE, 6),
     ])
     def test_sizes(self, kind, n):
-        code = make_code(kind)
-        assert len(code) == n
+        # the exact layer counts signals off ProtocolKind, the matrix path off the code it builds
+        assert len(make_code(kind)) == kind.n_signals == n
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_unit_vectors(self, kind):
@@ -64,41 +61,7 @@ class TestMakeCode:
             code.bloch(4)
 
 
-class TestCodePovm:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_complete(self, kind):
-        validate_povm(gentle_povm(make_code(kind), 1))
-
-    @pytest.mark.parametrize("kind", [ProtocolKind.TRINE, ProtocolKind.TETRAHEDRON])
-    def test_dual_complete(self, kind):
-        validate_povm(gentle_povm(bob_code(kind), 1))
-
-
 class TestBlochGram:
-    def test_trine_equiangular(self):
-        g = bloch_gram(ProtocolKind.TRINE)
-        for i in range(3):
-            for j in range(3):
-                assert g[i][j] == (1 if i == j else Fraction(-1, 2))
-
-    def test_tetrahedron_equiangular(self):
-        g = bloch_gram(ProtocolKind.TETRAHEDRON)
-        for i in range(4):
-            for j in range(4):
-                assert g[i][j] == (1 if i == j else Fraction(-1, 3))
-
-    @pytest.mark.parametrize("kind,n", [(ProtocolKind.BB84, 4), (ProtocolKind.SIX_STATE, 6)])
-    def test_basis_pairs(self, kind, n):
-        g = bloch_gram(kind)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    assert g[i][j] == 1
-                elif j == i ^ 1:  # partner within the same basis pair
-                    assert g[i][j] == -1
-                else:
-                    assert g[i][j] == 0
-
     @pytest.mark.parametrize("build", [make_code, bloch_gram])
     def test_unknown_protocol_rejected(self, build):
         # bloch_gram reads the signal count off a table, not off make_code, so it checks for itself
@@ -140,18 +103,6 @@ class TestLeviCivita:
         for indices in itertools.product(range(1, n + 1), repeat=n):
             want = round(np.linalg.det(np.eye(n)[[i - 1 for i in indices]]))
             assert levi_civita(*indices) == want, indices
-
-    def test_known_signs_3(self):
-        assert levi_civita(1, 2, 3) == 1
-        assert levi_civita(2, 3, 1) == 1
-        assert levi_civita(1, 3, 2) == -1
-        assert levi_civita(1, 1, 2) == 0
-
-    def test_known_signs_4(self):
-        assert levi_civita(1, 2, 3, 4) == 1
-        assert levi_civita(2, 1, 3, 4) == -1
-        assert levi_civita(4, 3, 2, 1) == 1  # two transpositions
-        assert levi_civita(1, 2, 2, 4) == 0
 
     def test_range_checked(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from scqkd.codes import ProtocolKind, make_code
-
 ROOT = Path(__file__).resolve().parent.parent
 
 # a simulation, in a fresh interpreter so that nothing this test process imported counts
@@ -28,7 +24,3 @@ def test_exact_commands_and_entry_points_leave_numpy_unloaded():
 def test_a_simulation_loads_numpy():
     _run("-c", SAMPLED)
 
-
-@pytest.mark.parametrize("protocol", list(ProtocolKind))
-def test_signal_counts_match_the_codes(protocol):
-    assert protocol.n_signals == len(make_code(protocol))
