@@ -22,7 +22,7 @@ def _min_eigenvalue(a, what: str, atol: float) -> float:
     Raises:
         ValueError: "<what> is not Hermitian".
     """
-    if not np.allclose(a, a.conj().T, atol=atol):
+    if not np.allclose(a, a.conj().T, rtol=0, atol=atol):
         raise ValueError(f"{what} is not Hermitian")
     t, d = np.trace(a).real, np.linalg.det(a).real
     return (t - max(t * t - 4 * d, 0.0) ** 0.5) / 2
@@ -41,7 +41,7 @@ def validate_povm(povm, atol: float = ATOL) -> None:
         if _min_eigenvalue(e, "POVM element", atol) < -atol:
             raise ValueError("POVM element has a negative eigenvalue")
         total = total + e
-    if not np.allclose(total, I2, atol=atol):
+    if not np.allclose(total, I2, rtol=0, atol=atol):
         raise ValueError("POVM elements do not sum to the identity")
 
 

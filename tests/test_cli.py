@@ -1,4 +1,10 @@
-"""End-to-end tests for the command-line interface."""
+"""End-to-end tests for the command-line interface.
+
+Each command's record is checked against the library calls it reports, as
+the bytes json.dumps gives them; the values themselves are pinned where the
+library is tested. A usage error is one row of one table, and a CSV row is
+the JSON record flattened.
+"""
 
 import contextlib
 import csv
@@ -16,129 +22,92 @@ from scqkd import montecarlo
 from scqkd.analysis import (JointDistribution, NoThresholdError, enumerate_joint, estimate_q_from_sift, find_threshold,
                             key_rate)
 from scqkd.eavesdrop import EnsembleMix, GentleIntercept, InterceptResend
-from scqkd.montecarlo import ComparisonReport, SampleStats, ZScore
+from scqkd.montecarlo import (ComparisonReport, SampleStats, TrialConfig, ZScore, compare_to_oracle, proportion_se,
+                              run_trials)
 from scqkd.protocol import Channel, ProtocolKind
 
 F = Fraction
+FAMILIES = {"standard": InterceptResend, "gentle": GentleIntercept}
 
 
 def run_cli(argv, capsys):
-    code = cli.main(argv)
+    """(exit code, stdout, stderr) of one in-process command, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def run_json(argv, capsys):
-    code, out, err = run_cli(argv, capsys)
-    return code, json.loads(out), err
+def _argv(command, given):
+    """The command line of a command with the given flags, e.g. {"q": "1/2"} gives --q 1/2."""
+    return [command] + [text for flag, value in given.items() for text in (f"--{flag}", value)]
+
+
+def _echo(command, config, *names):
+    """A record's head: command, protocol, attack and mix, then the named exact values as floats."""
+    head = {key: config[key] for key in ("protocol", "attack", "mix")}
+    return {"command": command, **head, **{name: float(F(config[name])) for name in names}}
+
+
+def _setting(config):
+    """The protocol, strategy (None for no eavesdropper) and channel a configuration names."""
+    q, mix = F(config.get("q", 0)), EnsembleMix(config["mix"])
+    eve = None if config["attack"] == "none" else FAMILIES[config["attack"]](q, mix)
+    return ProtocolKind(config["protocol"]), eve, Channel(depolarizing=F(config["depolarize"]))
+
+
+def _joint_rates(joint):
+    """The rate fields of a record, as enumerate_joint's JointDistribution and key_rate give them."""
+    report = key_rate(joint)
+    return {
+        "p_sift": float(joint.p_sift),
+        "qber": float(joint.qber),
+        "p_noguess": float(joint.p_eve_abstain),
+        "i_ab": report.i_ab,
+        "i_ae": report.i_ae,
+        "i_be": report.i_be,
+        "r": report.r,
+    }
 
 
 class TestAnalytic:
-    def test_full_strength_trine(self, capsys):
-        code, record, _ = run_json(
-            ["analytic", "--protocol", "trine", "--attack", "standard", "--q", "1"],
-            capsys,
-        )
-        assert code == 0
-        assert record["protocol"] == "trine"
-        assert record["attack"] == "standard"
-        assert record["mix"] == "symmetric"
-        assert record["q"] == 1.0
-        assert record["p_sift"] == pytest.approx(7 / 12)
-        assert record["qber"] == pytest.approx(2 / 7)
-        assert record["p_noguess"] == pytest.approx(2 / 7)
-        joint = enumerate_joint(ProtocolKind.TRINE, InterceptResend(q=F(1)))
-        report = key_rate(joint)
-        assert record["i_ab"] == report.i_ab
-        assert record["i_ae"] == report.i_ae
-        assert record["r"] == report.r
-        assert record["r"] < 0
+    DEFAULTS = {"attack": "none", "mix": "symmetric", "q": "0", "depolarize": "0"}
 
-    def test_no_attack_default(self, capsys):
-        code, record, _ = run_json(["analytic", "--protocol", "six-state"], capsys)
-        assert code == 0
-        assert record["attack"] == "none"
-        assert record["p_sift"] == pytest.approx(1 / 3)
-        assert record["qber"] == 0.0
-        assert record["i_ab"] == 1.0
-        assert record["r"] == 1.0
-
-    def test_fractional_q_is_exact(self, capsys):
-        code, record, _ = run_json(
-            ["analytic", "--protocol", "trine", "--attack", "standard", "--q", "2/7"],
-            capsys,
-        )
-        assert code == 0
-        # p_sift = (6 + q)/12 with q = 2/7
-        assert record["p_sift"] == float(F(11, 21))
-
-    def test_depolarizing_only(self, capsys):
-        code, record, _ = run_json(
-            ["analytic", "--protocol", "bb84", "--depolarize", "0.3"], capsys
-        )
-        assert code == 0
-        assert record["qber"] == pytest.approx(0.15)
-
-    def test_q_out_of_range_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["analytic", "--protocol", "trine", "--q", "1.5"])
-        assert exc.value.code == 1
-
-    def test_unknown_protocol_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["analytic", "--protocol", "b92"])
-        assert exc.value.code == 1
-
-    def test_q_without_attack_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["analytic", "--protocol", "trine", "--attack", "none", "--q", "1/2"])
-        assert exc.value.code == 1
-        code, record, _ = run_json(
-            ["analytic", "--protocol", "trine", "--attack", "none", "--q", "0"], capsys
-        )
-        assert code == 0
-        assert record["q"] == 0.0
+    @pytest.mark.parametrize("given", [
+        {"protocol": "six-state"},
+        {"protocol": "trine", "attack": "standard", "q": "1"},
+        {"protocol": "trine", "attack": "standard", "q": "2/7"},  # fractions parse exactly
+        {"protocol": "trine", "attack": "none", "q": "0"},  # no eavesdropper takes --q 0
+        {"protocol": "bb84", "depolarize": "0.3"},
+        {"protocol": "tetra", "attack": "gentle", "mix": "bob", "q": "1/3", "depolarize": "1/7"},
+    ])
+    def test_record_is_the_enumeration(self, capsys, given):
+        config = {**self.DEFAULTS, **given}
+        want = {**_echo("analytic", config, "q", "depolarize"), **_joint_rates(enumerate_joint(*_setting(config)))}
+        assert run_cli(_argv("analytic", given), capsys) == (0, json.dumps(want) + "\n", "")
 
 
 class TestThreshold:
-    def test_matches_solver_rounded(self, capsys):
-        code, record, _ = run_json(
-            ["threshold", "--protocol", "tetra", "--attack", "standard"], capsys
-        )
-        assert code == 0
-        want = find_threshold(ProtocolKind.TETRAHEDRON, "standard")
-        assert record["q_star"] == round(want.q_star, 4)
-        assert record["qber_star"] == round(want.qber_star, 4)
+    DEFAULTS = {"attack": "standard", "mix": "symmetric", "depolarize": "0"}
 
-    def test_gentle_trine(self, capsys):
-        code, record, _ = run_json(
-            ["threshold", "--protocol", "trine", "--attack", "gentle"], capsys
-        )
-        assert code == 0
-        assert record["q_star"] == pytest.approx(0.8900, abs=2e-4)
-        assert record["qber_star"] == pytest.approx(0.1663, abs=2e-4)
-
-    def test_attack_none_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["threshold", "--protocol", "trine", "--attack", "none"])
-        assert exc.value.code == 1
-
-    def test_depolarize_is_applied_and_echoed(self, capsys):
-        code, record, _ = run_json(
-            ["threshold", "--protocol", "trine", "--depolarize", "1/10"], capsys
-        )
-        assert code == 0
-        assert record["depolarize"] == 0.1
-        want = find_threshold(
-            ProtocolKind.TRINE, "standard", channel=Channel(depolarizing=F(1, 10))
-        )
-        assert record["q_star"] == round(want.q_star, 4)
-        assert record["qber_star"] == round(want.qber_star, 4) == 0.239
-
-    def test_q_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["threshold", "--protocol", "trine", "--q", "1/2"])
-        assert exc.value.code == 1
+    @pytest.mark.parametrize("given", [
+        {"protocol": "tetra"},
+        {"protocol": "trine", "attack": "gentle"},
+        {"protocol": "trine", "depolarize": "1/10"},
+        {"protocol": "tetra", "mix": "bob", "depolarize": "1/20"},
+    ])
+    def test_record_is_the_solve_rounded(self, capsys, given):
+        config = {**self.DEFAULTS, **given}
+        protocol, _, channel = _setting(config)
+        solve = find_threshold(protocol, config["attack"], EnsembleMix(config["mix"]), channel)
+        want = {
+            **_echo("threshold", config, "depolarize"),
+            "q_star": round(solve.q_star, 4),
+            "qber_star": round(solve.qber_star, 4),
+        }
+        assert run_cli(_argv("threshold", given), capsys) == (0, json.dumps(want) + "\n", "")
 
     def test_no_threshold_becomes_exit_1(self, capsys, monkeypatch):
         def no_crossing(*a, **kw):
@@ -152,38 +121,40 @@ class TestThreshold:
 
 
 class TestSimulate:
+    DEFAULTS = {"attack": "none", "mix": "symmetric", "q": "0", "depolarize": "0", "n": "100000", "seed": "0"}
     ARGS = [
         "simulate", "--protocol", "trine", "--attack", "standard",
         "--q", "1", "--n", "20000", "--seed", "12",
     ]
 
-    def test_consistent_run(self, capsys):
-        code, record, _ = run_json(self.ARGS, capsys)
-        assert code == 0
-        assert record["consistent"] is True
-        assert record["n_rounds"] == 20000
-        assert record["max_abs_z"] <= 4.0
-        assert record["n_sifted"] == record["n_errors"] + (
-            record["n_sifted"] - record["n_errors"]
-        )
-        for name in ("z_sift", "z_error", "z_eve_agree_alice"):
-            assert name in record
-
-    @pytest.mark.parametrize("cpus,n", [(1, 3000), (2, 40_000)])
-    def test_counts_serialise_as_integers(self, capsys, monkeypatch, cpus, n):
-        # a one-chunk serial trial and a pooled one; a numpy count would fail json.dumps
-        argv = ["simulate", "--protocol", "six-state", "--attack", "gentle", "--q", "1/2", "--n", str(n)]
+    # a one-chunk serial trial and a pooled one give their counts as JSON integers, not floats
+    @pytest.mark.parametrize("given,cpus", [
+        ({"protocol": "trine", "attack": "standard", "q": "1", "n": "20000", "seed": "12"}, 2),
+        ({"protocol": "bb84", "attack": "none", "n": "1000", "q": "0"}, 2),  # no eavesdropper takes --q 0
+        ({"protocol": "six-state", "attack": "gentle", "q": "1/2", "n": "3000"}, 1),
+        ({"protocol": "six-state", "attack": "gentle", "q": "1/2", "n": "40000"}, 2),
+    ])
+    def test_record_is_the_trial_and_its_comparison(self, capsys, monkeypatch, given, cpus):
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-        code, record, _ = run_json(argv, capsys)
-        assert run_cli(["--format", "csv"] + argv, capsys)[0] == code == 0
-        counts = ("n_rounds", "n_sifted", "n_errors", "n_eve_agree_alice", "n_eve_agree_bob", "n_eve_abstain")
-        assert all(type(record[name]) is int for name in counts)
-        assert record["n_rounds"] == n
-
-    def test_byte_identical_repeat(self, capsys):
-        _, first, _ = run_cli(self.ARGS, capsys)
-        _, second, _ = run_cli(self.ARGS, capsys)
-        assert first == second
+        config = {**self.DEFAULTS, **given}
+        protocol, eve, channel = _setting(config)
+        stats = run_trials(TrialConfig(protocol, eve, channel, n_rounds=int(config["n"]), seed=int(config["seed"])))
+        report = compare_to_oracle(stats, enumerate_joint(protocol, eve, channel))
+        counts = vars(stats).copy()
+        want = {
+            **_echo("simulate", config, "q", "depolarize"),
+            "n_rounds": counts.pop("n_rounds"),
+            "seed": int(config["seed"]),
+            **counts,
+            "sift_rate": stats.sift_rate,
+            "sift_rate_se": proportion_se(stats.n_sifted, stats.n_rounds),
+            "qber": stats.qber,
+            "qber_se": proportion_se(stats.n_errors, stats.n_sifted),
+            **{f"z_{entry.name}": entry.z for entry in report.entries},
+            "max_abs_z": report.max_abs_z,
+            "consistent": True,
+        }
+        assert run_cli(_argv("simulate", given), capsys) == (0, json.dumps(want) + "\n", "")
 
     def test_mismatch_exits_2(self, capsys, monkeypatch):
         # a sample no honest run could produce: half the rounds sifted with zero errors
@@ -196,7 +167,8 @@ class TestSimulate:
             n_eve_abstain=90_000,
         )
         monkeypatch.setattr(cli, "run_trials", lambda config: fake)
-        code, record, _ = run_json(self.ARGS, capsys)
+        code, out, _ = run_cli(self.ARGS, capsys)
+        record = json.loads(out)
         assert code == 2
         assert record["consistent"] is False
         assert record["max_abs_z"] > 4.0
@@ -215,133 +187,34 @@ class TestSimulate:
         assert record["z_error"] == record["max_abs_z"] == "inf"
         assert record["consistent"] is False
 
-    def test_bad_n_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--protocol", "trine", "--n", "0"])
-        assert exc.value.code == 1
-
-    def test_q_without_attack_is_usage_error(self, capsys):
-        argv = ["simulate", "--protocol", "bb84", "--attack", "none", "--n", "1000"]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--q", "1"])
-        assert exc.value.code == 1
-        code, record, _ = run_json(argv + ["--q", "0"], capsys)
-        assert code == 0
-        assert record["q"] == 0.0
-
-
-def _joint_rates(joint):
-    """The rate fields of a record, as enumerate_joint's JointDistribution and key_rate give them."""
-    report = key_rate(joint)
-    return {
-        "p_sift": float(joint.p_sift),
-        "qber": float(joint.qber),
-        "p_noguess": float(joint.p_eve_abstain),
-        "i_ab": report.i_ab,
-        "i_ae": report.i_ae,
-        "i_be": report.i_be,
-        "r": report.r,
-    }
-
 
 class TestSweep:
-    def test_default_grid_has_101_rows(self, capsys):
-        code, record, _ = run_json(["sweep", "--protocol", "bb84"], capsys)
-        assert code == 0
-        assert record["steps"] == 101
-        assert len(record["rows"]) == 101
-        assert record["rows"][0]["q"] == 0.0
-        assert record["rows"][-1]["q"] == 1.0
+    DEFAULTS = {"attack": "standard", "mix": "symmetric", "depolarize": "0", "steps": "101"}
 
-    def test_five_point_trine_values(self, capsys):
-        code, record, _ = run_json(
-            ["sweep", "--protocol", "trine", "--steps", "5"], capsys
-        )
-        assert code == 0
-        rows = record["rows"]
-        assert [r["q"] for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
-        # qber = 2q/(6 + q) on the exclusion code
-        for row, want in zip(rows, [F(0), F(2, 25), F(2, 13), F(2, 9), F(2, 7)]):
-            assert row["qber"] == pytest.approx(float(want), abs=1e-15)
-        assert rows[0]["r"] == 1.0
-        qbers = [r["qber"] for r in rows]
-        rs = [r["r"] for r in rows]
-        assert qbers == sorted(qbers)
-        assert rs == sorted(rs, reverse=True)
-
-    def test_steps_validation(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--protocol", "trine", "--steps", "1"])
-        assert exc.value.code == 1
-
-    def test_q_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--protocol", "trine", "--q", "1/2"])
-        assert exc.value.code == 1
-
-    @pytest.mark.parametrize(
-        "protocol,mix,p",
-        [
-            ("trine", "symmetric", "0"),
-            ("tetra", "bob", "1/7"),
-            ("bb84", "alice", "1/10"),
-            ("six-state", "symmetric", "1/20"),
-        ],
-    )
-    def test_standard_rows_equal_per_q_enumeration(self, capsys, protocol, mix, p):
-        code, record, _ = run_json(
-            ["sweep", "--protocol", protocol, "--mix", mix, "--depolarize", p, "--steps", "9"],
-            capsys,
-        )
-        assert code == 0
-        assert record["depolarize"] == float(F(p))
-        channel = Channel(depolarizing=F(p))
-        for i, row in enumerate(record["rows"]):
-            q = F(i, 8)
-            eve = InterceptResend(q=q, mix=EnsembleMix(mix))
-            joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
-            want = {"q": float(q), **_joint_rates(joint)}
-            assert json.dumps(row) == json.dumps(want)
-
-    def test_standard_rows_keep_the_enumeration_key_order(self, capsys):
-        # rows and enumerate_joint read the same corners in the same key order;
-        # a key order of their own would round key_rate's float sums
-        # differently (rows 7, 11, ... of this grid)
-        _, record, _ = run_json(["sweep", "--protocol", "bb84"], capsys)
-        for i, row in enumerate(record["rows"]):
-            joint = enumerate_joint(ProtocolKind.BB84, InterceptResend(q=F(i, 100)))
-            assert json.dumps(row) == json.dumps({"q": i / 100, **_joint_rates(joint)})
-
-    def test_gentle_rows_see_the_channel(self, capsys):
-        _, quiet, _ = run_json(
-            ["sweep", "--protocol", "bb84", "--attack", "gentle", "--steps", "3"], capsys
-        )
-        _, noisy, _ = run_json(
-            ["sweep", "--protocol", "bb84", "--attack", "gentle", "--steps", "3",
-             "--depolarize", "0.2"],
-            capsys,
-        )
-        assert quiet["rows"][0]["qber"] == 0.0
-        assert noisy["rows"][0]["qber"] == pytest.approx(0.1)
-
-    @pytest.mark.parametrize(
-        "protocol,mix,p",
-        [("trine", "symmetric", "0"), ("tetra", "bob", "1/7"), ("six-state", "alice", "1/20")],
-    )
-    def test_gentle_rows_follow_per_q_enumeration(self, capsys, protocol, mix, p):
-        code, record, _ = run_json(
-            ["sweep", "--protocol", protocol, "--attack", "gentle", "--mix", mix,
-             "--depolarize", p, "--steps", "11"],
-            capsys,
-        )
-        assert code == 0
-        channel = Channel(depolarizing=F(p))
-        for i, row in enumerate(record["rows"]):
-            q = F(i, 10)
-            eve = GentleIntercept(q=float(q), mix=EnsembleMix(mix))
-            joint = enumerate_joint(ProtocolKind(protocol), eve, channel)
-            want = {"q": float(q), **_joint_rates(joint)}
-            assert json.dumps(row) == json.dumps(want)  # one evaluation path
+    @pytest.mark.parametrize("given", [
+        # the default grid: rows and enumerate_joint read the same corners in the same key order, and a key
+        # order of their own would round key_rate's float sums differently (rows 7, 11, ... of this grid)
+        {"protocol": "bb84"},
+        {"protocol": "trine", "steps": "5"},
+        {"protocol": "trine", "steps": "9"},
+        {"protocol": "tetra", "mix": "bob", "depolarize": "1/7", "steps": "9"},
+        {"protocol": "bb84", "mix": "alice", "depolarize": "1/10", "steps": "9"},
+        {"protocol": "six-state", "depolarize": "1/20", "steps": "9"},
+        {"protocol": "trine", "attack": "gentle", "steps": "11"},
+        {"protocol": "tetra", "attack": "gentle", "mix": "bob", "depolarize": "1/7", "steps": "11"},
+        {"protocol": "six-state", "attack": "gentle", "mix": "alice", "depolarize": "1/20", "steps": "11"},
+        {"protocol": "bb84", "attack": "gentle", "steps": "3"},
+        {"protocol": "bb84", "attack": "gentle", "depolarize": "0.2", "steps": "3"},
+    ])
+    def test_rows_are_the_enumeration_at_each_q(self, capsys, given):
+        config = {**self.DEFAULTS, **given}
+        d = int(config["steps"]) - 1
+        rows = [
+            {"q": float(F(i, d)), **_joint_rates(enumerate_joint(*_setting({**config, "q": F(i, d)})))}
+            for i in range(d + 1)
+        ]
+        want = {**_echo("sweep", config, "depolarize"), "steps": d + 1, "rows": rows}
+        assert run_cli(_argv("sweep", given), capsys) == (0, json.dumps(want) + "\n", "")
 
     def test_non_finite_rates_in_a_row_are_written_as_strings(self, capsys, monkeypatch):
         grid_rates = cli._grid_rates
@@ -375,55 +248,46 @@ class TestRateRowsSkipTheJoint:
                 built[_name] = built.get(_name, 0) + 1
                 _original(self)
             monkeypatch.setattr(cls, "__post_init__", counted)
-        code, record, _ = run_json(["sweep", "--protocol", protocol, "--attack", attack], capsys)
-        assert code == 0 and len(record["rows"]) == 101
+        code, out, _ = run_cli(["sweep", "--protocol", protocol, "--attack", attack], capsys)
+        assert code == 0 and len(json.loads(out)["rows"]) == 101
         assert built == {}
 
 
 class TestEstimateQ:
-    def test_near_full_interception(self, capsys):
-        code, record, _ = run_json(
-            [
-                "estimate-q", "--protocol", "trine",
-                "--sift-count", "583333", "--total-count", "1000000",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert record["q"] == pytest.approx(0.999996)
-        assert record["in_model"] is True
-        assert record["qber"] == pytest.approx(2 * record["q"] / (6 + record["q"]))
-        assert record["q_se"] == pytest.approx(
-            12 * (0.583333 * (1 - 0.583333) / 1e6) ** 0.5
-        )
+    # the sifting band's inverse width: q moves 12 (trine) or 9 (tetra) times as far as the sift rate
+    SLOPE = {"trine": 12, "tetra": 9}
 
-    def test_idle_channel_gives_zero(self, capsys):
-        code, record, _ = run_json(
-            [
-                "estimate-q", "--protocol", "tetra",
-                "--sift-count", "333333333", "--total-count", "999999999",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert record["q"] == 0.0
-        assert record["qber"] == 0.0
-        assert record["r"] == 1.0
-
-    def test_out_of_model_clamps_and_flags(self, capsys):
-        # no warning escapes (pyproject's filterwarnings makes one an error): in_model is the signal
-        code, record, err = run_json(
-            [
-                "estimate-q", "--protocol", "trine",
-                "--sift-count", "700000", "--total-count", "1000000",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert err == ""
-        assert record["q"] == 1.0
-        assert record["q_raw"] == pytest.approx(12 * 0.7 - 6)
-        assert record["in_model"] is False
+    @pytest.mark.parametrize("protocol,sift,total", [
+        ("trine", 583333, 1000000),  # near full interception
+        ("tetra", 333333333, 999999999),  # an idle channel: q = 0
+        ("trine", 700000, 1000000),  # out of the model: clamped to q = 1 and flagged, with nothing on stderr
+        ("trine", 5500, 10000),
+        ("tetra", 3700, 10000),
+    ])
+    def test_record_is_the_inversion_and_its_rates(self, capsys, protocol, sift, total):
+        # the rates are those of the estimate under intercept/resend, and r_gentle that of the gentle symmetric
+        # attack of the same Bloch shrink 1 - q, GentleIntercept(sqrt(q (2 - q)))
+        kind, se = ProtocolKind(protocol), proportion_se(sift, total)
+        estimate = estimate_q_from_sift(kind, F(sift, total), margin=2 * se)
+        q = float(estimate.q)
+        joint = enumerate_joint(kind, InterceptResend(estimate.q))
+        gentle = enumerate_joint(kind, GentleIntercept(math.sqrt(q * (2 - q))))
+        want = {
+            "command": "estimate-q",
+            "protocol": protocol,
+            "sift_count": sift,
+            "total_count": total,
+            "sift_rate": float(F(sift, total)),
+            "q": q,
+            "q_raw": float(estimate.q_raw),
+            "q_se": self.SLOPE[protocol] * se,
+            "in_model": estimate.in_model,
+            "qber": float(joint.qber),
+            "r": key_rate(joint).r,
+            "r_gentle": key_rate(gentle).r,
+        }
+        argv = ["estimate-q", "--protocol", protocol, "--sift-count", str(sift), "--total-count", str(total)]
+        assert run_cli(argv, capsys) == (0, json.dumps(want) + "\n", "")
 
     @pytest.mark.parametrize("protocol,sift,q,r,r_gentle", [
         ("trine", 5500, 0.6, 0.0746, -0.0508),
@@ -432,13 +296,12 @@ class TestEstimateQ:
     def test_reports_the_gentle_rate_of_the_same_shrink(self, capsys, protocol, sift, q, r, r_gentle):
         # GentleIntercept(sqrt(q (2 - q))) shrinks the Bloch vector by 1 - q, as InterceptResend(q) does:
         # the same sift rate and QBER, and a lower R, reported as it is when negative
-        code, record, _ = run_json(
-            ["estimate-q", "--protocol", protocol, "--sift-count", str(sift), "--total-count", "10000"], capsys
-        )
+        argv = ["estimate-q", "--protocol", protocol, "--sift-count", str(sift), "--total-count", "10000"]
+        code, out, _ = run_cli(argv, capsys)
+        record = json.loads(out)
         assert code == 0 and record["q"] == q
         assert (round(record["r"], 4), round(record["r_gentle"], 4)) == (r, r_gentle)
         gentle = enumerate_joint(ProtocolKind(protocol), GentleIntercept(math.sqrt(q * (2 - q))))
-        assert record["r_gentle"] == key_rate(gentle).r
         assert abs(gentle.p_sift - record["sift_rate"]) <= 1e-15 and abs(gentle.qber - record["qber"]) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
@@ -463,53 +326,55 @@ class TestEstimateQ:
             assert cli.main(argv) == 0
         assert key_rate(joint).r >= json.loads(out.getvalue())["r_gentle"] - 1e-12
 
-    def test_basis_protocols_rejected(self, capsys):
-        for protocol in ("bb84", "six-state"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(
-                    [
-                        "estimate-q", "--protocol", protocol,
-                        "--sift-count", "1", "--total-count", "2",
-                    ]
-                )
-            assert exc.value.code == 1
-            assert "at every interception fraction" in capsys.readouterr().err
 
-    def test_count_validation(self, capsys):
-        for sift, total in [("1", "0"), ("3", "2"), ("-1", "10")]:
-            with pytest.raises(SystemExit) as exc:
-                cli.main(
-                    [
-                        "estimate-q", "--protocol", "trine",
-                        "--sift-count", sift, "--total-count", total,
-                    ]
-                )
-            assert exc.value.code == 1
+# (argv, the start of its one error line); the prog before ": error: " names the parser whose usage heads stderr
+USAGE_ERRORS = [
+    (["analytic", "--protocol", "trine", "--q", "1.5"], "scqkd analytic: error: argument --q: must lie in [0, 1], got 1.5"),
+    (["analytic", "--protocol", "trine", "--attack", "standard", "--q", "abc"],
+     "scqkd analytic: error: argument --q: not a number: 'abc'"),
+    (["analytic", "--protocol", "b92"], "scqkd analytic: error: argument --protocol: invalid choice: 'b92'"),
+    (["analytic", "--protocol", "trine", "--q", "1/2"], "scqkd analytic: error: --q needs --attack standard or gentle"),
+    (["analytic", "--protocol", "trine", "--attack", "none", "--q", "1/2"],
+     "scqkd analytic: error: --q needs --attack standard or gentle"),
+    (["threshold", "--protocol", "trine", "--attack", "none"],
+     "scqkd threshold: error: argument --attack: invalid choice: 'none'"),
+    (["threshold", "--protocol", "trine", "--q", "1/2"], "scqkd: error: unrecognized arguments: --q 1/2"),
+    (["simulate", "--protocol", "trine", "--n", "0"], "scqkd simulate: error: --n must be positive"),
+    (["simulate", "--protocol", "bb84", "--attack", "none", "--n", "1000", "--q", "1"],
+     "scqkd simulate: error: --q needs --attack standard or gentle"),
+    (["simulate", "--protocol", "trine", "--seed", "-1"], "scqkd simulate: error: --seed must lie in [0, 2^64)"),
+    (["simulate", "--protocol", "trine", "--seed", str(2**64)], "scqkd simulate: error: --seed must lie in [0, 2^64)"),
+    (["sweep", "--protocol", "trine", "--steps", "1"], "scqkd sweep: error: --steps must be at least 2"),
+    (["sweep", "--protocol", "trine", "--q", "1/2"], "scqkd: error: unrecognized arguments: --q 1/2"),
+    (["estimate-q", "--protocol", "bb84", "--sift-count", "1", "--total-count", "2"],
+     "scqkd estimate-q: error: the sifting rate of bb84 is 1/2 at every interception fraction"),
+    (["estimate-q", "--protocol", "six-state", "--sift-count", "1", "--total-count", "2"],
+     "scqkd estimate-q: error: the sifting rate of six-state is 1/3 at every interception fraction"),
+    (["estimate-q", "--protocol", "trine", "--sift-count", "1", "--total-count", "0"],
+     "scqkd estimate-q: error: --total-count must be positive"),
+    (["estimate-q", "--protocol", "trine", "--sift-count", "3", "--total-count", "2"],
+     "scqkd estimate-q: error: --sift-count must lie in [0, total-count]"),
+    (["estimate-q", "--protocol", "trine", "--sift-count", "-1", "--total-count", "10"],
+     "scqkd estimate-q: error: --sift-count must lie in [0, total-count]"),
+    ([], "scqkd: error: the following arguments are required: command"),
+]
 
 
 class TestOutputFormats:
-    def test_csv_scalar_record(self, capsys):
-        code, out, _ = run_cli(
-            ["--format", "csv", "analytic", "--protocol", "trine", "--attack",
-             "standard", "--q", "1"],
-            capsys,
-        )
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 1
-        assert rows[0]["protocol"] == "trine"
-        assert float(rows[0]["qber"]) == pytest.approx(2 / 7)
-
-    def test_csv_table_repeats_config(self, capsys):
-        code, out, _ = run_cli(
-            ["--format", "csv", "sweep", "--protocol", "tetra", "--steps", "3"],
-            capsys,
-        )
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 3
-        assert {r["protocol"] for r in rows} == {"tetra"}
-        assert [float(r["q"]) for r in rows] == [0.0, 0.5, 1.0]
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--protocol", "trine", "--attack", "standard", "--q", "1"],
+        ["simulate", "--protocol", "six-state", "--attack", "gentle", "--q", "1/2", "--n", "3000"],
+        ["sweep", "--protocol", "tetra", "--steps", "3"],
+    ])
+    def test_a_csv_row_is_the_json_record_flattened(self, capsys, argv):
+        # a scalar record is one row; a table's scalars are repeated on every row
+        record = json.loads(run_cli(argv, capsys)[1])
+        table = record.pop("rows", [{}])
+        code, out, err = run_cli(["--format", "csv"] + argv, capsys)
+        reader = csv.DictReader(io.StringIO(out))
+        assert (code, err) == (0, "")
+        assert list(reader) == [{key: str(value) for key, value in {**record, **row}.items()} for row in table]
+        assert reader.fieldnames == list(record) + list(table[0])
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rates.json"
@@ -531,36 +396,14 @@ class TestOutputFormats:
         assert out == ""
         assert err == f"scqkd: error: cannot write {path}: {reason}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["threshold", "--protocol", "trine", "--attack", "none"],
-        ["sweep", "--protocol", "trine", "--steps", "1"],
-        ["simulate", "--protocol", "trine", "--n", "0"],
-        ["estimate-q", "--protocol", "bb84", "--sift-count", "1", "--total-count", "2"],
-        ["analytic", "--protocol", "trine", "--q", "1/2"],
-    ])
-    def test_usage_errors_print_the_subcommand_usage(self, argv, capsys):
-        # as argparse's own errors do, e.g. a missing --total-count
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage: scqkd {argv[0]} ")
-        assert f"\nscqkd {argv[0]}: error: " in err
-
-    @pytest.mark.parametrize("argv,message", [
-        (["analytic", "--protocol", "trine", "--attack", "standard", "--q", "abc"], "argument --q: not a number: 'abc'"),
-        (["simulate", "--protocol", "trine", "--seed", "-1"], "--seed must lie in [0, 2^64)"),
-        (["simulate", "--protocol", "trine", "--seed", str(2**64)], "--seed must lie in [0, 2^64)"),
-    ])
-    def test_bad_values_are_one_error_line_and_exit_1(self, argv, message, capsys):
-        code, out, err = _outcome(argv, capsys)
+    @pytest.mark.parametrize("argv,line", USAGE_ERRORS)
+    def test_a_usage_error_is_the_usage_one_error_line_and_exit_1(self, capsys, argv, line):
+        # as argparse's own errors are, the ones found past argparse included
+        code, out, err = run_cli(argv, capsys)
+        errors = [text for text in err.splitlines() if "error:" in text]
         assert (code, out) == (1, "")
-        assert [line for line in err.splitlines() if "error:" in line] == [f"scqkd {argv[0]}: error: {message}"]
-
-    def test_missing_command_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([])
-        assert exc.value.code == 1
+        assert err.startswith(f"usage: {line.split(': error: ')[0]} ")
+        assert len(errors) == 1 and errors[0].startswith(line)
 
 
 def _quoted(value):
@@ -628,16 +471,6 @@ class TestRecordLayout:
             self.emitted(value)
 
 
-def _outcome(argv, capsys):
-    """(exit code, stdout, stderr) of one in-process command, usage errors included."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 # every subcommand, defaults after set flags, usage errors after other
 # subcommands, and --format csv between json commands
 SEQUENCE = [
@@ -673,9 +506,9 @@ class TestOneParserPerProcess:
         alone = []
         for argv in SEQUENCE:
             cli.build_parser.cache_clear()
-            alone.append(_outcome(argv, capsys))
+            alone.append(run_cli(argv, capsys))
         cli.build_parser.cache_clear()
-        in_turn = [_outcome(argv, capsys) for argv in SEQUENCE]
+        in_turn = [run_cli(argv, capsys) for argv in SEQUENCE]
         assert in_turn == alone
         assert {code for code, _, _ in in_turn} == {0, 1}
         assert in_turn[-1] == in_turn[1]

@@ -34,13 +34,13 @@ class TestMakeCode:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_unit_vectors(self, kind):
         norms = np.linalg.norm(make_code(kind).states, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
     def test_trine_coplanar_and_balanced(self):
         states = make_code(ProtocolKind.TRINE).states
         np.testing.assert_allclose(states[:, 1], 0.0, atol=1e-15)  # x-z plane
         np.testing.assert_allclose(states.sum(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(states[0], [0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(states[0], [0, 0, 1], rtol=0, atol=1e-15)
 
     def test_tetrahedron_balanced(self):
         states = make_code(ProtocolKind.TETRAHEDRON).states

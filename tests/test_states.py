@@ -32,7 +32,7 @@ class TestPureFromBloch:
         ([0, 1, 0], (I2 + SIGMA_Y) / 2),
     ], ids=["+z", "-z", "+x", "+y"])
     def test_the_axes_are_the_pauli_eigenstates(self, v, rho):
-        np.testing.assert_allclose(pure_from_bloch(v), rho, atol=1e-15)
+        np.testing.assert_allclose(pure_from_bloch(v), rho, rtol=0, atol=1e-15)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
