@@ -8,7 +8,8 @@ line, "exact layer ok on Python <version>". It checks that:
 
 - the exact commands (`analytic`, `threshold`, `sweep` and `estimate-q`,
   with rational and float flags, and a sweep at p = 1e-400, whose rows'
-  totals pass 2^1074 so each row's rates are taken alone) exit 0;
+  totals pass 2^1074 so each row is read through its joint and key_rate)
+  exit 0;
 - where Eve touches nothing, her information is exactly zero;
 - every threshold solve's answer, read back through the public
   enumerate_joint and key_rate, has |R| <= 1e-6 (the bench's own check) and

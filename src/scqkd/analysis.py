@@ -35,27 +35,28 @@ cached `_corners` entry per (protocol, family, mix) holds what both kinds
 of row read: the integer tables and, for float rows, the same tables as
 one column per key for each zero pattern of the channel weights, so a
 row of either kind is one cache lookup. `enumerate_joint` divides its row
-into a JointDistribution. `find_threshold` reads R at each probe of
+into a JointDistribution (`_joint`). `find_threshold` reads R at each probe of
 Chandrupatla's bracketed step (secant first, then inverse quadratic
 interpolation or bisection) straight off the probe's row (`_r_at`), the
 rate kernel over the masses divided by their total, and enumerates one
 joint, at the probe it returns, for its QBER; the tests keep the weighted
 walk of one eavesdropper as the reference they compare the corners with. Exact
 inputs give integer masses over one integer total, and the joint keeps only
-their Fractions. The CLI's rate records skip the joint: `_rates` reads the
-same floats straight off a row, as one flat tuple (p_sift, qber,
-p_noguess, i_ab, i_ae, i_be, r), and a sweep, q = i / (steps - 1), is one
-grid. `key_rate` and `_rates` share one rate kernel, `_rate_kernel`, which
-gives (i_ab, i_ae, i_be, r): a layout has a plan, built once per layout
-and cached, of the (a, b), (a, e) and (b, e) cells and marginals as
-indices, so a row sums, divides and takes logs in the order of the
-dict-based reference the tests keep, with no dict built; a pair whose x or
-y takes one value has no cells, so its information is exactly 0.0, as
-Eve's is where she touches nothing. Only `key_rate`
-wraps the four floats in a RateReport. `_grid_rates` reads a whole grid:
-the rows of one layout go through the same steps together, each step one
-map over the rows (`_column_kernel`), so each row's floats are its own
-`_rates`, a layout of one row included.
+their Fractions. The CLI's rate records skip the joint: `_grid_rates`
+reads the same floats straight off a grid of rows, as one flat tuple per
+row (p_sift, qber, p_noguess, i_ab, i_ae, i_be, r); a point is a one-row
+grid and a sweep, q = i / (steps - 1), one grid. The rows of one layout go
+through the same steps together, each step one map over the rows, the
+rate kernel's by column (`_column_kernel`) included; a row whose total a
+column cannot take is read through its joint and `key_rate` themselves.
+`key_rate` and a solve's probe share the one-row rate kernel,
+`_rate_kernel`, which gives (i_ab, i_ae, i_be, r): a layout has a plan,
+built once per layout and cached, of the (a, b), (a, e) and (b, e) cells
+and marginals as indices, so a row sums, divides and takes logs in the
+order of the dict-based reference the tests keep, with no dict built; a
+pair whose x or y takes one value has no cells, so its information is
+exactly 0.0, as Eve's is where she touches nothing. Only `key_rate` wraps
+the four floats in a RateReport.
 `estimate_q_from_sift` inverts the sifting rate along the line the same
 corners give (`_sift_line`). `AnalyticCurves` keeps the closed-form
 intercept/resend curves of the trine and tetrahedron (it rejects the basis
@@ -73,7 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational, Real
@@ -417,7 +418,18 @@ def enumerate_joint(protocol: ProtocolKind, eve=None, channel: Channel = IDEAL) 
             is not a Channel, or an unknown eavesdropping strategy.
     """
     _check_config(protocol, channel)
-    [(layout, values, total, den)] = _evaluate(protocol, *_family_mix_grid(eve), channel.depolarizing)
+    [row] = _evaluate(protocol, *_family_mix_grid(eve), channel.depolarizing)
+    return _joint(*row)
+
+
+def _joint(layout, values, total, den) -> JointDistribution:
+    """The JointDistribution of one `_evaluate` row: p_sift total / den (floats: the total), each mass over the total.
+
+    Raises:
+        ValueError: unless the total is > 0.
+    """
+    if not total > 0:
+        raise ValueError(f"p_sift must lie in (0, 1], got {total!r}")
     if den is None:
         return JointDistribution(p_sift=total, table={key: v / total for key, v in zip(layout, values)})
     table = {key: Fraction(v, total) for key, v in zip(layout, values)}
@@ -480,53 +492,34 @@ def _evaluate(protocol: ProtocolKind, family: str, mix, xs, d, p) -> list:
     return rows
 
 
-def _rates(layout, values, total, den) -> tuple:
-    """(p_sift, qber, p_noguess, i_ab, i_ae, i_be, r) of one `_evaluate` row, with no JointDistribution built.
+def _grid_rates(rows) -> list:
+    """(p_sift, qber, p_noguess, i_ab, i_ae, i_be, r) of each `_evaluate` row, the rows of one layout taken together.
 
     They are float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain)
-    and the fields of key_rate(joint) of the joint enumerate_joint builds from
-    the same row, bit for bit, without its Fraction table. Exact masses stay
-    integers, and every rate is one correctly rounded int / int: the float of
-    the joint's Fraction. Float masses are divided by the total first and
-    then summed in table order, as the joint's table and mass are. The four
-    information fields are `_rate_kernel`'s, through the plan of the row's
-    layout. This is the one-row path: a grid's rows go through `_grid_rates`,
-    which gives the same tuples.
+    and the fields of key_rate(joint) of the row's joint (`_joint`), bit for
+    bit. Rows are grouped by their layout (and by exact or float). A group,
+    one row or many, builds no joint: it takes each step as one map over its
+    rows, the rate kernel's too (`_column_kernel`). Exact masses stay
+    integers, and every rate is one correctly rounded int / int: the float
+    of the joint's Fraction. Float masses are divided by the total first and
+    then summed in table order, as the joint's table and mass are; a row's
+    QBER and abstain rate are builtin sums over its own values, as sum is
+    compensated for floats from Python 3.12 on. A row whose total is not in
+    (0, 2^1074) is read through `_joint` and `key_rate` themselves: in a
+    group every kept mass is an int >= 1 or a float >= 1e-15, so every value
+    and cell over such a total is a positive float, and over a larger one a
+    value may underflow to 0.0, whose log no column skips.
 
     Raises:
-        ValueError: unless total > 0, as JointDistribution does.
-    """
-    if not total > 0:
-        raise ValueError(f"p_sift must lie in (0, 1], got {total!r}")
-    if den is None:  # the joint's table: each mass over the total
-        p_sift, values, total = total, [v / total for v in values], None
-    else:
-        p_sift = total / den
-    sums = (sum(v for (a, b, _), v in zip(layout, values) if a != b),
-            sum(v for (_, _, e), v in zip(layout, values) if e is None))
-    qber, p_noguess = (float(s) if total is None else s / total for s in sums)
-    return (p_sift, qber, p_noguess, *_rate_kernel(layout, values, total))
-
-
-def _grid_rates(rows) -> list:
-    """[_rates(*row) for row in rows], the same tuples bit for bit, the rows of one layout taken together.
-
-    Rows are grouped by their layout (and by exact or float). A group, one
-    row or many, takes each step of `_rates` as one map over its rows, the
-    rate kernel's too (`_column_kernel`), so each row gets the same
-    operations on the same operands in the same order; its QBER and abstain
-    rate are builtin sums over its own values, as sum is compensated for
-    floats from Python 3.12 on. A row whose total is not in (0, 2^1074)
-    goes through `_rates` alone: in a group every kept mass is an int >= 1
-    or a float >= 1e-15, so every value and cell over such a total is a
-    positive float.
+        ValueError: for a row whose total is not > 0, as `_joint` does.
     """
     out, groups = [None] * len(rows), {}
     for r, (layout, _, total, den) in enumerate(rows):
         if 0 < total < 1 << 1074:
             groups.setdefault((layout, den is None), []).append(r)
         else:
-            out[r] = _rates(*rows[r])
+            joint = _joint(*rows[r])
+            out[r] = (float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain), *astuple(key_rate(joint)))
     for (layout, floats), index in groups.items():
         _, values, totals, dens = zip(*(rows[r] for r in index))
         columns = list(zip(*values))
@@ -552,8 +545,10 @@ def _column_kernel(layout: tuple, columns: list, totals) -> tuple:
     It returns the kernel's (i_ab, i_ae, i_be, r) as four columns, one entry
     per row, for a group of any size, one row included. Each cell, marginal
     and log term is one map over the rows, with the kernel's operations in
-    its order: cells summed with + in table order and divided by the total,
-    marginals summed in cell order, and log sums from 0.0 in cell order.
+    its order: cells summed with + in table order (integer masses then
+    divided by their total: the float of the joint's Fraction cell, which
+    the kernel takes with float()), marginals summed in cell order, and log
+    sums from 0.0 in cell order.
     The kernel begins a cell at int 0 and a marginal at 0.0, which leave a
     positive value as it is, and every value and cell here is positive (see
     _grid_rates), so no log term is skipped. A pair the plan gives no cells
@@ -664,7 +659,7 @@ def key_rate(joint: JointDistribution) -> RateReport:
         ValueError: for anything that is not a JointDistribution.
     """
     _check_instance("joint", joint, JointDistribution)
-    return RateReport(*_rate_kernel(tuple(joint.table), tuple(joint.table.values()), None))
+    return RateReport(*_rate_kernel(tuple(joint.table), tuple(joint.table.values())))
 
 
 # 39 layouts (kept keys in corner order) occur over every protocol x family x mix, 101-step q grids and float q
@@ -694,17 +689,15 @@ def _rate_plan(layout: tuple) -> tuple:
     return tuple(plan)
 
 
-def _rate_kernel(layout: tuple, values, total) -> tuple:
+def _rate_kernel(layout: tuple, values) -> tuple:
     """(i_ab, i_ae, i_be, r) of a table given as its keys and their values, through the layout's plan.
 
     Each pair's cell sums its values with plain + from int 0 in table order
-    and is converted to a float: by float() with total None (the values are
-    probabilities already, floats or an exact joint's Fractions), else as
-    one correctly rounded int / int of integer masses over their int total,
-    the float of the marginal's Fraction. Each marginal sums its cells from
-    0.0 in cell order, and the log sum runs in cell order, as a mutual
-    information over the pair's table as a dict does, so the floats are
-    its own bit for bit. A pair of one x or one y value has no cells in
+    and is converted by float(): the values are probabilities, floats or an
+    exact joint's Fractions, so an exact cell is the float of the marginal's
+    Fraction. Each marginal sums its cells from 0.0 in cell order, and the
+    log sum runs in cell order, as a mutual information over the pair's
+    table as a dict does, so the floats are its own bit for bit. A pair of one x or one y value has no cells in
     the plan, so its information is 0.0. r is i_ab - min(i_ae, i_be).
     """
     infos = []
@@ -714,7 +707,7 @@ def _rate_kernel(layout: tuple, values, total) -> tuple:
             s = 0
             for i in indices:
                 s += values[i]
-            s = float(s) if total is None else s / total
+            s = float(s)
             pair.append(s)
             px[x] += s
             py[y] += s
@@ -750,7 +743,7 @@ def _r_at(protocol: ProtocolKind, family: str, mix, p, q: float) -> float:
     [(layout, values, total, _)] = _evaluate(protocol, family, mix, (q,), None, p)
     if not total > 0:
         raise ValueError(f"p_sift must lie in (0, 1], got {total!r}")
-    return _rate_kernel(layout, [v / total for v in values], None)[3]
+    return _rate_kernel(layout, [v / total for v in values])[3]
 
 
 def find_threshold(

@@ -7,10 +7,10 @@ threshold, 2 when a simulation disagrees with the exact distribution beyond
 4 standard deviations on any counter.
 
 The rate records of `analytic`, `sweep` and `estimate-q` are read straight
-off the corner masses (analysis._evaluate and _rates), with no
-JointDistribution built; they are its floats and key_rate's, bit for bit.
-A point is a one-row grid and a sweep one grid of q, whose rates are read
-in one call (analysis._grid_rates). Each row's rates come as one flat
+off the corner masses (analysis._evaluate), with no JointDistribution
+built; they are its floats and key_rate's, bit for bit. A point is a
+one-row grid and a sweep one grid of q, and each command reads its rows'
+rates in one call (analysis._grid_rates). Each row's rates come as one flat
 tuple (p_sift, qber, p_noguess, i_ab, i_ae, i_be, r), and a record's rate
 fields are those names zipped with it. Only `simulate`
 builds a joint, as the oracle its counts are compared with. A JSON record
@@ -34,7 +34,6 @@ from .analysis import (
     _evaluate,
     _family_mix_grid,
     _grid_rates,
-    _rates,
     _sift_line,
     enumerate_joint,
     estimate_q_from_sift,
@@ -71,7 +70,7 @@ def _echo(args, *names) -> dict:
 
 
 def _rates_record(rates) -> dict:
-    """The rate fields of a record from one `_rates` tuple: enumerate_joint's floats and key_rate's, bit for bit."""
+    """The rate fields of a record from one `_grid_rates` tuple: the joint's floats and key_rate's, bit for bit."""
     return dict(zip(("p_sift", "qber", "p_noguess", "i_ab", "i_ae", "i_be", "r"), rates))
 
 
@@ -128,9 +127,8 @@ def _to_csv(record: dict) -> str:
 def _cmd_analytic(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     eve = _strategy_for(args.attack, args.q, EnsembleMix(args.mix))
-    [row] = _evaluate(protocol, *_family_mix_grid(eve), args.depolarize)
-    record = _rates_record(_rates(*row))
-    return {**_echo(args, "q", "depolarize"), **record}, 0
+    [rates] = _grid_rates(_evaluate(protocol, *_family_mix_grid(eve), args.depolarize))
+    return {**_echo(args, "q", "depolarize"), **_rates_record(rates)}, 0
 
 
 def _cmd_threshold(args) -> tuple:
@@ -188,6 +186,8 @@ def _cmd_estimate_q(args) -> tuple:
     protocol = ProtocolKind(args.protocol)
     if args.total_count <= 0:
         args.parser.error("--total-count must be positive")
+    if args.total_count > sys.float_info.max:  # its standard error is a float
+        args.parser.error(f"--total-count must be at most {sys.float_info.max!r}")
     if not 0 <= args.sift_count <= args.total_count:
         args.parser.error("--sift-count must lie in [0, total-count]")
     sift_rate = Fraction(args.sift_count, args.total_count)
@@ -200,13 +200,11 @@ def _cmd_estimate_q(args) -> tuple:
     estimate = estimate_q_from_sift(protocol, sift_rate, margin=2 * se_rate)
     q_hat = float(estimate.q)
 
-    def rates(eve):  # one `_evaluate` row on the noiseless channel
-        [row] = _evaluate(protocol, *_family_mix_grid(eve), IDEAL.depolarizing)
-        return _rates(*row)
-
-    _, qber, *_, r = rates(InterceptResend(estimate.q))
-    # the gentle symmetric attack of the same Bloch shrink 1 - q: the same sift rate and QBER, its own R
-    r_gentle = rates(GentleIntercept(math.sqrt(q_hat * (2 - q_hat))))[-1]
+    # one `_evaluate` row each on the noiseless channel: intercept/resend at the estimate, and the gentle
+    # symmetric attack of the same Bloch shrink 1 - q, with the same sift rate and QBER and its own R
+    eves = InterceptResend(estimate.q), GentleIntercept(math.sqrt(q_hat * (2 - q_hat)))
+    rows = [row for eve in eves for row in _evaluate(protocol, *_family_mix_grid(eve), IDEAL.depolarizing)]
+    (_, qber, *_, r), (*_, r_gentle) = _grid_rates(rows)
     record = {
         "command": "estimate-q",
         "protocol": protocol.value,

@@ -25,7 +25,6 @@ from scqkd.analysis import (
     _r_at,
     _rate_kernel,
     _rate_plan,
-    _rates,
     _sift_line,
     _sifting,
     _stages,
@@ -611,11 +610,11 @@ class TestMutualInformation:
 def _pair_floats(items, total) -> tuple:
     """The (a, b), (a, e) and (b, e) marginals of (key, mass) items as floats, summed in one pass in order.
 
-    The reference of analysis._rate_kernel's cells, with dicts: with an int
-    total each sum of integer masses becomes one correctly rounded
-    int / int, the float of the marginal's Fraction; with total None the
-    items are probabilities already, floats or an exact joint's Fractions,
-    and their sums are converted by float().
+    The reference of the rate kernels' cells, with dicts: with an int total
+    (`_column_kernel` on exact rows) each sum of integer masses becomes one
+    correctly rounded int / int, the float of the marginal's Fraction; with
+    total None the items are probabilities already, floats or an exact
+    joint's Fractions, and their sums are converted by float().
     """
     ab: dict = {}
     ae: dict = {}
@@ -1352,6 +1351,56 @@ class TestOneBlochShrink:
             assert all(abs(ab[key] - want_ab[key]) <= 1e-15 for key in ab)
 
 
+def _channel_masses(protocol, kraus) -> tuple:
+    """(p_sift, E): the sifted mass and its error mass with no eavesdropper, after the channel of these Kraus operators.
+
+    Bob's rows are built on the matrix path: the code's state j through the
+    channel, then his POVM by the Born rule. They are read through the
+    slot-0 cells of `_sifting`, each signal weighted 1/n and each
+    announcement 1/n_opts, as the walk weights them.
+    """
+    n, n_opts = protocol.n_signals, len(announcement_options(protocol, 1))
+    povm, sifting = _side_gentle_povm(protocol, "bob", 1).elements, _sifting(protocol)
+    sift = error = 0.0
+    for j in range(1, n + 1):
+        rho = sum(k @ make_code(protocol).state(j) @ k.conj().T for k in kraus)
+        for k, element in enumerate(povm):
+            mass = born_probability(rho, element) / (n * n_opts)
+            cell = ((j - 1) * n + k) * n_opts
+            for key in sifting[cell:cell + n_opts]:
+                if key is not None:
+                    sift += mass
+                    error += mass if key[0] != key[1] else 0.0
+    return sift, error
+
+
+class TestSiftFixesTheQberOnEveryChannel:
+    """With no eavesdropper, the sift rate fixes the QBER on every qubit channel, unital or not.
+
+    The codes' error mass E = QBER * p_sift is one affine function of p_sift
+    whatever the channel; BB84 and six-state sift at one rate on every
+    channel, so theirs carries nothing. Any attack on the qubit that acts
+    before the announcement reaches Alice and Bob as some channel, round by
+    round, and the relation is affine, so it holds on average over rounds.
+    """
+
+    ERROR_MASS = {ProtocolKind.TRINE: lambda s: 2 * s - 1, ProtocolKind.TETRAHEDRON: lambda s: (3 * s - 1) / 2}
+    FLAT_SIFT = {ProtocolKind.BB84: 1 / 2, ProtocolKind.SIX_STATE: 1 / 3}
+
+    @pytest.mark.parametrize("protocol", ALL)
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4))
+    def test_error_mass_is_affine_in_the_sift_rate(self, protocol, seed, count):
+        # 1 to 4 Kraus operators, the 2x2 blocks of a random isometry: the QR of a complex Gaussian matrix
+        rng = np.random.default_rng(seed)
+        isometry, _ = np.linalg.qr(rng.standard_normal((2 * count, 2)) + 1j * rng.standard_normal((2 * count, 2)))
+        sift, error = _channel_masses(protocol, [isometry[2 * i:2 * i + 2] for i in range(count)])
+        if protocol in self.FLAT_SIFT:
+            assert abs(sift - self.FLAT_SIFT[protocol]) <= 1e-12
+        else:
+            assert abs(error - self.ERROR_MASS[protocol](sift)) <= 1e-12
+
+
 # exact and float inputs, with the ends of [0, 1] in both arithmetics and the float just below 1
 _RATE_INPUTS = st.one_of(
     _STRENGTH, st.floats(min_value=0, max_value=1), st.sampled_from([F(0), F(1), 0.0, 1.0, 1 - 2**-52])
@@ -1366,7 +1415,7 @@ _NUMPY_SCALARS = st.one_of(
 
 
 class TestRates:
-    """The CLI's rate rows: _rates of _evaluate's masses are the joint's floats and key_rate's, bit for bit."""
+    """The CLI's rate rows: _grid_rates of _evaluate's masses are the joint's floats and key_rate's, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(protocol=st.sampled_from(ALL), family=st.sampled_from(["none", "standard", "gentle"]),
@@ -1380,7 +1429,7 @@ class TestRates:
         want = [float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain),
                 report.i_ab, report.i_ae, report.i_be, report.r]
         [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
-        got = _rates(*row)
+        got = _grid_rates([row])[0]
         assert type(got) is tuple and all(type(v) is float for v in got)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
@@ -1400,7 +1449,7 @@ class TestRates:
             joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
             [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
             table = [(key, _bits(v)) for key, v in joint.table.items()]
-            return _bits(joint.p_sift), table, _rate_bits(_rates(*row)), row
+            return _bits(joint.p_sift), table, _rate_bits(_grid_rates([row])[0]), row
 
         (*got, row), (*want, _) = observed(q, p), observed(*(v.item() if isinstance(v, np.generic) else v for v in (q, p)))
         assert got == want
@@ -1408,10 +1457,10 @@ class TestRates:
         _, values, total, den = row
         assert den is None or (all(type(v) is int for v in values) and type(total) is int)
 
-    @pytest.mark.parametrize("den", [None, 1, 12])
-    def test_need_a_positive_total(self, den):
-        with pytest.raises(ValueError, match=re.escape("p_sift must lie in (0, 1]")):
-            _rates((), [], 0, den)
+    @pytest.mark.parametrize("total,den", [(0, None), (0, 1), (0, 12), (-1, 12), (-0.5, None), (math.nan, None)])
+    def test_need_a_positive_total(self, total, den):
+        with pytest.raises(ValueError, match=re.escape(f"p_sift must lie in (0, 1], got {total!r}")):
+            _grid_rates([((), [], total, den)])
 
     @pytest.mark.parametrize("family", ["standard", "gentle"])
     @pytest.mark.parametrize("protocol", ALL)
@@ -1445,7 +1494,7 @@ class TestRates:
 
 
 def _rate_bits(rates):
-    """A `_rates` tuple, checked to be 7 floats, as their float.hex, so that equality sees the sign of a zero."""
+    """A `_grid_rates` tuple, checked to be 7 floats, as their float.hex, so that equality sees the sign of a zero."""
     assert type(rates) is tuple and len(rates) == 7 and all(type(v) is float for v in rates), rates
     return [float.hex(v) for v in rates]
 
@@ -1464,11 +1513,11 @@ class TestSweepGrid:
     @example(protocol=ProtocolKind.SIX_STATE, family="gentle", mix=EnsembleMix.SYMMETRIC, p=F(0), steps=40)
     @example(protocol=ProtocolKind.BB84, family="gentle", mix=EnsembleMix.ALICE_ONLY, p=F(1), steps=2)
     def test_rows_equal_per_q_evaluation(self, protocol, family, mix, p, steps):
-        got = [_rates(*row) for row in _evaluate(protocol, family, mix, range(steps), steps - 1, p)]
+        got = [_grid_rates([row])[0] for row in _evaluate(protocol, family, mix, range(steps), steps - 1, p)]
         # each q alone, as enumerate_joint reads it: a one-row grid over the q's own denominator
         alone = (_evaluate(protocol, *_family_mix_grid(_strategy_for(family, F(i, steps - 1), mix)), p)
                  for i in range(steps))
-        want = [_rates(*row) for [row] in alone]
+        want = [_grid_rates([row])[0] for [row] in alone]
         assert got == want
         assert [_rate_bits(rates) for rates in got] == [_rate_bits(rates) for rates in want]
 
@@ -1507,9 +1556,9 @@ class TestRateKernel:
         eve = _strategy_for(family, q, mix)
         [row] = _evaluate(protocol, *_family_mix_grid(eve), p)
         layout, values, total, den = row
-        if den is None:  # _rates' float path: the joint's table, each mass over the total
+        if den is None:  # the float path: the joint's table, each mass over the total
             values, total = [v / total for v in values], None
-        assert _report_bits(_rates(*row)[3:]) == _report_bits(_rate_report(_pair_floats(zip(layout, values), total)))
+        assert _report_bits(_grid_rates([row])[0][3:]) == _report_bits(_rate_report(_pair_floats(zip(layout, values), total)))
         joint = enumerate_joint(protocol, eve, Channel(depolarizing=p))
         want = _report_bits(_rate_report(_pair_floats(joint.table.items(), None)))
         assert _report_bits(_key_rate_fields(joint)) == want
@@ -1531,9 +1580,9 @@ class TestRateKernel:
     def test_grid_rates_are_each_rows_rates(self, protocol, family, mix, p, grid):
         rows = _evaluate(protocol, family, mix, *grid, p)
         got = _grid_rates(rows)
-        assert [_rate_bits(rates) for rates in got] == [_rate_bits(_rates(*row)) for row in rows]
+        assert [_rate_bits(rates) for rates in got] == [_rate_bits(_grid_rates([row])[0]) for row in rows]
         for (layout, values, total, den), rates in zip(rows, got):
-            if den is None:  # _rates' float path: the joint's table, each mass over the total
+            if den is None:  # the float path: the joint's table, each mass over the total
                 values, total = [v / total for v in values], None
             assert _report_bits(rates[3:]) == _report_bits(_rate_report(_pair_floats(zip(layout, values), total)))
 
@@ -1551,10 +1600,15 @@ class TestRateKernel:
     @pytest.mark.parametrize("protocol", ALL)
     def test_grid_rates_take_a_row_of_a_huge_total_alone(self, monkeypatch, protocol):
         # at p = 10^-400 every row's total is past 2^1074, over which some values underflow to 0.0,
-        # a log2 domain error by column: each row goes through `_rates` and the columns are never taken
+        # a log2 domain error by column: each row is read through its joint and key_rate, and the columns
+        # are never taken
         rows = _evaluate(protocol, "standard", EnsembleMix.SYMMETRIC, range(101), 100, F(1, 10**400))
         assert all(total >= 1 << 1074 for _, _, total, _ in rows)
-        want = [_rate_bits(_rates(*row)) for row in rows]
+        want = []
+        for layout, values, total, den in rows:
+            joint = JointDistribution(p_sift=F(total, den), table={key: F(v, total) for key, v in zip(layout, values)})
+            want.append(_rate_bits((float(joint.p_sift), float(joint.qber), float(joint.p_eve_abstain),
+                                    *_key_rate_fields(joint))))
         calls = []
         monkeypatch.setattr(analysis, "_column_kernel", lambda *args: calls.append(args))
         assert [_rate_bits(rates) for rates in _grid_rates(rows)] == want
@@ -1579,7 +1633,7 @@ class TestRateKernel:
         for protocol, family, p in itertools.product(ALL, ["standard", "gentle"], [F(0), F(1, 7), 0.05]):
             for mix in EnsembleMix:
                 for row in _evaluate(protocol, family, mix, range(101), 100, p):
-                    _rates(*row)
+                    _grid_rates([row])
         info = _rate_plan.cache_info()
         assert info.misses == info.currsize == 39
 

@@ -271,6 +271,7 @@ class TestEstimateQ:
         ("trine", 583333, 1000000),  # near full interception
         ("tetra", 333333333, 999999999),  # an idle channel: q = 0
         ("trine", 700000, 1000000),  # out of the model: clamped to q = 1 and flagged, with nothing on stderr
+        ("tetra", 5, 10**308),  # a count within the float range is used, however large
     ])
     def test_record_is_the_inversion_and_its_rates(self, capsys, protocol, sift, total):
         # the rates are those of the estimate under intercept/resend, and r_gentle that of the gentle symmetric
@@ -366,6 +367,9 @@ USAGE_ERRORS = [
      "it carries no estimate of q"),
     (["estimate-q", "--protocol", "trine", "--sift-count", "1", "--total-count", "0"],
      "scqkd estimate-q: error: --total-count must be positive"),
+    # past the float range its standard error would overflow; 10^300 is a count like any other
+    (["estimate-q", "--protocol", "trine", "--sift-count", "5", "--total-count", str(10**400)],
+     "scqkd estimate-q: error: --total-count must be at most 1.7976931348623157e+308"),
     (["estimate-q", "--protocol", "trine", "--sift-count", "3", "--total-count", "2"],
      "scqkd estimate-q: error: --sift-count must lie in [0, total-count]"),
     (["estimate-q", "--protocol", "trine", "--sift-count", "-1", "--total-count", "10"],
